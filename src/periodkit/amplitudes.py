@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from .curve_counts import a_p_from_jacobi
 from .characters import MultiplicativeCharacter, jacobi_sum
-from .errors import PoleAtNonpositiveInteger
-from .finite_field import _check_odd_prime
+from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger
+from .finite_field import _check_prime
 
 POLE_SNAP = 1e-12
 
@@ -38,7 +38,9 @@ _LANCZOS_C = (
 
 
 def _near_nonpositive_int(x: float, tol: float = POLE_SNAP) -> Optional[int]:
-    """n >= 0 such that x is within tol of -n, else None."""
+    """n >= 0 such that x is within tol of -n, else None (also for x = +-inf)."""
+    if math.isinf(x):
+        return None
     n = round(x)
     if n <= 0 and abs(x - n) < tol:
         return -n
@@ -46,9 +48,10 @@ def _near_nonpositive_int(x: float, tol: float = POLE_SNAP) -> Optional[int]:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma via the Lanczos series, reflection formula below 1/2."""
+    """Gamma via the Lanczos series, reflection formula below 1/2; FloatOverflow
+    once the series leaves the double range (x above about 141)."""
     if not math.isfinite(x):
-        raise ValueError(f"gamma_fn needs a finite argument, got {x}")
+        raise InvalidInput("x", f"Gamma needs a finite argument, got {x}")
     if _near_nonpositive_int(x) is not None:
         raise PoleAtNonpositiveInteger(f"Gamma has a pole at {x}")
     if x < 0.5:
@@ -58,11 +61,18 @@ def gamma_fn(x: float) -> float:
     for i in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        power = t ** (z + 0.5)
+    except OverflowError:
+        raise FloatOverflow(f"Gamma({x}) exceeds the double range") from None
+    return math.sqrt(2.0 * math.pi) * power * math.exp(-t) * acc
 
 
 def beta_fn(alpha: float, beta: float) -> float:
     """B(alpha, beta) = Gamma(alpha)Gamma(beta)/Gamma(alpha+beta)."""
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(v):
+            raise InvalidInput(name, f"Beta needs finite arguments, got {name} = {v}")
     for name, v in (("alpha", alpha), ("beta", beta), ("alpha+beta", alpha + beta)):
         if _near_nonpositive_int(v) is not None:
             raise PoleAtNonpositiveInteger(f"{name} = {v} sits on a Gamma pole")
@@ -77,8 +87,10 @@ class MandelstamInput:
     s34: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.s12) and math.isfinite(self.s34)):
-            raise ValueError("Mandelstam invariants must be finite")
+        for name in ("s12", "s34"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise InvalidInput(name, f"Mandelstam invariants must be finite, got {name} = {v}")
 
     @property
     def alpha(self) -> float:
@@ -98,12 +110,16 @@ class AmplitudeValue:
     pole_index: Optional[int] = None
 
 
-def _residue_closed_form(n: int, beta: float) -> float:
-    """Residue of the amplitude in alpha at alpha = -n, for beta off the poles."""
-    acc = (-1.0) ** n / math.factorial(n)
-    for j in range(1, n + 1):
-        acc *= beta - j
-    return acc
+def _residue_sign(n: int, beta: float) -> float:
+    """Sign of the residue (-1)^n/n! * prod_{j=1..n} (beta - j) at alpha = -n:
+    (-1)^k for the k factors with j < beta, counted in O(1) for any n."""
+    k = min(n, max(0, math.ceil(beta) - 1))
+    return -1.0 if k % 2 else 1.0
+
+
+def _factorial_ratio(q: int, n: int) -> float:
+    """q!/n! in O(|q - n|) steps; |q - n| stays small where Gamma has not overflowed."""
+    return math.perm(q, q - n) if q >= n else 1 / math.perm(n, n - q)
 
 
 def veneziano(m: MandelstamInput, tol: float = POLE_SNAP) -> AmplitudeValue:
@@ -119,18 +135,18 @@ def veneziano(m: MandelstamInput, tol: float = POLE_SNAP) -> AmplitudeValue:
         if n_a is not None and n_b is not None:
             return AmplitudeValue(value=math.inf, at_pole=True, pole_index=n_a)
         if n_a is not None:
-            limit = gamma_fn(beta) * (-1.0) ** (n_a - q) * math.factorial(q) / math.factorial(n_a)
+            limit = gamma_fn(beta) * (-1.0) ** (n_a - q) * _factorial_ratio(q, n_a)
             return AmplitudeValue(value=limit, at_pole=False)
         if n_b is not None:
-            limit = gamma_fn(alpha) * (-1.0) ** (n_b - q) * math.factorial(q) / math.factorial(n_b)
+            limit = gamma_fn(alpha) * (-1.0) ** (n_b - q) * _factorial_ratio(q, n_b)
             return AmplitudeValue(value=limit, at_pole=False)
         return AmplitudeValue(value=0.0, at_pole=False)
     if n_a is not None:
         # Sign of the divergence as alpha -> -n from above matches the residue.
-        sign = math.copysign(1.0, _residue_closed_form(n_a, beta))
+        sign = _residue_sign(n_a, beta)
         return AmplitudeValue(value=sign * math.inf, at_pole=True, pole_index=n_a)
     if n_b is not None:
-        sign = math.copysign(1.0, _residue_closed_form(n_b, alpha))
+        sign = _residue_sign(n_b, alpha)
         return AmplitudeValue(value=sign * math.inf, at_pole=True, pole_index=n_b)
     return AmplitudeValue(value=beta_fn(alpha, beta), at_pole=False)
 
@@ -142,9 +158,9 @@ def pole_scan(beta_fixed: float, n_max: int) -> list[tuple[int, float]]:
     numerically, so the closed form stays available as an independent check.
     """
     if not 0 <= n_max <= 12:
-        raise ValueError(f"n_max must be in [0, 12], got {n_max}")
-    if abs(beta_fixed - round(beta_fixed)) < 1e-9:
-        raise ValueError(f"beta must stay off the integers, got {beta_fixed}")
+        raise InvalidInput("n_max", f"need 0 <= n <= 12, got {n_max}")
+    if not math.isfinite(beta_fixed) or abs(beta_fixed - round(beta_fixed)) < 1e-9:
+        raise InvalidInput("beta_fixed", f"beta must be finite and off the integers, got {beta_fixed}")
     out = []
     levels = 10
     eps0 = 0.125
@@ -204,11 +220,15 @@ DICTIONARY_ROWS: tuple[tuple[str, str], ...] = (
 def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceReport:
     """Two-column report: exact Jacobi-sum facts over F_p against amplitude
     samples on the grid square.  No cross-side equation is asserted."""
-    _check_odd_prime(p)
+    _check_prime(p)
     if p > 97:
-        raise ValueError(f"report is desk-scale only (p <= 97), got {p}")
+        raise InvalidInput("p", f"report is desk-scale only (p <= 97), got {p}")
     if len(s_grid) > 100:
-        raise ValueError(f"grid size capped at 100, got {len(s_grid)}")
+        raise InvalidInput("s_grid", f"grid size capped at 100, got {len(s_grid)}")
+    try:
+        cells = [MandelstamInput(s12=s, s34=t) for s in s_grid for t in s_grid]
+    except InvalidInput as exc:
+        raise InvalidInput("s_grid", str(exc)) from None
 
     local = []
     for k1 in range(1, p - 1):
@@ -229,12 +249,11 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
             )
 
     global_rows = []
-    for s in s_grid:
-        for t in s_grid:
-            amp = veneziano(MandelstamInput(s12=s, s34=t))
-            global_rows.append(
-                GlobalRow(s=s, t=t, value=amp.value, at_pole=amp.at_pole, pole_index=amp.pole_index)
-            )
+    for m in cells:
+        amp = veneziano(m)
+        global_rows.append(
+            GlobalRow(s=m.s12, t=m.s34, value=amp.value, at_pole=amp.at_pole, pole_index=amp.pole_index)
+        )
 
     ap = a_p_from_jacobi(p) if p % 4 == 1 else None
     return CorrespondenceReport(

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicNumber
-from .errors import MismatchedModulus, TrivialCharacter
-from .finite_field import PrimeFieldElem, _check_odd_prime, _smallest_primitive_root
+from .errors import BadCongruence, MismatchedModulus, TrivialCharacter
+from .finite_field import PrimeFieldElem, _check_prime, _smallest_primitive_root
 
 
 @functools.lru_cache(maxsize=None)
@@ -42,7 +42,7 @@ class MultiplicativeCharacter:
     k: int
 
     def __post_init__(self):
-        _check_odd_prime(self.p)
+        _check_prime(self.p)
         object.__setattr__(self, "k", self.k % (self.p - 1))
 
     @property
@@ -71,7 +71,7 @@ def quadratic_character(p: int) -> MultiplicativeCharacter:
 
 def quartic_character(p: int) -> MultiplicativeCharacter:
     if (p - 1) % 4 != 0:
-        raise ValueError(f"F_{p}^x has no element of order 4")
+        raise BadCongruence(f"p = {p} is {p % 4} mod 4; F_{p}^x has no element of order 4")
     return MultiplicativeCharacter(p, (p - 1) // 4)
 
 

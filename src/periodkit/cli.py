@@ -2,8 +2,9 @@
 versioned output envelope rendered as JSON (default), CSV, or Markdown.
 
 Exit codes: 0 success, 1 domain error (singular curve, bad congruence, ...),
-2 usage error.  All numeric output is printed with 15 significant digits and
-identical argv always produces byte-identical output.
+2 invalid argument, with the flag named; argument rules live in the library.
+All numeric output is printed with 15 significant digits and identical argv
+always produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -46,14 +47,8 @@ from .curve_counts import (
     count_points_ext,
     zeta_data,
 )
-from .errors import PeriodkitError
-from .finite_field import is_prime
+from .errors import InvalidInput, PeriodkitError
 from .padic import PadicInt, delta_p, delta_rules_check
-
-
-class UsageError(Exception):
-    """Bad flag value; the message names the offending flag."""
-
 
 # ---------------------------------------------------------------------------
 # Output envelope and rendering
@@ -146,58 +141,20 @@ RENDERERS = {"json": render_json, "csv": render_csv, "md": render_markdown}
 # Flag parsing helpers
 
 
-def _require_odd_prime(p: int, flag: str = "--p") -> int:
-    if p is None:
-        raise UsageError(f"{flag} is required")
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise UsageError(f"{flag}: {p} is not an odd prime")
-    return p
-
-
-def _parse_residue_curve(text: str, p: int) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"--curve: expected 'a,b', got {text!r}")
+def _parse_numbers(flag: str, text: str, kind, count=None) -> list:
+    """Comma-separated values of one number type (int, float or Fraction);
+    an empty string is an empty list, and count fixes the length."""
+    parts = text.split(",") if text.strip() else []
+    if count is not None and len(parts) != count:
+        raise InvalidInput(flag, f"expected {count} comma-separated values, got {text!r}")
     try:
-        return int(parts[0]) % p, int(parts[1]) % p
-    except ValueError as exc:
-        raise UsageError(f"--curve: {exc}") from exc
-
-
-def _parse_rational_curve(text: str) -> tuple[Fraction, Fraction]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"--curve: expected 'a,b', got {text!r}")
-    try:
-        return Fraction(parts[0]), Fraction(parts[1])
+        return [kind(part) for part in parts]
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--curve: {exc}") from exc
-
-
-def _parse_float_grid(text: str) -> list[float]:
-    if text.strip() == "":
-        return []
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"--grid: {exc}") from exc
-
-
-def _parse_rational_grid(text: str) -> list[Fraction]:
-    if text.strip() == "":
-        return []
-    try:
-        return [Fraction(part) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--grid: {exc}") from exc
+        raise InvalidInput(flag, str(exc)) from exc
 
 
 def _re_im(z: complex) -> tuple[float, float]:
     return float(z.real), float(z.imag)
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +162,22 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _cmd_gauss(args) -> OutputEnvelope:
-    p = _require_odd_prime(args.p)
-    c = MultiplicativeCharacter(p, args.k1)
+    c = MultiplicativeCharacter(args.p, args.k1)
     g = gauss_sum(c)
     re, im = _re_im(g.value)
-    row = {"p": p, "k1": c.k, "order": c.order, "value_re": re, "value_im": im, "norm": g.norm_sq}
-    return OutputEnvelope("gauss", {"p": p, "k1": args.k1}, [row])
+    row = {"p": c.p, "k1": c.k, "order": c.order, "value_re": re, "value_im": im, "norm": g.norm_sq}
+    return OutputEnvelope("gauss", {"p": c.p, "k1": args.k1}, [row])
 
 
 def _cmd_jacobi(args) -> OutputEnvelope:
-    p = _require_odd_prime(args.p)
-    c1 = MultiplicativeCharacter(p, args.k1)
-    c2 = MultiplicativeCharacter(p, args.k2)
+    c1 = MultiplicativeCharacter(args.p, args.k1)
+    c2 = MultiplicativeCharacter(args.p, args.k2)
     j = jacobi_sum(c1, c2)
     residual = None
     if not (c1.is_trivial or c2.is_trivial or (c1 * c2).is_trivial):
         residual = gauss_jacobi_relation_check(c1, c2)
     row = {
-        "p": p,
+        "p": c1.p,
         "k1": c1.k,
         "k2": c2.k,
         "ring_order": j.m,
@@ -230,57 +185,47 @@ def _cmd_jacobi(args) -> OutputEnvelope:
         "norm": j.norm_to_int(),
         "residual": residual,
     }
-    return OutputEnvelope("jacobi", {"p": p, "k1": args.k1, "k2": args.k2}, [row])
+    return OutputEnvelope("jacobi", {"p": c1.p, "k1": args.k1, "k2": args.k2}, [row])
 
 
 def _cmd_count(args) -> OutputEnvelope:
-    p = _require_odd_prime(args.p)
-    if p < 5:
-        raise UsageError(f"--p: point counting needs p >= 5, got {p}")
-    a, b = _parse_residue_curve(args.curve, p)
-    curve = WeierstrassCurveFp(p, a, b)
+    curve = WeierstrassCurveFp(args.p, *_parse_numbers("curve", args.curve, int, 2))
     result = count_points(curve)
-    row = {"p": p, "a": a, "b": b, "Np": result.n_points, "ap": result.a_p}
-    if args.n == 2:
-        row["Np2"] = count_points_ext(curve, 2)
-    elif args.n != 1:
-        raise UsageError(f"--n: extension degree must be 1 or 2, got {args.n}")
-    return OutputEnvelope("count", {"p": p, "curve": args.curve, "n": args.n}, [row])
+    row = {"p": curve.p, "a": curve.a, "b": curve.b, "Np": result.n_points, "ap": result.a_p}
+    if args.n != 1:
+        row[f"Np{args.n}"] = count_points_ext(curve, args.n)
+    return OutputEnvelope("count", {"p": curve.p, "curve": args.curve, "n": args.n}, [row])
 
 
 def _cmd_zeta(args) -> OutputEnvelope:
-    p = _require_odd_prime(args.p)
-    if p < 5:
-        raise UsageError(f"--p: point counting needs p >= 5, got {p}")
-    a, b = _parse_residue_curve(args.curve, p)
-    data = zeta_data(WeierstrassCurveFp(p, a, b))
+    curve = WeierstrassCurveFp(args.p, *_parse_numbers("curve", args.curve, int, 2))
+    data = zeta_data(curve)
     ar, ai = _re_im(data.alpha)
     br, bi = _re_im(data.beta)
     row = {
-        "p": p,
-        "a": a,
-        "b": b,
+        "p": curve.p,
+        "a": curve.a,
+        "b": curve.b,
         "ap": data.a_p,
         "alpha_re": ar,
         "alpha_im": ai,
         "beta_re": br,
         "beta_im": bi,
     }
-    return OutputEnvelope("zeta", {"p": p, "curve": args.curve}, [row])
+    return OutputEnvelope("zeta", {"p": curve.p, "curve": args.curve}, [row])
 
 
 def _cmd_apjacobi(args) -> OutputEnvelope:
-    p = _require_odd_prime(args.p)
-    row = {"p": p, "ap": a_p_from_jacobi(p)}
-    return OutputEnvelope("apjacobi", {"p": p}, [row])
+    row = {"p": args.p, "ap": a_p_from_jacobi(args.p)}
+    return OutputEnvelope("apjacobi", {"p": args.p}, [row])
 
 
 def _curve_rows(a: Fraction, b: Fraction, lattice) -> dict:
     o1r, o1i = _re_im(lattice.omega1)
     o2r, o2i = _re_im(lattice.omega2)
     return {
-        "a": _frac_str(a),
-        "b": _frac_str(b),
+        "a": str(a),
+        "b": str(b),
         "method": lattice.method,
         "omega1_re": o1r,
         "omega1_im": o1i,
@@ -290,7 +235,7 @@ def _curve_rows(a: Fraction, b: Fraction, lattice) -> dict:
 
 
 def _cmd_periods(args) -> OutputEnvelope:
-    a, b = _parse_rational_curve(args.curve)
+    a, b = _parse_numbers("curve", args.curve, Fraction, 2)
     curve = EllipticCurveQ(a, b)
     rows = [
         _curve_rows(a, b, periods_agm(curve)),
@@ -300,7 +245,7 @@ def _cmd_periods(args) -> OutputEnvelope:
 
 
 def _cmd_tau(args) -> OutputEnvelope:
-    a, b = _parse_rational_curve(args.curve)
+    a, b = _parse_numbers("curve", args.curve, Fraction, 2)
     curve = EllipticCurveQ(a, b)
     lattice = periods_agm(curve)
     raw = lattice.omega2 / lattice.omega1
@@ -308,8 +253,8 @@ def _cmd_tau(args) -> OutputEnvelope:
     o1r, o1i = _re_im(lattice.omega1)
     o2r, o2i = _re_im(lattice.omega2)
     row = {
-        "a": _frac_str(a),
-        "b": _frac_str(b),
+        "a": str(a),
+        "b": str(b),
         "omega1_re": o1r,
         "omega1_im": o1i,
         "omega2_re": o2r,
@@ -324,12 +269,12 @@ def _cmd_tau(args) -> OutputEnvelope:
 
 
 def _cmd_periodmap(args) -> OutputEnvelope:
-    ts = _parse_rational_grid(args.grid)
+    ts = _parse_numbers("grid", args.grid, Fraction)
     rows = []
     for t, point in period_map_legendre(ts):
         rows.append(
             {
-                "t": _frac_str(t),
+                "t": str(t),
                 "tau_re": float(point.tau.real),
                 "tau_im": float(point.tau.imag),
                 "matrix": [list(point.transform[0]), list(point.transform[1])],
@@ -339,8 +284,6 @@ def _cmd_periodmap(args) -> OutputEnvelope:
 
 
 def _cmd_catalog(args) -> OutputEnvelope:
-    if args.n < 2 or args.n > 10**6:
-        raise UsageError(f"--n: need 2 <= n <= 10^6, got {args.n}")
     rows = []
     for entry in numeric_periods_catalog(args.n):
         rows.append(
@@ -384,22 +327,12 @@ def _cmd_beta(args) -> OutputEnvelope:
 
 
 def _cmd_poles(args) -> OutputEnvelope:
-    if args.n < 0 or args.n > 12:
-        raise UsageError(f"--n: need 0 <= n <= 12, got {args.n}")
-    if abs(args.t - round(args.t)) < 1e-9:
-        raise UsageError(f"--t: beta must stay off the integers, got {args.t}")
     rows = [{"beta": args.t, "n": n, "residue": res} for n, res in pole_scan(args.t, args.n)]
     return OutputEnvelope("poles", {"t": args.t, "n": args.n}, rows)
 
 
 def _cmd_correspond(args) -> OutputEnvelope:
-    p = _require_odd_prime(args.p)
-    if p > 97:
-        raise UsageError(f"--p: report is desk-scale only (p <= 97), got {p}")
-    grid = _parse_float_grid(args.grid)
-    if len(grid) > 100:
-        raise UsageError(f"--grid: size capped at 100, got {len(grid)}")
-    report = correspondence_table(p, grid)
+    report = correspondence_table(args.p, _parse_numbers("grid", args.grid, float))
     record = {
         "p": report.p,
         "ap": report.a_p,
@@ -419,7 +352,7 @@ def _cmd_correspond(args) -> OutputEnvelope:
         ],
         "dictionary": [{"global": g, "local": l} for g, l in report.dictionary],
     }
-    return OutputEnvelope("correspond", {"p": p, "grid": args.grid}, [record])
+    return OutputEnvelope("correspond", {"p": report.p, "grid": args.grid}, [record])
 
 
 def _render_correspond_markdown(env: OutputEnvelope) -> str:
@@ -459,12 +392,6 @@ def _render_correspond_markdown(env: OutputEnvelope) -> str:
 
 
 def _cmd_delta(args) -> OutputEnvelope:
-    if args.p is None:
-        raise UsageError("--p is required")
-    if not is_prime(args.p):
-        raise UsageError(f"--p: {args.p} is not prime")
-    if not 1 <= args.precision <= 64:
-        raise UsageError(f"--precision: need 1 <= N <= 64, got {args.precision}")
     x = PadicInt(args.p, args.precision, args.x)
     dx = delta_p(x)
     row = {"p": args.p, "N": args.precision, "x": x.value, "delta": dx.value}
@@ -495,10 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, default_format: str = "json"):
+    def add(name: str, help_text: str, default_format: str = "json", formats=("json", "csv", "md")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("json", "csv", "md"), default=default_format)
-        p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output is deterministic either way")
+        p.add_argument("--format", choices=formats, default=default_format)
         return p
 
     p = add("gauss", "Gauss sum of a multiplicative character")
@@ -547,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True, help="fixed beta (non-integer)")
     p.add_argument("--n", type=int, default=5)
 
-    p = add("correspond", "two-column local/global report", default_format="md")
+    p = add("correspond", "two-column local/global report", default_format="md", formats=("json", "md"))
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--grid", type=str, default="", help="comma-separated amplitude grid values")
 
@@ -579,6 +505,19 @@ _DISPATCH = {
 }
 
 
+# Library argument names that differ from the flag carrying them; any other
+# name is its own flag.
+_FLAG_OF_ARG = {
+    "n_max": "--n",
+    "beta_fixed": "--t",
+    "s12": "--s",
+    "s34": "--t",
+    "alpha": "--s",
+    "beta": "--t",
+    "s_grid": "--grid",
+}
+
+
 def _absorb_flag_values(argv: list[str]) -> list[str]:
     # argparse reads "-1,0" as an option string; fold values of list-like
     # flags into --flag=value so negative entries parse.
@@ -605,17 +544,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         env = _DISPATCH[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except InvalidInput as exc:
+        print(f"error: {_FLAG_OF_ARG.get(exc.arg, '--' + exc.arg)}: {exc}", file=sys.stderr)
         return 2
     except PeriodkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if args.command == "correspond" and args.format == "md":
         text = _render_correspond_markdown(env)
-    elif args.command == "correspond" and args.format == "csv":
-        print("error: --format: correspond supports json and md only", file=sys.stderr)
-        return 2
     else:
         text = RENDERERS[args.format](env)
     sys.stdout.write(text)

@@ -28,6 +28,8 @@ from .errors import (
     ComplexRoots,
     DegenerateFamilyMember,
     DegenerateLattice,
+    FloatOverflow,
+    InvalidInput,
     QuadratureNoConvergence,
     SingularCurve,
 )
@@ -109,25 +111,34 @@ def real_roots(curve: EllipticCurveQ) -> list[float]:
     """Real roots of x^3 + a*x + b, closed form plus Newton polish.
 
     Returns [e1, e2, e3] sorted descending when the exact discriminant is
-    positive, else the single real root as a one-element list.
+    positive, else the single real root as a one-element list.  Raises
+    FloatOverflow when a or b is too large (or, for three roots, too small)
+    for the double-precision formulas.
     """
-    a = float(curve.a)
-    b = float(curve.b)
-    if curve.discriminant > 0:
-        # Three distinct real roots force a < 0; trigonometric form.
-        m = 2.0 * math.sqrt(-a / 3.0)
-        arg = 3.0 * b / (a * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg)
-        roots = [m * math.cos((theta + 2.0 * math.pi * k) / 3.0) for k in range(3)]
-        roots = sorted((_newton_polish(r, a, b) for r in roots), reverse=True)
-        return roots
-    # One real root: Cardano with stable cube roots.
-    half_q = b / 2.0
-    inner = math.sqrt(half_q * half_q + (a / 3.0) ** 3)
-    u = math.copysign(abs(-half_q + inner) ** (1.0 / 3.0), -half_q + inner)
-    v = math.copysign(abs(-half_q - inner) ** (1.0 / 3.0), -half_q - inner)
-    return [_newton_polish(u + v, a, b)]
+    try:
+        a = float(curve.a)
+        b = float(curve.b)
+        if curve.discriminant > 0:
+            # Three distinct real roots force a < 0; trigonometric form.
+            m = 2.0 * math.sqrt(-a / 3.0)
+            arg = 3.0 * b / (a * m)
+            arg = min(1.0, max(-1.0, arg))
+            theta = math.acos(arg)
+            roots = [m * math.cos((theta + 2.0 * math.pi * k) / 3.0) for k in range(3)]
+            roots = sorted((_newton_polish(r, a, b) for r in roots), reverse=True)
+        else:
+            # One real root: Cardano with stable cube roots.
+            half_q = b / 2.0
+            inner = math.sqrt(half_q * half_q + (a / 3.0) ** 3)
+            u = math.copysign(abs(-half_q + inner) ** (1.0 / 3.0), -half_q + inner)
+            v = math.copysign(abs(-half_q - inner) ** (1.0 / 3.0), -half_q - inner)
+            roots = [_newton_polish(u + v, a, b)]
+        if not all(map(math.isfinite, roots)):
+            raise OverflowError("Newton polish left the double range")
+    except (OverflowError, ZeroDivisionError) as exc:
+        # Division by zero here means a * m underflowed to 0.
+        raise FloatOverflow(f"curve coefficients out of double-precision range ({exc})") from None
+    return roots
 
 
 def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -147,7 +158,11 @@ def _require_three_real(curve: EllipticCurveQ) -> tuple[float, float, float]:
     roots = real_roots(curve)
     if len(roots) != 3:
         raise ComplexRoots(f"{curve!r} has one real root; period support needs three")
-    return roots[0], roots[1], roots[2]
+    e1, e2, e3 = roots
+    if not e1 > e2 > e3:
+        # Exactly distinct, but too close to tell apart in double precision.
+        raise DegenerateLattice(f"roots {e1!r}, {e2!r}, {e3!r} coincide in double precision")
+    return e1, e2, e3
 
 
 def periods_quadrature(curve: EllipticCurveQ) -> PeriodLattice:
@@ -294,7 +309,7 @@ def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:
     so the catalog doubles as an end-to-end check of the integration path.
     """
     if not 2 <= n_max <= 10**6:
-        raise ValueError(f"n_max must be in [2, 10^6], got {n_max}")
+        raise InvalidInput("n_max", f"need 2 <= n <= 10^6, got {n_max}")
     entries = []
 
     # Int_{-1}^{1} dx/sqrt(1-x^2): fold to [0, 1] and substitute x = 1 - u^2.

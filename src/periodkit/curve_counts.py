@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .characters import jacobi_sum, quadratic_character, quartic_character
 from .errors import BadCongruence, SingularCurve, UnsupportedDegree
-from .finite_field import _check_odd_prime
+from .finite_field import _check_prime
 
 
 class WeierstrassCurveFp:
@@ -22,9 +22,7 @@ class WeierstrassCurveFp:
     __slots__ = ("p", "a", "b")
 
     def __init__(self, p: int, a: int, b: int):
-        _check_odd_prime(p)
-        if p < 5:
-            raise ValueError(f"point counting needs p >= 5, got {p}")
+        _check_prime(p, least=5)
         a %= p
         b %= p
         if (4 * a * a * a + 27 * b * b) % p == 0:
@@ -98,7 +96,7 @@ def count_points_ext(curve: WeierstrassCurveFp, n: int) -> int:
     if n == 1:
         return count_points(curve).n_points
     if n != 2:
-        raise UnsupportedDegree(f"only degrees 1 and 2 are supported, got {n}")
+        raise UnsupportedDegree("n", f"only degrees 1 and 2 are supported, got {n}")
     p, a, b = curve.p, curve.a, curve.b
     c1, c0 = _quadratic_modulus(p)
 
@@ -144,7 +142,7 @@ def a_p_from_jacobi(p: int) -> int:
     pi = J(chi_4, chi_2) is a Gaussian integer of norm p; it is normalized to
     the unique associate congruent to 1 mod (1+i)^3, whose trace is a_p.
     """
-    _check_odd_prime(p)
+    _check_prime(p)
     if p % 4 != 1:
         raise BadCongruence(f"p = {p} is {p % 4} mod 4; need p = 1 mod 4")
     j = jacobi_sum(quartic_character(p), quadratic_character(p))

@@ -35,22 +35,8 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _poly_trim(out)
 
 
-def _poly_mod_monic(a: Sequence[int], mod: Sequence[int]) -> list[int]:
-    # Remainder of a by a monic divisor; exact over Z.
-    r = list(a)
-    d = len(mod) - 1
-    while len(r) - 1 >= d and r:
-        lead = r[-1]
-        shift = len(r) - 1 - d
-        if lead != 0:
-            for i in range(d + 1):
-                r[shift + i] -= lead * mod[i]
-        r.pop()
-        _poly_trim(r)
-    return r
-
-
 def _poly_divmod_monic(a: Sequence[int], mod: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a monic divisor; exact over Z."""
     r = list(a)
     d = len(mod) - 1
     q = [0] * max(len(r) - d, 0)
@@ -99,7 +85,7 @@ class CyclotomicNumber:
 
     def __init__(self, m: int, coeffs: Sequence[int]):
         phi = len(cyclotomic_polynomial(m)) - 1
-        reduced = _poly_mod_monic(list(coeffs), cyclotomic_polynomial(m))
+        _, reduced = _poly_divmod_monic(coeffs, cyclotomic_polynomial(m))
         if len(reduced) > phi:
             raise AssertionError("reduction failed to reach canonical degree")
         reduced += [0] * (phi - len(reduced))

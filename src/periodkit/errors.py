@@ -1,13 +1,22 @@
 """Exception types shared across the toolkit.
 
-Every domain error raised by the library derives from PeriodkitError, so
-callers (in particular the CLI) can distinguish domain failures from
-programming errors with a single except clause.
+Every error the library raises on purpose derives from PeriodkitError.
+InvalidInput (also a ValueError) means an argument breaks a stated rule and
+names that argument; every other subclass is a domain error, where valid
+arguments meet a mathematical obstruction.
 """
 
 
 class PeriodkitError(Exception):
-    """Base class for all domain errors raised by periodkit."""
+    """Base class for all errors raised on purpose by periodkit."""
+
+
+class InvalidInput(PeriodkitError, ValueError):
+    """An argument is outside the domain the library accepts; `arg` names it."""
+
+    def __init__(self, arg: str, message: str):
+        super().__init__(message)
+        self.arg = arg
 
 
 class MismatchedModulus(PeriodkitError):
@@ -30,12 +39,16 @@ class SingularCurve(PeriodkitError):
     """The Weierstrass cubic has a vanishing discriminant."""
 
 
-class UnsupportedDegree(PeriodkitError):
+class UnsupportedDegree(InvalidInput):
     """Point counts are only implemented over the base field and its quadratic extension."""
 
 
 class ComplexRoots(PeriodkitError):
     """Period computation requires all three cubic roots to be real."""
+
+
+class FloatOverflow(PeriodkitError):
+    """A double-precision evaluation left the representable range."""
 
 
 class QuadratureNoConvergence(PeriodkitError):

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import BadCongruence, DivisionByZero, MismatchedModulus
+from .errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedModulus
 
 MAX_PRIME = 2**31
 
@@ -49,9 +49,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_odd_prime(p: int) -> None:
-    if not isinstance(p, int) or p < 3 or p >= MAX_PRIME or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"modulus must be an odd prime below 2**31, got {p}")
+def _check_prime(p: int, least: int = 3) -> None:
+    """The library's one primality rule: p is a prime in [least, MAX_PRIME),
+    a range on which is_prime is exact."""
+    if not isinstance(p, int) or not least <= p < MAX_PRIME or not is_prime(p):
+        raise InvalidInput("p", f"need a prime in [{least}, 2**31), got {p}")
 
 
 class PrimeFieldElem:
@@ -65,7 +67,7 @@ class PrimeFieldElem:
     __slots__ = ("p", "value")
 
     def __init__(self, p: int, value: int):
-        _check_odd_prime(p)
+        _check_prime(p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "value", value % p)
 
@@ -151,7 +153,7 @@ class PrimeFieldElem:
 
 @functools.lru_cache(maxsize=None)
 def _smallest_primitive_root(p: int) -> int:
-    _check_odd_prime(p)
+    _check_prime(p)
     n = p - 1
     # Trial-division factorization of p-1 is cheap at desk scale.
     factors = []
@@ -203,7 +205,7 @@ def iso_gaussian_residue(p: int) -> GaussianSplit:
     u is computed as g**((p-1)/4) for the canonical primitive root g; the
     Gaussian factor comes from Cornacchia's Euclidean descent seeded at u.
     """
-    _check_odd_prime(p)
+    _check_prime(p)
     if p % 4 != 1:
         raise BadCongruence(f"p = {p} is {p % 4} mod 4; need p = 1 mod 4")
     g = _smallest_primitive_root(p)

@@ -1,8 +1,8 @@
 """Fixed-precision p-adic integers, Teichmueller lifts, and the p-derivation
 delta(x) = (x - x^p)/p with its Frobenius-lift bookkeeping.
 
-A value is a single residue mod p^N (1 <= N <= 64 digits), not a digit
-vector; all arithmetic is exact big-integer work modulo p^N.  Division by p
+A value is a single residue mod p^N (p a prime below 2**31, 1 <= N <= 64
+digits), not a digit vector; all arithmetic is exact big-integer work modulo p^N.  Division by p
 is the only operation that loses precision, and it says so: the result
 carries exactly N-1 digits.  Frobenius on these ground-ring elements is the
 identity, which is what makes (x - x^p)/p a p-derivation here.
@@ -12,17 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsufficientPrecision, MismatchedStructure, NonUnit
-from .finite_field import is_prime
+from .errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit
+from .finite_field import _check_prime
 
 MAX_PRECISION = 64
 
 
 def _check_structure(p: int, precision: int) -> None:
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime(p, least=2)
     if not 1 <= precision <= MAX_PRECISION:
-        raise ValueError(f"precision must be in [1, {MAX_PRECISION}], got {precision}")
+        raise InvalidInput("precision", f"need 1 <= precision <= {MAX_PRECISION}, got {precision}")
 
 
 class PadicInt:
@@ -169,8 +168,7 @@ def delta_p(x: PadicInt) -> PadicInt:
 
 def cp_cocycle(p: int, x: int, y: int) -> int:
     """[x^p + y^p - (x+y)^p] / p as an exact integer (divisibility is automatic)."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime(p, least=2)
     num = x**p + y**p - (x + y) ** p
     assert num % p == 0
     return num // p

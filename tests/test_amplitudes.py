@@ -120,6 +120,14 @@ def test_veneziano_pole_ladder():
         assert amp.at_pole and amp.pole_index == n, n
 
 
+def test_veneziano_pole_sign_matches_residue():
+    for n in range(0, 21):
+        for beta in (-3.5, -0.25, 0.5, 1.5, 2.5, 7.25, 30.5):
+            amp = veneziano(MandelstamInput(1.0 - n, 1.0 + beta))
+            assert amp.at_pole and amp.pole_index == n
+            assert amp.value == math.copysign(math.inf, residue_closed_form(n, beta)), (n, beta)
+
+
 def test_veneziano_cancelling_poles_are_finite():
     # alpha = -2, beta = 1: Gamma(alpha + beta) blows up too and the ratio
     # converges to -1/2.

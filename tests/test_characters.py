@@ -11,7 +11,7 @@ from periodkit.characters import (
     quadratic_character,
     quartic_character,
 )
-from periodkit.errors import MismatchedModulus, TrivialCharacter
+from periodkit.errors import BadCongruence, MismatchedModulus, TrivialCharacter
 from periodkit.finite_field import PrimeFieldElem, legendre_symbol
 
 PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -27,6 +27,8 @@ def test_character_basics():
     assert MultiplicativeCharacter(7, 11).k == 5  # reduced mod p-1
     with pytest.raises(MismatchedModulus):
         MultiplicativeCharacter(5, 1) * MultiplicativeCharacter(7, 1)
+    with pytest.raises(BadCongruence):
+        quartic_character(7)
 
 
 def test_char_eval_trivial_and_zero():

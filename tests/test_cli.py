@@ -6,6 +6,8 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from periodkit.cli import main
 from golden_corpus import CORPUS
@@ -153,13 +155,6 @@ def test_delta_insufficient_precision_is_domain_error():
     assert code == 1 and "InsufficientPrecision" in err
 
 
-def test_jobs_flag_accepted_and_output_identical():
-    base = ["count", "--p", "11", "--curve", "4,1", "--format", "json"]
-    _, out1, _ = run_cli(base)
-    _, out2, _ = run_cli(base + ["--jobs", "4"])
-    assert out1 == out2
-
-
 def test_numbers_printed_with_fifteen_significant_digits():
     _, out, _ = run_cli(["catalog", "--n", "2", "--format", "json"])
     rows = json.loads(out)["rows"]
@@ -187,3 +182,114 @@ def test_help_exits_zero():
     assert code == 0
     code, _, _ = run_cli(["tau", "--help"])
     assert code == 0
+
+
+# argv, exit code, and what stderr names after "error: ": the flag for an
+# invalid argument (2), the error class for a domain error (1).
+ARGV_TABLE = [
+    (["gauss", "--p", "3215031751", "--k1", "1"], 2, "--p"),  # strong pseudoprime to 2, 3, 5, 7
+    (["gauss", "--p", "2147483659", "--k1", "1"], 2, "--p"),  # prime above 2**31
+    (["delta", "--p", "3215031751", "--precision", "2", "--x", "3"], 2, "--p"),
+    (["count", "--p", "0", "--curve", "1,1"], 2, "--p"),
+    (["count", "--p", "7", "--curve", "1,1", "--n", "3"], 2, "--n"),
+    (["catalog", "--n", "1"], 2, "--n"),
+    (["poles", "--t", "2", "--n", "3"], 2, "--t"),
+    (["poles", "--t", "2.5", "--n", "13"], 2, "--n"),
+    (["poles", "--t", "nan"], 2, "--t"),
+    (["poles", "--t", "inf"], 2, "--t"),
+    (["correspond", "--p", "101"], 2, "--p"),
+    (["delta", "--p", "5", "--precision", "65", "--x", "1"], 2, "--precision"),
+    (["veneziano", "--s", "nan", "--t", "1"], 2, "--s"),
+    (["veneziano", "--s", "inf", "--t", "1"], 2, "--s"),
+    (["beta", "--s", "nan", "--t", "1"], 2, "--s"),
+    (["beta", "--s", "inf", "--t", "1"], 2, "--s"),
+    (["correspond", "--p", "5", "--grid", "nan"], 2, "--grid"),
+    (["correspond", "--p", "5", "--grid", "1e400"], 2, "--grid"),
+    (["beta", "--s", "200", "--t", "200"], 1, "FloatOverflow"),
+    (["beta", "--s", "1e308", "--t", "1"], 1, "FloatOverflow"),
+    (["periods", "--curve", "-1e400,0"], 1, "FloatOverflow"),
+    (["periods", "--curve", "-1e-300,0"], 1, "FloatOverflow"),
+    (["tau", "--curve", "1e400,0"], 1, "FloatOverflow"),
+    (["periodmap", "--grid", "1e400"], 1, "FloatOverflow"),
+]
+
+
+@pytest.mark.parametrize("argv,code,named", ARGV_TABLE, ids=[" ".join(a) for a, _, _ in ARGV_TABLE])
+def test_invalid_argv_table(argv, code, named):
+    got, out, err = run_cli(argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {named}: "), err
+
+
+def test_veneziano_large_pole_index():
+    # alpha = -200, beta = 1: the cancelled pole leaves -199!/200! = -1/200,
+    # a ratio whose factorials do not fit a double.
+    code, out, err = run_cli(["veneziano", "--s", "-199", "--t", "2"])
+    assert code == 0, err
+    row = json.loads(out)["rows"][0]
+    assert not row["at_pole"] and abs(row["value"] + 1 / 200) < 1e-15
+
+
+# Values drawn by the argv property test: each flag takes a plausible value
+# three times in four, else a hostile token.  Primes stay at or below 97 (13 for
+# correspond) so no call builds a large table; the hostile tokens include no
+# prime in [10^4, 2^31), for the same reason.
+HOSTILE = ["nan", "inf", "-inf", "1e308", "1e400", "0", "-7", "4", "3215031751", "2147483659", "1/0", "abc"]
+
+
+def values(*plausible, hostile=HOSTILE):
+    return st.sampled_from([plausible] * 3 + [hostile]).flatmap(st.sampled_from)
+
+
+PRIME = values("2", "3", "5", "7", "11", "13", "29", "97")
+INT = values("0", "1", "2", "5", "12")
+FLOAT = values("2.5", "-0.5", "1", "2", "0.5", "3.7", "1e-13", "-200")
+MALFORMED = ["1", "1,2,3", ",", "", "1/0,1", "a,b", "1e400,0", "-1e400,0", "-1e-400,0", "nan,0", "2.5,nan", "1e308,2"]
+CURVE = values("-1,0", "-4,1", "4,1", "5,3", "0,0", "0,1", "-1/3,2/27", hostile=HOSTILE + MALFORMED)
+GRID = values("", "1/4,1/2", "3/4", "2.0,1.0", "0", "1", "-0.5,3.7", hostile=HOSTILE + MALFORMED)
+
+ARG_POOLS = {
+    "gauss": {"--p": PRIME, "--k1": INT},
+    "jacobi": {"--p": PRIME, "--k1": INT, "--k2": INT},
+    "count": {"--p": PRIME, "--curve": CURVE, "--n": values("1", "2", "3")},
+    "zeta": {"--p": PRIME, "--curve": CURVE},
+    "apjacobi": {"--p": PRIME},
+    "periods": {"--curve": CURVE},
+    "tau": {"--curve": CURVE},
+    "periodmap": {"--grid": GRID},
+    "catalog": {"--n": values("1", "2", "5", "30")},
+    "veneziano": {"--s": FLOAT, "--t": FLOAT, "--tol": FLOAT},
+    "beta": {"--s": FLOAT, "--t": FLOAT},
+    "poles": {"--t": FLOAT, "--n": values("0", "3", "12", "13")},
+    "correspond": {"--p": values("2", "3", "5", "7", "13"), "--grid": GRID},
+    "delta": {
+        "--p": PRIME,
+        "--precision": values("1", "2", "5", "64", "65"),
+        "--x": INT,
+        "--y": INT,
+        "--rule": values("sum", "product"),
+    },
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(ARG_POOLS)))
+    argv = [command]
+    for flag, value in ARG_POOLS[command].items():
+        if draw(st.integers(0, 9)) == 0:  # leave a flag out one time in ten
+            continue
+        v = draw(value)
+        argv += [f"{flag}={v}"] if draw(st.booleans()) else [flag, v]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv", "md", "xml"]))]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_any_argv_exits_cleanly(argv):
+    code, _, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

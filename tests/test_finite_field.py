@@ -2,7 +2,8 @@
 
 import pytest
 
-from periodkit.errors import BadCongruence, DivisionByZero, MismatchedModulus
+from periodkit.characters import MultiplicativeCharacter
+from periodkit.errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedModulus
 from periodkit.finite_field import (
     PrimeFieldElem,
     find_primitive_root,
@@ -10,6 +11,7 @@ from periodkit.finite_field import (
     iso_gaussian_residue,
     legendre_symbol,
 )
+from periodkit.padic import PadicInt, cp_cocycle
 
 PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
                 71, 73, 79, 83, 89, 97]
@@ -129,3 +131,21 @@ def test_gaussian_split_properties():
         assert (s.u.value ** 2 + 1) % p == 0
         assert s.a * s.a + s.b * s.b == p
         assert s.a >= s.b >= 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PadicInt(3215031751, 2, 3),
+        lambda: cp_cocycle(3215031751, 1, 1),
+        lambda: MultiplicativeCharacter(2147483659, 1),
+    ],
+    ids=["padic", "cocycle", "character"],
+)
+def test_prime_rule_bounds_every_caller(build):
+    # 3215031751 = 151 * 21291601 is the first strong pseudoprime to the
+    # witnesses 2, 3, 5, 7, so is_prime is exact only below it.
+    assert is_prime(3215031751)
+    with pytest.raises(InvalidInput) as info:
+        build()
+    assert info.value.arg == "p"
