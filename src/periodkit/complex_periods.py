@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from scipy import integrate
-
 from .errors import (
     ComplexRoots,
     DegenerateFamilyMember,
@@ -143,6 +141,8 @@ def real_roots(curve: EllipticCurveQ) -> list[float]:
 
 def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """scipy adaptive Gauss-Kronrod run with a hard failure on non-convergence."""
+    # Only quadrature needs scipy, so load it on first use; read quad off the module per call.
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
@@ -267,6 +267,8 @@ def tau_normalize(lattice: PeriodLattice) -> TauPoint:
 
 
 def curve_tau(curve: EllipticCurveQ, method: str = "agm") -> TauPoint:
+    if method not in ("agm", "quadrature"):
+        raise InvalidInput("method", f"must be agm or quadrature, got {method!r}")
     lattice = periods_agm(curve) if method == "agm" else periods_quadrature(curve)
     return tau_normalize(lattice)
 

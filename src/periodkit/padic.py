@@ -196,7 +196,7 @@ def frobenius_lift_check(variant: str, x: PadicInt) -> FrobeniusLiftVerdict:
     elif variant == "phi2":
         phi = xp + x.p * x
     else:
-        raise ValueError(f"variant must be phi1 or phi2, got {variant!r}")
+        raise InvalidInput("variant", f"must be phi1 or phi2, got {variant!r}")
     reduces = (phi.value - pow(x.value, x.p, x.p)) % x.p == 0
     delta_component = (phi - xp).divide_by_p() if (phi - xp).value % x.p == 0 else None
     if delta_component is None:  # cannot happen for these two lifts

@@ -3,12 +3,16 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import periodkit
 from periodkit.cli import main
 from golden_corpus import CORPUS
 
@@ -175,6 +179,54 @@ def test_every_golden_json_reparses():
 def test_missing_required_flag_is_usage_error():
     code, _, err = run_cli(["gauss", "--p", "7"])
     assert code == 2 and "--k1" in err
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this periodkit, from a checkout or installed."""
+    env = dict(os.environ)
+    root = str(pathlib.Path(periodkit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+IMPORT_BOUNDARY_CHILD = """
+import contextlib, io, json, sys
+from periodkit.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+local, quadrature = json.loads(sys.argv[1])
+codes = [run(argv) for argv in local]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes.append(run(quadrature))
+print(json.dumps({"codes": codes, "scipy_after_local": loaded, "integrate_after": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_scipy_loads_only_when_a_quadrature_runs():
+    quadrature = {"periods", "catalog"}
+    local = [argv for _, argv in CORPUS if argv[0] not in quadrature]
+    periods = next(argv for _, argv in CORPUS if argv[0] == "periods")
+    assert len(local) == 16
+    proc = run_python("-c", IMPORT_BOUNDARY_CHILD, json.dumps([local, periods]))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * 17
+    assert result["scipy_after_local"] == []
+    assert result["integrate_after"]
+
+
+def test_module_entry_point():
+    proc = run_python("-X", "importtime", "-m", "periodkit", "gauss", "--p", "7", "--k1", "1", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / "01_gauss.json").read_text()
+    assert "import time:" in proc.stderr
+    assert "scipy" not in proc.stderr
+    proc = run_python("-m", "periodkit", "gauss", "--p", "4", "--k1", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: --p: "), proc.stderr
 
 
 def test_help_exits_zero():

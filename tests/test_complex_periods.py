@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from periodkit import complex_periods
 from periodkit.complex_periods import (
     EllipticCurveQ,
     PeriodLattice,
@@ -25,6 +26,8 @@ from periodkit.errors import (
     ComplexRoots,
     DegenerateFamilyMember,
     DegenerateLattice,
+    InvalidInput,
+    QuadratureNoConvergence,
     SingularCurve,
 )
 
@@ -67,12 +70,21 @@ def test_tau_is_i_for_lemniscatic_curve():
     for method in ("agm", "quadrature"):
         point = curve_tau(EllipticCurveQ(-1, 0), method=method)
         assert abs(point.tau - 1j) < 1e-9, method
+    with pytest.raises(InvalidInput) as excinfo:
+        curve_tau(EllipticCurveQ(-1, 0), method="quadratur")
+    assert excinfo.value.arg == "method"
 
 
 def test_scaled_curve_period_ratio():
     base = periods_quadrature(EllipticCurveQ(-1, 0))
     scaled = periods_quadrature(EllipticCurveQ(-4, 0))
     assert abs(scaled.omega1 - base.omega1 / math.sqrt(2)) < 1e-9
+
+
+def test_quad_non_convergence_is_typed():
+    # 1/x on [0, 1] diverges; quad exhausts its 200 subdivisions and warns.
+    with pytest.raises(QuadratureNoConvergence):
+        complex_periods._quad(lambda x: 1.0 / x, 0.0, 1.0)
 
 
 def test_agm_fixed_point():

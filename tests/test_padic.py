@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from periodkit.errors import InsufficientPrecision, MismatchedStructure, NonUnit
+from periodkit.errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit
 from periodkit.padic import (
     PadicInt,
     cp_cocycle,
@@ -119,8 +119,9 @@ def test_frobenius_lift_checks():
     assert v1.reduces_to_frobenius and v1.delta_component.value == 0
     v2 = frobenius_lift_check("phi2", PadicInt(5, 4, 3))
     assert v2.reduces_to_frobenius and v2.delta_component == PadicInt(5, 3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         frobenius_lift_check("phi3", PadicInt(5, 4, 3))
+    assert isinstance(excinfo.value, InvalidInput) and excinfo.value.arg == "variant"
     with pytest.raises(InsufficientPrecision):
         frobenius_lift_check("phi1", PadicInt(5, 1, 3))
 
