@@ -70,6 +70,7 @@ def quadratic_character(p: int) -> MultiplicativeCharacter:
 
 
 def quartic_character(p: int) -> MultiplicativeCharacter:
+    _check_prime(p)
     if (p - 1) % 4 != 0:
         raise BadCongruence(f"p = {p} is {p % 4} mod 4; F_{p}^x has no element of order 4")
     return MultiplicativeCharacter(p, (p - 1) // 4)

@@ -217,7 +217,7 @@ class DeltaRulesVerdict:
     product_rule_ok: bool
     delta_x: PadicInt
     delta_y: PadicInt
-    cocycle: int
+    cocycle: int  # C_p(x, y) mod p^(N-1), the residue the sum rule uses
 
 
 def delta_rules_check(x: PadicInt, y: PadicInt) -> DeltaRulesVerdict:
@@ -231,15 +231,14 @@ def delta_rules_check(x: PadicInt, y: PadicInt) -> DeltaRulesVerdict:
     p, n1 = x.p, x.precision - 1
     dx = delta_p(x)
     dy = delta_p(y)
-    cp = cp_cocycle(p, x.value, y.value)
-    sum_ok = delta_p(x + y) == dx + dy + PadicInt(p, n1, cp)
-    xp = (x**p).truncate(n1)
-    yp = (y**p).truncate(n1)
-    product_ok = delta_p(x * y) == xp * dy + yp * dx + p * dx * dy
+    xp, yp = x**p, y**p
+    cp = (xp + yp - (x + y) ** p).divide_by_p()
+    sum_ok = delta_p(x + y) == dx + dy + cp
+    product_ok = delta_p(x * y) == xp.truncate(n1) * dy + yp.truncate(n1) * dx + p * dx * dy
     return DeltaRulesVerdict(
         sum_rule_ok=sum_ok,
         product_rule_ok=product_ok,
         delta_x=dx,
         delta_y=dy,
-        cocycle=cp,
+        cocycle=cp.value,
     )

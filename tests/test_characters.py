@@ -11,7 +11,7 @@ from periodkit.characters import (
     quadratic_character,
     quartic_character,
 )
-from periodkit.errors import BadCongruence, MismatchedModulus, TrivialCharacter
+from periodkit.errors import BadCongruence, InvalidInput, MismatchedModulus, TrivialCharacter
 from periodkit.finite_field import PrimeFieldElem, legendre_symbol
 
 PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -29,6 +29,8 @@ def test_character_basics():
         MultiplicativeCharacter(5, 1) * MultiplicativeCharacter(7, 1)
     with pytest.raises(BadCongruence):
         quartic_character(7)
+    with pytest.raises(InvalidInput):
+        quartic_character(4)  # composite: the prime rule comes before the congruence
 
 
 def test_char_eval_trivial_and_zero():

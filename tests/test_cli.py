@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import periodkit
 from periodkit.cli import main
+from periodkit.padic import cp_cocycle
 from golden_corpus import CORPUS
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -154,6 +155,17 @@ def test_delta_rule_filter():
     assert row["checks"] == {"sum": True, "product": True}
 
 
+def test_delta_cocycle_is_printed_mod_p_to_the_n_minus_1():
+    # The exact cocycle at p = 10007 has about 10^4 digits, beyond what
+    # str(int) prints; the residue mod p^(N-1) is what the sum rule uses.
+    code, out, err = run_cli(["delta", "--p", "10007", "--precision", "8", "--x", "5", "--y", "7"])
+    assert code == 0 and "Traceback" not in err, err
+    row = json.loads(out)["rows"][0]
+    assert 0 <= row["cocycle"] < 10007**7
+    assert row["cocycle"] == cp_cocycle(10007, 5, 7) % 10007**7
+    assert row["checks"] == {"sum": True, "product": True}
+
+
 def test_delta_insufficient_precision_is_domain_error():
     code, _, err = run_cli(["delta", "--p", "5", "--precision", "1", "--x", "2"])
     assert code == 1 and "InsufficientPrecision" in err
@@ -263,6 +275,7 @@ ARGV_TABLE = [
     (["periods", "--curve", "-1e-300,0"], 1, "FloatOverflow"),
     (["tau", "--curve", "1e400,0"], 1, "FloatOverflow"),
     (["periodmap", "--grid", "1e400"], 1, "FloatOverflow"),
+    (["count", "--p", "10007", "--curve", "1,1", "--n", "2"], 2, "--p"),  # over the p^2 budget
 ]
 
 

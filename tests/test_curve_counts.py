@@ -12,7 +12,7 @@ from periodkit.curve_counts import (
     count_points_ext,
     zeta_data,
 )
-from periodkit.errors import BadCongruence, SingularCurve, UnsupportedDegree
+from periodkit.errors import BadCongruence, InvalidInput, SingularCurve, UnsupportedDegree
 
 PRIMES_5_TO_31 = [5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -26,6 +26,35 @@ def naive_count(p, a, b):
             if y * y % p == fx:
                 n += 1
     return n
+
+
+def ext_count_oracle(p, a, b):
+    # Independent oracle over F_{p^2} = F_p[t]/(t^2 + c1*t + c0), the smallest
+    # irreducible quadratic, with the square of every element tallied.
+    squares = {y * y % p for y in range(p)}
+    c1, c0 = next(
+        (c1, c0) for c1 in range(p) for c0 in range(p) if (c1 * c1 - 4 * c0) % p not in squares
+    )
+
+    def mul(u, v):
+        # (u0 + u1*t)(v0 + v1*t) with t^2 = -c1*t - c0
+        w0 = u[0] * v[0]
+        w1 = u[0] * v[1] + u[1] * v[0]
+        w2 = u[1] * v[1]
+        return ((w0 - w2 * c0) % p, (w1 - w2 * c1) % p)
+
+    sq_counts = {}
+    for y0 in range(p):
+        for y1 in range(p):
+            z = mul((y0, y1), (y0, y1))
+            sq_counts[z] = sq_counts.get(z, 0) + 1
+
+    total = 1
+    for x0 in range(p):
+        for x1 in range(p):
+            fx = mul(mul((x0, x1), (x0, x1)), (x0, x1))
+            total += sq_counts.get(((fx[0] + a * x0 + b) % p, (fx[1] + a * x1) % p), 0)
+    return total
 
 
 def nonsingular_pairs(p):
@@ -76,6 +105,9 @@ def test_ext_degree_one_degenerates():
     assert count_points_ext(curve, 1) == count_points(curve).n_points
     with pytest.raises(UnsupportedDegree):
         count_points_ext(curve, 3)
+    with pytest.raises(InvalidInput) as exc:  # p^2 budget, checked before any loop
+        count_points_ext(WeierstrassCurveFp(10007, 1, 1), 2)
+    assert exc.value.arg == "p"
 
 
 def test_ext_count_matches_zeta_roots():
@@ -84,6 +116,14 @@ def test_ext_count_matches_zeta_roots():
         ap = count_points(curve).a_p
         # alpha^2 + beta^2 = a_p^2 - 2p, exactly as integers.
         assert count_points_ext(curve, 2) == p * p + 1 - (ap * ap - 2 * p), (p, a, b)
+
+
+def test_ext_count_matches_extension_field_oracle():
+    rng = random.Random(17)
+    for p in PRIMES_5_TO_31:
+        for a, b in [(p - 1, 0)] + rng.sample(list(nonsingular_pairs(p)), 5):
+            got = count_points_ext(WeierstrassCurveFp(p, a, b), 2)
+            assert got == ext_count_oracle(p, a, b), (p, a, b)
 
 
 def test_zeta_data_properties():
