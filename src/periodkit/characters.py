@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicNumber
 from .errors import BadCongruence, MismatchedModulus, TrivialCharacter
-from .finite_field import PrimeFieldElem, _check_prime, _smallest_primitive_root
+from .finite_field import PrimeFieldElem, _check_prime, _check_table_prime, _smallest_primitive_root
 
 
 @functools.lru_cache(maxsize=None)
 def _dlog_table(p: int) -> tuple[int, ...]:
     """dlog[a] = j with g^j = a, for the canonical primitive root g; dlog[0] unused."""
+    _check_table_prime(p)
     g = _smallest_primitive_root(p)
     table = [0] * p
     acc = 1

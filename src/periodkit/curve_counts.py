@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .characters import jacobi_sum, quadratic_character, quartic_character
 from .errors import InvalidInput, SingularCurve, UnsupportedDegree
-from .finite_field import _check_prime
+from .finite_field import _check_prime, _check_table_prime
 
 # The F_{p^2} count takes p^2 steps: 54-60 s at p = 9973 (2-core Xeon, CPython 3.11).
 MAX_EXT_PRIME = 10**4
@@ -61,6 +61,7 @@ class ZetaData:
 @functools.lru_cache(maxsize=None)
 def _square_counts(p: int) -> tuple[int, ...]:
     """counts[z] = number of y in F_p with y^2 = z."""
+    _check_table_prime(p)
     counts = [0] * p
     for y in range(p):
         counts[y * y % p] += 1

@@ -17,65 +17,69 @@ import functools
 from typing import Sequence
 
 
-def _poly_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod_monic(a: Sequence[int], mod: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a monic divisor; exact over Z."""
-    r = list(a)
-    d = len(mod) - 1
-    q = [0] * max(len(r) - d, 0)
-    while len(r) - 1 >= d and r:
-        lead = r[-1]
-        shift = len(r) - 1 - d
-        if lead != 0:
-            q[shift] = lead
-            for i in range(d + 1):
-                r[shift + i] -= lead * mod[i]
-        r.pop()
-        _poly_trim(r)
-    return _poly_trim(q), r
-
-
-def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m.
 
-    Computed by exact division: x^m - 1 = prod of Phi_d over divisors d of m,
-    so Phi_m is (x^m - 1) divided by the product of all proper-divisor factors.
+    Phi_m(x) = Phi_r(x^(m/r)) for the radical r of m, and Phi_r is the Moebius
+    product of x^d - 1 over the divisors d of r: each factor is one linear pass.
     """
     if m < 1:
         raise ValueError(f"root-of-unity order must be positive, got {m}")
-    if m == 1:
-        return (-1, 1)
-    num = [0] * (m + 1)
-    num[0] = -1
-    num[m] = 1
-    rem = num
-    for d in _divisors(m)[:-1]:
-        rem, res = _poly_divmod_monic(rem, cyclotomic_polynomial(d))
-        assert not res, f"x^{m}-1 not divisible by Phi_{d}"
-    return tuple(rem)
+    primes, n, q = [], m, 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    primes += [n] * (n > 1)
+    factors, stride = [(1, (-1) ** len(primes))], m  # (d, mu(r/d)) over the divisors d of r
+    for q in primes:
+        factors += [(d * q, -mu) for d, mu in factors]
+        stride //= q
+    poly = [1]
+    for d, mu in sorted(factors, key=lambda f: -f[1]):  # multiply first, so every division is exact
+        if mu > 0:
+            poly = [0] * d + poly
+            poly[: len(poly) - d] = [a - b for a, b in zip(poly, poly[d:])]
+        else:
+            poly = [-c for c in poly[: len(poly) - d]]
+            for i in range(d, len(poly)):
+                poly[i] += poly[i - d]
+    out = [0] * ((len(poly) - 1) * stride + 1)
+    out[::stride] = poly
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _modulus(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """(phi, h, tail): the degree of Phi_m, the h with Phi_m dividing x^h + 1 for
+    even m (h = m/2) or x^h - 1 for odd m (h = m), and the nonzero terms (k, c)
+    of Phi_m below its leading one."""
+    poly = cyclotomic_polynomial(m)
+    tail = tuple((k, c) for k, c in enumerate(poly[:-1]) if c)
+    return len(poly) - 1, m // 2 if m % 2 == 0 else m, tail
+
+
+def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Unreduced product of two coefficient vectors by Kronecker substitution:
+    each vector is packed into one integer, in fields wide enough for every
+    product coefficient and biased so that no field is negative."""
+    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
+    if not bound:
+        return []
+    width = (bound.bit_length() + 8) // 8  # bytes per field, so that bound < bias
+    bias = 1 << (8 * width - 1)
+    biases = bias.to_bytes(width, "little")
+
+    def pack(v):
+        fields = b"".join((c + bias).to_bytes(width, "little") for c in v)
+        return int.from_bytes(fields, "little") - int.from_bytes(biases * len(v), "little")
+
+    n = len(a) + len(b) - 1
+    buf = (pack(a) * pack(b) + int.from_bytes(biases * n, "little")).to_bytes(width * n, "little")
+    return [int.from_bytes(buf[i : i + width], "little") - bias for i in range(0, width * n, width)]
 
 
 class CyclotomicNumber:
@@ -84,13 +88,22 @@ class CyclotomicNumber:
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs: Sequence[int]):
-        phi = len(cyclotomic_polynomial(m)) - 1
-        _, reduced = _poly_divmod_monic(coeffs, cyclotomic_polynomial(m))
-        if len(reduced) > phi:
-            raise AssertionError("reduction failed to reach canonical degree")
-        reduced += [0] * (phi - len(reduced))
+        phi, h, tail = _modulus(m)
+        # Fold modulo x^h - 1 (m odd) or x^h + 1 (m even), a multiple of Phi_m ...
+        r = list(coeffs[:h])
+        r += [0] * (h - len(r))
+        for start in range(h, len(coeffs), h):
+            sign = -1 if m % 2 == 0 and start // h % 2 else 1
+            chunk = coeffs[start : start + h]
+            r[: len(chunk)] = [a + sign * c for a, c in zip(r, chunk)]
+        # ... then finish the division by Phi_m, touching only its nonzero terms.
+        for i in range(h - 1, phi - 1, -1):
+            lead = r[i]
+            if lead:
+                for k, c in tail:
+                    r[i - phi + k] -= lead * c
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", tuple(reduced))
+        object.__setattr__(self, "coeffs", tuple(r[:phi]))
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
@@ -158,16 +171,18 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(self.m, _poly_mul(self.coeffs, other.coeffs))
+        return CyclotomicNumber(self.m, _kron_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
+    def _shift(self) -> list[int]:
+        """m + 1 - phi zeros.  Ahead of the reversed coefficients they put c_j at
+        index m - j, which is -j modulo x^m - 1: the conjugate, unreduced."""
+        return [0] * (self.m + 1 - len(self.coeffs))
+
     def conj(self) -> "CyclotomicNumber":
         """Image under the automorphism zeta -> zeta^(-1) (complex conjugation)."""
-        out = [0] * self.m
-        for j, c in enumerate(self.coeffs):
-            out[(self.m - j) % self.m] += c
-        return CyclotomicNumber(self.m, out)
+        return CyclotomicNumber(self.m, self._shift() + list(self.coeffs[::-1]))
 
     # -- queries -----------------------------------------------------------
 
@@ -184,8 +199,11 @@ class CyclotomicNumber:
         return self.coeffs[0]
 
     def norm_to_int(self) -> int:
-        """z * conj(z) as a rational integer (defined for the sums computed here)."""
-        return (self * self.conj()).as_int()
+        """z * conj(z) as a rational integer (defined for the sums computed here).
+
+        z is multiplied by its unreduced conjugate, and the product reduced once."""
+        product = _kron_mul(self.coeffs, self.coeffs[::-1])
+        return CyclotomicNumber(self.m, self._shift() + product).as_int()
 
     def embed(self) -> complex:
         """Numerical value under the fixed embedding zeta_m -> e^(2*pi*i/m)."""

@@ -7,6 +7,7 @@ import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 from golden_corpus import CORPUS
 
 from periodkit.cli import main

@@ -4,6 +4,7 @@ import pytest
 
 from periodkit.characters import (
     MultiplicativeCharacter,
+    _dlog_table,
     char_eval,
     gauss_jacobi_relation_check,
     gauss_sum,
@@ -155,3 +156,20 @@ def test_jacobi_value_against_direct_embedding():
                 c2, PrimeFieldElem(p, 1 - t)
             ).embed()
         assert abs(exact - direct) < 1e-9, (p, k1, k2)
+
+
+def test_jacobi_norm_full_order_large_ring():
+    # Order 10006 = 2 * 5003: a ring of degree 5002, reduced in linear time.
+    j = jacobi_sum(MultiplicativeCharacter(10007, 5), MultiplicativeCharacter(10007, 7))
+    assert j.m == 10006 and len(j.coeffs) == 5002
+    assert j.norm_to_int() == 10007
+    assert abs(abs(j.embed()) ** 2 - 10007) < 1e-6 * 10007
+
+
+def test_table_budget_rejects_before_building():
+    # 2000003 is the first prime above MAX_TABLE_PRIME = 2 * 10**6.
+    c = MultiplicativeCharacter(2000003, 1)
+    for build in (lambda: _dlog_table(2000003), lambda: gauss_sum(c), lambda: jacobi_sum(c, c)):
+        with pytest.raises(InvalidInput) as info:
+            build()
+        assert info.value.arg == "p"

@@ -276,6 +276,7 @@ ARGV_TABLE = [
     (["tau", "--curve", "1e400,0"], 1, "FloatOverflow"),
     (["periodmap", "--grid", "1e400"], 1, "FloatOverflow"),
     (["count", "--p", "10007", "--curve", "1,1", "--n", "2"], 2, "--p"),  # over the p^2 budget
+    (["jacobi", "--p", "2000003", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the p-entry table budget
 ]
 
 

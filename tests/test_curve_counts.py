@@ -163,3 +163,10 @@ def test_a_p_from_jacobi_examples():
 def test_a_p_from_jacobi_full_range():
     for p in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97):
         assert a_p_from_jacobi(p) == p + 1 - naive_count(p, p - 1, 0), p
+
+
+def test_square_table_budget():
+    # 2000003 is the first prime above MAX_TABLE_PRIME = 2 * 10**6.
+    with pytest.raises(InvalidInput) as info:
+        count_points(WeierstrassCurveFp(2000003, 1, 1))
+    assert info.value.arg == "p"

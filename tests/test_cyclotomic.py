@@ -1,11 +1,70 @@
 """Cyclotomic polynomials and exact ring arithmetic in Z[zeta_m]."""
 
 import cmath
+import functools
 import random
 
 import pytest
 
 from periodkit.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+
+
+# Reference oracles: the schoolbook product and the long division by a dense
+# monic divisor that the ring used before its linear-time reduction.
+def _poly_trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _poly_trim(out)
+
+
+def _poly_divmod_monic(a, mod):
+    """Quotient and remainder of a by a monic divisor; exact over Z."""
+    r = list(a)
+    d = len(mod) - 1
+    q = [0] * max(len(r) - d, 0)
+    while len(r) - 1 >= d and r:
+        lead = r[-1]
+        shift = len(r) - 1 - d
+        if lead != 0:
+            q[shift] = lead
+            for i in range(d + 1):
+                r[shift + i] -= lead * mod[i]
+        r.pop()
+        _poly_trim(r)
+    return _poly_trim(q), r
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_by_division(m):
+    """Phi_m as x^m - 1 divided by Phi_d for every proper divisor d of m."""
+    rem = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            rem, res = _poly_divmod_monic(rem, _cyclotomic_by_division(d))
+            assert not res
+    return tuple(rem)
+
+
+def _reduced(m, coeffs):
+    """The canonical coefficient vector by the oracle: the remainder of the long
+    division by Phi_m (checked in test_polynomial_matches_division_cascade),
+    zero-padded to phi(m)."""
+    phi_poly = cyclotomic_polynomial(m)
+    _, rem = _poly_divmod_monic(coeffs, phi_poly)
+    return tuple(rem + [0] * (len(phi_poly) - 1 - len(rem)))
+
 
 KNOWN = {
     1: (-1, 1),
@@ -127,3 +186,64 @@ def test_int_coercion_in_ops():
 def test_mixed_order_rejected():
     with pytest.raises(ValueError):
         CyclotomicNumber.one(4) + CyclotomicNumber.one(8)
+
+
+def test_polynomial_matches_division_cascade():
+    for m in list(range(1, 500)) + [1155, 2206]:
+        assert cyclotomic_polynomial(m) == _cyclotomic_by_division(m), m
+    # Phi_2q(x) = Phi_q(-x) for an odd prime q; the cascade takes seconds at 2q = 10006.
+    assert cyclotomic_polynomial(10006) == tuple((-1) ** i for i in range(5003))
+
+
+# 210 and 1155 have three and four odd primes; 2206 and 10006 are 2q with q
+# prime, the orders of the Jacobi rings Z[zeta_(p-1)] at p = 2207 and 10007.
+LARGE_ORDERS = (210, 1155, 2206, 10006)
+
+
+def _random_vectors(m, rng, count):
+    """Signed vectors of lengths 0..2m, entries up to 2^70 in size, ends of the range included."""
+    lengths = [0, 1, 2 * m] + [rng.randint(0, 2 * m) for _ in range(count - 3)]
+    return [[rng.randint(-(2**70), 2**70) for _ in range(n)] for n in lengths]
+
+
+def test_reduction_matches_long_division():
+    rng = random.Random(20261018)
+    for m in range(1, 131):
+        for v in _random_vectors(m, rng, 5):
+            assert CyclotomicNumber(m, v).coeffs == _reduced(m, v), (m, len(v))
+
+
+def test_reduction_matches_long_division_large_orders():
+    rng = random.Random(10006)
+    for m in LARGE_ORDERS:
+        phi = len(cyclotomic_polynomial(m)) - 1
+        # The oracle costs (len - phi) * phi steps, so at m = 10006 the lengths
+        # stop a little past phi: the fold by x^(m/2) + 1 still runs.
+        top = 2 * m if m < 10006 else phi + 40
+        for n in (0, phi - 1, phi, phi + 1, rng.randint(phi, top), top):
+            v = [rng.randint(-(2**70), 2**70) for _ in range(n)]
+            assert CyclotomicNumber(m, v).coeffs == _reduced(m, v), (m, n)
+
+
+def test_product_matches_schoolbook():
+    rng = random.Random(5)
+    for m in list(range(1, 40)) + [72, 105, 210]:
+        phi = len(cyclotomic_polynomial(m)) - 1
+        samples = [[0] * phi, [], [-1] * phi, [rng.randint(-(2**70), 2**70) for _ in range(phi)]]
+        samples += [[rng.randint(-9, 9) for _ in range(phi)] for _ in range(3)]
+        for a in samples:
+            for b in samples:
+                want = _reduced(m, _poly_mul(_reduced(m, a), _reduced(m, b)))
+                assert (CyclotomicNumber(m, a) * CyclotomicNumber(m, b)).coeffs == want, (m, a, b)
+
+
+def test_conj_matches_oracle():
+    rng = random.Random(11)
+    for m in list(range(1, 40)) + [72, 210]:
+        for _ in range(3):
+            z = CyclotomicNumber(m, [rng.randint(-(2**40), 2**40) for _ in range(m)])
+            conj = [0] * m
+            for j, c in enumerate(z.coeffs):
+                conj[-j % m] += c
+            assert z.conj().coeffs == _reduced(m, conj), m
+            assert (z * z.conj()).coeffs == _reduced(m, _poly_mul(list(z.coeffs), conj)), m

@@ -4,8 +4,10 @@ import pytest
 
 from periodkit.characters import MultiplicativeCharacter
 from periodkit.errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedModulus
+from periodkit import finite_field
 from periodkit.finite_field import (
     PrimeFieldElem,
+    _check_prime,
     find_primitive_root,
     is_prime,
     iso_gaussian_residue,
@@ -149,3 +151,21 @@ def test_prime_rule_bounds_every_caller(build):
     with pytest.raises(InvalidInput) as info:
         build()
     assert info.value.arg == "p"
+
+
+def test_prime_rule_is_memoized_without_widening(monkeypatch):
+    calls = []
+    monkeypatch.setattr(finite_field, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    _check_prime.cache_clear()
+    x = PrimeFieldElem(10007, 5)
+    for _ in range(50):
+        x = x * x + 1
+    assert calls == [10007]
+    # A cached success for 7 accepts neither 7.0 nor True, and a failure is not cached.
+    _check_prime(7)
+    for bad in (7.0, True):
+        with pytest.raises(InvalidInput):
+            _check_prime(bad)
+    for _ in range(2):
+        with pytest.raises(InvalidInput):
+            PadicInt(4, 3, 1)
