@@ -101,16 +101,17 @@ class GaussSumValue:
 
 
 def gauss_sum(c: MultiplicativeCharacter) -> GaussSumValue:
-    """g(c) = sum over t in F_p^x of c(t) * e^(2*pi*i*t/p), t ascending."""
-    p = c.p
-    dlog = _dlog_table(p)
-    # Roots of unity are read from tables so identical argv always reproduces
-    # the same rounding, term for term.
-    add = [cmath.exp(2j * cmath.pi * t / p) for t in range(p)]
-    mul = [cmath.exp(2j * cmath.pi * e / (p - 1)) for e in range(p - 1)]
+    """g(c) = sum over t in F_p^x of c(t) * e^(2*pi*i*t/p), walked as t = g^j:
+    each term is one root of unity of order p(p-1) with an exact exponent."""
+    p, m = c.p, c.p - 1
+    _check_table_prime(p)
+    g = _smallest_primitive_root(p)
+    scale = 2j * cmath.pi / (p * m)
     total = 0j
-    for t in range(1, p):
-        total += mul[c.k * dlog[t] % (p - 1)] * add[t]
+    t = 1
+    for j in range(m):
+        total += cmath.exp(scale * (c.k * j % m * p + t * m))
+        t = t * g % p
     return GaussSumValue(value=total, p=p)
 
 

@@ -113,11 +113,13 @@ def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:
     p = curve.p
     a_p = count_points(curve).a_p
     disc = 4 * p - a_p * a_p
-    assert disc > 0, "Hasse bound rules out real roots for prime p"
+    if disc <= 0:
+        raise AssertionError(f"a_p = {a_p} breaks the Hasse bound at p = {p}")
     root = math.sqrt(disc)
     alpha = complex(a_p / 2, root / 2)
     beta = alpha.conjugate()
-    assert abs(abs(alpha) - math.sqrt(p)) < 1e-9
+    if not abs(abs(alpha) - math.sqrt(p)) < 1e-9:
+        raise AssertionError(f"|alpha| = {abs(alpha)} != sqrt({p})")
     return ZetaData(a_p=a_p, alpha=alpha, beta=beta)
 
 

@@ -16,6 +16,8 @@ import cmath
 import functools
 from typing import Sequence
 
+from .finite_field import _prime_factors
+
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
@@ -26,14 +28,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError(f"root-of-unity order must be positive, got {m}")
-    primes, n, q = [], m, 2
-    while q * q <= n:
-        if n % q == 0:
-            primes.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    primes += [n] * (n > 1)
+    primes = _prime_factors(m)
     factors, stride = [(1, (-1) ** len(primes))], m  # (d, mu(r/d)) over the divisors d of r
     for q in primes:
         factors += [(d * q, -mu) for d, mu in factors]

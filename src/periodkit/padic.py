@@ -170,7 +170,8 @@ def cp_cocycle(p: int, x: int, y: int) -> int:
     """[x^p + y^p - (x+y)^p] / p as an exact integer (divisibility is automatic)."""
     _check_prime(p, least=2)
     num = x**p + y**p - (x + y) ** p
-    assert num % p == 0
+    if num % p:
+        raise AssertionError(f"{p} does not divide x^p + y^p - (x+y)^p")
     return num // p
 
 

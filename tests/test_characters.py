@@ -1,5 +1,7 @@
 """Characters, Gauss sums, and exact Jacobi sums."""
 
+import cmath
+
 import pytest
 
 from periodkit.characters import (
@@ -78,6 +80,25 @@ def test_gauss_sum_norms():
         for k in range(1, p - 1):
             g = gauss_sum(MultiplicativeCharacter(p, k))
             assert abs(g.norm_sq - p) < 1e-9, (p, k)
+
+
+def gauss_sum_ascending(p, k):
+    # The definition term by term, t = 1..p-1, with its own primitive root
+    # and discrete logarithms.
+    g = next(g for g in range(2, p) if len({pow(g, j, p) for j in range(p - 1)}) == p - 1)
+    dlog = {pow(g, j, p): j for j in range(p - 1)}
+    return sum(
+        cmath.exp(2j * cmath.pi * (k * dlog[t] % (p - 1)) / (p - 1)) * cmath.exp(2j * cmath.pi * t / p)
+        for t in range(1, p)
+    )
+
+
+def test_gauss_sum_walk_matches_ascending_definition():
+    primes = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+    for p in primes:
+        for k in range(p - 1):
+            got = gauss_sum(MultiplicativeCharacter(p, k)).value
+            assert abs(got - gauss_sum_ascending(p, k)) < 1e-12, (p, k)
 
 
 def test_jacobi_trivial_pair_counts_interior():

@@ -270,6 +270,7 @@ ARGV_TABLE = [
     (["correspond", "--p", "5", "--grid", "nan"], 2, "--grid"),
     (["correspond", "--p", "5", "--grid", "1e400"], 2, "--grid"),
     (["beta", "--s", "200", "--t", "200"], 1, "FloatOverflow"),
+    (["beta", "--s", "-200.5", "--t", "1"], 1, "FloatOverflow"),  # Gamma underflows to 0
     (["beta", "--s", "1e308", "--t", "1"], 1, "FloatOverflow"),
     (["periods", "--curve", "-1e400,0"], 1, "FloatOverflow"),
     (["periods", "--curve", "-1e-300,0"], 1, "FloatOverflow"),
@@ -309,7 +310,7 @@ def values(*plausible, hostile=HOSTILE):
 
 PRIME = values("2", "3", "5", "7", "11", "13", "29", "97")
 INT = values("0", "1", "2", "5", "12")
-FLOAT = values("2.5", "-0.5", "1", "2", "0.5", "3.7", "1e-13", "-200")
+FLOAT = values("2.5", "-0.5", "1", "2", "0.5", "3.7", "1e-13", "-200", "-200.5", "171.5")
 MALFORMED = ["1", "1,2,3", ",", "", "1/0,1", "a,b", "1e400,0", "-1e400,0", "-1e-400,0", "nan,0", "2.5,nan", "1e308,2"]
 CURVE = values("-1,0", "-4,1", "4,1", "5,3", "0,0", "0,1", "-1/3,2/27", hostile=HOSTILE + MALFORMED)
 GRID = values("", "1/4,1/2", "3/4", "2.0,1.0", "0", "1", "-0.5,3.7", hostile=HOSTILE + MALFORMED)

@@ -141,8 +141,10 @@ def test_gaussian_split_properties():
         lambda: PadicInt(3215031751, 2, 3),
         lambda: cp_cocycle(3215031751, 1, 1),
         lambda: MultiplicativeCharacter(2147483659, 1),
+        lambda: _check_prime([7]),
+        lambda: PrimeFieldElem([7], 1),
     ],
-    ids=["padic", "cocycle", "character"],
+    ids=["padic", "cocycle", "character", "unhashable-rule", "unhashable-element"],
 )
 def test_prime_rule_bounds_every_caller(build):
     # 3215031751 = 151 * 21291601 is the first strong pseudoprime to the
@@ -156,12 +158,12 @@ def test_prime_rule_bounds_every_caller(build):
 def test_prime_rule_is_memoized_without_widening(monkeypatch):
     calls = []
     monkeypatch.setattr(finite_field, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    _check_prime.cache_clear()
+    finite_field._is_supported_prime.cache_clear()
     x = PrimeFieldElem(10007, 5)
     for _ in range(50):
         x = x * x + 1
     assert calls == [10007]
-    # A cached success for 7 accepts neither 7.0 nor True, and a failure is not cached.
+    # A cached success for 7 accepts neither 7.0 nor True, and a failure raises every time.
     _check_prime(7)
     for bad in (7.0, True):
         with pytest.raises(InvalidInput):
