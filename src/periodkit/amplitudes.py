@@ -140,32 +140,19 @@ def veneziano(m: MandelstamInput, tol: float = POLE_SNAP) -> AmplitudeValue:
 
 
 def pole_scan(beta_fixed: float, n_max: int) -> list[tuple[int, float]]:
-    """Residues at alpha = 0, -1, ..., -n_max by Richardson-extrapolated limits.
+    """Residues of A(alpha, beta) at alpha = 0, -1, ..., -n_max in closed form.
 
-    Each residue is lim eps->0 of eps * A(-n + eps, beta); the limit is taken
-    numerically, so the closed form stays available as an independent check.
+    Gamma(alpha) has residue (-1)^n/n! at alpha = -n, and there the Beta ratio
+    leaves Gamma(beta)/Gamma(beta - n) = prod_{j=1..n} (beta - j).
     """
     if not 0 <= n_max <= 12:
         raise InvalidInput("n_max", f"need 0 <= n <= 12, got {n_max}")
     if not math.isfinite(beta_fixed) or abs(beta_fixed - round(beta_fixed)) < 1e-9:
         raise InvalidInput("beta_fixed", f"beta must be finite and off the integers, got {beta_fixed}")
-    out = []
-    levels = 10
-    eps0 = 0.125
-    for n in range(n_max + 1):
-        column = []
-        for j in range(levels):
-            eps = eps0 / 2.0**j
-            sample = eps * gamma_fn(-n + eps) * gamma_fn(beta_fixed) / gamma_fn(beta_fixed - n + eps)
-            column.append(sample)
-        for k in range(1, levels):
-            factor = 2.0**k
-            column = [
-                (factor * column[j + 1] - column[j]) / (factor - 1.0)
-                for j in range(len(column) - 1)
-            ]
-        out.append((n, column[0]))
-    return out
+    return [
+        (n, (-1) ** n * math.prod(beta_fixed - j for j in range(1, n + 1)) / math.factorial(n))
+        for n in range(n_max + 1)
+    ]
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CyclotomicNumber
-from .errors import BadCongruence, MismatchedModulus, TrivialCharacter
+from .cyclotomic import MAX_REDUCTION_STEPS, CyclotomicNumber, _reduction_steps
+from .errors import BadCongruence, InvalidInput, MismatchedModulus, TrivialCharacter
 from .finite_field import PrimeFieldElem, _check_prime, _check_table_prime, _smallest_primitive_root
 
 
@@ -35,6 +35,18 @@ def _dlog_table(p: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+def _check_ring_budget(p: int, n: int) -> None:
+    """The cost budget of exact values in Z[zeta_n], n dividing p - 1: the table
+    rule bounds n before Phi_n is built, then one reduction must stay within
+    MAX_REDUCTION_STEPS."""
+    _check_table_prime(p)
+    steps = _reduction_steps(n)
+    if steps > MAX_REDUCTION_STEPS:
+        raise InvalidInput(
+            "p", f"a reduction in Z[zeta_{n}] takes {steps} steps, over the budget of {MAX_REDUCTION_STEPS}"
+        )
+
+
 @dataclass(frozen=True)
 class MultiplicativeCharacter:
     """Character c: F_p^x -> C^x with c(g^j) = zeta_(p-1)^(k*j) and c(0) = 0."""
@@ -45,10 +57,6 @@ class MultiplicativeCharacter:
     def __post_init__(self):
         _check_prime(self.p)
         object.__setattr__(self, "k", self.k % (self.p - 1))
-
-    @property
-    def generator(self) -> int:
-        return _smallest_primitive_root(self.p)
 
     @property
     def order(self) -> int:
@@ -82,6 +90,7 @@ def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> CyclotomicNumber
     if a.p != c.p:
         raise MismatchedModulus(f"moduli differ: {c.p} vs {a.p}")
     m = c.p - 1
+    _check_ring_budget(c.p, m)
     if a.value == 0:
         return CyclotomicNumber.zero(m)
     j = _dlog_table(c.p)[a.value]
@@ -127,6 +136,7 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
     m = p - 1
     n = math.lcm(c.order, c2.order)
     step = m // n
+    _check_ring_budget(p, n)
     dlog = _dlog_table(p)
     counts = [0] * n
     # t = 0 and t = 1 drop out via the c(0) = 0 convention.

@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=str, required=True, help="comma-separated rational t values")
 
     p = add("catalog", "elementary numeric periods (pi, 2*pi, log n)", default_format="md")
-    p.add_argument("--n", type=int, default=2, help="largest logarithm argument")
+    p.add_argument("--n", type=int, default=2, help="largest logarithm argument, 2..21")
 
     p = add("veneziano", "four-point amplitude at (s, t)")
     p.add_argument("--s", type=float, required=True)
@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
 
-    p = add("poles", "numeric residues of the amplitude at alpha = 0..-n")
+    p = add("poles", "residues of the amplitude at alpha = 0..-n, in closed form")
     p.add_argument("--t", type=float, required=True, help="fixed beta (non-integer)")
     p.add_argument("--n", type=int, default=5)
 

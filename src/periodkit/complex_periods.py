@@ -266,11 +266,8 @@ def tau_normalize(lattice: PeriodLattice) -> TauPoint:
     return TauPoint(tau=tau, transform=transform)
 
 
-def curve_tau(curve: EllipticCurveQ, method: str = "agm") -> TauPoint:
-    if method not in ("agm", "quadrature"):
-        raise InvalidInput("method", f"must be agm or quadrature, got {method!r}")
-    lattice = periods_agm(curve) if method == "agm" else periods_quadrature(curve)
-    return tau_normalize(lattice)
+def curve_tau(curve: EllipticCurveQ) -> TauPoint:
+    return tau_normalize(periods_agm(curve))
 
 
 def legendre_curve(t: Fraction) -> EllipticCurveQ:
@@ -305,13 +302,13 @@ class CatalogEntry:
 
 
 def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:
-    """pi, the circle residue modulus 2*pi, and log n for n = 2..n_max (<= 20 rows).
+    """pi, the circle residue modulus 2*pi, and log n for n = 2..n_max (n_max <= 21).
 
     Every value comes out of a quadrature run, never a math-library constant,
     so the catalog doubles as an end-to-end check of the integration path.
     """
-    if not 2 <= n_max <= 10**6:
-        raise InvalidInput("n_max", f"need 2 <= n <= 10^6, got {n_max}")
+    if not 2 <= n_max <= 21:
+        raise InvalidInput("n_max", f"need 2 <= n <= 21, got {n_max}")
     entries = []
 
     # Int_{-1}^{1} dx/sqrt(1-x^2): fold to [0, 1] and substitute x = 1 - u^2.
@@ -348,8 +345,6 @@ def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:
     )
 
     for n in range(2, n_max + 1):
-        if len(entries) >= 22:  # pi + 2*pi + 20 logarithm rows
-            break
         value, err = _quad(lambda x: 1.0 / x, 1.0, float(n))
         entries.append(
             CatalogEntry(

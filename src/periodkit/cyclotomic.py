@@ -18,6 +18,10 @@ from typing import Sequence
 
 from .finite_field import _prime_factors
 
+# One reduction may take at most this many multiply-adds in its finish
+# (about 1.3 s at the 7-8 million steps per second of CPython 3.11).
+MAX_REDUCTION_STEPS = 10**7
+
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
@@ -55,6 +59,12 @@ def _modulus(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     poly = cyclotomic_polynomial(m)
     tail = tuple((k, c) for k, c in enumerate(poly[:-1]) if c)
     return len(poly) - 1, m // 2 if m % 2 == 0 else m, tail
+
+
+def _reduction_steps(m: int) -> int:
+    """Worst-case multiply-adds of the finish in one reduction to Z[zeta_m]."""
+    phi, h, tail = _modulus(m)
+    return (h - phi) * len(tail)
 
 
 def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

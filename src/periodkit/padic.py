@@ -199,14 +199,11 @@ def frobenius_lift_check(variant: str, x: PadicInt) -> FrobeniusLiftVerdict:
     else:
         raise InvalidInput("variant", f"must be phi1 or phi2, got {variant!r}")
     reduces = (phi.value - pow(x.value, x.p, x.p)) % x.p == 0
-    delta_component = (phi - xp).divide_by_p() if (phi - xp).value % x.p == 0 else None
-    if delta_component is None:  # cannot happen for these two lifts
-        raise AssertionError("lift deviation not divisible by p")
     return FrobeniusLiftVerdict(
         variant=variant,
         phi=phi,
         reduces_to_frobenius=reduces,
-        delta_component=delta_component,
+        delta_component=(phi - xp).divide_by_p(),
     )
 
 

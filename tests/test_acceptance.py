@@ -16,10 +16,10 @@ from periodkit.characters import MultiplicativeCharacter, gauss_jacobi_relation_
 from periodkit.cli import main
 from periodkit.complex_periods import (
     EllipticCurveQ,
-    curve_tau,
     numeric_periods_catalog,
     periods_agm,
     periods_quadrature,
+    tau_normalize,
 )
 from periodkit.curve_counts import (
     WeierstrassCurveFp,
@@ -32,6 +32,7 @@ from periodkit.padic import PadicInt, delta_rules_check, frobenius_lift_check
 from scipy import integrate
 
 from golden_corpus import CORPUS
+from test_amplitudes import residue_richardson
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -148,10 +149,10 @@ def test_criterion_06_weil_zeta_consistency():
 
 def test_criterion_07_tau_equals_i():
     failures = []
-    for method in ("agm", "quadrature"):
-        tau = curve_tau(EllipticCurveQ(-1, 0), method=method).tau
+    for periods in (periods_agm, periods_quadrature):
+        tau = tau_normalize(periods(EllipticCurveQ(-1, 0))).tau
         if abs(tau - 1j) >= 1e-9:
-            failures.append((method, tau))
+            failures.append((periods.__name__, tau))
     _report(7, "y^2 = x^3 - x reduces to tau = i within 1e-9 (AGM and quadrature)", failures)
 
 
@@ -219,12 +220,9 @@ def test_criterion_10_beta_and_amplitude():
 
     for beta in (1.5, 2.5, 3.5):
         for n, residue in pole_scan(beta, 5):
-            closed = (-1.0) ** n / math.factorial(n)
-            for j in range(1, n + 1):
-                closed *= beta - j
-            if abs(residue - closed) >= 1e-6:
+            if abs(residue - residue_richardson(n, beta)) >= 1e-6:
                 failures.append(("residue", beta, n))
-    _report(10, "Beta vs quadrature 1e-8; A(s,t) symmetry 1e-12; residues 1e-6 for n <= 5", failures)
+    _report(10, "Beta vs quadrature 1e-8; A(s,t) symmetry 1e-12; residues vs Richardson limit 1e-6 for n <= 5", failures)
 
 
 def test_criterion_11_p_derivation_identities():

@@ -51,6 +51,19 @@ def residue_closed_form(n, beta):
     return acc
 
 
+def residue_richardson(n, beta, levels=10, eps0=0.125):
+    # The residue at alpha = -n as the numerical limit of eps * A(-n + eps, beta),
+    # Richardson-extrapolated over eps = eps0 / 2^j, from the library's own Gamma.
+    column = [
+        eps * gamma_fn(-n + eps) * gamma_fn(beta) / gamma_fn(beta - n + eps)
+        for eps in (eps0 / 2.0**j for j in range(levels))
+    ]
+    for k in range(1, levels):
+        factor = 2.0**k
+        column = [(factor * column[j + 1] - column[j]) / (factor - 1.0) for j in range(len(column) - 1)]
+    return column[0]
+
+
 def test_gamma_examples():
     assert gamma_fn(1.0) == 1.0
     assert rel_err(gamma_fn(0.5), math.sqrt(math.pi)) < 1e-15
@@ -184,17 +197,34 @@ def test_veneziano_cancelling_poles_are_finite():
     assert not zero.at_pole and zero.value == 0.0
 
 
-def test_pole_scan_matches_closed_form():
+def test_pole_scan_matches_richardson_limit():
+    # Bridge: the amplitude's numerical limit at each pole is the reported residue.
     for beta in (1.5, 2.5, 3.5):
         for n, residue in pole_scan(beta, 5):
-            assert abs(residue - residue_closed_form(n, beta)) < 1e-12, (n, beta)
+            assert abs(residue - residue_richardson(n, beta)) < 1e-12, (n, beta)
+
+
+def test_pole_scan_matches_mpmath_limit():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261018)
+    betas = []
+    while len(betas) < 200:
+        beta = rng.uniform(-12.0, 12.0)
+        if abs(beta - round(beta)) > 1e-6:
+            betas.append(beta)
+    worst = 0.0
+    with mpmath.workdps(80):
+        eps = mpmath.mpf(10) ** -50
+        for beta in betas:
+            b = mpmath.mpf(beta)
+            for n, residue in pole_scan(beta, 12):
+                limit = eps * mpmath.gamma(-n + eps) * mpmath.gamma(b) / mpmath.gamma(b - n + eps)
+                worst = max(worst, rel_err(residue, limit))
+    assert worst <= 1e-12, worst
 
 
 def test_pole_scan_examples():
-    scan = dict(pole_scan(2.5, 2))
-    assert abs(scan[0] - 1.0) < 1e-12
-    assert abs(scan[1] + 1.5) < 1e-12
-    assert abs(scan[2] - 0.375) < 1e-12
+    assert pole_scan(2.5, 3) == [(0, 1.0), (1, -1.5), (2, 0.375), (3, 0.0625)]
 
 
 def test_pole_scan_input_validation():

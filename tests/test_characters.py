@@ -4,6 +4,7 @@ import cmath
 
 import pytest
 
+from periodkit import characters
 from periodkit.characters import (
     MultiplicativeCharacter,
     _dlog_table,
@@ -14,6 +15,7 @@ from periodkit.characters import (
     quadratic_character,
     quartic_character,
 )
+from periodkit.cyclotomic import _reduction_steps
 from periodkit.errors import BadCongruence, InvalidInput, MismatchedModulus, TrivialCharacter
 from periodkit.finite_field import PrimeFieldElem, legendre_symbol
 
@@ -194,3 +196,34 @@ def test_table_budget_rejects_before_building():
         with pytest.raises(InvalidInput) as info:
             build()
         assert info.value.arg == "p"
+
+
+def test_reduction_budget_is_checked_at_its_edge(monkeypatch):
+    # p - 1 = 30 = 2 * 3 * 5: the finish of one reduction takes
+    # (h - phi) * (nonzero terms of Phi_30 below its lead) = 7 * 6 steps, so a
+    # budget one below refuses it.
+    steps = _reduction_steps(30)
+    assert steps == 42
+    c = MultiplicativeCharacter(31, 1)
+    monkeypatch.setattr(characters, "MAX_REDUCTION_STEPS", steps)
+    assert jacobi_sum(c, c).norm_to_int() == 31
+    monkeypatch.setattr(characters, "MAX_REDUCTION_STEPS", steps - 1)
+    for call in (lambda: jacobi_sum(c, c), lambda: char_eval(c, PrimeFieldElem(31, 3))):
+        with pytest.raises(InvalidInput) as info:
+            call()
+        assert info.value.arg == "p"
+    # An order-2 pair lives in Z[zeta_2], whose reduction costs nothing;
+    # J(chi, chi) = -chi(-1) = 1 for the quadratic chi, as 31 = 3 mod 4.
+    q = quadratic_character(31)
+    assert jacobi_sum(q, q).as_int() == 1
+
+
+def test_reduction_budget_rejects_before_the_table():
+    # p - 1 = 94290 = 2 * 3 * 5 * 7 * 449 needs 3.6e8 steps per reduction.
+    c = MultiplicativeCharacter(94291, 1)
+    before = _dlog_table.cache_info().currsize
+    for call in (lambda: jacobi_sum(c, c), lambda: char_eval(c, PrimeFieldElem(94291, 2))):
+        with pytest.raises(InvalidInput) as info:
+            call()
+        assert info.value.arg == "p"
+    assert _dlog_table.cache_info().currsize == before

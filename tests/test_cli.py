@@ -278,6 +278,8 @@ ARGV_TABLE = [
     (["periodmap", "--grid", "1e400"], 1, "FloatOverflow"),
     (["count", "--p", "10007", "--curve", "1,1", "--n", "2"], 2, "--p"),  # over the p^2 budget
     (["jacobi", "--p", "2000003", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the p-entry table budget
+    (["jacobi", "--p", "94291", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the reduction budget
+    (["catalog", "--n", "22"], 2, "--n"),  # more than twenty logarithms
 ]
 
 

@@ -67,12 +67,10 @@ def test_singular_curve_rejected():
 
 
 def test_tau_is_i_for_lemniscatic_curve():
-    for method in ("agm", "quadrature"):
-        point = curve_tau(EllipticCurveQ(-1, 0), method=method)
-        assert abs(point.tau - 1j) < 1e-9, method
-    with pytest.raises(InvalidInput) as excinfo:
-        curve_tau(EllipticCurveQ(-1, 0), method="quadratur")
-    assert excinfo.value.arg == "method"
+    assert abs(curve_tau(EllipticCurveQ(-1, 0)).tau - 1j) < 1e-9
+    for periods in (periods_agm, periods_quadrature):
+        point = tau_normalize(periods(EllipticCurveQ(-1, 0)))
+        assert abs(point.tau - 1j) < 1e-9, periods.__name__
 
 
 def test_scaled_curve_period_ratio():
@@ -227,12 +225,15 @@ def test_catalog_log_against_series_oracle():
 
 
 def test_catalog_log_entries_cap():
-    rows = numeric_periods_catalog(10**6)
+    rows = numeric_periods_catalog(21)
     assert len(rows) == 22  # pi, 2*pi, and twenty logarithms
     assert rows[-1].name == "log 21"
     for row in rows[2:]:
         n = int(row.name.split()[1])
         assert abs(row.value - math.log(n)) < 1e-10
+    with pytest.raises(InvalidInput) as excinfo:
+        numeric_periods_catalog(22)
+    assert excinfo.value.arg == "n_max"
 
 
 def test_catalog_bounds():
