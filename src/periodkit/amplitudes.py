@@ -6,7 +6,10 @@ The amplitude A = Gamma(alpha)*Gamma(beta)/Gamma(alpha+beta) is evaluated
 for real arguments only; poles are returned as tagged values so grids
 render cleanly.  The report at the bottom is deliberately structural: each
 side carries its own verified facts (exact norms locally, pole indices
-globally) and the dictionary rows pair objects, not numbers.
+globally) and the dictionary rows pair objects, not numbers.  Its local side
+is computed per Galois orbit: one Jacobi sum and one norm per orbit of
+(Z/(p-1))^x acting on the character pairs, the other rows as images under
+sigma_a, each row marked with whether its own norm was computed.
 """
 
 from __future__ import annotations
@@ -157,7 +160,8 @@ def pole_scan(beta_fixed: float, n_max: int) -> list[tuple[int, float]]:
 
 @dataclass(frozen=True)
 class LocalRow:
-    """One exact Jacobi sum with its verified norm."""
+    """One exact Jacobi sum with its norm; norm_checked is False where the norm
+    is inherited from the orbit representative by Galois invariance."""
 
     k1: int
     k2: int
@@ -165,6 +169,7 @@ class LocalRow:
     coeffs: tuple[int, ...]
     norm: int
     norm_ok: bool
+    norm_checked: bool
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,14 @@ DICTIONARY_ROWS: tuple[tuple[str, str], ...] = (
 
 def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceReport:
     """Two-column report: exact Jacobi-sum facts over F_p against amplitude
-    samples on the grid square.  No cross-side equation is asserted."""
+    samples on the grid square.  No cross-side equation is asserted.
+
+    The local rows are the pairs (k1, k2) with c^k1, c^k2 and c^(k1+k2)
+    nontrivial, computed per orbit of the units a mod p - 1: sigma_a sends
+    J(c^k1, c^k2) to J(c^(a*k1), c^(a*k2)) and fixes its rational norm.  The
+    first pair of each orbit in row order has its sum and norm computed
+    (norm_checked); the others are its images and inherit the norm.
+    """
     _check_prime(p)
     if p > 97:
         raise InvalidInput("p", f"report is desk-scale only (p <= 97), got {p}")
@@ -205,23 +217,27 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     except InvalidInput as exc:
         raise InvalidInput("s_grid", str(exc)) from None
 
-    local = []
-    for k1 in range(1, p - 1):
-        for k2 in range(1, p - 1):
-            if (k1 + k2) % (p - 1) == 0:
-                continue
-            j = jacobi_sum(MultiplicativeCharacter(p, k1), MultiplicativeCharacter(p, k2))
-            norm = j.norm_to_int()
-            local.append(
-                LocalRow(
-                    k1=k1,
-                    k2=k2,
-                    ring_order=j.m,
-                    coeffs=j.coeffs,
-                    norm=norm,
-                    norm_ok=(norm == p),
-                )
-            )
+    order = p - 1
+    pairs = [(k1, k2) for k1 in range(1, order) for k2 in range(1, order) if (k1 + k2) % order]
+    units = [a for a in range(2, order) if math.gcd(a, order) == 1]  # a = 1 gives the representative
+    rows: dict[tuple[int, int], LocalRow] = {}
+
+    def fill(k1, k2, j, norm, checked):
+        rows[k1, k2] = LocalRow(
+            k1=k1, k2=k2, ring_order=j.m, coeffs=j.coeffs, norm=norm, norm_ok=(norm == p), norm_checked=checked
+        )
+
+    for k1, k2 in pairs:
+        if (k1, k2) in rows:
+            continue
+        j = jacobi_sum(MultiplicativeCharacter(p, k1), MultiplicativeCharacter(p, k2))
+        norm = j.norm_to_int()
+        fill(k1, k2, j, norm, True)
+        for a in units:
+            image = (a * k1 % order, a * k2 % order)
+            if image not in rows:
+                fill(*image, j.galois(a), norm, False)
+    local = [rows[pair] for pair in pairs]
 
     global_rows = []
     for m in cells:

@@ -337,7 +337,7 @@ def _cmd_correspond(args) -> OutputEnvelope:
         "p": report.p,
         "ap": report.a_p,
         "local": [
-            {"k1": r.k1, "k2": r.k2, "norm_ok": r.norm_ok, "J": list(r.coeffs)}
+            {"k1": r.k1, "k2": r.k2, "norm_ok": r.norm_ok, "norm_checked": r.norm_checked, "J": list(r.coeffs)}
             for r in report.local_rows
         ],
         "global": [
@@ -370,10 +370,12 @@ def _render_correspond_markdown(env: OutputEnvelope) -> str:
     if record["ap"] is not None:
         lines.append(f"trace defect of y^2 = x^3 - x at p = {record['p']}: a_p = {record['ap']}")
         lines.append("")
-    lines.append("| k1 | k2 | J coefficients | norm equals p |")
-    lines.append("| --- | --- | --- | --- |")
+    lines.append("| k1 | k2 | J coefficients | norm equals p | norm computed |")
+    lines.append("| --- | --- | --- | --- | --- |")
     for row in record["local"]:
-        lines.append(f"| {row['k1']} | {row['k2']} | {_cell(row['J'])} | {row['norm_ok']} |")
+        lines.append(
+            f"| {row['k1']} | {row['k2']} | {_cell(row['J'])} | {row['norm_ok']} | {row['norm_checked']} |"
+        )
     lines.append("")
     lines.append("## Global side: amplitude samples")
     lines.append("")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from typing import Sequence
 
 from .finite_field import _prime_factors
@@ -185,9 +186,20 @@ class CyclotomicNumber:
         index m - j, which is -j modulo x^m - 1: the conjugate, unreduced."""
         return [0] * (self.m + 1 - len(self.coeffs))
 
+    def galois(self, a: int) -> "CyclotomicNumber":
+        """Image under the automorphism sigma_a: zeta_m -> zeta_m^a, for a unit a
+        mod m.  Coefficient j moves to exponent a*j mod m; one reduction follows."""
+        m = self.m
+        if math.gcd(a, m) != 1:
+            raise ValueError(f"sigma_a needs a unit modulo m, got a = {a}, m = {m}")
+        out = [0] * m
+        for j, c in enumerate(self.coeffs):
+            out[a * j % m] = c  # j -> a*j is injective on Z/m, so no two j collide
+        return CyclotomicNumber(m, out)
+
     def conj(self) -> "CyclotomicNumber":
         """Image under the automorphism zeta -> zeta^(-1) (complex conjugation)."""
-        return CyclotomicNumber(self.m, self._shift() + list(self.coeffs[::-1]))
+        return self.galois(-1)
 
     # -- queries -----------------------------------------------------------
 

@@ -6,6 +6,7 @@ import random
 import pytest
 from scipy import integrate
 
+from periodkit import amplitudes
 from periodkit.amplitudes import (
     MandelstamInput,
     beta_fn,
@@ -14,6 +15,8 @@ from periodkit.amplitudes import (
     pole_scan,
     veneziano,
 )
+from periodkit.characters import MultiplicativeCharacter, jacobi_sum
+from periodkit.cyclotomic import CyclotomicNumber
 from periodkit.errors import FloatOverflow, PoleAtNonpositiveInteger
 
 
@@ -239,6 +242,53 @@ def test_correspondence_local_norms():
     assert len(report.local_rows) == 6
     assert all(row.norm_ok for row in report.local_rows)
     assert report.a_p == -2
+
+
+def _orbit_representatives(p):
+    """The first pair in row order of each orbit of the units a mod p - 1 acting
+    by (k1, k2) -> (a*k1, a*k2)."""
+    m = p - 1
+    seen, reps = set(), set()
+    for k1 in range(1, m):
+        for k2 in range(1, m):
+            if (k1 + k2) % m and (k1, k2) not in seen:
+                reps.add((k1, k2))
+                seen.update((a * k1 % m, a * k2 % m) for a in range(1, m) if math.gcd(a, m) == 1)
+    return reps
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 97])
+def test_correspondence_local_rows_match_direct_table(p):
+    # The direct table as an oracle: one Jacobi sum and one norm for every pair.
+    rows = correspondence_table(p, []).local_rows
+    pairs = [(k1, k2) for k1 in range(1, p - 1) for k2 in range(1, p - 1) if (k1 + k2) % (p - 1)]
+    assert [(row.k1, row.k2) for row in rows] == pairs
+    reps = _orbit_representatives(p)
+    for row in rows:
+        j = jacobi_sum(MultiplicativeCharacter(p, row.k1), MultiplicativeCharacter(p, row.k2))
+        norm = j.norm_to_int()
+        assert (row.ring_order, row.coeffs, row.norm, row.norm_ok) == (j.m, j.coeffs, norm, norm == p), (p, row)
+        assert row.norm_checked == ((row.k1, row.k2) in reps), (p, row)
+
+
+@pytest.mark.parametrize("p,orbits", [(5, 3), (73, 340), (97, 436)])
+def test_correspondence_computes_one_sum_and_norm_per_orbit(p, orbits, monkeypatch):
+    calls = {"jacobi_sum": 0, "norm_to_int": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(amplitudes, "jacobi_sum", counted("jacobi_sum", amplitudes.jacobi_sum))
+    monkeypatch.setattr(CyclotomicNumber, "norm_to_int", counted("norm_to_int", CyclotomicNumber.norm_to_int))
+    rows = correspondence_table(p, []).local_rows
+    assert len(rows) == (p - 2) * (p - 3)
+    assert calls == {"jacobi_sum": orbits, "norm_to_int": orbits}
+    assert sum(row.norm_checked for row in rows) == orbits
+    assert all(row.norm_ok for row in rows)
 
 
 def test_correspondence_ap_matches_enumeration():

@@ -131,12 +131,21 @@ def test_markdown_table_shape():
     assert any(line.startswith("| p | k1 |") for line in lines)
 
 
+def test_correspond_at_the_desk_scale_cap():
+    code, out, err = run_cli(["correspond", "--p", "97", "--grid", "2.5", "--format", "json"])
+    assert code == 0, err
+    local = json.loads(out)["rows"][0]["local"]
+    assert len(local) == 95 * 94
+    assert all(r["norm_ok"] for r in local)
+    assert sum(r["norm_checked"] for r in local) == 436  # one per Galois orbit
+
+
 def test_correspond_json_schema():
     code, out, _ = run_cli(["correspond", "--p", "5", "--grid", "2.0,1.0", "--format", "json"])
     assert code == 0
     record = json.loads(out)["rows"][0]
     assert set(record) == {"p", "ap", "local", "global", "dictionary"}
-    assert all(set(r) == {"k1", "k2", "norm_ok", "J"} for r in record["local"])
+    assert all(set(r) == {"k1", "k2", "norm_ok", "norm_checked", "J"} for r in record["local"])
     assert all(set(r) == {"s", "t", "A", "at_pole", "n"} for r in record["global"])
     assert len(record["global"]) == 4
     pole_rows = [r for r in record["global"] if r["at_pole"]]

@@ -2,9 +2,13 @@
 
 import cmath
 import functools
+import math
 import random
 
+import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodkit.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 
@@ -237,13 +241,93 @@ def test_product_matches_schoolbook():
                 assert (CyclotomicNumber(m, a) * CyclotomicNumber(m, b)).coeffs == want, (m, a, b)
 
 
-def test_conj_matches_oracle():
+def _units(m):
+    return [a for a in range(m) if math.gcd(a, m) == 1]
+
+
+def _permuted(m, coeffs, a):
+    """The unreduced image of sum c_j x^j under x -> x^a: c_j moves to a*j mod m."""
+    out = [0] * m
+    for j, c in enumerate(coeffs):
+        out[a * j % m] += c
+    return out
+
+
+def _power_table(m):
+    """x^k mod Phi_m for 0 <= k < m, each row from the one before by one step of
+    the long division: multiply by x, then subtract lead * Phi_m."""
+    poly = cyclotomic_polynomial(m)
+    phi = len(poly) - 1
+    rows, r = [], [1] + [0] * (phi - 1)
+    for _ in range(m):
+        rows.append(r)
+        lead = r[-1]
+        r = [c - lead * d for c, d in zip([0] + r[:-1], poly)]
+    return rows
+
+
+def test_galois_matches_oracle():
     rng = random.Random(11)
     for m in list(range(1, 40)) + [72, 210]:
         for _ in range(3):
             z = CyclotomicNumber(m, [rng.randint(-(2**40), 2**40) for _ in range(m)])
-            conj = [0] * m
-            for j, c in enumerate(z.coeffs):
-                conj[-j % m] += c
+            for a in _units(m):
+                assert z.galois(a).coeffs == _reduced(m, _permuted(m, z.coeffs, a)), (m, a)
+            conj = _permuted(m, z.coeffs, -1)
             assert z.conj().coeffs == _reduced(m, conj), m
             assert (z * z.conj()).coeffs == _reduced(m, _poly_mul(list(z.coeffs), conj)), m
+
+
+def test_galois_matches_oracle_four_odd_primes():
+    # At m = 1155 = 3*5*7*11 the long division costs about 3e5 steps per image,
+    # so the permuted vectors are reduced through a table of x^k mod Phi_m
+    # instead, all 480 units at once.
+    m = 1155
+    table = _power_table(m)
+    for k in (0, 479, 480, 481, 1000, 1154):
+        assert tuple(table[k]) == _reduced(m, [0] * k + [1]), k
+    table = numpy.array(table, dtype=numpy.int64)
+    assert numpy.abs(table).max() < 2**20  # with |c| <= 2^20 no sum below overflows
+    rng = random.Random(1155)
+    z = CyclotomicNumber(m, [rng.randint(-(2**20), 2**20) for _ in range(m)])
+    units = _units(m)
+    permuted = numpy.array([_permuted(m, z.coeffs, a) for a in units], dtype=numpy.int64)
+    for a, want in zip(units, (permuted @ table).tolist()):
+        assert list(z.galois(a).coeffs) == want, a
+
+
+GALOIS_ORDERS = list(range(1, 40)) + [72, 210, 1155]
+
+
+@st.composite
+def galois_cases(draw):
+    """Two random elements of Z[zeta_m] and two units a, b mod m."""
+    m = draw(st.sampled_from(GALOIS_ORDERS))
+    rng = draw(st.randoms(use_true_random=False))
+    x, y = (CyclotomicNumber(m, [rng.randint(-(2**40), 2**40) for _ in range(m)]) for _ in range(2))
+    a, b = (draw(st.sampled_from(_units(m))) for _ in range(2))
+    return m, x, y, a, b
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(galois_cases())
+def test_galois_is_a_ring_automorphism(case):
+    m, x, y, a, b = case
+    assert (x * y).galois(a) == x.galois(a) * y.galois(a)
+    assert (x + y).galois(a) == x.galois(a) + y.galois(a)
+    assert x.galois(a).galois(b) == x.galois(a * b % m)
+    assert x.galois(1) == x
+    assert x.galois(a + 3 * m) == x.galois(a)
+
+
+def test_galois_rejects_non_units():
+    z = CyclotomicNumber.root_of_unity(12, 1)
+    for a in (0, 2, 3, 4, 6, 8, 9, 10, 12, -3):
+        with pytest.raises(ValueError, match=rf"a = {a}, m = 12"):
+            z.galois(a)
+    for m in range(2, 40):
+        z = CyclotomicNumber.root_of_unity(m, 1)
+        for a in range(m):
+            if math.gcd(a, m) != 1:
+                with pytest.raises(ValueError):
+                    z.galois(a)
