@@ -27,12 +27,12 @@ from .finite_field import _check_prime
 POLE_SNAP = 1e-12
 
 
-def _near_nonpositive_int(x: float, tol: float = POLE_SNAP) -> Optional[int]:
-    """n >= 0 such that x is within tol of -n, else None (also for x = +-inf)."""
+def _near_nonpositive_int(x: float) -> Optional[int]:
+    """n >= 0 such that x is within POLE_SNAP of -n, else None (also for x = +-inf)."""
     if math.isinf(x):
         return None
     n = round(x)
-    if n <= 0 and abs(x - n) < tol:
+    if n <= 0 and abs(x - n) < POLE_SNAP:
         return -n
     return None
 
@@ -113,13 +113,13 @@ def _factorial_ratio(q: int, n: int) -> float:
     return math.perm(q, q - n) if q >= n else 1 / math.perm(n, n - q)
 
 
-def veneziano(m: MandelstamInput, tol: float = POLE_SNAP) -> AmplitudeValue:
-    """Amplitude at (s12, s34); arguments within tol of a Gamma pole are
+def veneziano(m: MandelstamInput) -> AmplitudeValue:
+    """Amplitude at (s12, s34); arguments within POLE_SNAP of a Gamma pole are
     snapped to it and reported as tagged pole values, not errors."""
     alpha, beta = m.alpha, m.beta
-    n_a = _near_nonpositive_int(alpha, tol)
-    n_b = _near_nonpositive_int(beta, tol)
-    q = _near_nonpositive_int(alpha + beta, tol)
+    n_a = _near_nonpositive_int(alpha)
+    n_b = _near_nonpositive_int(beta)
+    q = _near_nonpositive_int(alpha + beta)
     if q is not None:
         # Gamma(alpha+beta) is infinite: it either kills the amplitude or
         # cancels one numerator pole, leaving a finite ratio.

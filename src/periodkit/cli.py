@@ -300,9 +300,9 @@ def _cmd_catalog(args) -> OutputEnvelope:
     return OutputEnvelope("catalog", {"n": args.n}, rows)
 
 
-def _amplitude_row(s: float, t: float, tol: float) -> dict:
+def _amplitude_row(s: float, t: float) -> dict:
     m = MandelstamInput(s12=s, s34=t)
-    amp = veneziano(m, tol=tol)
+    amp = veneziano(m)
     return {
         "s": s,
         "t": t,
@@ -315,8 +315,8 @@ def _amplitude_row(s: float, t: float, tol: float) -> dict:
 
 
 def _cmd_veneziano(args) -> OutputEnvelope:
-    row = _amplitude_row(args.s, args.t, args.tol)
-    return OutputEnvelope("veneziano", {"s": args.s, "t": args.t, "tol": args.tol}, [row])
+    row = _amplitude_row(args.s, args.t)
+    return OutputEnvelope("veneziano", {"s": args.s, "t": args.t}, [row])
 
 
 def _cmd_beta(args) -> OutputEnvelope:
@@ -398,6 +398,8 @@ def _cmd_delta(args) -> OutputEnvelope:
     dx = delta_p(x)
     row = {"p": args.p, "N": args.precision, "x": x.value, "delta": dx.value}
     params = {"p": args.p, "precision": args.precision, "x": args.x}
+    if args.y is None and args.rule is not None:
+        raise InvalidInput("rule", "a rule checks the pair (x, y); pass --y too")
     if args.y is not None:
         y = PadicInt(args.p, args.precision, args.y)
         verdict = delta_rules_check(x, y)
@@ -465,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("veneziano", "four-point amplitude at (s, t)")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12, help="pole snap tolerance")
 
     p = add("beta", "Euler Beta via the Gamma ratio; --s and --t are its two arguments")
     p.add_argument("--s", type=float, required=True)

@@ -1,7 +1,7 @@
 """Period lattices of rational elliptic curves, tau-invariants, the Legendre
 family period map, and the catalog of elementary numeric periods.
 
-Two independent evaluations of the lattice generators are provided: adaptive
+Two independent evaluations of the lattice generators are provided:
 quadrature of the defining integrals (the reference definition) and the
 arithmetic-geometric mean (the fast path).  For y^2 = f(x) with three real
 roots e1 > e2 > e3 and f monic:
@@ -10,14 +10,19 @@ roots e1 > e2 > e3 and f monic:
     omega2 = 2i * Int_{e2}^{e1} dx / sqrt(-f(x))       (purely imaginary)
 
 Endpoint singularities are removed exactly by the substitution
-x = endpoint +/- u^2 before any quadrature runs.  Only the 3-real-root case
-is supported; the complex-root AGM branch choice is out of scope.
+x = endpoint +/- u^2 before any quadrature runs.  That leaves integrands
+smooth on a closed interval or decaying like 1/u^2 on [0, inf), which one
+fixed double-exponential rule integrates (Takahasi and Mori, 1974).  Only
+the 3-real-root case is supported; the complex-root AGM branch choice is
+out of scope.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -33,6 +38,11 @@ from .errors import (
 )
 
 QUAD_TARGET = 1e-11
+# Double-exponential rule: the step of level 0, and the last level before
+# QuadratureNoConvergence.  From h = 0.8 most period integrands settle at
+# level 3 (h = 0.1) and the rest at level 4.
+_DE_STEP = 0.8
+_DE_LEVELS = 8
 _TAU_CAP = 10_000
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
@@ -139,19 +149,73 @@ def real_roots(curve: EllipticCurveQ) -> list[float]:
     return roots
 
 
+@functools.lru_cache(maxsize=None)
+def _de_level(level: int, half_line: bool) -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs that one level adds to a double-exponential rule.
+
+    Level 0 samples t = k*h at h = _DE_STEP; each later level halves h and
+    adds the odd multiples.  Weights carry the factor h.  With
+    s = (pi/2)*sinh(t):
+
+    - tanh-sinh: the node is 1 - tanh(s), the distance from an endpoint of
+      [-1, 1], which the caller mirrors to both ends.  The level stops where
+      it falls below machine epsilon, so no node rounds onto an endpoint.
+      The weight at t = 0 is halved, as both mirrors sit at the midpoint.
+    - exp-sinh (half_line): the nodes are e^s and e^-s, kept within a factor
+      1/epsilon of 1.  The left tail then leaves out less than epsilon of a
+      bounded integrand's mass, and the right tail less than epsilon of one
+      that decays like 1/x^2.
+    """
+    eps = sys.float_info.epsilon
+    h = _DE_STEP / 2**level
+    pairs = []
+    for k in itertools.count(0 if level == 0 else 1, 1 if level == 0 else 2):
+        s = 0.5 * math.pi * math.sinh(k * h)
+        dt = h * 0.5 * math.pi * math.cosh(k * h)
+        if half_line:
+            if s > -math.log(eps):
+                break
+            y = math.exp(s)
+            pairs.append((y, dt * y))
+            if k:
+                pairs.append((1.0 / y, dt / y))
+        else:
+            delta = 2.0 / (math.exp(2.0 * s) + 1.0)
+            if delta < eps:
+                break
+            pairs.append((delta, dt * delta * (2.0 - delta) * (0.5 if k == 0 else 1.0)))
+    return tuple(pairs)
+
+
 def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """scipy adaptive Gauss-Kronrod run with a hard failure on non-convergence."""
-    # Only quadrature needs scipy, so load it on first use; read quad off the module per call.
-    from scipy import integrate
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, err = integrate.quad(f, lo, hi, epsabs=QUAD_TARGET / 10, epsrel=1e-13, limit=200)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureNoConvergence(str(exc)) from exc
-    if err > QUAD_TARGET:
-        raise QuadratureNoConvergence(f"error estimate {err:.3e} above target {QUAD_TARGET:.1e}")
-    return value, err
+    """Double-exponential quadrature of f over [lo, hi]: tanh-sinh on a finite
+    interval, exp-sinh on [lo, inf) when hi is math.inf.
+
+    f must be smooth on the closed interval; on [lo, inf) it must also decay
+    like 1/x^2 or faster, with its features near x - lo = 1.  Each level
+    halves the step and reuses the previous sum.  The run stops when two
+    successive levels differ by at most max(QUAD_TARGET/10, 1e-13*|I|), and
+    that difference is the error estimate.  Raises QuadratureNoConvergence at
+    the level cap, or when the estimate is above QUAD_TARGET.
+    """
+    if hi == math.inf:
+        def level_sum(level: int) -> float:
+            return sum(w * f(lo + y) for y, w in _de_level(level, True))
+    else:
+        d = 0.5 * (hi - lo)
+
+        def level_sum(level: int) -> float:
+            return d * sum(w * (f(lo + d * x) + f(hi - d * x)) for x, w in _de_level(level, False))
+
+    total = level_sum(0)
+    for level in range(1, _DE_LEVELS + 1):
+        previous, total = total, 0.5 * total + level_sum(level)
+        err = abs(total - previous)
+        if err <= max(QUAD_TARGET / 10, 1e-13 * abs(total)):
+            if err > QUAD_TARGET:
+                raise QuadratureNoConvergence(f"error estimate {err:.3e} above target {QUAD_TARGET:.1e}")
+            return total, err
+    raise QuadratureNoConvergence(f"levels still differ by {err:.3e} at step {_DE_STEP / 2**_DE_LEVELS}")
 
 
 def _require_three_real(curve: EllipticCurveQ) -> tuple[float, float, float]:
@@ -169,9 +233,13 @@ def periods_quadrature(curve: EllipticCurveQ) -> PeriodLattice:
     """Lattice generators straight from the defining integrals (the oracle)."""
     e1, e2, e3 = _require_three_real(curve)
 
-    # x = e1 + u^2 turns 2*Int_{e1}^inf dx/sqrt(f) into a smooth integrand.
-    def on_real_cycle(u: float) -> float:
-        return 2.0 / math.sqrt((u * u + e1 - e2) * (u * u + e1 - e3))
+    # x = e1 + u^2 turns 2*Int_{e1}^inf dx/sqrt(f) into a smooth integrand;
+    # u = sqrt(e1 - e2)*v moves its nearest knee to v = 1, where _quad's
+    # half-line nodes are densest.
+    gap = e1 - e2
+
+    def on_real_cycle(v: float) -> float:
+        return 2.0 / math.sqrt((v * v + 1.0) * (gap * v * v + e1 - e3))
 
     omega1, _ = _quad(on_real_cycle, 0.0, math.inf)
 

@@ -52,7 +52,7 @@ class FloatOverflow(PeriodkitError):
 
 
 class QuadratureNoConvergence(PeriodkitError):
-    """Adaptive quadrature failed to reach the requested absolute error."""
+    """Quadrature failed to reach the requested absolute error."""
 
 
 class DegenerateLattice(PeriodkitError):

@@ -218,25 +218,22 @@ def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return main(argv)
 
-local, quadrature = json.loads(sys.argv[1])
-codes = [run(argv) for argv in local]
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-codes.append(run(quadrature))
-print(json.dumps({"codes": codes, "scipy_after_local": loaded, "integrate_after": "scipy.integrate" in sys.modules}))
+print(json.dumps({"codes": codes, "scipy_loaded": loaded, "integrate_after": "scipy.integrate" in sys.modules}))
 """
 
 
-def test_scipy_loads_only_when_a_quadrature_runs():
-    quadrature = {"periods", "catalog"}
-    local = [argv for _, argv in CORPUS if argv[0] not in quadrature]
-    periods = next(argv for _, argv in CORPUS if argv[0] == "periods")
-    assert len(local) == 16
-    proc = run_python("-c", IMPORT_BOUNDARY_CHILD, json.dumps([local, periods]))
+def test_no_argv_loads_scipy():
+    # periods and catalog integrate; they must do it with the library's own rule.
+    argvs = [argv for _, argv in CORPUS]
+    assert len(argvs) == 18
+    proc = run_python("-c", IMPORT_BOUNDARY_CHILD, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 17
-    assert result["scipy_after_local"] == []
-    assert result["integrate_after"]
+    assert result["codes"] == [0] * 18
+    assert result["scipy_loaded"] == []
+    assert not result["integrate_after"]
 
 
 def test_module_entry_point():
@@ -289,6 +286,7 @@ ARGV_TABLE = [
     (["jacobi", "--p", "2000003", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the p-entry table budget
     (["jacobi", "--p", "94291", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the reduction budget
     (["catalog", "--n", "22"], 2, "--n"),  # more than twenty logarithms
+    (["delta", "--p", "5", "--precision", "6", "--x", "7", "--rule", "sum"], 2, "--rule"),  # no --y to check
 ]
 
 
@@ -297,6 +295,23 @@ def test_invalid_argv_table(argv, code, named):
     got, out, err = run_cli(argv)
     assert (got, out) == (code, "")
     assert err.startswith(f"error: {named}: "), err
+
+
+@pytest.mark.parametrize("tol", ["inf", "0.5"])
+def test_veneziano_has_no_tolerance_flag(tol):
+    # A wide snap once tagged alpha = -0.3 as the pole alpha = 0.
+    code, out, _ = run_cli(["veneziano", "--s", "0.7", "--t", "3.7", "--tol", tol])
+    assert (code, out) == (2, "")
+
+
+def test_veneziano_off_pole_is_finite():
+    code, out, err = run_cli(["veneziano", "--s", "0.7", "--t", "3.7"])
+    assert code == 0, err
+    env = json.loads(out)
+    assert env["params"] == {"s": 0.7, "t": 3.7}
+    row = env["rows"][0]
+    assert not row["at_pole"] and row["pole_index"] is None
+    assert abs(row["value"] + 5.38060747874305) < 1e-12
 
 
 def test_veneziano_large_pole_index():
@@ -336,7 +351,7 @@ ARG_POOLS = {
     "tau": {"--curve": CURVE},
     "periodmap": {"--grid": GRID},
     "catalog": {"--n": values("1", "2", "5", "30")},
-    "veneziano": {"--s": FLOAT, "--t": FLOAT, "--tol": FLOAT},
+    "veneziano": {"--s": FLOAT, "--t": FLOAT},
     "beta": {"--s": FLOAT, "--t": FLOAT},
     "poles": {"--t": FLOAT, "--n": values("0", "3", "12", "13")},
     "correspond": {"--p": values("2", "3", "5", "7", "13"), "--grid": GRID},

@@ -2,9 +2,11 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+from scipy import integrate
 
 from periodkit import complex_periods
 from periodkit.complex_periods import (
@@ -42,6 +44,36 @@ def random_three_real_curves(rng, count):
     return out
 
 
+def scipy_quad(f, lo, hi):
+    """The adaptive Gauss-Kronrod rule that _quad replaced, kept as its oracle."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            value, err = integrate.quad(f, lo, hi, epsabs=complex_periods.QUAD_TARGET / 10, epsrel=1e-13, limit=200)
+        except integrate.IntegrationWarning as exc:
+            raise QuadratureNoConvergence(str(exc)) from exc
+    if err > complex_periods.QUAD_TARGET:
+        raise QuadratureNoConvergence(f"error estimate {err:.3e}")
+    return value, err
+
+
+def scipy_periods(curve):
+    """omega1 and omega2/i from the u^2-substituted integrals, unscaled, through scipy."""
+    e1, e2, e3 = real_roots(curve)
+    mid = 0.5 * (e1 + e2)
+    real, _ = scipy_quad(lambda u: 2.0 / math.sqrt((u * u + e1 - e2) * (u * u + e1 - e3)), 0.0, math.inf)
+    lower, _ = scipy_quad(lambda u: 2.0 / math.sqrt((e1 - e2 - u * u) * (u * u + e2 - e3)), 0.0, math.sqrt(mid - e2))
+    upper, _ = scipy_quad(lambda u: 2.0 / math.sqrt((e1 - e2 - u * u) * (e1 - e3 - u * u)), 0.0, math.sqrt(e1 - mid))
+    return 2.0 * real, 2.0 * (lower + upper)
+
+
+def curve_with_root_gap(gap):
+    """y^2 = (x - 1 - gap)(x - 1)(x + 2 + gap): e1 - e2 = gap exactly."""
+    e1, e2 = 1 + gap, Fraction(1)
+    e3 = -(e1 + e2)
+    return EllipticCurveQ(e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3)
+
+
 def test_real_roots_examples():
     assert [round(r, 12) for r in real_roots(EllipticCurveQ(-1, 0))] == [1.0, 0.0, -1.0]
     assert [round(r, 12) for r in real_roots(EllipticCurveQ(-4, 0))] == [2.0, 0.0, -2.0]
@@ -77,12 +109,50 @@ def test_scaled_curve_period_ratio():
     base = periods_quadrature(EllipticCurveQ(-1, 0))
     scaled = periods_quadrature(EllipticCurveQ(-4, 0))
     assert abs(scaled.omega1 - base.omega1 / math.sqrt(2)) < 1e-9
+    # (a, b) -> (lam^4 a, lam^6 b) divides the periods by lam; far from unit
+    # scale the half-line integral holds its digits only in the scaled variable.
+    for lam in (Fraction(1, 100), Fraction(1, 10), 10, 1000):
+        scaled = periods_quadrature(EllipticCurveQ(-(lam**4), 0))
+        assert abs(scaled.omega1 * float(lam) / base.omega1 - 1) < 1e-14, lam
+        assert abs(scaled.omega2 * float(lam) / base.omega2 - 1) < 1e-14, lam
 
 
 def test_quad_non_convergence_is_typed():
-    # 1/x on [0, 1] diverges; quad exhausts its 200 subdivisions and warns.
+    # 1/x on [0, 1] diverges: the node nearest 0 carries a term that does not
+    # shrink, so successive levels never agree before the level cap.
     with pytest.raises(QuadratureNoConvergence):
         complex_periods._quad(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+def test_quad_puts_no_node_on_an_endpoint():
+    # A node at x = 1 would raise ZeroDivisionError instead.
+    with pytest.raises(QuadratureNoConvergence):
+        complex_periods._quad(lambda x: 1.0 / (1.0 - x), 0.0, 1.0)
+
+
+def test_quadrature_matches_scipy_oracle():
+    curves = random_three_real_curves(random.Random(2026), 300) + [EllipticCurveQ(-1, 0)]
+    worst = 0.0
+    for curve in curves:
+        lattice = periods_quadrature(curve)
+        omega1, omega2 = scipy_periods(curve)
+        worst = max(worst, abs(lattice.omega1.real / omega1 - 1), abs(lattice.omega2.imag / omega2 - 1))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_quadrature_close_roots_agree_with_agm(k):
+    curve = curve_with_root_gap(Fraction(1, 10**k))
+    q = periods_quadrature(curve)
+    fast = periods_agm(curve)
+    assert abs(q.omega1 / fast.omega1 - 1) <= 1e-12
+    assert abs(q.omega2 / fast.omega2 - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(8, 13))
+def test_quadrature_coincident_roots_fail_typed(k):
+    with pytest.raises((QuadratureNoConvergence, DegenerateLattice)):
+        periods_quadrature(curve_with_root_gap(Fraction(1, 10**k)))
 
 
 def test_agm_fixed_point():
@@ -234,6 +304,14 @@ def test_catalog_log_entries_cap():
     with pytest.raises(InvalidInput) as excinfo:
         numeric_periods_catalog(22)
     assert excinfo.value.arg == "n_max"
+
+
+def test_catalog_values_match_math():
+    exact = {"pi": math.pi, "2*pi": 2 * math.pi} | {f"log {n}": math.log(n) for n in range(2, 22)}
+    rows = numeric_periods_catalog(21)
+    assert [r.name for r in rows] == list(exact)
+    for row in rows:
+        assert abs(row.value - exact[row.name]) <= 1e-14, row.name
 
 
 def test_catalog_bounds():
