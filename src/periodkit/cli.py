@@ -1,6 +1,10 @@
 """Command-line front end: one subcommand per library operation, with a
 versioned output envelope rendered as JSON (default), CSV, or Markdown.
 
+Each subcommand is declared once, in `build_parser`, together with the
+function that computes its rows.  The envelope's `params` echo every flag
+but `--format` as parsed, with defaults filled in and unset flags left out.
+
 Exit codes: 0 success, 1 domain error (singular curve, bad congruence, ...),
 2 invalid argument, with the flag named; argument rules live in the library.
 All numeric output is printed with 15 significant digits and identical argv
@@ -15,7 +19,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -54,15 +57,6 @@ from .padic import PadicInt, delta_p, delta_rules_check
 # Output envelope and rendering
 
 
-@dataclass
-class OutputEnvelope:
-    command: str
-    params: dict
-    rows: list
-    errors: list = field(default_factory=list)
-    version: str = __version__
-
-
 def _json_emit(obj) -> str:
     if obj is None:
         return "null"
@@ -78,8 +72,6 @@ def _json_emit(obj) -> str:
         return str(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_emit(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -97,38 +89,32 @@ def _cell(v) -> str:
     return str(v)
 
 
-def render_json(env: OutputEnvelope) -> str:
-    payload = {
-        "command": env.command,
-        "params": env.params,
-        "rows": env.rows,
-        "errors": env.errors,
-        "version": env.version,
-    }
+def render_json(command: str, params: dict, rows: list) -> str:
+    payload = {"command": command, "params": params, "rows": rows, "errors": [], "version": __version__}
     return _json_emit(payload) + "\n"
 
 
-def render_csv(env: OutputEnvelope) -> str:
+def render_csv(command: str, params: dict, rows: list) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if env.rows:
-        header = list(env.rows[0].keys())
+    if rows:
+        header = list(rows[0].keys())
         writer.writerow(header)
-        for row in env.rows:
+        for row in rows:
             writer.writerow([_cell(row.get(k)) for k in header])
     return out.getvalue()
 
 
-def render_markdown(env: OutputEnvelope) -> str:
-    lines = [f"# periodkit {env.command}", ""]
-    if env.params:
-        lines.append("params: " + ", ".join(f"{k}={_cell(v)}" for k, v in env.params.items()))
+def render_markdown(command: str, params: dict, rows: list) -> str:
+    lines = [f"# periodkit {command}", ""]
+    if params:
+        lines.append("params: " + ", ".join(f"{k}={_cell(v)}" for k, v in params.items()))
         lines.append("")
-    if env.rows:
-        header = list(env.rows[0].keys())
+    if rows:
+        header = list(rows[0].keys())
         lines.append("| " + " | ".join(header) + " |")
         lines.append("| " + " | ".join("---" for _ in header) + " |")
-        for row in env.rows:
+        for row in rows:
             lines.append("| " + " | ".join(_cell(row.get(k)) for k in header) + " |")
     lines.append("")
     return "\n".join(lines)
@@ -153,23 +139,36 @@ def _parse_numbers(flag: str, text: str, kind, count=None) -> list:
         raise InvalidInput(flag, str(exc)) from exc
 
 
+# ---------------------------------------------------------------------------
+# Subcommand implementations: each returns its rows
+
+
 def _re_im(z: complex) -> tuple[float, float]:
     return float(z.real), float(z.imag)
 
 
-# ---------------------------------------------------------------------------
-# Subcommand implementations
+def _omega_fields(lattice) -> dict:
+    o1r, o1i = _re_im(lattice.omega1)
+    o2r, o2i = _re_im(lattice.omega2)
+    return {"omega1_re": o1r, "omega1_im": o1i, "omega2_re": o2r, "omega2_im": o2i}
 
 
-def _cmd_gauss(args) -> OutputEnvelope:
+def _tau_fields(point) -> dict:
+    return {
+        "tau_re": float(point.tau.real),
+        "tau_im": float(point.tau.imag),
+        "matrix": [list(point.transform[0]), list(point.transform[1])],
+    }
+
+
+def _cmd_gauss(args) -> list:
     c = MultiplicativeCharacter(args.p, args.k1)
     g = gauss_sum(c)
     re, im = _re_im(g.value)
-    row = {"p": c.p, "k1": c.k, "order": c.order, "value_re": re, "value_im": im, "norm": g.norm_sq}
-    return OutputEnvelope("gauss", {"p": c.p, "k1": args.k1}, [row])
+    return [{"p": c.p, "k1": c.k, "order": c.order, "value_re": re, "value_im": im, "norm": g.norm_sq}]
 
 
-def _cmd_jacobi(args) -> OutputEnvelope:
+def _cmd_jacobi(args) -> list:
     c1 = MultiplicativeCharacter(args.p, args.k1)
     c2 = MultiplicativeCharacter(args.p, args.k2)
     j = jacobi_sum(c1, c2)
@@ -185,19 +184,19 @@ def _cmd_jacobi(args) -> OutputEnvelope:
         "norm": j.norm_to_int(),
         "residual": residual,
     }
-    return OutputEnvelope("jacobi", {"p": c1.p, "k1": args.k1, "k2": args.k2}, [row])
+    return [row]
 
 
-def _cmd_count(args) -> OutputEnvelope:
+def _cmd_count(args) -> list:
     curve = WeierstrassCurveFp(args.p, *_parse_numbers("curve", args.curve, int, 2))
     result = count_points(curve)
     row = {"p": curve.p, "a": curve.a, "b": curve.b, "Np": result.n_points, "ap": result.a_p}
     if args.n != 1:
         row[f"Np{args.n}"] = count_points_ext(curve, args.n)
-    return OutputEnvelope("count", {"p": curve.p, "curve": args.curve, "n": args.n}, [row])
+    return [row]
 
 
-def _cmd_zeta(args) -> OutputEnvelope:
+def _cmd_zeta(args) -> list:
     curve = WeierstrassCurveFp(args.p, *_parse_numbers("curve", args.curve, int, 2))
     data = zeta_data(curve)
     ar, ai = _re_im(data.alpha)
@@ -212,126 +211,82 @@ def _cmd_zeta(args) -> OutputEnvelope:
         "beta_re": br,
         "beta_im": bi,
     }
-    return OutputEnvelope("zeta", {"p": curve.p, "curve": args.curve}, [row])
+    return [row]
 
 
-def _cmd_apjacobi(args) -> OutputEnvelope:
-    row = {"p": args.p, "ap": a_p_from_jacobi(args.p)}
-    return OutputEnvelope("apjacobi", {"p": args.p}, [row])
+def _cmd_apjacobi(args) -> list:
+    return [{"p": args.p, "ap": a_p_from_jacobi(args.p)}]
 
 
-def _curve_rows(a: Fraction, b: Fraction, lattice) -> dict:
-    o1r, o1i = _re_im(lattice.omega1)
-    o2r, o2i = _re_im(lattice.omega2)
-    return {
-        "a": str(a),
-        "b": str(b),
-        "method": lattice.method,
-        "omega1_re": o1r,
-        "omega1_im": o1i,
-        "omega2_re": o2r,
-        "omega2_im": o2i,
-    }
-
-
-def _cmd_periods(args) -> OutputEnvelope:
+def _cmd_periods(args) -> list:
     a, b = _parse_numbers("curve", args.curve, Fraction, 2)
     curve = EllipticCurveQ(a, b)
-    rows = [
-        _curve_rows(a, b, periods_agm(curve)),
-        _curve_rows(a, b, periods_quadrature(curve)),
+    return [
+        {"a": str(a), "b": str(b), "method": lattice.method, **_omega_fields(lattice)}
+        for lattice in (periods_agm(curve), periods_quadrature(curve))
     ]
-    return OutputEnvelope("periods", {"curve": args.curve}, rows)
 
 
-def _cmd_tau(args) -> OutputEnvelope:
+def _cmd_tau(args) -> list:
     a, b = _parse_numbers("curve", args.curve, Fraction, 2)
-    curve = EllipticCurveQ(a, b)
-    lattice = periods_agm(curve)
+    lattice = periods_agm(EllipticCurveQ(a, b))
     raw = lattice.omega2 / lattice.omega1
-    point = tau_normalize(lattice)
-    o1r, o1i = _re_im(lattice.omega1)
-    o2r, o2i = _re_im(lattice.omega2)
     row = {
         "a": str(a),
         "b": str(b),
-        "omega1_re": o1r,
-        "omega1_im": o1i,
-        "omega2_re": o2r,
-        "omega2_im": o2i,
+        **_omega_fields(lattice),
         "raw_re": float(raw.real),
         "raw_im": float(raw.imag),
-        "tau_re": float(point.tau.real),
-        "tau_im": float(point.tau.imag),
-        "matrix": [list(point.transform[0]), list(point.transform[1])],
+        **_tau_fields(tau_normalize(lattice)),
     }
-    return OutputEnvelope("tau", {"curve": args.curve}, [row])
+    return [row]
 
 
-def _cmd_periodmap(args) -> OutputEnvelope:
+def _cmd_periodmap(args) -> list:
     ts = _parse_numbers("grid", args.grid, Fraction)
-    rows = []
-    for t, point in period_map_legendre(ts):
-        rows.append(
-            {
-                "t": str(t),
-                "tau_re": float(point.tau.real),
-                "tau_im": float(point.tau.imag),
-                "matrix": [list(point.transform[0]), list(point.transform[1])],
-            }
-        )
-    return OutputEnvelope("periodmap", {"grid": args.grid}, rows)
+    return [{"t": str(t), **_tau_fields(point)} for t, point in period_map_legendre(ts)]
 
 
-def _cmd_catalog(args) -> OutputEnvelope:
-    rows = []
-    for entry in numeric_periods_catalog(args.n):
-        rows.append(
-            {
-                "name": entry.name,
-                "value": entry.value,
-                "error": entry.error_estimate,
-                "variety": entry.variety,
-                "divisor": entry.divisor,
-                "form": entry.form,
-                "domain": entry.domain,
-            }
-        )
-    return OutputEnvelope("catalog", {"n": args.n}, rows)
+def _cmd_catalog(args) -> list:
+    return [
+        {
+            "name": entry.name,
+            "value": entry.value,
+            "error": entry.error_estimate,
+            "variety": entry.variety,
+            "divisor": entry.divisor,
+            "form": entry.form,
+            "domain": entry.domain,
+        }
+        for entry in numeric_periods_catalog(args.n)
+    ]
 
 
-def _amplitude_row(s: float, t: float) -> dict:
-    m = MandelstamInput(s12=s, s34=t)
+def _cmd_veneziano(args) -> list:
+    m = MandelstamInput(s12=args.s, s34=args.t)
     amp = veneziano(m)
-    return {
-        "s": s,
-        "t": t,
+    row = {
+        "s": args.s,
+        "t": args.t,
         "alpha": m.alpha,
         "beta": m.beta,
         "value": amp.value if math.isfinite(amp.value) else None,
         "at_pole": amp.at_pole,
         "pole_index": amp.pole_index,
     }
+    return [row]
 
 
-def _cmd_veneziano(args) -> OutputEnvelope:
-    row = _amplitude_row(args.s, args.t)
-    return OutputEnvelope("veneziano", {"s": args.s, "t": args.t}, [row])
-
-
-def _cmd_beta(args) -> OutputEnvelope:
+def _cmd_beta(args) -> list:
     # --s and --t carry the two Beta arguments directly.
-    value = beta_fn(args.s, args.t)
-    row = {"alpha": args.s, "beta": args.t, "value": value}
-    return OutputEnvelope("beta", {"s": args.s, "t": args.t}, [row])
+    return [{"alpha": args.s, "beta": args.t, "value": beta_fn(args.s, args.t)}]
 
 
-def _cmd_poles(args) -> OutputEnvelope:
-    rows = [{"beta": args.t, "n": n, "residue": res} for n, res in pole_scan(args.t, args.n)]
-    return OutputEnvelope("poles", {"t": args.t, "n": args.n}, rows)
+def _cmd_poles(args) -> list:
+    return [{"beta": args.t, "n": n, "residue": res} for n, res in pole_scan(args.t, args.n)]
 
 
-def _cmd_correspond(args) -> OutputEnvelope:
+def _cmd_correspond(args) -> list:
     report = correspondence_table(args.p, _parse_numbers("grid", args.grid, float))
     record = {
         "p": report.p,
@@ -352,11 +307,10 @@ def _cmd_correspond(args) -> OutputEnvelope:
         ],
         "dictionary": [{"global": g, "local": l} for g, l in report.dictionary],
     }
-    return OutputEnvelope("correspond", {"p": report.p, "grid": args.grid}, [record])
+    return [record]
 
 
-def _render_correspond_markdown(env: OutputEnvelope) -> str:
-    record = env.rows[0]
+def _render_correspond_markdown(record: dict) -> str:
     lines = [f"# periodkit correspond (p = {record['p']})", ""]
     lines.append("## Dictionary")
     lines.append("")
@@ -393,26 +347,21 @@ def _render_correspond_markdown(env: OutputEnvelope) -> str:
     return "\n".join(lines)
 
 
-def _cmd_delta(args) -> OutputEnvelope:
+def _cmd_delta(args) -> list:
     x = PadicInt(args.p, args.precision, args.x)
-    dx = delta_p(x)
-    row = {"p": args.p, "N": args.precision, "x": x.value, "delta": dx.value}
-    params = {"p": args.p, "precision": args.precision, "x": args.x}
-    if args.y is None and args.rule is not None:
-        raise InvalidInput("rule", "a rule checks the pair (x, y); pass --y too")
+    row = {"p": args.p, "N": args.precision, "x": x.value, "delta": delta_p(x).value}
     if args.y is not None:
         y = PadicInt(args.p, args.precision, args.y)
         verdict = delta_rules_check(x, y)
-        checks = {}
-        if args.rule in (None, "sum"):
-            checks["sum"] = verdict.sum_rule_ok
-        if args.rule in (None, "product"):
-            checks["product"] = verdict.product_rule_ok
         row.update(
-            {"y": y.value, "delta_y": verdict.delta_y.value, "cocycle": verdict.cocycle, "checks": checks}
+            {
+                "y": y.value,
+                "delta_y": verdict.delta_y.value,
+                "cocycle": verdict.cocycle,
+                "checks": {"sum": verdict.sum_rule_ok, "product": verdict.product_rule_ok},
+            }
         )
-        params.update({"y": args.y, "rule": args.rule})
-    return OutputEnvelope("delta", params, [row])
+    return [row]
 
 
 # ---------------------------------------------------------------------------
@@ -426,86 +375,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, default_format: str = "json", formats=("json", "csv", "md")):
+    def add(name: str, run, help_text: str, default_format: str = "json", formats=("json", "csv", "md")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=formats, default=default_format)
+        p.set_defaults(run=run)
         return p
 
-    p = add("gauss", "Gauss sum of a multiplicative character")
+    p = add("gauss", _cmd_gauss, "Gauss sum of a multiplicative character")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k1", type=int, required=True)
 
-    p = add("jacobi", "exact Jacobi sum of two characters")
+    p = add("jacobi", _cmd_jacobi, "exact Jacobi sum of two characters")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k1", type=int, required=True)
     p.add_argument("--k2", type=int, required=True)
 
-    p = add("count", "projective point count of y^2 = x^3 + ax + b over F_p")
+    p = add("count", _cmd_count, "projective point count of y^2 = x^3 + ax + b over F_p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--curve", type=str, required=True, help="a,b as integer residues")
     p.add_argument("--n", type=int, default=1, help="extension degree (1 or 2)")
 
-    p = add("zeta", "local zeta numerator roots for a curve over F_p")
+    p = add("zeta", _cmd_zeta, "local zeta numerator roots for a curve over F_p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--curve", type=str, required=True)
 
-    p = add("apjacobi", "trace defect of y^2 = x^3 - x from a Jacobi sum (p = 1 mod 4)")
+    p = add("apjacobi", _cmd_apjacobi, "trace defect of y^2 = x^3 - x from a Jacobi sum (p = 1 mod 4)")
     p.add_argument("--p", type=int, required=True)
 
-    p = add("periods", "lattice generators by AGM and quadrature")
+    p = add("periods", _cmd_periods, "lattice generators by AGM and quadrature")
     p.add_argument("--curve", type=str, required=True, help="a,b as exact rationals")
 
-    p = add("tau", "SL2(Z)-reduced tau invariant")
+    p = add("tau", _cmd_tau, "SL2(Z)-reduced tau invariant")
     p.add_argument("--curve", type=str, required=True, help="a,b as exact rationals")
 
-    p = add("periodmap", "tau(t) along the family y^2 = x(x-1)(x-t)")
+    p = add("periodmap", _cmd_periodmap, "tau(t) along the family y^2 = x(x-1)(x-t)")
     p.add_argument("--grid", type=str, required=True, help="comma-separated rational t values")
 
-    p = add("catalog", "elementary numeric periods (pi, 2*pi, log n)", default_format="md")
+    p = add("catalog", _cmd_catalog, "elementary numeric periods (pi, 2*pi, log n)", default_format="md")
     p.add_argument("--n", type=int, default=2, help="largest logarithm argument, 2..21")
 
-    p = add("veneziano", "four-point amplitude at (s, t)")
+    p = add("veneziano", _cmd_veneziano, "four-point amplitude at (s, t)")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
 
-    p = add("beta", "Euler Beta via the Gamma ratio; --s and --t are its two arguments")
+    p = add("beta", _cmd_beta, "Euler Beta via the Gamma ratio; --s and --t are its two arguments")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
 
-    p = add("poles", "residues of the amplitude at alpha = 0..-n, in closed form")
+    p = add("poles", _cmd_poles, "residues of the amplitude at alpha = 0..-n, in closed form")
     p.add_argument("--t", type=float, required=True, help="fixed beta (non-integer)")
     p.add_argument("--n", type=int, default=5)
 
-    p = add("correspond", "two-column local/global report", default_format="md", formats=("json", "md"))
+    p = add("correspond", _cmd_correspond, "two-column local/global report", default_format="md", formats=("json", "md"))
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--grid", type=str, default="", help="comma-separated amplitude grid values")
 
-    p = add("delta", "p-derivation of a fixed-precision p-adic integer")
+    p = add("delta", _cmd_delta, "p-derivation of a fixed-precision p-adic integer")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--precision", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, default=None)
-    p.add_argument("--rule", choices=("sum", "product"), default=None)
 
     return parser
-
-
-_DISPATCH = {
-    "gauss": _cmd_gauss,
-    "jacobi": _cmd_jacobi,
-    "count": _cmd_count,
-    "zeta": _cmd_zeta,
-    "apjacobi": _cmd_apjacobi,
-    "periods": _cmd_periods,
-    "tau": _cmd_tau,
-    "periodmap": _cmd_periodmap,
-    "catalog": _cmd_catalog,
-    "veneziano": _cmd_veneziano,
-    "beta": _cmd_beta,
-    "poles": _cmd_poles,
-    "correspond": _cmd_correspond,
-    "delta": _cmd_delta,
-}
 
 
 # Library argument names that differ from the flag carrying them; any other
@@ -546,17 +477,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        env = _DISPATCH[args.command](args)
+        rows = args.run(args)
     except InvalidInput as exc:
         print(f"error: {_FLAG_OF_ARG.get(exc.arg, '--' + exc.arg)}: {exc}", file=sys.stderr)
         return 2
     except PeriodkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    # argparse fills the namespace in declaration order, so params echo the
+    # flags in the order build_parser declares them.
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "run", "format") and v is not None}
     if args.command == "correspond" and args.format == "md":
-        text = _render_correspond_markdown(env)
+        text = _render_correspond_markdown(rows[0])
     else:
-        text = RENDERERS[args.format](env)
+        text = RENDERERS[args.format](args.command, params, rows)
     sys.stdout.write(text)
     return 0
 

@@ -195,8 +195,8 @@ def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     like 1/x^2 or faster, with its features near x - lo = 1.  Each level
     halves the step and reuses the previous sum.  The run stops when two
     successive levels differ by at most max(QUAD_TARGET/10, 1e-13*|I|), and
-    that difference is the error estimate.  Raises QuadratureNoConvergence at
-    the level cap, or when the estimate is above QUAD_TARGET.
+    that difference is the error estimate.  Raises QuadratureNoConvergence
+    when no two levels up to the level cap agree that closely.
     """
     if hi == math.inf:
         def level_sum(level: int) -> float:
@@ -212,8 +212,6 @@ def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
         previous, total = total, 0.5 * total + level_sum(level)
         err = abs(total - previous)
         if err <= max(QUAD_TARGET / 10, 1e-13 * abs(total)):
-            if err > QUAD_TARGET:
-                raise QuadratureNoConvergence(f"error estimate {err:.3e} above target {QUAD_TARGET:.1e}")
             return total, err
     raise QuadratureNoConvergence(f"levels still differ by {err:.3e} at step {_DE_STEP / 2**_DE_LEVELS}")
 

@@ -52,7 +52,7 @@ class FloatOverflow(PeriodkitError):
 
 
 class QuadratureNoConvergence(PeriodkitError):
-    """Quadrature failed to reach the requested absolute error."""
+    """Quadrature levels still disagree at the level cap."""
 
 
 class DegenerateLattice(PeriodkitError):

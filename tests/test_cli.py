@@ -1,5 +1,6 @@
 """CLI behaviour: envelope shape, exit codes, formats, and golden-file bytes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import periodkit
-from periodkit.cli import main
+from periodkit.cli import build_parser, main
 from periodkit.padic import cp_cocycle
 from golden_corpus import CORPUS
 
@@ -56,6 +57,28 @@ def test_json_envelope_roundtrip():
     assert isinstance(row["residual"], float)
 
 
+@pytest.mark.parametrize(
+    "argv,params",
+    [
+        (["count", "--p", "11", "--curve", "4,1"], {"p": 11, "curve": "4,1", "n": 1}),
+        (["catalog"], {"n": 2}),
+        (["poles", "--t", "2.5"], {"t": 2.5, "n": 5}),
+        (["correspond", "--p", "5"], {"p": 5, "grid": ""}),
+        (["delta", "--p", "5", "--precision", "6", "--x", "7"], {"p": 5, "precision": 6, "x": 7}),
+    ],
+)
+def test_params_echo_defaults_and_omit_unset_flags(argv, params):
+    code, out, err = run_cli([*argv, "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["params"] == params
+
+
+def test_corpus_covers_every_subcommand():
+    # params come from the parser, so the goldens pin them for every command.
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for _, argv in CORPUS} == set(subparsers.choices)
+
+
 def test_json_field_types_stable_across_runs():
     argv = ["zeta", "--p", "13", "--curve", "-1,0", "--format", "json"]
     _, first, _ = run_cli(argv)
@@ -65,6 +88,17 @@ def test_json_field_types_stable_across_runs():
     assert [{k: type(v) for k, v in r.items()} for r in rows1] == [
         {k: type(v) for k, v in r.items()} for r in rows2
     ]
+
+
+def test_periods_of_a_tiny_scaled_curve():
+    # The half-line integral is about 5e3 here; its level difference met the
+    # relative stop long before it fell under an absolute 1e-11.
+    code, out, err = run_cli(["periods", "--curve=-1/1000000000000,0", "--format", "json"])
+    assert code == 0, err
+    agm, quad = json.loads(out)["rows"]
+    assert (agm["method"], quad["method"]) == ("agm", "quadrature")
+    for key in ("omega1_re", "omega2_im"):
+        assert abs(quad[key] / agm[key] - 1) < 1e-12, key
 
 
 def test_tau_spec_example():
@@ -152,16 +186,12 @@ def test_correspond_json_schema():
     assert pole_rows and all(r["A"] is None and r["n"] >= 0 for r in pole_rows)
 
 
-def test_delta_rule_filter():
-    code, out, _ = run_cli(
-        ["delta", "--p", "3", "--precision", "5", "--x", "4", "--y", "7", "--rule", "sum"]
-    )
-    assert code == 0
-    row = json.loads(out)["rows"][0]
-    assert row["checks"] == {"sum": True}
-    code, out, _ = run_cli(["delta", "--p", "3", "--precision", "5", "--x", "4", "--y", "7"])
-    row = json.loads(out)["rows"][0]
-    assert row["checks"] == {"sum": True, "product": True}
+@pytest.mark.parametrize("extra", [["--y", "7", "--rule", "sum"], ["--rule", "product"]])
+def test_delta_has_no_rule_flag(extra):
+    # --y prints both rule verdicts; no flag hides one of them.
+    code, out, err = run_cli(["delta", "--p", "3", "--precision", "5", "--x", "4", *extra])
+    assert (code, out) == (2, "")
+    assert "--rule" in err
 
 
 def test_delta_cocycle_is_printed_mod_p_to_the_n_minus_1():
@@ -286,7 +316,6 @@ ARGV_TABLE = [
     (["jacobi", "--p", "2000003", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the p-entry table budget
     (["jacobi", "--p", "94291", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the reduction budget
     (["catalog", "--n", "22"], 2, "--n"),  # more than twenty logarithms
-    (["delta", "--p", "5", "--precision", "6", "--x", "7", "--rule", "sum"], 2, "--rule"),  # no --y to check
 ]
 
 
@@ -360,7 +389,6 @@ ARG_POOLS = {
         "--precision": values("1", "2", "5", "64", "65"),
         "--x": INT,
         "--y": INT,
-        "--rule": values("sum", "product"),
     },
 }
 

@@ -111,7 +111,7 @@ def test_scaled_curve_period_ratio():
     assert abs(scaled.omega1 - base.omega1 / math.sqrt(2)) < 1e-9
     # (a, b) -> (lam^4 a, lam^6 b) divides the periods by lam; far from unit
     # scale the half-line integral holds its digits only in the scaled variable.
-    for lam in (Fraction(1, 100), Fraction(1, 10), 10, 1000):
+    for lam in (Fraction(1, 10**6), Fraction(1, 1000), Fraction(1, 100), Fraction(1, 10), 10, 1000):
         scaled = periods_quadrature(EllipticCurveQ(-(lam**4), 0))
         assert abs(scaled.omega1 * float(lam) / base.omega1 - 1) < 1e-14, lam
         assert abs(scaled.omega2 * float(lam) / base.omega2 - 1) < 1e-14, lam
