@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._frozen import Frozen
 from .curve_counts import a_p_from_jacobi
 from .characters import MultiplicativeCharacter, jacobi_sum
 from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger
@@ -70,18 +70,17 @@ def beta_fn(alpha: float, beta: float) -> float:
     return _in_double_range(ratio, f"B({alpha}, {beta})")
 
 
-@dataclass(frozen=True)
-class MandelstamInput:
+class MandelstamInput(Frozen):
     """Squared momentum invariants of the in and out pairs, dimensionless."""
 
-    s12: float
-    s34: float
+    __slots__ = ("s12", "s34")
 
-    def __post_init__(self):
-        for name in ("s12", "s34"):
-            v = getattr(self, name)
+    def __init__(self, s12: float, s34: float):
+        for name, v in (("s12", s12), ("s34", s34)):
             if not math.isfinite(v):
                 raise InvalidInput(name, f"Mandelstam invariants must be finite, got {name} = {v}")
+        object.__setattr__(self, "s12", s12)
+        object.__setattr__(self, "s34", s34)
 
     @property
     def alpha(self) -> float:
@@ -92,13 +91,15 @@ class MandelstamInput:
         return -1.0 + self.s34
 
 
-@dataclass(frozen=True)
-class AmplitudeValue:
+class AmplitudeValue(Frozen):
     """Amplitude sample; at poles the value is a signed-infinity marker."""
 
-    value: float
-    at_pole: bool
-    pole_index: Optional[int] = None
+    __slots__ = ("value", "at_pole", "pole_index")
+
+    def __init__(self, value: float, at_pole: bool, pole_index: Optional[int] = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "at_pole", at_pole)
+        object.__setattr__(self, "pole_index", pole_index)
 
 
 def _residue_sign(n: int, beta: float) -> float:
@@ -158,36 +159,51 @@ def pole_scan(beta_fixed: float, n_max: int) -> list[tuple[int, float]]:
     ]
 
 
-@dataclass(frozen=True)
-class LocalRow:
+class LocalRow(Frozen):
     """One exact Jacobi sum with its norm; norm_checked is False where the norm
     is inherited from the orbit representative by Galois invariance."""
 
-    k1: int
-    k2: int
-    ring_order: int
-    coeffs: tuple[int, ...]
-    norm: int
-    norm_ok: bool
-    norm_checked: bool
+    __slots__ = ("k1", "k2", "ring_order", "coeffs", "norm", "norm_ok", "norm_checked")
+
+    def __init__(
+        self, k1: int, k2: int, ring_order: int, coeffs: tuple[int, ...], norm: int, norm_ok: bool, norm_checked: bool
+    ):
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "ring_order", ring_order)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "norm_ok", norm_ok)
+        object.__setattr__(self, "norm_checked", norm_checked)
 
 
-@dataclass(frozen=True)
-class GlobalRow:
-    s: float
-    t: float
-    value: float
-    at_pole: bool
-    pole_index: Optional[int]
+class GlobalRow(Frozen):
+    __slots__ = ("s", "t", "value", "at_pole", "pole_index")
+
+    def __init__(self, s: float, t: float, value: float, at_pole: bool, pole_index: Optional[int]):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "at_pole", at_pole)
+        object.__setattr__(self, "pole_index", pole_index)
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    p: int
-    a_p: Optional[int]
-    local_rows: tuple[LocalRow, ...]
-    global_rows: tuple[GlobalRow, ...]
-    dictionary: tuple[tuple[str, str], ...]
+class CorrespondenceReport(Frozen):
+    __slots__ = ("p", "a_p", "local_rows", "global_rows", "dictionary")
+
+    def __init__(
+        self,
+        p: int,
+        a_p: Optional[int],
+        local_rows: tuple[LocalRow, ...],
+        global_rows: tuple[GlobalRow, ...],
+        dictionary: tuple[tuple[str, str], ...],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "a_p", a_p)
+        object.__setattr__(self, "local_rows", local_rows)
+        object.__setattr__(self, "global_rows", global_rows)
+        object.__setattr__(self, "dictionary", dictionary)
 
 
 DICTIONARY_ROWS: tuple[tuple[str, str], ...] = (

@@ -15,8 +15,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .cyclotomic import MAX_REDUCTION_STEPS, CyclotomicNumber, _reduction_steps
 from .errors import BadCongruence, InvalidInput, MismatchedModulus, TrivialCharacter
 from .finite_field import PrimeFieldElem, _check_prime, _check_table_prime, _smallest_primitive_root
@@ -47,16 +47,15 @@ def _check_ring_budget(p: int, n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class MultiplicativeCharacter:
+class MultiplicativeCharacter(Frozen):
     """Character c: F_p^x -> C^x with c(g^j) = zeta_(p-1)^(k*j) and c(0) = 0."""
 
-    p: int
-    k: int
+    __slots__ = ("p", "k")
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        object.__setattr__(self, "k", self.k % (self.p - 1))
+    def __init__(self, p: int, k: int):
+        _check_prime(p)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k % (p - 1))
 
     @property
     def order(self) -> int:
@@ -97,12 +96,14 @@ def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> CyclotomicNumber
     return CyclotomicNumber.root_of_unity(m, c.k * j % m)
 
 
-@dataclass(frozen=True)
-class GaussSumValue:
+class GaussSumValue(Frozen):
     """Floating Gauss sum g(c); |value|**2 = p within 1e-9 for nontrivial c."""
 
-    value: complex
-    p: int
+    __slots__ = ("value", "p")
+
+    def __init__(self, value: complex, p: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "p", p)
 
     @property
     def norm_sq(self) -> float:

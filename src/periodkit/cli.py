@@ -73,6 +73,8 @@ def _json_emit(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is int for v in obj):  # coefficient vectors; bool is not int here
+            return "[" + ", ".join(map(str, obj)) + "]"
         return "[" + ", ".join(_json_emit(v) for v in obj) + "]"
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_emit(v)}" for k, v in obj.items()) + "}"

@@ -23,10 +23,10 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from ._frozen import Frozen
 from .errors import (
     ComplexRoots,
     DegenerateFamilyMember,
@@ -56,7 +56,7 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-class EllipticCurveQ:
+class EllipticCurveQ(Frozen):
     """y^2 = x^3 + a*x + b with exact rational a, b; 4a^3 + 27b^2 != 0."""
 
     __slots__ = ("a", "b")
@@ -69,9 +69,6 @@ class EllipticCurveQ:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EllipticCurveQ is immutable")
-
     @property
     def discriminant(self) -> Fraction:
         """Cubic discriminant -4a^3 - 27b^2; its exact sign decides the root split."""
@@ -81,25 +78,29 @@ class EllipticCurveQ:
         return f"EllipticCurveQ(a={self.a}, b={self.b})"
 
 
-@dataclass(frozen=True)
-class PeriodLattice:
+class PeriodLattice(Frozen):
     """Generators with omega1 real > 0 and Im(omega2/omega1) > 0."""
 
-    omega1: complex
-    omega2: complex
-    method: str
+    __slots__ = ("omega1", "omega2", "method")
+
+    def __init__(self, omega1: complex, omega2: complex, method: str):
+        object.__setattr__(self, "omega1", omega1)
+        object.__setattr__(self, "omega2", omega2)
+        object.__setattr__(self, "method", method)
 
 
-@dataclass(frozen=True)
-class TauPoint:
+class TauPoint(Frozen):
     """Reduced tau in the closed fundamental domain, plus the SL2(Z) word.
 
     transform = ((a, b), (c, d)) with det 1 satisfies
     tau = (a*tau0 + b) / (c*tau0 + d) for the starting ratio tau0.
     """
 
-    tau: complex
-    transform: Matrix
+    __slots__ = ("tau", "transform")
+
+    def __init__(self, tau: complex, transform: Matrix):
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "transform", transform)
 
 
 def _newton_polish(x: float, a: float, b: float) -> float:
@@ -354,17 +355,21 @@ def period_map_legendre(t_values: Iterable[Fraction]) -> list[tuple[Fraction, Ta
     return [(t, curve_tau(legendre_curve(t))) for t in ts]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Frozen):
     """One elementary numeric period with its defining quadruple spelled out."""
 
-    name: str
-    value: float
-    error_estimate: float
-    variety: str
-    divisor: str
-    form: str
-    domain: str
+    __slots__ = ("name", "value", "error_estimate", "variety", "divisor", "form", "domain")
+
+    def __init__(
+        self, name: str, value: float, error_estimate: float, variety: str, divisor: str, form: str, domain: str
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error_estimate", error_estimate)
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "domain", domain)
 
 
 def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:

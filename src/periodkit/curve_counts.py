@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .characters import jacobi_sum, quadratic_character, quartic_character
 from .errors import InvalidInput, SingularCurve, UnsupportedDegree
 from .finite_field import _check_prime, _check_table_prime
@@ -19,7 +19,7 @@ from .finite_field import _check_prime, _check_table_prime
 MAX_EXT_PRIME = 10**4
 
 
-class WeierstrassCurveFp:
+class WeierstrassCurveFp(Frozen):
     """y^2 = x^3 + a*x + b over F_p, p prime >= 5; nonsingularity enforced."""
 
     __slots__ = ("p", "a", "b")
@@ -34,28 +34,26 @@ class WeierstrassCurveFp:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeierstrassCurveFp is immutable")
 
-    def __repr__(self):
-        return f"WeierstrassCurveFp(p={self.p}, a={self.a}, b={self.b})"
-
-
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(Frozen):
     """Projective point count and its trace defect a_p = p + 1 - N."""
 
-    n_points: int
-    a_p: int
+    __slots__ = ("n_points", "a_p")
+
+    def __init__(self, n_points: int, a_p: int):
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "a_p", a_p)
 
 
-@dataclass(frozen=True)
-class ZetaData:
+class ZetaData(Frozen):
     """Reciprocal roots of the local zeta numerator 1 - a_p*T + p*T^2."""
 
-    a_p: int
-    alpha: complex
-    beta: complex
+    __slots__ = ("a_p", "alpha", "beta")
+
+    def __init__(self, a_p: int, alpha: complex, beta: complex):
+        object.__setattr__(self, "a_p", a_p)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ import functools
 import math
 from typing import Sequence
 
+from ._frozen import Frozen
 from .finite_field import _prime_factors
 
 # One reduction may take at most this many multiply-adds in its finish
@@ -88,7 +89,7 @@ def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [int.from_bytes(buf[i : i + width], "little") - bias for i in range(0, width * n, width)]
 
 
-class CyclotomicNumber:
+class CyclotomicNumber(Frozen):
     """An element of Z[zeta_m], stored in canonical reduced form."""
 
     __slots__ = ("m", "coeffs")
@@ -110,9 +111,6 @@ class CyclotomicNumber:
                     r[i - phi + k] -= lead * c
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coeffs", tuple(r[:phi]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicNumber is immutable")
 
     # -- constructors ------------------------------------------------------
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedModulus
 
 MAX_PRIME = 2**31
@@ -76,7 +76,7 @@ def _check_table_prime(p: int) -> None:
         raise InvalidInput("p", f"a table of p entries needs p <= {MAX_TABLE_PRIME}, got {p}")
 
 
-class PrimeFieldElem:
+class PrimeFieldElem(Frozen):
     """A residue in F_p, p an odd prime.
 
     Invariant: 0 <= value < p; the modulus is validated once at construction.
@@ -90,9 +90,6 @@ class PrimeFieldElem:
         _check_prime(p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "value", value % p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeFieldElem is immutable")
 
     def _coerce(self, other) -> "PrimeFieldElem":
         if isinstance(other, PrimeFieldElem):
@@ -207,17 +204,19 @@ def legendre_symbol(a: PrimeFieldElem) -> int:
     return 1 if s == 1 else -1
 
 
-@dataclass(frozen=True)
-class GaussianSplit:
+class GaussianSplit(Frozen):
     """Presentation of F_p (p = 1 mod 4) as Z[i] modulo a Gaussian prime a + b*i.
 
     u is the image of i under the quotient map, so u**2 = -1 in F_p, and
     a**2 + b**2 = p exactly with a >= b >= 1.
     """
 
-    u: PrimeFieldElem
-    a: int
-    b: int
+    __slots__ = ("u", "a", "b")
+
+    def __init__(self, u: PrimeFieldElem, a: int, b: int):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def iso_gaussian_residue(p: int) -> GaussianSplit:

@@ -10,8 +10,7 @@ identity, which is what makes (x - x^p)/p a p-derivation here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit
 from .finite_field import _check_prime
 
@@ -24,7 +23,7 @@ def _check_structure(p: int, precision: int) -> None:
         raise InvalidInput("precision", f"need 1 <= precision <= {MAX_PRECISION}, got {precision}")
 
 
-class PadicInt:
+class PadicInt(Frozen):
     """Residue mod p^N with explicit precision tracking."""
 
     __slots__ = ("p", "precision", "value")
@@ -34,9 +33,6 @@ class PadicInt:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "value", value % p**precision)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicInt is immutable")
 
     def valuation(self) -> int:
         """Largest k <= N with p^k dividing the value; N for zero ("at least N")."""
@@ -137,9 +133,6 @@ class PadicInt:
     def __int__(self):
         return self.value
 
-    def __repr__(self):
-        return f"PadicInt(p={self.p}, precision={self.precision}, value={self.value})"
-
 
 def teichmuller(a: PadicInt) -> PadicInt:
     """The unique root of x^p = x congruent to a mod p, by iterating x -> x^p."""
@@ -175,14 +168,17 @@ def cp_cocycle(p: int, x: int, y: int) -> int:
     return num // p
 
 
-@dataclass(frozen=True)
-class FrobeniusLiftVerdict:
-    """phi(x) for one of the two named lifts, with its mod-p Frobenius check."""
+class FrobeniusLiftVerdict(Frozen):
+    """phi(x) for one of the two named lifts, with its mod-p Frobenius check;
+    delta_component is (phi(x) - x^p)/p at one digit less."""
 
-    variant: str
-    phi: PadicInt
-    reduces_to_frobenius: bool
-    delta_component: PadicInt  # (phi(x) - x^p)/p at one digit less
+    __slots__ = ("variant", "phi", "reduces_to_frobenius", "delta_component")
+
+    def __init__(self, variant: str, phi: PadicInt, reduces_to_frobenius: bool, delta_component: PadicInt):
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "reduces_to_frobenius", reduces_to_frobenius)
+        object.__setattr__(self, "delta_component", delta_component)
 
 
 def frobenius_lift_check(variant: str, x: PadicInt) -> FrobeniusLiftVerdict:
@@ -207,15 +203,18 @@ def frobenius_lift_check(variant: str, x: PadicInt) -> FrobeniusLiftVerdict:
     )
 
 
-@dataclass(frozen=True)
-class DeltaRulesVerdict:
-    """Exact verification of the sum and product rules at precision N-1."""
+class DeltaRulesVerdict(Frozen):
+    """Exact verification of the sum and product rules at precision N-1; cocycle
+    is C_p(x, y) mod p^(N-1), the residue the sum rule uses."""
 
-    sum_rule_ok: bool
-    product_rule_ok: bool
-    delta_x: PadicInt
-    delta_y: PadicInt
-    cocycle: int  # C_p(x, y) mod p^(N-1), the residue the sum rule uses
+    __slots__ = ("sum_rule_ok", "product_rule_ok", "delta_x", "delta_y", "cocycle")
+
+    def __init__(self, sum_rule_ok: bool, product_rule_ok: bool, delta_x: PadicInt, delta_y: PadicInt, cocycle: int):
+        object.__setattr__(self, "sum_rule_ok", sum_rule_ok)
+        object.__setattr__(self, "product_rule_ok", product_rule_ok)
+        object.__setattr__(self, "delta_x", delta_x)
+        object.__setattr__(self, "delta_y", delta_y)
+        object.__setattr__(self, "cocycle", cocycle)
 
 
 def delta_rules_check(x: PadicInt, y: PadicInt) -> DeltaRulesVerdict:

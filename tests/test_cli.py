@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import periodkit
-from periodkit.cli import build_parser, main
+from periodkit.cli import _json_emit, build_parser, main
 from periodkit.padic import cp_cocycle
 from golden_corpus import CORPUS
 
@@ -55,6 +55,13 @@ def test_json_envelope_roundtrip():
     assert row["coeffs"] == [-1, -2]
     assert row["norm"] == 5
     assert isinstance(row["residual"], float)
+
+
+def test_json_int_lists_take_the_flat_path_and_bools_stay_json():
+    assert _json_emit([]) == "[]"
+    assert _json_emit((-1, 0, 10**20)) == "[-1, 0, 100000000000000000000]"
+    assert _json_emit([True, 1, False]) == "[true, 1, false]"
+    assert _json_emit([1, 2.5, None, [3, -4]]) == "[1, 2.5, null, [3, -4]]"
 
 
 @pytest.mark.parametrize(
@@ -250,12 +257,16 @@ def run(argv):
 
 codes = [run(argv) for argv in json.loads(sys.argv[1])]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy_loaded": loaded, "integrate_after": "scipy.integrate" in sys.modules}))
+slow_stdlib = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+print(json.dumps({"codes": codes, "scipy_loaded": loaded, "integrate_after": "scipy.integrate" in sys.modules,
+                  "slow_stdlib": slow_stdlib}))
 """
 
 
 def test_no_argv_loads_scipy():
     # periods and catalog integrate; they must do it with the library's own rule.
+    # Result records are plain __slots__ classes, so no call pays for importing
+    # dataclasses and the inspect module it pulls in.
     argvs = [argv for _, argv in CORPUS]
     assert len(argvs) == 18
     proc = run_python("-c", IMPORT_BOUNDARY_CHILD, json.dumps(argvs))
@@ -264,6 +275,7 @@ def test_no_argv_loads_scipy():
     assert result["codes"] == [0] * 18
     assert result["scipy_loaded"] == []
     assert not result["integrate_after"]
+    assert result["slow_stdlib"] == []
 
 
 def test_module_entry_point():

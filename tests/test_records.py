@@ -1,0 +1,172 @@
+"""The contract of the result records and value types: immutable `__slots__`
+classes with value equality, a dataclass-style repr, and their own rules."""
+
+import math
+import pickle
+
+import pytest
+
+from periodkit import (
+    AmplitudeValue,
+    CountResult,
+    CyclotomicNumber,
+    EllipticCurveQ,
+    GaussianSplit,
+    GaussSumValue,
+    MandelstamInput,
+    MultiplicativeCharacter,
+    PeriodLattice,
+    PrimeFieldElem,
+    TauPoint,
+    WeierstrassCurveFp,
+    ZetaData,
+)
+from periodkit.amplitudes import CorrespondenceReport, GlobalRow, LocalRow
+from periodkit.complex_periods import CatalogEntry
+from periodkit.errors import InvalidInput
+from periodkit.padic import DeltaRulesVerdict, FrobeniusLiftVerdict, PadicInt
+
+LOCAL = {"k1": 1, "k2": 1, "ring_order": 4, "coeffs": (-1, -2), "norm": 5, "norm_ok": True, "norm_checked": True}
+GLOBAL = {"s": 2.5, "t": 2.5, "value": 0.5, "at_pole": False, "pole_index": None}
+
+# Each record with its fields in constructor order.
+RECORDS = [
+    (CountResult, {"n_points": 8, "a_p": 0}),
+    (ZetaData, {"a_p": 2, "alpha": 1 + 2j, "beta": 1 - 2j}),
+    (MultiplicativeCharacter, {"p": 7, "k": 2}),
+    (GaussSumValue, {"value": 1.5 + 2j, "p": 7}),
+    (PeriodLattice, {"omega1": 2.5 + 0j, "omega2": 1.5j, "method": "agm"}),
+    (TauPoint, {"tau": 0.5 + 1j, "transform": ((0, -1), (1, 0))}),
+    (
+        CatalogEntry,
+        {
+            "name": "log 2",
+            "value": 0.6931471805599453,
+            "error_estimate": 1e-16,
+            "variety": "punctured affine line, coordinate x != 0",
+            "divisor": "{1, 2}",
+            "form": "dx/x",
+            "domain": "segment [1, 2]",
+        },
+    ),
+    (MandelstamInput, {"s12": 0.5, "s34": 1.5}),
+    (AmplitudeValue, {"value": -math.inf, "at_pole": True, "pole_index": 2}),
+    (LocalRow, LOCAL),
+    (GlobalRow, GLOBAL),
+    (
+        CorrespondenceReport,
+        {
+            "p": 5,
+            "a_p": -2,
+            "local_rows": (LocalRow(**LOCAL),),
+            "global_rows": (GlobalRow(**GLOBAL),),
+            "dictionary": (("Gamma factor Gamma(alpha)", "Gauss sum g(c)"),),
+        },
+    ),
+    (GaussianSplit, {"u": PrimeFieldElem(5, 2), "a": 2, "b": 1}),
+    (
+        FrobeniusLiftVerdict,
+        {"variant": "phi2", "phi": PadicInt(5, 3, 7), "reduces_to_frobenius": True, "delta_component": PadicInt(5, 2, 3)},
+    ),
+    (
+        DeltaRulesVerdict,
+        {
+            "sum_rule_ok": True,
+            "product_rule_ok": True,
+            "delta_x": PadicInt(5, 2, 4),
+            "delta_y": PadicInt(5, 2, 9),
+            "cocycle": 11,
+        },
+    ),
+]
+RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+
+
+def test_every_record_is_listed():
+    assert len(RECORDS) == len(set(RECORD_IDS)) == 15
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
+def test_positional_and_keyword_construction_agree(cls, fields):
+    positional = cls(*fields.values())
+    keyword = cls(**fields)
+    assert positional == keyword
+    assert hash(positional) == hash(keyword)
+    for name, value in fields.items():
+        assert getattr(positional, name) == value
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
+def test_records_are_immutable_slots(cls, fields):
+    record = cls(**fields)
+    assert not hasattr(record, "__dict__")
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(**fields)
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
+def test_repr_lists_fields_in_order(cls, fields):
+    expected = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(cls(**fields)) == f"{cls.__name__}({expected})"
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
+def test_equality_needs_same_class_and_fields(cls, fields):
+    record = cls(**fields)
+    assert record != tuple(fields.values())
+    *_, last = fields
+    value = fields[last]
+    number = isinstance(value, (int, float, complex)) and not isinstance(value, bool)
+    changed = dict(fields, **{last: (2 if value == 1 else 1) if number else "other"})
+    assert cls(**changed) != record
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
+def test_records_pickle(cls, fields):
+    record = cls(**fields)
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_record_defaults_and_rules():
+    assert AmplitudeValue(1.0, False).pole_index is None
+    assert MultiplicativeCharacter(7, 8).k == 2
+    with pytest.raises(InvalidInput) as exc:
+        MultiplicativeCharacter(9, 1)
+    assert exc.value.arg == "p"
+    with pytest.raises(InvalidInput) as exc:
+        MandelstamInput(s12=float("nan"), s34=1.0)
+    assert exc.value.arg == "s12"
+    with pytest.raises(InvalidInput) as exc:
+        MandelstamInput(0.5, math.inf)
+    assert exc.value.arg == "s34"
+
+
+VALUES = [
+    PrimeFieldElem(7, 3),
+    CyclotomicNumber(4, [1, 2]),
+    PadicInt(5, 3, 7),
+    EllipticCurveQ(-1, 0),
+    WeierstrassCurveFp(7, 1, 1),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
+def test_value_types_share_the_immutability_rule(value):
+    for name in [*type(value).__slots__, "extra"]:
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, 0)
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert hash(pickle.loads(pickle.dumps(value))) == hash(value)
+
+
+def test_value_type_reprs():
+    assert repr(PrimeFieldElem(7, 3)) == "PrimeFieldElem(7, 3)"
+    assert repr(CyclotomicNumber(4, [1, 2])) == "CyclotomicNumber(m=4, coeffs=[1, 2])"
+    assert repr(PadicInt(5, 3, 7)) == "PadicInt(p=5, precision=3, value=7)"
+    assert repr(EllipticCurveQ(-1, 0)) == "EllipticCurveQ(a=-1, b=0)"
+    assert repr(WeierstrassCurveFp(7, 1, 1)) == "WeierstrassCurveFp(p=7, a=1, b=1)"
