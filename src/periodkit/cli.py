@@ -58,27 +58,37 @@ from .padic import PadicInt, delta_p, delta_rules_check
 
 
 def _json_emit(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
+    keys: dict[str, str] = {}  # each distinct dict key is quoted once per document
+
+    def emit(obj) -> str:
+        if obj is None:
             return "null"
-        return format(obj, ".15g")
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if all(type(v) is int for v in obj):  # coefficient vectors; bool is not int here
-            return "[" + ", ".join(map(str, obj)) + "]"
-        return "[" + ", ".join(_json_emit(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_emit(v)}" for k, v in obj.items()) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, float):
+            if not math.isfinite(obj):
+                return "null"
+            return format(obj, ".15g")
+        if isinstance(obj, int):
+            return str(obj)
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        if isinstance(obj, (list, tuple)):
+            if all(type(v) is int for v in obj):  # coefficient vectors; bool is not int here
+                return "[" + ", ".join(map(str, obj)) + "]"
+            return "[" + ", ".join(map(emit, obj)) + "]"
+        if isinstance(obj, dict):
+            parts = []
+            for k, v in obj.items():
+                name = str(k)
+                quoted = keys.get(name) or keys.setdefault(name, json.dumps(name))
+                parts.append(f"{quoted}: {emit(v)}")
+            return "{" + ", ".join(parts) + "}"
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+    return emit(obj)
 
 
 def _cell(v) -> str:

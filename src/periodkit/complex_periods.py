@@ -51,9 +51,17 @@ _IDENTITY: Matrix = ((1, 0), (0, 1))
 
 
 def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x  # immutable, so no copy
     if isinstance(x, float):
         raise TypeError("curve coefficients must be exact rationals, not floats")
     return Fraction(x)
+
+
+def _discriminant_numerator(a: Fraction, b: Fraction) -> int:
+    """-4a^3 - 27b^2 times den(a)^3 * den(b)^2: the discriminant's exact sign in
+    integer arithmetic, since that factor is positive."""
+    return -4 * a.numerator**3 * b.denominator**2 - 27 * b.numerator**2 * a.denominator**3
 
 
 class EllipticCurveQ(Frozen):
@@ -64,7 +72,7 @@ class EllipticCurveQ(Frozen):
     def __init__(self, a, b):
         a = _as_fraction(a)
         b = _as_fraction(b)
-        if 4 * a**3 + 27 * b**2 == 0:
+        if _discriminant_numerator(a, b) == 0:
             raise SingularCurve(f"4a^3 + 27b^2 = 0 for (a, b) = ({a}, {b})")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -72,7 +80,7 @@ class EllipticCurveQ(Frozen):
     @property
     def discriminant(self) -> Fraction:
         """Cubic discriminant -4a^3 - 27b^2; its exact sign decides the root split."""
-        return -4 * self.a**3 - 27 * self.b**2
+        return Fraction(_discriminant_numerator(self.a, self.b), self.a.denominator**3 * self.b.denominator**2)
 
     def __repr__(self):
         return f"EllipticCurveQ(a={self.a}, b={self.b})"
@@ -127,7 +135,7 @@ def real_roots(curve: EllipticCurveQ) -> list[float]:
     try:
         a = float(curve.a)
         b = float(curve.b)
-        if curve.discriminant > 0:
+        if _discriminant_numerator(curve.a, curve.b) > 0:
             # Three distinct real roots force a < 0; trigonometric form.
             m = 2.0 * math.sqrt(-a / 3.0)
             arg = 3.0 * b / (a * m)
@@ -261,13 +269,22 @@ def periods_quadrature(curve: EllipticCurveQ) -> PeriodLattice:
 
 
 def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean of positive reals, iterated to fixed point."""
+    """Arithmetic-geometric mean of positive reals, iterated to its
+    floating-point fixed point: a == b, or a step that returns (a, b) unchanged.
+
+    a == b is tested before a step, where sqrt(a*a) could overflow or
+    underflow.  Past a fixed point further steps change nothing, so stopping
+    there returns what the full 64-step cap would.
+    """
     if a <= 0 or b <= 0:
         raise ValueError("agm needs positive arguments")
     for _ in range(64):
-        if abs(a - b) <= 1e-17 * abs(a):
+        if a == b:
             break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        step = 0.5 * (a + b), math.sqrt(a * b)
+        if step == (a, b):
+            break
+        a, b = step
     return 0.5 * (a + b)
 
 

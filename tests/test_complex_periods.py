@@ -6,6 +6,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from periodkit import complex_periods
@@ -98,6 +100,38 @@ def test_singular_curve_rejected():
         EllipticCurveQ(0.5, 1.0)  # floats are ambiguous; demand exact rationals
 
 
+rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(rationals.filter(lambda t: t != 0))
+def test_singular_family_rejected(t):
+    # x^3 - 3t^2 x + 2t^3 = (x - t)^2 (x + 2t)
+    with pytest.raises(SingularCurve):
+        EllipticCurveQ(-3 * t**2, 2 * t**3)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(rationals, rationals)
+def test_discriminant_sign_decides_root_split(a, b):
+    disc = -4 * a**3 - 27 * b**2
+    if disc == 0:
+        with pytest.raises(SingularCurve):
+            EllipticCurveQ(a, b)
+        return
+    curve = EllipticCurveQ(a, b)
+    assert curve.discriminant == disc
+    assert type(curve.discriminant) is Fraction
+    assert (len(real_roots(curve)) == 3) == (disc > 0)
+
+
+def test_fraction_coefficients_kept_as_given():
+    a, b = Fraction(-7, 3), Fraction(5, 27)
+    curve = EllipticCurveQ(a, b)
+    assert curve.a is a and curve.b is b
+    assert EllipticCurveQ(-1, 0).a == Fraction(-1)
+
+
 def test_tau_is_i_for_lemniscatic_curve():
     assert abs(curve_tau(EllipticCurveQ(-1, 0)).tau - 1j) < 1e-9
     for periods in (periods_agm, periods_quadrature):
@@ -155,11 +189,32 @@ def test_quadrature_coincident_roots_fail_typed(k):
         periods_quadrature(curve_with_root_gap(Fraction(1, 10**k)))
 
 
+def agm_64_steps(a, b):
+    """The loop agm replaced, kept as its oracle: a stop test below double
+    resolution, so it ends on a == b or after all 64 steps."""
+    for _ in range(64):
+        if abs(a - b) <= 1e-17 * abs(a):
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)
+
+
 def test_agm_fixed_point():
-    c = math.sqrt(2)
-    assert agm(c, c) == c
+    for c in (1e200, 1e-200, 5e-324, math.sqrt(2)):
+        assert agm(c, c) == c, c
     with pytest.raises(ValueError):
         agm(-1.0, 2.0)
+    with pytest.raises(ValueError):
+        agm(1.0, 0.0)
+
+
+positive_doubles = st.floats(min_value=1e-150, max_value=1e150)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(positive_doubles, positive_doubles)
+def test_agm_matches_64_step_oracle(a, b):
+    assert agm(a, b).hex() == agm_64_steps(a, b).hex()
 
 
 def test_agm_agrees_with_quadrature_on_random_curves():

@@ -57,6 +57,25 @@ def ext_count_oracle(p, a, b):
     return total
 
 
+def ext_count_norm_loop(p, a, b):
+    # The full double loop count_points_ext replaced, kept as its oracle:
+    # every x0 + x1 sqrt d of F_{p^2} = F_p(sqrt d), through the norm of f(x).
+    squares = [0] * p
+    for y in range(p):
+        squares[y * y % p] += 1
+    d = squares.index(0)
+    total = 1
+    for x0 in range(p):
+        u0 = x0 * x0 + a
+        u1 = 3 * x0 * x0 + a
+        for x1 in range(p):
+            t = d * x1 * x1
+            y0 = x0 * (u0 + 3 * t) + b
+            y1 = x1 * (u1 + t)
+            total += squares[(y0 * y0 - d * y1 * y1) % p]
+    return total
+
+
 def nonsingular_pairs(p):
     for a in range(p):
         for b in range(p):
@@ -124,6 +143,17 @@ def test_ext_count_matches_extension_field_oracle():
         for a, b in [(p - 1, 0)] + rng.sample(list(nonsingular_pairs(p)), 5):
             got = count_points_ext(WeierstrassCurveFp(p, a, b), 2)
             assert got == ext_count_oracle(p, a, b), (p, a, b)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 449, 1009])
+def test_ext_count_matches_full_norm_loop_and_weil(p):
+    pairs = [(4, 1)] + (random.Random(p).sample(list(nonsingular_pairs(p)), 6) if p < 50 else [])
+    for a, b in pairs:
+        curve = WeierstrassCurveFp(p, a, b)
+        got = count_points_ext(curve, 2)
+        assert got == ext_count_norm_loop(p, a, b), (p, a, b)
+        ap = count_points(curve).a_p
+        assert got == p * p + 1 - (ap * ap - 2 * p), (p, a, b)
 
 
 def test_zeta_data_properties():
