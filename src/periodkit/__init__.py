@@ -60,7 +60,6 @@ from .finite_field import (
 )
 from .padic import (
     PadicInt,
-    cp_cocycle,
     delta_p,
     delta_rules_check,
     frobenius_lift_check,
@@ -90,7 +89,6 @@ __all__ = [
     "correspondence_table",
     "count_points",
     "count_points_ext",
-    "cp_cocycle",
     "curve_tau",
     "cyclotomic_polynomial",
     "delta_p",

@@ -4,14 +4,45 @@
 class Frozen:
     """Base of immutable `__slots__` classes.
 
-    A subclass lists its fields in `__slots__`, in constructor order, and sets
-    them in its `__init__` through `object.__setattr__`.  Assignment and
+    A subclass lists its fields in a `__slots__` tuple, in constructor order.
+    A record that only stores its fields inherits the constructor below: the
+    values are bound to the slots in order, by position or by keyword, and a
+    missing, extra, unknown or doubly given field raises TypeError.  A type
+    that validates, normalises or gives a default defines its own `__init__`
+    and sets its fields through `object.__setattr__`.  Assignment and
     deletion raise AttributeError.  Equality (same class, same field values),
     hash, repr `Name(field=value, ...)` and pickling are derived from the
     fields; a value type overrides the ones it defines differently.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The slots' own setters, in field order: storing through them skips
+        # the attribute lookup that object.__setattr__ makes for every field.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for setter, value in zip(setters, args):
+            setter(self, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values in slot order, from positional then keyword values."""
+        names, cls = self.__slots__, type(self).__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} fields but {len(args)} were given")
+        for name in kwargs:
+            if name in names[: len(args)]:
+                raise TypeError(f"{cls}() got multiple values for field {name!r}")
+            if name not in names:
+                raise TypeError(f"{cls}() got an unexpected field {name!r}")
+        missing = [name for name in names[len(args) :] if name not in kwargs]
+        if missing:
+            raise TypeError(f"{cls}() missing field(s) {', '.join(map(repr, missing))}")
+        return [*args, *(kwargs[name] for name in names[len(args) :])]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -165,45 +165,13 @@ class LocalRow(Frozen):
 
     __slots__ = ("k1", "k2", "ring_order", "coeffs", "norm", "norm_ok", "norm_checked")
 
-    def __init__(
-        self, k1: int, k2: int, ring_order: int, coeffs: tuple[int, ...], norm: int, norm_ok: bool, norm_checked: bool
-    ):
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "ring_order", ring_order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "norm", norm)
-        object.__setattr__(self, "norm_ok", norm_ok)
-        object.__setattr__(self, "norm_checked", norm_checked)
-
 
 class GlobalRow(Frozen):
     __slots__ = ("s", "t", "value", "at_pole", "pole_index")
 
-    def __init__(self, s: float, t: float, value: float, at_pole: bool, pole_index: Optional[int]):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "at_pole", at_pole)
-        object.__setattr__(self, "pole_index", pole_index)
-
 
 class CorrespondenceReport(Frozen):
     __slots__ = ("p", "a_p", "local_rows", "global_rows", "dictionary")
-
-    def __init__(
-        self,
-        p: int,
-        a_p: Optional[int],
-        local_rows: tuple[LocalRow, ...],
-        global_rows: tuple[GlobalRow, ...],
-        dictionary: tuple[tuple[str, str], ...],
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a_p", a_p)
-        object.__setattr__(self, "local_rows", local_rows)
-        object.__setattr__(self, "global_rows", global_rows)
-        object.__setattr__(self, "dictionary", dictionary)
 
 
 DICTIONARY_ROWS: tuple[tuple[str, str], ...] = (
@@ -239,9 +207,7 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     rows: dict[tuple[int, int], LocalRow] = {}
 
     def fill(k1, k2, j, norm, checked):
-        rows[k1, k2] = LocalRow(
-            k1=k1, k2=k2, ring_order=j.m, coeffs=j.coeffs, norm=norm, norm_ok=(norm == p), norm_checked=checked
-        )
+        rows[k1, k2] = LocalRow(k1, k2, j.m, j.coeffs, norm, norm == p, checked)
 
     for k1, k2 in pairs:
         if (k1, k2) in rows:
@@ -258,9 +224,7 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     global_rows = []
     for m in cells:
         amp = veneziano(m)
-        global_rows.append(
-            GlobalRow(s=m.s12, t=m.s34, value=amp.value, at_pole=amp.at_pole, pole_index=amp.pole_index)
-        )
+        global_rows.append(GlobalRow(m.s12, m.s34, amp.value, amp.at_pole, amp.pole_index))
 
     ap = a_p_from_jacobi(p) if p % 4 == 1 else None
     return CorrespondenceReport(

@@ -101,10 +101,6 @@ class GaussSumValue(Frozen):
 
     __slots__ = ("value", "p")
 
-    def __init__(self, value: complex, p: int):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "p", p)
-
     @property
     def norm_sq(self) -> float:
         return abs(self.value) ** 2
@@ -122,7 +118,7 @@ def gauss_sum(c: MultiplicativeCharacter) -> GaussSumValue:
     for j in range(m):
         total += cmath.exp(scale * (c.k * j % m * p + t * m))
         t = t * g % p
-    return GaussSumValue(value=total, p=p)
+    return GaussSumValue(total, p)
 
 
 def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> CyclotomicNumber:

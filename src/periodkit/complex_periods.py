@@ -91,11 +91,6 @@ class PeriodLattice(Frozen):
 
     __slots__ = ("omega1", "omega2", "method")
 
-    def __init__(self, omega1: complex, omega2: complex, method: str):
-        object.__setattr__(self, "omega1", omega1)
-        object.__setattr__(self, "omega2", omega2)
-        object.__setattr__(self, "method", method)
-
 
 class TauPoint(Frozen):
     """Reduced tau in the closed fundamental domain, plus the SL2(Z) word.
@@ -105,10 +100,6 @@ class TauPoint(Frozen):
     """
 
     __slots__ = ("tau", "transform")
-
-    def __init__(self, tau: complex, transform: Matrix):
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "transform", transform)
 
 
 def _newton_polish(x: float, a: float, b: float) -> float:
@@ -261,11 +252,7 @@ def periods_quadrature(curve: EllipticCurveQ) -> PeriodLattice:
 
     lower, _ = _quad(above_e2, 0.0, math.sqrt(mid - e2))
     upper, _ = _quad(below_e1, 0.0, math.sqrt(e1 - mid))
-    return PeriodLattice(
-        omega1=complex(2.0 * omega1, 0.0),
-        omega2=complex(0.0, 2.0 * (lower + upper)),
-        method="quadrature",
-    )
+    return PeriodLattice(complex(2.0 * omega1, 0.0), complex(0.0, 2.0 * (lower + upper)), "quadrature")
 
 
 def agm(a: float, b: float) -> float:
@@ -294,7 +281,7 @@ def periods_agm(curve: EllipticCurveQ) -> PeriodLattice:
     s13 = math.sqrt(e1 - e3)
     omega1 = 2.0 * math.pi / agm(s13, math.sqrt(e1 - e2))
     omega2 = 2.0 * math.pi / agm(s13, math.sqrt(e2 - e3))
-    return PeriodLattice(omega1=complex(omega1, 0.0), omega2=complex(0.0, omega2), method="agm")
+    return PeriodLattice(complex(omega1, 0.0), complex(0.0, omega2), "agm")
 
 
 def _matmul(m: Matrix, n: Matrix) -> Matrix:
@@ -302,16 +289,6 @@ def _matmul(m: Matrix, n: Matrix) -> Matrix:
         (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
         (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
     )
-
-
-def apply_transform(m: Matrix, tau: complex) -> complex:
-    (a, b), (c, d) = m
-    return (a * tau + b) / (c * tau + d)
-
-
-def invert_transform(m: Matrix) -> Matrix:
-    (a, b), (c, d) = m
-    return ((d, -b), (-c, a))  # det 1
 
 
 def tau_normalize(lattice: PeriodLattice) -> TauPoint:
@@ -347,7 +324,7 @@ def tau_normalize(lattice: PeriodLattice) -> TauPoint:
     if abs(abs(tau) - 1.0) < 1e-12 and tau.real < -1e-12:
         tau = -1.0 / tau
         transform = _matmul(((0, -1), (1, 0)), transform)
-    return TauPoint(tau=tau, transform=transform)
+    return TauPoint(tau, transform)
 
 
 def curve_tau(curve: EllipticCurveQ) -> TauPoint:
@@ -376,17 +353,6 @@ class CatalogEntry(Frozen):
     """One elementary numeric period with its defining quadruple spelled out."""
 
     __slots__ = ("name", "value", "error_estimate", "variety", "divisor", "form", "domain")
-
-    def __init__(
-        self, name: str, value: float, error_estimate: float, variety: str, divisor: str, form: str, domain: str
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "error_estimate", error_estimate)
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "domain", domain)
 
 
 def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:

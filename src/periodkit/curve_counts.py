@@ -41,20 +41,11 @@ class CountResult(Frozen):
 
     __slots__ = ("n_points", "a_p")
 
-    def __init__(self, n_points: int, a_p: int):
-        object.__setattr__(self, "n_points", n_points)
-        object.__setattr__(self, "a_p", a_p)
-
 
 class ZetaData(Frozen):
     """Reciprocal roots of the local zeta numerator 1 - a_p*T + p*T^2."""
 
     __slots__ = ("a_p", "alpha", "beta")
-
-    def __init__(self, a_p: int, alpha: complex, beta: complex):
-        object.__setattr__(self, "a_p", a_p)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,7 +66,7 @@ def count_points(curve: WeierstrassCurveFp) -> CountResult:
     n = 1
     for x in range(p):
         n += counts[(x * x * x + a * x + b) % p]
-    return CountResult(n_points=n, a_p=p + 1 - n)
+    return CountResult(n, p + 1 - n)
 
 
 def count_points_ext(curve: WeierstrassCurveFp, n: int) -> int:
@@ -125,7 +116,7 @@ def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:
     beta = alpha.conjugate()
     if not abs(abs(alpha) - math.sqrt(p)) < 1e-9:
         raise AssertionError(f"|alpha| = {abs(alpha)} != sqrt({p})")
-    return ZetaData(a_p=a_p, alpha=alpha, beta=beta)
+    return ZetaData(a_p, alpha, beta)
 
 
 def a_p_from_jacobi(p: int) -> int:

@@ -213,11 +213,6 @@ class GaussianSplit(Frozen):
 
     __slots__ = ("u", "a", "b")
 
-    def __init__(self, u: PrimeFieldElem, a: int, b: int):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
 
 def iso_gaussian_residue(p: int) -> GaussianSplit:
     """Square root of -1 in F_p together with the two-square splitting of p.

@@ -91,6 +91,8 @@ class PadicInt(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
         return PadicInt(self.p, self.precision, pow(self.value, exponent, self.p**self.precision))
 
     def inverse(self) -> "PadicInt":
@@ -159,26 +161,11 @@ def delta_p(x: PadicInt) -> PadicInt:
     return (x - x**x.p).divide_by_p()
 
 
-def cp_cocycle(p: int, x: int, y: int) -> int:
-    """[x^p + y^p - (x+y)^p] / p as an exact integer (divisibility is automatic)."""
-    _check_prime(p, least=2)
-    num = x**p + y**p - (x + y) ** p
-    if num % p:
-        raise AssertionError(f"{p} does not divide x^p + y^p - (x+y)^p")
-    return num // p
-
-
 class FrobeniusLiftVerdict(Frozen):
     """phi(x) for one of the two named lifts, with its mod-p Frobenius check;
     delta_component is (phi(x) - x^p)/p at one digit less."""
 
     __slots__ = ("variant", "phi", "reduces_to_frobenius", "delta_component")
-
-    def __init__(self, variant: str, phi: PadicInt, reduces_to_frobenius: bool, delta_component: PadicInt):
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "reduces_to_frobenius", reduces_to_frobenius)
-        object.__setattr__(self, "delta_component", delta_component)
 
 
 def frobenius_lift_check(variant: str, x: PadicInt) -> FrobeniusLiftVerdict:
@@ -209,13 +196,6 @@ class DeltaRulesVerdict(Frozen):
 
     __slots__ = ("sum_rule_ok", "product_rule_ok", "delta_x", "delta_y", "cocycle")
 
-    def __init__(self, sum_rule_ok: bool, product_rule_ok: bool, delta_x: PadicInt, delta_y: PadicInt, cocycle: int):
-        object.__setattr__(self, "sum_rule_ok", sum_rule_ok)
-        object.__setattr__(self, "product_rule_ok", product_rule_ok)
-        object.__setattr__(self, "delta_x", delta_x)
-        object.__setattr__(self, "delta_y", delta_y)
-        object.__setattr__(self, "cocycle", cocycle)
-
 
 def delta_rules_check(x: PadicInt, y: PadicInt) -> DeltaRulesVerdict:
     """Check delta(x+y) = delta(x) + delta(y) + C_p(x, y) and
@@ -232,10 +212,4 @@ def delta_rules_check(x: PadicInt, y: PadicInt) -> DeltaRulesVerdict:
     cp = (xp + yp - (x + y) ** p).divide_by_p()
     sum_ok = delta_p(x + y) == dx + dy + cp
     product_ok = delta_p(x * y) == xp.truncate(n1) * dy + yp.truncate(n1) * dx + p * dx * dy
-    return DeltaRulesVerdict(
-        sum_rule_ok=sum_ok,
-        product_rule_ok=product_ok,
-        delta_x=dx,
-        delta_y=dy,
-        cocycle=cp.value,
-    )
+    return DeltaRulesVerdict(sum_ok, product_ok, dx, dy, cp.value)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import periodkit
 from periodkit.cli import _json_emit, build_parser, main
-from periodkit.padic import cp_cocycle
 from golden_corpus import CORPUS
+from test_padic import cp_cocycle
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 

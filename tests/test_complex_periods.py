@@ -15,9 +15,7 @@ from periodkit.complex_periods import (
     EllipticCurveQ,
     PeriodLattice,
     agm,
-    apply_transform,
     curve_tau,
-    invert_transform,
     legendre_curve,
     numeric_periods_catalog,
     period_map_legendre,
@@ -44,6 +42,16 @@ def random_three_real_curves(rng, count):
         if -4 * a**3 - 27 * b**2 > 0:
             out.append(EllipticCurveQ(a, b))
     return out
+
+
+def apply_transform(m, tau):
+    (a, b), (c, d) = m
+    return (a * tau + b) / (c * tau + d)
+
+
+def invert_transform(m):
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))  # det 1
 
 
 def scipy_quad(f, lo, hi):

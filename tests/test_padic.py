@@ -7,12 +7,20 @@ import pytest
 from periodkit.errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit
 from periodkit.padic import (
     PadicInt,
-    cp_cocycle,
     delta_p,
     delta_rules_check,
     frobenius_lift_check,
     teichmuller,
 )
+
+
+def cp_cocycle(p, x, y):
+    """[x^p + y^p - (x+y)^p] / p as an exact integer: the oracle for the
+    cocycle residue that delta_rules_check reports."""
+    quotient, remainder = divmod(x**p + y**p - (x + y) ** p, p)
+    if remainder:
+        raise ValueError(f"{p} does not divide x^p + y^p - (x+y)^p")
+    return quotient
 
 
 def test_arithmetic_examples():
@@ -34,6 +42,17 @@ def test_inverse_random():
                     continue
                 x = PadicInt(p, n, v)
                 assert x * x.inverse() == PadicInt(p, n, 1), (p, n, v)
+
+
+def test_negative_power_goes_through_inverse():
+    x = PadicInt(5, 4, 2)
+    assert x**-1 == x.inverse()
+    assert x**-3 == x.inverse() ** 3
+    assert x**-3 * x**3 == PadicInt(5, 4, 1)
+    with pytest.raises(NonUnit):
+        PadicInt(5, 3, 5) ** -1
+    with pytest.raises(NonUnit):
+        PadicInt(5, 3, 0) ** -2
 
 
 def test_valuation():

@@ -96,6 +96,33 @@ def test_positional_and_keyword_construction_agree(cls, fields):
         assert getattr(positional, name) == value
 
 
+def test_inherited_constructor_binds_fields_by_position_and_keyword():
+    # LocalRow has no __init__ of its own: Frozen binds the values to its slots.
+    assert "__init__" not in vars(LocalRow)
+    values = list(LOCAL.values())
+    whole = LocalRow(*values)
+    assert LocalRow(*values[:3], **dict(list(LOCAL.items())[3:])) == whole
+    assert LocalRow(*values[:6], norm_checked=True) == whole
+
+
+@pytest.mark.parametrize(
+    "args,kwargs,message",
+    [
+        ((1, 1, 4, (-1, -2), 5, True), {}, "missing field(s) 'norm_checked'"),
+        ((1, 1, 4, (-1, -2), 5, True, True, 0), {}, "takes 7 fields but 8 were given"),
+        ((), {k: v for k, v in LOCAL.items() if k != "norm"}, "missing field(s) 'norm'"),
+        ((), dict(LOCAL, extra=0), "got an unexpected field 'extra'"),
+        ((1,), LOCAL, "got multiple values for field 'k1'"),
+        ((), {}, "missing field(s) 'k1', 'k2', 'ring_order', 'coeffs', 'norm', 'norm_ok', 'norm_checked'"),
+    ],
+    ids=["too-few", "too-many", "missing-keyword", "unknown-keyword", "position-and-keyword", "none"],
+)
+def test_inherited_constructor_rejects_a_wrong_field_set(args, kwargs, message):
+    with pytest.raises(TypeError) as info:
+        LocalRow(*args, **kwargs)
+    assert str(info.value) == f"LocalRow() {message}"
+
+
 @pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
 def test_records_are_immutable_slots(cls, fields):
     record = cls(**fields)

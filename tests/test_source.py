@@ -40,3 +40,36 @@ def test_library_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names and name != "periodkit"
     ]
     assert found == []
+
+
+
+
+def test_plain_records_inherit_the_constructor():
+    # A Frozen subclass whose __init__ only stores each parameter in its slot,
+    # in slot order and with no default, repeats Frozen.__init__: it should
+    # declare its __slots__ and inherit the constructor instead.
+    def only_stores(cls, init):
+        args = init.args
+        if args.defaults or args.vararg or args.kwarg or args.kwonlyargs or args.posonlyargs:
+            return False
+        params = tuple(arg.arg for arg in args.args[1:])
+        slots = [
+            ast.literal_eval(stmt.value)
+            for stmt in cls.body
+            if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["__slots__"]
+        ]
+        docstring = isinstance(init.body[0], ast.Expr) and isinstance(init.body[0].value, ast.Constant)
+        body = [ast.unparse(stmt) for stmt in init.body[docstring:]]
+        return slots == [params] and body == [f"object.__setattr__(self, {name!r}, {name})" for name in params]
+
+    sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{cls.lineno} {cls.name}"
+        for path in sources
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef) and "Frozen" in [ast.unparse(base) for base in cls.bases]
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__" and only_stores(cls, init)
+    ]
+    assert found == []
