@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from array import array
 
 from ._frozen import Frozen
 from .cyclotomic import MAX_REDUCTION_STEPS, CyclotomicNumber, _reduction_steps
@@ -23,16 +24,17 @@ from .finite_field import PrimeFieldElem, _check_prime, _check_table_prime, _sma
 
 
 @functools.lru_cache(maxsize=None)
-def _dlog_table(p: int) -> tuple[int, ...]:
-    """dlog[a] = j with g^j = a, for the canonical primitive root g; dlog[0] unused."""
+def _dlog_table(p: int) -> array:
+    """dlog[a] = j with g^j = a, for the canonical primitive root g; dlog[0] unused.
+    Four bytes per entry, as p < 2**31; the cache shares it, so callers only read it."""
     _check_table_prime(p)
     g = _smallest_primitive_root(p)
-    table = [0] * p
+    table = array("i", [0]) * p
     acc = 1
     for j in range(p - 1):
         table[acc] = j
         acc = acc * g % p
-    return tuple(table)
+    return table
 
 
 def _check_ring_budget(p: int, n: int) -> None:
@@ -125,7 +127,9 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
     """J(c, c') = sum over t of c(t) * c'(1-t), exactly in Z[zeta_n].
 
     n = lcm(order(c), order(c')); every term is a power of zeta_n, so the sum
-    is gathered as exponent counts and reduced once.
+    is gathered as exponent counts and reduced once.  Both orders divide n, so
+    k = u*step and k' = u'*step with step = (p-1)/n, and t lands in bucket
+    (u*dlog[t] + u'*dlog[1-t]) mod n.
     """
     if c.p != c2.p:
         raise MismatchedModulus(f"moduli differ: {c.p} vs {c2.p}")
@@ -134,12 +138,12 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
     n = math.lcm(c.order, c2.order)
     step = m // n
     _check_ring_budget(p, n)
-    dlog = _dlog_table(p)
+    u, u2 = c.k // step, c2.k // step
     counts = [0] * n
-    # t = 0 and t = 1 drop out via the c(0) = 0 convention.
-    for t in range(2, p):
-        e = (c.k * dlog[t] + c2.k * dlog[p + 1 - t]) % m
-        counts[e // step] += 1
+    # t = 0 and t = 1 drop out (c(0) = 0); as t runs 2 .. p-1, 1-t runs p-1 .. 2.
+    tail = _dlog_table(p)[2:]
+    for a, b in zip(tail, reversed(tail)):
+        counts[(u * a + u2 * b) % n] += 1
     return CyclotomicNumber.from_exponent_counts(n, counts)
 
 

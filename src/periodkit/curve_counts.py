@@ -49,13 +49,15 @@ class ZetaData(Frozen):
 
 
 @functools.lru_cache(maxsize=None)
-def _square_counts(p: int) -> tuple[int, ...]:
-    """counts[z] = number of y in F_p with y^2 = z."""
+def _square_counts(p: int) -> bytes:
+    """counts[z] = number of y in F_p with y^2 = z, that is 1 + chi_2(z), one byte
+    each; y and -y have the same square, so y runs over 1 .. (p-1)/2 only."""
     _check_table_prime(p)
-    counts = [0] * p
-    for y in range(p):
-        counts[y * y % p] += 1
-    return tuple(counts)
+    counts = bytearray(p)
+    counts[0] = 1
+    for y in range(1, (p + 1) // 2):
+        counts[y * y % p] = 2
+    return bytes(counts)
 
 
 def count_points(curve: WeierstrassCurveFp) -> CountResult:

@@ -18,8 +18,9 @@ from .errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedModul
 MAX_PRIME = 2**31
 
 # Bounds the dlog and square-count tables and the Gauss-sum walk, p entries
-# each.  At p = 1999993 (2-core Xeon, CPython 3.11) `jacobi` at a small order
-# takes 2.7 s and 109 MB peak RSS, `count` 1.6 s and 47 MB, `gauss` 1.2 s and 17 MB.
+# each.  At p = 1999993 (cold, 2-core Xeon, CPython 3.11) `jacobi` at order 2
+# takes 1.0-1.15 s and 31 MB peak RSS, `count` 0.9-1.0 s and 20 MB, `gauss`
+# 0.9-1.0 s and 16 MB.
 MAX_TABLE_PRIME = 2 * 10**6
 
 # Miller-Rabin with these witnesses is exact for all n < 3_215_031_751,

@@ -1,6 +1,7 @@
 """Characters, Gauss sums, and exact Jacobi sums."""
 
 import cmath
+import math
 
 import pytest
 
@@ -15,7 +16,7 @@ from periodkit.characters import (
     quadratic_character,
     quartic_character,
 )
-from periodkit.cyclotomic import _reduction_steps
+from periodkit.cyclotomic import CyclotomicNumber, _reduction_steps
 from periodkit.errors import BadCongruence, InvalidInput, MismatchedModulus, TrivialCharacter
 from periodkit.finite_field import PrimeFieldElem, legendre_symbol
 
@@ -142,6 +143,33 @@ def test_jacobi_symmetry():
                 a = jacobi_sum(MultiplicativeCharacter(p, k1), MultiplicativeCharacter(p, k2))
                 b = jacobi_sum(MultiplicativeCharacter(p, k2), MultiplicativeCharacter(p, k1))
                 assert a == b
+
+
+def jacobi_sum_oracle(p, k1, k2):
+    # The definition term by term, with its own primitive root and discrete
+    # logarithms: c(t) c'(1-t) = zeta_(p-1)^e, e = k1 dlog t + k2 dlog(1-t),
+    # tallied by e and moved into Z[zeta_n], n = lcm of the two orders.
+    m = p - 1
+    g = next(g for g in range(2, p) if len({pow(g, j, p) for j in range(m)}) == m)
+    dlog = {pow(g, j, p): j for j in range(m)}
+    n = math.lcm(m // math.gcd(k1, m), m // math.gcd(k2, m))
+    step = m // n
+    counts = [0] * n
+    for t in range(2, p):
+        e = (k1 * dlog[t] + k2 * dlog[(1 - t) % p]) % m
+        assert e % step == 0, (p, k1, k2, t)
+        counts[e // step] += 1
+    return CyclotomicNumber.from_exponent_counts(n, counts)
+
+
+def test_jacobi_sum_matches_exponent_count_oracle():
+    # Every pair, trivial characters and orders n < p - 1 included.
+    for p in (7, 11, 13, 37, 41):
+        for k1 in range(p - 1):
+            for k2 in range(p - 1):
+                got = jacobi_sum(MultiplicativeCharacter(p, k1), MultiplicativeCharacter(p, k2))
+                want = jacobi_sum_oracle(p, k1, k2)
+                assert (got.m, got.coeffs) == (want.m, want.coeffs), (p, k1, k2)
 
 
 def test_relation_check_examples():

@@ -2,11 +2,14 @@
 
 import math
 import random
+import sys
 
 import pytest
 
+from periodkit.characters import _dlog_table
 from periodkit.curve_counts import (
     WeierstrassCurveFp,
+    _square_counts,
     a_p_from_jacobi,
     count_points,
     count_points_ext,
@@ -15,6 +18,13 @@ from periodkit.curve_counts import (
 from periodkit.errors import BadCongruence, InvalidInput, SingularCurve, UnsupportedDegree
 
 PRIMES_5_TO_31 = [5, 7, 11, 13, 17, 19, 23, 29, 31]
+ODD_PRIMES_TO_300 = [p for p in range(3, 300, 2) if all(p % d for d in range(3, p, 2))]
+
+
+def euler_legendre(z, p):
+    # Euler's criterion: z^((p-1)/2) is 1 at a nonzero square, -1 = p - 1 elsewhere.
+    r = pow(z, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 def naive_count(p, a, b):
@@ -193,6 +203,25 @@ def test_a_p_from_jacobi_examples():
 def test_a_p_from_jacobi_full_range():
     for p in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97):
         assert a_p_from_jacobi(p) == p + 1 - naive_count(p, p - 1, 0), p
+
+
+def test_a_p_from_jacobi_matches_count_at_realistic_sizes():
+    for p in (10009, 50021, 99989):  # primes = 1 mod 4
+        assert a_p_from_jacobi(p) == count_points(WeierstrassCurveFp(p, p - 1, 0)).a_p, p
+
+
+def test_square_table_is_one_plus_legendre():
+    for p in ODD_PRIMES_TO_300 + [10007]:
+        table = _square_counts(p)
+        assert list(table) == [1 + euler_legendre(z, p) for z in range(p)], p
+        # count_points_ext takes d = counts.index(0): the smallest non-residue.
+        assert table.index(0) == next(z for z in range(2, p) if euler_legendre(z, p) == -1), p
+
+
+def test_tables_take_at_most_four_bytes_per_entry():
+    p = 10007
+    assert sys.getsizeof(_square_counts(p)) < 2 * p
+    assert sys.getsizeof(_dlog_table(p)) < 5 * p
 
 
 def test_square_table_budget():
