@@ -1,4 +1,5 @@
-"""The package's one immutability rule, shared by its value types and result records."""
+"""The package's one immutability rule, shared by its value types and result
+records, and the one operator protocol of its exact value types."""
 
 
 class Frozen:
@@ -67,3 +68,80 @@ class Frozen:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+
+def _coerced(primitive):
+    """An operator: `primitive` on self and the other operand once `_coerce` has
+    placed that operand in self's ring, NotImplemented if it has no place there."""
+
+    def method(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return primitive(self, other)
+
+    return method
+
+
+class RingElement(Frozen):
+    """Base of the exact value types, holding the one operator protocol.
+
+    A subclass supplies `_match(other)`, which raises the type's own error when
+    another element's structure differs, `_with(n)`, the element of its
+    structure given by an int, and the primitives `_add`, `_sub`, `_mul` and
+    `_neg`, each building one element.  An int operand is lifted by `_with`; a
+    float or another ring type makes the operator raise TypeError.
+    """
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        if other.__class__ is self.__class__:
+            self._match(other)
+            return other
+        if isinstance(other, int):
+            return self._with(other)
+        return NotImplemented
+
+    __add__ = __radd__ = _coerced(lambda a, b: a._add(b))
+    __sub__ = _coerced(lambda a, b: a._sub(b))
+    __rsub__ = _coerced(lambda a, b: b._sub(a))
+    __mul__ = __rmul__ = _coerced(lambda a, b: a._mul(b))
+
+    def __neg__(self):
+        return self._neg()
+
+
+class Residue(RingElement):
+    """Base of the types whose element is an int `value` modulo `modulus`; a
+    subclass checks its structure and an int value in `__init__`, and supplies
+    `modulus`, `_match`, `_with` and `inverse`."""
+
+    __slots__ = ()
+
+    def _add(self, other):
+        return self._with(self.value + other.value)
+
+    def _sub(self, other):
+        return self._with(self.value - other.value)
+
+    def _mul(self, other):
+        return self._with(self.value * other.value)
+
+    def _neg(self):
+        return self._with(-self.value)
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        return self._with(pow(self.value, exponent, self.modulus))
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.value == other % self.modulus
+        return Frozen.__eq__(self, other)
+
+    __hash__ = Frozen.__hash__
+
+    def __int__(self):
+        return self.value

@@ -19,8 +19,10 @@ from array import array
 
 from ._frozen import Frozen
 from .cyclotomic import MAX_REDUCTION_STEPS, CyclotomicNumber, _reduction_steps
-from .errors import BadCongruence, InvalidInput, MismatchedModulus, TrivialCharacter
-from .finite_field import PrimeFieldElem, _check_prime, _check_table_prime, _smallest_primitive_root
+from .errors import BadCongruence, InvalidInput, TrivialCharacter
+from .finite_field import (
+    PrimeFieldElem, _check_prime, _check_same_prime, _check_table_prime, _smallest_primitive_root
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,8 +72,7 @@ class MultiplicativeCharacter(Frozen):
     def __mul__(self, other: "MultiplicativeCharacter") -> "MultiplicativeCharacter":
         if not isinstance(other, MultiplicativeCharacter):
             return NotImplemented
-        if other.p != self.p:
-            raise MismatchedModulus(f"moduli differ: {self.p} vs {other.p}")
+        _check_same_prime(self, other)
         return MultiplicativeCharacter(self.p, self.k + other.k)
 
 
@@ -88,8 +89,7 @@ def quartic_character(p: int) -> MultiplicativeCharacter:
 
 def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> CyclotomicNumber:
     """Exact character value in Z[zeta_(p-1)]; zero element for a = 0."""
-    if a.p != c.p:
-        raise MismatchedModulus(f"moduli differ: {c.p} vs {a.p}")
+    _check_same_prime(c, a)
     m = c.p - 1
     _check_ring_budget(c.p, m)
     if a.value == 0:
@@ -131,8 +131,7 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
     k = u*step and k' = u'*step with step = (p-1)/n, and t lands in bucket
     (u*dlog[t] + u'*dlog[1-t]) mod n.
     """
-    if c.p != c2.p:
-        raise MismatchedModulus(f"moduli differ: {c.p} vs {c2.p}")
+    _check_same_prime(c, c2)
     p = c.p
     m = p - 1
     n = math.lcm(c.order, c2.order)
@@ -155,8 +154,7 @@ def gauss_jacobi_relation_check(
     Raises TrivialCharacter when c, c' or c*c' is trivial; the identity
     genuinely fails there, so a quiet number would mislead the caller.
     """
-    if c.p != c2.p:
-        raise MismatchedModulus(f"moduli differ: {c.p} vs {c2.p}")
+    _check_same_prime(c, c2)
     product = c * c2
     if c.is_trivial or c2.is_trivial or product.is_trivial:
         raise TrivialCharacter(

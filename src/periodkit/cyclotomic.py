@@ -17,7 +17,7 @@ import functools
 import math
 from typing import Sequence
 
-from ._frozen import Frozen
+from ._frozen import Frozen, RingElement
 from .finite_field import _prime_factors
 
 # One reduction may take at most this many multiply-adds in its finish
@@ -89,7 +89,7 @@ def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [int.from_bytes(buf[i : i + width], "little") - bias for i in range(0, width * n, width)]
 
 
-class CyclotomicNumber(Frozen):
+class CyclotomicNumber(RingElement):
     """An element of Z[zeta_m], stored in canonical reduced form."""
 
     __slots__ = ("m", "coeffs")
@@ -139,45 +139,24 @@ class CyclotomicNumber(Frozen):
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other) -> "CyclotomicNumber":
-        if isinstance(other, CyclotomicNumber):
-            if other.m != self.m:
-                raise ValueError(f"root-of-unity orders differ: {self.m} vs {other.m}")
-            return other
-        if isinstance(other, int):
-            return CyclotomicNumber.from_int(self.m, other)
-        return NotImplemented
+    def _match(self, other: "CyclotomicNumber") -> None:
+        if other.m != self.m:
+            raise ValueError(f"root-of-unity orders differ: {self.m} vs {other.m}")
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _with(self, n: int) -> "CyclotomicNumber":
+        return CyclotomicNumber.from_int(self.m, n)
+
+    def _add(self, other):
         return CyclotomicNumber(self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _sub(self, other):
         return CyclotomicNumber(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return CyclotomicNumber(self.m, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _mul(self, other):
         return CyclotomicNumber(self.m, _kron_mul(self.coeffs, other.coeffs))
 
-    __rmul__ = __mul__
+    def _neg(self):
+        return CyclotomicNumber(self.m, [-a for a in self.coeffs])
 
     def _shift(self) -> list[int]:
         """m + 1 - phi zeros.  Ahead of the reversed coefficients they put c_j at
@@ -229,14 +208,11 @@ class CyclotomicNumber(Frozen):
         ) + 0j
 
     def __eq__(self, other):
-        if isinstance(other, CyclotomicNumber):
-            return self.m == other.m and self.coeffs == other.coeffs
         if isinstance(other, int):
             return self.is_rational_integer() and self.coeffs[0] == other
-        return NotImplemented
+        return Frozen.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.m, self.coeffs))
+    __hash__ = Frozen.__hash__
 
     def __repr__(self):
         return f"CyclotomicNumber(m={self.m}, coeffs={list(self.coeffs)})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 
-from ._frozen import Frozen
+from ._frozen import Frozen, Residue, _coerced
 from .errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedModulus
 
 MAX_PRIME = 2**31
@@ -77,7 +77,13 @@ def _check_table_prime(p: int) -> None:
         raise InvalidInput("p", f"a table of p entries needs p <= {MAX_TABLE_PRIME}, got {p}")
 
 
-class PrimeFieldElem(Frozen):
+def _check_same_prime(a, b) -> None:
+    """The one same-field rule, for residues and characters: a.p == b.p."""
+    if a.p != b.p:
+        raise MismatchedModulus(f"moduli differ: {a.p} vs {b.p}")
+
+
+class PrimeFieldElem(Residue):
     """A residue in F_p, p an odd prime.
 
     Invariant: 0 <= value < p; the modulus is validated once at construction.
@@ -89,53 +95,19 @@ class PrimeFieldElem(Frozen):
 
     def __init__(self, p: int, value: int):
         _check_prime(p)
+        if not isinstance(value, int):
+            raise InvalidInput("value", f"need an int, got {value!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "value", value % p)
 
-    def _coerce(self, other) -> "PrimeFieldElem":
-        if isinstance(other, PrimeFieldElem):
-            if other.p != self.p:
-                raise MismatchedModulus(f"moduli differ: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElem(self.p, other)
-        return NotImplemented
+    @property
+    def modulus(self) -> int:
+        return self.p
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem(self.p, self.value + other.value)
+    def _with(self, value: int) -> "PrimeFieldElem":
+        return PrimeFieldElem(self.p, value)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem(self.p, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return PrimeFieldElem(self.p, -self.value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem(self.p, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return PrimeFieldElem(self.p, pow(self.value, exponent, self.p))
+    _match = _check_same_prime
 
     def inverse(self) -> "PrimeFieldElem":
         """Multiplicative inverse; raises DivisionByZero on the zero residue."""
@@ -143,27 +115,10 @@ class PrimeFieldElem(Frozen):
             raise DivisionByZero(f"0 mod {self.p} is not invertible")
         return PrimeFieldElem(self.p, pow(self.value, self.p - 2, self.p))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElem):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
+    __truediv__ = _coerced(lambda a, b: a._mul(b.inverse()))
 
     def __bool__(self):
         return self.value != 0
-
-    def __int__(self):
-        return self.value
 
     def __repr__(self):
         return f"PrimeFieldElem({self.p}, {self.value})"

@@ -10,7 +10,7 @@ identity, which is what makes (x - x^p)/p a p-derivation here.
 
 from __future__ import annotations
 
-from ._frozen import Frozen
+from ._frozen import Frozen, Residue
 from .errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit
 from .finite_field import _check_prime
 
@@ -19,17 +19,19 @@ MAX_PRECISION = 64
 
 def _check_structure(p: int, precision: int) -> None:
     _check_prime(p, least=2)
-    if not 1 <= precision <= MAX_PRECISION:
-        raise InvalidInput("precision", f"need 1 <= precision <= {MAX_PRECISION}, got {precision}")
+    if not isinstance(precision, int) or not 1 <= precision <= MAX_PRECISION:
+        raise InvalidInput("precision", f"need an int 1 <= precision <= {MAX_PRECISION}, got {precision!r}")
 
 
-class PadicInt(Frozen):
+class PadicInt(Residue):
     """Residue mod p^N with explicit precision tracking."""
 
     __slots__ = ("p", "precision", "value")
 
     def __init__(self, p: int, precision: int, value: int):
         _check_structure(p, precision)
+        if not isinstance(value, int):
+            raise InvalidInput("value", f"need an int, got {value!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "value", value % p**precision)
@@ -48,52 +50,18 @@ class PadicInt(Frozen):
     def is_unit(self) -> bool:
         return self.value % self.p != 0
 
-    def _coerce(self, other) -> "PadicInt":
-        if isinstance(other, PadicInt):
-            if (other.p, other.precision) != (self.p, self.precision):
-                raise MismatchedStructure(
-                    f"operands live in Z/{self.p}^{self.precision} vs Z/{other.p}^{other.precision}"
-                )
-            return other
-        if isinstance(other, int):
-            return PadicInt(self.p, self.precision, other)
-        return NotImplemented
+    @property
+    def modulus(self) -> int:
+        return self.p**self.precision
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicInt(self.p, self.precision, self.value + other.value)
+    def _with(self, value: int) -> "PadicInt":
+        return PadicInt(self.p, self.precision, value)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicInt(self.p, self.precision, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return PadicInt(self.p, self.precision, -self.value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicInt(self.p, self.precision, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return PadicInt(self.p, self.precision, pow(self.value, exponent, self.p**self.precision))
+    def _match(self, other: "PadicInt") -> None:
+        if (other.p, other.precision) != (self.p, self.precision):
+            raise MismatchedStructure(
+                f"operands live in Z/{self.p}^{self.precision} vs Z/{other.p}^{other.precision}"
+            )
 
     def inverse(self) -> "PadicInt":
         """Inverse of a unit; mod-p seed lifted by Newton doubling of correct digits."""
@@ -122,25 +90,12 @@ class PadicInt(Frozen):
             )
         return PadicInt(self.p, precision, self.value)
 
-    def __eq__(self, other):
-        if isinstance(other, PadicInt):
-            return (self.p, self.precision, self.value) == (other.p, other.precision, other.value)
-        if isinstance(other, int):
-            return self.value == other % self.p**self.precision
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.precision, self.value))
-
-    def __int__(self):
-        return self.value
-
 
 def teichmuller(a: PadicInt) -> PadicInt:
     """The unique root of x^p = x congruent to a mod p, by iterating x -> x^p."""
     if not a.is_unit():
         raise NonUnit("Teichmueller lift needs a unit")
-    modulus = a.p**a.precision
+    modulus = a.modulus
     x = a.value
     for _ in range(a.precision + 1):
         nxt = pow(x, a.p, modulus)
@@ -203,8 +158,7 @@ def delta_rules_check(x: PadicInt, y: PadicInt) -> DeltaRulesVerdict:
     both exactly at one digit less than the inputs."""
     if x.precision < 2 or y.precision < 2:
         raise InsufficientPrecision("rule check needs at least two digits")
-    if (x.p, x.precision) != (y.p, y.precision):
-        raise MismatchedStructure("rule check needs matching prime and precision")
+    x._match(y)
     p, n1 = x.p, x.precision - 1
     dx = delta_p(x)
     dy = delta_p(y)

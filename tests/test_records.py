@@ -2,9 +2,12 @@
 classes with value equality, a dataclass-style repr, and their own rules."""
 
 import math
+import operator
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodkit import (
     AmplitudeValue,
@@ -23,7 +26,7 @@ from periodkit import (
 )
 from periodkit.amplitudes import CorrespondenceReport, GlobalRow, LocalRow
 from periodkit.complex_periods import CatalogEntry
-from periodkit.errors import InvalidInput
+from periodkit.errors import DivisionByZero, InvalidInput, MismatchedModulus, MismatchedStructure, NonUnit
 from periodkit.padic import DeltaRulesVerdict, FrobeniusLiftVerdict, PadicInt
 
 LOCAL = {"k1": 1, "k2": 1, "ring_order": 4, "coeffs": (-1, -2), "norm": 5, "norm_ok": True, "norm_checked": True}
@@ -173,6 +176,24 @@ def test_record_defaults_and_rules():
     assert exc.value.arg == "s34"
 
 
+@pytest.mark.parametrize(
+    "build,arg",
+    [
+        (lambda: PrimeFieldElem(7, 2.5), "value"),
+        (lambda: PrimeFieldElem(7, PrimeFieldElem(7, 2)), "value"),
+        (lambda: PadicInt(5, 3, 2.5), "value"),
+        (lambda: PadicInt(5, 3, "7"), "value"),
+        (lambda: PadicInt(5, 30.0, 10**25 + 1), "precision"),
+    ],
+    ids=["field-float", "field-element", "padic-float", "padic-str", "padic-float-precision"],
+)
+def test_residues_take_only_int_arguments(build, arg):
+    # A float accepted here would be stored and leak into results: a float
+    # precision makes the value a float, and PrimeFieldElem(7, 2.5) * 2 == 5.0.
+    with pytest.raises(InvalidInput) as exc:
+        build()
+    assert exc.value.arg == arg
+
 VALUES = [
     PrimeFieldElem(7, 3),
     CyclotomicNumber(4, [1, 2]),
@@ -197,3 +218,96 @@ def test_value_type_reprs():
     assert repr(PadicInt(5, 3, 7)) == "PadicInt(p=5, precision=3, value=7)"
     assert repr(EllipticCurveQ(-1, 0)) == "EllipticCurveQ(a=-1, b=0)"
     assert repr(WeierstrassCurveFp(7, 1, 1)) == "WeierstrassCurveFp(p=7, a=1, b=1)"
+
+
+def _pad(a, b):
+    n = max(len(a), len(b))
+    return a + [0] * (n - len(a)), b + [0] * (n - len(b))
+
+
+def _vadd(a, b):
+    return [x + y for x, y in zip(*_pad(a, b))]
+
+
+def _vsub(a, b):
+    return [x - y for x, y in zip(*_pad(a, b))]
+
+
+def _vmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# The three exact rings, each element modelled by a plain coefficient vector
+# (one entry for the residue types): a strategy for the structure, the element
+# a vector reduces to, the vector of an element, the error that mixing two
+# structures raises, and the modulus of a residue type (None for Z[zeta_m]).
+RINGS = {
+    "PrimeFieldElem": (
+        st.sampled_from([3, 7, 10007, 2**31 - 1]),
+        lambda p, v: PrimeFieldElem(p, v[0]),
+        lambda x: [x.value],
+        MismatchedModulus,
+        lambda p: p,
+    ),
+    "PadicInt": (
+        st.tuples(st.sampled_from([2, 5, 10007]), st.integers(1, 8)),
+        lambda s, v: PadicInt(*s, v[0]),
+        lambda x: [x.value],
+        MismatchedStructure,
+        lambda s: s[0] ** s[1],
+    ),
+    "CyclotomicNumber": (
+        st.sampled_from([1, 3, 4, 8, 12, 15]),
+        CyclotomicNumber,
+        lambda x: list(x.coeffs),
+        ValueError,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_rings_share_the_operator_protocol(ring, data):
+    structure, make, vector, mismatch, modulus = RINGS[ring]
+    s = data.draw(structure)
+    ints = st.integers(-(10**12), 10**12)
+    a = make(s, data.draw(st.lists(ints, min_size=1, max_size=8)))
+    b = make(s, data.draw(st.lists(ints, min_size=1, max_size=8)))
+    n = data.draw(ints)
+    va, vb = vector(a), vector(b)
+    assert a + b == make(s, _vadd(va, vb))
+    assert a - b == make(s, _vsub(va, vb))
+    assert a * b == make(s, _vmul(va, vb))
+    assert -a == make(s, [-c for c in va])
+    assert a + n == n + a == make(s, _vadd(va, [n]))
+    assert a - n == make(s, _vsub(va, [n]))
+    assert n - a == make(s, _vsub([n], va))
+    assert a * n == n * a == make(s, [n * c for c in va])
+    if modulus is not None:
+        e = data.draw(st.integers(-6, 6))
+        try:
+            expected = pow(va[0], e, modulus(s))
+        except ValueError:  # a negative power of a non-unit
+            with pytest.raises((DivisionByZero, NonUnit)):
+                a**e
+        else:
+            assert a**e == make(s, [expected])
+
+    other = make(data.draw(structure.filter(lambda t: t != s)), [1])
+    foreign = next(
+        make_other(data.draw(structure_other), [1])
+        for name, (structure_other, make_other, *_) in RINGS.items()
+        if name != ring
+    )
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(mismatch):
+            op(a, other)
+        for x, y in [(a, 0.5), (0.5, a), (a, foreign), (foreign, a)]:
+            with pytest.raises(TypeError):
+                op(x, y)

@@ -42,8 +42,6 @@ def test_library_imports_only_the_standard_library():
     assert found == []
 
 
-
-
 def test_plain_records_inherit_the_constructor():
     # A Frozen subclass whose __init__ only stores each parameter in its slot,
     # in slot order and with no default, repeats Frozen.__init__: it should
@@ -73,3 +71,32 @@ def test_plain_records_inherit_the_constructor():
         if isinstance(init, ast.FunctionDef) and init.name == "__init__" and only_stores(cls, init)
     ]
     assert found == []
+
+
+def test_operators_are_defined_once():
+    # The exact value types take their operators from the bases in _frozen.py
+    # and supply only primitives, so the coercion rule is not copied per type.
+    # The product of characters is a group law that lifts no int: not a copy.
+    protocol = ["_coerce", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__"]
+    bases = ("RingElement", "Residue")
+
+    def defined(cls):
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield stmt.name
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                yield from (target.id for target in targets if isinstance(target, ast.Name))
+
+    sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        (cls.name, name)
+        for path in sources
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for name in defined(cls)
+        if name in protocol
+    ]
+    assert sorted(name for cls, name in found if cls in bases) == sorted(protocol)
+    assert [(cls, name) for cls, name in found if cls not in bases] == [("MultiplicativeCharacter", "__mul__")]
