@@ -9,11 +9,11 @@ class Frozen:
     A record that only stores its fields inherits the constructor below: the
     values are bound to the slots in order, by position or by keyword, and a
     missing, extra, unknown or doubly given field raises TypeError.  A type
-    that validates, normalises or gives a default defines its own `__init__`
-    and sets its fields through `object.__setattr__`.  Assignment and
-    deletion raise AttributeError.  Equality (same class, same field values),
-    hash, repr `Name(field=value, ...)` and pickling are derived from the
-    fields; a value type overrides the ones it defines differently.
+    that validates, normalises or gives a default defines its own `__init__`,
+    which stores the values through `Frozen.__init__(self, ...)`.  Assignment
+    and deletion raise AttributeError.  Equality (same class, same field
+    values, so never an int), hash, repr `Name(field=value, ...)` and pickling
+    are derived from the fields; a type overrides at most its repr.
     """
 
     __slots__ = ()
@@ -135,13 +135,6 @@ class Residue(RingElement):
         if exponent < 0:
             return self.inverse() ** (-exponent)
         return self._with(pow(self.value, exponent, self.modulus))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return Frozen.__eq__(self, other)
-
-    __hash__ = Frozen.__hash__
 
     def __int__(self):
         return self.value

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from ._frozen import Frozen
 from .curve_counts import a_p_from_jacobi
 from .characters import MultiplicativeCharacter, jacobi_sum
-from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger
+from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger, check_int
 from .finite_field import _check_prime
 
 POLE_SNAP = 1e-12
@@ -79,8 +79,7 @@ class MandelstamInput(Frozen):
         for name, v in (("s12", s12), ("s34", s34)):
             if not math.isfinite(v):
                 raise InvalidInput(name, f"Mandelstam invariants must be finite, got {name} = {v}")
-        object.__setattr__(self, "s12", s12)
-        object.__setattr__(self, "s34", s34)
+        Frozen.__init__(self, s12, s34)
 
     @property
     def alpha(self) -> float:
@@ -97,9 +96,7 @@ class AmplitudeValue(Frozen):
     __slots__ = ("value", "at_pole", "pole_index")
 
     def __init__(self, value: float, at_pole: bool, pole_index: Optional[int] = None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "at_pole", at_pole)
-        object.__setattr__(self, "pole_index", pole_index)
+        Frozen.__init__(self, value, at_pole, pole_index)
 
 
 def _residue_sign(n: int, beta: float) -> float:
@@ -149,6 +146,7 @@ def pole_scan(beta_fixed: float, n_max: int) -> list[tuple[int, float]]:
     Gamma(alpha) has residue (-1)^n/n! at alpha = -n, and there the Beta ratio
     leaves Gamma(beta)/Gamma(beta - n) = prod_{j=1..n} (beta - j).
     """
+    check_int("n_max", n_max)
     if not 0 <= n_max <= 12:
         raise InvalidInput("n_max", f"need 0 <= n <= 12, got {n_max}")
     if not math.isfinite(beta_fixed) or abs(beta_fixed - round(beta_fixed)) < 1e-9:

@@ -19,7 +19,7 @@ from array import array
 
 from ._frozen import Frozen
 from .cyclotomic import MAX_REDUCTION_STEPS, CyclotomicNumber, _reduction_steps
-from .errors import BadCongruence, InvalidInput, TrivialCharacter
+from .errors import BadCongruence, InvalidInput, TrivialCharacter, check_int
 from .finite_field import (
     PrimeFieldElem, _check_prime, _check_same_prime, _check_table_prime, _smallest_primitive_root
 )
@@ -58,8 +58,8 @@ class MultiplicativeCharacter(Frozen):
 
     def __init__(self, p: int, k: int):
         _check_prime(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k % (p - 1))
+        check_int("k", k)
+        Frozen.__init__(self, p, k % (p - 1))
 
     @property
     def order(self) -> int:
@@ -93,7 +93,7 @@ def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> CyclotomicNumber
     m = c.p - 1
     _check_ring_budget(c.p, m)
     if a.value == 0:
-        return CyclotomicNumber.zero(m)
+        return CyclotomicNumber(m, [])
     j = _dlog_table(c.p)[a.value]
     return CyclotomicNumber.root_of_unity(m, c.k * j % m)
 
@@ -143,7 +143,7 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
     tail = _dlog_table(p)[2:]
     for a, b in zip(tail, reversed(tail)):
         counts[(u * a + u2 * b) % n] += 1
-    return CyclotomicNumber.from_exponent_counts(n, counts)
+    return CyclotomicNumber._unchecked(n, counts)
 
 
 def gauss_jacobi_relation_check(

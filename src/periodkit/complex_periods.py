@@ -35,6 +35,7 @@ from .errors import (
     InvalidInput,
     QuadratureNoConvergence,
     SingularCurve,
+    check_int,
 )
 
 QUAD_TARGET = 1e-11
@@ -74,8 +75,7 @@ class EllipticCurveQ(Frozen):
         b = _as_fraction(b)
         if _discriminant_numerator(a, b) == 0:
             raise SingularCurve(f"4a^3 + 27b^2 = 0 for (a, b) = ({a}, {b})")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        Frozen.__init__(self, a, b)
 
     @property
     def discriminant(self) -> Fraction:
@@ -361,6 +361,7 @@ def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:
     Every value comes out of a quadrature run, never a math-library constant,
     so the catalog doubles as an end-to-end check of the integration path.
     """
+    check_int("n_max", n_max)
     if not 2 <= n_max <= 21:
         raise InvalidInput("n_max", f"need 2 <= n <= 21, got {n_max}")
     entries = []

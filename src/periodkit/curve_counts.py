@@ -12,7 +12,7 @@ import math
 
 from ._frozen import Frozen
 from .characters import jacobi_sum, quadratic_character, quartic_character
-from .errors import InvalidInput, SingularCurve, UnsupportedDegree
+from .errors import InvalidInput, InvariantFailed, SingularCurve, UnsupportedDegree, check_int
 from .finite_field import _check_prime, _check_table_prime
 
 # The F_{p^2} count takes p^2/2 steps: 15-17 s at p = 9973 (cold `count --n 2`,
@@ -27,13 +27,13 @@ class WeierstrassCurveFp(Frozen):
 
     def __init__(self, p: int, a: int, b: int):
         _check_prime(p, least=5)
+        check_int("a", a)
+        check_int("b", b)
         a %= p
         b %= p
         if (4 * a * a * a + 27 * b * b) % p == 0:
             raise SingularCurve(f"4a^3 + 27b^2 = 0 mod {p} for (a, b) = ({a}, {b})")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        Frozen.__init__(self, p, a, b)
 
 
 class CountResult(Frozen):
@@ -81,6 +81,7 @@ def count_points_ext(curve: WeierstrassCurveFp, n: int) -> int:
     x1 and -x1 give conjugate values of f, of equal norm, so the count runs
     x1 = 0 once and x1 = 1 .. (p-1)/2 twice.
     """
+    check_int("n", n)
     if n == 1:
         return count_points(curve).n_points
     if n != 2:
@@ -112,12 +113,12 @@ def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:
     a_p = count_points(curve).a_p
     disc = 4 * p - a_p * a_p
     if disc <= 0:
-        raise AssertionError(f"a_p = {a_p} breaks the Hasse bound at p = {p}")
+        raise InvariantFailed(f"Hasse bound: a_p = {a_p} breaks |a_p| < 2 sqrt({p})")
     root = math.sqrt(disc)
     alpha = complex(a_p / 2, root / 2)
     beta = alpha.conjugate()
     if not abs(abs(alpha) - math.sqrt(p)) < 1e-9:
-        raise AssertionError(f"|alpha| = {abs(alpha)} != sqrt({p})")
+        raise InvariantFailed(f"Weil bound: |alpha| = {abs(alpha)} != sqrt({p})")
     return ZetaData(a_p, alpha, beta)
 
 
@@ -131,9 +132,9 @@ def a_p_from_jacobi(p: int) -> int:
     j = jacobi_sum(quartic_character(p), quadratic_character(p))
     re, im = j.coeffs  # Z[zeta_4] = Z[i], basis (1, i)
     if re * re + im * im != p:
-        raise AssertionError(f"|J|^2 = {re * re + im * im} != {p}")
+        raise InvariantFailed(f"Jacobi norm: |J|^2 = {re * re + im * im} != {p}")
     for a, b in ((re, im), (-im, re), (-re, -im), (im, -re)):  # unit multiples 1, i, -1, -i
         # a + b*i = 1 mod (1+i)^3 means a odd, b even, a + b = 1 mod 4.
         if a % 2 == 1 and b % 2 == 0 and (a + b) % 4 == 1:
             return 2 * a
-    raise AssertionError(f"no primary associate for {re}+{im}i")  # unreachable for norm p
+    raise InvariantFailed(f"primary associate: none for {re}+{im}i")  # unreachable for norm p

@@ -18,6 +18,7 @@ import math
 from typing import Sequence
 
 from ._frozen import Frozen, RingElement
+from .errors import InvalidInput, check_int
 from .finite_field import _prime_factors
 
 # One reduction may take at most this many multiply-adds in its finish
@@ -25,15 +26,20 @@ from .finite_field import _prime_factors
 MAX_REDUCTION_STEPS = 10**7
 
 
-@functools.lru_cache(maxsize=None)
+def _check_order(m: int) -> None:
+    check_int("m", m)
+    if m < 1:
+        raise InvalidInput("m", f"root-of-unity order must be positive, got {m}")
+
+
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True is no cache hit for 1, so it meets the int rule
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m.
 
     Phi_m(x) = Phi_r(x^(m/r)) for the radical r of m, and Phi_r is the Moebius
     product of x^d - 1 over the divisors d of r: each factor is one linear pass.
     """
-    if m < 1:
-        raise ValueError(f"root-of-unity order must be positive, got {m}")
+    _check_order(m)
     primes = _prime_factors(m)
     factors, stride = [(1, (-1) ** len(primes))], m  # (d, mu(r/d)) over the divisors d of r
     for q in primes:
@@ -89,74 +95,71 @@ def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [int.from_bytes(buf[i : i + width], "little") - bias for i in range(0, width * n, width)]
 
 
+def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The canonical coefficients of sum coeffs[j] * x^j modulo Phi_m."""
+    phi, h, tail = _modulus(m)
+    # Fold modulo x^h - 1 (m odd) or x^h + 1 (m even), a multiple of Phi_m ...
+    r = list(coeffs[:h])
+    r += [0] * (h - len(r))
+    for start in range(h, len(coeffs), h):
+        sign = -1 if m % 2 == 0 and start // h % 2 else 1
+        chunk = coeffs[start : start + h]
+        r[: len(chunk)] = [a + sign * c for a, c in zip(r, chunk)]
+    # ... then finish the division by Phi_m, touching only its nonzero terms.
+    for i in range(h - 1, phi - 1, -1):
+        lead = r[i]
+        if lead:
+            for k, c in tail:
+                r[i - phi + k] -= lead * c
+    return tuple(r[:phi])
+
+
 class CyclotomicNumber(RingElement):
-    """An element of Z[zeta_m], stored in canonical reduced form."""
+    """An element of Z[zeta_m], stored in canonical reduced form.  The constructor
+    checks that m is an int >= 1 and every coefficient an int; the ring operations
+    combine checked elements, so they build through `_unchecked`, without that
+    O(phi(m)) check."""
 
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs: Sequence[int]):
-        phi, h, tail = _modulus(m)
-        # Fold modulo x^h - 1 (m odd) or x^h + 1 (m even), a multiple of Phi_m ...
-        r = list(coeffs[:h])
-        r += [0] * (h - len(r))
-        for start in range(h, len(coeffs), h):
-            sign = -1 if m % 2 == 0 and start // h % 2 else 1
-            chunk = coeffs[start : start + h]
-            r[: len(chunk)] = [a + sign * c for a, c in zip(r, chunk)]
-        # ... then finish the division by Phi_m, touching only its nonzero terms.
-        for i in range(h - 1, phi - 1, -1):
-            lead = r[i]
-            if lead:
-                for k, c in tail:
-                    r[i - phi + k] -= lead * c
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", tuple(r[:phi]))
-
-    # -- constructors ------------------------------------------------------
+        _check_order(m)
+        for c in coeffs:
+            check_int("coeffs", c)
+        Frozen.__init__(self, m, _reduce(m, coeffs))
 
     @classmethod
-    def zero(cls, m: int) -> "CyclotomicNumber":
-        return cls(m, [])
-
-    @classmethod
-    def one(cls, m: int) -> "CyclotomicNumber":
-        return cls(m, [1])
-
-    @classmethod
-    def from_int(cls, m: int, n: int) -> "CyclotomicNumber":
-        return cls(m, [n])
+    def _unchecked(cls, m: int, coeffs: Sequence[int]) -> "CyclotomicNumber":
+        """sum coeffs[j] * zeta_m^j for an m and int coefficients already checked."""
+        z = object.__new__(cls)
+        Frozen.__init__(z, m, _reduce(m, coeffs))
+        return z
 
     @classmethod
     def root_of_unity(cls, m: int, j: int) -> "CyclotomicNumber":
         """zeta_m^j as a canonical element."""
-        j %= m
-        return cls(m, [0] * j + [1])
-
-    @classmethod
-    def from_exponent_counts(cls, m: int, counts: Sequence[int]) -> "CyclotomicNumber":
-        """Sum of counts[j] * zeta_m^j for 0 <= j < m (one reduction pass)."""
-        return cls(m, list(counts))
-
-    # -- ring operations ---------------------------------------------------
+        _check_order(m)
+        check_int("j", j)
+        return cls._unchecked(m, [0] * (j % m) + [1])
 
     def _match(self, other: "CyclotomicNumber") -> None:
         if other.m != self.m:
             raise ValueError(f"root-of-unity orders differ: {self.m} vs {other.m}")
 
     def _with(self, n: int) -> "CyclotomicNumber":
-        return CyclotomicNumber.from_int(self.m, n)
+        return CyclotomicNumber(self.m, [n])
 
     def _add(self, other):
-        return CyclotomicNumber(self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._unchecked(self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def _sub(self, other):
-        return CyclotomicNumber(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._unchecked(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def _mul(self, other):
-        return CyclotomicNumber(self.m, _kron_mul(self.coeffs, other.coeffs))
+        return self._unchecked(self.m, _kron_mul(self.coeffs, other.coeffs))
 
     def _neg(self):
-        return CyclotomicNumber(self.m, [-a for a in self.coeffs])
+        return self._unchecked(self.m, [-a for a in self.coeffs])
 
     def _shift(self) -> list[int]:
         """m + 1 - phi zeros.  Ahead of the reversed coefficients they put c_j at
@@ -172,16 +175,7 @@ class CyclotomicNumber(RingElement):
         out = [0] * m
         for j, c in enumerate(self.coeffs):
             out[a * j % m] = c  # j -> a*j is injective on Z/m, so no two j collide
-        return CyclotomicNumber(m, out)
-
-    def conj(self) -> "CyclotomicNumber":
-        """Image under the automorphism zeta -> zeta^(-1) (complex conjugation)."""
-        return self.galois(-1)
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self._unchecked(m, out)
 
     def is_rational_integer(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -197,7 +191,7 @@ class CyclotomicNumber(RingElement):
 
         z is multiplied by its unreduced conjugate, and the product reduced once."""
         product = _kron_mul(self.coeffs, self.coeffs[::-1])
-        return CyclotomicNumber(self.m, self._shift() + product).as_int()
+        return self._unchecked(self.m, self._shift() + product).as_int()
 
     def embed(self) -> complex:
         """Numerical value under the fixed embedding zeta_m -> e^(2*pi*i/m)."""
@@ -206,13 +200,6 @@ class CyclotomicNumber(RingElement):
             for j, c in enumerate(self.coeffs)
             if c != 0
         ) + 0j
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.is_rational_integer() and self.coeffs[0] == other
-        return Frozen.__eq__(self, other)
-
-    __hash__ = Frozen.__hash__
 
     def __repr__(self):
         return f"CyclotomicNumber(m={self.m}, coeffs={list(self.coeffs)})"

@@ -1,9 +1,9 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one int rule.
 
 Every error the library raises on purpose derives from PeriodkitError.
-InvalidInput (also a ValueError) means an argument breaks a stated rule and
-names that argument; every other subclass is a domain error, where valid
-arguments meet a mathematical obstruction.
+InvalidInput (also a ValueError) names an argument that breaks a stated rule;
+InvariantFailed, a check of the library's own result that failed; every other
+subclass is a domain error, where valid arguments meet a mathematical obstruction.
 """
 
 
@@ -17,6 +17,16 @@ class InvalidInput(PeriodkitError, ValueError):
     def __init__(self, arg: str, message: str):
         super().__init__(message)
         self.arg = arg
+
+
+def check_int(arg: str, value) -> None:
+    """An int argument must be an int; a bool is not one, so True cannot stand in for 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInput(arg, f"need an int, got {value!r}")
+
+
+class InvariantFailed(PeriodkitError):
+    """A result broke an invariant the library checks; the message names the check."""
 
 
 class MismatchedModulus(PeriodkitError):

@@ -13,7 +13,7 @@ import functools
 import math
 
 from ._frozen import Frozen, Residue, _coerced
-from .errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedModulus
+from .errors import BadCongruence, DivisionByZero, InvalidInput, InvariantFailed, MismatchedModulus, check_int
 
 MAX_PRIME = 2**31
 
@@ -95,10 +95,8 @@ class PrimeFieldElem(Residue):
 
     def __init__(self, p: int, value: int):
         _check_prime(p)
-        if not isinstance(value, int):
-            raise InvalidInput("value", f"need an int, got {value!r}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "value", value % p)
+        check_int("value", value)
+        Frozen.__init__(self, p, value % p)
 
     @property
     def modulus(self) -> int:
@@ -144,7 +142,7 @@ def _smallest_primitive_root(p: int) -> int:
     for g in range(2, p):
         if all(pow(g, n // q, p) != 1 for q in factors):
             return g
-    raise AssertionError(f"no primitive root found for {p}")  # unreachable for prime p
+    raise InvariantFailed(f"primitive root: none found for {p}")  # unreachable for prime p
 
 
 def find_primitive_root(p: int) -> PrimeFieldElem:
@@ -189,7 +187,7 @@ def iso_gaussian_residue(p: int) -> GaussianSplit:
     a = r1
     b = math.isqrt(p - a * a)
     if a * a + b * b != p:
-        raise AssertionError(f"{a}^2 + {b}^2 != {p}")
+        raise InvariantFailed(f"two-square split: {a}^2 + {b}^2 != {p}")
     if a < b:
         a, b = b, a
     return GaussianSplit(u=PrimeFieldElem(p, u), a=a, b=b)

@@ -11,7 +11,7 @@ identity, which is what makes (x - x^p)/p a p-derivation here.
 from __future__ import annotations
 
 from ._frozen import Frozen, Residue
-from .errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit
+from .errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit, check_int
 from .finite_field import _check_prime
 
 MAX_PRECISION = 64
@@ -19,8 +19,9 @@ MAX_PRECISION = 64
 
 def _check_structure(p: int, precision: int) -> None:
     _check_prime(p, least=2)
-    if not isinstance(precision, int) or not 1 <= precision <= MAX_PRECISION:
-        raise InvalidInput("precision", f"need an int 1 <= precision <= {MAX_PRECISION}, got {precision!r}")
+    check_int("precision", precision)
+    if not 1 <= precision <= MAX_PRECISION:
+        raise InvalidInput("precision", f"need 1 <= precision <= {MAX_PRECISION}, got {precision}")
 
 
 class PadicInt(Residue):
@@ -30,11 +31,8 @@ class PadicInt(Residue):
 
     def __init__(self, p: int, precision: int, value: int):
         _check_structure(p, precision)
-        if not isinstance(value, int):
-            raise InvalidInput("value", f"need an int, got {value!r}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "value", value % p**precision)
+        check_int("value", value)
+        Frozen.__init__(self, p, precision, value % p**precision)
 
     def valuation(self) -> int:
         """Largest k <= N with p^k dividing the value; N for zero ("at least N")."""

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import periodkit
+from periodkit import CountResult, CyclotomicNumber
 from periodkit.cli import _json_emit, build_parser, main
 from golden_corpus import CORPUS
 from test_padic import cp_cocycle
@@ -148,6 +149,23 @@ def test_domain_errors_exit_one():
     assert code == 1 and "SingularCurve" in err
     code, _, err = run_cli(["periods", "--curve", "0,1"])
     assert code == 1 and "ComplexRoots" in err
+
+
+@pytest.mark.parametrize(
+    "target,fake,argv",
+    [
+        ("count_points", lambda curve: CountResult(curve.p + 1 - 99, 99), ["zeta", "--p", "13", "--curve", "-1,0"]),
+        ("jacobi_sum", lambda c, c2: CyclotomicNumber(4, [2, 1]), ["apjacobi", "--p", "13"]),
+    ],
+    ids=["hasse-bound", "jacobi-norm"],
+)
+def test_failed_invariant_exits_one(monkeypatch, target, fake, argv):
+    # A check of the library's own result raises InvariantFailed, a
+    # PeriodkitError, so the argv ends in exit 1 and a message, not a traceback.
+    monkeypatch.setattr(periodkit.curve_counts, target, fake)
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: InvariantFailed") and "Traceback" not in err
 
 
 def test_correspond_rejects_csv():

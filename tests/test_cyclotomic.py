@@ -115,7 +115,7 @@ def test_canonical_reduction():
     assert CyclotomicNumber.root_of_unity(6, 2) == CyclotomicNumber(6, [-1, 1])
     # zeta_m^m = 1 for every m.
     for m in (1, 2, 3, 4, 6, 8, 12):
-        assert CyclotomicNumber.root_of_unity(m, m) == CyclotomicNumber.one(m)
+        assert CyclotomicNumber.root_of_unity(m, m) == CyclotomicNumber(m, [1])
 
 
 def test_roots_multiply_by_exponent_addition():
@@ -138,8 +138,8 @@ def test_ring_axioms_randomized():
             assert a * b == b * a
             assert (a + b) * c == a * c + b * c
             assert (a * b) * c == a * (b * c)
-            assert a + CyclotomicNumber.zero(m) == a
-            assert a * CyclotomicNumber.one(m) == a
+            assert a + CyclotomicNumber(m, []) == a
+            assert a * CyclotomicNumber(m, [1]) == a
 
 
 def test_conj_is_involution_and_multiplicative():
@@ -149,8 +149,8 @@ def test_conj_is_involution_and_multiplicative():
         for _ in range(30):
             a = CyclotomicNumber(m, [rng.randint(-5, 5) for _ in range(phi)])
             b = CyclotomicNumber(m, [rng.randint(-5, 5) for _ in range(phi)])
-            assert a.conj().conj() == a
-            assert (a * b).conj() == a.conj() * b.conj()
+            assert a.galois(-1).galois(-1) == a
+            assert (a * b).galois(-1) == a.galois(-1) * b.galois(-1)
 
 
 def test_embed_matches_exponential():
@@ -171,7 +171,7 @@ def test_embed_is_ring_hom_numerically():
 
 
 def test_rational_integer_queries():
-    z = CyclotomicNumber.from_int(8, -7)
+    z = CyclotomicNumber(8, [-7])
     assert z.is_rational_integer() and z.as_int() == -7
     root = CyclotomicNumber.root_of_unity(8, 1)
     assert not root.is_rational_integer()
@@ -184,12 +184,12 @@ def test_int_coercion_in_ops():
     z = CyclotomicNumber.root_of_unity(4, 1)
     assert z + 1 == CyclotomicNumber(4, [1, 1])
     assert 2 * z == CyclotomicNumber(4, [0, 2])
-    assert (1 - z) * (1 + z) == CyclotomicNumber.from_int(4, 2)  # 1 - i^2
+    assert (1 - z) * (1 + z) == CyclotomicNumber(4, [2])  # 1 - i^2
 
 
 def test_mixed_order_rejected():
     with pytest.raises(ValueError):
-        CyclotomicNumber.one(4) + CyclotomicNumber.one(8)
+        CyclotomicNumber(4, [1]) + CyclotomicNumber(8, [1])
 
 
 def test_polynomial_matches_division_cascade():
@@ -274,8 +274,8 @@ def test_galois_matches_oracle():
             for a in _units(m):
                 assert z.galois(a).coeffs == _reduced(m, _permuted(m, z.coeffs, a)), (m, a)
             conj = _permuted(m, z.coeffs, -1)
-            assert z.conj().coeffs == _reduced(m, conj), m
-            assert (z * z.conj()).coeffs == _reduced(m, _poly_mul(list(z.coeffs), conj)), m
+            assert z.galois(-1).coeffs == _reduced(m, conj), m
+            assert (z * z.galois(-1)).coeffs == _reduced(m, _poly_mul(list(z.coeffs), conj)), m
 
 
 def test_galois_matches_oracle_four_odd_primes():

@@ -4,11 +4,13 @@ classes with value equality, a dataclass-style repr, and their own rules."""
 import math
 import operator
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import periodkit
 from periodkit import (
     AmplitudeValue,
     CountResult,
@@ -23,7 +25,12 @@ from periodkit import (
     TauPoint,
     WeierstrassCurveFp,
     ZetaData,
+    count_points_ext,
+    gauss_sum,
+    numeric_periods_catalog,
+    pole_scan,
 )
+from periodkit._frozen import Frozen
 from periodkit.amplitudes import CorrespondenceReport, GlobalRow, LocalRow
 from periodkit.complex_periods import CatalogEntry
 from periodkit.errors import DivisionByZero, InvalidInput, MismatchedModulus, MismatchedStructure, NonUnit
@@ -193,6 +200,90 @@ def test_residues_take_only_int_arguments(build, arg):
     with pytest.raises(InvalidInput) as exc:
         build()
     assert exc.value.arg == arg
+
+
+@pytest.mark.parametrize(
+    "build,arg",
+    [
+        (lambda: gauss_sum(MultiplicativeCharacter(7, 1.5)), "k"),
+        (lambda: MultiplicativeCharacter(7, True), "k"),
+        (lambda: WeierstrassCurveFp(7, 1.5, 1), "a"),
+        (lambda: WeierstrassCurveFp(7, 1, True), "b"),
+        (lambda: CyclotomicNumber(4, [1.5, 2]), "coeffs"),
+        (lambda: CyclotomicNumber(4.0, [1]), "m"),
+        (lambda: CyclotomicNumber(0, [1]), "m"),
+        (lambda: CyclotomicNumber.root_of_unity(4, 1.5), "j"),
+        (lambda: PrimeFieldElem(7, True), "value"),
+        (lambda: PrimeFieldElem(7, 3) + True, "value"),
+        (lambda: PadicInt(3, 2, True), "value"),
+        (lambda: count_points_ext(WeierstrassCurveFp(7, 1, 1), 2.0), "n"),
+        (lambda: numeric_periods_catalog(3.5), "n_max"),
+        (lambda: pole_scan(0.5, 2.5), "n_max"),
+    ],
+    ids=[
+        "character-float",
+        "character-bool",
+        "curve-float-a",
+        "curve-bool-b",
+        "cyclotomic-float-coeff",
+        "cyclotomic-float-order",
+        "cyclotomic-zero-order",
+        "root-float-exponent",
+        "field-bool",
+        "field-bool-operand",
+        "padic-bool",
+        "ext-count-float-degree",
+        "catalog-float",
+        "poles-float",
+    ],
+)
+def test_int_arguments_follow_one_rule(build, arg):
+    # An int argument must be an int, and a bool is not one: a float k once
+    # gave a Gauss sum with |g|^2 = 5.72 at p = 7, and True stood in for 1.
+    with pytest.raises(InvalidInput) as exc:
+        build()
+    assert exc.value.arg == arg
+
+
+# One instance per small int for every Frozen type among the package's public
+# names.  Distinct ints often give equal instances (residues wrap, and the
+# other types fold the int into a few values), so equal pairs are drawn often.
+SAMPLES = {
+    AmplitudeValue: lambda i: AmplitudeValue(float(i % 3), False),
+    CountResult: lambda i: CountResult(i % 3, 0),
+    CyclotomicNumber: lambda i: CyclotomicNumber(4, [i % 3, 0, i % 2]),  # x^2 = -1
+    EllipticCurveQ: lambda i: EllipticCurveQ(Fraction(i % 3 + 1, 1 + i % 2), 1),
+    GaussianSplit: lambda i: GaussianSplit(PrimeFieldElem(5, i), 2, 1),
+    GaussSumValue: lambda i: GaussSumValue(complex(i % 3), 7),
+    MandelstamInput: lambda i: MandelstamInput(float(i % 3), 0.5),
+    MultiplicativeCharacter: lambda i: MultiplicativeCharacter(7, i),
+    PadicInt: lambda i: PadicInt(5, 2, i),
+    PeriodLattice: lambda i: PeriodLattice(complex(i % 3), 1j, "agm"),
+    PrimeFieldElem: lambda i: PrimeFieldElem(7, i),
+    TauPoint: lambda i: TauPoint(complex(0, 1 + i % 3), ((1, 0), (0, 1))),
+    WeierstrassCurveFp: lambda i: WeierstrassCurveFp(7, i, 1),  # a^3 = 2 has no root mod 7
+    ZetaData: lambda i: ZetaData(i % 3, complex(i % 2), 0j),
+}
+
+
+def test_every_public_frozen_type_has_a_sample():
+    public = [getattr(periodkit, name) for name in periodkit.__all__]
+    assert set(SAMPLES) == {cls for cls in public if isinstance(cls, type) and issubclass(cls, Frozen)}
+
+
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(i=st.integers(-30, 30), j=st.integers(-30, 30))
+def test_equality_agrees_with_hash(cls, i, j):
+    # Python requires equal objects to hash equal, or dict and set lookups
+    # break; a residue that equalled every int of its class could not.
+    a, b = SAMPLES[cls](i), SAMPLES[cls](j)
+    if a == b:
+        assert hash(a) == hash(b) and b in {a}
+    for n in (i, j, 0, 1):
+        assert a != n and n != a
+        assert n not in {a} and a not in {n}
+
 
 VALUES = [
     PrimeFieldElem(7, 3),

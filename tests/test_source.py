@@ -8,15 +8,37 @@ import periodkit
 
 
 def test_no_assert_statements_in_library():
-    # Invariant checks raise AssertionError explicitly, so they still run
-    # under python -O, which strips assert statements.
+    # Invariant checks raise InvariantFailed explicitly: python -O strips
+    # assert statements, and an AssertionError is no PeriodkitError, so the
+    # CLI would end in a traceback.
+    def asserts(node):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            return ast.unparse(raised) == "AssertionError"
+        return isinstance(node, ast.Assert)
+
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
     found = [
         f"{path.name}:{node.lineno}"
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if asserts(node)
+    ]
+    assert found == []
+
+
+def test_fields_are_stored_only_through_frozen():
+    # A validating __init__ stores its fields with Frozen.__init__(self, ...),
+    # the one storing path; object.__setattr__ appears only in _frozen.py.
+    sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        if path.name != "_frozen.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__"
     ]
     assert found == []
 
@@ -58,7 +80,7 @@ def test_plain_records_inherit_the_constructor():
         ]
         docstring = isinstance(init.body[0], ast.Expr) and isinstance(init.body[0].value, ast.Constant)
         body = [ast.unparse(stmt) for stmt in init.body[docstring:]]
-        return slots == [params] and body == [f"object.__setattr__(self, {name!r}, {name})" for name in params]
+        return slots == [params] and body == [f"Frozen.__init__(self, {', '.join(params)})"]
 
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
