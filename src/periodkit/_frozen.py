@@ -1,6 +1,8 @@
 """The package's one immutability rule, shared by its value types and result
 records, and the one operator protocol of its exact value types."""
 
+from .errors import check_int
+
 
 class Frozen:
     """Base of immutable `__slots__` classes.
@@ -132,6 +134,7 @@ class Residue(RingElement):
         return self._with(-self.value)
 
     def __pow__(self, exponent: int):
+        check_int("exponent", exponent)
         if exponent < 0:
             return self.inverse() ** (-exponent)
         return self._with(pow(self.value, exponent, self.modulus))

@@ -54,8 +54,8 @@ _IDENTITY: Matrix = ((1, 0), (0, 1))
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x  # immutable, so no copy
-    if isinstance(x, float):
-        raise TypeError("curve coefficients must be exact rationals, not floats")
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"curve coefficients must be exact rationals, not {type(x).__name__}s")
     return Fraction(x)
 
 

@@ -60,14 +60,100 @@ def _square_counts(p: int) -> bytes:
     return bytes(counts)
 
 
+def _add(P, Q, A: int, p: int):
+    """P + Q on y^2 = x^3 + A*x + B over F_p; points are (x, y) tuples, None is O."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _mul(k: int, P, A: int, p: int):
+    """k*P for k >= 0 by double-and-add."""
+    R = None
+    while k:
+        if k & 1:
+            R = _add(R, P, A, p)
+        P = _add(P, P, A, p)
+        k >>= 1
+    return R
+
+
+def _order_multiples(P, lo: int, hi: int, A: int, p: int) -> set[int]:
+    """Every m in [lo, hi] with m*P = O, by baby-step giant-step.
+
+    Baby steps j*P, 0 <= j < s, s = isqrt(hi - lo) + 1; if one of them is O
+    the order of P is the first such j.  Otherwise they are distinct, a window
+    of s consecutive m holds at most one multiple of the order, and the giant
+    steps (lo + i*s)*P find it as the baby step j with (lo + i*s)*P = -j*P.
+    """
+    s = math.isqrt(hi - lo) + 1
+    baby = {}
+    R = None
+    for j in range(s):
+        if R is None and j:
+            return set(range(-(-lo // j) * j, hi + 1, j))
+        baby[R] = j
+        R = _add(R, P, A, p)
+    giant, R = R, _mul(lo, P, A, p)
+    found = set()
+    for base in range(lo, hi + 1, s):
+        j = baby.get(R if R is None else (R[0], -R[1] % p))
+        if j is not None and base + j <= hi:
+            found.add(base + j)
+        R = _add(R, giant, A, p)
+    return found
+
+
 def count_points(curve: WeierstrassCurveFp) -> CountResult:
-    """N = 1 + sum over x of #{y : y^2 = f(x)}; the sum is the Legendre-symbol
-    formula 1 + sum (1 + chi_2(f(x))) evaluated through a squares table."""
+    """N = #E(F_p) by Shanks-Mestre: orders of a few points pin N down in the
+    Hasse interval |p + 1 - N| <= 2 sqrt(p).
+
+    The walk visits x0 = 0, 1, 2, ... and tallies 1 + chi_2(v), v = f(x0).  For
+    v != 0, (v*x0, v^2) lies on E_v: y^2 = x^3 + a v^2 x + b v^3, which is E
+    when v is a square and its quadratic twist, of order 2p + 2 - N, when not;
+    every m in the interval with m*(v*x0, v^2) = O cuts down the candidates.
+    The walk stops at one candidate, or at x0 = p - 1, where the tally is the
+    full count.  For p > 229, E or its twist has a point whose order has one
+    multiple in the interval (Mestre's theorem); in practice a few points do.
+    """
     p, a, b = curve.p, curve.a, curve.b
-    counts = _square_counts(p)
+    _check_table_prime(p)
+    width = math.isqrt(4 * p)
+    candidates = range(p + 1 - width, p + 2 + width)
+    half, twisted = (p - 1) // 2, 2 * p + 2
     n = 1
-    for x in range(p):
-        n += counts[(x * x * x + a * x + b) % p]
+    for x0 in range(p):
+        v = (x0 * x0 * x0 + a * x0 + b) % p
+        if v == 0:
+            n += 1
+            continue
+        point, A = (v * x0 % p, v * v % p), a * v * v % p
+        if pow(v, half, p) == 1:
+            n += 2
+            orders = _order_multiples(point, candidates[0], candidates[-1], A, p)
+            candidates = [N for N in candidates if N in orders]
+        else:
+            orders = _order_multiples(point, twisted - candidates[-1], twisted - candidates[0], A, p)
+            candidates = [N for N in candidates if twisted - N in orders]
+        if not candidates:
+            raise InvariantFailed(f"Hasse interval: no N fits the point orders up to x = {x0} mod {p}")
+        if len(candidates) == 1:
+            n = candidates[0]
+            break
+    else:
+        if n not in candidates:
+            raise InvariantFailed(f"Hasse interval: the full count {n} is not among {candidates}")
     return CountResult(n, p + 1 - n)
 
 
@@ -77,7 +163,8 @@ def count_points_ext(curve: WeierstrassCurveFp, n: int) -> int:
     F_{p^2} is F_p(sqrt d), d the smallest non-square mod p, and with t = d x1^2,
     f(x0 + x1 sqrt d) is y0 + y1 sqrt d with y0 = f(x0) + 3t x0, y1 = x1(3x0^2 + a + t).
     The quadratic character of F_{p^2} is chi_2 of the norm y0^2 - d y1^2, so f(x)
-    has as many square roots as its norm has in F_p: the table count_points reads.
+    has as many square roots as its norm has in F_p, read from a table of p
+    one-byte square counts, which serves this count only.
     x1 and -x1 give conjugate values of f, of equal norm, so the count runs
     x1 = 0 once and x1 = 1 .. (p-1)/2 twice.
     """

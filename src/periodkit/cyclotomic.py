@@ -170,8 +170,9 @@ class CyclotomicNumber(RingElement):
         """Image under the automorphism sigma_a: zeta_m -> zeta_m^a, for a unit a
         mod m.  Coefficient j moves to exponent a*j mod m; one reduction follows."""
         m = self.m
+        check_int("a", a)
         if math.gcd(a, m) != 1:
-            raise ValueError(f"sigma_a needs a unit modulo m, got a = {a}, m = {m}")
+            raise InvalidInput("a", f"sigma_a needs a unit modulo m, got a = {a}, m = {m}")
         out = [0] * m
         for j, c in enumerate(self.coeffs):
             out[a * j % m] = c  # j -> a*j is injective on Z/m, so no two j collide

@@ -17,10 +17,13 @@ from .errors import BadCongruence, DivisionByZero, InvalidInput, InvariantFailed
 
 MAX_PRIME = 2**31
 
-# Bounds the dlog and square-count tables and the Gauss-sum walk, p entries
-# each.  At p = 1999993 (cold, 2-core Xeon, CPython 3.11) `jacobi` at order 2
-# takes 1.0-1.15 s and 31 MB peak RSS, `count` 0.9-1.0 s and 20 MB, `gauss`
-# 0.9-1.0 s and 16 MB.
+# Bounds the kernels over F_p: the dlog table, the Gauss-sum walk and the
+# square-count table, p entries each, and the point count.  `count` and `zeta`
+# build no table (baby-step giant-step on a few points); the square-count table
+# serves the F_{p^2} count only.  At p = 1999993 (cold, 2-core Xeon, CPython
+# 3.11) `jacobi` at order 2 takes 1.0-1.15 s and 31 MB peak RSS, `gauss`
+# 0.9-1.0 s and 16 MB, `count` and `zeta` 0.11-0.13 s and 16 MB, about the
+# cost of starting the CLI.
 MAX_TABLE_PRIME = 2 * 10**6
 
 # Miller-Rabin with these witnesses is exact for all n < 3_215_031_751,
@@ -72,9 +75,9 @@ def _is_supported_prime(p: int, least: int) -> bool:
 
 
 def _check_table_prime(p: int) -> None:
-    """The cost budget of the tables of p entries: p <= MAX_TABLE_PRIME."""
+    """The cost budget of the kernels over F_p: p <= MAX_TABLE_PRIME."""
     if p > MAX_TABLE_PRIME:
-        raise InvalidInput("p", f"a table of p entries needs p <= {MAX_TABLE_PRIME}, got {p}")
+        raise InvalidInput("p", f"the kernels over F_p need p <= {MAX_TABLE_PRIME}, got {p}")
 
 
 def _check_same_prime(a, b) -> None:

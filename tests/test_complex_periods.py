@@ -108,6 +108,15 @@ def test_singular_curve_rejected():
         EllipticCurveQ(0.5, 1.0)  # floats are ambiguous; demand exact rationals
 
 
+def test_bool_coefficients_rejected():
+    # A bool is no rational here, as it is no int elsewhere: True once built a = 1.
+    for a, b in ((True, 0), (1, False)):
+        with pytest.raises(TypeError, match="not bools"):
+            EllipticCurveQ(a, b)
+    with pytest.raises(TypeError, match="not bools"):
+        legendre_curve(True)
+
+
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
 
 

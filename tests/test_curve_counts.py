@@ -5,7 +5,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from periodkit import curve_counts
 from periodkit.characters import _dlog_table
 from periodkit.curve_counts import (
     WeierstrassCurveFp,
@@ -15,10 +18,13 @@ from periodkit.curve_counts import (
     count_points_ext,
     zeta_data,
 )
-from periodkit.errors import BadCongruence, InvalidInput, SingularCurve, UnsupportedDegree
+from periodkit.errors import BadCongruence, InvalidInput, InvariantFailed, SingularCurve, UnsupportedDegree
+from periodkit.finite_field import _smallest_primitive_root, is_prime
 
 PRIMES_5_TO_31 = [5, 7, 11, 13, 17, 19, 23, 29, 31]
 ODD_PRIMES_TO_300 = [p for p in range(3, 300, 2) if all(p % d for d in range(3, p, 2))]
+PRIMES_5_TO_400 = [p for p in range(5, 400) if is_prime(p)]
+PRIMES_5_TO_10K = [p for p in range(5, 10**4) if is_prime(p)]
 
 
 def euler_legendre(z, p):
@@ -36,6 +42,15 @@ def naive_count(p, a, b):
             if y * y % p == fx:
                 n += 1
     return n
+
+
+def table_count(p, a, b):
+    # The p-step enumeration count_points replaced, kept as its oracle:
+    # N = 1 + sum over x of #{y : y^2 = f(x)}, read from a table of square counts.
+    counts = [0] * p
+    for y in range(p):
+        counts[y * y % p] += 1
+    return 1 + sum(counts[(x * x * x + a * x + b) % p] for x in range(p))
 
 
 def ext_count_oracle(p, a, b):
@@ -108,6 +123,60 @@ def test_count_matches_naive_exhaustively():
         for a, b in nonsingular_pairs(p):
             got = count_points(WeierstrassCurveFp(p, a, b)).n_points
             assert got == naive_count(p, a, b), (p, a, b)
+
+
+def test_count_matches_table_enumeration_exhaustively():
+    for p in [q for q in PRIMES_5_TO_400 if q <= 61]:
+        for a, b in nonsingular_pairs(p):
+            assert count_points(WeierstrassCurveFp(p, a, b)).n_points == table_count(p, a, b), (p, a, b)
+
+
+def test_count_matches_table_enumeration_on_cm_families():
+    # y^2 = x^3 + b and y^2 = x^3 + a x have the groups that are most often not
+    # cyclic; b = g^0 .. g^5 and a = g^0 .. g^3 (g a primitive root) meet every
+    # isomorphism class of the two families, next to six seeded curves per prime.
+    for p in PRIMES_5_TO_400:
+        g = _smallest_primitive_root(p)
+        rng = random.Random(p)
+        pairs = [(0, pow(g, k, p)) for k in range(6)] + [(pow(g, k, p), 0) for k in range(4)]
+        pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(6)]
+        for a, b in pairs:
+            if (4 * a**3 + 27 * b**2) % p:
+                assert count_points(WeierstrassCurveFp(p, a, b)).n_points == table_count(p, a, b), (p, a, b)
+
+
+@given(st.sampled_from(PRIMES_5_TO_10K), st.integers(0, 10**4), st.integers(0, 10**4))
+def test_count_matches_table_enumeration_below_10k(p, a, b):
+    assume((4 * a**3 + 27 * b**2) % p)
+    assert count_points(WeierstrassCurveFp(p, a, b)).n_points == table_count(p, a % p, b % p)
+
+
+def test_order_multiples_match_scalar_multiplication():
+    # Baby-step giant-step against m*P = O tested for every m of the interval,
+    # on points of small order (the early exit) and of large order alike.
+    for p, a, b in ((101, 4, 1), (103, 0, 7), (109, 1, 0), (113, 5, 9)):
+        points = [(x, y) for x in range(p) for y in range(1, p) if (y * y - x**3 - a * x - b) % p == 0]
+        for P in random.Random(p).sample(points, 12):
+            for lo, hi in ((1, 40), (p + 1 - 20, p + 1 + 20), (7, 7), (50, 2 * p)):
+                want = {m for m in range(lo, hi + 1) if curve_counts._mul(m, P, a, p) is None}
+                assert curve_counts._order_multiples(P, lo, hi, a, p) == want, (p, a, b, P, lo, hi)
+
+
+def test_count_reads_a_few_points_at_large_p(monkeypatch):
+    # Shanks-Mestre: the orders of a few points pin N down, far from a walk over F_p.
+    calls = []
+    multiples = curve_counts._order_multiples
+    monkeypatch.setattr(curve_counts, "_order_multiples", lambda *args: calls.append(args) or multiples(*args))
+    for a, b in ((4, 1), (0, 1), (1, 0), (-1, 0)):
+        calls.clear()
+        count_points(WeierstrassCurveFp(1999993, a, b))
+        assert 1 <= len(calls) <= 20, (a, b, len(calls))
+
+
+def test_count_without_a_fitting_order_fails_its_invariant(monkeypatch):
+    monkeypatch.setattr(curve_counts, "_order_multiples", lambda *args: set())
+    with pytest.raises(InvariantFailed, match="Hasse interval"):
+        count_points(WeierstrassCurveFp(101, 4, 1))
 
 
 def test_singular_rejected():
@@ -206,7 +275,7 @@ def test_a_p_from_jacobi_full_range():
 
 
 def test_a_p_from_jacobi_matches_count_at_realistic_sizes():
-    for p in (10009, 50021, 99989):  # primes = 1 mod 4
+    for p in (10009, 50021, 99989, 1999993):  # primes = 1 mod 4, the last near MAX_TABLE_PRIME
         assert a_p_from_jacobi(p) == count_points(WeierstrassCurveFp(p, p - 1, 0)).a_p, p
 
 

@@ -215,6 +215,11 @@ def test_residues_take_only_int_arguments(build, arg):
         (lambda: CyclotomicNumber.root_of_unity(4, 1.5), "j"),
         (lambda: PrimeFieldElem(7, True), "value"),
         (lambda: PrimeFieldElem(7, 3) + True, "value"),
+        (lambda: PrimeFieldElem(7, 3) ** True, "exponent"),
+        (lambda: PadicInt(3, 2, 1) ** 1.5, "exponent"),
+        (lambda: CyclotomicNumber(5, [1, 2, 3]).galois(True), "a"),
+        (lambda: CyclotomicNumber(5, [1, 2, 3]).galois(1.5), "a"),
+        (lambda: CyclotomicNumber(5, [1, 2, 3]).galois(10), "a"),
         (lambda: PadicInt(3, 2, True), "value"),
         (lambda: count_points_ext(WeierstrassCurveFp(7, 1, 1), 2.0), "n"),
         (lambda: numeric_periods_catalog(3.5), "n_max"),
@@ -231,6 +236,11 @@ def test_residues_take_only_int_arguments(build, arg):
         "root-float-exponent",
         "field-bool",
         "field-bool-operand",
+        "field-bool-exponent",
+        "padic-float-exponent",
+        "galois-bool",
+        "galois-float",
+        "galois-non-unit",
         "padic-bool",
         "ext-count-float-degree",
         "catalog-float",
