@@ -25,7 +25,7 @@ from .finite_field import (
 )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)  # every command and report works over one prime
 def _dlog_table(p: int) -> array:
     """dlog[a] = j with g^j = a, for the canonical primitive root g; dlog[0] unused.
     Four bytes per entry, as p < 2**31; the cache shares it, so callers only read it."""

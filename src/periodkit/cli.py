@@ -2,8 +2,10 @@
 versioned output envelope rendered as JSON (default), CSV, or Markdown.
 
 Each subcommand is declared once, in `build_parser`, together with the
-function that computes its rows.  The envelope's `params` echo every flag
-but `--format` as parsed, with defaults filled in and unset flags left out.
+function that computes its rows; that function imports the library module it
+runs, so a command loads only what it needs.  The envelope's `params` echo
+every flag but `--format` as parsed, with defaults filled in and unset flags
+left out.
 
 Exit codes: 0 success, 1 domain error (singular curve, bad congruence, ...),
 2 invalid argument, with the flag named; argument rules live in the library.
@@ -19,39 +21,9 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .amplitudes import (
-    MandelstamInput,
-    beta_fn,
-    correspondence_table,
-    pole_scan,
-    veneziano,
-)
-from .characters import (
-    MultiplicativeCharacter,
-    gauss_jacobi_relation_check,
-    gauss_sum,
-    jacobi_sum,
-)
-from .complex_periods import (
-    EllipticCurveQ,
-    numeric_periods_catalog,
-    period_map_legendre,
-    periods_agm,
-    periods_quadrature,
-    tau_normalize,
-)
-from .curve_counts import (
-    WeierstrassCurveFp,
-    a_p_from_jacobi,
-    count_points,
-    count_points_ext,
-    zeta_data,
-)
 from .errors import InvalidInput, PeriodkitError
-from .padic import PadicInt, delta_p, delta_rules_check
 
 # ---------------------------------------------------------------------------
 # Output envelope and rendering
@@ -174,6 +146,7 @@ def _tau_fields(point) -> dict:
 
 
 def _cmd_gauss(args) -> list:
+    from .characters import MultiplicativeCharacter, gauss_sum
     c = MultiplicativeCharacter(args.p, args.k1)
     g = gauss_sum(c)
     re, im = _re_im(g.value)
@@ -181,6 +154,7 @@ def _cmd_gauss(args) -> list:
 
 
 def _cmd_jacobi(args) -> list:
+    from .characters import MultiplicativeCharacter, gauss_jacobi_relation_check, jacobi_sum
     c1 = MultiplicativeCharacter(args.p, args.k1)
     c2 = MultiplicativeCharacter(args.p, args.k2)
     j = jacobi_sum(c1, c2)
@@ -200,6 +174,7 @@ def _cmd_jacobi(args) -> list:
 
 
 def _cmd_count(args) -> list:
+    from .curve_counts import WeierstrassCurveFp, count_points, count_points_ext
     curve = WeierstrassCurveFp(args.p, *_parse_numbers("curve", args.curve, int, 2))
     result = count_points(curve)
     row = {"p": curve.p, "a": curve.a, "b": curve.b, "Np": result.n_points, "ap": result.a_p}
@@ -209,6 +184,7 @@ def _cmd_count(args) -> list:
 
 
 def _cmd_zeta(args) -> list:
+    from .curve_counts import WeierstrassCurveFp, zeta_data
     curve = WeierstrassCurveFp(args.p, *_parse_numbers("curve", args.curve, int, 2))
     data = zeta_data(curve)
     ar, ai = _re_im(data.alpha)
@@ -227,10 +203,13 @@ def _cmd_zeta(args) -> list:
 
 
 def _cmd_apjacobi(args) -> list:
+    from .curve_counts import a_p_from_jacobi
     return [{"p": args.p, "ap": a_p_from_jacobi(args.p)}]
 
 
 def _cmd_periods(args) -> list:
+    from fractions import Fraction
+    from .complex_periods import EllipticCurveQ, periods_agm, periods_quadrature
     a, b = _parse_numbers("curve", args.curve, Fraction, 2)
     curve = EllipticCurveQ(a, b)
     return [
@@ -240,6 +219,8 @@ def _cmd_periods(args) -> list:
 
 
 def _cmd_tau(args) -> list:
+    from fractions import Fraction
+    from .complex_periods import EllipticCurveQ, periods_agm, tau_normalize
     a, b = _parse_numbers("curve", args.curve, Fraction, 2)
     lattice = periods_agm(EllipticCurveQ(a, b))
     raw = lattice.omega2 / lattice.omega1
@@ -255,11 +236,14 @@ def _cmd_tau(args) -> list:
 
 
 def _cmd_periodmap(args) -> list:
+    from fractions import Fraction
+    from .complex_periods import period_map_legendre
     ts = _parse_numbers("grid", args.grid, Fraction)
     return [{"t": str(t), **_tau_fields(point)} for t, point in period_map_legendre(ts)]
 
 
 def _cmd_catalog(args) -> list:
+    from .complex_periods import numeric_periods_catalog
     return [
         {
             "name": entry.name,
@@ -275,6 +259,7 @@ def _cmd_catalog(args) -> list:
 
 
 def _cmd_veneziano(args) -> list:
+    from .amplitudes import MandelstamInput, veneziano
     m = MandelstamInput(s12=args.s, s34=args.t)
     amp = veneziano(m)
     row = {
@@ -290,15 +275,18 @@ def _cmd_veneziano(args) -> list:
 
 
 def _cmd_beta(args) -> list:
+    from .amplitudes import beta_fn
     # --s and --t carry the two Beta arguments directly.
     return [{"alpha": args.s, "beta": args.t, "value": beta_fn(args.s, args.t)}]
 
 
 def _cmd_poles(args) -> list:
+    from .amplitudes import pole_scan
     return [{"beta": args.t, "n": n, "residue": res} for n, res in pole_scan(args.t, args.n)]
 
 
 def _cmd_correspond(args) -> list:
+    from .amplitudes import correspondence_table
     report = correspondence_table(args.p, _parse_numbers("grid", args.grid, float))
     record = {
         "p": report.p,
@@ -360,6 +348,7 @@ def _render_correspond_markdown(record: dict) -> str:
 
 
 def _cmd_delta(args) -> list:
+    from .padic import PadicInt, delta_p, delta_rules_check
     x = PadicInt(args.p, args.precision, args.x)
     row = {"p": args.p, "N": args.precision, "x": x.value, "delta": delta_p(x).value}
     if args.y is not None:
@@ -465,13 +454,15 @@ _FLAG_OF_ARG = {
 
 
 def _absorb_flag_values(argv: list[str]) -> list[str]:
-    # argparse reads "-1,0" as an option string; fold values of list-like
-    # flags into --flag=value so negative entries parse.
+    # argparse reads "-1,0" or "-1e-5" as an option string; every flag but
+    # --help takes a value, so fold it into --flag=value unless the next token
+    # is itself a flag.
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--curve", "--grid") and i + 1 < len(argv):
+        takes_value = tok.startswith("--") and "=" not in tok and tok != "--help"
+        if takes_value and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

@@ -48,7 +48,7 @@ class ZetaData(Frozen):
     __slots__ = ("a_p", "alpha", "beta")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)  # one prime at a time, as for _dlog_table
 def _square_counts(p: int) -> bytes:
     """counts[z] = number of y in F_p with y^2 = z, that is 1 + chi_2(z), one byte
     each; y and -y have the same square, so y runs over 1 .. (p-1)/2 only."""

@@ -32,7 +32,9 @@ def _check_order(m: int) -> None:
         raise InvalidInput("m", f"root-of-unity order must be positive, got {m}")
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: True is no cache hit for 1, so it meets the int rule
+# Bounded, so a loop over ring orders does not keep every polynomial; p - 1 has at
+# most 12 divisors for p <= 97, so a correspondence report builds each order once.
+@functools.lru_cache(maxsize=12, typed=True)  # typed: True is no cache hit for 1, so it meets the int rule
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m.
 
@@ -59,7 +61,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=12)  # bounded as cyclotomic_polynomial is
 def _modulus(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """(phi, h, tail): the degree of Phi_m, the h with Phi_m dividing x^h + 1 for
     even m (h = m/2) or x^h - 1 for odd m (h = m), and the nonzero terms (k, c)

@@ -16,7 +16,7 @@ from periodkit.amplitudes import (
     veneziano,
 )
 from periodkit.characters import MultiplicativeCharacter, jacobi_sum
-from periodkit.cyclotomic import CyclotomicNumber
+from periodkit.cyclotomic import CyclotomicNumber, _modulus, cyclotomic_polynomial
 from periodkit.errors import FloatOverflow, PoleAtNonpositiveInteger
 
 
@@ -289,6 +289,17 @@ def test_correspondence_computes_one_sum_and_norm_per_orbit(p, orbits, monkeypat
     assert calls == {"jacobi_sum": orbits, "norm_to_int": orbits}
     assert sum(row.norm_checked for row in rows) == orbits
     assert all(row.norm_ok for row in rows)
+
+
+def test_correspondence_builds_each_ring_order_once():
+    # The ring-order caches are bounded, yet hold every order of one report.
+    cyclotomic_polynomial.cache_clear()
+    _modulus.cache_clear()
+    report = correspondence_table(97, [])
+    orders = {row.ring_order for row in report.local_rows} | {4}  # a_p_from_jacobi works in Z[i]
+    assert len(orders) == 10
+    assert cyclotomic_polynomial.cache_info().misses == len(orders)
+    assert _modulus.cache_info().misses == len(orders)
 
 
 def test_correspondence_ap_matches_enumeration():

@@ -73,6 +73,7 @@ def test_json_int_lists_take_the_flat_path_and_bools_stay_json():
         (["poles", "--t", "2.5"], {"t": 2.5, "n": 5}),
         (["correspond", "--p", "5"], {"p": 5, "grid": ""}),
         (["delta", "--p", "5", "--precision", "6", "--x", "7"], {"p": 5, "precision": 6, "x": 7}),
+        (["veneziano", "--s", "-1e-5", "--t", "2.5"], {"s": -1e-5, "t": 2.5}),
     ],
 )
 def test_params_echo_defaults_and_omit_unset_flags(argv, params):
@@ -294,6 +295,94 @@ def test_no_argv_loads_scipy():
     assert result["scipy_loaded"] == []
     assert not result["integrate_after"]
     assert result["slow_stdlib"] == []
+
+
+# The periodkit modules each command loads besides the package and periodkit.cli;
+# "fractions" stands for the standard library module of that name.
+_RING = {"_frozen", "errors", "finite_field", "cyclotomic", "characters"}
+_COUNTS = _RING | {"curve_counts"}
+_AMPLITUDES = _COUNTS | {"amplitudes"}
+_ANALYTIC = {"_frozen", "errors", "complex_periods", "fractions"}
+MODULES_OF_COMMAND = {
+    "gauss": _RING,
+    "jacobi": _RING,
+    "count": _COUNTS,
+    "zeta": _COUNTS,
+    "apjacobi": _COUNTS,
+    "periods": _ANALYTIC,
+    "tau": _ANALYTIC,
+    "periodmap": _ANALYTIC,
+    "catalog": _ANALYTIC,
+    "veneziano": _AMPLITUDES,
+    "beta": _AMPLITUDES,
+    "poles": _AMPLITUDES,
+    "correspond": _AMPLITUDES,
+    "delta": {"_frozen", "errors", "finite_field", "padic"},
+}
+
+LOADED_MODULES_CHILD = """
+import contextlib, io, json, sys
+from periodkit.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+loaded = [m.removeprefix("periodkit.") for m in sys.modules if m.startswith("periodkit.") or m == "fractions"]
+print(json.dumps({"code": code, "loaded": sorted(loaded)}))
+"""
+
+
+@pytest.mark.parametrize("name,argv", CORPUS, ids=[name for name, _ in CORPUS])
+def test_command_loads_only_the_modules_it_runs(name, argv):
+    proc = run_python("-c", LOADED_MODULES_CHILD, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    assert result["loaded"] == sorted(MODULES_OF_COMMAND[argv[0]] | {"cli"})
+
+
+def test_package_import_loads_no_library_module():
+    proc = run_python("-c", "import json, sys, periodkit; print(json.dumps(sorted(m for m in sys.modules if 'periodkit' in m)))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["periodkit"]
+
+
+def test_public_names_resolve_to_their_home_objects():
+    for name in periodkit.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(periodkit, name)
+        assert obj.__module__.startswith("periodkit.") and obj.__name__ == name, name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from periodkit import *", namespace)
+    assert set(periodkit.__all__) <= set(namespace)
+
+
+def test_unknown_public_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        periodkit.no_such_name
+    with pytest.raises(ImportError):
+        exec("from periodkit import no_such_name", {})
+
+
+@pytest.mark.parametrize(
+    "base,flag",
+    [
+        (["veneziano", "--t", "2.5"], "--s"),
+        (["veneziano", "--s", "2.5"], "--t"),
+        (["beta", "--t", "0.5"], "--s"),
+        (["beta", "--s", "0.5"], "--t"),
+        (["poles"], "--t"),
+    ],
+)
+@pytest.mark.parametrize("value", ["-1e-5", "-2.5e0", "-inf"])
+def test_negative_float_reads_the_same_with_or_without_equals(base, flag, value):
+    # argparse alone takes "-1e-5" for an option string; every flag's value is
+    # folded into --flag=value first.
+    assert run_cli([*base, flag, value]) == run_cli([*base, f"{flag}={value}"])
 
 
 def test_module_entry_point():

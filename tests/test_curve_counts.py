@@ -293,6 +293,19 @@ def test_tables_take_at_most_four_bytes_per_entry():
     assert sys.getsizeof(_dlog_table(p)) < 5 * p
 
 
+@pytest.mark.parametrize("table", [_dlog_table, _square_counts])
+def test_table_cache_keeps_only_the_last_prime(table):
+    # A library loop over primes keeps one table, not one per prime.
+    table(101)
+    table(103)
+    misses = table.cache_info().misses
+    assert table.cache_info().currsize == 1
+    table(103)
+    assert table.cache_info().misses == misses
+    table(101)
+    assert table.cache_info().misses == misses + 1
+
+
 def test_square_table_budget():
     # 2000003 is the first prime above MAX_TABLE_PRIME = 2 * 10**6.
     with pytest.raises(InvalidInput) as info:
