@@ -19,10 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from ._frozen import Frozen
-from .curve_counts import a_p_from_jacobi
-from .characters import MultiplicativeCharacter, jacobi_sum
 from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger, check_int
-from .finite_field import _check_prime
 
 POLE_SNAP = 1e-12
 
@@ -189,6 +186,11 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     first pair of each orbit in row order has its sum and norm computed
     (norm_checked); the others are its images and inherit the norm.
     """
+    # The finite side loads here, so the Gamma-ratio commands never import it.
+    from .characters import MultiplicativeCharacter, jacobi_sum
+    from .curve_counts import a_p_from_jacobi
+    from .finite_field import _check_prime
+
     _check_prime(p)
     if p > 97:
         raise InvalidInput("p", f"report is desk-scale only (p <= 97), got {p}")

@@ -7,17 +7,12 @@ so N = p + 1 - a_p holds without case analysis.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from ._frozen import Frozen
 from .characters import jacobi_sum, quadratic_character, quartic_character
-from .errors import InvalidInput, InvariantFailed, SingularCurve, UnsupportedDegree, check_int
+from .errors import InvariantFailed, SingularCurve, UnsupportedDegree, check_int
 from .finite_field import _check_prime, _check_table_prime
-
-# The F_{p^2} count takes p^2/2 steps: 15-17 s at p = 9973 (cold `count --n 2`,
-# 2-core Xeon, CPython 3.11).
-MAX_EXT_PRIME = 10**4
 
 
 class WeierstrassCurveFp(Frozen):
@@ -46,18 +41,6 @@ class ZetaData(Frozen):
     """Reciprocal roots of the local zeta numerator 1 - a_p*T + p*T^2."""
 
     __slots__ = ("a_p", "alpha", "beta")
-
-
-@functools.lru_cache(maxsize=1)  # one prime at a time, as for _dlog_table
-def _square_counts(p: int) -> bytes:
-    """counts[z] = number of y in F_p with y^2 = z, that is 1 + chi_2(z), one byte
-    each; y and -y have the same square, so y runs over 1 .. (p-1)/2 only."""
-    _check_table_prime(p)
-    counts = bytearray(p)
-    counts[0] = 1
-    for y in range(1, (p + 1) // 2):
-        counts[y * y % p] = 2
-    return bytes(counts)
 
 
 def _add(P, Q, A: int, p: int):
@@ -158,40 +141,16 @@ def count_points(curve: WeierstrassCurveFp) -> CountResult:
 
 
 def count_points_ext(curve: WeierstrassCurveFp, n: int) -> int:
-    """Projective count over F_{p^n} by enumeration, n in {1, 2}; n = 2 needs p <= MAX_EXT_PRIME.
-
-    F_{p^2} is F_p(sqrt d), d the smallest non-square mod p, and with t = d x1^2,
-    f(x0 + x1 sqrt d) is y0 + y1 sqrt d with y0 = f(x0) + 3t x0, y1 = x1(3x0^2 + a + t).
-    The quadratic character of F_{p^2} is chi_2 of the norm y0^2 - d y1^2, so f(x)
-    has as many square roots as its norm has in F_p, read from a table of p
-    one-byte square counts, which serves this count only.
-    x1 and -x1 give conjugate values of f, of equal norm, so the count runs
-    x1 = 0 once and x1 = 1 .. (p-1)/2 twice.
-    """
+    """Projective count over F_{p^n}, n in {1, 2}, read off the local zeta
+    numerator 1 - a_p*T + p*T^2 (Weil): N_{p^n} = p^n + 1 - (alpha^n + beta^n),
+    and alpha + beta = a_p, alpha*beta = p give alpha^2 + beta^2 = a_p^2 - 2p
+    exactly.  No point over F_{p^2} is visited; tests/ checks the formula
+    against an enumeration of F_{p^2}."""
     check_int("n", n)
-    if n == 1:
-        return count_points(curve).n_points
-    if n != 2:
+    if n not in (1, 2):
         raise UnsupportedDegree("n", f"only degrees 1 and 2 are supported, got {n}")
-    p, a, b = curve.p, curve.a, curve.b
-    if p > MAX_EXT_PRIME:
-        raise InvalidInput("p", f"the F_(p^2) count takes p^2/2 steps; need p <= {MAX_EXT_PRIME}, got {p}")
-    counts = _square_counts(p)
-    d = counts.index(0)
-    xs = range(p)
-    f_x0 = [(x * x * x + a * x + b) % p for x in xs]
-    slope = [(3 * x * x + a) % p for x in xs]  # f'(x0)
-    total = 1
-    for x1 in range((p + 1) // 2):
-        t = d * x1 * x1 % p
-        t3 = 3 * t
-        row = 0
-        for x0, y0, z in zip(xs, f_x0, slope):
-            y0 += t3 * x0
-            z += t  # y1 = x1 * z, so d y1^2 = t z^2
-            row += counts[(y0 * y0 - t * z * z) % p]
-        total += row if x1 == 0 else 2 * row
-    return total
+    p, a_p = curve.p, count_points(curve).a_p
+    return p + 1 - a_p if n == 1 else p * p + 1 - (a_p * a_p - 2 * p)
 
 
 def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:

@@ -17,13 +17,12 @@ from .errors import BadCongruence, DivisionByZero, InvalidInput, InvariantFailed
 
 MAX_PRIME = 2**31
 
-# Bounds the kernels over F_p: the dlog table, the Gauss-sum walk and the
-# square-count table, p entries each, and the point count.  `count` and `zeta`
-# build no table (baby-step giant-step on a few points); the square-count table
-# serves the F_{p^2} count only.  At p = 1999993 (cold, 2-core Xeon, CPython
-# 3.11) `jacobi` at order 2 takes 1.0-1.15 s and 31 MB peak RSS, `gauss`
-# 0.9-1.0 s and 16 MB, `count` and `zeta` 0.11-0.13 s and 16 MB, about the
-# cost of starting the CLI.
+# Bounds the kernels over F_p: the dlog table, p entries, the Gauss-sum walk
+# and the point count.  `count` and `zeta` build no table (baby-step giant-step
+# on a few points), and the F_{p^2} count follows from a_p.  At p = 1999993
+# (cold, 2-core Xeon, CPython 3.11) `jacobi` at order 2 takes 1.0-1.15 s and
+# 31 MB peak RSS, `gauss` 0.9-1.0 s and 16 MB, `count` and `zeta`
+# 0.11-0.13 s and 16 MB, about the cost of starting the CLI.
 MAX_TABLE_PRIME = 2 * 10**6
 
 # Miller-Rabin with these witnesses is exact for all n < 3_215_031_751,

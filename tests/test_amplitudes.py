@@ -6,7 +6,7 @@ import random
 import pytest
 from scipy import integrate
 
-from periodkit import amplitudes
+from periodkit import characters
 from periodkit.amplitudes import (
     MandelstamInput,
     beta_fn,
@@ -282,7 +282,7 @@ def test_correspondence_computes_one_sum_and_norm_per_orbit(p, orbits, monkeypat
 
         return wrapper
 
-    monkeypatch.setattr(amplitudes, "jacobi_sum", counted("jacobi_sum", amplitudes.jacobi_sum))
+    monkeypatch.setattr(characters, "jacobi_sum", counted("jacobi_sum", characters.jacobi_sum))
     monkeypatch.setattr(CyclotomicNumber, "norm_to_int", counted("norm_to_int", CyclotomicNumber.norm_to_int))
     rows = correspondence_table(p, []).local_rows
     assert len(rows) == (p - 2) * (p - 3)

@@ -126,6 +126,17 @@ def test_count_matches_library():
     assert row["Np"] == 8 and row["ap"] == -2
 
 
+def test_count_over_f_p2_at_the_table_budget():
+    # N_{p^2} follows from a_p, so --n 2 takes the same primes as --n 1.
+    p = 1999993
+    code, out, err = run_cli(["count", "--p", str(p), "--curve", "4,1", "--n", "2", "--format", "json"])
+    assert code == 0, err
+    row = json.loads(out)["rows"][0]
+    ap = row["ap"]
+    assert row["Np"] == p + 1 - ap
+    assert row["Np2"] == p * p + 1 - (ap * ap - 2 * p)
+
+
 def test_usage_error_names_flag():
     code, out, err = run_cli(["count", "--p", "4", "--curve", "1,1"])
     assert code == 2
@@ -301,7 +312,7 @@ def test_no_argv_loads_scipy():
 # "fractions" stands for the standard library module of that name.
 _RING = {"_frozen", "errors", "finite_field", "cyclotomic", "characters"}
 _COUNTS = _RING | {"curve_counts"}
-_AMPLITUDES = _COUNTS | {"amplitudes"}
+_AMPLITUDES = {"_frozen", "errors", "amplitudes"}
 _ANALYTIC = {"_frozen", "errors", "complex_periods", "fractions"}
 MODULES_OF_COMMAND = {
     "gauss": _RING,
@@ -316,7 +327,7 @@ MODULES_OF_COMMAND = {
     "veneziano": _AMPLITUDES,
     "beta": _AMPLITUDES,
     "poles": _AMPLITUDES,
-    "correspond": _AMPLITUDES,
+    "correspond": _COUNTS | {"amplitudes"},
     "delta": {"_frozen", "errors", "finite_field", "padic"},
 }
 
@@ -431,7 +442,7 @@ ARGV_TABLE = [
     (["periods", "--curve", "-1e-300,0"], 1, "FloatOverflow"),
     (["tau", "--curve", "1e400,0"], 1, "FloatOverflow"),
     (["periodmap", "--grid", "1e400"], 1, "FloatOverflow"),
-    (["count", "--p", "10007", "--curve", "1,1", "--n", "2"], 2, "--p"),  # over the p^2 budget
+    (["count", "--p", "2000003", "--curve", "1,1", "--n", "2"], 2, "--p"),  # over the p-entry table budget
     (["jacobi", "--p", "2000003", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the p-entry table budget
     (["jacobi", "--p", "94291", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the reduction budget
     (["catalog", "--n", "22"], 2, "--n"),  # more than twenty logarithms

@@ -12,7 +12,6 @@ from periodkit import curve_counts
 from periodkit.characters import _dlog_table
 from periodkit.curve_counts import (
     WeierstrassCurveFp,
-    _square_counts,
     a_p_from_jacobi,
     count_points,
     count_points_ext,
@@ -22,15 +21,8 @@ from periodkit.errors import BadCongruence, InvalidInput, InvariantFailed, Singu
 from periodkit.finite_field import _smallest_primitive_root, is_prime
 
 PRIMES_5_TO_31 = [5, 7, 11, 13, 17, 19, 23, 29, 31]
-ODD_PRIMES_TO_300 = [p for p in range(3, 300, 2) if all(p % d for d in range(3, p, 2))]
 PRIMES_5_TO_400 = [p for p in range(5, 400) if is_prime(p)]
 PRIMES_5_TO_10K = [p for p in range(5, 10**4) if is_prime(p)]
-
-
-def euler_legendre(z, p):
-    # Euler's criterion: z^((p-1)/2) is 1 at a nonzero square, -1 = p - 1 elsewhere.
-    r = pow(z, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
 
 
 def naive_count(p, a, b):
@@ -83,8 +75,9 @@ def ext_count_oracle(p, a, b):
 
 
 def ext_count_norm_loop(p, a, b):
-    # The full double loop count_points_ext replaced, kept as its oracle:
-    # every x0 + x1 sqrt d of F_{p^2} = F_p(sqrt d), through the norm of f(x).
+    # The enumeration count_points_ext replaced, kept as its oracle: every
+    # x0 + x1 sqrt d of F_{p^2} = F_p(sqrt d), through the norm of f(x), since
+    # the quadratic character of F_{p^2} is that of F_p applied to the norm.
     squares = [0] * p
     for y in range(p):
         squares[y * y % p] += 1
@@ -203,17 +196,14 @@ def test_ext_degree_one_degenerates():
     assert count_points_ext(curve, 1) == count_points(curve).n_points
     with pytest.raises(UnsupportedDegree):
         count_points_ext(curve, 3)
-    with pytest.raises(InvalidInput) as exc:  # p^2 budget, checked before any loop
-        count_points_ext(WeierstrassCurveFp(10007, 1, 1), 2)
-    assert exc.value.arg == "p"
 
 
 def test_ext_count_matches_zeta_roots():
+    # The Weil bridge, verified: an enumeration of F_{p^2} against the roots.
     for p, a, b in ((5, -1, 0), (7, 2, 1), (11, 1, 3), (13, -1, 0)):
-        curve = WeierstrassCurveFp(p, a, b)
-        ap = count_points(curve).a_p
+        ap = zeta_data(WeierstrassCurveFp(p, a, b)).a_p
         # alpha^2 + beta^2 = a_p^2 - 2p, exactly as integers.
-        assert count_points_ext(curve, 2) == p * p + 1 - (ap * ap - 2 * p), (p, a, b)
+        assert ext_count_oracle(p, a, b) == p * p + 1 - (ap * ap - 2 * p), (p, a, b)
 
 
 def test_ext_count_matches_extension_field_oracle():
@@ -229,10 +219,10 @@ def test_ext_count_matches_full_norm_loop_and_weil(p):
     pairs = [(4, 1)] + (random.Random(p).sample(list(nonsingular_pairs(p)), 6) if p < 50 else [])
     for a, b in pairs:
         curve = WeierstrassCurveFp(p, a, b)
-        got = count_points_ext(curve, 2)
-        assert got == ext_count_norm_loop(p, a, b), (p, a, b)
-        ap = count_points(curve).a_p
-        assert got == p * p + 1 - (ap * ap - 2 * p), (p, a, b)
+        want = ext_count_norm_loop(p, a, b)
+        assert count_points_ext(curve, 2) == want, (p, a, b)
+        ap = zeta_data(curve).a_p
+        assert want == p * p + 1 - (ap * ap - 2 * p), (p, a, b)
 
 
 def test_zeta_data_properties():
@@ -279,21 +269,12 @@ def test_a_p_from_jacobi_matches_count_at_realistic_sizes():
         assert a_p_from_jacobi(p) == count_points(WeierstrassCurveFp(p, p - 1, 0)).a_p, p
 
 
-def test_square_table_is_one_plus_legendre():
-    for p in ODD_PRIMES_TO_300 + [10007]:
-        table = _square_counts(p)
-        assert list(table) == [1 + euler_legendre(z, p) for z in range(p)], p
-        # count_points_ext takes d = counts.index(0): the smallest non-residue.
-        assert table.index(0) == next(z for z in range(2, p) if euler_legendre(z, p) == -1), p
-
-
 def test_tables_take_at_most_four_bytes_per_entry():
     p = 10007
-    assert sys.getsizeof(_square_counts(p)) < 2 * p
     assert sys.getsizeof(_dlog_table(p)) < 5 * p
 
 
-@pytest.mark.parametrize("table", [_dlog_table, _square_counts])
+@pytest.mark.parametrize("table", [_dlog_table])
 def test_table_cache_keeps_only_the_last_prime(table):
     # A library loop over primes keeps one table, not one per prime.
     table(101)
@@ -306,7 +287,7 @@ def test_table_cache_keeps_only_the_last_prime(table):
     assert table.cache_info().misses == misses + 1
 
 
-def test_square_table_budget():
+def test_count_refuses_p_above_the_table_budget():
     # 2000003 is the first prime above MAX_TABLE_PRIME = 2 * 10**6.
     with pytest.raises(InvalidInput) as info:
         count_points(WeierstrassCurveFp(2000003, 1, 1))

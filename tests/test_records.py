@@ -202,6 +202,35 @@ def test_residues_take_only_int_arguments(build, arg):
     assert exc.value.arg == arg
 
 
+# Each int argument of the public constructors, and count_points_ext's n: a
+# builder that takes the argument, the argument's name, and an int it accepts.
+INT_ARGUMENTS = {
+    "field-p": (lambda v: PrimeFieldElem(v, 3), "p", 7),
+    "field-value": (lambda v: PrimeFieldElem(7, v), "value", 3),
+    "padic-p": (lambda v: PadicInt(v, 3, 7), "p", 5),
+    "padic-precision": (lambda v: PadicInt(5, v, 7), "precision", 3),
+    "padic-value": (lambda v: PadicInt(5, 3, v), "value", 7),
+    "character-p": (lambda v: MultiplicativeCharacter(v, 2), "p", 7),
+    "character-k": (lambda v: MultiplicativeCharacter(7, v), "k", 2),
+    "curve-p": (lambda v: WeierstrassCurveFp(v, 1, 1), "p", 7),
+    "curve-a": (lambda v: WeierstrassCurveFp(7, v, 1), "a", 1),
+    "curve-b": (lambda v: WeierstrassCurveFp(7, 1, v), "b", 1),
+    "cyclotomic-m": (lambda v: CyclotomicNumber(v, [1, 2]), "m", 4),
+    "cyclotomic-coeff": (lambda v: CyclotomicNumber(4, [1, v]), "coeffs", 2),
+    "root-m": (lambda v: CyclotomicNumber.root_of_unity(v, 1), "m", 4),
+    "root-j": (lambda v: CyclotomicNumber.root_of_unity(4, v), "j", 1),
+    "ext-count-n": (lambda v: count_points_ext(WeierstrassCurveFp(7, 1, 1), v), "n", 2),
+}
+# The same value as a float and as a str, and a bool, which is no int here.
+NON_INTS = {"float": float, "str": str, "bool": lambda v: True}
+
+
+@pytest.mark.parametrize("site", INT_ARGUMENTS)
+def test_int_argument_table_accepts_its_int(site):
+    build, _, good = INT_ARGUMENTS[site]
+    build(good)
+
+
 @pytest.mark.parametrize(
     "build,arg",
     [
@@ -224,6 +253,11 @@ def test_residues_take_only_int_arguments(build, arg):
         (lambda: count_points_ext(WeierstrassCurveFp(7, 1, 1), 2.0), "n"),
         (lambda: numeric_periods_catalog(3.5), "n_max"),
         (lambda: pole_scan(0.5, 2.5), "n_max"),
+    ]
+    + [
+        (lambda build=build, bad=convert(good): build(bad), arg)
+        for build, arg, good in INT_ARGUMENTS.values()
+        for convert in NON_INTS.values()
     ],
     ids=[
         "character-float",
@@ -245,7 +279,8 @@ def test_residues_take_only_int_arguments(build, arg):
         "ext-count-float-degree",
         "catalog-float",
         "poles-float",
-    ],
+    ]
+    + [f"{site}-{kind}" for site in INT_ARGUMENTS for kind in NON_INTS],
 )
 def test_int_arguments_follow_one_rule(build, arg):
     # An int argument must be an int, and a bool is not one: a float k once
