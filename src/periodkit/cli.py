@@ -1,26 +1,36 @@
 """Command-line front end: one subcommand per library operation, with a
 versioned output envelope rendered as JSON (default), CSV, or Markdown.
 
-Each subcommand is declared once, in `build_parser`, together with the
-function that computes its rows; that function imports the library module it
-runs, so a command loads only what it needs.  The envelope's `params` echo
-every flag but `--format` as parsed, with defaults filled in and unset flags
-left out.
+Each subcommand is one entry of COMMANDS, and only that entry names it:
+build_parser, the `params` echo, the map from a library argument back to its
+flag and the renderers all read the table.  An entry holds its help text; the
+library module it runs, imported only when it runs; its flags (type, default,
+help, and the library argument each feeds, so an InvalidInput names the
+flag); `run(module, args)`, which returns the row objects; and its row fields
+as (key, getter) pairs, a getter being an attribute path of the row object or
+a function of it.  An entry may also name fields that follow when a flag
+leaves its default, its formats, and its own Markdown renderer.  To add a
+subcommand, add one entry.
 
-Exit codes: 0 success, 1 domain error (singular curve, bad congruence, ...),
-2 invalid argument, with the flag named; argument rules live in the library.
-All numeric output is printed with 15 significant digits and identical argv
-always produces byte-identical output.
+The envelope's `params` echo every flag but `--format` as parsed, with
+defaults filled in and unset flags left out.  JSON is written in one pass,
+with one formatter per row shape.  Exit codes: 0 success, 1 domain error
+(singular curve, bad congruence, ...), 2 invalid argument, with the flag
+named; argument rules live in the library.  All numeric output is printed
+with 15 significant digits and identical argv always produces byte-identical
+output.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib
 import io
 import json
 import math
 import sys
+from operator import attrgetter
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import InvalidInput, PeriodkitError
@@ -29,77 +39,92 @@ from .errors import InvalidInput, PeriodkitError
 # Output envelope and rendering
 
 
-def _json_emit(obj) -> str:
-    keys: dict[str, str] = {}  # each distinct dict key is quoted once per document
+def _seq(v) -> str:
+    if set(map(type, v)) <= {int}:  # coefficient vectors; a bool is not an int here
+        return repr(list(v))
+    return "[" + ", ".join(map(_json, v)) + "]"
 
-    def emit(obj) -> str:
-        if obj is None:
-            return "null"
-        if obj is True:
-            return "true"
-        if obj is False:
-            return "false"
-        if isinstance(obj, float):
-            if not math.isfinite(obj):
-                return "null"
-            return format(obj, ".15g")
-        if isinstance(obj, int):
-            return str(obj)
-        if isinstance(obj, str):
-            return json.dumps(obj)
-        if isinstance(obj, (list, tuple)):
-            if all(type(v) is int for v in obj):  # coefficient vectors; bool is not int here
-                return "[" + ", ".join(map(str, obj)) + "]"
-            return "[" + ", ".join(map(emit, obj)) + "]"
-        if isinstance(obj, dict):
-            parts = []
-            for k, v in obj.items():
-                name = str(k)
-                quoted = keys.get(name) or keys.setdefault(name, json.dumps(name))
-                parts.append(f"{quoted}: {emit(v)}")
-            return "{" + ", ".join(parts) + "}"
-        raise TypeError(f"cannot serialize {type(obj)!r}")
 
-    return emit(obj)
+class _Written(str):
+    """JSON text already written, such as a nested list of rows."""
+
+
+_JSON = {
+    _Written: str,
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    float: lambda v: format(v, ".15g") if math.isfinite(v) else "null",
+    str: json.dumps,
+    list: _seq,
+    tuple: _seq,
+    dict: lambda v: "{" + ", ".join(f"{json.dumps(str(k))}: {_json(x)}" for k, x in v.items()) + "}",
+}
+
+
+def _json(v) -> str:
+    """One JSON value; NaN and the infinities are written as null."""
+    return _JSON[type(v)](v)
+
+
+def _compile(fields) -> list:
+    """(key, getter) pairs, an attribute path becoming its attrgetter."""
+    return [(key, attrgetter(get) if isinstance(get, str) else get) for key, get in fields]
+
+
+def _rows(fields):
+    """The JSON writer of a list of rows with these fields: each key is quoted
+    once, and each value goes through _json."""
+    spec = [(json.dumps(key) + ": ", get) for key, get in _compile(fields)]
+    return lambda rows: _Written(
+        "[" + ", ".join(["{" + ", ".join([k + _json(g(r)) for k, g in spec]) + "}" for r in rows]) + "]"
+    )
 
 
 def _cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float):
+    if type(v) is float:
         return format(v, ".15g") if math.isfinite(v) else str(v)
-    if isinstance(v, (list, tuple, dict)):
-        return _json_emit(v)
-    return str(v)
+    return _json(v) if type(v) in (list, tuple, dict) else str(v)
 
 
-def render_json(command: str, params: dict, rows: list) -> str:
-    payload = {"command": command, "params": params, "rows": rows, "errors": [], "version": __version__}
-    return _json_emit(payload) + "\n"
+def _columns(fields, rows) -> tuple[list, list]:
+    """The header and the value rows of a flat table."""
+    fields = _compile(fields)
+    return [key for key, _ in fields], [[get(row) for _, get in fields] for row in rows]
 
 
-def render_csv(command: str, params: dict, rows: list) -> str:
+def _md_table(header, rows) -> list:
+    rule = "| " + " | ".join("---" for _ in header) + " |"
+    return ["| " + " | ".join(header) + " |", rule, *("| " + " | ".join(map(_cell, row)) + " |" for row in rows)]
+
+
+def render_json(command: str, params: dict, rows: list, fields) -> str:
+    return (
+        f'{{"command": {json.dumps(command)}, "params": {_json(params)}, "rows": {_rows(fields)(rows)}, '
+        f'"errors": [], "version": {json.dumps(__version__)}}}\n'
+    )
+
+
+def render_csv(command: str, params: dict, rows: list, fields) -> str:
+    import csv
+
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     if rows:
-        header = list(rows[0].keys())
+        header, values = _columns(fields, rows)
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row.get(k)) for k in header])
+        writer.writerows(map(_cell, row) for row in values)
     return out.getvalue()
 
 
-def render_markdown(command: str, params: dict, rows: list) -> str:
+def render_markdown(command: str, params: dict, rows: list, fields) -> str:
     lines = [f"# periodkit {command}", ""]
     if params:
-        lines.append("params: " + ", ".join(f"{k}={_cell(v)}" for k, v in params.items()))
-        lines.append("")
+        lines += ["params: " + ", ".join(f"{k}={_cell(v)}" for k, v in params.items()), ""]
     if rows:
-        header = list(rows[0].keys())
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("| " + " | ".join("---" for _ in header) + " |")
-        for row in rows:
-            lines.append("| " + " | ".join(_cell(row.get(k)) for k in header) + " |")
+        lines += _md_table(*_columns(fields, rows))
     lines.append("")
     return "\n".join(lines)
 
@@ -107,12 +132,31 @@ def render_markdown(command: str, params: dict, rows: list) -> str:
 RENDERERS = {"json": render_json, "csv": render_csv, "md": render_markdown}
 
 
+def _correspond_markdown(command: str, params: dict, rows: list, fields) -> str:
+    (report,) = rows
+    lines = [f"# periodkit correspond (p = {report.p})", "", "## Dictionary", ""]
+    lines += _md_table(("global object", "local object"), report.dictionary)
+    lines += ["", "## Local side: Jacobi sums with c, c', cc' nontrivial", ""]
+    if report.a_p is not None:
+        lines += [f"trace defect of y^2 = x^3 - x at p = {report.p}: a_p = {report.a_p}", ""]
+    header = ("k1", "k2", "J coefficients", "norm equals p", "norm computed")
+    lines += _md_table(header, [(r.k1, r.k2, r.coeffs, r.norm_ok, r.norm_checked) for r in report.local_rows])
+    lines += ["", "## Global side: amplitude samples", ""]
+    if report.global_rows:
+        samples = [(r.s, r.t, _finite(r.value), r.at_pole, r.pole_index) for r in report.global_rows]
+        lines += _md_table(("s", "t", "A", "at_pole", "n"), samples)
+    else:
+        lines.append("(empty grid: dictionary rows only)")
+    lines.append("")
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
-# Flag parsing helpers
+# Flag values
 
 
 def _parse_numbers(flag: str, text: str, kind, count=None) -> list:
-    """Comma-separated values of one number type (int, float or Fraction);
+    """Comma-separated values of one number type (int, float or rational);
     an empty string is an empty list, and count fixes the length."""
     parts = text.split(",") if text.strip() else []
     if count is not None and len(parts) != count:
@@ -123,246 +167,161 @@ def _parse_numbers(flag: str, text: str, kind, count=None) -> list:
         raise InvalidInput(flag, str(exc)) from exc
 
 
+def _rational(text: str):
+    from fractions import Fraction  # loaded only by the commands that take rationals
+
+    return Fraction(text)
+
+
+def _finite(x: float):
+    return x if math.isfinite(x) else None
+
+
+def _fp_curve(m, a):
+    return m.WeierstrassCurveFp(a.p, *_parse_numbers("curve", a.curve, int, 2))
+
+
+def _q_curve(m, a):
+    return m.EllipticCurveQ(*_parse_numbers("curve", a.curve, _rational, 2))
+
+
 # ---------------------------------------------------------------------------
-# Subcommand implementations: each returns its rows
+# The command table
+
+REQUIRED = object()
 
 
-def _re_im(z: complex) -> tuple[float, float]:
-    return float(z.real), float(z.imag)
+class Flag(SimpleNamespace):
+    """One --<dest> flag: its type, its default (REQUIRED if it has none), its
+    help, and the library argument it feeds where that is not named dest."""
+
+    def __init__(self, dest: str, type=int, default=REQUIRED, help=None, feeds=None):
+        super().__init__(dest=dest, type=type, default=default, help=help, feeds=feeds)
 
 
-def _omega_fields(lattice) -> dict:
-    o1r, o1i = _re_im(lattice.omega1)
-    o2r, o2i = _re_im(lattice.omega2)
-    return {"omega1_re": o1r, "omega1_im": o1i, "omega2_re": o2r, "omega2_im": o2i}
+class Command(SimpleNamespace):
+    """One subcommand; `extra` is (flag dest, fields that follow when that flag
+    leaves its default), and `markdown` replaces the Markdown renderer."""
+
+    def __init__(self, help, module, flags, run, fields, extra=None, formats=("json", "csv", "md"),
+                 default_format="json", markdown=None):
+        super().__init__(help=help, module=module, flags=flags, run=run, fields=fields, extra=extra,
+                         formats=formats, default_format=default_format, markdown=markdown)
 
 
-def _tau_fields(point) -> dict:
-    return {
-        "tau_re": float(point.tau.real),
-        "tau_im": float(point.tau.imag),
-        "matrix": [list(point.transform[0]), list(point.transform[1])],
-    }
+_P, _K1 = Flag("p"), Flag("k1")
+_RATIONALS = Flag("curve", str, help="a,b as exact rationals")
+_FP_CURVE = (("p", "curve.p"), ("a", "curve.a"), ("b", "curve.b"))
+_AB = (("a", lambda r: str(r.curve.a)), ("b", lambda r: str(r.curve.b)))
+_OMEGA = (("omega1_re", "lattice.omega1.real"), ("omega1_im", "lattice.omega1.imag"),
+          ("omega2_re", "lattice.omega2.real"), ("omega2_im", "lattice.omega2.imag"))
+_TAU = (("tau_re", "point.tau.real"), ("tau_im", "point.tau.imag"), ("matrix", "point.transform"))
+_LOCAL = (("k1", "k1"), ("k2", "k2"), ("norm_ok", "norm_ok"), ("norm_checked", "norm_checked"), ("J", "coeffs"))
+_GLOBAL = (("s", "s"), ("t", "t"), ("A", lambda r: _finite(r.value)), ("at_pole", "at_pole"), ("n", "pole_index"))
 
-
-def _cmd_gauss(args) -> list:
-    from .characters import MultiplicativeCharacter, gauss_sum
-    c = MultiplicativeCharacter(args.p, args.k1)
-    g = gauss_sum(c)
-    re, im = _re_im(g.value)
-    return [{"p": c.p, "k1": c.k, "order": c.order, "value_re": re, "value_im": im, "norm": g.norm_sq}]
-
-
-def _cmd_jacobi(args) -> list:
-    from .characters import MultiplicativeCharacter, gauss_jacobi_relation_check, jacobi_sum
-    c1 = MultiplicativeCharacter(args.p, args.k1)
-    c2 = MultiplicativeCharacter(args.p, args.k2)
-    j = jacobi_sum(c1, c2)
-    residual = None
-    if not (c1.is_trivial or c2.is_trivial or (c1 * c2).is_trivial):
-        residual = gauss_jacobi_relation_check(c1, c2)
-    row = {
-        "p": c1.p,
-        "k1": c1.k,
-        "k2": c2.k,
-        "ring_order": j.m,
-        "coeffs": list(j.coeffs),
-        "norm": j.norm_to_int(),
-        "residual": residual,
-    }
-    return [row]
-
-
-def _cmd_count(args) -> list:
-    from .curve_counts import WeierstrassCurveFp, count_points, count_points_ext
-    curve = WeierstrassCurveFp(args.p, *_parse_numbers("curve", args.curve, int, 2))
-    result = count_points(curve)
-    row = {"p": curve.p, "a": curve.a, "b": curve.b, "Np": result.n_points, "ap": result.a_p}
-    if args.n != 1:
-        row[f"Np{args.n}"] = count_points_ext(curve, args.n)
-    return [row]
-
-
-def _cmd_zeta(args) -> list:
-    from .curve_counts import WeierstrassCurveFp, zeta_data
-    curve = WeierstrassCurveFp(args.p, *_parse_numbers("curve", args.curve, int, 2))
-    data = zeta_data(curve)
-    ar, ai = _re_im(data.alpha)
-    br, bi = _re_im(data.beta)
-    row = {
-        "p": curve.p,
-        "a": curve.a,
-        "b": curve.b,
-        "ap": data.a_p,
-        "alpha_re": ar,
-        "alpha_im": ai,
-        "beta_re": br,
-        "beta_im": bi,
-    }
-    return [row]
-
-
-def _cmd_apjacobi(args) -> list:
-    from .curve_counts import a_p_from_jacobi
-    return [{"p": args.p, "ap": a_p_from_jacobi(args.p)}]
-
-
-def _cmd_periods(args) -> list:
-    from fractions import Fraction
-    from .complex_periods import EllipticCurveQ, periods_agm, periods_quadrature
-    a, b = _parse_numbers("curve", args.curve, Fraction, 2)
-    curve = EllipticCurveQ(a, b)
-    return [
-        {"a": str(a), "b": str(b), "method": lattice.method, **_omega_fields(lattice)}
-        for lattice in (periods_agm(curve), periods_quadrature(curve))
-    ]
-
-
-def _cmd_tau(args) -> list:
-    from fractions import Fraction
-    from .complex_periods import EllipticCurveQ, periods_agm, tau_normalize
-    a, b = _parse_numbers("curve", args.curve, Fraction, 2)
-    lattice = periods_agm(EllipticCurveQ(a, b))
-    raw = lattice.omega2 / lattice.omega1
-    row = {
-        "a": str(a),
-        "b": str(b),
-        **_omega_fields(lattice),
-        "raw_re": float(raw.real),
-        "raw_im": float(raw.imag),
-        **_tau_fields(tau_normalize(lattice)),
-    }
-    return [row]
-
-
-def _cmd_periodmap(args) -> list:
-    from fractions import Fraction
-    from .complex_periods import period_map_legendre
-    ts = _parse_numbers("grid", args.grid, Fraction)
-    return [{"t": str(t), **_tau_fields(point)} for t, point in period_map_legendre(ts)]
-
-
-def _cmd_catalog(args) -> list:
-    from .complex_periods import numeric_periods_catalog
-    return [
-        {
-            "name": entry.name,
-            "value": entry.value,
-            "error": entry.error_estimate,
-            "variety": entry.variety,
-            "divisor": entry.divisor,
-            "form": entry.form,
-            "domain": entry.domain,
-        }
-        for entry in numeric_periods_catalog(args.n)
-    ]
-
-
-def _cmd_veneziano(args) -> list:
-    from .amplitudes import MandelstamInput, veneziano
-    m = MandelstamInput(s12=args.s, s34=args.t)
-    amp = veneziano(m)
-    row = {
-        "s": args.s,
-        "t": args.t,
-        "alpha": m.alpha,
-        "beta": m.beta,
-        "value": amp.value if math.isfinite(amp.value) else None,
-        "at_pole": amp.at_pole,
-        "pole_index": amp.pole_index,
-    }
-    return [row]
-
-
-def _cmd_beta(args) -> list:
-    from .amplitudes import beta_fn
-    # --s and --t carry the two Beta arguments directly.
-    return [{"alpha": args.s, "beta": args.t, "value": beta_fn(args.s, args.t)}]
-
-
-def _cmd_poles(args) -> list:
-    from .amplitudes import pole_scan
-    return [{"beta": args.t, "n": n, "residue": res} for n, res in pole_scan(args.t, args.n)]
-
-
-def _cmd_correspond(args) -> list:
-    from .amplitudes import correspondence_table
-    report = correspondence_table(args.p, _parse_numbers("grid", args.grid, float))
-    record = {
-        "p": report.p,
-        "ap": report.a_p,
-        "local": [
-            {"k1": r.k1, "k2": r.k2, "norm_ok": r.norm_ok, "norm_checked": r.norm_checked, "J": list(r.coeffs)}
-            for r in report.local_rows
-        ],
-        "global": [
-            {
-                "s": r.s,
-                "t": r.t,
-                "A": r.value if math.isfinite(r.value) else None,
-                "at_pole": r.at_pole,
-                "n": r.pole_index,
-            }
-            for r in report.global_rows
-        ],
-        "dictionary": [{"global": g, "local": l} for g, l in report.dictionary],
-    }
-    return [record]
-
-
-def _render_correspond_markdown(record: dict) -> str:
-    lines = [f"# periodkit correspond (p = {record['p']})", ""]
-    lines.append("## Dictionary")
-    lines.append("")
-    lines.append("| global object | local object |")
-    lines.append("| --- | --- |")
-    for row in record["dictionary"]:
-        lines.append(f"| {row['global']} | {row['local']} |")
-    lines.append("")
-    lines.append("## Local side: Jacobi sums with c, c', cc' nontrivial")
-    lines.append("")
-    if record["ap"] is not None:
-        lines.append(f"trace defect of y^2 = x^3 - x at p = {record['p']}: a_p = {record['ap']}")
-        lines.append("")
-    lines.append("| k1 | k2 | J coefficients | norm equals p | norm computed |")
-    lines.append("| --- | --- | --- | --- | --- |")
-    for row in record["local"]:
-        lines.append(
-            f"| {row['k1']} | {row['k2']} | {_cell(row['J'])} | {row['norm_ok']} | {row['norm_checked']} |"
-        )
-    lines.append("")
-    lines.append("## Global side: amplitude samples")
-    lines.append("")
-    if record["global"]:
-        lines.append("| s | t | A | at_pole | n |")
-        lines.append("| --- | --- | --- | --- | --- |")
-        for row in record["global"]:
-            lines.append(
-                f"| {_cell(row['s'])} | {_cell(row['t'])} | {_cell(row['A'])} "
-                f"| {row['at_pole']} | {_cell(row['n'])} |"
-            )
-    else:
-        lines.append("(empty grid: dictionary rows only)")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _cmd_delta(args) -> list:
-    from .padic import PadicInt, delta_p, delta_rules_check
-    x = PadicInt(args.p, args.precision, args.x)
-    row = {"p": args.p, "N": args.precision, "x": x.value, "delta": delta_p(x).value}
-    if args.y is not None:
-        y = PadicInt(args.p, args.precision, args.y)
-        verdict = delta_rules_check(x, y)
-        row.update(
-            {
-                "y": y.value,
-                "delta_y": verdict.delta_y.value,
-                "cocycle": verdict.cocycle,
-                "checks": {"sum": verdict.sum_rule_ok, "product": verdict.product_rule_ok},
-            }
-        )
-    return [row]
+COMMANDS = {
+    "gauss": Command(
+        "Gauss sum of a multiplicative character", "characters", (_P, _K1),
+        lambda m, a: [SimpleNamespace(c=(c := m.MultiplicativeCharacter(a.p, a.k1)), g=m.gauss_sum(c))],
+        (("p", "c.p"), ("k1", "c.k"), ("order", "c.order"), ("value_re", "g.value.real"),
+         ("value_im", "g.value.imag"), ("norm", "g.norm_sq")),
+    ),
+    "jacobi": Command(
+        "exact Jacobi sum of two characters", "characters", (_P, _K1, Flag("k2")),
+        lambda m, a: [SimpleNamespace(
+            c1=(c1 := m.MultiplicativeCharacter(a.p, a.k1)), c2=(c2 := m.MultiplicativeCharacter(a.p, a.k2)),
+            j=m.jacobi_sum(c1, c2),
+            residual=None if c1.is_trivial or c2.is_trivial or (c1 * c2).is_trivial
+            else m.gauss_jacobi_relation_check(c1, c2))],
+        (("p", "c1.p"), ("k1", "c1.k"), ("k2", "c2.k"), ("ring_order", "j.m"), ("coeffs", "j.coeffs"),
+         ("norm", lambda r: r.j.norm_to_int()), ("residual", "residual")),
+    ),
+    "count": Command(
+        "projective point count of y^2 = x^3 + ax + b over F_p", "curve_counts",
+        (_P, Flag("curve", str, help="a,b as integer residues"),
+         Flag("n", default=1, help="extension degree (1 or 2)")),
+        lambda m, a: [SimpleNamespace(curve=(c := _fp_curve(m, a)), count=(r := m.count_points(c)),
+                           ext=m._count_from_trace(c.p, r.a_p, a.n))],
+        (*_FP_CURVE, ("Np", "count.n_points"), ("ap", "count.a_p")),
+        extra=("n", (("Np2", "ext"),)),
+    ),
+    "zeta": Command(
+        "local zeta numerator roots for a curve over F_p", "curve_counts", (_P, Flag("curve", str)),
+        lambda m, a: [SimpleNamespace(curve=(c := _fp_curve(m, a)), zeta=m.zeta_data(c))],
+        (*_FP_CURVE, ("ap", "zeta.a_p"), ("alpha_re", "zeta.alpha.real"), ("alpha_im", "zeta.alpha.imag"),
+         ("beta_re", "zeta.beta.real"), ("beta_im", "zeta.beta.imag")),
+    ),
+    "apjacobi": Command(
+        "trace defect of y^2 = x^3 - x from a Jacobi sum (p = 1 mod 4)", "curve_counts", (_P,),
+        lambda m, a: [SimpleNamespace(a=a, ap=m.a_p_from_jacobi(a.p))],
+        (("p", "a.p"), ("ap", "ap")),
+    ),
+    "periods": Command(
+        "lattice generators by AGM and quadrature", "complex_periods", (_RATIONALS,),
+        lambda m, a: [SimpleNamespace(curve=c, lattice=L)
+                      for c in [_q_curve(m, a)] for L in (m.periods_agm(c), m.periods_quadrature(c))],
+        (*_AB, ("method", "lattice.method"), *_OMEGA),
+    ),
+    "tau": Command(
+        "SL2(Z)-reduced tau invariant", "complex_periods", (_RATIONALS,),
+        lambda m, a: [SimpleNamespace(curve=c, lattice=L, raw=L.omega2 / L.omega1, point=m.tau_normalize(L))
+                      for c in [_q_curve(m, a)] for L in [m.periods_agm(c)]],
+        (*_AB, *_OMEGA, ("raw_re", "raw.real"), ("raw_im", "raw.imag"), *_TAU),
+    ),
+    "periodmap": Command(
+        "tau(t) along the family y^2 = x(x-1)(x-t)", "complex_periods",
+        (Flag("grid", str, help="comma-separated rational t values", feeds="t"),),
+        lambda m, a: [SimpleNamespace(t=t, point=point)
+                      for t, point in m.period_map_legendre(_parse_numbers("grid", a.grid, _rational))],
+        (("t", lambda r: str(r.t)), *_TAU),
+    ),
+    "catalog": Command(
+        "elementary numeric periods (pi, 2*pi, log n)", "complex_periods",
+        (Flag("n", default=2, help="largest logarithm argument, 2..21", feeds="n_max"),),
+        lambda m, a: m.numeric_periods_catalog(a.n),
+        (("name", "name"), ("value", "value"), ("error", "error_estimate"), ("variety", "variety"),
+         ("divisor", "divisor"), ("form", "form"), ("domain", "domain")),
+        default_format="md",
+    ),
+    "veneziano": Command(
+        "four-point amplitude at (s, t)", "amplitudes", (Flag("s", float, feeds="s12"), Flag("t", float, feeds="s34")),
+        lambda m, a: [SimpleNamespace(x=(x := m.MandelstamInput(s12=a.s, s34=a.t)), amp=m.veneziano(x))],
+        (("s", "x.s12"), ("t", "x.s34"), ("alpha", "x.alpha"), ("beta", "x.beta"),
+         ("value", lambda r: _finite(r.amp.value)), ("at_pole", "amp.at_pole"), ("pole_index", "amp.pole_index")),
+    ),
+    "beta": Command(
+        "Euler Beta via the Gamma ratio; --s and --t are its two arguments", "amplitudes",
+        (Flag("s", float, feeds="alpha"), Flag("t", float, feeds="beta")),
+        lambda m, a: [SimpleNamespace(a=a, value=m.beta_fn(a.s, a.t))],
+        (("alpha", "a.s"), ("beta", "a.t"), ("value", "value")),
+    ),
+    "poles": Command(
+        "residues of the amplitude at alpha = 0..-n, in closed form", "amplitudes",
+        (Flag("t", float, help="fixed beta (non-integer)", feeds="beta_fixed"), Flag("n", default=5, feeds="n_max")),
+        lambda m, a: [SimpleNamespace(a=a, n=n, residue=res) for n, res in m.pole_scan(a.t, a.n)],
+        (("beta", "a.t"), ("n", "n"), ("residue", "residue")),
+    ),
+    "correspond": Command(
+        "two-column local/global report", "amplitudes",
+        (_P, Flag("grid", str, "", "comma-separated amplitude grid values", feeds="s_grid")),
+        lambda m, a: [m.correspondence_table(a.p, _parse_numbers("grid", a.grid, float))],
+        (("p", "p"), ("ap", "a_p"), ("local", lambda r: _rows(_LOCAL)(r.local_rows)),
+         ("global", lambda r: _rows(_GLOBAL)(r.global_rows)),
+         ("dictionary", lambda r: _rows((("global", lambda d: d[0]), ("local", lambda d: d[1])))(r.dictionary))),
+        formats=("json", "md"), default_format="md", markdown=_correspond_markdown,
+    ),
+    "delta": Command(
+        "p-derivation of a fixed-precision p-adic integer", "padic",
+        (_P, Flag("precision"), Flag("x"), Flag("y", default=None)),
+        lambda m, a: [SimpleNamespace(
+            a=a, x=(x := m.PadicInt(a.p, a.precision, a.x)), delta=m.delta_p(x),
+            y=(y := None if a.y is None else m.PadicInt(a.p, a.precision, a.y)),
+            rules=None if y is None else m.delta_rules_check(x, y))],
+        (("p", "a.p"), ("N", "a.precision"), ("x", "x.value"), ("delta", "delta.value")),
+        extra=("y", (("y", "y.value"), ("delta_y", "rules.delta_y.value"), ("cocycle", "rules.cocycle"),
+                     ("checks", lambda r: {"sum": r.rules.sum_rule_ok, "product": r.rules.product_rule_ok}))),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -375,82 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Periods of elliptic curves and their finite-characteristic counterparts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, run, help_text: str, default_format: str = "json", formats=("json", "csv", "md")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=formats, default=default_format)
-        p.set_defaults(run=run)
-        return p
-
-    p = add("gauss", _cmd_gauss, "Gauss sum of a multiplicative character")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k1", type=int, required=True)
-
-    p = add("jacobi", _cmd_jacobi, "exact Jacobi sum of two characters")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
-
-    p = add("count", _cmd_count, "projective point count of y^2 = x^3 + ax + b over F_p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--curve", type=str, required=True, help="a,b as integer residues")
-    p.add_argument("--n", type=int, default=1, help="extension degree (1 or 2)")
-
-    p = add("zeta", _cmd_zeta, "local zeta numerator roots for a curve over F_p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--curve", type=str, required=True)
-
-    p = add("apjacobi", _cmd_apjacobi, "trace defect of y^2 = x^3 - x from a Jacobi sum (p = 1 mod 4)")
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("periods", _cmd_periods, "lattice generators by AGM and quadrature")
-    p.add_argument("--curve", type=str, required=True, help="a,b as exact rationals")
-
-    p = add("tau", _cmd_tau, "SL2(Z)-reduced tau invariant")
-    p.add_argument("--curve", type=str, required=True, help="a,b as exact rationals")
-
-    p = add("periodmap", _cmd_periodmap, "tau(t) along the family y^2 = x(x-1)(x-t)")
-    p.add_argument("--grid", type=str, required=True, help="comma-separated rational t values")
-
-    p = add("catalog", _cmd_catalog, "elementary numeric periods (pi, 2*pi, log n)", default_format="md")
-    p.add_argument("--n", type=int, default=2, help="largest logarithm argument, 2..21")
-
-    p = add("veneziano", _cmd_veneziano, "four-point amplitude at (s, t)")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-
-    p = add("beta", _cmd_beta, "Euler Beta via the Gamma ratio; --s and --t are its two arguments")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-
-    p = add("poles", _cmd_poles, "residues of the amplitude at alpha = 0..-n, in closed form")
-    p.add_argument("--t", type=float, required=True, help="fixed beta (non-integer)")
-    p.add_argument("--n", type=int, default=5)
-
-    p = add("correspond", _cmd_correspond, "two-column local/global report", default_format="md", formats=("json", "md"))
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--grid", type=str, default="", help="comma-separated amplitude grid values")
-
-    p = add("delta", _cmd_delta, "p-derivation of a fixed-precision p-adic integer")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--precision", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, default=None)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--format", choices=command.formats, default=command.default_format)
+        for f in command.flags:
+            p.add_argument(f"--{f.dest}", type=f.type, required=f.default is REQUIRED, default=f.default, help=f.help)
     return parser
-
-
-# Library argument names that differ from the flag carrying them; any other
-# name is its own flag.
-_FLAG_OF_ARG = {
-    "n_max": "--n",
-    "beta_fixed": "--t",
-    "s12": "--s",
-    "s34": "--t",
-    "alpha": "--s",
-    "beta": "--t",
-    "s_grid": "--grid",
-}
 
 
 def _absorb_flag_values(argv: list[str]) -> list[str]:
@@ -458,42 +347,38 @@ def _absorb_flag_values(argv: list[str]) -> list[str]:
     # --help takes a value, so fold it into --flag=value unless the next token
     # is itself a flag.
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        takes_value = tok.startswith("--") and "=" not in tok and tok != "--help"
-        if takes_value and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and flag != "--help" and not tok.startswith("--"):
+            out[-1] = f"{flag}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_absorb_flag_values(list(argv)))
+        args = build_parser().parse_args(_absorb_flag_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = COMMANDS[args.command]
+    params = {f.dest: v for f in command.flags if (v := getattr(args, f.dest)) is not None}
+    fields = command.fields
+    if command.extra:
+        dest, more = command.extra
+        if getattr(args, dest) != next(f.default for f in command.flags if f.dest == dest):
+            fields += more
+    render = (args.format == "md" and command.markdown) or RENDERERS[args.format]
     try:
-        rows = args.run(args)
+        rows = command.run(importlib.import_module(f".{command.module}", __package__), args)
+        text = render(args.command, params, rows, fields)
     except InvalidInput as exc:
-        print(f"error: {_FLAG_OF_ARG.get(exc.arg, '--' + exc.arg)}: {exc}", file=sys.stderr)
+        flag = next((f.dest for f in command.flags if f.feeds == exc.arg), exc.arg)
+        print(f"error: --{flag}: {exc}", file=sys.stderr)
         return 2
     except PeriodkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    # argparse fills the namespace in declaration order, so params echo the
-    # flags in the order build_parser declares them.
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "run", "format") and v is not None}
-    if args.command == "correspond" and args.format == "md":
-        text = _render_correspond_markdown(rows[0])
-    else:
-        text = RENDERERS[args.format](args.command, params, rows)
     sys.stdout.write(text)
     return 0
 

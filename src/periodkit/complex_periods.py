@@ -51,12 +51,14 @@ Matrix = tuple[tuple[int, int], tuple[int, int]]
 _IDENTITY: Matrix = ((1, 0), (0, 1))
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x  # immutable, so no copy
-    if isinstance(x, (float, bool)):
-        raise TypeError(f"curve coefficients must be exact rationals, not {type(x).__name__}s")
-    return Fraction(x)
+def _check_rational(arg: str, value) -> Fraction:
+    """An exact rational argument must be an int (not a bool) or a Fraction; a
+    float, a str or None is refused, not converted.  Returns it as a Fraction."""
+    if isinstance(value, Fraction):
+        return value  # immutable, so no copy
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInput(arg, f"need an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 def _discriminant_numerator(a: Fraction, b: Fraction) -> int:
@@ -71,8 +73,8 @@ class EllipticCurveQ(Frozen):
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        a = _as_fraction(a)
-        b = _as_fraction(b)
+        a = _check_rational("a", a)
+        b = _check_rational("b", b)
         if _discriminant_numerator(a, b) == 0:
             raise SingularCurve(f"4a^3 + 27b^2 = 0 for (a, b) = ({a}, {b})")
         Frozen.__init__(self, a, b)
@@ -333,7 +335,7 @@ def curve_tau(curve: EllipticCurveQ) -> TauPoint:
 
 def legendre_curve(t: Fraction) -> EllipticCurveQ:
     """y^2 = x(x-1)(x-t) brought to depressed form by the exact shift x -> x + (1+t)/3."""
-    t = _as_fraction(t)
+    t = _check_rational("t", t)
     if t == 0 or t == 1:
         raise DegenerateFamilyMember(f"t = {t} is a nodal member of the family")
     # x(x-1)(x-t) = x^3 - (1+t)x^2 + tx; shifting by s = (1+t)/3 kills the x^2 term.
@@ -345,7 +347,7 @@ def legendre_curve(t: Fraction) -> EllipticCurveQ:
 
 def period_map_legendre(t_values: Iterable[Fraction]) -> list[tuple[Fraction, TauPoint]]:
     """Reduced tau(t) for the Legendre family members, sorted by t."""
-    ts = sorted(_as_fraction(t) for t in t_values)
+    ts = sorted(_check_rational("t", t) for t in t_values)
     return [(t, curve_tau(legendre_curve(t))) for t in ts]
 
 

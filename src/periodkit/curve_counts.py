@@ -140,17 +140,22 @@ def count_points(curve: WeierstrassCurveFp) -> CountResult:
     return CountResult(n, p + 1 - n)
 
 
-def count_points_ext(curve: WeierstrassCurveFp, n: int) -> int:
-    """Projective count over F_{p^n}, n in {1, 2}, read off the local zeta
-    numerator 1 - a_p*T + p*T^2 (Weil): N_{p^n} = p^n + 1 - (alpha^n + beta^n),
-    and alpha + beta = a_p, alpha*beta = p give alpha^2 + beta^2 = a_p^2 - 2p
-    exactly.  No point over F_{p^2} is visited; tests/ checks the formula
-    against an enumeration of F_{p^2}."""
+def _count_from_trace(p: int, a_p: int, n: int) -> int:
+    """Projective count over F_{p^n}, n in {1, 2}, from the trace a_p of the
+    count over F_p, read off the local zeta numerator 1 - a_p*T + p*T^2 (Weil):
+    N_{p^n} = p^n + 1 - (alpha^n + beta^n), and alpha + beta = a_p,
+    alpha*beta = p give alpha^2 + beta^2 = a_p^2 - 2p exactly."""
     check_int("n", n)
     if n not in (1, 2):
         raise UnsupportedDegree("n", f"only degrees 1 and 2 are supported, got {n}")
-    p, a_p = curve.p, count_points(curve).a_p
     return p + 1 - a_p if n == 1 else p * p + 1 - (a_p * a_p - 2 * p)
+
+
+def count_points_ext(curve: WeierstrassCurveFp, n: int) -> int:
+    """Projective count over F_{p^n}, n in {1, 2}: _count_from_trace of one
+    count over F_p.  No point over F_{p^2} is visited; tests/ checks the
+    formula against an enumeration of F_{p^2}."""
+    return _count_from_trace(curve.p, count_points(curve).a_p, n)
 
 
 def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:

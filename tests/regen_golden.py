@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Regenerate the golden CLI outputs in tests/golden/."""
+"""Regenerate the golden CLI outputs in tests/golden/ and the pinned help text."""
 
+import argparse
 import contextlib
 import io
+import os
 import pathlib
 import sys
+from unittest import mock
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 from golden_corpus import CORPUS
 
-from periodkit.cli import main
+from periodkit.cli import build_parser, main
+
+HELP_FILE = pathlib.Path(__file__).parent / "golden_help.txt"
 
 
 def run(argv):
@@ -22,12 +27,23 @@ def run(argv):
     return buf.getvalue()
 
 
+def help_pages() -> str:
+    """`periodkit --help` and `periodkit <cmd> --help` for every subcommand,
+    each under a `$ ` line, wrapped at 80 columns."""
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        argvs = [["--help"]] + [[name, "--help"] for name in subparsers.choices]
+        return "".join(f"$ periodkit {' '.join(argv)}\n{run(argv)}" for argv in argvs)
+
+
 def regenerate():
     golden_dir = pathlib.Path(__file__).parent / "golden"
     golden_dir.mkdir(exist_ok=True)
     for name, argv in CORPUS:
         (golden_dir / name).write_text(run(argv))
         print(f"wrote {name}")
+    HELP_FILE.write_text(help_pages())
+    print(f"wrote {HELP_FILE.name}")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -14,9 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import periodkit
+import periodkit.curve_counts
 from periodkit import CountResult, CyclotomicNumber
-from periodkit.cli import _json_emit, build_parser, main
+from periodkit.cli import _json, _rows, build_parser, main, render_json
 from golden_corpus import CORPUS
+from regen_golden import HELP_FILE, help_pages
 from test_padic import cp_cocycle
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -59,10 +62,113 @@ def test_json_envelope_roundtrip():
 
 
 def test_json_int_lists_take_the_flat_path_and_bools_stay_json():
-    assert _json_emit([]) == "[]"
-    assert _json_emit((-1, 0, 10**20)) == "[-1, 0, 100000000000000000000]"
-    assert _json_emit([True, 1, False]) == "[true, 1, false]"
-    assert _json_emit([1, 2.5, None, [3, -4]]) == "[1, 2.5, null, [3, -4]]"
+    assert _json([]) == "[]"
+    assert _json((-1, 0, 10**20)) == "[-1, 0, 100000000000000000000]"
+    assert _json([True, 1, False]) == "[true, 1, false]"
+    assert _json([1, 2.5, None, [3, -4]]) == "[1, 2.5, null, [3, -4]]"
+
+
+def json_emit_oracle(obj) -> str:
+    """The reference for the CLI's one-pass JSON writer: a recursive writer that
+    makes one call per row and per value, each value through an isinstance chain."""
+    keys: dict[str, str] = {}
+
+    def emit(obj) -> str:
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, float):
+            if not math.isfinite(obj):
+                return "null"
+            return format(obj, ".15g")
+        if isinstance(obj, int):
+            return str(obj)
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        if isinstance(obj, (list, tuple)):
+            if all(type(v) is int for v in obj):
+                return "[" + ", ".join(map(str, obj)) + "]"
+            return "[" + ", ".join(map(emit, obj)) + "]"
+        if isinstance(obj, dict):
+            parts = []
+            for k, v in obj.items():
+                name = str(k)
+                quoted = keys.get(name) or keys.setdefault(name, json.dumps(name))
+                parts.append(f"{quoted}: {emit(v)}")
+            return "{" + ", ".join(parts) + "}"
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+    return emit(obj)
+
+
+# Strings with quotes, backslashes and non-ASCII text; floats with NaN and the
+# infinities; int lists with a bool inside.
+TEXT = st.text(alphabet=st.sampled_from('ab"\\ \n\té€𝔽'), max_size=6) | st.text(max_size=4)
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+INT_LISTS = st.lists(st.integers(-(10**20), 10**20), max_size=6)
+INTS_WITH_BOOL = st.tuples(INT_LISTS, st.booleans(), st.integers(0, 6)).map(
+    lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2]:]
+)
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | TEXT
+VALUES = st.recursive(
+    SCALARS | INT_LISTS | INTS_WITH_BOOL,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4)
+    | st.lists(st.fixed_dictionaries({"k": inner, "J": INT_LISTS}), max_size=3),  # one shared key tuple
+    max_leaves=10,
+)
+# A column holds one kind of value, as a field of the table does; a "rows"
+# column is a nested list of rows, written by _rows as correspond's are.
+NESTED = (("k", lambda r: r["k"]), ("J", lambda r: r["J"]))
+KINDS = {
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "ints": INT_LISTS.map(tuple),
+    "any": VALUES,
+    "rows": st.lists(st.tuples(VALUES, INT_LISTS).map(lambda t: {"k": t[0], "J": t[1]}), max_size=3),
+}
+
+
+@st.composite
+def envelopes(draw):
+    columns = draw(st.lists(st.tuples(TEXT, st.sampled_from(sorted(KINDS))), max_size=5, unique_by=lambda c: c[0]))
+    rows = [{key: draw(KINDS[kind]) for key, kind in columns} for _ in range(draw(st.integers(0, 4)))]
+    fields = [
+        (key, (lambda r, key=key: _rows(NESTED)(r[key])) if kind == "rows" else (lambda r, key=key: r[key]))
+        for key, kind in columns
+    ]
+    return draw(TEXT), draw(st.dictionaries(TEXT, VALUES, max_size=4)), rows, fields
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(envelopes())
+def test_one_pass_json_matches_the_recursive_oracle(envelope):
+    command, params, rows, fields = envelope
+    expected = {"command": command, "params": params, "rows": rows, "errors": [], "version": periodkit.__version__}
+    assert render_json(command, params, rows, fields) == json_emit_oracle(expected) + "\n"
+    for value in (params, rows, *params.values()):
+        assert _json(value) == json_emit_oracle(value)
+
+
+def test_help_text_is_pinned():
+    # --help of the top level and of every subcommand, byte for byte, at 80 columns.
+    assert help_pages() == HELP_FILE.read_text()
+
+
+def test_count_over_f_p2_counts_once(monkeypatch):
+    # N_{p^2} is read off the trace of the one count over F_p.
+    calls = []
+    count_points = periodkit.curve_counts.count_points
+    counted = lambda curve: calls.append(curve) or count_points(curve)  # noqa: E731
+    monkeypatch.setattr(periodkit.curve_counts, "count_points", counted)
+    code, out, err = run_cli(["count", "--p", "11", "--curve", "4,1", "--n", "2"])
+    assert code == 0, err
+    assert len(calls) == 1
+    assert out == (GOLDEN_DIR / "03_count.json").read_text()
 
 
 @pytest.mark.parametrize(

@@ -104,17 +104,20 @@ def test_real_roots_are_actual_roots():
 def test_singular_curve_rejected():
     with pytest.raises(SingularCurve):
         EllipticCurveQ(-3, 2)  # (x-1)^2 (x+2)
-    with pytest.raises(TypeError):
+    with pytest.raises(InvalidInput) as exc:
         EllipticCurveQ(0.5, 1.0)  # floats are ambiguous; demand exact rationals
+    assert exc.value.arg == "a"
 
 
 def test_bool_coefficients_rejected():
     # A bool is no rational here, as it is no int elsewhere: True once built a = 1.
-    for a, b in ((True, 0), (1, False)):
-        with pytest.raises(TypeError, match="not bools"):
+    for a, b, arg in ((True, 0, "a"), (1, False, "b")):
+        with pytest.raises(InvalidInput, match="need an int or a Fraction") as exc:
             EllipticCurveQ(a, b)
-    with pytest.raises(TypeError, match="not bools"):
+        assert exc.value.arg == arg
+    with pytest.raises(InvalidInput, match="need an int or a Fraction") as exc:
         legendre_curve(True)
+    assert exc.value.arg == "t"
 
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)

@@ -27,7 +27,9 @@ from periodkit import (
     ZetaData,
     count_points_ext,
     gauss_sum,
+    legendre_curve,
     numeric_periods_catalog,
+    period_map_legendre,
     pole_scan,
 )
 from periodkit._frozen import Frozen
@@ -223,12 +225,28 @@ INT_ARGUMENTS = {
 }
 # The same value as a float and as a str, and a bool, which is no int here.
 NON_INTS = {"float": float, "str": str, "bool": lambda v: True}
+# Each exact rational argument with a Fraction it accepts.
+RATIONAL_ARGUMENTS = {
+    "curve-q-a": (lambda v: EllipticCurveQ(v, 1), "a", Fraction(1, 2)),
+    "curve-q-b": (lambda v: EllipticCurveQ(-1, v), "b", Fraction(1, 3)),
+    "legendre-t": (legendre_curve, "t", Fraction(1, 2)),
+    "period-map-t": (lambda v: period_map_legendre([Fraction(1, 4), v]), "t", Fraction(3, 4)),
+}
+# A float, a bool, None and a str are no rationals: none of them is converted.
+NON_RATIONALS = {"float": float, "bool": lambda v: True, "None": lambda v: None, "str": str}
 
 
 @pytest.mark.parametrize("site", INT_ARGUMENTS)
 def test_int_argument_table_accepts_its_int(site):
     build, _, good = INT_ARGUMENTS[site]
     build(good)
+
+
+@pytest.mark.parametrize("site", RATIONAL_ARGUMENTS)
+def test_rational_argument_table_accepts_its_fraction_and_an_int(site):
+    build, _, good = RATIONAL_ARGUMENTS[site]
+    build(good)
+    build(2)
 
 
 @pytest.mark.parametrize(
@@ -258,6 +276,11 @@ def test_int_argument_table_accepts_its_int(site):
         (lambda build=build, bad=convert(good): build(bad), arg)
         for build, arg, good in INT_ARGUMENTS.values()
         for convert in NON_INTS.values()
+    ]
+    + [
+        (lambda build=build, bad=convert(good): build(bad), arg)
+        for build, arg, good in RATIONAL_ARGUMENTS.values()
+        for convert in NON_RATIONALS.values()
     ],
     ids=[
         "character-float",
@@ -280,7 +303,8 @@ def test_int_argument_table_accepts_its_int(site):
         "catalog-float",
         "poles-float",
     ]
-    + [f"{site}-{kind}" for site in INT_ARGUMENTS for kind in NON_INTS],
+    + [f"{site}-{kind}" for site in INT_ARGUMENTS for kind in NON_INTS]
+    + [f"{site}-{kind}" for site in RATIONAL_ARGUMENTS for kind in NON_RATIONALS],
 )
 def test_int_arguments_follow_one_rule(build, arg):
     # An int argument must be an int, and a bool is not one: a float k once
