@@ -147,9 +147,10 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
 
 
 def gauss_jacobi_relation_check(
-    c: MultiplicativeCharacter, c2: MultiplicativeCharacter
+    c: MultiplicativeCharacter, c2: MultiplicativeCharacter, j: CyclotomicNumber
 ) -> float:
-    """|embed(J(c,c')) - g(c)*g(c')/g(c*c')|; below 1e-8 for p <= 31.
+    """|embed(j) - g(c)*g(c')/g(c*c')| for j = jacobi_sum(c, c'), which the
+    caller has already computed; below 1e-8 for p <= 31.
 
     Raises TrivialCharacter when c, c' or c*c' is trivial; the identity
     genuinely fails there, so a quiet number would mislead the caller.
@@ -160,6 +161,6 @@ def gauss_jacobi_relation_check(
         raise TrivialCharacter(
             f"relation needs c, c', c*c' nontrivial (k={c.k}, k'={c2.k}, p={c.p})"
         )
-    exact = jacobi_sum(c, c2).embed()
+    exact = j.embed()
     ratio = gauss_sum(c).value * gauss_sum(c2).value / gauss_sum(product).value
     return abs(exact - ratio)

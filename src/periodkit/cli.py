@@ -230,9 +230,9 @@ COMMANDS = {
         "exact Jacobi sum of two characters", "characters", (_P, _K1, Flag("k2")),
         lambda m, a: [SimpleNamespace(
             c1=(c1 := m.MultiplicativeCharacter(a.p, a.k1)), c2=(c2 := m.MultiplicativeCharacter(a.p, a.k2)),
-            j=m.jacobi_sum(c1, c2),
+            j=(j := m.jacobi_sum(c1, c2)),
             residual=None if c1.is_trivial or c2.is_trivial or (c1 * c2).is_trivial
-            else m.gauss_jacobi_relation_check(c1, c2))],
+            else m.gauss_jacobi_relation_check(c1, c2, j))],
         (("p", "c1.p"), ("k1", "c1.k"), ("k2", "c2.k"), ("ring_order", "j.m"), ("coeffs", "j.coeffs"),
          ("norm", lambda r: r.j.norm_to_int()), ("residual", "residual")),
     ),

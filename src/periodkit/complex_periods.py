@@ -9,12 +9,17 @@ roots e1 > e2 > e3 and f monic:
     omega1 = 2 * Int_{e1}^{inf} dx / sqrt(f(x))        (real, positive)
     omega2 = 2i * Int_{e2}^{e1} dx / sqrt(-f(x))       (purely imaginary)
 
-Endpoint singularities are removed exactly by the substitution
-x = endpoint +/- u^2 before any quadrature runs.  That leaves integrands
-smooth on a closed interval or decaying like 1/u^2 on [0, inf), which one
-fixed double-exponential rule integrates (Takahasi and Mori, 1974).  Only
-the 3-real-root case is supported; the complex-root AGM branch choice is
-out of scope.
+The substitutions x = e1 + (e1 - e2)*tan^2(theta) and
+x = e2 + (e1 - e2)*sin^2(theta) remove the endpoint singularities exactly and
+turn both into Gauss's integral
+
+    I(a, b) = Int_0^{pi/2} dtheta / sqrt(a*cos^2(theta) + b*sin^2(theta)),
+
+omega1 = 4*I(e1 - e3, e1 - e2) and omega2 = 4i*I(e1 - e3, e2 - e3), smooth on
+a closed interval, which one fixed tanh-sinh rule integrates (Takahasi and
+Mori, 1974).  The AGM evaluates the same I(a, b) = pi / (2*agm(sqrt(a),
+sqrt(b))), so the two paths share the substitution.  Only the 3-real-root
+case is supported; the complex-root AGM branch choice is out of scope.
 """
 
 from __future__ import annotations
@@ -152,62 +157,42 @@ def real_roots(curve: EllipticCurveQ) -> list[float]:
 
 
 @functools.lru_cache(maxsize=None)
-def _de_level(level: int, half_line: bool) -> tuple[tuple[float, float], ...]:
-    """(node, weight) pairs that one level adds to a double-exponential rule.
+def _de_level(level: int) -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs that one level adds to the tanh-sinh rule.
 
     Level 0 samples t = k*h at h = _DE_STEP; each later level halves h and
-    adds the odd multiples.  Weights carry the factor h.  With
-    s = (pi/2)*sinh(t):
-
-    - tanh-sinh: the node is 1 - tanh(s), the distance from an endpoint of
-      [-1, 1], which the caller mirrors to both ends.  The level stops where
-      it falls below machine epsilon, so no node rounds onto an endpoint.
-      The weight at t = 0 is halved, as both mirrors sit at the midpoint.
-    - exp-sinh (half_line): the nodes are e^s and e^-s, kept within a factor
-      1/epsilon of 1.  The left tail then leaves out less than epsilon of a
-      bounded integrand's mass, and the right tail less than epsilon of one
-      that decays like 1/x^2.
+    adds the odd multiples.  With s = (pi/2)*sinh(t), the node is
+    1 - tanh(s), the distance from an endpoint of [-1, 1], which the caller
+    mirrors to both ends.  The level stops where it falls below machine
+    epsilon, so no node rounds onto an endpoint.  Weights carry the factor h,
+    and the weight at t = 0 is halved, as both mirrors sit at the midpoint.
     """
     eps = sys.float_info.epsilon
     h = _DE_STEP / 2**level
     pairs = []
     for k in itertools.count(0 if level == 0 else 1, 1 if level == 0 else 2):
         s = 0.5 * math.pi * math.sinh(k * h)
+        delta = 2.0 / (math.exp(2.0 * s) + 1.0)
+        if delta < eps:
+            break
         dt = h * 0.5 * math.pi * math.cosh(k * h)
-        if half_line:
-            if s > -math.log(eps):
-                break
-            y = math.exp(s)
-            pairs.append((y, dt * y))
-            if k:
-                pairs.append((1.0 / y, dt / y))
-        else:
-            delta = 2.0 / (math.exp(2.0 * s) + 1.0)
-            if delta < eps:
-                break
-            pairs.append((delta, dt * delta * (2.0 - delta) * (0.5 if k == 0 else 1.0)))
+        pairs.append((delta, dt * delta * (2.0 - delta) * (0.5 if k == 0 else 1.0)))
     return tuple(pairs)
 
 
 def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Double-exponential quadrature of f over [lo, hi]: tanh-sinh on a finite
-    interval, exp-sinh on [lo, inf) when hi is math.inf.
+    """Tanh-sinh quadrature of f over [lo, hi].
 
-    f must be smooth on the closed interval; on [lo, inf) it must also decay
-    like 1/x^2 or faster, with its features near x - lo = 1.  Each level
-    halves the step and reuses the previous sum.  The run stops when two
-    successive levels differ by at most max(QUAD_TARGET/10, 1e-13*|I|), and
-    that difference is the error estimate.  Raises QuadratureNoConvergence
-    when no two levels up to the level cap agree that closely.
+    f must be smooth on the closed interval.  Each level halves the step and
+    reuses the previous sum.  The run stops when two successive levels differ
+    by at most max(QUAD_TARGET/10, 1e-13*|I|), and that difference is the
+    error estimate.  Raises QuadratureNoConvergence when no two levels up to
+    the level cap agree that closely.
     """
-    if hi == math.inf:
-        def level_sum(level: int) -> float:
-            return sum(w * f(lo + y) for y, w in _de_level(level, True))
-    else:
-        d = 0.5 * (hi - lo)
+    d = 0.5 * (hi - lo)
 
-        def level_sum(level: int) -> float:
-            return d * sum(w * (f(lo + d * x) + f(hi - d * x)) for x, w in _de_level(level, False))
+    def level_sum(level: int) -> float:
+        return d * sum(w * (f(lo + d * x) + f(hi - d * x)) for x, w in _de_level(level))
 
     total = level_sum(0)
     for level in range(1, _DE_LEVELS + 1):
@@ -229,32 +214,29 @@ def _require_three_real(curve: EllipticCurveQ) -> tuple[float, float, float]:
     return e1, e2, e3
 
 
+def _gauss_integral(a: float, b: float) -> float:
+    """Int_0^{pi/2} dtheta / sqrt(a*cos^2(theta) + b*sin^2(theta)) for a, b > 0.
+
+    Folded onto [0, pi/4], where with s = sin^2(t) and d = b - a the two halves
+    are 1/sqrt(a + d*s) and 1/sqrt(b - d*s).  A peak from a small a or a small
+    b then sits at t = 0, where t keeps full relative precision.
+    """
+    d = b - a
+
+    def folded(t: float) -> float:
+        s = math.sin(t)
+        s *= s
+        return 1.0 / math.sqrt(a + d * s) + 1.0 / math.sqrt(b - d * s)
+
+    return _quad(folded, 0.0, 0.25 * math.pi)[0]
+
+
 def periods_quadrature(curve: EllipticCurveQ) -> PeriodLattice:
     """Lattice generators straight from the defining integrals (the oracle)."""
     e1, e2, e3 = _require_three_real(curve)
-
-    # x = e1 + u^2 turns 2*Int_{e1}^inf dx/sqrt(f) into a smooth integrand;
-    # u = sqrt(e1 - e2)*v moves its nearest knee to v = 1, where _quad's
-    # half-line nodes are densest.
-    gap = e1 - e2
-
-    def on_real_cycle(v: float) -> float:
-        return 2.0 / math.sqrt((v * v + 1.0) * (gap * v * v + e1 - e3))
-
-    omega1, _ = _quad(on_real_cycle, 0.0, math.inf)
-
-    # On (e2, e1) split at the midpoint; x = e2 + u^2 and x = e1 - u^2.
-    mid = 0.5 * (e1 + e2)
-
-    def above_e2(u: float) -> float:
-        return 2.0 / math.sqrt((e1 - e2 - u * u) * (u * u + e2 - e3))
-
-    def below_e1(u: float) -> float:
-        return 2.0 / math.sqrt((e1 - e2 - u * u) * (e1 - e3 - u * u))
-
-    lower, _ = _quad(above_e2, 0.0, math.sqrt(mid - e2))
-    upper, _ = _quad(below_e1, 0.0, math.sqrt(e1 - mid))
-    return PeriodLattice(complex(2.0 * omega1, 0.0), complex(0.0, 2.0 * (lower + upper)), "quadrature")
+    omega1 = 4.0 * _gauss_integral(e1 - e3, e1 - e2)
+    omega2 = 4.0 * _gauss_integral(e1 - e3, e2 - e3)
+    return PeriodLattice(complex(omega1, 0.0), complex(0.0, omega2), "quadrature")
 
 
 def agm(a: float, b: float) -> float:

@@ -78,9 +78,8 @@ def test_criterion_03_gauss_jacobi_relation():
     failures = []
     for p in ODD_PRIMES_TO_31:
         for k1, k2 in _nontrivial_pairs(p):
-            residual = gauss_jacobi_relation_check(
-                MultiplicativeCharacter(p, k1), MultiplicativeCharacter(p, k2)
-            )
+            c, c2 = MultiplicativeCharacter(p, k1), MultiplicativeCharacter(p, k2)
+            residual = gauss_jacobi_relation_check(c, c2, jacobi_sum(c, c2))
             if residual >= 1e-8:
                 failures.append((p, k1, k2, residual))
     _report(3, "J(c,c') = g(c)g(c')/g(cc') residual < 1e-8 on full domain, p <= 31", failures)

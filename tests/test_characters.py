@@ -172,20 +172,28 @@ def test_jacobi_sum_matches_exponent_count_oracle():
                 assert (got.m, got.coeffs) == (want.m, want.coeffs), (p, k1, k2)
 
 
+def relation_residual(c, c2):
+    return gauss_jacobi_relation_check(c, c2, jacobi_sum(c, c2))
+
+
 def test_relation_check_examples():
     with pytest.raises(TrivialCharacter):
-        gauss_jacobi_relation_check(quadratic_character(5), quadratic_character(5))
-    assert gauss_jacobi_relation_check(
-        MultiplicativeCharacter(5, 1), MultiplicativeCharacter(5, 1)
-    ) < 1e-8
-    assert gauss_jacobi_relation_check(quadratic_character(13), quartic_character(13)) < 1e-8
+        relation_residual(quadratic_character(5), quadratic_character(5))
+    assert relation_residual(MultiplicativeCharacter(5, 1), MultiplicativeCharacter(5, 1)) < 1e-8
+    assert relation_residual(quadratic_character(13), quartic_character(13)) < 1e-8
 
 
 def test_relation_check_rejects_trivial_inputs():
     with pytest.raises(TrivialCharacter):
-        gauss_jacobi_relation_check(MultiplicativeCharacter(7, 0), MultiplicativeCharacter(7, 1))
+        relation_residual(MultiplicativeCharacter(7, 0), MultiplicativeCharacter(7, 1))
     with pytest.raises(TrivialCharacter):
-        gauss_jacobi_relation_check(MultiplicativeCharacter(7, 1), MultiplicativeCharacter(7, 0))
+        relation_residual(MultiplicativeCharacter(7, 1), MultiplicativeCharacter(7, 0))
+
+
+def test_relation_check_measures_the_sum_it_is_given():
+    c, c2 = quadratic_character(13), quartic_character(13)
+    wrong = jacobi_sum(c, c2) + 1
+    assert abs(gauss_jacobi_relation_check(c, c2, wrong) - 1.0) < 1e-9
 
 
 def test_mismatched_moduli():

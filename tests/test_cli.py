@@ -171,6 +171,17 @@ def test_count_over_f_p2_counts_once(monkeypatch):
     assert out == (GOLDEN_DIR / "03_count.json").read_text()
 
 
+def test_jacobi_computes_its_sum_once(monkeypatch):
+    # The relation check takes the row's Jacobi sum instead of computing it again.
+    calls = []
+    jacobi_sum = periodkit.characters.jacobi_sum
+    counted = lambda c, c2: calls.append((c.k, c2.k)) or jacobi_sum(c, c2)  # noqa: E731
+    monkeypatch.setattr(periodkit.characters, "jacobi_sum", counted)
+    code, _, err = run_cli(["jacobi", "--p", "13", "--k1", "1", "--k2", "2"])
+    assert code == 0, err
+    assert calls == [(1, 2)]
+
+
 @pytest.mark.parametrize(
     "argv,params",
     [
@@ -205,15 +216,25 @@ def test_json_field_types_stable_across_runs():
     ]
 
 
-def test_periods_of_a_tiny_scaled_curve():
-    # The half-line integral is about 5e3 here; its level difference met the
-    # relative stop long before it fell under an absolute 1e-11.
-    code, out, err = run_cli(["periods", "--curve=-1/1000000000000,0", "--format", "json"])
+def assert_quadrature_row_matches_agm(curve):
+    code, out, err = run_cli(["periods", f"--curve={curve}", "--format", "json"])
     assert code == 0, err
     agm, quad = json.loads(out)["rows"]
     assert (agm["method"], quad["method"]) == ("agm", "quadrature")
     for key in ("omega1_re", "omega2_im"):
         assert abs(quad[key] / agm[key] - 1) < 1e-12, key
+
+
+def test_periods_of_a_tiny_scaled_curve():
+    # Gauss's integral is about 1.3e3 here; its level difference met the
+    # relative stop long before it fell under an absolute 1e-11.
+    assert_quadrature_row_matches_agm("-1/1000000000000,0")
+
+
+def test_periods_with_the_lower_roots_close():
+    # e2 - e3 = 1e-6: the peak of the omega2 integrand sits at an end of the
+    # folded interval, where tanh-sinh nodes are dense.
+    assert_quadrature_row_matches_agm("-3000003000001/1000000000000,-2000003000001/1000000000000")
 
 
 def test_tau_spec_example():

@@ -84,6 +84,13 @@ def curve_with_root_gap(gap):
     return EllipticCurveQ(e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3)
 
 
+def curve_with_low_root_gap(gap):
+    """The mirror x -> -x of curve_with_root_gap,
+    y^2 = (x - 2 - gap)(x + 1)(x + 1 + gap): e2 - e3 = gap exactly."""
+    curve = curve_with_root_gap(gap)
+    return EllipticCurveQ(curve.a, -curve.b)
+
+
 def test_real_roots_examples():
     assert [round(r, 12) for r in real_roots(EllipticCurveQ(-1, 0))] == [1.0, 0.0, -1.0]
     assert [round(r, 12) for r in real_roots(EllipticCurveQ(-4, 0))] == [2.0, 0.0, -2.0]
@@ -163,8 +170,8 @@ def test_scaled_curve_period_ratio():
     base = periods_quadrature(EllipticCurveQ(-1, 0))
     scaled = periods_quadrature(EllipticCurveQ(-4, 0))
     assert abs(scaled.omega1 - base.omega1 / math.sqrt(2)) < 1e-9
-    # (a, b) -> (lam^4 a, lam^6 b) divides the periods by lam; far from unit
-    # scale the half-line integral holds its digits only in the scaled variable.
+    # (a, b) -> (lam^4 a, lam^6 b) scales the roots by lam^2, so the integrand
+    # of Gauss's integral by 1/lam at the same nodes: the periods divide by lam.
     for lam in (Fraction(1, 10**6), Fraction(1, 1000), Fraction(1, 100), Fraction(1, 10), 10, 1000):
         scaled = periods_quadrature(EllipticCurveQ(-(lam**4), 0))
         assert abs(scaled.omega1 * float(lam) / base.omega1 - 1) < 1e-14, lam
@@ -194,19 +201,21 @@ def test_quadrature_matches_scipy_oracle():
     assert worst <= 1e-13
 
 
-@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("k", range(2, 8))
 def test_quadrature_close_roots_agree_with_agm(k):
-    curve = curve_with_root_gap(Fraction(1, 10**k))
-    q = periods_quadrature(curve)
-    fast = periods_agm(curve)
-    assert abs(q.omega1 / fast.omega1 - 1) <= 1e-12
-    assert abs(q.omega2 / fast.omega2 - 1) <= 1e-12
+    for family in (curve_with_root_gap, curve_with_low_root_gap):
+        curve = family(Fraction(1, 10**k))
+        q = periods_quadrature(curve)
+        fast = periods_agm(curve)
+        assert abs(q.omega1 / fast.omega1 - 1) <= 1e-12, family.__name__
+        assert abs(q.omega2 / fast.omega2 - 1) <= 1e-12, family.__name__
 
 
 @pytest.mark.parametrize("k", range(8, 13))
 def test_quadrature_coincident_roots_fail_typed(k):
-    with pytest.raises((QuadratureNoConvergence, DegenerateLattice)):
-        periods_quadrature(curve_with_root_gap(Fraction(1, 10**k)))
+    for family in (curve_with_root_gap, curve_with_low_root_gap):
+        with pytest.raises((QuadratureNoConvergence, DegenerateLattice)):
+            periods_quadrature(family(Fraction(1, 10**k)))
 
 
 def agm_64_steps(a, b):
