@@ -42,7 +42,6 @@ _PUBLIC = {
         "period_map_legendre",
         "periods_agm",
         "periods_quadrature",
-        "real_roots",
         "tau_normalize",
     ),
     "curve_counts": (

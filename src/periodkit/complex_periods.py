@@ -1,10 +1,10 @@
 """Period lattices of rational elliptic curves, tau-invariants, the Legendre
 family period map, and the catalog of elementary numeric periods.
 
-Two independent evaluations of the lattice generators are provided:
-quadrature of the defining integrals (the reference definition) and the
-arithmetic-geometric mean (the fast path).  For y^2 = f(x) with three real
-roots e1 > e2 > e3 and f monic:
+Two evaluations of the lattice generators are provided: quadrature of the
+defining integrals (the reference definition) and the arithmetic-geometric
+mean (the fast path).  For y^2 = f(x) with three real roots e1 > e2 > e3 and
+f monic:
 
     omega1 = 2 * Int_{e1}^{inf} dx / sqrt(f(x))        (real, positive)
     omega2 = 2i * Int_{e2}^{e1} dx / sqrt(-f(x))       (purely imaginary)
@@ -18,8 +18,11 @@ turn both into Gauss's integral
 omega1 = 4*I(e1 - e3, e1 - e2) and omega2 = 4i*I(e1 - e3, e2 - e3), smooth on
 a closed interval, which one fixed tanh-sinh rule integrates (Takahasi and
 Mori, 1974).  The AGM evaluates the same I(a, b) = pi / (2*agm(sqrt(a),
-sqrt(b))), so the two paths share the substitution.  Only the 3-real-root
-case is supported; the complex-root AGM branch choice is out of scope.
+sqrt(b))).  So both paths read only the three root gaps, and _root_gaps
+computes them in closed form from the exact coefficients, never as
+differences of computed roots: near a double root every gap keeps full
+relative precision.  Only the 3-real-root case is supported; the
+complex-root AGM branch choice is out of scope.
 """
 
 from __future__ import annotations
@@ -109,53 +112,6 @@ class TauPoint(Frozen):
     __slots__ = ("tau", "transform")
 
 
-def _newton_polish(x: float, a: float, b: float) -> float:
-    for _ in range(60):
-        f = (x * x + a) * x + b
-        df = 3 * x * x + a
-        if df == 0:
-            break
-        step = f / df
-        x -= step
-        if abs(step) <= 1e-15 * max(abs(x), 1.0):
-            break
-    return x
-
-
-def real_roots(curve: EllipticCurveQ) -> list[float]:
-    """Real roots of x^3 + a*x + b, closed form plus Newton polish.
-
-    Returns [e1, e2, e3] sorted descending when the exact discriminant is
-    positive, else the single real root as a one-element list.  Raises
-    FloatOverflow when a or b is too large (or, for three roots, too small)
-    for the double-precision formulas.
-    """
-    try:
-        a = float(curve.a)
-        b = float(curve.b)
-        if _discriminant_numerator(curve.a, curve.b) > 0:
-            # Three distinct real roots force a < 0; trigonometric form.
-            m = 2.0 * math.sqrt(-a / 3.0)
-            arg = 3.0 * b / (a * m)
-            arg = min(1.0, max(-1.0, arg))
-            theta = math.acos(arg)
-            roots = [m * math.cos((theta + 2.0 * math.pi * k) / 3.0) for k in range(3)]
-            roots = sorted((_newton_polish(r, a, b) for r in roots), reverse=True)
-        else:
-            # One real root: Cardano with stable cube roots.
-            half_q = b / 2.0
-            inner = math.sqrt(half_q * half_q + (a / 3.0) ** 3)
-            u = math.copysign(abs(-half_q + inner) ** (1.0 / 3.0), -half_q + inner)
-            v = math.copysign(abs(-half_q - inner) ** (1.0 / 3.0), -half_q - inner)
-            roots = [_newton_polish(u + v, a, b)]
-        if not all(map(math.isfinite, roots)):
-            raise OverflowError("Newton polish left the double range")
-    except (OverflowError, ZeroDivisionError) as exc:
-        # Division by zero here means a * m underflowed to 0.
-        raise FloatOverflow(f"curve coefficients out of double-precision range ({exc})") from None
-    return roots
-
-
 @functools.lru_cache(maxsize=None)
 def _de_level(level: int) -> tuple[tuple[float, float], ...]:
     """(node, weight) pairs that one level adds to the tanh-sinh rule.
@@ -203,15 +159,39 @@ def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     raise QuadratureNoConvergence(f"levels still differ by {err:.3e} at step {_DE_STEP / 2**_DE_LEVELS}")
 
 
-def _require_three_real(curve: EllipticCurveQ) -> tuple[float, float, float]:
-    roots = real_roots(curve)
-    if len(roots) != 3:
+def _root_gaps(curve: EllipticCurveQ) -> tuple[float, float, float]:
+    """(e1 - e2, e1 - e3, e2 - e3) for the roots e1 > e2 > e3 of x^3 + a*x + b.
+
+    With the roots 2*sqrt(-a/3)*cos((theta + 2*pi*k)/3), the gaps are
+    2*sqrt(-a) times sin(phi/3), sin((pi - phi)/3) and sin((pi + phi)/3),
+    phi = min(theta, pi - theta); the last is e1 - e3, and the small one is
+    e1 - e2 when b > 0, else e2 - e3.  sin^2(phi) = D/W and cos^2(phi) =
+    (W - D)/W for the integers D = _discriminant_numerator(a, b) and
+    W = -4*num(a)^3*den(b)^2, so each is one correctly rounded division and
+    no gap comes from a difference of nearby roots.
+
+    Raises FloatOverflow when |a| is beyond the double range, ComplexRoots
+    when D <= 0 (one real root), then FloatOverflow when |a|, sin^2(phi) or
+    the smallest gap is below the normal double range.
+    """
+    a, b = curve.a, curve.b
+    try:
+        minus_a = float(-a)
+    except OverflowError:
+        raise FloatOverflow("|a| is beyond the double range") from None
+    d = _discriminant_numerator(a, b)
+    if d <= 0:
         raise ComplexRoots(f"{curve!r} has one real root; period support needs three")
-    e1, e2, e3 = roots
-    if not e1 > e2 > e3:
-        # Exactly distinct, but too close to tell apart in double precision.
-        raise DegenerateLattice(f"roots {e1!r}, {e2!r}, {e3!r} coincide in double precision")
-    return e1, e2, e3
+    w = -4 * a.numerator**3 * b.denominator**2
+    sin2 = d / w
+    phi = math.atan2(math.sqrt(sin2), math.sqrt((w - d) / w))
+    scale = 2.0 * math.sqrt(minus_a)
+    small = scale * math.sin(phi / 3.0)
+    if min(minus_a, sin2, small) < sys.float_info.min:
+        raise FloatOverflow("|a| or a root gap is below the normal double range")
+    middle = scale * math.sin((math.pi - phi) / 3.0)
+    wide = scale * math.sin((math.pi + phi) / 3.0)
+    return (small, wide, middle) if b > 0 else (middle, wide, small)
 
 
 def _gauss_integral(a: float, b: float) -> float:
@@ -233,9 +213,9 @@ def _gauss_integral(a: float, b: float) -> float:
 
 def periods_quadrature(curve: EllipticCurveQ) -> PeriodLattice:
     """Lattice generators straight from the defining integrals (the oracle)."""
-    e1, e2, e3 = _require_three_real(curve)
-    omega1 = 4.0 * _gauss_integral(e1 - e3, e1 - e2)
-    omega2 = 4.0 * _gauss_integral(e1 - e3, e2 - e3)
+    d12, d13, d23 = _root_gaps(curve)
+    omega1 = 4.0 * _gauss_integral(d13, d12)
+    omega2 = 4.0 * _gauss_integral(d13, d23)
     return PeriodLattice(complex(omega1, 0.0), complex(0.0, omega2), "quadrature")
 
 
@@ -261,10 +241,10 @@ def agm(a: float, b: float) -> float:
 
 def periods_agm(curve: EllipticCurveQ) -> PeriodLattice:
     """Same generators through the AGM; agrees with quadrature within 1e-9."""
-    e1, e2, e3 = _require_three_real(curve)
-    s13 = math.sqrt(e1 - e3)
-    omega1 = 2.0 * math.pi / agm(s13, math.sqrt(e1 - e2))
-    omega2 = 2.0 * math.pi / agm(s13, math.sqrt(e2 - e3))
+    d12, d13, d23 = _root_gaps(curve)
+    s13 = math.sqrt(d13)
+    omega1 = 2.0 * math.pi / agm(s13, math.sqrt(d12))
+    omega2 = 2.0 * math.pi / agm(s13, math.sqrt(d23))
     return PeriodLattice(complex(omega1, 0.0), complex(0.0, omega2), "agm")
 
 

@@ -237,6 +237,32 @@ def test_periods_with_the_lower_roots_close():
     assert_quadrature_row_matches_agm("-3000003000001/1000000000000,-2000003000001/1000000000000")
 
 
+def test_periods_of_a_curve_near_the_double_underflow():
+    # a is near the bottom of the normal double range; the root gaps, about
+    # 1e-150, are far from it.
+    code, out, err = run_cli(["periods", "--curve", "-1e-300,0", "--format", "json"])
+    assert code == 0, err
+    for row in json.loads(out)["rows"]:
+        assert row["omega1_re"] == row["omega2_im"] == 5.24411510858424e75, row["method"]
+
+
+def test_tau_near_a_double_root():
+    # e2 - e3 = 1e-8: as a difference of double-precision roots this gap came
+    # out 1.3e-15, and tau_im 12.13.
+    curve = "-300000003000000001/100000000000000000,-200000003000000001/100000000000000000"
+    code, out, err = run_cli(["tau", f"--curve={curve}", "--format", "json"])
+    assert code == 0, err
+    assert abs(json.loads(out)["rows"][0]["tau_im"] - 7.095726346758567) <= 1e-12
+
+
+def test_periodmap_near_the_nodal_member():
+    code, out, err = run_cli(["periodmap", "--grid", "1/1000000,1/1000000000", "--format", "json"])
+    assert code == 0, err
+    rows = {row["t"]: row["tau_im"] for row in json.loads(out)["rows"]}
+    assert abs(rows["1/1000000"] - 5.280155834732165) <= 1e-12
+    assert abs(rows["1/1000000000"] - 7.478962790366301) <= 1e-12
+
+
 def test_tau_spec_example():
     code, out, _ = run_cli(["tau", "--curve", "-1,0", "--format", "json"])
     assert code == 0
@@ -566,7 +592,7 @@ ARGV_TABLE = [
     (["beta", "--s", "-200.5", "--t", "1"], 1, "FloatOverflow"),  # Gamma underflows to 0
     (["beta", "--s", "1e308", "--t", "1"], 1, "FloatOverflow"),
     (["periods", "--curve", "-1e400,0"], 1, "FloatOverflow"),
-    (["periods", "--curve", "-1e-300,0"], 1, "FloatOverflow"),
+    (["periods", "--curve", "-1e-310,0"], 1, "FloatOverflow"),  # a subnormal a
     (["tau", "--curve", "1e400,0"], 1, "FloatOverflow"),
     (["periodmap", "--grid", "1e400"], 1, "FloatOverflow"),
     (["count", "--p", "2000003", "--curve", "1,1", "--n", "2"], 2, "--p"),  # over the p-entry table budget

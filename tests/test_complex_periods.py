@@ -6,7 +6,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -21,13 +21,14 @@ from periodkit.complex_periods import (
     period_map_legendre,
     periods_agm,
     periods_quadrature,
-    real_roots,
     tau_normalize,
+    _root_gaps,
 )
 from periodkit.errors import (
     ComplexRoots,
     DegenerateFamilyMember,
     DegenerateLattice,
+    FloatOverflow,
     InvalidInput,
     QuadratureNoConvergence,
     SingularCurve,
@@ -67,8 +68,31 @@ def scipy_quad(f, lo, hi):
     return value, err
 
 
+def real_roots(curve):
+    """e1 > e2 > e3 by the trigonometric form plus Newton polish: the root
+    finder that _root_gaps replaced, kept as the oracle of scipy_periods."""
+    assert curve.discriminant > 0
+    a, b = float(curve.a), float(curve.b)
+    m = 2.0 * math.sqrt(-a / 3.0)
+    theta = math.acos(min(1.0, max(-1.0, 3.0 * b / (a * m))))
+    roots = []
+    for k in range(3):
+        x = m * math.cos((theta + 2.0 * math.pi * k) / 3.0)
+        for _ in range(60):
+            df = 3 * x * x + a
+            if df == 0:
+                break
+            step = ((x * x + a) * x + b) / df
+            x -= step
+            if abs(step) <= 1e-15 * max(abs(x), 1.0):
+                break
+        roots.append(x)
+    return sorted(roots, reverse=True)
+
+
 def scipy_periods(curve):
-    """omega1 and omega2/i from the u^2-substituted integrals, unscaled, through scipy."""
+    """omega1 and omega2/i from the u^2-substituted integrals, unscaled, through
+    scipy, on the oracle roots: a check of both the gaps and the substitutions."""
     e1, e2, e3 = real_roots(curve)
     mid = 0.5 * (e1 + e2)
     real, _ = scipy_quad(lambda u: 2.0 / math.sqrt((u * u + e1 - e2) * (u * u + e1 - e3)), 0.0, math.inf)
@@ -77,28 +101,73 @@ def scipy_periods(curve):
     return 2.0 * real, 2.0 * (lower + upper)
 
 
-def curve_with_root_gap(gap):
-    """y^2 = (x - 1 - gap)(x - 1)(x + 2 + gap): e1 - e2 = gap exactly."""
-    e1, e2 = 1 + gap, Fraction(1)
-    e3 = -(e1 + e2)
+def curve_from_roots(e1, e2, e3):
+    """y^2 = (x - e1)(x - e2)(x - e3) for exact roots that sum to 0."""
+    assert e1 + e2 + e3 == 0
     return EllipticCurveQ(e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3)
 
 
-def curve_with_low_root_gap(gap):
-    """The mirror x -> -x of curve_with_root_gap,
-    y^2 = (x - 2 - gap)(x + 1)(x + 1 + gap): e2 - e3 = gap exactly."""
-    curve = curve_with_root_gap(gap)
-    return EllipticCurveQ(curve.a, -curve.b)
+def exact_gaps(e1, e2, e3):
+    return e1 - e2, e1 - e3, e2 - e3
 
 
-def test_real_roots_examples():
-    assert [round(r, 12) for r in real_roots(EllipticCurveQ(-1, 0))] == [1.0, 0.0, -1.0]
-    assert [round(r, 12) for r in real_roots(EllipticCurveQ(-4, 0))] == [2.0, 0.0, -2.0]
-    single = real_roots(EllipticCurveQ(0, 1))
-    assert len(single) == 1 and abs(single[0] + 1.0) < 1e-13
+def roots_with_gap(gap):
+    """1 + gap, 1, -2 - gap: e1 - e2 = gap exactly."""
+    return 1 + gap, Fraction(1), -2 - gap
 
 
-def test_real_roots_are_actual_roots():
+def roots_with_low_gap(gap):
+    """The mirror x -> -x of roots_with_gap, 2 + gap, -1, -1 - gap:
+    e2 - e3 = gap exactly."""
+    e1, e2, e3 = roots_with_gap(gap)
+    return -e3, -e2, -e1
+
+
+GAP_FAMILIES = (roots_with_gap, roots_with_low_gap)
+
+
+def mpmath_periods(roots):
+    """omega1 and omega2/i from the exact roots by mpmath's AGM at 50 digits,
+    rounded to doubles."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        d12, d13, d23 = (mpmath.mpf(g.numerator) / g.denominator for g in exact_gaps(*roots))
+        s13 = mpmath.sqrt(d13)
+        omega1 = 2 * mpmath.pi / mpmath.agm(s13, mpmath.sqrt(d12))
+        omega2 = 2 * mpmath.pi / mpmath.agm(s13, mpmath.sqrt(d23))
+        return float(omega1), float(omega2)
+
+
+def rel_err(got, exact):
+    return abs(got / exact - 1)
+
+
+def test_root_gaps_examples():
+    assert _root_gaps(EllipticCurveQ(-1, 0)) == pytest.approx((1.0, 2.0, 1.0), rel=1e-15)
+    assert _root_gaps(EllipticCurveQ(-4, 0)) == pytest.approx((2.0, 4.0, 2.0), rel=1e-15)
+    d12, _, d23 = _root_gaps(EllipticCurveQ(-1, 0))
+    assert d12 == d23  # b = 0: both small gaps come from the same angle
+    with pytest.raises(ComplexRoots):
+        _root_gaps(EllipticCurveQ(0, 1))
+
+
+def test_root_gaps_refuse_what_doubles_cannot_hold():
+    # |a| beyond the double range comes first, whatever the root split.
+    for a in (-(10**400), 10**400):
+        with pytest.raises(FloatOverflow, match="beyond"):
+            _root_gaps(EllipticCurveQ(a, 0))
+    with pytest.raises(ComplexRoots):
+        _root_gaps(EllipticCurveQ(-1, 10**400))
+    # A subnormal a, or a sin^2(phi) of about 1e-320 that a subnormal double
+    # would hold to three digits, next to a double root of x^3 - 3x + 2.
+    for a, b in ((Fraction(-1, 10**310), 0), (-3, 2 - Fraction(1, 10**320))):
+        with pytest.raises(FloatOverflow, match="below"):
+            _root_gaps(EllipticCurveQ(a, b))
+    d12, d13, d23 = _root_gaps(EllipticCurveQ(-3, 2 - Fraction(1, 10**300)))
+    assert rel_err(d12, 2 / math.sqrt(3) * 1e-150) < 1e-15 and d13 == d23
+
+
+def test_root_gaps_match_oracle_roots():
     rng = random.Random(11)
     for curve in random_three_real_curves(rng, 15):
         a, b = float(curve.a), float(curve.b)
@@ -106,6 +175,8 @@ def test_real_roots_are_actual_roots():
         assert roots[0] > roots[1] > roots[2]
         for r in roots:
             assert abs(r**3 + a * r + b) < 1e-9 * max(1.0, abs(r) ** 3)
+        for got, oracle in zip(_root_gaps(curve), exact_gaps(*roots)):
+            assert rel_err(got, oracle) < 1e-12, curve
 
 
 def test_singular_curve_rejected():
@@ -149,7 +220,31 @@ def test_discriminant_sign_decides_root_split(a, b):
     curve = EllipticCurveQ(a, b)
     assert curve.discriminant == disc
     assert type(curve.discriminant) is Fraction
-    assert (len(real_roots(curve)) == 3) == (disc > 0)
+    if disc < 0:
+        with pytest.raises(ComplexRoots):
+            _root_gaps(curve)
+    else:
+        assert min(_root_gaps(curve)) > 0
+
+
+@st.composite
+def roots_summing_to_zero(draw):
+    """Three distinct rationals with sum 0, sorted descending; one pair may sit
+    10^-k apart."""
+    e1 = draw(rationals)
+    gap = draw(rationals.filter(lambda g: g != 0) | st.integers(1, 12).map(lambda k: Fraction(1, 10**k)))
+    e2 = e1 - gap
+    roots = sorted((e1, e2, -(e1 + e2)), reverse=True)
+    assume(len(set(roots)) == 3)
+    return tuple(roots)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(roots_summing_to_zero())
+def test_root_gaps_match_exact_gaps(roots):
+    gaps = _root_gaps(curve_from_roots(*roots))
+    for got, exact in zip(gaps, exact_gaps(*roots)):
+        assert rel_err(Fraction(got), exact) <= Fraction(1, 10**15), (roots, got, exact)
 
 
 def test_fraction_coefficients_kept_as_given():
@@ -203,8 +298,8 @@ def test_quadrature_matches_scipy_oracle():
 
 @pytest.mark.parametrize("k", range(2, 8))
 def test_quadrature_close_roots_agree_with_agm(k):
-    for family in (curve_with_root_gap, curve_with_low_root_gap):
-        curve = family(Fraction(1, 10**k))
+    for family in GAP_FAMILIES:
+        curve = curve_from_roots(*family(Fraction(1, 10**k)))
         q = periods_quadrature(curve)
         fast = periods_agm(curve)
         assert abs(q.omega1 / fast.omega1 - 1) <= 1e-12, family.__name__
@@ -213,9 +308,32 @@ def test_quadrature_close_roots_agree_with_agm(k):
 
 @pytest.mark.parametrize("k", range(8, 13))
 def test_quadrature_coincident_roots_fail_typed(k):
-    for family in (curve_with_root_gap, curve_with_low_root_gap):
-        with pytest.raises((QuadratureNoConvergence, DegenerateLattice)):
-            periods_quadrature(family(Fraction(1, 10**k)))
+    # The gaps are exact to rounding, so quadrature either meets its target
+    # against the exact periods or raises a typed error.
+    for family in GAP_FAMILIES:
+        roots = family(Fraction(1, 10**k))
+        try:
+            q = periods_quadrature(curve_from_roots(*roots))
+        except (QuadratureNoConvergence, DegenerateLattice):
+            continue
+        omega1, omega2 = mpmath_periods(roots)
+        assert rel_err(q.omega1.real, omega1) <= complex_periods.QUAD_TARGET, family.__name__
+        assert rel_err(q.omega2.imag, omega2) <= complex_periods.QUAD_TARGET, family.__name__
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_periods_match_mpmath_near_a_double_root(k):
+    for family in GAP_FAMILIES:
+        roots = family(Fraction(1, 10**k))
+        curve = curve_from_roots(*roots)
+        omega1, omega2 = mpmath_periods(roots)
+        lattice = periods_agm(curve)
+        assert lattice.omega1.imag == 0 and lattice.omega2.real == 0
+        assert rel_err(lattice.omega1.real, omega1) <= 1e-14, family.__name__
+        assert rel_err(lattice.omega2.imag, omega2) <= 1e-14, family.__name__
+        point = curve_tau(curve)
+        exact = apply_transform(point.transform, complex(0.0, omega2 / omega1))
+        assert abs(point.tau - exact) <= 1e-14 * abs(exact), family.__name__
 
 
 def agm_64_steps(a, b):
