@@ -226,14 +226,12 @@ def assert_quadrature_row_matches_agm(curve):
 
 
 def test_periods_of_a_tiny_scaled_curve():
-    # Gauss's integral is about 1.3e3 here; its level difference met the
-    # relative stop long before it fell under an absolute 1e-11.
+    # Gauss's integral is about 1.3e3 here; the stop is relative to it.
     assert_quadrature_row_matches_agm("-1/1000000000000,0")
 
 
 def test_periods_with_the_lower_roots_close():
-    # e2 - e3 = 1e-6: the peak of the omega2 integrand sits at an end of the
-    # folded interval, where tanh-sinh nodes are dense.
+    # e2 - e3 = 1e-6: the omega2 integrand has a peak (1e-6/3)^(1/4) wide.
     assert_quadrature_row_matches_agm("-3000003000001/1000000000000,-2000003000001/1000000000000")
 
 
@@ -244,6 +242,16 @@ def test_periods_of_a_curve_near_the_double_underflow():
     assert code == 0, err
     for row in json.loads(out)["rows"]:
         assert row["omega1_re"] == row["omega2_im"] == 5.24411510858424e75, row["method"]
+
+
+def test_periods_of_a_large_curve():
+    # Gauss's integral is about 1e-10 and 4e-8 here.  Its stop is relative,
+    # so one level no longer passes it under an absolute floor of 1e-12.
+    for curve, omega in (("-1e40,0", 5.24411510858424e-10), ("-1e30,0", 1.65833480552274e-07)):
+        code, out, err = run_cli(["periods", "--curve", curve, "--format", "json"])
+        assert code == 0, err
+        for row in json.loads(out)["rows"]:
+            assert row["omega1_re"] == row["omega2_im"] == omega, (curve, row["method"])
 
 
 def test_tau_near_a_double_root():

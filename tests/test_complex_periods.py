@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -306,19 +307,56 @@ def test_quadrature_close_roots_agree_with_agm(k):
         assert abs(q.omega2 / fast.omega2 - 1) <= 1e-12, family.__name__
 
 
-@pytest.mark.parametrize("k", range(8, 13))
+@pytest.mark.parametrize("k", range(8, 19))
 def test_quadrature_coincident_roots_fail_typed(k):
-    # The gaps are exact to rounding, so quadrature either meets its target
-    # against the exact periods or raises a typed error.
+    # After the Landen step the peak is (gap/3)^(1/4) wide, so the midpoint
+    # rule meets its stop within the level cap through a gap of 1e-15, and
+    # from 1e-16 on it raises a typed error instead of a wrong value.
     for family in GAP_FAMILIES:
         roots = family(Fraction(1, 10**k))
-        try:
-            q = periods_quadrature(curve_from_roots(*roots))
-        except (QuadratureNoConvergence, DegenerateLattice):
+        if k >= 16:
+            with pytest.raises(QuadratureNoConvergence):
+                periods_quadrature(curve_from_roots(*roots))
             continue
+        q = periods_quadrature(curve_from_roots(*roots))
         omega1, omega2 = mpmath_periods(roots)
-        assert rel_err(q.omega1.real, omega1) <= complex_periods.QUAD_TARGET, family.__name__
-        assert rel_err(q.omega2.imag, omega2) <= complex_periods.QUAD_TARGET, family.__name__
+        assert rel_err(q.omega1.real, omega1) <= 1e-14, family.__name__
+        assert rel_err(q.omega2.imag, omega2) <= 1e-14, family.__name__
+
+
+def test_midpoint_levels_are_the_grid_midpoints():
+    for k in range(5):
+        cells = 4 * 3**k
+        grid = sorted(math.sin((i + 0.5) * math.pi / (2 * cells)) ** 2 for i in range(cells))
+        built = sorted(s for level in range(k + 1) for s in complex_periods._midpoint_level(level))
+        assert built == pytest.approx(grid, rel=1e-15, abs=0), k
+    # kappa = 0: the integrand is 1, and J(0) = pi/2 at every level.
+    assert complex_periods._gauss_integral(1.0, 1.0) == math.pi / 2
+    assert complex_periods._gauss_integral(16.0, 16.0) == math.pi / 8
+
+
+def test_refused_integral_work_is_bounded():
+    # A gap of 1e-16 reads every node up to the level cap and no more, and the
+    # cached tables then hold one double per node.
+    level = complex_periods._midpoint_level
+    level.cache_clear()
+    with pytest.raises(QuadratureNoConvergence, match="at 10 levels"):
+        complex_periods._gauss_integral(3.0, 1e-16)
+    tables = [level(k) for k in range(level.cache_info().currsize)]
+    assert len(tables) == complex_periods._MID_LEVELS == 10
+    assert sum(map(len, tables)) == 4 * 3**9 == 78732
+    assert sum(map(sys.getsizeof, tables)) <= 700_000
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.floats(min_value=-150, max_value=150), st.floats(min_value=-12, max_value=12))
+def test_gauss_integral_matches_mpmath(log_a, log_ratio):
+    mpmath = pytest.importorskip("mpmath")
+    a = 10.0**log_a
+    b = a * 10.0**log_ratio
+    with mpmath.workdps(50):
+        exact = mpmath.pi / (2 * mpmath.agm(mpmath.sqrt(a), mpmath.sqrt(b)))
+    assert rel_err(complex_periods._gauss_integral(a, b), float(exact)) <= 1e-14, (a, b)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
