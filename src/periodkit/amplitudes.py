@@ -110,10 +110,13 @@ def _factorial_ratio(q: int, n: int) -> float:
 
 def veneziano(m: MandelstamInput) -> AmplitudeValue:
     """Amplitude at (s12, s34); arguments within POLE_SNAP of a Gamma pole are
-    snapped to it and reported as tagged pole values, not errors."""
+    snapped to it and reported as tagged pole values, not errors.  B is
+    symmetric, so a pole of beta alone is handled as a pole of alpha."""
     alpha, beta = m.alpha, m.beta
     n_a = _near_nonpositive_int(alpha)
     n_b = _near_nonpositive_int(beta)
+    if n_a is None and n_b is not None:
+        alpha, beta, n_a, n_b = beta, alpha, n_b, None
     q = _near_nonpositive_int(alpha + beta)
     if q is not None:
         # Gamma(alpha+beta) is infinite: it either kills the amplitude or
@@ -123,17 +126,11 @@ def veneziano(m: MandelstamInput) -> AmplitudeValue:
         if n_a is not None:
             limit = gamma_fn(beta) * (-1.0) ** (n_a - q) * _factorial_ratio(q, n_a)
             return AmplitudeValue(value=limit, at_pole=False)
-        if n_b is not None:
-            limit = gamma_fn(alpha) * (-1.0) ** (n_b - q) * _factorial_ratio(q, n_b)
-            return AmplitudeValue(value=limit, at_pole=False)
         return AmplitudeValue(value=0.0, at_pole=False)
     if n_a is not None:
         # Sign of the divergence as alpha -> -n from above matches the residue.
         sign = _residue_sign(n_a, beta)
         return AmplitudeValue(value=sign * math.inf, at_pole=True, pole_index=n_a)
-    if n_b is not None:
-        sign = _residue_sign(n_b, alpha)
-        return AmplitudeValue(value=sign * math.inf, at_pole=True, pole_index=n_b)
     return AmplitudeValue(value=beta_fn(alpha, beta), at_pole=False)
 
 

@@ -51,17 +51,13 @@ from .errors import (
     check_int,
 )
 
-QUAD_TARGET = 1e-11
 # The catalog's tanh-sinh rule: the step of level 0, and the last level before
 # QuadratureNoConvergence.  From h = 0.8 the catalog settles at level 3 or 4.
 _DE_STEP = 0.8
 _DE_LEVELS = 8
 _MID_LEVELS = 10  # levels of Gauss's integral: at most 4*3^9 = 78732 nodes
 _TAU_CAP = 10_000
-
-Matrix = tuple[tuple[int, int], tuple[int, int]]
-
-_IDENTITY: Matrix = ((1, 0), (0, 1))
+_AGM_LO, _AGM_HI = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)  # where agm's steps are exact
 
 
 def _check_rational(arg: str, value) -> Fraction:
@@ -146,7 +142,7 @@ def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
 
     f must be smooth on the closed interval.  Each level halves the step and
     reuses the previous sum.  The run stops when two successive levels differ
-    by at most max(QUAD_TARGET/10, 1e-13*|I|), and that difference is the
+    by at most 1e-13*|I|, whatever the scale of f, and that difference is the
     error estimate.  Raises QuadratureNoConvergence when no two levels up to
     the level cap agree that closely.
     """
@@ -159,7 +155,7 @@ def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     for level in range(1, _DE_LEVELS + 1):
         previous, total = total, 0.5 * total + level_sum(level)
         err = abs(total - previous)
-        if err <= max(QUAD_TARGET / 10, 1e-13 * abs(total)):
+        if err <= 1e-13 * abs(total):
             return total, err
     raise QuadratureNoConvergence(f"levels still differ by {err:.3e} at step {_DE_STEP / 2**_DE_LEVELS}")
 
@@ -239,12 +235,17 @@ def agm(a: float, b: float) -> float:
     """Arithmetic-geometric mean of positive reals, iterated to its
     floating-point fixed point: a == b, or a step that returns (a, b) unchanged.
 
-    a == b is tested before a step, where sqrt(a*a) could overflow or
-    underflow.  Past a fixed point further steps change nothing, so stopping
-    there returns what the full 64-step cap would.
+    Past it the 64-step cap would change nothing.  Every iterate lies between
+    a and b, so every product a*b is a normal double if and only if both lie in
+    [sqrt(float min), sqrt(float max)].  Outside it agm(a, a) is a and a != b
+    raises FloatOverflow; NaN, infinity or a non-positive value raises InvalidInput.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("agm needs positive arguments")
+    if not (_AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI):
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise InvalidInput("b" if 0 < a < math.inf else "a", f"agm needs positive finite arguments, got ({a}, {b})")
+        if a != b:
+            raise FloatOverflow(f"agm({a}, {b}) leaves the range where its steps are exact")
+        return a
     for _ in range(64):
         if a == b:
             break
@@ -264,35 +265,31 @@ def periods_agm(curve: EllipticCurveQ) -> PeriodLattice:
     return PeriodLattice(complex(omega1, 0.0), complex(0.0, omega2), "agm")
 
 
-def _matmul(m: Matrix, n: Matrix) -> Matrix:
-    return (
-        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
-    )
-
-
 def tau_normalize(lattice: PeriodLattice) -> TauPoint:
     """SL2(Z) reduction of omega2/omega1 into the standard fundamental domain.
 
     Ties on the boundary are broken to Re(tau) in [0, 1/2], and to
-    Re(tau) >= 0 on the unit circle.
+    Re(tau) >= 0 on the unit circle.  Each move, a left factor T^-n, S or T,
+    acts on the rows of the transform.
     """
     if lattice.omega1 == 0:
         raise DegenerateLattice("omega1 vanishes")
     tau = lattice.omega2 / lattice.omega1
+    if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+        raise DegenerateLattice(f"omega2/omega1 = {tau} is not finite")
     if abs(tau.imag) < 1e-13:
         raise DegenerateLattice(f"Im(omega2/omega1) = {tau.imag:.3e} is numerically zero")
     if tau.imag < 0:
         tau = tau.conjugate()
-    transform: Matrix = _IDENTITY
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(_TAU_CAP):
         shift = math.floor(tau.real + 0.5)
         if shift != 0:
             tau -= shift
-            transform = _matmul(((1, -shift), (0, 1)), transform)
+            a, b = a - shift * c, b - shift * d
         if abs(tau) < 1.0 - 1e-15:
             tau = -1.0 / tau
-            transform = _matmul(((0, -1), (1, 0)), transform)
+            a, b, c, d = -c, -d, a, b
         else:
             break
     else:
@@ -300,11 +297,11 @@ def tau_normalize(lattice: PeriodLattice) -> TauPoint:
     # Boundary conventions.
     if abs(tau.real + 0.5) < 1e-12:
         tau += 1.0
-        transform = _matmul(((1, 1), (0, 1)), transform)
+        a, b = a + c, b + d
     if abs(abs(tau) - 1.0) < 1e-12 and tau.real < -1e-12:
         tau = -1.0 / tau
-        transform = _matmul(((0, -1), (1, 0)), transform)
-    return TauPoint(tau, transform)
+        a, b, c, d = -c, -d, a, b
+    return TauPoint(tau, ((a, b), (c, d)))
 
 
 def curve_tau(curve: EllipticCurveQ) -> TauPoint:
@@ -312,15 +309,12 @@ def curve_tau(curve: EllipticCurveQ) -> TauPoint:
 
 
 def legendre_curve(t: Fraction) -> EllipticCurveQ:
-    """y^2 = x(x-1)(x-t) brought to depressed form by the exact shift x -> x + (1+t)/3."""
+    """y^2 = x(x-1)(x-t) in depressed form: the exact shift x -> x + (1+t)/3
+    kills the x^2 term of x^3 - (1+t)x^2 + tx."""
     t = _check_rational("t", t)
     if t == 0 or t == 1:
         raise DegenerateFamilyMember(f"t = {t} is a nodal member of the family")
-    # x(x-1)(x-t) = x^3 - (1+t)x^2 + tx; shifting by s = (1+t)/3 kills the x^2 term.
-    s = (1 + t) / 3
-    a = 3 * s * s - 2 * (1 + t) * s + t
-    b = s**3 - (1 + t) * s * s + t * s
-    return EllipticCurveQ(a, b)
+    return EllipticCurveQ(-(t * t - t + 1) / 3, -(t + 1) * (t - 2) * (2 * t - 1) / 27)
 
 
 def period_map_legendre(t_values: Iterable[Fraction]) -> list[tuple[Fraction, TauPoint]]:
@@ -344,52 +338,17 @@ def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:
     check_int("n_max", n_max)
     if not 2 <= n_max <= 21:
         raise InvalidInput("n_max", f"need 2 <= n <= 21, got {n_max}")
-    entries = []
-
-    # Int_{-1}^{1} dx/sqrt(1-x^2): fold to [0, 1] and substitute x = 1 - u^2.
-    half_circle, err = _quad(lambda u: 2.0 / math.sqrt(2.0 - u * u), 0.0, 1.0)
-    entries.append(
-        CatalogEntry(
-            name="pi",
-            value=2.0 * half_circle,
-            error_estimate=2.0 * err,
-            variety="unit circle x^2 + y^2 = 1",
-            divisor="(none)",
-            form="dx/y",
-            domain="arc y >= 0 traversed from x = -1 to x = 1, both halves",
-        )
-    )
-
-    # |dz/z| along z(theta) = cos(theta) + i sin(theta).
-    def speed(theta: float) -> float:
-        z = complex(math.cos(theta), math.sin(theta))
-        dz = complex(-math.sin(theta), math.cos(theta))
-        return abs(dz / z)
-
-    residue, err = _quad(speed, 0.0, 2.0 * math.pi)
-    entries.append(
-        CatalogEntry(
-            name="2*pi",
-            value=residue,
-            error_estimate=err,
-            variety="punctured affine line, coordinate z != 0",
-            divisor="(none)",
-            form="dz/z (residue period 2*pi*i; modulus tabulated)",
-            domain="unit circle, counterclockwise",
-        )
-    )
-
-    for n in range(2, n_max + 1):
-        value, err = _quad(lambda x: 1.0 / x, 1.0, float(n))
-        entries.append(
-            CatalogEntry(
-                name=f"log {n}",
-                value=value,
-                error_estimate=err,
-                variety="punctured affine line, coordinate x != 0",
-                divisor=f"{{1, {n}}}",
-                form="dx/x",
-                domain=f"segment [1, {n}]",
-            )
-        )
-    return entries
+    rows = [
+        # Int_{-1}^{1} dx/sqrt(1-x^2): fold to [0, 1] and substitute x = 1 - u^2.
+        ("pi", lambda u: 4.0 / math.sqrt(2.0 - u * u), 0.0, 1.0, "unit circle x^2 + y^2 = 1", "(none)", "dx/y",
+         "arc y >= 0 traversed from x = -1 to x = 1, both halves"),
+        # |dz/z| along z(theta) = cos(theta) + i sin(theta).
+        ("2*pi", lambda th: abs(complex(-math.sin(th), math.cos(th)) / complex(math.cos(th), math.sin(th))),
+         0.0, 2.0 * math.pi, "punctured affine line, coordinate z != 0", "(none)",
+         "dz/z (residue period 2*pi*i; modulus tabulated)", "unit circle, counterclockwise"),
+    ] + [
+        (f"log {n}", lambda x: 1.0 / x, 1.0, float(n), "punctured affine line, coordinate x != 0", f"{{1, {n}}}",
+         "dx/x", f"segment [1, {n}]")
+        for n in range(2, n_max + 1)
+    ]
+    return [CatalogEntry(name, *_quad(f, lo, hi), *quadruple) for name, f, lo, hi, *quadruple in rows]

@@ -62,16 +62,10 @@ class PadicInt(Residue):
             )
 
     def inverse(self) -> "PadicInt":
-        """Inverse of a unit; mod-p seed lifted by Newton doubling of correct digits."""
+        """Inverse of a unit."""
         if not self.is_unit():
             raise NonUnit(f"valuation {self.valuation()} > 0, not invertible")
-        inv = pow(self.value % self.p, -1, self.p)
-        digits = 1
-        while digits < self.precision:
-            digits = min(2 * digits, self.precision)
-            modulus = self.p**digits
-            inv = inv * (2 - self.value * inv) % modulus
-        return PadicInt(self.p, self.precision, inv)
+        return self._with(pow(self.value, -1, self.modulus))
 
     def divide_by_p(self) -> "PadicInt":
         """Exact division by p; costs one digit of precision."""
@@ -90,17 +84,11 @@ class PadicInt(Residue):
 
 
 def teichmuller(a: PadicInt) -> PadicInt:
-    """The unique root of x^p = x congruent to a mod p, by iterating x -> x^p."""
+    """The unique root of x^p = x congruent to a mod p, where delta_p vanishes:
+    a^(p^(N-1)), as that power kills the p-part of the units mod p^N."""
     if not a.is_unit():
         raise NonUnit("Teichmueller lift needs a unit")
-    modulus = a.modulus
-    x = a.value
-    for _ in range(a.precision + 1):
-        nxt = pow(x, a.p, modulus)
-        if nxt == x:
-            break
-        x = nxt
-    return PadicInt(a.p, a.precision, x)
+    return a._with(pow(a.value, a.p ** (a.precision - 1), a.modulus))
 
 
 def delta_p(x: PadicInt) -> PadicInt:

@@ -190,6 +190,19 @@ def test_veneziano_pole_sign_matches_residue():
             assert amp.value == math.copysign(math.inf, residue_closed_form(n, beta)), (n, beta)
 
 
+def test_veneziano_symmetric_on_a_pole_lattice():
+    # B(alpha, beta) = B(beta, alpha), so a pole of beta alone must read as the
+    # same pole of alpha; where both sit on poles the index stays alpha's.
+    poles = [(1.0 - n + e, True) for n in range(7) for e in (0.0, 1e-13, -1e-13)]
+    points = poles + [(n + 0.5, False) for n in range(7)]
+    for s, s_pole in points:
+        for t, t_pole in points:
+            st, ts = veneziano(MandelstamInput(s, t)), veneziano(MandelstamInput(t, s))
+            assert (st.value, st.at_pole) == (ts.value, ts.at_pole), (s, t)
+            if not (s_pole and t_pole):
+                assert st.pole_index == ts.pole_index, (s, t)
+
+
 def test_veneziano_cancelling_poles_are_finite():
     # alpha = -2, beta = 1: Gamma(alpha + beta) blows up too and the ratio
     # converges to -1/2.

@@ -56,15 +56,18 @@ def invert_transform(m):
     return ((d, -b), (-c, a))  # det 1
 
 
+SCIPY_TARGET = 1e-11
+
+
 def scipy_quad(f, lo, hi):
     """The adaptive Gauss-Kronrod rule that _quad replaced, kept as its oracle."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            value, err = integrate.quad(f, lo, hi, epsabs=complex_periods.QUAD_TARGET / 10, epsrel=1e-13, limit=200)
+            value, err = integrate.quad(f, lo, hi, epsabs=SCIPY_TARGET / 10, epsrel=1e-13, limit=200)
         except integrate.IntegrationWarning as exc:
             raise QuadratureNoConvergence(str(exc)) from exc
-    if err > complex_periods.QUAD_TARGET:
+    if err > SCIPY_TARGET:
         raise QuadratureNoConvergence(f"error estimate {err:.3e}")
     return value, err
 
@@ -287,6 +290,15 @@ def test_quad_puts_no_node_on_an_endpoint():
         complex_periods._quad(lambda x: 1.0 / (1.0 - x), 0.0, 1.0)
 
 
+def test_quad_stop_is_scale_free():
+    # The stop is relative, so scaling f by a power of two scales every term,
+    # every level and the stop test exactly: the run ends at the same level.
+    value, err = complex_periods._quad(lambda x: 1.0 / x, 1.0, 4.0)
+    for k in range(-60, 61):
+        scale = 2.0**k
+        assert complex_periods._quad(lambda x: scale / x, 1.0, 4.0) == (scale * value, scale * err), k
+
+
 def test_quadrature_matches_scipy_oracle():
     curves = random_three_real_curves(random.Random(2026), 300) + [EllipticCurveQ(-1, 0)]
     worst = 0.0
@@ -393,6 +405,25 @@ def test_agm_fixed_point():
         agm(1.0, 0.0)
 
 
+def test_agm_refuses_what_its_steps_cannot_hold():
+    # Products of arguments outside [sqrt(float min), sqrt(float max)] leave
+    # the normal doubles: these read inf, inf and 2.7e-320 without the check.
+    for a, b in ((1e200, 1.0), (1e160, 1e150), (1e-300, 1e-310), (1.0, 1e-155)):
+        with pytest.raises(FloatOverflow):
+            agm(a, b)
+        with pytest.raises(FloatOverflow):
+            agm(b, a)
+    assert agm(1e308, 1e308) == 1e308
+    lo, hi = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+    assert agm(lo, hi).hex() == agm_64_steps(lo, hi).hex()
+    assert 0 < agm(lo, hi) < math.inf
+    for bad in (math.nan, math.inf, -math.inf, -0.0):
+        with pytest.raises(InvalidInput):
+            agm(bad, 1.0)
+        with pytest.raises(InvalidInput):
+            agm(1.0, bad)
+
+
 positive_doubles = st.floats(min_value=1e-150, max_value=1e150)
 
 
@@ -472,6 +503,12 @@ def test_tau_normalize_conjugates_lower_half_plane():
 def test_degenerate_lattice():
     with pytest.raises(DegenerateLattice):
         tau_normalize(PeriodLattice(1 + 0j, 2.0 + 1e-15j, "agm"))
+
+
+def test_degenerate_lattice_of_a_ratio_that_is_not_finite():
+    for omega1, omega2 in ((1 + 0j, complex(math.nan, 1.0)), (1 + 0j, complex(math.inf, 1.0)), (1e-310 + 0j, 1e10j)):
+        with pytest.raises(DegenerateLattice):
+            tau_normalize(PeriodLattice(omega1, omega2, "agm"))
 
 
 def test_scaling_covariance():

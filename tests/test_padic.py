@@ -105,6 +105,16 @@ def test_teichmuller_fixed_points_distinct():
             assert pow(w, p, p**n) == w
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_teichmuller_is_the_delta_constant_above_a(p):
+    for n in range(2, 6):
+        for a in range(p**n):
+            if a % p:
+                w = teichmuller(PadicInt(p, n, a))
+                assert w.value % p == a % p, (p, n, a)
+                assert delta_p(w) == PadicInt(p, n - 1, 0), (p, n, a)
+
+
 def test_delta_examples():
     assert delta_p(PadicInt(5, 4, 0)).value == 0
     assert delta_p(PadicInt(5, 4, 1)).value == 0
