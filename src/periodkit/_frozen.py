@@ -88,7 +88,7 @@ def _coerced(primitive):
 class RingElement(Frozen):
     """Base of the exact value types, holding the one operator protocol.
 
-    A subclass supplies `_match(other)`, which raises the type's own error when
+    A subclass supplies `_match(other)`, which raises MismatchedStructure when
     another element's structure differs, `_with(n)`, the element of its
     structure given by an int, and the primitives `_add`, `_sub`, `_mul` and
     `_neg`, each building one element.  An int operand is lifted by `_with`; a

@@ -27,12 +27,14 @@ computes them in closed form from the exact coefficients, never as
 differences of computed roots: near a double root every gap keeps full
 relative precision.  Only the 3-real-root case is supported; the
 complex-root AGM branch choice is out of scope.
+
+J and the catalog's integrals run on one grid under one loop, _refine; the
+catalog's rule, tanh-sinh, is that rule in t after x = tanh((pi/2)*sinh(t)).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from array import array
@@ -51,11 +53,8 @@ from .errors import (
     check_int,
 )
 
-# The catalog's tanh-sinh rule: the step of level 0, and the last level before
-# QuadratureNoConvergence.  From h = 0.8 the catalog settles at level 3 or 4.
-_DE_STEP = 0.8
-_DE_LEVELS = 8
-_MID_LEVELS = 10  # levels of Gauss's integral: at most 4*3^9 = 78732 nodes
+_LEVELS = 10  # levels of every integral: at most 4*3^9 = 78732 grid nodes in all
+_T_MAX = 3.5  # the catalog's t-interval [0, _T_MAX]: 1 - tanh((pi/2)*sinh(3.5)) is about 5e-23
 _TAU_CAP = 10_000
 _AGM_LO, _AGM_HI = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)  # where agm's steps are exact
 
@@ -113,53 +112,6 @@ class TauPoint(Frozen):
     __slots__ = ("tau", "transform")
 
 
-@functools.lru_cache(maxsize=None)
-def _de_level(level: int) -> tuple[tuple[float, float], ...]:
-    """(node, weight) pairs that one level adds to the tanh-sinh rule.
-
-    Level 0 samples t = k*h at h = _DE_STEP; each later level halves h and
-    adds the odd multiples.  With s = (pi/2)*sinh(t), the node is
-    1 - tanh(s), the distance from an endpoint of [-1, 1], which the caller
-    mirrors to both ends.  The level stops where it falls below machine
-    epsilon, so no node rounds onto an endpoint.  Weights carry the factor h,
-    and the weight at t = 0 is halved, as both mirrors sit at the midpoint.
-    """
-    eps = sys.float_info.epsilon
-    h = _DE_STEP / 2**level
-    pairs = []
-    for k in itertools.count(0 if level == 0 else 1, 1 if level == 0 else 2):
-        s = 0.5 * math.pi * math.sinh(k * h)
-        delta = 2.0 / (math.exp(2.0 * s) + 1.0)
-        if delta < eps:
-            break
-        dt = h * 0.5 * math.pi * math.cosh(k * h)
-        pairs.append((delta, dt * delta * (2.0 - delta) * (0.5 if k == 0 else 1.0)))
-    return tuple(pairs)
-
-
-def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Tanh-sinh quadrature of f over [lo, hi] (Takahasi and Mori, 1974).
-
-    f must be smooth on the closed interval.  Each level halves the step and
-    reuses the previous sum.  The run stops when two successive levels differ
-    by at most 1e-13*|I|, whatever the scale of f, and that difference is the
-    error estimate.  Raises QuadratureNoConvergence when no two levels up to
-    the level cap agree that closely.
-    """
-    d = 0.5 * (hi - lo)
-
-    def level_sum(level: int) -> float:
-        return d * sum(w * (f(lo + d * x) + f(hi - d * x)) for x, w in _de_level(level))
-
-    total = level_sum(0)
-    for level in range(1, _DE_LEVELS + 1):
-        previous, total = total, 0.5 * total + level_sum(level)
-        err = abs(total - previous)
-        if err <= 1e-13 * abs(total):
-            return total, err
-    raise QuadratureNoConvergence(f"levels still differ by {err:.3e} at step {_DE_STEP / 2**_DE_LEVELS}")
-
-
 def _root_gaps(curve: EllipticCurveQ) -> tuple[float, float, float]:
     """(e1 - e2, e1 - e3, e2 - e3) for the roots e1 > e2 > e3 of x^3 + a*x + b.
 
@@ -195,32 +147,72 @@ def _root_gaps(curve: EllipticCurveQ) -> tuple[float, float, float]:
     return (small, wide, middle) if b > 0 else (middle, wide, small)
 
 
+def _new_midpoints(level: int, width: float) -> list[float]:
+    """The midpoints a level adds on [0, width]: all 4 at level 0, then those of
+    cells i mod 3 != 1 of 4*3^level, as the old midpoints stay nodes."""
+    cells = 4 * 3**level
+    h = width / cells
+    return [(i + 0.5) * h for i in range(cells) if level == 0 or i % 3 != 1]
+
+
+def _refine(level_sum: Callable[[int], float], h: float) -> tuple[float, float]:
+    """The one refinement loop, on the grid of _new_midpoints with cells of
+    width h at level 0: total = total/3 + h*level_sum(level), h a third of the
+    last at each level.  Stops when two levels differ by at most 1e-13*|total|,
+    whatever the scale of the integrand, and returns (total, that difference);
+    raises QuadratureNoConvergence if none do within _LEVELS levels."""
+    total = h * level_sum(0)
+    for level in range(1, _LEVELS):
+        h /= 3.0
+        previous, total = total, total / 3.0 + h * level_sum(level)
+        err = abs(total - previous)
+        if err <= 1e-13 * abs(total):
+            return total, err
+    raise QuadratureNoConvergence(f"levels still differ by {err:.3e} on a total of {total:.3e} at {_LEVELS} levels")
+
+
 @functools.lru_cache(maxsize=None)
 def _midpoint_level(level: int) -> array:
-    """sin^2 at the nodes a level adds to the midpoint rule on [0, pi/2]: all
-    4 midpoints at level 0, then (i + 1/2)*h for i mod 3 != 1, h = pi/(8*3^level)."""
-    cells = 4 * 3**level
-    h = 0.5 * math.pi / cells
-    return array("d", [math.sin((i + 0.5) * h) ** 2 for i in range(cells) if level == 0 or i % 3 != 1])
+    """sin^2 at the midpoints a level adds on [0, pi/2], one double per node."""
+    return array("d", [math.sin(x) ** 2 for x in _new_midpoints(level, 0.5 * math.pi)])
 
 
 def _gauss_integral(a: float, b: float) -> float:
     """I(a, b) for a, b > 0 as J(kappa)/(a*b)^(1/4) (module docstring), J by the
-    midpoint rule.  Each level triples the cells, so the old midpoints stay
-    nodes and total = total/3 + h*(sum over the new ones).  The run stops
-    when two levels differ by at most 1e-13*J, whatever the scale of a and b,
-    and raises QuadratureNoConvergence if none do within _MID_LEVELS."""
+    midpoint rule on [0, pi/2] under _refine."""
     sqrt = math.sqrt
     g = sqrt(min(a, b) / max(a, b))
     kappa = (1.0 - g) ** 2 / (4.0 * g)
-    h, total = 0.125 * math.pi, 0.0
-    for level in range(_MID_LEVELS):
-        previous = total
-        total = total / 3.0 + h * math.fsum([1.0 / sqrt(1.0 + kappa * s) for s in _midpoint_level(level)])
-        if abs(total - previous) <= 1e-13 * total:
-            return total / (sqrt(sqrt(a)) * sqrt(sqrt(b)))
-        h /= 3.0
-    raise QuadratureNoConvergence(f"levels still differ by {abs(total - previous) / total:.3e} at {_MID_LEVELS} levels")
+
+    def level_sum(level: int) -> float:
+        return math.fsum([1.0 / sqrt(1.0 + kappa * s) for s in _midpoint_level(level)])
+
+    return _refine(level_sum, 0.125 * math.pi)[0] / (sqrt(sqrt(a)) * sqrt(sqrt(b)))
+
+
+@functools.lru_cache(maxsize=None)
+def _tanh_sinh_level(level: int) -> tuple[array, array]:
+    """At the midpoints t a level adds on [0, _T_MAX], with s = (pi/2)*sinh(t),
+    the nodes 1 - tanh(s), each the distance from an endpoint of [-1, 1], and
+    the weights dx/dt = (pi/2)*cosh(t)*(1 - tanh(s)^2).  Every node is kept."""
+    ts = _new_midpoints(level, _T_MAX)
+    nodes = array("d", [2.0 / (math.exp(math.pi * math.sinh(t)) + 1.0) for t in ts])
+    weights = array("d", [0.5 * math.pi * math.cosh(t) * x * (2.0 - x) for t, x in zip(ts, nodes)])
+    return nodes, weights
+
+
+def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Tanh-sinh quadrature (Takahasi and Mori, 1974) of f, smooth on [lo, hi],
+    under _refine: (value, error estimate).  Each node is mirrored to both
+    ends; a point that rounds onto its endpoint is skipped, so f is never
+    evaluated at lo or hi."""
+    d = 0.5 * (hi - lo)
+
+    def level_sum(level: int) -> float:
+        pairs = zip(*_tanh_sinh_level(level))
+        return d * math.fsum([w * f(y) for x, w in pairs for y in (lo + d * x, hi - d * x) if lo < y < hi])
+
+    return _refine(level_sum, 0.25 * _T_MAX)
 
 
 def periods_quadrature(curve: EllipticCurveQ) -> PeriodLattice:
@@ -332,8 +324,8 @@ class CatalogEntry(Frozen):
 def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:
     """pi, the circle residue modulus 2*pi, and log n for n = 2..n_max (n_max <= 21).
 
-    Every value comes out of a quadrature run, never a math-library constant,
-    so the catalog doubles as an end-to-end check of the integration path.
+    Every value comes out of _refine, the periods' own loop, never a math-library
+    constant, so the catalog doubles as an end-to-end check of the integration path.
     """
     check_int("n_max", n_max)
     if not 2 <= n_max <= 21:

@@ -18,7 +18,7 @@ import math
 from typing import Sequence
 
 from ._frozen import Frozen, RingElement
-from .errors import InvalidInput, check_int
+from .errors import InvalidInput, MismatchedStructure, NotRationalInteger, check_int
 from .finite_field import _prime_factors
 
 # One reduction may take at most this many multiply-adds in its finish
@@ -146,7 +146,7 @@ class CyclotomicNumber(RingElement):
 
     def _match(self, other: "CyclotomicNumber") -> None:
         if other.m != self.m:
-            raise ValueError(f"root-of-unity orders differ: {self.m} vs {other.m}")
+            raise MismatchedStructure(f"root-of-unity orders differ: {self.m} vs {other.m}")
 
     def _with(self, n: int) -> "CyclotomicNumber":
         return CyclotomicNumber(self.m, [n])
@@ -184,13 +184,14 @@ class CyclotomicNumber(RingElement):
         return all(c == 0 for c in self.coeffs[1:])
 
     def as_int(self) -> int:
-        """The value as a rational integer; ValueError if it is not one."""
+        """The value as a rational integer; NotRationalInteger if it is not one."""
         if not self.is_rational_integer():
-            raise ValueError(f"{self!r} is not a rational integer")
+            raise NotRationalInteger(f"{self!r} is not a rational integer")
         return self.coeffs[0]
 
     def norm_to_int(self) -> int:
-        """z * conj(z) as a rational integer (defined for the sums computed here).
+        """z * conj(z) as a rational integer: defined for the Gauss and Jacobi sums
+        computed here; NotRationalInteger where z * conj(z) is not rational.
 
         z is multiplied by its unreduced conjugate, and the product reduced once."""
         product = _kron_mul(self.coeffs, self.coeffs[::-1])

@@ -29,8 +29,12 @@ class InvariantFailed(PeriodkitError):
     """A result broke an invariant the library checks; the message names the check."""
 
 
-class MismatchedModulus(PeriodkitError):
-    """Operands live over different prime fields."""
+class MismatchedStructure(PeriodkitError):
+    """Operands of one type live in different structures: another p, precision or order."""
+
+
+class NotRationalInteger(PeriodkitError):
+    """An element of Z[zeta_m] asked for as a rational integer is not one."""
 
 
 class DivisionByZero(PeriodkitError):
@@ -79,10 +83,6 @@ class PoleAtNonpositiveInteger(PeriodkitError):
 
 class NonUnit(PeriodkitError):
     """A p-adic inversion or Teichmueller lift was requested for a non-unit."""
-
-
-class MismatchedStructure(PeriodkitError):
-    """p-adic operands disagree in prime or precision."""
 
 
 class InsufficientPrecision(PeriodkitError):

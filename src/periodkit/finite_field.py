@@ -13,7 +13,7 @@ import functools
 import math
 
 from ._frozen import Frozen, Residue, _coerced
-from .errors import BadCongruence, DivisionByZero, InvalidInput, InvariantFailed, MismatchedModulus, check_int
+from .errors import BadCongruence, DivisionByZero, InvalidInput, InvariantFailed, MismatchedStructure, check_int
 
 MAX_PRIME = 2**31
 
@@ -82,7 +82,7 @@ def _check_table_prime(p: int) -> None:
 def _check_same_prime(a, b) -> None:
     """The one same-field rule, for residues and characters: a.p == b.p."""
     if a.p != b.p:
-        raise MismatchedModulus(f"moduli differ: {a.p} vs {b.p}")
+        raise MismatchedStructure(f"moduli differ: {a.p} vs {b.p}")
 
 
 class PrimeFieldElem(Residue):
@@ -90,7 +90,7 @@ class PrimeFieldElem(Residue):
 
     Invariant: 0 <= value < p; the modulus is validated once at construction.
     Instances are immutable and hashable; arithmetic between elements with
-    different moduli raises MismatchedModulus.
+    different moduli raises MismatchedStructure.
     """
 
     __slots__ = ("p", "value")

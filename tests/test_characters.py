@@ -17,7 +17,7 @@ from periodkit.characters import (
     quartic_character,
 )
 from periodkit.cyclotomic import CyclotomicNumber, _reduction_steps
-from periodkit.errors import BadCongruence, InvalidInput, MismatchedModulus, TrivialCharacter
+from periodkit.errors import BadCongruence, InvalidInput, MismatchedStructure, TrivialCharacter
 from periodkit.finite_field import PrimeFieldElem, legendre_symbol
 
 PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -31,7 +31,7 @@ def test_character_basics():
     assert MultiplicativeCharacter(13, 0).is_trivial
     assert (c * MultiplicativeCharacter(13, 9)).is_trivial
     assert MultiplicativeCharacter(7, 11).k == 5  # reduced mod p-1
-    with pytest.raises(MismatchedModulus):
+    with pytest.raises(MismatchedStructure):
         MultiplicativeCharacter(5, 1) * MultiplicativeCharacter(7, 1)
     with pytest.raises(BadCongruence):
         quartic_character(7)
@@ -197,9 +197,9 @@ def test_relation_check_measures_the_sum_it_is_given():
 
 
 def test_mismatched_moduli():
-    with pytest.raises(MismatchedModulus):
+    with pytest.raises(MismatchedStructure):
         jacobi_sum(MultiplicativeCharacter(5, 1), MultiplicativeCharacter(7, 1))
-    with pytest.raises(MismatchedModulus):
+    with pytest.raises(MismatchedStructure):
         char_eval(MultiplicativeCharacter(5, 1), PrimeFieldElem(7, 1))
 
 

@@ -337,11 +337,22 @@ def test_quadrature_coincident_roots_fail_typed(k):
 
 
 def test_midpoint_levels_are_the_grid_midpoints():
+    # Levels 0..k of both node tables cover the full grid of 4*3^k midpoints:
+    # sin^2 on [0, pi/2] for J, and (1 - tanh(s), (pi/2)*cosh(t)*sech(s)^2) on
+    # [0, 3.5] for the catalog, s = (pi/2)*sinh(t).
     for k in range(5):
         cells = 4 * 3**k
         grid = sorted(math.sin((i + 0.5) * math.pi / (2 * cells)) ** 2 for i in range(cells))
         built = sorted(s for level in range(k + 1) for s in complex_periods._midpoint_level(level))
         assert built == pytest.approx(grid, rel=1e-15, abs=0), k
+        # With e = exp(-2s): 1 - tanh(s) = 2e/(1 + e), sech(s)^2 = 4e/(1 + e)^2.
+        grid = []
+        for t in ((i + 0.5) * 3.5 / cells for i in range(cells)):
+            e = math.exp(-math.pi * math.sinh(t))
+            grid.append((2 * e / (1 + e), 2 * math.pi * math.cosh(t) * e / (1 + e) ** 2))
+        built = sorted(pair for level in range(k + 1) for pair in zip(*complex_periods._tanh_sinh_level(level)))
+        for column, expected in zip(zip(*built), zip(*sorted(grid))):
+            assert column == pytest.approx(expected, rel=1e-13, abs=0), k
     # kappa = 0: the integrand is 1, and J(0) = pi/2 at every level.
     assert complex_periods._gauss_integral(1.0, 1.0) == math.pi / 2
     assert complex_periods._gauss_integral(16.0, 16.0) == math.pi / 8
@@ -355,9 +366,25 @@ def test_refused_integral_work_is_bounded():
     with pytest.raises(QuadratureNoConvergence, match="at 10 levels"):
         complex_periods._gauss_integral(3.0, 1e-16)
     tables = [level(k) for k in range(level.cache_info().currsize)]
-    assert len(tables) == complex_periods._MID_LEVELS == 10
+    assert len(tables) == complex_periods._LEVELS == 10
     assert sum(map(len, tables)) == 4 * 3**9 == 78732
     assert sum(map(sys.getsizeof, tables)) <= 700_000
+
+
+def test_refused_catalog_work_is_bounded():
+    # 1/x on [0, 1] runs the catalog's rule to the same level cap: the tables
+    # then hold the 4*3^9 grid nodes as two doubles each, and f is read at
+    # most twice per node, once from each end.
+    level = complex_periods._tanh_sinh_level
+    level.cache_clear()
+    calls = []
+    with pytest.raises(QuadratureNoConvergence, match="at 10 levels"):
+        complex_periods._quad(lambda x: calls.append(x) or 1.0 / x, 0.0, 1.0)
+    tables = [level(k) for k in range(level.cache_info().currsize)]
+    assert len(tables) == complex_periods._LEVELS == 10
+    assert sum(len(nodes) for nodes, _ in tables) == 4 * 3**9
+    assert len(calls) <= 2 * 4 * 3**9
+    assert sum(sys.getsizeof(column) for table in tables for column in table) <= 1_300_000
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -589,6 +616,16 @@ def test_catalog_values_match_math():
     assert [r.name for r in rows] == list(exact)
     for row in rows:
         assert abs(row.value - exact[row.name]) <= 1e-14, row.name
+
+
+def test_catalog_values_match_mpmath():
+    # Every value is within 4e-16 of mpmath and prints as mpmath's value does.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = [mpmath.pi, 2 * mpmath.pi] + [mpmath.log(n) for n in range(2, 22)]
+        for row, value in zip(numeric_periods_catalog(21), exact, strict=True):
+            assert abs(row.value - value) <= 4e-16 * value, row.name
+            assert "%.15g" % row.value == "%.15g" % float(value), row.name
 
 
 def test_catalog_bounds():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodkit.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from periodkit.errors import MismatchedStructure, NotRationalInteger
 
 
 # Reference oracles: the schoolbook product and the long division by a dense
@@ -175,9 +176,12 @@ def test_rational_integer_queries():
     assert z.is_rational_integer() and z.as_int() == -7
     root = CyclotomicNumber.root_of_unity(8, 1)
     assert not root.is_rational_integer()
-    with pytest.raises(ValueError):
+    with pytest.raises(NotRationalInteger):
         root.as_int()
     assert root.norm_to_int() == 1  # zeta * conj(zeta)
+    # (1 + zeta_5)(1 + zeta_5^-1) = 2 + zeta_5 + zeta_5^4 is real but not rational.
+    with pytest.raises(NotRationalInteger):
+        CyclotomicNumber(5, [1, 1]).norm_to_int()
 
 
 def test_int_coercion_in_ops():
@@ -188,7 +192,7 @@ def test_int_coercion_in_ops():
 
 
 def test_mixed_order_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(MismatchedStructure, match="orders differ: 4 vs 8"):
         CyclotomicNumber(4, [1]) + CyclotomicNumber(8, [1])
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from periodkit.characters import MultiplicativeCharacter
-from periodkit.errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedModulus
+from periodkit.errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedStructure
 from periodkit import finite_field
 from periodkit.finite_field import (
     PrimeFieldElem,
@@ -54,7 +54,7 @@ def test_inverse_sweeps():
 
 
 def test_errors():
-    with pytest.raises(MismatchedModulus):
+    with pytest.raises(MismatchedStructure):
         PrimeFieldElem(5, 1) + PrimeFieldElem(7, 1)
     with pytest.raises(DivisionByZero):
         PrimeFieldElem(5, 0).inverse()

@@ -28,6 +28,33 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
+def raise_sites(name):
+    """file:line of every `raise name` and `raise name(...)` in the library."""
+    sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
+    assert sources
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == name
+    ]
+
+
+def test_no_bare_value_errors_in_library():
+    # Every error raised on purpose derives from PeriodkitError (errors.py); an
+    # argument error is InvalidInput, which is also a ValueError.
+    assert raise_sites("ValueError") == []
+
+
+def test_quadrature_gives_up_in_one_place():
+    # One refinement loop serves every integral; a second loop would bring a
+    # second level cap and a second raise.
+    sites = raise_sites("QuadratureNoConvergence")
+    assert len(sites) == 1 and sites[0].startswith("complex_periods.py:"), sites
+
+
 def test_fields_are_stored_only_through_frozen():
     # A validating __init__ stores its fields with Frozen.__init__(self, ...),
     # the one storing path; object.__setattr__ appears only in _frozen.py.
