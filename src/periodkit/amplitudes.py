@@ -19,7 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from ._frozen import Frozen
-from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger, check_int
+from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger, check_int, check_real
 
 POLE_SNAP = 1e-12
 
@@ -44,8 +44,7 @@ def _in_double_range(value: float, what: str) -> float:
 def gamma_fn(x: float) -> float:
     """Gamma via math.gamma; FloatOverflow once it leaves the double range
     (x above about 171.6, or below about -171 where it underflows)."""
-    if not math.isfinite(x):
-        raise InvalidInput("x", f"Gamma needs a finite argument, got {x}")
+    check_real("x", x)
     if _near_nonpositive_int(x) is not None:
         raise PoleAtNonpositiveInteger(f"Gamma has a pole at {x}")
     try:
@@ -57,9 +56,8 @@ def gamma_fn(x: float) -> float:
 
 def beta_fn(alpha: float, beta: float) -> float:
     """B(alpha, beta) = Gamma(alpha)Gamma(beta)/Gamma(alpha+beta)."""
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(v):
-            raise InvalidInput(name, f"Beta needs finite arguments, got {name} = {v}")
+    check_real("alpha", alpha)
+    check_real("beta", beta)
     for name, v in (("alpha", alpha), ("beta", beta), ("alpha+beta", alpha + beta)):
         if _near_nonpositive_int(v) is not None:
             raise PoleAtNonpositiveInteger(f"{name} = {v} sits on a Gamma pole")
@@ -73,9 +71,8 @@ class MandelstamInput(Frozen):
     __slots__ = ("s12", "s34")
 
     def __init__(self, s12: float, s34: float):
-        for name, v in (("s12", s12), ("s34", s34)):
-            if not math.isfinite(v):
-                raise InvalidInput(name, f"Mandelstam invariants must be finite, got {name} = {v}")
+        check_real("s12", s12)
+        check_real("s34", s34)
         Frozen.__init__(self, s12, s34)
 
     @property
@@ -143,8 +140,9 @@ def pole_scan(beta_fixed: float, n_max: int) -> list[tuple[int, float]]:
     check_int("n_max", n_max)
     if not 0 <= n_max <= 12:
         raise InvalidInput("n_max", f"need 0 <= n <= 12, got {n_max}")
-    if not math.isfinite(beta_fixed) or abs(beta_fixed - round(beta_fixed)) < 1e-9:
-        raise InvalidInput("beta_fixed", f"beta must be finite and off the integers, got {beta_fixed}")
+    check_real("beta_fixed", beta_fixed)
+    if abs(beta_fixed - round(beta_fixed)) < 1e-9:
+        raise InvalidInput("beta_fixed", f"beta must be off the integers, got {beta_fixed}")
     return [
         (n, (-1) ** n * math.prod(beta_fixed - j for j in range(1, n + 1)) / math.factorial(n))
         for n in range(n_max + 1)

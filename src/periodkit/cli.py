@@ -82,10 +82,11 @@ def _rows(fields):
 
 
 def _cell(v) -> str:
+    """One CSV or Markdown cell; None and a non-finite float are empty, as JSON writes them as null."""
     if v is None:
         return ""
     if type(v) is float:
-        return format(v, ".15g") if math.isfinite(v) else str(v)
+        return format(v, ".15g") if math.isfinite(v) else ""
     return _json(v) if type(v) in (list, tuple, dict) else str(v)
 
 
@@ -143,7 +144,7 @@ def _correspond_markdown(command: str, params: dict, rows: list, fields) -> str:
     lines += _md_table(header, [(r.k1, r.k2, r.coeffs, r.norm_ok, r.norm_checked) for r in report.local_rows])
     lines += ["", "## Global side: amplitude samples", ""]
     if report.global_rows:
-        samples = [(r.s, r.t, _finite(r.value), r.at_pole, r.pole_index) for r in report.global_rows]
+        samples = [(r.s, r.t, r.value, r.at_pole, r.pole_index) for r in report.global_rows]
         lines += _md_table(("s", "t", "A", "at_pole", "n"), samples)
     else:
         lines.append("(empty grid: dictionary rows only)")
@@ -171,10 +172,6 @@ def _rational(text: str):
     from fractions import Fraction  # loaded only by the commands that take rationals
 
     return Fraction(text)
-
-
-def _finite(x: float):
-    return x if math.isfinite(x) else None
 
 
 def _fp_curve(m, a):
@@ -217,7 +214,7 @@ _OMEGA = (("omega1_re", "lattice.omega1.real"), ("omega1_im", "lattice.omega1.im
           ("omega2_re", "lattice.omega2.real"), ("omega2_im", "lattice.omega2.imag"))
 _TAU = (("tau_re", "point.tau.real"), ("tau_im", "point.tau.imag"), ("matrix", "point.transform"))
 _LOCAL = (("k1", "k1"), ("k2", "k2"), ("norm_ok", "norm_ok"), ("norm_checked", "norm_checked"), ("J", "coeffs"))
-_GLOBAL = (("s", "s"), ("t", "t"), ("A", lambda r: _finite(r.value)), ("at_pole", "at_pole"), ("n", "pole_index"))
+_GLOBAL = (("s", "s"), ("t", "t"), ("A", "value"), ("at_pole", "at_pole"), ("n", "pole_index"))
 
 COMMANDS = {
     "gauss": Command(
@@ -287,7 +284,7 @@ COMMANDS = {
         "four-point amplitude at (s, t)", "amplitudes", (Flag("s", float, feeds="s12"), Flag("t", float, feeds="s34")),
         lambda m, a: [SimpleNamespace(x=(x := m.MandelstamInput(s12=a.s, s34=a.t)), amp=m.veneziano(x))],
         (("s", "x.s12"), ("t", "x.s34"), ("alpha", "x.alpha"), ("beta", "x.beta"),
-         ("value", lambda r: _finite(r.amp.value)), ("at_pole", "amp.at_pole"), ("pole_index", "amp.pole_index")),
+         ("value", "amp.value"), ("at_pole", "amp.at_pole"), ("pole_index", "amp.pole_index")),
     ),
     "beta": Command(
         "Euler Beta via the Gamma ratio; --s and --t are its two arguments", "amplitudes",

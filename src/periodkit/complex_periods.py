@@ -322,7 +322,7 @@ class CatalogEntry(Frozen):
 
 
 def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:
-    """pi, the circle residue modulus 2*pi, and log n for n = 2..n_max (n_max <= 21).
+    """pi, 2*pi (the residue period of dz/z around a square) and log n for n = 2..n_max (n_max <= 21).
 
     Every value comes out of _refine, the periods' own loop, never a math-library
     constant, so the catalog doubles as an end-to-end check of the integration path.
@@ -334,10 +334,10 @@ def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:
         # Int_{-1}^{1} dx/sqrt(1-x^2): fold to [0, 1] and substitute x = 1 - u^2.
         ("pi", lambda u: 4.0 / math.sqrt(2.0 - u * u), 0.0, 1.0, "unit circle x^2 + y^2 = 1", "(none)", "dx/y",
          "arc y >= 0 traversed from x = -1 to x = 1, both halves"),
-        # |dz/z| along z(theta) = cos(theta) + i sin(theta).
-        ("2*pi", lambda th: abs(complex(-math.sin(th), math.cos(th)) / complex(math.cos(th), math.sin(th))),
-         0.0, 2.0 * math.pi, "punctured affine line, coordinate z != 0", "(none)",
-         "dz/z (residue period 2*pi*i; modulus tabulated)", "unit circle, counterclockwise"),
+        # Im of dz/z around the square: each side, rotated to z = 1 + it, gives dt/(1 + t^2).
+        ("2*pi", lambda t: 4.0 / (1.0 + t * t), -1.0, 1.0, "punctured affine line, coordinate z != 0", "(none)",
+         "dz/z (residue period 2*pi*i; imaginary part tabulated)",
+         "boundary of the square with corners +-1 +- i, counterclockwise"),
     ] + [
         (f"log {n}", lambda x: 1.0 / x, 1.0, float(n), "punctured affine line, coordinate x != 0", f"{{1, {n}}}",
          "dx/x", f"segment [1, {n}]")

@@ -12,7 +12,7 @@ import math
 from ._frozen import Frozen
 from .characters import jacobi_sum, quadratic_character, quartic_character
 from .errors import InvariantFailed, SingularCurve, UnsupportedDegree, check_int
-from .finite_field import _check_prime, _check_table_prime
+from .finite_field import _check_prime
 
 
 class WeierstrassCurveFp(Frozen):
@@ -111,7 +111,6 @@ def count_points(curve: WeierstrassCurveFp) -> CountResult:
     multiple in the interval (Mestre's theorem); in practice a few points do.
     """
     p, a, b = curve.p, curve.a, curve.b
-    _check_table_prime(p)
     width = math.isqrt(4 * p)
     candidates = range(p + 1 - width, p + 2 + width)
     half, twisted = (p - 1) // 2, 2 * p + 2

@@ -21,10 +21,6 @@ from ._frozen import Frozen, RingElement
 from .errors import InvalidInput, MismatchedStructure, NotRationalInteger, check_int
 from .finite_field import _prime_factors
 
-# One reduction may take at most this many multiply-adds in its finish
-# (about 1.3 s at the 7-8 million steps per second of CPython 3.11).
-MAX_REDUCTION_STEPS = 10**7
-
 
 def _check_order(m: int) -> None:
     check_int("m", m)

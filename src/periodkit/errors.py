@@ -1,10 +1,12 @@
-"""Exception types shared across the toolkit, and the one int rule.
+"""Exception types shared across the toolkit, and the one int rule and real rule.
 
 Every error the library raises on purpose derives from PeriodkitError.
 InvalidInput (also a ValueError) names an argument that breaks a stated rule;
 InvariantFailed, a check of the library's own result that failed; every other
 subclass is a domain error, where valid arguments meet a mathematical obstruction.
 """
+
+import math
 
 
 class PeriodkitError(Exception):
@@ -23,6 +25,19 @@ def check_int(arg: str, value) -> None:
     """An int argument must be an int; a bool is not one, so True cannot stand in for 1."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidInput(arg, f"need an int, got {value!r}")
+
+
+def check_real(arg: str, value) -> None:
+    """A real argument must be a number that math.isfinite takes and finds finite:
+    not a bool, a str, a complex, NaN, an infinity or an int beyond the doubles."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except TypeError:
+        finite = False
+    except OverflowError:  # an int or a Fraction past the doubles, whose repr can be too long to print
+        raise InvalidInput(arg, "need a finite real number, got one beyond the double range") from None
+    if not finite:
+        raise InvalidInput(arg, f"need a finite real number, got {value!r}")
 
 
 class InvariantFailed(PeriodkitError):

@@ -17,21 +17,16 @@ from .errors import BadCongruence, DivisionByZero, InvalidInput, InvariantFailed
 
 MAX_PRIME = 2**31
 
-# Bounds the kernels over F_p: the dlog table, p entries, the Gauss-sum walk
-# and the point count.  `count` and `zeta` build no table (baby-step giant-step
-# on a few points), and the F_{p^2} count follows from a_p.  At p = 1999993
-# (cold, 2-core Xeon, CPython 3.11) `jacobi` at order 2 takes 1.0-1.15 s and
-# 31 MB peak RSS, `gauss` 0.9-1.0 s and 16 MB, `count` and `zeta`
-# 0.11-0.13 s and 16 MB, about the cost of starting the CLI.
-MAX_TABLE_PRIME = 2 * 10**6
-
-# Miller-Rabin with these witnesses is exact for all n < 3_215_031_751,
-# which covers the whole supported range.
+# Miller-Rabin with these witnesses is exact for all n < 3_215_031_751
+# (= 151 * 751 * 28351, which passes them), so is_prime stops at 2**31.
 _MR_WITNESSES = (2, 3, 5, 7)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**31."""
+    """Deterministic primality test for n < 2**31; InvalidInput for n >= 2**31."""
+    check_int("n", n)
+    if n >= MAX_PRIME:
+        raise InvalidInput("n", f"is_prime is exact only below 2**31, got an n of {n.bit_length()} bits")
     if n < 2:
         return False
     for small in (2, 3, 5, 7):
@@ -71,12 +66,6 @@ def _check_prime(p: int, least: int = 3) -> None:
 def _is_supported_prime(p: int, least: int) -> bool:
     """Memoized: field elements and characters are built per operation."""
     return least <= p < MAX_PRIME and is_prime(p)
-
-
-def _check_table_prime(p: int) -> None:
-    """The cost budget of the kernels over F_p: p <= MAX_TABLE_PRIME."""
-    if p > MAX_TABLE_PRIME:
-        raise InvalidInput("p", f"the kernels over F_p need p <= {MAX_TABLE_PRIME}, got {p}")
 
 
 def _check_same_prime(a, b) -> None:

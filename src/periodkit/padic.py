@@ -97,8 +97,6 @@ def delta_p(x: PadicInt) -> PadicInt:
     Fermat guarantees p divides x - x^p, so the division is exact; the
     identity Frobenius on the ground ring is what the formula encodes.
     """
-    if x.precision < 2:
-        raise InsufficientPrecision("delta needs at least two digits")
     return (x - x**x.p).divide_by_p()
 
 
@@ -113,8 +111,6 @@ def frobenius_lift_check(variant: str, x: PadicInt) -> FrobeniusLiftVerdict:
     """Evaluate phi1(x) = x^p or phi2(x) = x^p + p*x and verify both claims:
     the value reduces to x^p mod p, and its deviation from x^p over p is the
     advertised derivation component (0 for phi1, x for phi2)."""
-    if x.precision < 2:
-        raise InsufficientPrecision("lift check needs at least two digits")
     xp = x**x.p
     if variant == "phi1":
         phi = xp
@@ -142,9 +138,6 @@ def delta_rules_check(x: PadicInt, y: PadicInt) -> DeltaRulesVerdict:
     """Check delta(x+y) = delta(x) + delta(y) + C_p(x, y) and
     delta(xy) = x^p delta(y) + y^p delta(x) + p delta(x) delta(y),
     both exactly at one digit less than the inputs."""
-    if x.precision < 2 or y.precision < 2:
-        raise InsufficientPrecision("rule check needs at least two digits")
-    x._match(y)
     p, n1 = x.p, x.precision - 1
     dx = delta_p(x)
     dy = delta_p(y)

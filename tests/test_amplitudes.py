@@ -17,7 +17,7 @@ from periodkit.amplitudes import (
 )
 from periodkit.characters import MultiplicativeCharacter, jacobi_sum
 from periodkit.cyclotomic import CyclotomicNumber, _modulus, cyclotomic_polynomial
-from periodkit.errors import FloatOverflow, PoleAtNonpositiveInteger
+from periodkit.errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger
 
 
 @pytest.fixture
@@ -248,6 +248,27 @@ def test_pole_scan_input_validation():
         pole_scan(2.0, 3)
     with pytest.raises(ValueError):
         pole_scan(2.5, 13)
+
+
+@pytest.mark.parametrize("bad", [10**400, -(10**400), "2", 1 + 2j, True, math.nan, math.inf, None])
+@pytest.mark.parametrize(
+    "call,arg",
+    [
+        (gamma_fn, "x"),
+        (lambda v: beta_fn(v, 1.0), "alpha"),
+        (lambda v: beta_fn(1.5, v), "beta"),
+        (lambda v: MandelstamInput(v, 1.0), "s12"),
+        (lambda v: MandelstamInput(2.5, v), "s34"),
+        (lambda v: pole_scan(v, 3), "beta_fixed"),
+    ],
+    ids=["gamma", "beta-alpha", "beta-beta", "mandelstam-s12", "mandelstam-s34", "pole_scan"],
+)
+def test_real_arguments_follow_one_rule(call, arg, bad):
+    # An int past the doubles once escaped as OverflowError, a str or complex
+    # as TypeError, and gamma_fn(True) returned 1.0.
+    with pytest.raises(InvalidInput) as info:
+        call(bad)
+    assert info.value.arg == arg
 
 
 def test_correspondence_local_norms():

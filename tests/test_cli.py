@@ -603,7 +603,7 @@ ARGV_TABLE = [
     (["periods", "--curve", "-1e-310,0"], 1, "FloatOverflow"),  # a subnormal a
     (["tau", "--curve", "1e400,0"], 1, "FloatOverflow"),
     (["periodmap", "--grid", "1e400"], 1, "FloatOverflow"),
-    (["count", "--p", "2000003", "--curve", "1,1", "--n", "2"], 2, "--p"),  # over the p-entry table budget
+    (["count", "--p", "2147483659", "--curve", "1,1", "--n", "2"], 2, "--p"),  # prime above 2**31
     (["jacobi", "--p", "2000003", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the p-entry table budget
     (["jacobi", "--p", "94291", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the reduction budget
     (["catalog", "--n", "22"], 2, "--n"),  # more than twenty logarithms
@@ -615,6 +615,20 @@ def test_invalid_argv_table(argv, code, named):
     got, out, err = run_cli(argv)
     assert (got, out) == (code, "")
     assert err.startswith(f"error: {named}: "), err
+
+
+@pytest.mark.parametrize("argv", [["count", "--n", "2"], ["zeta"]], ids=["count", "zeta"])
+def test_count_and_zeta_take_every_prime_below_2_31(argv):
+    # A point count builds no table, so the F_p budgets of `characters` do not bound it.
+    p = 2**31 - 1
+    code, out, err = run_cli([argv[0], "--p", str(p), "--curve", "4,1", *argv[1:]])
+    assert code == 0, err
+    row = json.loads(out)["rows"][0]
+    assert row["ap"] == -9728
+    if argv[0] == "count":
+        assert (row["Np"], row["Np2"]) == (p + 1 + 9728, p * p + 1 - (9728**2 - 2 * p))
+    else:
+        assert (row["alpha_re"], row["beta_re"]) == (-4864, -4864)
 
 
 @pytest.mark.parametrize("tol", ["inf", "0.5"])
@@ -646,7 +660,8 @@ def test_veneziano_large_pole_index():
 # Values drawn by the argv property test: each flag takes a plausible value
 # three times in four, else a hostile token.  Primes stay at or below 97 (13 for
 # correspond) so no call builds a large table; the hostile tokens include no
-# prime in [10^4, 2^31), for the same reason.
+# prime in [10^4, 2^31), for the same reason.  A point count builds no table, so
+# `count` and `zeta` also draw primes near 10^9 and 2^31.
 HOSTILE = ["nan", "inf", "-inf", "1e308", "1e400", "0", "-7", "4", "3215031751", "2147483659", "1/0", "abc"]
 
 
@@ -655,6 +670,7 @@ def values(*plausible, hostile=HOSTILE):
 
 
 PRIME = values("2", "3", "5", "7", "11", "13", "29", "97")
+COUNT_PRIME = values("2", "3", "5", "7", "11", "13", "29", "97", "1000000007", "2147483647")
 INT = values("0", "1", "2", "5", "12")
 FLOAT = values("2.5", "-0.5", "1", "2", "0.5", "3.7", "1e-13", "-200", "-200.5", "171.5")
 MALFORMED = ["1", "1,2,3", ",", "", "1/0,1", "a,b", "1e400,0", "-1e400,0", "-1e-400,0", "nan,0", "2.5,nan", "1e308,2"]
@@ -664,8 +680,8 @@ GRID = values("", "1/4,1/2", "3/4", "2.0,1.0", "0", "1", "-0.5,3.7", hostile=HOS
 ARG_POOLS = {
     "gauss": {"--p": PRIME, "--k1": INT},
     "jacobi": {"--p": PRIME, "--k1": INT, "--k2": INT},
-    "count": {"--p": PRIME, "--curve": CURVE, "--n": values("1", "2", "3")},
-    "zeta": {"--p": PRIME, "--curve": CURVE},
+    "count": {"--p": COUNT_PRIME, "--curve": CURVE, "--n": values("1", "2", "3")},
+    "zeta": {"--p": COUNT_PRIME, "--curve": CURVE},
     "apjacobi": {"--p": PRIME},
     "periods": {"--curve": CURVE},
     "tau": {"--curve": CURVE},

@@ -17,7 +17,7 @@ from periodkit.curve_counts import (
     count_points_ext,
     zeta_data,
 )
-from periodkit.errors import BadCongruence, InvalidInput, InvariantFailed, SingularCurve, UnsupportedDegree
+from periodkit.errors import BadCongruence, InvariantFailed, SingularCurve, UnsupportedDegree
 from periodkit.finite_field import _smallest_primitive_root, is_prime
 
 PRIMES_5_TO_31 = [5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -160,10 +160,50 @@ def test_count_reads_a_few_points_at_large_p(monkeypatch):
     calls = []
     multiples = curve_counts._order_multiples
     monkeypatch.setattr(curve_counts, "_order_multiples", lambda *args: calls.append(args) or multiples(*args))
-    for a, b in ((4, 1), (0, 1), (1, 0), (-1, 0)):
-        calls.clear()
-        count_points(WeierstrassCurveFp(1999993, a, b))
-        assert 1 <= len(calls) <= 20, (a, b, len(calls))
+    for p in (1999993, 2**31 - 1):
+        for a, b in ((4, 1), (0, 1), (1, 0), (-1, 0)):
+            calls.clear()
+            count_points(WeierstrassCurveFp(p, a, b))
+            assert 1 <= len(calls) <= 20, (p, a, b, len(calls))
+
+
+def largest_primes_below(n, count):
+    # Independent oracle: trial division by the primes up to sqrt(n), sieved.
+    root = math.isqrt(n)
+    sieve = bytearray([1]) * (root + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(root) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, root + 1, q)))
+    small = [q for q in range(root + 1) if sieve[q]]
+    found = []
+    for m in range(n - 1, 1, -1):
+        if all(m % q for q in small if q * q <= m):
+            found.append(m)
+            if len(found) == count:
+                return found
+
+
+def primary_real_part(p):
+    # p = 1 mod 4 is a^2 + b^2 with a odd and b even; the associate a + bi or
+    # -a - bi that is 1 mod (1+i)^3 (a + b = 1 mod 4) is primary.
+    a = next(a for a in range(1, math.isqrt(p) + 1, 2) if math.isqrt(p - a * a) ** 2 == p - a * a)
+    b = math.isqrt(p - a * a)
+    return a if (a + b) % 4 == 1 else -a
+
+
+def test_counts_below_2_31_match_closed_forms():
+    # Ireland and Rosen, A Classical Introduction to Modern Number Theory,
+    # ch. 18: y^2 = x^3 - x has a_p = 0 for p = 3 mod 4 and a_p = 2a for the
+    # primary a + bi of norm p = 1 mod 4; y^2 = x^3 + 1 has a_p = 0 for p = 2 mod 3.
+    assert primary_real_part(2147483629) == -12925  # 12925^2 + 44502^2
+    primes = largest_primes_below(2**31, 20)
+    assert primes[0] == 2**31 - 1 and len(primes) == 20
+    for p in primes:
+        want = 0 if p % 4 == 3 else 2 * primary_real_part(p)
+        assert count_points(WeierstrassCurveFp(p, -1, 0)).a_p == want, p
+        if p % 3 == 2:
+            assert count_points(WeierstrassCurveFp(p, 0, 1)).a_p == 0, p
 
 
 def test_count_without_a_fitting_order_fails_its_invariant(monkeypatch):
@@ -285,10 +325,3 @@ def test_table_cache_keeps_only_the_last_prime(table):
     assert table.cache_info().misses == misses
     table(101)
     assert table.cache_info().misses == misses + 1
-
-
-def test_count_refuses_p_above_the_table_budget():
-    # 2000003 is the first prime above MAX_TABLE_PRIME = 2 * 10**6.
-    with pytest.raises(InvalidInput) as info:
-        count_points(WeierstrassCurveFp(2000003, 1, 1))
-    assert info.value.arg == "p"

@@ -31,8 +31,19 @@ def trial_division_prime(n):
 
 
 def test_is_prime_matches_trial_division():
-    for n in range(2000):
+    for n in range(-5, 2000):
         assert is_prime(n) == trial_division_prime(n), n
+
+
+@pytest.mark.parametrize(
+    "n", [2**31, 3215031751, 3825123056546413051, pytest.param(10**5000, id="10**5000"), True, 7.0, "7"]
+)
+def test_is_prime_refuses_what_its_witnesses_cannot_decide(n):
+    # 3825123056546413051 = 149491 * 747451 * 34233211 also passes 2, 3, 5, 7;
+    # 10**5000 has too many digits for str(); a bool, a float or a str breaks the int rule.
+    with pytest.raises(InvalidInput) as info:
+        is_prime(n)
+    assert info.value.arg == "n"
 
 
 def test_arithmetic_examples():
@@ -147,8 +158,9 @@ def test_gaussian_split_properties():
 )
 def test_prime_rule_bounds_every_caller(build):
     # 3215031751 = 151 * 21291601 is the first strong pseudoprime to the
-    # witnesses 2, 3, 5, 7, so is_prime is exact only below it.
-    assert is_prime(3215031751)
+    # witnesses 2, 3, 5, 7, so is_prime refuses it as it refuses every n >= 2**31.
+    with pytest.raises(InvalidInput):
+        is_prime(3215031751)
     with pytest.raises(InvalidInput) as info:
         build()
     assert info.value.arg == "p"

@@ -149,3 +149,22 @@ def test_operators_are_defined_once():
     ]
     assert sorted(name for cls, name in found if cls in bases) == sorted(protocol)
     assert [(cls, name) for cls, name in found if cls not in bases] == [("MultiplicativeCharacter", "__mul__")]
+
+
+def test_f_p_budgets_live_in_characters():
+    # The two cost budgets bound the kernels of characters.py alone; a point
+    # count builds no table, so a copy in another module would refuse work
+    # that the budget does not model.
+    sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
+    assert sources
+    assigned, called = [], []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [f"{path.name} {ast.unparse(t)}" for t in targets
+                             if ast.unparse(t) in ("MAX_TABLE_PRIME", "MAX_REDUCTION_STEPS")]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_check_table_prime":
+                called.append(path.name)
+    assert sorted(assigned) == ["characters.py MAX_REDUCTION_STEPS", "characters.py MAX_TABLE_PRIME"]
+    assert called and set(called) == {"characters.py"}, called
