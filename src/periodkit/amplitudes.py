@@ -137,9 +137,7 @@ def pole_scan(beta_fixed: float, n_max: int) -> list[tuple[int, float]]:
     Gamma(alpha) has residue (-1)^n/n! at alpha = -n, and there the Beta ratio
     leaves Gamma(beta)/Gamma(beta - n) = prod_{j=1..n} (beta - j).
     """
-    check_int("n_max", n_max)
-    if not 0 <= n_max <= 12:
-        raise InvalidInput("n_max", f"need 0 <= n <= 12, got {n_max}")
+    check_int("n_max", n_max, lo=0, hi=12)
     check_real("beta_fixed", beta_fixed)
     if abs(beta_fixed - round(beta_fixed)) < 1e-9:
         raise InvalidInput("beta_fixed", f"beta must be off the integers, got {beta_fixed}")
@@ -183,7 +181,7 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     """
     # The finite side loads here, so the Gamma-ratio commands never import it.
     from .characters import MultiplicativeCharacter, jacobi_sum
-    from .curve_counts import a_p_from_jacobi
+    from .curve_counts import _primary_trace
     from .finite_field import _check_prime
 
     _check_prime(p)
@@ -221,7 +219,8 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
         amp = veneziano(m)
         global_rows.append(GlobalRow(m.s12, m.s34, amp.value, amp.at_pole, amp.pole_index))
 
-    ap = a_p_from_jacobi(p) if p % 4 == 1 else None
+    # Row ((p-1)/4, (p-1)/2) holds J(chi_4, chi_2); at p = 3 mod 4 floor division names another row.
+    ap = _primary_trace(p, *rows[order // 4, order // 2].coeffs) if p % 4 == 1 else None
     return CorrespondenceReport(
         p=p,
         a_p=ap,

@@ -51,6 +51,7 @@ from .errors import (
     QuadratureNoConvergence,
     SingularCurve,
     check_int,
+    shown,
 )
 
 _LEVELS = 10  # levels of every integral: at most 4*3^9 = 78732 grid nodes in all
@@ -65,7 +66,7 @@ def _check_rational(arg: str, value) -> Fraction:
     if isinstance(value, Fraction):
         return value  # immutable, so no copy
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInput(arg, f"need an int or a Fraction, got {value!r}")
+        raise InvalidInput(arg, f"need an int or a Fraction, got {shown(value)}")
     return Fraction(value)
 
 
@@ -134,7 +135,7 @@ def _root_gaps(curve: EllipticCurveQ) -> tuple[float, float, float]:
         raise FloatOverflow("|a| is beyond the double range") from None
     d = _discriminant_numerator(a, b)
     if d <= 0:
-        raise ComplexRoots(f"{curve!r} has one real root; period support needs three")
+        raise ComplexRoots(f"{shown(curve)} has one real root; period support needs three")
     w = -4 * a.numerator**3 * b.denominator**2
     sin2 = d / w
     phi = math.atan2(math.sqrt(sin2), math.sqrt((w - d) / w))
@@ -234,9 +235,10 @@ def agm(a: float, b: float) -> float:
     """
     if not (_AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI):
         if not (0 < a < math.inf and 0 < b < math.inf):
-            raise InvalidInput("b" if 0 < a < math.inf else "a", f"agm needs positive finite arguments, got ({a}, {b})")
+            arg = "b" if 0 < a < math.inf else "a"
+            raise InvalidInput(arg, f"agm needs positive finite arguments, got ({shown(a)}, {shown(b)})")
         if a != b:
-            raise FloatOverflow(f"agm({a}, {b}) leaves the range where its steps are exact")
+            raise FloatOverflow(f"agm({shown(a)}, {shown(b)}) leaves the range where its steps are exact")
         return a
     for _ in range(64):
         if a == b:
@@ -327,9 +329,7 @@ def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:
     Every value comes out of _refine, the periods' own loop, never a math-library
     constant, so the catalog doubles as an end-to-end check of the integration path.
     """
-    check_int("n_max", n_max)
-    if not 2 <= n_max <= 21:
-        raise InvalidInput("n_max", f"need 2 <= n <= 21, got {n_max}")
+    check_int("n_max", n_max, lo=2, hi=21)
     rows = [
         # Int_{-1}^{1} dx/sqrt(1-x^2): fold to [0, 1] and substitute x = 1 - u^2.
         ("pi", lambda u: 4.0 / math.sqrt(2.0 - u * u), 0.0, 1.0, "unit circle x^2 + y^2 = 1", "(none)", "dx/y",

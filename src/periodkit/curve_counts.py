@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .characters import jacobi_sum, quadratic_character, quartic_character
-from .errors import InvariantFailed, SingularCurve, UnsupportedDegree, check_int
+from .errors import InvariantFailed, SingularCurve, UnsupportedDegree, check_int, shown
 from .finite_field import _check_prime
 
 
@@ -146,7 +145,7 @@ def _count_from_trace(p: int, a_p: int, n: int) -> int:
     alpha*beta = p give alpha^2 + beta^2 = a_p^2 - 2p exactly."""
     check_int("n", n)
     if n not in (1, 2):
-        raise UnsupportedDegree("n", f"only degrees 1 and 2 are supported, got {n}")
+        raise UnsupportedDegree("n", f"only degrees 1 and 2 are supported, got {shown(n)}")
     return p + 1 - a_p if n == 1 else p * p + 1 - (a_p * a_p - 2 * p)
 
 
@@ -173,14 +172,16 @@ def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:
 
 
 def a_p_from_jacobi(p: int) -> int:
-    """Trace defect of y^2 = x^3 - x over F_p (p = 1 mod 4) out of a Jacobi sum.
+    """Trace defect of y^2 = x^3 - x over F_p (p = 1 mod 4), _primary_trace of
+    J(chi_4, chi_2); quartic_character enforces both rules on p: prime, 1 mod 4."""
+    from .characters import jacobi_sum, quadratic_character, quartic_character  # so count and zeta never load it
 
-    pi = J(chi_4, chi_2) is a Gaussian integer of norm p; it is normalized to
-    the unique associate congruent to 1 mod (1+i)^3, whose trace is a_p.
-    quartic_character enforces both rules on p: prime, and 1 mod 4.
-    """
-    j = jacobi_sum(quartic_character(p), quadratic_character(p))
-    re, im = j.coeffs  # Z[zeta_4] = Z[i], basis (1, i)
+    return _primary_trace(p, *jacobi_sum(quartic_character(p), quadratic_character(p)).coeffs)
+
+
+def _primary_trace(p: int, re: int, im: int) -> int:
+    """a_p of y^2 = x^3 - x from J(chi_4, chi_2) = re + im*i in Z[zeta_4] = Z[i], a
+    Gaussian integer of norm p: the trace of its associate that is 1 mod (1+i)^3."""
     if re * re + im * im != p:
         raise InvariantFailed(f"Jacobi norm: |J|^2 = {re * re + im * im} != {p}")
     for a, b in ((re, im), (-im, re), (-re, -im), (im, -re)):  # unit multiples 1, i, -1, -i

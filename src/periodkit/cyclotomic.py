@@ -18,26 +18,17 @@ import math
 from typing import Sequence
 
 from ._frozen import Frozen, RingElement
-from .errors import InvalidInput, MismatchedStructure, NotRationalInteger, check_int
+from .errors import InvalidInput, MismatchedStructure, NotRationalInteger, check_int, shown
 from .finite_field import _prime_factors
 
 
-def _check_order(m: int) -> None:
-    check_int("m", m)
-    if m < 1:
-        raise InvalidInput("m", f"root-of-unity order must be positive, got {m}")
-
-
-# Bounded, so a loop over ring orders does not keep every polynomial; p - 1 has at
-# most 12 divisors for p <= 97, so a correspondence report builds each order once.
-@functools.lru_cache(maxsize=12, typed=True)  # typed: True is no cache hit for 1, so it meets the int rule
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m.
 
     Phi_m(x) = Phi_r(x^(m/r)) for the radical r of m, and Phi_r is the Moebius
     product of x^d - 1 over the divisors d of r: each factor is one linear pass.
     """
-    _check_order(m)
+    check_int("m", m, lo=1)
     primes = _prime_factors(m)
     factors, stride = [(1, (-1) ** len(primes))], m  # (d, mu(r/d)) over the divisors d of r
     for q in primes:
@@ -57,7 +48,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=12)  # bounded as cyclotomic_polynomial is
+# The ring's one cache, bounded: p - 1 has at most 12 divisors for p <= 97, so a report builds each order once.
+@functools.lru_cache(maxsize=12)
 def _modulus(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """(phi, h, tail): the degree of Phi_m, the h with Phi_m dividing x^h + 1 for
     even m (h = m/2) or x^h - 1 for odd m (h = m), and the nonzero terms (k, c)
@@ -121,7 +113,7 @@ class CyclotomicNumber(RingElement):
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs: Sequence[int]):
-        _check_order(m)
+        check_int("m", m, lo=1)
         for c in coeffs:
             check_int("coeffs", c)
         Frozen.__init__(self, m, _reduce(m, coeffs))
@@ -136,7 +128,7 @@ class CyclotomicNumber(RingElement):
     @classmethod
     def root_of_unity(cls, m: int, j: int) -> "CyclotomicNumber":
         """zeta_m^j as a canonical element."""
-        _check_order(m)
+        check_int("m", m, lo=1)
         check_int("j", j)
         return cls._unchecked(m, [0] * (j % m) + [1])
 
@@ -170,7 +162,7 @@ class CyclotomicNumber(RingElement):
         m = self.m
         check_int("a", a)
         if math.gcd(a, m) != 1:
-            raise InvalidInput("a", f"sigma_a needs a unit modulo m, got a = {a}, m = {m}")
+            raise InvalidInput("a", f"sigma_a needs a unit modulo m, got a = {shown(a)}, m = {m}")
         out = [0] * m
         for j, c in enumerate(self.coeffs):
             out[a * j % m] = c  # j -> a*j is injective on Z/m, so no two j collide
@@ -182,7 +174,7 @@ class CyclotomicNumber(RingElement):
     def as_int(self) -> int:
         """The value as a rational integer; NotRationalInteger if it is not one."""
         if not self.is_rational_integer():
-            raise NotRationalInteger(f"{self!r} is not a rational integer")
+            raise NotRationalInteger(f"{shown(self)} is not a rational integer")
         return self.coeffs[0]
 
     def norm_to_int(self) -> int:

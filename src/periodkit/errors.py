@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the one int rule and real rule.
+"""Exception types shared across the toolkit, the one int and real rules, and shown.
 
 Every error the library raises on purpose derives from PeriodkitError.
 InvalidInput (also a ValueError) names an argument that breaks a stated rule;
@@ -21,10 +21,26 @@ class InvalidInput(PeriodkitError, ValueError):
         self.arg = arg
 
 
-def check_int(arg: str, value) -> None:
-    """An int argument must be an int; a bool is not one, so True cannot stand in for 1."""
+def shown(value) -> str:
+    """repr(value) where CPython can print it; past its int-to-str digit limit,
+    a short description such as "an int of 16610 bits"."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+        name = type(value).__name__
+        return f"{'an' if name[0] in 'AEIOU' else 'a'} {name} too large to print"
+
+
+def check_int(arg: str, value, lo: int | None = None, hi: int | None = None) -> None:
+    """An int argument must be an int in [lo, hi], either bound optional; a bool
+    is not one, so True cannot stand in for 1."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInput(arg, f"need an int, got {value!r}")
+        raise InvalidInput(arg, f"need an int, got {shown(value)}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
+        raise InvalidInput(arg, f"need an int {bounds}, got {shown(value)}")
 
 
 def check_real(arg: str, value) -> None:
@@ -37,7 +53,7 @@ def check_real(arg: str, value) -> None:
     except OverflowError:  # an int or a Fraction past the doubles, whose repr can be too long to print
         raise InvalidInput(arg, "need a finite real number, got one beyond the double range") from None
     if not finite:
-        raise InvalidInput(arg, f"need a finite real number, got {value!r}")
+        raise InvalidInput(arg, f"need a finite real number, got {shown(value)}")
 
 
 class InvariantFailed(PeriodkitError):

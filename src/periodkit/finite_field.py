@@ -13,7 +13,7 @@ import functools
 import math
 
 from ._frozen import Frozen, Residue, _coerced
-from .errors import BadCongruence, DivisionByZero, InvalidInput, InvariantFailed, MismatchedStructure, check_int
+from .errors import BadCongruence, DivisionByZero, InvalidInput, InvariantFailed, MismatchedStructure, check_int, shown
 
 MAX_PRIME = 2**31
 
@@ -59,7 +59,7 @@ def _check_prime(p: int, least: int = 3) -> None:
     The type is checked before the memoized verdict, so an unhashable p fails
     the rule, not the cache."""
     if not isinstance(p, int) or not _is_supported_prime(p, least):
-        raise InvalidInput("p", f"need a prime in [{least}, 2**31), got {p}")
+        raise InvalidInput("p", f"need a prime in [{least}, 2**31), got {shown(p)}")
 
 
 @functools.lru_cache
@@ -125,7 +125,7 @@ def _prime_factors(n: int) -> list[int]:
     return primes + [n] * (n > 1)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache  # 128 primes, as _is_supported_prime; a command works over one
 def _smallest_primitive_root(p: int) -> int:
     _check_prime(p)
     n = p - 1

@@ -11,17 +11,10 @@ identity, which is what makes (x - x^p)/p a p-derivation here.
 from __future__ import annotations
 
 from ._frozen import Frozen, Residue
-from .errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit, check_int
+from .errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit, check_int, shown
 from .finite_field import _check_prime
 
 MAX_PRECISION = 64
-
-
-def _check_structure(p: int, precision: int) -> None:
-    _check_prime(p, least=2)
-    check_int("precision", precision)
-    if not 1 <= precision <= MAX_PRECISION:
-        raise InvalidInput("precision", f"need 1 <= precision <= {MAX_PRECISION}, got {precision}")
 
 
 class PadicInt(Residue):
@@ -30,7 +23,8 @@ class PadicInt(Residue):
     __slots__ = ("p", "precision", "value")
 
     def __init__(self, p: int, precision: int, value: int):
-        _check_structure(p, precision)
+        _check_prime(p, least=2)
+        check_int("precision", precision, lo=1, hi=MAX_PRECISION)
         check_int("value", value)
         Frozen.__init__(self, p, precision, value % p**precision)
 
@@ -77,9 +71,7 @@ class PadicInt(Residue):
 
     def truncate(self, precision: int) -> "PadicInt":
         if precision > self.precision:
-            raise InsufficientPrecision(
-                f"cannot extend precision {self.precision} to {precision}"
-            )
+            raise InsufficientPrecision(f"cannot extend precision {self.precision} to {shown(precision)}")
         return PadicInt(self.p, precision, self.value)
 
 
@@ -117,7 +109,7 @@ def frobenius_lift_check(variant: str, x: PadicInt) -> FrobeniusLiftVerdict:
     elif variant == "phi2":
         phi = xp + x.p * x
     else:
-        raise InvalidInput("variant", f"must be phi1 or phi2, got {variant!r}")
+        raise InvalidInput("variant", f"must be phi1 or phi2, got {shown(variant)}")
     reduces = (phi.value - pow(x.value, x.p, x.p)) % x.p == 0
     return FrobeniusLiftVerdict(
         variant=variant,

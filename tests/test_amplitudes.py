@@ -16,7 +16,7 @@ from periodkit.amplitudes import (
     veneziano,
 )
 from periodkit.characters import MultiplicativeCharacter, jacobi_sum
-from periodkit.cyclotomic import CyclotomicNumber, _modulus, cyclotomic_polynomial
+from periodkit.cyclotomic import CyclotomicNumber, _modulus
 from periodkit.errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger
 
 
@@ -326,13 +326,11 @@ def test_correspondence_computes_one_sum_and_norm_per_orbit(p, orbits, monkeypat
 
 
 def test_correspondence_builds_each_ring_order_once():
-    # The ring-order caches are bounded, yet hold every order of one report.
-    cyclotomic_polynomial.cache_clear()
+    # The ring's one cache is bounded, yet holds every order of one report.
     _modulus.cache_clear()
     report = correspondence_table(97, [])
-    orders = {row.ring_order for row in report.local_rows} | {4}  # a_p_from_jacobi works in Z[i]
+    orders = {row.ring_order for row in report.local_rows}  # a_p is read off the Z[i] row
     assert len(orders) == 10
-    assert cyclotomic_polynomial.cache_info().misses == len(orders)
     assert _modulus.cache_info().misses == len(orders)
 
 

@@ -25,17 +25,36 @@ from periodkit import (
     TauPoint,
     WeierstrassCurveFp,
     ZetaData,
+    a_p_from_jacobi,
+    agm,
+    correspondence_table,
     count_points_ext,
+    find_primitive_root,
     gauss_sum,
+    iso_gaussian_residue,
     legendre_curve,
     numeric_periods_catalog,
     period_map_legendre,
+    periods_agm,
     pole_scan,
+    quartic_character,
 )
 from periodkit._frozen import Frozen
 from periodkit.amplitudes import CorrespondenceReport, GlobalRow, LocalRow
 from periodkit.complex_periods import CatalogEntry
-from periodkit.errors import DivisionByZero, InvalidInput, MismatchedStructure, NonUnit
+from periodkit.errors import (
+    ComplexRoots,
+    DivisionByZero,
+    FloatOverflow,
+    InsufficientPrecision,
+    InvalidInput,
+    MismatchedStructure,
+    NonUnit,
+    NotRationalInteger,
+    UnsupportedDegree,
+    check_int,
+    shown,
+)
 from periodkit.padic import DeltaRulesVerdict, FrobeniusLiftVerdict, PadicInt
 
 LOCAL = {"k1": 1, "k2": 1, "ring_order": 4, "coeffs": (-1, -2), "norm": 5, "norm_ok": True, "norm_checked": True}
@@ -312,6 +331,94 @@ def test_int_arguments_follow_one_rule(build, arg):
     with pytest.raises(InvalidInput) as exc:
         build()
     assert exc.value.arg == arg
+
+
+HUGE = 10**5000  # past CPython's 4300-digit limit on int-to-str conversion
+
+# Public calls given a value that repr cannot print, each with the error it
+# must raise: a refusal prints the value through errors.shown, so building the
+# message cannot fail with the bare ValueError of the digit limit.
+UNPRINTABLE = {
+    "character-p": (lambda: MultiplicativeCharacter(HUGE, 1), InvalidInput),
+    "padic-p": (lambda: PadicInt(HUGE, 3, 1), InvalidInput),
+    "curve-p": (lambda: WeierstrassCurveFp(HUGE, 1, 1), InvalidInput),
+    "quartic-p": (lambda: quartic_character(HUGE), InvalidInput),
+    "apjacobi-p": (lambda: a_p_from_jacobi(HUGE), InvalidInput),
+    "gaussian-split-p": (lambda: iso_gaussian_residue(HUGE), InvalidInput),
+    "primitive-root-p": (lambda: find_primitive_root(HUGE), InvalidInput),
+    "correspond-p": (lambda: correspondence_table(HUGE, []), InvalidInput),
+    "poles-n_max": (lambda: pole_scan(1.5, HUGE), InvalidInput),
+    "catalog-n_max": (lambda: numeric_periods_catalog(HUGE), InvalidInput),
+    "padic-precision": (lambda: PadicInt(5, HUGE, 1), InvalidInput),
+    "truncate-precision": (lambda: PadicInt(5, 3, 1).truncate(HUGE), InsufficientPrecision),
+    "ext-count-n": (lambda: count_points_ext(WeierstrassCurveFp(13, -1, 0), HUGE), UnsupportedDegree),
+    "galois-a": (lambda: CyclotomicNumber(4, [1, 1]).galois(HUGE), InvalidInput),
+    "cyclotomic-m": (lambda: CyclotomicNumber(-HUGE, [1]), InvalidInput),
+    "field-value": (lambda: PrimeFieldElem(7, Fraction(HUGE)), InvalidInput),
+    "character-k": (lambda: MultiplicativeCharacter(7, Fraction(HUGE)), InvalidInput),
+    "padic-exponent": (lambda: PadicInt(5, 3, 1) ** Fraction(HUGE), InvalidInput),
+    "periods-agm-b": (lambda: periods_agm(EllipticCurveQ(-1, HUGE)), ComplexRoots),
+    "as-int-coeff": (lambda: CyclotomicNumber(4, [1, HUGE]).as_int(), NotRationalInteger),
+    "agm-negative-a": (lambda: agm(-HUGE, 1.0), InvalidInput),
+    "agm-huge-a": (lambda: agm(HUGE, 1.0), FloatOverflow),
+}
+
+
+@pytest.mark.parametrize("site", UNPRINTABLE)
+def test_unprintable_values_are_refused_with_typed_errors(site):
+    build, error = UNPRINTABLE[site]
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error
+    assert len(str(exc.value)) < 200
+
+
+def test_shown_describes_what_repr_cannot_print():
+    assert shown(-3) == "-3" and shown("x") == "'x'" and shown(Fraction(1, 2)) == "Fraction(1, 2)"
+    assert shown(HUGE) == "an int of 16610 bits"
+    assert shown(-HUGE) == "a negative int of 16610 bits"
+    assert shown(Fraction(HUGE)) == "a Fraction too large to print"
+    assert shown(EllipticCurveQ(-1, HUGE)) == "an EllipticCurveQ too large to print"
+
+
+# Each int argument with a range, as (builder, argument, lo, hi); hi None is no upper bound.
+BOUNDED = {
+    "catalog-n_max": (numeric_periods_catalog, "n_max", 2, 21),
+    "poles-n_max": (lambda v: pole_scan(0.5, v), "n_max", 0, 12),
+    "padic-precision": (lambda v: PadicInt(5, v, 7), "precision", 1, 64),
+    "cyclotomic-m": (lambda v: CyclotomicNumber(v, [1]), "m", 1, None),
+}
+
+
+@pytest.mark.parametrize("site", BOUNDED)
+def test_int_ranges_are_one_rule(site):
+    build, arg, lo, hi = BOUNDED[site]
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    build(lo)
+    outside = [lo - 1]
+    if hi is not None:
+        build(hi)
+        outside.append(hi + 1)
+    for value in outside:
+        with pytest.raises(InvalidInput) as exc:
+            build(value)
+        assert (exc.value.arg, str(exc.value)) == (arg, f"need an int {bounds}, got {value}")
+    with pytest.raises(InvalidInput) as exc:
+        build(True)
+    assert (exc.value.arg, str(exc.value)) == (arg, "need an int, got True")
+
+
+def test_check_int_bounds_are_optional():
+    check_int("v", -HUGE, hi=5)
+    check_int("v", HUGE, lo=2)
+    for lo, hi, value, message in [
+        (None, 5, 6, "need an int <= 5, got 6"),
+        (2, None, 1, "need an int >= 2, got 1"),
+        (2, 3, HUGE, "need an int in [2, 3], got an int of 16610 bits"),
+    ]:
+        with pytest.raises(InvalidInput) as exc:
+            check_int("v", value, lo=lo, hi=hi)
+        assert (exc.value.arg, str(exc.value)) == ("v", message)
 
 
 # One instance per small int for every Frozen type among the package's public

@@ -168,3 +168,24 @@ def test_f_p_budgets_live_in_characters():
                 called.append(path.name)
     assert sorted(assigned) == ["characters.py MAX_REDUCTION_STEPS", "characters.py MAX_TABLE_PRIME"]
     assert called and set(called) == {"characters.py"}, called
+
+
+def test_every_cache_is_bounded():
+    # An unbounded cache keyed by a caller's argument keeps one entry per
+    # distinct value for the life of the process.  Only the two level tables
+    # may be unbounded: their keys are the levels, below _LEVELS.
+    import importlib
+
+    sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
+    assert sources
+    caches = {}
+    for path in sources:
+        if path.stem in ("__init__", "__main__"):  # the package holds no cache; __main__ runs the CLI
+            continue
+        module = importlib.import_module(f"periodkit.{path.stem}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                caches[f"{path.stem}.{value.__name__}"] = value.cache_parameters()["maxsize"]
+    assert "finite_field._smallest_primitive_root" in caches and "cyclotomic._modulus" in caches
+    unbounded = sorted(name for name, maxsize in caches.items() if maxsize is None)
+    assert unbounded == ["complex_periods._midpoint_level", "complex_periods._tanh_sinh_level"]
