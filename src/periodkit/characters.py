@@ -90,6 +90,7 @@ class MultiplicativeCharacter(Frozen):
 
 
 def quadratic_character(p: int) -> MultiplicativeCharacter:
+    _check_prime(p)
     return MultiplicativeCharacter(p, (p - 1) // 2)
 
 

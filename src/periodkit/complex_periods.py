@@ -51,6 +51,7 @@ from .errors import (
     QuadratureNoConvergence,
     SingularCurve,
     check_int,
+    check_real,
     shown,
 )
 
@@ -82,11 +83,9 @@ class EllipticCurveQ(Frozen):
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        a = _check_rational("a", a)
-        b = _check_rational("b", b)
-        if _discriminant_numerator(a, b) == 0:
-            raise SingularCurve(f"4a^3 + 27b^2 = 0 for (a, b) = ({a}, {b})")
-        Frozen.__init__(self, a, b)
+        Frozen.__init__(self, _check_rational("a", a), _check_rational("b", b))
+        if _discriminant_numerator(self.a, self.b) == 0:
+            raise SingularCurve(f"4a^3 + 27b^2 = 0 for {shown(self)}")
 
     @property
     def discriminant(self) -> Fraction:
@@ -231,9 +230,13 @@ def agm(a: float, b: float) -> float:
     Past it the 64-step cap would change nothing.  Every iterate lies between
     a and b, so every product a*b is a normal double if and only if both lie in
     [sqrt(float min), sqrt(float max)].  Outside it agm(a, a) is a and a != b
-    raises FloatOverflow; NaN, infinity or a non-positive value raises InvalidInput.
+    raises FloatOverflow; NaN, infinity, a value <= 0 or a non-number raises InvalidInput.
     """
-    if not (_AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI):
+    try:
+        inside = _AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI
+    except TypeError:  # not a real number: check_real names the argument
+        inside = check_real("a", a) or check_real("b", b)
+    if not inside:
         if not (0 < a < math.inf and 0 < b < math.inf):
             arg = "b" if 0 < a < math.inf else "a"
             raise InvalidInput(arg, f"agm needs positive finite arguments, got ({shown(a)}, {shown(b)})")

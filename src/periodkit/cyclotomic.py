@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from typing import Sequence
 
 from ._frozen import Frozen, RingElement
@@ -22,27 +23,37 @@ from .errors import InvalidInput, MismatchedStructure, NotRationalInteger, check
 from .finite_field import _prime_factors
 
 
-def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m.
+def _even_part(m: int) -> tuple[int, int]:
+    """The one rule for 2 | m: (h, sign) with x^h = sign in Z[zeta_m], (m/2, -1) or (m, 1)."""
+    return (m // 2, -1) if m % 2 == 0 else (m, 1)
 
-    Phi_m(x) = Phi_r(x^(m/r)) for the radical r of m, and Phi_r is the Moebius
-    product of x^d - 1 over the divisors d of r: each factor is one linear pass.
-    """
+
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m: with (h, sign)
+    from `_even_part` and r the odd radical of m, the Moebius product of y^d - sign
+    over the divisors d of r at y = x^(h/r), one linear pass each.  For odd m that is
+    Phi_r(x^(m/r)); for even m and r > 1, Phi_r(-x^(m/2r)), as Phi_2n(x) = Phi_n(-x)."""
     check_int("m", m, lo=1)
-    primes = _prime_factors(m)
-    factors, stride = [(1, (-1) ** len(primes))], m  # (d, mu(r/d)) over the divisors d of r
+    stride, sign = _even_part(m)
+    primes = [q for q in _prime_factors(m) if q != 2]
+    factors = [(1, (-1) ** len(primes))]  # (d, mu(r/d)) over the divisors d of r
     for q in primes:
         factors += [(d * q, -mu) for d, mu in factors]
         stride //= q
+    times = operator.sub if sign > 0 else operator.add
     poly = [1]
     for d, mu in sorted(factors, key=lambda f: -f[1]):  # multiply first, so every division is exact
-        if mu > 0:
+        if mu > 0:  # times y^d - sign
             poly = [0] * d + poly
-            poly[: len(poly) - d] = [a - b for a, b in zip(poly, poly[d:])]
-        else:
+            poly[: len(poly) - d] = map(times, poly, poly[d:])
+        elif sign > 0:  # divided by y^d - 1
             poly = [-c for c in poly[: len(poly) - d]]
             for i in range(d, len(poly)):
                 poly[i] += poly[i - d]
+        else:  # divided by y^d + 1
+            del poly[len(poly) - d :]
+            for i in range(d, len(poly)):
+                poly[i] -= poly[i - d]
     out = [0] * ((len(poly) - 1) * stride + 1)
     out[::stride] = poly
     return tuple(out)
@@ -50,18 +61,17 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 # The ring's one cache, bounded: p - 1 has at most 12 divisors for p <= 97, so a report builds each order once.
 @functools.lru_cache(maxsize=12)
-def _modulus(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """(phi, h, tail): the degree of Phi_m, the h with Phi_m dividing x^h + 1 for
-    even m (h = m/2) or x^h - 1 for odd m (h = m), and the nonzero terms (k, c)
-    of Phi_m below its leading one."""
+def _modulus(m: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """(phi, h, sign, tail): the degree of Phi_m, the (h, sign) of `_even_part`, so
+    Phi_m divides x^h - sign, and the nonzero terms (k, c) of Phi_m below its lead."""
     poly = cyclotomic_polynomial(m)
     tail = tuple((k, c) for k, c in enumerate(poly[:-1]) if c)
-    return len(poly) - 1, m // 2 if m % 2 == 0 else m, tail
+    return (len(poly) - 1, *_even_part(m), tail)
 
 
 def _reduction_steps(m: int) -> int:
     """Worst-case multiply-adds of the finish in one reduction to Z[zeta_m]."""
-    phi, h, tail = _modulus(m)
+    phi, h, _, tail = _modulus(m)
     return (h - phi) * len(tail)
 
 
@@ -87,14 +97,13 @@ def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     """The canonical coefficients of sum coeffs[j] * x^j modulo Phi_m."""
-    phi, h, tail = _modulus(m)
-    # Fold modulo x^h - 1 (m odd) or x^h + 1 (m even), a multiple of Phi_m ...
+    phi, h, sign, tail = _modulus(m)
+    # Fold modulo x^h - sign, a multiple of Phi_m ...
     r = list(coeffs[:h])
     r += [0] * (h - len(r))
     for start in range(h, len(coeffs), h):
-        sign = -1 if m % 2 == 0 and start // h % 2 else 1
-        chunk = coeffs[start : start + h]
-        r[: len(chunk)] = [a + sign * c for a, c in zip(r, chunk)]
+        chunk, s = coeffs[start : start + h], sign ** (start // h)
+        r[: len(chunk)] = [a + s * c for a, c in zip(r, chunk)]
     # ... then finish the division by Phi_m, touching only its nonzero terms.
     for i in range(h - 1, phi - 1, -1):
         lead = r[i]
@@ -151,11 +160,6 @@ class CyclotomicNumber(RingElement):
     def _neg(self):
         return self._unchecked(self.m, [-a for a in self.coeffs])
 
-    def _shift(self) -> list[int]:
-        """m + 1 - phi zeros.  Ahead of the reversed coefficients they put c_j at
-        index m - j, which is -j modulo x^m - 1: the conjugate, unreduced."""
-        return [0] * (self.m + 1 - len(self.coeffs))
-
     def galois(self, a: int) -> "CyclotomicNumber":
         """Image under the automorphism sigma_a: zeta_m -> zeta_m^a, for a unit a
         mod m.  Coefficient j moves to exponent a*j mod m; one reduction follows."""
@@ -181,9 +185,11 @@ class CyclotomicNumber(RingElement):
         """z * conj(z) as a rational integer: defined for the Gauss and Jacobi sums
         computed here; NotRationalInteger where z * conj(z) is not rational.
 
-        z is multiplied by its unreduced conjugate, and the product reduced once."""
+        z is multiplied by its unreduced conjugate, and the product reduced once:
+        m + 1 - phi zeros ahead of the reversed coefficients put c_j at index
+        m - j, which is -j modulo x^m - 1."""
         product = _kron_mul(self.coeffs, self.coeffs[::-1])
-        return self._unchecked(self.m, self._shift() + product).as_int()
+        return self._unchecked(self.m, [0] * (self.m + 1 - len(self.coeffs)) + product).as_int()
 
     def embed(self) -> complex:
         """Numerical value under the fixed embedding zeta_m -> e^(2*pi*i/m)."""

@@ -125,9 +125,8 @@ def _prime_factors(n: int) -> list[int]:
     return primes + [n] * (n > 1)
 
 
-@functools.lru_cache  # 128 primes, as _is_supported_prime; a command works over one
+@functools.lru_cache  # 128 primes, as _is_supported_prime; every caller has checked p
 def _smallest_primitive_root(p: int) -> int:
-    _check_prime(p)
     n = p - 1
     factors = _prime_factors(n)
     for g in range(2, p):
@@ -138,6 +137,7 @@ def _smallest_primitive_root(p: int) -> int:
 
 def find_primitive_root(p: int) -> PrimeFieldElem:
     """Smallest generator of F_p^x; fixed once so downstream encodings are reproducible."""
+    _check_prime(p)
     return PrimeFieldElem(p, _smallest_primitive_root(p))
 
 

@@ -70,6 +70,7 @@ class PadicInt(Residue):
         return PadicInt(self.p, self.precision - 1, self.value // self.p)
 
     def truncate(self, precision: int) -> "PadicInt":
+        check_int("precision", precision)
         if precision > self.precision:
             raise InsufficientPrecision(f"cannot extend precision {self.precision} to {shown(precision)}")
         return PadicInt(self.p, precision, self.value)

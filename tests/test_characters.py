@@ -255,11 +255,13 @@ def test_reduction_budget_is_checked_at_its_edge(monkeypatch):
 
 
 def test_reduction_budget_rejects_before_the_table():
-    # p - 1 = 94290 = 2 * 3 * 5 * 7 * 449 needs 3.6e8 steps per reduction.
-    c = MultiplicativeCharacter(94291, 1)
-    before = _dlog_table.cache_info().misses
-    for call in (lambda: jacobi_sum(c, c), lambda: char_eval(c, PrimeFieldElem(94291, 2))):
-        with pytest.raises(InvalidInput) as info:
-            call()
-        assert info.value.arg == "p"
-    assert _dlog_table.cache_info().misses == before
+    # p - 1 = 94290 = 2 * 3 * 5 * 7 * 449 needs 3.6e8 steps per reduction, and
+    # p - 1 = 1999992 = 2^3 * 3 * 167 * 499 needs 2.2e10.
+    for p in (94291, 1999993):
+        c = MultiplicativeCharacter(p, 1)
+        before = _dlog_table.cache_info().misses
+        for call in (lambda: jacobi_sum(c, c), lambda: char_eval(c, PrimeFieldElem(p, 2))):
+            with pytest.raises(InvalidInput) as info:
+                call()
+            assert info.value.arg == "p"
+        assert _dlog_table.cache_info().misses == before

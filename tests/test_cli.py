@@ -607,6 +607,7 @@ ARGV_TABLE = [
     (["count", "--p", "2147483659", "--curve", "1,1", "--n", "2"], 2, "--p"),  # prime above 2**31
     (["jacobi", "--p", "2000003", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the p-entry table budget
     (["jacobi", "--p", "94291", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the reduction budget
+    (["jacobi", "--p", "1999993", "--k1", "1", "--k2", "1"], 2, "--p"),  # the same, at the table's edge
     (["catalog", "--n", "22"], 2, "--n"),  # more than twenty logarithms
 ]
 
@@ -659,10 +660,14 @@ def test_veneziano_large_pole_index():
 
 
 # Values drawn by the argv property test: each flag takes a plausible value
-# three times in four, else a hostile token.  Primes stay at or below 97 (13 for
-# correspond) so no call builds a large table; the hostile tokens include no
-# prime in [10^4, 2^31), for the same reason.  A point count builds no table, so
-# `count` and `zeta` also draw primes near 10^9 and 2^31.
+# three times in four, else a hostile token.  Accepted primes stay at or below
+# 97 (13 for correspond) so no call builds a large table; the hostile tokens
+# include no prime in [10^4, 2^31), for the same reason.  A point count builds
+# no table, so `count` and `zeta` also draw primes near 10^9 and 2^31.  The
+# kernels over F_p also draw primes above MAX_TABLE_PRIME, which they must
+# refuse from the arguments alone: 2000003 and 2^31 - 1 (3 mod 4), and for
+# `apjacobi`, whose quartic character refuses p = 3 mod 4 first, 2000029 and
+# 2^31 - 19 (1 mod 4).
 HOSTILE = ["nan", "inf", "-inf", "1e308", "1e400", "0", "-7", "4", "3215031751", "2147483659", "1/0", "abc"]
 
 
@@ -671,6 +676,8 @@ def values(*plausible, hostile=HOSTILE):
 
 
 PRIME = values("2", "3", "5", "7", "11", "13", "29", "97")
+OVER_TABLE = {"2000003", "2147483647", "2000029", "2147483629"}
+TABLE_PRIME = values("2", "3", "5", "7", "11", "13", "29", "97", *sorted(OVER_TABLE))
 COUNT_PRIME = values("2", "3", "5", "7", "11", "13", "29", "97", "1000000007", "2147483647")
 INT = values("0", "1", "2", "5", "12")
 FLOAT = values("2.5", "-0.5", "1", "2", "0.5", "3.7", "1e-13", "-200", "-200.5", "171.5")
@@ -679,11 +686,11 @@ CURVE = values("-1,0", "-4,1", "4,1", "5,3", "0,0", "0,1", "-1/3,2/27", hostile=
 GRID = values("", "1/4,1/2", "3/4", "2.0,1.0", "0", "1", "-0.5,3.7", hostile=HOSTILE + MALFORMED)
 
 ARG_POOLS = {
-    "gauss": {"--p": PRIME, "--k1": INT},
-    "jacobi": {"--p": PRIME, "--k1": INT, "--k2": INT},
+    "gauss": {"--p": TABLE_PRIME, "--k1": INT},
+    "jacobi": {"--p": TABLE_PRIME, "--k1": INT, "--k2": INT},
     "count": {"--p": COUNT_PRIME, "--curve": CURVE, "--n": values("1", "2", "3")},
     "zeta": {"--p": COUNT_PRIME, "--curve": CURVE},
-    "apjacobi": {"--p": PRIME},
+    "apjacobi": {"--p": TABLE_PRIME},
     "periods": {"--curve": CURVE},
     "tau": {"--curve": CURVE},
     "periodmap": {"--grid": GRID},
@@ -722,3 +729,10 @@ def test_any_argv_exits_cleanly(argv):
     code, _, err = run_cli(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    p = next((a.removeprefix("--p=") for a in argv if a.startswith("--p=")), None)
+    p = argv[argv.index("--p") + 1] if "--p" in argv else p
+    if p in OVER_TABLE and not err.startswith("usage:"):  # argparse took every flag
+        if argv[0] == "apjacobi" and int(p) % 4 == 3:
+            assert code == 1 and err.startswith("error: BadCongruence: "), err
+        else:
+            assert code == 2 and err.startswith("error: --p: "), err

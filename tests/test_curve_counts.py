@@ -192,18 +192,39 @@ def primary_real_part(p):
     return a if (a + b) % 4 == 1 else -a
 
 
+def is_square(n):
+    return math.isqrt(n) ** 2 == n
+
+
+def cubic_primary_part(p):
+    # p = 1 mod 3 is a^2 + 3b^2, with a unique up to sign; take a = 1 mod 3.
+    a = next(a for a in range(1, math.isqrt(p) + 1) if (p - a * a) % 3 == 0 and is_square((p - a * a) // 3))
+    return a if a % 3 == 1 else -a
+
+
 def test_counts_below_2_31_match_closed_forms():
     # Ireland and Rosen, A Classical Introduction to Modern Number Theory,
     # ch. 18: y^2 = x^3 - x has a_p = 0 for p = 3 mod 4 and a_p = 2a for the
-    # primary a + bi of norm p = 1 mod 4; y^2 = x^3 + 1 has a_p = 0 for p = 2 mod 3.
+    # primary a + bi of norm p = 1 mod 4; y^2 = x^3 + 1 has a_p = 0 for
+    # p = 2 mod 3 and a_p = 2a for p = a^2 + 3b^2 = 1 mod 3 with a = 1 mod 3.
     assert primary_real_part(2147483629) == -12925  # 12925^2 + 44502^2
+    assert cubic_primary_part(2**31 - 1) == 46162  # 46162^2 + 3 * 2349^2
     primes = largest_primes_below(2**31, 20)
     assert primes[0] == 2**31 - 1 and len(primes) == 20
     for p in primes:
         want = 0 if p % 4 == 3 else 2 * primary_real_part(p)
         assert count_points(WeierstrassCurveFp(p, -1, 0)).a_p == want, p
-        if p % 3 == 2:
-            assert count_points(WeierstrassCurveFp(p, 0, 1)).a_p == 0, p
+        want = 0 if p % 3 == 2 else 2 * cubic_primary_part(p)
+        assert count_points(WeierstrassCurveFp(p, 0, 1)).a_p == want, p
+
+
+def test_cubic_closed_form_matches_enumeration():
+    # The a^2 + 3b^2 form of y^2 = x^3 + 1 against a count over all of F_p.
+    for p in (7, 13, 19, 31, 37, 43, 97, 1009, 6007):
+        squares = [0] * p
+        for y in range(p):
+            squares[y * y % p] += 1
+        assert p - sum(squares[(x**3 + 1) % p] for x in range(p)) == 2 * cubic_primary_part(p), p
 
 
 def test_count_without_a_fitting_order_fails_its_invariant(monkeypatch):

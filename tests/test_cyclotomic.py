@@ -203,6 +203,47 @@ def test_polynomial_matches_division_cascade():
     assert cyclotomic_polynomial(10006) == tuple((-1) ** i for i in range(5003))
 
 
+def _distinct_primes(n):
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] * (n > 1)
+
+
+def _cyclotomic_over_full_radical(m):
+    """Phi_m(x) = Phi_R(x^(m/R)) for the full radical R of m, 2 counted as one
+    more prime: the Moebius product of x^d - 1 over the divisors d of R."""
+    primes = _distinct_primes(m)
+    factors, stride = [(1, (-1) ** len(primes))], m
+    for q in primes:
+        factors += [(d * q, -mu) for d, mu in factors]
+        stride //= q
+    poly = [1]
+    for d, mu in sorted(factors, key=lambda f: -f[1]):
+        if mu > 0:
+            poly = [0] * d + poly
+            poly[: len(poly) - d] = [a - b for a, b in zip(poly, poly[d:])]
+        else:
+            poly = [-c for c in poly[: len(poly) - d]]
+            for i in range(d, len(poly)):
+                poly[i] += poly[i - d]
+    out = [0] * ((len(poly) - 1) * stride + 1)
+    out[::stride] = poly
+    return tuple(out)
+
+
+def test_polynomial_over_the_odd_radical_matches_the_full_radical():
+    # Phi_m is built over m's odd radical r; for even m as Phi_r(-x^(m/2r)).
+    # 30030 and 94290 have five and four odd primes; 1999618 = 2 * 999809 and
+    # 1999992 = 2^3 * 3 * 167 * 499 are p - 1 at p = 1999619 and 1999993.
+    for m in list(range(1, 5001)) + [30030, 94290, 1999618, 1999992]:
+        assert cyclotomic_polynomial(m) == _cyclotomic_over_full_radical(m), m
+
+
 # 210 and 1155 have three and four odd primes; 2206 and 10006 are 2q with q
 # prime, the orders of the Jacobi rings Z[zeta_(p-1)] at p = 2207 and 10007.
 LARGE_ORDERS = (210, 1155, 2206, 10006)

@@ -27,16 +27,22 @@ from periodkit import (
     ZetaData,
     a_p_from_jacobi,
     agm,
+    beta_fn,
     correspondence_table,
     count_points_ext,
+    cyclotomic_polynomial,
     find_primitive_root,
+    frobenius_lift_check,
+    gamma_fn,
     gauss_sum,
+    is_prime,
     iso_gaussian_residue,
     legendre_curve,
     numeric_periods_catalog,
     period_map_legendre,
     periods_agm,
     pole_scan,
+    quadratic_character,
     quartic_character,
 )
 from periodkit._frozen import Frozen
@@ -51,6 +57,8 @@ from periodkit.errors import (
     MismatchedStructure,
     NonUnit,
     NotRationalInteger,
+    PeriodkitError,
+    SingularCurve,
     UnsupportedDegree,
     check_int,
     shown,
@@ -361,6 +369,7 @@ UNPRINTABLE = {
     "as-int-coeff": (lambda: CyclotomicNumber(4, [1, HUGE]).as_int(), NotRationalInteger),
     "agm-negative-a": (lambda: agm(-HUGE, 1.0), InvalidInput),
     "agm-huge-a": (lambda: agm(HUGE, 1.0), FloatOverflow),
+    "singular-curve": (lambda: EllipticCurveQ(-3 * 10**4000, 2 * 10**6000), SingularCurve),  # t = 10^2000
 }
 
 
@@ -371,6 +380,55 @@ def test_unprintable_values_are_refused_with_typed_errors(site):
         build()
     assert type(exc.value) is error
     assert len(str(exc.value)) < 200
+
+
+# Every scalar argument of the public names: a builder that takes it and a
+# value it accepts, the int and rational tables above included.  Arguments that
+# expect a record, such as count_points's curve, are not here: they still raise
+# AttributeError on a scalar.
+SCALAR_ARGUMENTS = {
+    **{site: (build, good) for site, (build, _, good) in (INT_ARGUMENTS | RATIONAL_ARGUMENTS).items()},
+    "mandelstam-s12": (lambda v: MandelstamInput(v, 1.5), 0.5),
+    "mandelstam-s34": (lambda v: MandelstamInput(0.5, v), 1.5),
+    "beta-alpha": (lambda v: beta_fn(v, 1.5), 0.5),
+    "beta-beta": (lambda v: beta_fn(0.5, v), 1.5),
+    "gamma-x": (gamma_fn, 0.5),
+    "poles-beta_fixed": (lambda v: pole_scan(v, 3), 0.5),
+    "poles-n_max": (lambda v: pole_scan(0.5, v), 3),
+    "correspond-p": (lambda v: correspondence_table(v, [1.5]), 5),
+    "quadratic-p": (quadratic_character, 7),
+    "quartic-p": (quartic_character, 13),
+    "agm-a": (lambda v: agm(v, 1.0), 2.0),
+    "agm-b": (lambda v: agm(2.0, v), 1.0),
+    "catalog-n_max": (numeric_periods_catalog, 3),
+    "apjacobi-p": (a_p_from_jacobi, 13),
+    "galois-a": (lambda v: CyclotomicNumber(5, [1, 2]).galois(v), 2),
+    "polynomial-m": (cyclotomic_polynomial, 6),
+    "primitive-root-p": (find_primitive_root, 7),
+    "is-prime-n": (is_prime, 7),
+    "gaussian-split-p": (iso_gaussian_residue, 13),
+    "truncate-precision": (lambda v: PadicInt(5, 3, 7).truncate(v), 2),
+    "frobenius-variant": (lambda v: frobenius_lift_check(v, PadicInt(5, 3, 7)), "phi1"),
+}
+# A str (the accepted value's repr, so never a valid variant), a list, None
+# and a complex stand in for any scalar of the wrong kind.
+NON_SCALARS = {"str": repr, "list": lambda v: [v], "None": lambda v: None, "complex": lambda v: 1 + 1j}
+
+
+@pytest.mark.parametrize("site", SCALAR_ARGUMENTS)
+def test_scalar_argument_table_accepts_its_value(site):
+    build, good = SCALAR_ARGUMENTS[site]
+    build(good)
+
+
+@pytest.mark.parametrize("site", SCALAR_ARGUMENTS)
+@pytest.mark.parametrize("kind", NON_SCALARS)
+def test_scalar_arguments_of_the_wrong_kind_raise_typed_errors(site, kind):
+    # quadratic_character, find_primitive_root, truncate and agm once raised
+    # bare TypeErrors here: from p - 1, the cache's hash and a comparison.
+    build, good = SCALAR_ARGUMENTS[site]
+    with pytest.raises(PeriodkitError):
+        build(NON_SCALARS[kind](good))
 
 
 def test_shown_describes_what_repr_cannot_print():
