@@ -19,7 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from ._frozen import Frozen
-from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger, check_int, check_real
+from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger, check_int, check_real, check_record
 
 POLE_SNAP = 1e-12
 
@@ -109,6 +109,7 @@ def veneziano(m: MandelstamInput) -> AmplitudeValue:
     """Amplitude at (s12, s34); arguments within POLE_SNAP of a Gamma pole are
     snapped to it and reported as tagged pole values, not errors.  B is
     symmetric, so a pole of beta alone is handled as a pole of alpha."""
+    check_record("m", m, MandelstamInput)
     alpha, beta = m.alpha, m.beta
     n_a = _near_nonpositive_int(alpha)
     n_b = _near_nonpositive_int(beta)
@@ -182,6 +183,7 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     # The finite side loads here, so the Gamma-ratio commands never import it.
     from .characters import MultiplicativeCharacter, jacobi_sum
     from .curve_counts import _primary_trace
+    from .cyclotomic import _galois
     from .finite_field import _check_prime
 
     _check_prime(p)
@@ -199,19 +201,16 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     units = [a for a in range(2, order) if math.gcd(a, order) == 1]  # a = 1 gives the representative
     rows: dict[tuple[int, int], LocalRow] = {}
 
-    def fill(k1, k2, j, norm, checked):
-        rows[k1, k2] = LocalRow(k1, k2, j.m, j.coeffs, norm, norm == p, checked)
-
     for k1, k2 in pairs:
         if (k1, k2) in rows:
             continue
         j = jacobi_sum(MultiplicativeCharacter(p, k1), MultiplicativeCharacter(p, k2))
-        norm = j.norm_to_int()
-        fill(k1, k2, j, norm, True)
+        n, norm = j.m, j.norm_to_int()
+        rows[k1, k2] = LocalRow(k1, k2, n, j.coeffs, norm, norm == p, True)
         for a in units:
             image = (a * k1 % order, a * k2 % order)
             if image not in rows:
-                fill(*image, j.galois(a), norm, False)
+                rows[image] = LocalRow(*image, n, _galois(n, j.coeffs, a), norm, norm == p, False)
     local = [rows[pair] for pair in pairs]
 
     global_rows = []

@@ -19,7 +19,7 @@ from array import array
 
 from ._frozen import Frozen
 from .cyclotomic import CyclotomicNumber, _reduction_steps
-from .errors import BadCongruence, InvalidInput, TrivialCharacter, check_int
+from .errors import BadCongruence, InvalidInput, TrivialCharacter, check_int, check_record
 from .finite_field import PrimeFieldElem, _check_prime, _check_same_prime, _smallest_primitive_root
 
 # Bounds the kernels over F_p: the dlog table, p entries, and the Gauss-sum
@@ -103,6 +103,8 @@ def quartic_character(p: int) -> MultiplicativeCharacter:
 
 def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> CyclotomicNumber:
     """Exact character value in Z[zeta_(p-1)]; zero element for a = 0."""
+    check_record("c", c, MultiplicativeCharacter)
+    check_record("a", a, PrimeFieldElem)
     _check_same_prime(c, a)
     m = c.p - 1
     _check_ring_budget(c.p, m)
@@ -125,6 +127,7 @@ class GaussSumValue(Frozen):
 def gauss_sum(c: MultiplicativeCharacter) -> GaussSumValue:
     """g(c) = sum over t in F_p^x of c(t) * e^(2*pi*i*t/p), walked as t = g^j:
     each term is one root of unity of order p(p-1) with an exact exponent."""
+    check_record("c", c, MultiplicativeCharacter)
     p, m = c.p, c.p - 1
     _check_table_prime(p)
     g = _smallest_primitive_root(p)
@@ -145,6 +148,8 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
     k = u*step and k' = u'*step with step = (p-1)/n, and t lands in bucket
     (u*dlog[t] + u'*dlog[1-t]) mod n.
     """
+    check_record("c", c, MultiplicativeCharacter)
+    check_record("c2", c2, MultiplicativeCharacter)
     _check_same_prime(c, c2)
     p = c.p
     m = p - 1
@@ -169,6 +174,9 @@ def gauss_jacobi_relation_check(
     Raises TrivialCharacter when c, c' or c*c' is trivial; the identity
     genuinely fails there, so a quiet number would mislead the caller.
     """
+    check_record("c", c, MultiplicativeCharacter)
+    check_record("c2", c2, MultiplicativeCharacter)
+    check_record("j", j, CyclotomicNumber)
     product = c * c2
     if c.is_trivial or c2.is_trivial or product.is_trivial:
         raise TrivialCharacter(

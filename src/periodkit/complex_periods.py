@@ -52,6 +52,7 @@ from .errors import (
     SingularCurve,
     check_int,
     check_real,
+    check_record,
     shown,
 )
 
@@ -217,6 +218,7 @@ def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
 
 def periods_quadrature(curve: EllipticCurveQ) -> PeriodLattice:
     """Lattice generators straight from the defining integrals (the oracle)."""
+    check_record("curve", curve, EllipticCurveQ)
     d12, d13, d23 = _root_gaps(curve)
     omega1 = 4.0 * _gauss_integral(d13, d12)
     omega2 = 4.0 * _gauss_integral(d13, d23)
@@ -255,6 +257,7 @@ def agm(a: float, b: float) -> float:
 
 def periods_agm(curve: EllipticCurveQ) -> PeriodLattice:
     """Same generators through the AGM; agrees with quadrature within 1e-9."""
+    check_record("curve", curve, EllipticCurveQ)
     d12, d13, d23 = _root_gaps(curve)
     s13 = math.sqrt(d13)
     omega1 = 2.0 * math.pi / agm(s13, math.sqrt(d12))
@@ -269,6 +272,7 @@ def tau_normalize(lattice: PeriodLattice) -> TauPoint:
     Re(tau) >= 0 on the unit circle.  Each move, a left factor T^-n, S or T,
     acts on the rows of the transform.
     """
+    check_record("lattice", lattice, PeriodLattice)
     if lattice.omega1 == 0:
         raise DegenerateLattice("omega1 vanishes")
     tau = lattice.omega2 / lattice.omega1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .errors import InvariantFailed, SingularCurve, UnsupportedDegree, check_int, shown
+from .errors import InvariantFailed, SingularCurve, UnsupportedDegree, check_int, check_record, shown
 from .finite_field import _check_prime
 
 
@@ -109,6 +109,7 @@ def count_points(curve: WeierstrassCurveFp) -> CountResult:
     full count.  For p > 229, E or its twist has a point whose order has one
     multiple in the interval (Mestre's theorem); in practice a few points do.
     """
+    check_record("curve", curve, WeierstrassCurveFp)
     p, a, b = curve.p, curve.a, curve.b
     width = math.isqrt(4 * p)
     candidates = range(p + 1 - width, p + 2 + width)
@@ -153,11 +154,13 @@ def count_points_ext(curve: WeierstrassCurveFp, n: int) -> int:
     """Projective count over F_{p^n}, n in {1, 2}: _count_from_trace of one
     count over F_p.  No point over F_{p^2} is visited; tests/ checks the
     formula against an enumeration of F_{p^2}."""
+    check_record("curve", curve, WeierstrassCurveFp)
     return _count_from_trace(curve.p, count_points(curve).a_p, n)
 
 
 def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:
     """Reciprocal roots alpha, beta with alpha + beta = a_p and alpha*beta = p."""
+    check_record("curve", curve, WeierstrassCurveFp)
     p = curve.p
     a_p = count_points(curve).a_p
     disc = 4 * p - a_p * a_p

@@ -96,21 +96,52 @@ def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
-    """The canonical coefficients of sum coeffs[j] * x^j modulo Phi_m."""
-    phi, h, sign, tail = _modulus(m)
-    # Fold modulo x^h - sign, a multiple of Phi_m ...
+    """The canonical coefficients of sum coeffs[j] * x^j modulo Phi_m: the fold
+    modulo x^h - sign, a multiple of Phi_m, then `_finish`."""
+    _, h, sign, _ = _modulus(m)
     r = list(coeffs[:h])
     r += [0] * (h - len(r))
     for start in range(h, len(coeffs), h):
         chunk, s = coeffs[start : start + h], sign ** (start // h)
         r[: len(chunk)] = [a + s * c for a, c in zip(r, chunk)]
-    # ... then finish the division by Phi_m, touching only its nonzero terms.
+    return _finish(m, r)
+
+
+def _finish(m: int, r: list[int]) -> tuple[int, ...]:
+    """The canonical coefficients of sum r[i] * x^i, i < h, modulo Phi_m: the
+    division by Phi_m, in place, touching only its nonzero terms."""
+    phi, h, _, tail = _modulus(m)
     for i in range(h - 1, phi - 1, -1):
         lead = r[i]
         if lead:
             for k, c in tail:
                 r[i - phi + k] -= lead * c
     return tuple(r[:phi])
+
+
+# A report at p <= 97 uses at most sum(phi(n) for n | p - 1) = p - 1 <= 96 placements.
+@functools.lru_cache(maxsize=96)
+def _placement(m: int, a: int) -> operator.itemgetter:
+    """The gather of sigma_a on canonical coefficients c, for a unit a reduced
+    mod m: slot i of the folded image is (*c, 0, *-c) at index idx[i].  c_j moves
+    to x^(a*j mod m), folded below h with x^h = sign; the placement is injective,
+    since two j < phi <= h landing on one slot would need a*(j1 - j2) = 0 mod h.
+    One spare zero slot past h, which the finish never reads, keeps the gather
+    a tuple at h = 1."""
+    phi, h, _, _ = _modulus(m)
+    idx = [phi] * (h + 1)
+    for j in range(phi):
+        t = a * j % m
+        idx[t % h] = j if t < h else phi + 1 + j
+    return operator.itemgetter(*idx)
+
+
+def _galois(m: int, coeffs: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """The canonical coefficients of sigma_a(z), zeta_m -> zeta_m^a, for the
+    canonical coefficients of z and a unit a mod m: the cached signed placement,
+    then only the finish."""
+    ext = (*coeffs, 0, *map(operator.neg, coeffs))
+    return _finish(m, list(_placement(m, a % m)(ext)))
 
 
 class CyclotomicNumber(RingElement):
@@ -130,8 +161,13 @@ class CyclotomicNumber(RingElement):
     @classmethod
     def _unchecked(cls, m: int, coeffs: Sequence[int]) -> "CyclotomicNumber":
         """sum coeffs[j] * zeta_m^j for an m and int coefficients already checked."""
+        return cls._canonical(m, _reduce(m, coeffs))
+
+    @classmethod
+    def _canonical(cls, m: int, coeffs: tuple[int, ...]) -> "CyclotomicNumber":
+        """The element whose canonical coefficients are coeffs."""
         z = object.__new__(cls)
-        Frozen.__init__(z, m, _reduce(m, coeffs))
+        Frozen.__init__(z, m, coeffs)
         return z
 
     @classmethod
@@ -162,15 +198,16 @@ class CyclotomicNumber(RingElement):
 
     def galois(self, a: int) -> "CyclotomicNumber":
         """Image under the automorphism sigma_a: zeta_m -> zeta_m^a, for a unit a
-        mod m.  Coefficient j moves to exponent a*j mod m; one reduction follows."""
+        mod m.  Coefficient j moves to exponent a*j mod m, and for even m that
+        exponent folds below m/2 with a sign, as x^(m/2) = -1: a signed placement,
+        injective, so the image needs only the finish of a reduction, not its
+        fold.  The placement's gather indices are cached per (m, a mod m) in one
+        bounded cache, sized for the reports at p <= 97."""
         m = self.m
         check_int("a", a)
         if math.gcd(a, m) != 1:
             raise InvalidInput("a", f"sigma_a needs a unit modulo m, got a = {shown(a)}, m = {m}")
-        out = [0] * m
-        for j, c in enumerate(self.coeffs):
-            out[a * j % m] = c  # j -> a*j is injective on Z/m, so no two j collide
-        return self._unchecked(m, out)
+        return self._canonical(m, _galois(m, self.coeffs, a))
 
     def is_rational_integer(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])

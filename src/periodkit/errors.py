@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, the one int and real rules, and shown.
+"""Exception types shared across the toolkit, the one int, record and real rules, and shown.
 
 Every error the library raises on purpose derives from PeriodkitError.
 InvalidInput (also a ValueError) names an argument that breaks a stated rule;
@@ -41,6 +41,13 @@ def check_int(arg: str, value, lo: int | None = None, hi: int | None = None) -> 
     if (lo is not None and value < lo) or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
         raise InvalidInput(arg, f"need an int {bounds}, got {shown(value)}")
+
+
+def check_record(arg: str, value, cls: type) -> None:
+    """A record argument must be an instance of its record type, so a scalar in
+    its place is named here instead of failing later on a missing field."""
+    if not isinstance(value, cls):
+        raise InvalidInput(arg, f"need a record of type {cls.__name__}, got {shown(value)}")
 
 
 def check_real(arg: str, value) -> None:

@@ -13,7 +13,16 @@ import functools
 import math
 
 from ._frozen import Frozen, Residue, _coerced
-from .errors import BadCongruence, DivisionByZero, InvalidInput, InvariantFailed, MismatchedStructure, check_int, shown
+from .errors import (
+    BadCongruence,
+    DivisionByZero,
+    InvalidInput,
+    InvariantFailed,
+    MismatchedStructure,
+    check_int,
+    check_record,
+    shown,
+)
 
 MAX_PRIME = 2**31
 
@@ -143,6 +152,7 @@ def find_primitive_root(p: int) -> PrimeFieldElem:
 
 def legendre_symbol(a: PrimeFieldElem) -> int:
     """Quadratic symbol of a residue: 0 for zero, +1 for squares, -1 otherwise."""
+    check_record("a", a, PrimeFieldElem)
     if a.value == 0:
         return 0
     s = pow(a.value, (a.p - 1) // 2, a.p)

@@ -11,7 +11,7 @@ identity, which is what makes (x - x^p)/p a p-derivation here.
 from __future__ import annotations
 
 from ._frozen import Frozen, Residue
-from .errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit, check_int, shown
+from .errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit, check_int, check_record, shown
 from .finite_field import _check_prime
 
 MAX_PRECISION = 64
@@ -79,6 +79,7 @@ class PadicInt(Residue):
 def teichmuller(a: PadicInt) -> PadicInt:
     """The unique root of x^p = x congruent to a mod p, where delta_p vanishes:
     a^(p^(N-1)), as that power kills the p-part of the units mod p^N."""
+    check_record("a", a, PadicInt)
     if not a.is_unit():
         raise NonUnit("Teichmueller lift needs a unit")
     return a._with(pow(a.value, a.p ** (a.precision - 1), a.modulus))
@@ -90,6 +91,7 @@ def delta_p(x: PadicInt) -> PadicInt:
     Fermat guarantees p divides x - x^p, so the division is exact; the
     identity Frobenius on the ground ring is what the formula encodes.
     """
+    check_record("x", x, PadicInt)
     return (x - x**x.p).divide_by_p()
 
 
@@ -104,6 +106,7 @@ def frobenius_lift_check(variant: str, x: PadicInt) -> FrobeniusLiftVerdict:
     """Evaluate phi1(x) = x^p or phi2(x) = x^p + p*x and verify both claims:
     the value reduces to x^p mod p, and its deviation from x^p over p is the
     advertised derivation component (0 for phi1, x for phi2)."""
+    check_record("x", x, PadicInt)
     xp = x**x.p
     if variant == "phi1":
         phi = xp
@@ -131,6 +134,8 @@ def delta_rules_check(x: PadicInt, y: PadicInt) -> DeltaRulesVerdict:
     """Check delta(x+y) = delta(x) + delta(y) + C_p(x, y) and
     delta(xy) = x^p delta(y) + y^p delta(x) + p delta(x) delta(y),
     both exactly at one digit less than the inputs."""
+    check_record("x", x, PadicInt)
+    check_record("y", y, PadicInt)
     p, n1 = x.p, x.precision - 1
     dx = delta_p(x)
     dy = delta_p(y)

@@ -16,7 +16,7 @@ from periodkit.amplitudes import (
     veneziano,
 )
 from periodkit.characters import MultiplicativeCharacter, jacobi_sum
-from periodkit.cyclotomic import CyclotomicNumber, _modulus
+from periodkit.cyclotomic import CyclotomicNumber, _modulus, _placement
 from periodkit.errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger
 
 
@@ -291,7 +291,7 @@ def _orbit_representatives(p):
     return reps
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 97])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 73, 97])
 def test_correspondence_local_rows_match_direct_table(p):
     # The direct table as an oracle: one Jacobi sum and one norm for every pair.
     rows = correspondence_table(p, []).local_rows
@@ -332,6 +332,30 @@ def test_correspondence_builds_each_ring_order_once():
     orders = {row.ring_order for row in report.local_rows}  # a_p is read off the Z[i] row
     assert len(orders) == 10
     assert _modulus.cache_info().misses == len(orders)
+
+
+def test_correspondence_places_each_image_once_and_builds_no_element(monkeypatch):
+    # An orbit of ring order n has phi(n) pairs, one image for each unit a != 1
+    # mod n; every (n, a mod n) misses the bounded placement cache once and stays.
+    canonical = CyclotomicNumber.__dict__["_canonical"].__func__
+    built = []
+
+    def counted(cls, m, coeffs):
+        built.append(m)
+        return canonical(cls, m, coeffs)
+
+    monkeypatch.setattr(CyclotomicNumber, "_canonical", classmethod(counted))
+    _placement.cache_clear()
+    rows = correspondence_table(97, []).local_rows
+    orders = {row.ring_order for row in rows}
+    placements = sum(sum(math.gcd(a, n) == 1 for a in range(2, n)) for n in orders)
+    info = _placement.cache_info()
+    assert info.misses == info.currsize == placements <= info.maxsize
+    # Each orbit builds its sum and its norm's product; no image builds an element.
+    orbits = sum(row.norm_checked for row in rows)
+    assert len(built) == 2 * orbits and len(rows) - orbits == 8494
+    correspondence_table(97, [])
+    assert _placement.cache_info().misses == placements
 
 
 def test_correspondence_ap_matches_enumeration():

@@ -341,6 +341,24 @@ def test_galois_matches_oracle_four_odd_primes():
         assert list(z.galois(a).coeffs) == want, a
 
 
+def test_galois_matches_oracle_every_order_below_200():
+    # Every unit a of every m < 200, reduced all at once through the table of
+    # x^k mod Phi_m, which the long division pins at its rows k = 0, phi and m - 1.
+    rng = random.Random(200)
+    for m in range(1, 200):
+        table = _power_table(m)
+        phi = len(table[0])
+        for k in {0, phi % m, m - 1}:
+            assert tuple(table[k]) == _reduced(m, [0] * k + [1]), (m, k)
+        table = numpy.array(table, dtype=numpy.int64)
+        assert numpy.abs(table).max() < 2**20  # with |c| <= 2^20 no sum below overflows
+        z = CyclotomicNumber(m, [rng.randint(-(2**20), 2**20) for _ in range(m)])
+        units = _units(m)
+        permuted = numpy.array([_permuted(m, z.coeffs, a) for a in units], dtype=numpy.int64)
+        for a, want in zip(units, (permuted @ table).tolist()):
+            assert list(z.galois(a).coeffs) == want, (m, a)
+
+
 GALOIS_ORDERS = list(range(1, 40)) + [72, 210, 1155]
 
 

@@ -1,6 +1,7 @@
 """The contract of the result records and value types: immutable `__slots__`
 classes with value equality, a dataclass-style repr, and their own rules."""
 
+import inspect
 import math
 import operator
 import pickle
@@ -28,22 +29,35 @@ from periodkit import (
     a_p_from_jacobi,
     agm,
     beta_fn,
+    char_eval,
     correspondence_table,
+    count_points,
     count_points_ext,
+    curve_tau,
     cyclotomic_polynomial,
+    delta_p,
+    delta_rules_check,
     find_primitive_root,
     frobenius_lift_check,
     gamma_fn,
+    gauss_jacobi_relation_check,
     gauss_sum,
     is_prime,
     iso_gaussian_residue,
+    jacobi_sum,
     legendre_curve,
+    legendre_symbol,
     numeric_periods_catalog,
     period_map_legendre,
     periods_agm,
+    periods_quadrature,
     pole_scan,
     quadratic_character,
     quartic_character,
+    tau_normalize,
+    teichmuller,
+    veneziano,
+    zeta_data,
 )
 from periodkit._frozen import Frozen
 from periodkit.amplitudes import CorrespondenceReport, GlobalRow, LocalRow
@@ -384,8 +398,7 @@ def test_unprintable_values_are_refused_with_typed_errors(site):
 
 # Every scalar argument of the public names: a builder that takes it and a
 # value it accepts, the int and rational tables above included.  Arguments that
-# expect a record, such as count_points's curve, are not here: they still raise
-# AttributeError on a scalar.
+# expect a record are in RECORD_ARGUMENTS below.
 SCALAR_ARGUMENTS = {
     **{site: (build, good) for site, (build, _, good) in (INT_ARGUMENTS | RATIONAL_ARGUMENTS).items()},
     "mandelstam-s12": (lambda v: MandelstamInput(v, 1.5), 0.5),
@@ -429,6 +442,69 @@ def test_scalar_arguments_of_the_wrong_kind_raise_typed_errors(site, kind):
     build, good = SCALAR_ARGUMENTS[site]
     with pytest.raises(PeriodkitError):
         build(NON_SCALARS[kind](good))
+
+
+C7, C7_2 = MultiplicativeCharacter(7, 1), MultiplicativeCharacter(7, 2)
+CURVE_Q, CURVE_7, UNIT_5 = EllipticCurveQ(-1, 0), WeierstrassCurveFp(7, 1, 1), PadicInt(5, 3, 7)
+
+# Every record argument of the public functions, keyed "<function>-<argument>":
+# a builder that takes it and a record it accepts.
+RECORD_ARGUMENTS = {
+    "veneziano-m": (veneziano, MandelstamInput(0.5, 1.5)),
+    "char_eval-c": (lambda v: char_eval(v, PrimeFieldElem(7, 3)), C7),
+    "char_eval-a": (lambda v: char_eval(C7, v), PrimeFieldElem(7, 3)),
+    "gauss_sum-c": (gauss_sum, C7),
+    "jacobi_sum-c": (lambda v: jacobi_sum(v, C7_2), C7),
+    "jacobi_sum-c2": (lambda v: jacobi_sum(C7, v), C7_2),
+    "gauss_jacobi_relation_check-c": (lambda v: gauss_jacobi_relation_check(v, C7_2, jacobi_sum(C7, C7_2)), C7),
+    "gauss_jacobi_relation_check-c2": (lambda v: gauss_jacobi_relation_check(C7, v, jacobi_sum(C7, C7_2)), C7_2),
+    "gauss_jacobi_relation_check-j": (lambda v: gauss_jacobi_relation_check(C7, C7_2, v), jacobi_sum(C7, C7_2)),
+    "periods_quadrature-curve": (periods_quadrature, CURVE_Q),
+    "periods_agm-curve": (periods_agm, CURVE_Q),
+    "curve_tau-curve": (curve_tau, CURVE_Q),
+    "tau_normalize-lattice": (tau_normalize, PeriodLattice(2 + 0j, 1j, "agm")),
+    "count_points-curve": (count_points, CURVE_7),
+    "count_points_ext-curve": (lambda v: count_points_ext(v, 2), CURVE_7),
+    "zeta_data-curve": (zeta_data, CURVE_7),
+    "legendre_symbol-a": (legendre_symbol, PrimeFieldElem(7, 2)),
+    "teichmuller-a": (teichmuller, UNIT_5),
+    "delta_p-x": (delta_p, UNIT_5),
+    "frobenius_lift_check-x": (lambda v: frobenius_lift_check("phi2", v), UNIT_5),
+    "delta_rules_check-x": (lambda v: delta_rules_check(v, UNIT_5), UNIT_5),
+    "delta_rules_check-y": (lambda v: delta_rules_check(UNIT_5, v), UNIT_5),
+}
+# An int, a str, None and a record of another type stand in for any non-record.
+NON_RECORDS = {"int": 5, "str": "curve", "None": None, "record": CountResult(8, 0)}
+
+
+def test_record_table_covers_every_record_parameter():
+    records = {name for name in periodkit.__all__ if isinstance(getattr(periodkit, name), type)}
+    sites = set()
+    for name in periodkit.__all__:
+        fn = getattr(periodkit, name)
+        if inspect.isfunction(fn):
+            for arg, param in inspect.signature(fn).parameters.items():
+                if param.annotation in records:
+                    sites.add(f"{name}-{arg}")
+    assert sites == set(RECORD_ARGUMENTS)
+
+
+@pytest.mark.parametrize("site", RECORD_ARGUMENTS)
+def test_record_argument_table_accepts_its_record(site):
+    build, good = RECORD_ARGUMENTS[site]
+    build(good)
+
+
+@pytest.mark.parametrize("site", RECORD_ARGUMENTS)
+@pytest.mark.parametrize("kind", NON_RECORDS)
+def test_non_records_are_refused_naming_the_argument(site, kind):
+    # count_points(5), gauss_sum(7), delta_p(3) and curve_tau(1) once raised
+    # a bare AttributeError on the missing field.
+    build, good = RECORD_ARGUMENTS[site]
+    with pytest.raises(InvalidInput) as exc:
+        build(NON_RECORDS[kind])
+    assert exc.value.arg == site.split("-")[1]
+    assert str(exc.value).startswith(f"need a record of type {type(good).__name__}, got ")
 
 
 def test_shown_describes_what_repr_cannot_print():
