@@ -1,75 +1,68 @@
 """The package's one immutability rule, shared by its value types and result
 records, and the one operator protocol of its exact value types."""
 
+from operator import itemgetter
+
 from .errors import check_int
 
 
-class Frozen:
-    """Base of immutable `__slots__` classes.
-
-    A subclass lists its fields in a `__slots__` tuple, in constructor order.
-    A record that only stores its fields inherits the constructor below: the
-    values are bound to the slots in order, by position or by keyword, and a
-    missing, extra, unknown or doubly given field raises TypeError.  A type
-    that validates, normalises or gives a default defines its own `__init__`,
-    which stores the values through `Frozen.__init__(self, ...)`.  Assignment
-    and deletion raise AttributeError.  Equality (same class, same field
-    values, so never an int), hash, repr `Name(field=value, ...)` and pickling
-    are derived from the fields; a type overrides at most its repr.
+class Frozen(tuple):
+    """Base of the immutable records: a tuple of the field values, named in
+    order by a subclass's `_fields`, each a read-only accessor of its position;
+    a subclass declares `__slots__ = ()`, so it has no instance dict.  A record
+    that only stores its fields inherits the constructor below, by position or
+    keyword; a type that validates, normalises or gives a default stores one
+    value per field through `tuple.__new__(cls, (...))` in its own `__new__`.
+    Equality holds only within one class, hash agrees with it, pickling
+    rebuilds through the class's `__new__`, and ordering, `+` and `*` are
+    refused (README has the whole contract).
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        # The slots' own setters, in field order: storing through them skips
-        # the attribute lookup that object.__setattr__ makes for every field.
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
 
-    def __init__(self, *args, **kwargs):
-        setters = self._setters
-        if kwargs or len(args) != len(setters):
-            args = self._bind(args, kwargs)
-        for setter, value in zip(setters, args):
-            setter(self, value)
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._bind(args, kwargs)
+        return tuple.__new__(cls, args)
 
-    def _bind(self, args: tuple, kwargs: dict) -> list:
-        """The field values in slot order, from positional then keyword values."""
-        names, cls = self.__slots__, type(self).__qualname__
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values in field order, from positional then keyword values."""
+        names, name = cls._fields, cls.__qualname__
         if len(args) > len(names):
-            raise TypeError(f"{cls}() takes {len(names)} fields but {len(args)} were given")
-        for name in kwargs:
-            if name in names[: len(args)]:
-                raise TypeError(f"{cls}() got multiple values for field {name!r}")
-            if name not in names:
-                raise TypeError(f"{cls}() got an unexpected field {name!r}")
-        missing = [name for name in names[len(args) :] if name not in kwargs]
+            raise TypeError(f"{name}() takes {len(names)} fields but {len(args)} were given")
+        for field in kwargs:
+            if field in names[: len(args)]:
+                raise TypeError(f"{name}() got multiple values for field {field!r}")
+            if field not in names:
+                raise TypeError(f"{name}() got an unexpected field {field!r}")
+        missing = [field for field in names[len(args) :] if field not in kwargs]
         if missing:
-            raise TypeError(f"{cls}() missing field(s) {', '.join(map(repr, missing))}")
-        return [*args, *(kwargs[name] for name in names[len(args) :])]
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+            raise TypeError(f"{name}() missing field(s) {', '.join(map(repr, missing))}")
+        return [*args, *(kwargs[field] for field in names[len(args) :])]
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._fields())
+    __ne__ = object.__ne__  # the negation of __eq__, where the tuple's would compare with any tuple
+    __hash__ = tuple.__hash__  # equal records have equal fields
+
+    def _refused(self, other):
+        raise TypeError(f"{type(self).__qualname__} is a record: it is not ordered, joined or repeated")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _refused
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 def _coerced(primitive):
@@ -116,7 +109,7 @@ class RingElement(Frozen):
 
 class Residue(RingElement):
     """Base of the types whose element is an int `value` modulo `modulus`; a
-    subclass checks its structure and an int value in `__init__`, and supplies
+    subclass checks its structure and an int value in `__new__`, and supplies
     `modulus`, `_match`, `_with` and `inverse`."""
 
     __slots__ = ()

@@ -68,12 +68,13 @@ def beta_fn(alpha: float, beta: float) -> float:
 class MandelstamInput(Frozen):
     """Squared momentum invariants of the in and out pairs, dimensionless."""
 
-    __slots__ = ("s12", "s34")
+    __slots__ = ()
+    _fields = ("s12", "s34")
 
-    def __init__(self, s12: float, s34: float):
+    def __new__(cls, s12: float, s34: float):
         check_real("s12", s12)
         check_real("s34", s34)
-        Frozen.__init__(self, s12, s34)
+        return tuple.__new__(cls, (s12, s34))
 
     @property
     def alpha(self) -> float:
@@ -87,10 +88,11 @@ class MandelstamInput(Frozen):
 class AmplitudeValue(Frozen):
     """Amplitude sample; at poles the value is a signed-infinity marker."""
 
-    __slots__ = ("value", "at_pole", "pole_index")
+    __slots__ = ()
+    _fields = ("value", "at_pole", "pole_index")
 
-    def __init__(self, value: float, at_pole: bool, pole_index: Optional[int] = None):
-        Frozen.__init__(self, value, at_pole, pole_index)
+    def __new__(cls, value: float, at_pole: bool, pole_index: Optional[int] = None):
+        return tuple.__new__(cls, (value, at_pole, pole_index))
 
 
 def _residue_sign(n: int, beta: float) -> float:
@@ -152,15 +154,18 @@ class LocalRow(Frozen):
     """One exact Jacobi sum with its norm; norm_checked is False where the norm
     is inherited from the orbit representative by Galois invariance."""
 
-    __slots__ = ("k1", "k2", "ring_order", "coeffs", "norm", "norm_ok", "norm_checked")
+    __slots__ = ()
+    _fields = ("k1", "k2", "ring_order", "coeffs", "norm", "norm_ok", "norm_checked")
 
 
 class GlobalRow(Frozen):
-    __slots__ = ("s", "t", "value", "at_pole", "pole_index")
+    __slots__ = ()
+    _fields = ("s", "t", "value", "at_pole", "pole_index")
 
 
 class CorrespondenceReport(Frozen):
-    __slots__ = ("p", "a_p", "local_rows", "global_rows", "dictionary")
+    __slots__ = ()
+    _fields = ("p", "a_p", "local_rows", "global_rows", "dictionary")
 
 
 DICTIONARY_ROWS: tuple[tuple[str, str], ...] = (

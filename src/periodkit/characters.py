@@ -67,12 +67,13 @@ def _check_ring_budget(p: int, n: int) -> None:
 class MultiplicativeCharacter(Frozen):
     """Character c: F_p^x -> C^x with c(g^j) = zeta_(p-1)^(k*j) and c(0) = 0."""
 
-    __slots__ = ("p", "k")
+    __slots__ = ()
+    _fields = ("p", "k")
 
-    def __init__(self, p: int, k: int):
+    def __new__(cls, p: int, k: int):
         _check_prime(p)
         check_int("k", k)
-        Frozen.__init__(self, p, k % (p - 1))
+        return tuple.__new__(cls, (p, k % (p - 1)))
 
     @property
     def order(self) -> int:
@@ -117,7 +118,8 @@ def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> CyclotomicNumber
 class GaussSumValue(Frozen):
     """Floating Gauss sum g(c); |value|**2 = p within 1e-9 for nontrivial c."""
 
-    __slots__ = ("value", "p")
+    __slots__ = ()
+    _fields = ("value", "p")
 
     @property
     def norm_sq(self) -> float:
@@ -128,14 +130,14 @@ def gauss_sum(c: MultiplicativeCharacter) -> GaussSumValue:
     """g(c) = sum over t in F_p^x of c(t) * e^(2*pi*i*t/p), walked as t = g^j:
     each term is one root of unity of order p(p-1) with an exact exponent."""
     check_record("c", c, MultiplicativeCharacter)
-    p, m = c.p, c.p - 1
+    p, k, m = c.p, c.k, c.p - 1
     _check_table_prime(p)
     g = _smallest_primitive_root(p)
     scale = 2j * cmath.pi / (p * m)
     total = 0j
     t = 1
     for j in range(m):
-        total += cmath.exp(scale * (c.k * j % m * p + t * m))
+        total += cmath.exp(scale * (k * j % m * p + t * m))
         t = t * g % p
     return GaussSumValue(total, p)
 

@@ -81,12 +81,14 @@ def _discriminant_numerator(a: Fraction, b: Fraction) -> int:
 class EllipticCurveQ(Frozen):
     """y^2 = x^3 + a*x + b with exact rational a, b; 4a^3 + 27b^2 != 0."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ()
+    _fields = ("a", "b")
 
-    def __init__(self, a, b):
-        Frozen.__init__(self, _check_rational("a", a), _check_rational("b", b))
-        if _discriminant_numerator(self.a, self.b) == 0:
-            raise SingularCurve(f"4a^3 + 27b^2 = 0 for {shown(self)}")
+    def __new__(cls, a, b):
+        curve = tuple.__new__(cls, (_check_rational("a", a), _check_rational("b", b)))
+        if _discriminant_numerator(*curve) == 0:
+            raise SingularCurve(f"4a^3 + 27b^2 = 0 for {shown(curve)}")
+        return curve
 
     @property
     def discriminant(self) -> Fraction:
@@ -100,7 +102,8 @@ class EllipticCurveQ(Frozen):
 class PeriodLattice(Frozen):
     """Generators with omega1 real > 0 and Im(omega2/omega1) > 0."""
 
-    __slots__ = ("omega1", "omega2", "method")
+    __slots__ = ()
+    _fields = ("omega1", "omega2", "method")
 
 
 class TauPoint(Frozen):
@@ -110,7 +113,8 @@ class TauPoint(Frozen):
     tau = (a*tau0 + b) / (c*tau0 + d) for the starting ratio tau0.
     """
 
-    __slots__ = ("tau", "transform")
+    __slots__ = ()
+    _fields = ("tau", "transform")
 
 
 def _root_gaps(curve: EllipticCurveQ) -> tuple[float, float, float]:
@@ -156,20 +160,28 @@ def _new_midpoints(level: int, width: float) -> list[float]:
     return [(i + 0.5) * h for i in range(cells) if level == 0 or i % 3 != 1]
 
 
-def _refine(level_sum: Callable[[int], float], h: float) -> tuple[float, float]:
+def _refine(level_sum: Callable[[int], float], h: float, edge: float = 0.0) -> tuple[float, float]:
     """The one refinement loop, on the grid of _new_midpoints with cells of
     width h at level 0: total = total/3 + h*level_sum(level), h a third of the
     last at each level.  Stops when two levels differ by at most 1e-13*|total|,
-    whatever the scale of the integrand, and returns (total, that difference);
-    raises QuadratureNoConvergence if none do within _LEVELS levels."""
+    whatever the scale of the integrand, and returns (total, that difference).
+    edge is the integrand at the end of a truncated grid (0 on a whole
+    period), whose tail no level shows: once two levels agree, it too must be
+    within 1e-13*|total|.  Raises QuadratureNoConvergence if it is not, or if
+    no two levels agree within _LEVELS levels."""
     total = h * level_sum(0)
     for level in range(1, _LEVELS):
         h /= 3.0
         previous, total = total, total / 3.0 + h * level_sum(level)
         err = abs(total - previous)
         if err <= 1e-13 * abs(total):
-            return total, err
-    raise QuadratureNoConvergence(f"levels still differ by {err:.3e} on a total of {total:.3e} at {_LEVELS} levels")
+            if edge <= 1e-13 * abs(total):
+                return total, err
+            break
+    raise QuadratureNoConvergence(
+        f"levels differ by {err:.3e} and the grid's end holds {edge:.3e} "
+        f"on a total of {total:.3e} at {level + 1} levels"
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,29 +203,36 @@ def _gauss_integral(a: float, b: float) -> float:
     return _refine(level_sum, 0.125 * math.pi)[0] / (sqrt(sqrt(a)) * sqrt(sqrt(b)))
 
 
+def _tanh_sinh_node(t: float) -> tuple[float, float]:
+    """With s = (pi/2)*sinh(t), the node 1 - tanh(s), the distance from an
+    endpoint of [-1, 1], and its weight dx/dt = (pi/2)*cosh(t)*(1 - tanh(s)^2)."""
+    x = 2.0 / (math.exp(math.pi * math.sinh(t)) + 1.0)
+    return x, 0.5 * math.pi * math.cosh(t) * x * (2.0 - x)
+
+
 @functools.lru_cache(maxsize=None)
 def _tanh_sinh_level(level: int) -> tuple[array, array]:
-    """At the midpoints t a level adds on [0, _T_MAX], with s = (pi/2)*sinh(t),
-    the nodes 1 - tanh(s), each the distance from an endpoint of [-1, 1], and
-    the weights dx/dt = (pi/2)*cosh(t)*(1 - tanh(s)^2).  Every node is kept."""
-    ts = _new_midpoints(level, _T_MAX)
-    nodes = array("d", [2.0 / (math.exp(math.pi * math.sinh(t)) + 1.0) for t in ts])
-    weights = array("d", [0.5 * math.pi * math.cosh(t) * x * (2.0 - x) for t, x in zip(ts, nodes)])
-    return nodes, weights
+    """The nodes and the weights at the midpoints t a level adds on [0, _T_MAX].
+    Every node is kept."""
+    nodes, weights = zip(*map(_tanh_sinh_node, _new_midpoints(level, _T_MAX)))
+    return array("d", nodes), array("d", weights)
 
 
 def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Tanh-sinh quadrature (Takahasi and Mori, 1974) of f, smooth on [lo, hi],
     under _refine: (value, error estimate).  Each node is mirrored to both
     ends; a point that rounds onto its endpoint is skipped, so f is never
-    evaluated at lo or hi."""
+    evaluated at lo or hi.  The integrand at t = _T_MAX is _refine's edge:
+    1/sqrt(x) on [0, 1] is 2e11 there, and its lost tail of 1e-11 is refused."""
     d = 0.5 * (hi - lo)
 
     def level_sum(level: int) -> float:
         pairs = zip(*_tanh_sinh_level(level))
         return d * math.fsum([w * f(y) for x, w in pairs for y in (lo + d * x, hi - d * x) if lo < y < hi])
 
-    return _refine(level_sum, 0.25 * _T_MAX)
+    x, w = _tanh_sinh_node(_T_MAX)
+    edge = d * w * math.fsum([abs(f(y)) for y in (lo + d * x, hi - d * x) if lo < y < hi])
+    return _refine(level_sum, 0.25 * _T_MAX, edge)
 
 
 def periods_quadrature(curve: EllipticCurveQ) -> PeriodLattice:
@@ -327,7 +346,8 @@ def period_map_legendre(t_values: Iterable[Fraction]) -> list[tuple[Fraction, Ta
 class CatalogEntry(Frozen):
     """One elementary numeric period with its defining quadruple spelled out."""
 
-    __slots__ = ("name", "value", "error_estimate", "variety", "divisor", "form", "domain")
+    __slots__ = ()
+    _fields = ("name", "value", "error_estimate", "variety", "divisor", "form", "domain")
 
 
 def numeric_periods_catalog(n_max: int) -> list[CatalogEntry]:

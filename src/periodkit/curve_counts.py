@@ -17,9 +17,10 @@ from .finite_field import _check_prime
 class WeierstrassCurveFp(Frozen):
     """y^2 = x^3 + a*x + b over F_p, p prime >= 5; nonsingularity enforced."""
 
-    __slots__ = ("p", "a", "b")
+    __slots__ = ()
+    _fields = ("p", "a", "b")
 
-    def __init__(self, p: int, a: int, b: int):
+    def __new__(cls, p: int, a: int, b: int):
         _check_prime(p, least=5)
         check_int("a", a)
         check_int("b", b)
@@ -27,19 +28,21 @@ class WeierstrassCurveFp(Frozen):
         b %= p
         if (4 * a * a * a + 27 * b * b) % p == 0:
             raise SingularCurve(f"4a^3 + 27b^2 = 0 mod {p} for (a, b) = ({a}, {b})")
-        Frozen.__init__(self, p, a, b)
+        return tuple.__new__(cls, (p, a, b))
 
 
 class CountResult(Frozen):
     """Projective point count and its trace defect a_p = p + 1 - N."""
 
-    __slots__ = ("n_points", "a_p")
+    __slots__ = ()
+    _fields = ("n_points", "a_p")
 
 
 class ZetaData(Frozen):
     """Reciprocal roots of the local zeta numerator 1 - a_p*T + p*T^2."""
 
-    __slots__ = ("a_p", "alpha", "beta")
+    __slots__ = ()
+    _fields = ("a_p", "alpha", "beta")
 
 
 def _add(P, Q, A: int, p: int):

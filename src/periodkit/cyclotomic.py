@@ -16,9 +16,11 @@ import cmath
 import functools
 import math
 import operator
+import sys
+from array import array
 from typing import Sequence
 
-from ._frozen import Frozen, RingElement
+from ._frozen import RingElement
 from .errors import InvalidInput, MismatchedStructure, NotRationalInteger, check_int, shown
 from .finite_field import _prime_factors
 
@@ -75,24 +77,39 @@ def _reduction_steps(m: int) -> int:
     return (h - phi) * len(tail)
 
 
+# The signed array code of each machine width: 1, 2, 4 and 8 bytes.
+_ARRAY_CODES = {array(code).itemsize: code for code in "bhilq"}
+
+
 def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Unreduced product of two coefficient vectors by Kronecker substitution:
-    each vector is packed into one integer, in fields wide enough for every
-    product coefficient and biased so that no field is negative."""
+    each vector is packed into one integer in signed fields of w bytes, with
+    every product coefficient below 2^(8w - 1) in size.  Fields are written
+    and read in two's complement; xor with the top bit of each field turns
+    that into the offset form c + 2^(8w - 1), in which integer sums and
+    products carry exactly.  w is rounded up to 1, 2, 4 or 8 bytes, which
+    `array` converts in C; wider fields are converted one int at a time.  In
+    the machine's byte order, a big-endian machine reads each vector, and so
+    the product, reversed."""
     bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
     if not bound:
         return []
-    width = (bound.bit_length() + 8) // 8  # bytes per field, so that bound < bias
-    bias = 1 << (8 * width - 1)
-    biases = bias.to_bytes(width, "little")
+    need = (bound.bit_length() + 8) // 8
+    width = min((w for w in _ARRAY_CODES if w >= need), default=need)
+    code, order = _ARRAY_CODES.get(width), sys.byteorder
+    top = (1 << (8 * width - 1)).to_bytes(width, order)
 
     def pack(v):
-        fields = b"".join((c + bias).to_bytes(width, "little") for c in v)
-        return int.from_bytes(fields, "little") - int.from_bytes(biases * len(v), "little")
+        fields = array(code, v).tobytes() if code else b"".join(c.to_bytes(width, order, signed=True) for c in v)
+        flips = int.from_bytes(top * len(v), order)
+        return (int.from_bytes(fields, order) ^ flips) - flips
 
     n = len(a) + len(b) - 1
-    buf = (pack(a) * pack(b) + int.from_bytes(biases * n, "little")).to_bytes(width * n, "little")
-    return [int.from_bytes(buf[i : i + width], "little") - bias for i in range(0, width * n, width)]
+    flips = int.from_bytes(top * n, order)
+    buf = ((pack(a) * pack(b) + flips) ^ flips).to_bytes(width * n, order)
+    if code:
+        return array(code, buf).tolist()
+    return [int.from_bytes(buf[i : i + width], order, signed=True) for i in range(0, width * n, width)]
 
 
 def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -150,13 +167,14 @@ class CyclotomicNumber(RingElement):
     combine checked elements, so they build through `_unchecked`, without that
     O(phi(m)) check."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ()
+    _fields = ("m", "coeffs")
 
-    def __init__(self, m: int, coeffs: Sequence[int]):
+    def __new__(cls, m: int, coeffs: Sequence[int]):
         check_int("m", m, lo=1)
         for c in coeffs:
             check_int("coeffs", c)
-        Frozen.__init__(self, m, _reduce(m, coeffs))
+        return tuple.__new__(cls, (m, _reduce(m, coeffs)))
 
     @classmethod
     def _unchecked(cls, m: int, coeffs: Sequence[int]) -> "CyclotomicNumber":
@@ -166,9 +184,7 @@ class CyclotomicNumber(RingElement):
     @classmethod
     def _canonical(cls, m: int, coeffs: tuple[int, ...]) -> "CyclotomicNumber":
         """The element whose canonical coefficients are coeffs."""
-        z = object.__new__(cls)
-        Frozen.__init__(z, m, coeffs)
-        return z
+        return tuple.__new__(cls, (m, coeffs))
 
     @classmethod
     def root_of_unity(cls, m: int, j: int) -> "CyclotomicNumber":
@@ -184,17 +200,18 @@ class CyclotomicNumber(RingElement):
     def _with(self, n: int) -> "CyclotomicNumber":
         return CyclotomicNumber(self.m, [n])
 
+    # A sum of canonical vectors is canonical, so it needs no reduction.
     def _add(self, other):
-        return self._unchecked(self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._canonical(self.m, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def _sub(self, other):
-        return self._unchecked(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._canonical(self.m, tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def _mul(self, other):
         return self._unchecked(self.m, _kron_mul(self.coeffs, other.coeffs))
 
     def _neg(self):
-        return self._unchecked(self.m, [-a for a in self.coeffs])
+        return self._canonical(self.m, tuple(map(operator.neg, self.coeffs)))
 
     def galois(self, a: int) -> "CyclotomicNumber":
         """Image under the automorphism sigma_a: zeta_m -> zeta_m^a, for a unit a

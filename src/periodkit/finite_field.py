@@ -91,12 +91,13 @@ class PrimeFieldElem(Residue):
     different moduli raises MismatchedStructure.
     """
 
-    __slots__ = ("p", "value")
+    __slots__ = ()
+    _fields = ("p", "value")
 
-    def __init__(self, p: int, value: int):
+    def __new__(cls, p: int, value: int):
         _check_prime(p)
         check_int("value", value)
-        Frozen.__init__(self, p, value % p)
+        return tuple.__new__(cls, (p, value % p))
 
     @property
     def modulus(self) -> int:
@@ -166,7 +167,8 @@ class GaussianSplit(Frozen):
     a**2 + b**2 = p exactly with a >= b >= 1.
     """
 
-    __slots__ = ("u", "a", "b")
+    __slots__ = ()
+    _fields = ("u", "a", "b")
 
 
 def iso_gaussian_residue(p: int) -> GaussianSplit:

@@ -20,13 +20,14 @@ MAX_PRECISION = 64
 class PadicInt(Residue):
     """Residue mod p^N with explicit precision tracking."""
 
-    __slots__ = ("p", "precision", "value")
+    __slots__ = ()
+    _fields = ("p", "precision", "value")
 
-    def __init__(self, p: int, precision: int, value: int):
+    def __new__(cls, p: int, precision: int, value: int):
         _check_prime(p, least=2)
         check_int("precision", precision, lo=1, hi=MAX_PRECISION)
         check_int("value", value)
-        Frozen.__init__(self, p, precision, value % p**precision)
+        return tuple.__new__(cls, (p, precision, value % p**precision))
 
     def valuation(self) -> int:
         """Largest k <= N with p^k dividing the value; N for zero ("at least N")."""
@@ -99,7 +100,8 @@ class FrobeniusLiftVerdict(Frozen):
     """phi(x) for one of the two named lifts, with its mod-p Frobenius check;
     delta_component is (phi(x) - x^p)/p at one digit less."""
 
-    __slots__ = ("variant", "phi", "reduces_to_frobenius", "delta_component")
+    __slots__ = ()
+    _fields = ("variant", "phi", "reduces_to_frobenius", "delta_component")
 
 
 def frobenius_lift_check(variant: str, x: PadicInt) -> FrobeniusLiftVerdict:
@@ -127,7 +129,8 @@ class DeltaRulesVerdict(Frozen):
     """Exact verification of the sum and product rules at precision N-1; cocycle
     is C_p(x, y) mod p^(N-1), the residue the sum rule uses."""
 
-    __slots__ = ("sum_rule_ok", "product_rule_ok", "delta_x", "delta_y", "cocycle")
+    __slots__ = ()
+    _fields = ("sum_rule_ok", "product_rule_ok", "delta_x", "delta_y", "cocycle")
 
 
 def delta_rules_check(x: PadicInt, y: PadicInt) -> DeltaRulesVerdict:

@@ -456,7 +456,7 @@ print(json.dumps({"codes": codes, "scipy_loaded": loaded, "integrate_after": "sc
 
 def test_no_argv_loads_scipy():
     # periods and catalog integrate; they must do it with the library's own rule.
-    # Result records are plain __slots__ classes, so no call pays for importing
+    # Result records are plain tuple subclasses, so no call pays for importing
     # dataclasses and the inspect module it pulls in.
     argvs = [argv for _, argv in CORPUS]
     assert len(argvs) == 18

@@ -284,6 +284,17 @@ def test_quad_non_convergence_is_typed():
         complex_periods._quad(lambda x: 1.0 / x, 0.0, 1.0)
 
 
+def test_quad_refuses_a_tail_past_the_grid():
+    # 1/sqrt(x) on [0, 1] is integrable and its levels agree to 3e-14, but the
+    # grid ends at x = 2.7e-23, where f is 2e11: the tail past it, about 1e-11,
+    # is in no level, so the run is refused rather than returned 1e-11 low.
+    with pytest.raises(QuadratureNoConvergence, match="grid's end holds 2.700e-10"):
+        complex_periods._quad(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
+    # Singularities whose integrand is negligible at the grid's end still pass.
+    assert complex_periods._quad(math.log, 0.0, 1.0)[0] == pytest.approx(-1.0, rel=1e-15)
+    assert complex_periods._quad(math.sqrt, 0.0, 1.0)[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+
 def test_quad_puts_no_node_on_an_endpoint():
     # A node at x = 1 would raise ZeroDivisionError instead.
     with pytest.raises(QuadratureNoConvergence):

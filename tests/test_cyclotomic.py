@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodkit.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from periodkit.cyclotomic import CyclotomicNumber, _kron_mul, cyclotomic_polynomial
 from periodkit.errors import MismatchedStructure, NotRationalInteger
 
 
@@ -284,6 +284,53 @@ def test_product_matches_schoolbook():
             for b in samples:
                 want = _reduced(m, _poly_mul(_reduced(m, a), _reduced(m, b)))
                 assert (CyclotomicNumber(m, a) * CyclotomicNumber(m, b)).coeffs == want, (m, a, b)
+
+
+# Coefficient bounds and lengths whose products fill the fields of 1, 2, 4 and
+# 8 bytes that _kron_mul converts through array, and wider fields, which it
+# converts one int at a time: at the largest draw of each class the product
+# bound top^2 * length is just below 2^7, 2^15, 2^31, 2^63, or far past them.
+KRON_CLASSES = {"1-byte": (3, 14), "2-byte": (10, 300), "4-byte": (2**10, 300), "8-byte": (2**26, 300),
+                "wider": (2**100, 300)}
+
+
+@pytest.mark.parametrize("kind", KRON_CLASSES)
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_kron_mul_matches_schoolbook(kind, data):
+    top, length = KRON_CLASSES[kind]
+    coefficient = st.integers(-top, top) | st.just(0)
+    vectors = st.integers(0, length).flatmap(lambda n: st.lists(coefficient, min_size=n, max_size=n))
+    a, b = data.draw(vectors), data.draw(vectors)
+    got = _kron_mul(a, b)
+    # An empty or zero factor gives the empty product; any other has every coefficient.
+    assert got == [] if not any(a) or not any(b) else len(got) == len(a) + len(b) - 1
+    assert _poly_trim(list(got)) == _poly_mul(a, b), (a, b)
+
+
+def test_kron_mul_at_each_field_edge():
+    # The largest product coefficient of each field width, and one more, which
+    # takes the next width: +-top^2 * 3 sits at the edge of the signed field.
+    for width in (1, 2, 4, 8, 16):
+        edge = math.isqrt((2 ** (8 * width - 1) - 1) // 3)
+        for top in (edge, edge + 1):
+            for a, b in (([top] * 3, [top] * 3), ([top] * 3, [-top] * 3), ([-top, top, -top], [top, -top, top])):
+                assert _kron_mul(a, b) == _poly_mul(a, b), (width, top, a, b)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(m=st.integers(1, 199), data=st.data())
+def test_canonical_sums_match_the_reduced_sum(m, data):
+    # _add, _sub and _neg build from canonical vectors without reducing: their
+    # results equal the long-division reduction of the unreduced sums.
+    vector = st.lists(st.integers(-(2**70), 2**70), max_size=2 * m)
+    u, v = data.draw(vector), data.draw(vector)
+    x, y = CyclotomicNumber(m, u), CyclotomicNumber(m, v)
+    n = max(len(u), len(v))
+    u, v = u + [0] * (n - len(u)), v + [0] * (n - len(v))
+    assert (x + y).coeffs == _reduced(m, [a + b for a, b in zip(u, v)])
+    assert (x - y).coeffs == _reduced(m, [a - b for a, b in zip(u, v)])
+    assert (-x).coeffs == _reduced(m, [-a for a in u])
 
 
 def _units(m):

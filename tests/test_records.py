@@ -1,6 +1,8 @@
-"""The contract of the result records and value types: immutable `__slots__`
-classes with value equality, a dataclass-style repr, and their own rules."""
+"""The contract of the result records and value types: immutable tuples of
+their fields with equality only within a class, a dataclass-style repr, and
+their own rules."""
 
+import copy
 import inspect
 import math
 import operator
@@ -150,8 +152,8 @@ def test_positional_and_keyword_construction_agree(cls, fields):
 
 
 def test_inherited_constructor_binds_fields_by_position_and_keyword():
-    # LocalRow has no __init__ of its own: Frozen binds the values to its slots.
-    assert "__init__" not in vars(LocalRow)
+    # LocalRow has no constructor of its own: Frozen takes the values as its fields.
+    assert "__new__" not in vars(LocalRow) and "__init__" not in vars(LocalRow)
     values = list(LOCAL.values())
     whole = LocalRow(*values)
     assert LocalRow(*values[:3], **dict(list(LOCAL.items())[3:])) == whole
@@ -210,6 +212,157 @@ def test_equality_needs_same_class_and_fields(cls, fields):
 def test_records_pickle(cls, fields):
     record = cls(**fields)
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+# The record contract on the tuple base, for every record and value type.
+EVERY_RECORD = RECORDS + [
+    (PrimeFieldElem, {"p": 7, "value": 3}),
+    (CyclotomicNumber, {"m": 4, "coeffs": (1, 2)}),
+    (PadicInt, {"p": 5, "precision": 3, "value": 7}),
+    (EllipticCurveQ, {"a": Fraction(-1), "b": Fraction(0)}),
+    (WeierstrassCurveFp, {"p": 7, "a": 1, "b": 1}),
+]
+EVERY_ID = [cls.__name__ for cls, _ in EVERY_RECORD]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_type_is_in_the_contract_table():
+    # RingElement and Residue are bases with no fields of their own.
+    records = {cls for cls in _subclasses(Frozen) if cls.__module__.startswith("periodkit.")}
+    assert records - {cls for cls, _ in EVERY_RECORD} == {periodkit._frozen.RingElement, periodkit._frozen.Residue}
+    for cls in records:
+        assert cls.__dictoffset__ == 0, cls  # __slots__ = (), so no instance dict
+
+
+@pytest.mark.parametrize("cls,fields", EVERY_RECORD, ids=EVERY_ID)
+def test_a_record_is_no_plain_tuple(cls, fields):
+    record = cls(**fields)
+    values = tuple(fields.values())
+    assert tuple(record) == values
+    assert record != values and values != record
+    assert not record == values and not values == record
+    assert values not in {record} and record not in {values}
+    assert {record: 1}.get(values) is None
+
+
+def test_equality_needs_the_same_class_even_for_equal_fields():
+    # Two classes whose tuples are equal: the records differ, and may share a hash.
+    count, gauss = CountResult(8, 0), GaussSumValue(8, 0)
+    assert tuple(count) == tuple(gauss)
+    assert count != gauss and gauss != count and not count == gauss
+    assert len({count, gauss}) == 2
+
+
+@pytest.mark.parametrize("cls,fields", EVERY_RECORD, ids=EVERY_ID)
+def test_hash_agrees_with_equality(cls, fields):
+    record, twin = cls(**fields), cls(*fields.values())
+    assert record == twin and record is not twin
+    assert hash(record) == hash(twin)
+    assert len({record, twin}) == 1 and {record: 1}[twin] == 1
+
+
+@pytest.mark.parametrize("cls,fields", EVERY_RECORD, ids=EVERY_ID)
+def test_pickling_round_trips_through_the_class_constructor(cls, fields):
+    record = cls(**fields)
+    # Protocols 2 and up rebuild with cls.__new__(cls, *fields), so a
+    # validating type checks its values again.
+    assert record.__getnewargs__() == tuple(record)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(record, protocol))
+        assert type(loaded) is cls and loaded == record, protocol
+    assert copy.copy(record) == record and copy.deepcopy(record) == record
+
+
+def test_unpickling_runs_the_validating_constructor(monkeypatch):
+    element = PrimeFieldElem(7, 3)
+    data = pickle.dumps(element)
+    calls = []
+    new = PrimeFieldElem.__new__
+    monkeypatch.setattr(PrimeFieldElem, "__new__", lambda cls, *args: calls.append(args) or new(cls, *args))
+    assert pickle.loads(data) == element
+    assert calls == [(7, 3)]
+
+
+@pytest.mark.parametrize(
+    "build,want",
+    [
+        (lambda: PrimeFieldElem(p=7, value=10), PrimeFieldElem(7, 3)),
+        (lambda: PadicInt(5, precision=2, value=26), PadicInt(5, 2, 1)),
+        (lambda: CyclotomicNumber(m=4, coeffs=[1, 2, 3]), CyclotomicNumber(4, [-2, 2])),
+        (lambda: MultiplicativeCharacter(k=8, p=7), MultiplicativeCharacter(7, 2)),
+        (lambda: EllipticCurveQ(b=0, a=-1), EllipticCurveQ(-1, 0)),
+        (lambda: WeierstrassCurveFp(7, b=8, a=1), WeierstrassCurveFp(7, 1, 1)),
+        (lambda: MandelstamInput(s34=1.5, s12=0.5), MandelstamInput(0.5, 1.5)),
+        (lambda: AmplitudeValue(value=1.0, at_pole=False), AmplitudeValue(1.0, False, None)),
+    ],
+    ids=["field", "padic", "cyclotomic", "character", "curve-q", "curve-fp", "mandelstam", "amplitude"],
+)
+def test_validating_types_take_keywords(build, want):
+    assert build() == want
+
+
+def test_validating_types_refuse_a_wrong_field_set():
+    # A validating __new__ is a plain Python signature: Python's own messages.
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'value'"):
+        PrimeFieldElem(7)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'modulus'"):
+        PrimeFieldElem(7, modulus=3)
+    with pytest.raises(TypeError, match="multiple values for argument 'p'"):
+        PadicInt(5, 2, 1, p=5)
+
+
+@pytest.mark.parametrize("cls,fields", EVERY_RECORD, ids=EVERY_ID)
+def test_a_record_reads_as_the_tuple_of_its_fields(cls, fields):
+    record = cls(**fields)
+    assert cls._fields == tuple(fields)
+    assert len(record) == len(fields)
+    assert list(record) == list(fields.values())
+    assert [record[i] for i in range(len(fields))] == list(fields.values())
+    assert record[-1] == getattr(record, cls._fields[-1])
+    first, *rest = record
+    assert (first, *rest) == tuple(fields.values())
+
+
+@pytest.mark.parametrize("cls,fields", EVERY_RECORD, ids=EVERY_ID)
+def test_records_refuse_order(cls, fields):
+    record = cls(**fields)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((record, record), (record, tuple(record)), (tuple(record), record)):
+            with pytest.raises(TypeError, match=f"{cls.__name__} is a record: it is not ordered"):
+                compare(a, b)
+    with pytest.raises(TypeError):
+        sorted([record, record])
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
+def test_records_refuse_the_tuple_arithmetic(cls, fields):
+    record = cls(**fields)
+    message = f"{cls.__name__} is a record: it is not ordered, joined or repeated"
+    for a, b in ((record, record), (record, ()), ((), record)):
+        with pytest.raises(TypeError, match=message):
+            a + b
+    if cls is not MultiplicativeCharacter:  # whose * is the product of characters
+        with pytest.raises(TypeError, match=message):
+            record * 2
+    with pytest.raises(TypeError, match=message):
+        2 * record
+
+
+def test_ring_types_keep_their_own_plus_and_times():
+    z, e = CyclotomicNumber(4, [1, 2]), PrimeFieldElem(7, 3)
+    assert z + z == 2 * z == z * 2 == CyclotomicNumber(4, [2, 4])
+    assert e + 1 == PrimeFieldElem(7, 4) and 2 * e == PrimeFieldElem(7, 6)
+    for bad in (lambda: z + (1,), lambda: z * (1,), lambda: (1,) * z, lambda: z * 2.5, lambda: e - ()):
+        with pytest.raises(TypeError):
+            bad()
+    # A plain tuple on the left of + concatenates by the tuple's own rule, as
+    # the ring types hand a foreign operand back with NotImplemented.
+    assert (0,) + z == (0, 4, (1, 2))
 
 
 def test_record_defaults_and_rules():
@@ -606,8 +759,8 @@ VALUES = [
 
 @pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
 def test_value_types_share_the_immutability_rule(value):
-    for name in [*type(value).__slots__, "extra"]:
-        with pytest.raises(AttributeError, match="is immutable"):
+    for name in [*type(value)._fields, "extra"]:
+        with pytest.raises(AttributeError):
             setattr(value, name, 0)
     assert pickle.loads(pickle.dumps(value)) == value
     assert hash(pickle.loads(pickle.dumps(value))) == hash(value)

@@ -56,18 +56,43 @@ def test_quadrature_gives_up_in_one_place():
 
 
 def test_fields_are_stored_only_through_frozen():
-    # A validating __init__ stores its fields with Frozen.__init__(self, ...),
-    # the one storing path; object.__setattr__ appears only in _frozen.py.
+    # A record is a tuple of its fields.  A validating __new__ stores them with
+    # tuple.__new__(cls, (...)), one value per name of its class's _fields, the
+    # one storing path besides Frozen's own constructor; object.__new__ and
+    # object.__setattr__ appear nowhere.
+    def stores(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "tuple.__new__"
+
+    def one_value_per_field(call, fields):
+        if len(call.args) != 2 or call.keywords or ast.unparse(call.args[0]) != "cls":
+            return False
+        return isinstance(call.args[1], ast.Tuple) and [len(call.args[1].elts)] == list(map(len, fields))
+
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        if path.name != "_frozen.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__"
-    ]
+    found, checked = [], 0
+    for path in sources:
+        if path.name == "_frozen.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        good = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                fields = [
+                    ast.literal_eval(stmt.value)
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["_fields"]
+                ]
+                good |= {call for call in ast.walk(cls) if stores(call) and one_value_per_field(call, fields)}
+        checked += len(good)
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (stores(node) and node not in good)
+            or (isinstance(node, ast.Attribute) and ast.unparse(node) in ("object.__new__", "object.__setattr__"))
+        ]
     assert found == []
+    assert checked >= 9  # the validating types, and CyclotomicNumber's two
 
 
 def test_library_imports_only_the_standard_library():
@@ -92,22 +117,23 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_plain_records_inherit_the_constructor():
-    # A Frozen subclass whose __init__ only stores each parameter in its slot,
-    # in slot order and with no default, repeats Frozen.__init__: it should
-    # declare its __slots__ and inherit the constructor instead.
-    def only_stores(cls, init):
-        args = init.args
+    # A Frozen subclass whose __new__ only stores each parameter, in field
+    # order and with no default, repeats Frozen.__new__: it should declare its
+    # _fields and inherit the constructor instead.
+    def only_stores(cls, new):
+        args = new.args
         if args.defaults or args.vararg or args.kwarg or args.kwonlyargs or args.posonlyargs:
             return False
-        params = tuple(arg.arg for arg in args.args[1:])
-        slots = [
-            ast.literal_eval(stmt.value)
+        params = [arg.arg for arg in args.args[1:]]
+        fields = [
+            list(ast.literal_eval(stmt.value))
             for stmt in cls.body
-            if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["__slots__"]
+            if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["_fields"]
         ]
-        docstring = isinstance(init.body[0], ast.Expr) and isinstance(init.body[0].value, ast.Constant)
-        body = [ast.unparse(stmt) for stmt in init.body[docstring:]]
-        return slots == [params] and body == [f"Frozen.__init__(self, {', '.join(params)})"]
+        docstring = isinstance(new.body[0], ast.Expr) and isinstance(new.body[0].value, ast.Constant)
+        body = [ast.unparse(stmt) for stmt in new.body[docstring:]]
+        values = ast.unparse(ast.Tuple([ast.Name(param) for param in params]))
+        return fields == [params] and body == [f"return tuple.__new__(cls, {values})"]
 
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
@@ -116,8 +142,8 @@ def test_plain_records_inherit_the_constructor():
         for path in sources
         for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(cls, ast.ClassDef) and "Frozen" in [ast.unparse(base) for base in cls.bases]
-        for init in cls.body
-        if isinstance(init, ast.FunctionDef) and init.name == "__init__" and only_stores(cls, init)
+        for new in cls.body
+        if isinstance(new, ast.FunctionDef) and new.name == "__new__" and only_stores(cls, new)
     ]
     assert found == []
 
@@ -148,7 +174,9 @@ def test_operators_are_defined_once():
         if name in protocol
     ]
     assert sorted(name for cls, name in found if cls in bases) == sorted(protocol)
-    assert [(cls, name) for cls, name in found if cls not in bases] == [("MultiplicativeCharacter", "__mul__")]
+    # Frozen refuses + and * on every record, a rule and no coercion.
+    refused = [("Frozen", name) for name in ("__add__", "__radd__", "__mul__", "__rmul__")]
+    assert [(cls, name) for cls, name in found if cls not in bases] == refused + [("MultiplicativeCharacter", "__mul__")]
 
 
 def test_f_p_budgets_live_in_characters():
