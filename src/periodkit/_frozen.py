@@ -3,7 +3,7 @@ records, and the one operator protocol of its exact value types."""
 
 from operator import itemgetter
 
-from .errors import check_int
+from .errors import InvalidInput, check_int, shown
 
 
 class Frozen(tuple):
@@ -63,6 +63,13 @@ class Frozen(tuple):
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
+
+
+def check_sequence(arg: str, value) -> None:
+    """A sequence argument must not be a record, which as a tuple of its fields
+    would otherwise pass for a sequence of them."""
+    if isinstance(value, Frozen):
+        raise InvalidInput(arg, f"need a sequence, got the record {shown(value)}")
 
 
 def _coerced(primitive):

@@ -18,7 +18,7 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from ._frozen import Frozen
+from ._frozen import Frozen, check_sequence
 from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger, check_int, check_real, check_record
 
 POLE_SNAP = 1e-12
@@ -194,6 +194,7 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     _check_prime(p)
     if p > 97:
         raise InvalidInput("p", f"report is desk-scale only (p <= 97), got {p}")
+    check_sequence("s_grid", s_grid)
     if len(s_grid) > 100:
         raise InvalidInput("s_grid", f"grid size capped at 100, got {len(s_grid)}")
     try:

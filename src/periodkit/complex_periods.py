@@ -41,7 +41,7 @@ from array import array
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from ._frozen import Frozen
+from ._frozen import Frozen, check_sequence
 from .errors import (
     ComplexRoots,
     DegenerateFamilyMember,
@@ -72,10 +72,12 @@ def _check_rational(arg: str, value) -> Fraction:
     return Fraction(value)
 
 
-def _discriminant_numerator(a: Fraction, b: Fraction) -> int:
-    """-4a^3 - 27b^2 times den(a)^3 * den(b)^2: the discriminant's exact sign in
-    integer arithmetic, since that factor is positive."""
-    return -4 * a.numerator**3 * b.denominator**2 - 27 * b.numerator**2 * a.denominator**3
+def _discriminant_numerator(a: Fraction, b: Fraction) -> tuple[int, int]:
+    """(D, W): D is -4a^3 - 27b^2 times den(a)^3 * den(b)^2, the discriminant's
+    exact sign in integer arithmetic, since that factor is positive; W is its
+    first term, -4*num(a)^3*den(b)^2."""
+    w = -4 * a.numerator**3 * b.denominator**2
+    return w - 27 * b.numerator**2 * a.denominator**3, w
 
 
 class EllipticCurveQ(Frozen):
@@ -86,14 +88,14 @@ class EllipticCurveQ(Frozen):
 
     def __new__(cls, a, b):
         curve = tuple.__new__(cls, (_check_rational("a", a), _check_rational("b", b)))
-        if _discriminant_numerator(*curve) == 0:
+        if _discriminant_numerator(*curve)[0] == 0:
             raise SingularCurve(f"4a^3 + 27b^2 = 0 for {shown(curve)}")
         return curve
 
     @property
     def discriminant(self) -> Fraction:
         """Cubic discriminant -4a^3 - 27b^2; its exact sign decides the root split."""
-        return Fraction(_discriminant_numerator(self.a, self.b), self.a.denominator**3 * self.b.denominator**2)
+        return Fraction(_discriminant_numerator(self.a, self.b)[0], self.a.denominator**3 * self.b.denominator**2)
 
     def __repr__(self):
         return f"EllipticCurveQ(a={self.a}, b={self.b})"
@@ -124,9 +126,9 @@ def _root_gaps(curve: EllipticCurveQ) -> tuple[float, float, float]:
     2*sqrt(-a) times sin(phi/3), sin((pi - phi)/3) and sin((pi + phi)/3),
     phi = min(theta, pi - theta); the last is e1 - e3, and the small one is
     e1 - e2 when b > 0, else e2 - e3.  sin^2(phi) = D/W and cos^2(phi) =
-    (W - D)/W for the integers D = _discriminant_numerator(a, b) and
-    W = -4*num(a)^3*den(b)^2, so each is one correctly rounded division and
-    no gap comes from a difference of nearby roots.
+    (W - D)/W for the integers (D, W) = _discriminant_numerator(a, b), so each
+    is one correctly rounded division and no gap comes from a difference of
+    nearby roots; -a and the sign of b are read from the numerators.
 
     Raises FloatOverflow when |a| is beyond the double range, ComplexRoots
     when D <= 0 (one real root), then FloatOverflow when |a|, sin^2(phi) or
@@ -134,13 +136,12 @@ def _root_gaps(curve: EllipticCurveQ) -> tuple[float, float, float]:
     """
     a, b = curve.a, curve.b
     try:
-        minus_a = float(-a)
+        minus_a = -a.numerator / a.denominator
     except OverflowError:
         raise FloatOverflow("|a| is beyond the double range") from None
-    d = _discriminant_numerator(a, b)
+    d, w = _discriminant_numerator(a, b)
     if d <= 0:
         raise ComplexRoots(f"{shown(curve)} has one real root; period support needs three")
-    w = -4 * a.numerator**3 * b.denominator**2
     sin2 = d / w
     phi = math.atan2(math.sqrt(sin2), math.sqrt((w - d) / w))
     scale = 2.0 * math.sqrt(minus_a)
@@ -149,7 +150,7 @@ def _root_gaps(curve: EllipticCurveQ) -> tuple[float, float, float]:
         raise FloatOverflow("|a| or a root gap is below the normal double range")
     middle = scale * math.sin((math.pi - phi) / 3.0)
     wide = scale * math.sin((math.pi + phi) / 3.0)
-    return (small, wide, middle) if b > 0 else (middle, wide, small)
+    return (small, wide, middle) if b.numerator > 0 else (middle, wide, small)
 
 
 def _new_midpoints(level: int, width: float) -> list[float]:
@@ -339,6 +340,7 @@ def legendre_curve(t: Fraction) -> EllipticCurveQ:
 
 def period_map_legendre(t_values: Iterable[Fraction]) -> list[tuple[Fraction, TauPoint]]:
     """Reduced tau(t) for the Legendre family members, sorted by t."""
+    check_sequence("t_values", t_values)
     ts = sorted(_check_rational("t", t) for t in t_values)
     return [(t, curve_tau(legendre_curve(t))) for t in ts]
 

@@ -20,7 +20,7 @@ import sys
 from array import array
 from typing import Sequence
 
-from ._frozen import RingElement
+from ._frozen import RingElement, check_sequence
 from .errors import InvalidInput, MismatchedStructure, NotRationalInteger, check_int, shown
 from .finite_field import _prime_factors
 
@@ -172,6 +172,7 @@ class CyclotomicNumber(RingElement):
 
     def __new__(cls, m: int, coeffs: Sequence[int]):
         check_int("m", m, lo=1)
+        check_sequence("coeffs", coeffs)
         for c in coeffs:
             check_int("coeffs", c)
         return tuple.__new__(cls, (m, _reduce(m, coeffs)))

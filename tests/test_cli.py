@@ -1,6 +1,7 @@
 """CLI behaviour: envelope shape, exit codes, formats, and golden-file bytes."""
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -15,9 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import periodkit
+import periodkit.cli
 import periodkit.curve_counts
 from periodkit import CountResult, CyclotomicNumber
-from periodkit.cli import _json, _rows, build_parser, main, render_json
+from periodkit.cli import _json, _quote, _rows, build_parser, main, render_json
 from golden_corpus import CORPUS
 from regen_golden import HELP_FILE, help_pages
 from test_padic import cp_cocycle
@@ -66,6 +68,31 @@ def test_json_int_lists_take_the_flat_path_and_bools_stay_json():
     assert _json((-1, 0, 10**20)) == "[-1, 0, 100000000000000000000]"
     assert _json([True, 1, False]) == "[true, 1, false]"
     assert _json([1, 2.5, None, [3, -4]]) == "[1, 2.5, null, [3, -4]]"
+
+
+# The character classes of json.dumps's ASCII escaping: the two-character
+# escapes, the other controls, printable ASCII, DEL, the rest of the BMP, lone
+# surrogates and astral characters (a surrogate pair each).
+ESCAPE_CLASSES = st.one_of(
+    st.sampled_from('"\\\b\f\n\r\t\x7f'),
+    st.characters(max_codepoint=0x1F),
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+    st.characters(min_codepoint=0x80, max_codepoint=0xFFFF),
+    st.characters(categories=["Cs"]),
+    st.characters(min_codepoint=0x10000),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.text(alphabet=ESCAPE_CLASSES, max_size=12))
+def test_quote_matches_json_dumps(text):
+    assert _quote(text) == json.dumps(text)
+
+
+def test_quote_matches_json_dumps_on_every_code_point():
+    for start in range(0, 0x110000, 0x10000):
+        text = "".join(map(chr, range(start, start + 0x10000)))
+        assert _quote(text) == json.dumps(text), hex(start)
 
 
 def json_emit_oracle(obj) -> str:
@@ -471,13 +498,14 @@ def test_no_argv_loads_scipy():
 
 # The periodkit modules each command loads besides the package and periodkit.cli;
 # "fractions" stands for the standard library module of that name.
-_RING = {"_frozen", "errors", "finite_field", "cyclotomic", "characters"}
+_CHARACTERS = {"_frozen", "errors", "finite_field", "characters"}  # a Gauss sum is a float; no ring
+_RING = _CHARACTERS | {"cyclotomic"}
 _COUNTS = _RING | {"curve_counts"}
 _POINT_COUNTS = {"_frozen", "errors", "finite_field", "curve_counts"}  # no Jacobi sum, so no ring
 _AMPLITUDES = {"_frozen", "errors", "amplitudes"}
 _ANALYTIC = {"_frozen", "errors", "complex_periods", "fractions"}
 MODULES_OF_COMMAND = {
-    "gauss": _RING,
+    "gauss": _CHARACTERS,
     "jacobi": _RING,
     "count": _POINT_COUNTS,
     "zeta": _POINT_COUNTS,
@@ -502,6 +530,28 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded = [m.removeprefix("periodkit.") for m in sys.modules if m.startswith("periodkit.") or m == "fractions"]
 print(json.dumps({"code": code, "loaded": sorted(loaded)}))
 """
+
+
+COLD_GAUSS_CHILD = """
+import sys
+from periodkit import cli
+
+parsers = []
+build = cli.build_parser
+cli.build_parser = lambda argv: parsers.append(build(argv)) or parsers[-1]
+code = cli.main(sys.argv[1:])
+(command,) = [a for a in parsers[0]._actions if a.dest == "command"]
+print(repr((code, len(parsers), list(command.choices), "json" in sys.modules, "periodkit.cyclotomic" in sys.modules)))
+"""
+
+
+def test_cold_gauss_builds_one_subparser_and_loads_no_json_and_no_ring():
+    # The child imports no json itself, so any json in sys.modules is the CLI's.
+    proc = run_python("-c", COLD_GAUSS_CHILD, "gauss", "--p", "7", "--k1", "1", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    out, summary = proc.stdout.rsplit("\n", 2)[:2]
+    assert out + "\n" == (GOLDEN_DIR / "01_gauss.json").read_text()
+    assert ast.literal_eval(summary) == (0, 1, ["gauss"], False, False)
 
 
 @pytest.mark.parametrize("name,argv", CORPUS, ids=[name for name, _ in CORPUS])
@@ -567,6 +617,32 @@ def test_module_entry_point():
     proc = run_python("-m", "periodkit", "gauss", "--p", "4", "--k1", "1")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: --p: "), proc.stderr
+
+
+# argv that argparse refuses or answers itself.  A call whose argv[0] names a
+# command builds that subparser alone; the parser of every command is the oracle.
+MALFORMED_ARGV = [
+    ["gauss", "--p", "7", "--k1", "1", "--bogus", "3"],  # unknown flag after a known command
+    ["gauss", "--p", "7"],  # missing required flag
+    ["gauss", "--p", "x", "--k1", "1"],  # bad int
+    ["jacobi", "--p", "5", "--k1", "1", "--k2"],  # flag without its value
+    ["correspond", "--p", "5", "--format", "csv"],  # format the command lacks
+    ["gaus", "--p", "7", "--k1", "1"],  # unknown command
+    [],
+    ["--format", "json", "gauss", "--p", "7", "--k1", "1"],  # flag before the command
+    ["-h"],
+    ["--help", "gauss"],
+    ["gauss", "-h"],
+    ["gauss", "--p", "7", "--k1", "1", "extra"],  # extra positional
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=[" ".join(a) or "(none)" for a in MALFORMED_ARGV])
+def test_malformed_argv_reads_as_with_the_full_parser(monkeypatch, argv):
+    got = run_cli(argv)
+    monkeypatch.setattr(periodkit.cli, "build_parser", lambda argv, build=build_parser: build())
+    assert got == run_cli(argv)
+    assert got[0] in (0, 2) and (got[1] == "") == (got[0] == 2)
 
 
 def test_help_exits_zero():

@@ -660,6 +660,41 @@ def test_non_records_are_refused_naming_the_argument(site, kind):
     assert str(exc.value).startswith(f"need a record of type {type(good).__name__}, got ")
 
 
+# Every argument that takes a sequence of numbers: a builder and a sequence it
+# accepts.  A record is a tuple of its fields, so without the rule one would
+# pass as a sequence of them: CyclotomicNumber(4, PrimeFieldElem(7, 3)) once
+# returned coeffs [7, 3], and correspondence_table(5, MandelstamInput(1.5, 2.5))
+# ran a grid of the record's two fields.
+SEQUENCE_ARGUMENTS = {
+    "CyclotomicNumber-coeffs": (lambda v: CyclotomicNumber(4, v), [7, 3]),
+    "correspondence_table-s_grid": (lambda v: correspondence_table(5, v), [1.5, 2.5]),
+    "period_map_legendre-t_values": (period_map_legendre, [Fraction(1, 3), Fraction(2, 3)]),
+}
+# Records of the right length whose fields the builder would take as items.
+RECORDS_AS_SEQUENCES = {
+    "PrimeFieldElem": PrimeFieldElem(7, 3),
+    "MandelstamInput": MandelstamInput(1.5, 2.5),
+    "EllipticCurveQ": EllipticCurveQ(Fraction(1, 3), Fraction(2, 3)),
+}
+
+
+@pytest.mark.parametrize("site", SEQUENCE_ARGUMENTS)
+def test_sequence_arguments_take_a_list_and_a_tuple(site):
+    build, good = SEQUENCE_ARGUMENTS[site]
+    assert build(good) == build(tuple(good))
+
+
+@pytest.mark.parametrize("site", SEQUENCE_ARGUMENTS)
+@pytest.mark.parametrize("record", RECORDS_AS_SEQUENCES)
+def test_a_record_is_refused_where_a_sequence_is_expected(site, record):
+    build, _ = SEQUENCE_ARGUMENTS[site]
+    value = RECORDS_AS_SEQUENCES[record]
+    with pytest.raises(InvalidInput) as exc:
+        build(value)
+    assert exc.value.arg == site.split("-")[1]
+    assert str(exc.value) == f"need a sequence, got the record {value!r}"
+
+
 def test_shown_describes_what_repr_cannot_print():
     assert shown(-3) == "-3" and shown("x") == "'x'" and shown(Fraction(1, 2)) == "Fraction(1, 2)"
     assert shown(HUGE) == "an int of 16610 bits"
