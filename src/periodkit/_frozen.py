@@ -1,6 +1,7 @@
 """The package's one immutability rule, shared by its value types and result
 records, and the one operator protocol of its exact value types."""
 
+from collections.abc import Sequence
 from operator import itemgetter
 
 from .errors import InvalidInput, check_int, shown
@@ -66,10 +67,12 @@ class Frozen(tuple):
 
 
 def check_sequence(arg: str, value) -> None:
-    """A sequence argument must not be a record, which as a tuple of its fields
-    would otherwise pass for a sequence of them."""
+    """A sequence argument must be a Sequence, such as a list or a tuple, and not
+    a record, which as a tuple of its fields would pass for a sequence of them."""
     if isinstance(value, Frozen):
         raise InvalidInput(arg, f"need a sequence, got the record {shown(value)}")
+    if not isinstance(value, Sequence):
+        raise InvalidInput(arg, f"need a sequence, got {shown(value)}")
 
 
 def _coerced(primitive):

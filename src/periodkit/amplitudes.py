@@ -12,11 +12,9 @@ is computed per Galois orbit: one Jacobi sum and one norm per orbit of
 sigma_a, each row marked with whether its own norm was computed.
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from ._frozen import Frozen, check_sequence
 from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger, check_int, check_real, check_record
@@ -24,7 +22,7 @@ from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger, check
 POLE_SNAP = 1e-12
 
 
-def _near_nonpositive_int(x: float) -> Optional[int]:
+def _near_nonpositive_int(x: float) -> int | None:
     """n >= 0 such that x is within POLE_SNAP of -n, else None (also for x = +-inf)."""
     if math.isinf(x):
         return None
@@ -91,7 +89,7 @@ class AmplitudeValue(Frozen):
     __slots__ = ()
     _fields = ("value", "at_pole", "pole_index")
 
-    def __new__(cls, value: float, at_pole: bool, pole_index: Optional[int] = None):
+    def __new__(cls, value: float, at_pole: bool, pole_index: int | None = None):
         return tuple.__new__(cls, (value, at_pole, pole_index))
 
 

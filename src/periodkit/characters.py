@@ -10,8 +10,6 @@ phi(p*(p-1)).  The two are tied together numerically by
 gauss_jacobi_relation_check.
 """
 
-from __future__ import annotations
-
 import cmath
 import functools
 import math
@@ -109,7 +107,7 @@ def quartic_character(p: int) -> MultiplicativeCharacter:
     return MultiplicativeCharacter(p, (p - 1) // 4)
 
 
-def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> CyclotomicNumber:
+def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> "CyclotomicNumber":
     """Exact character value in Z[zeta_(p-1)]; zero element for a = 0."""
     check_record("c", c, MultiplicativeCharacter)
     check_record("a", a, PrimeFieldElem)
@@ -149,7 +147,7 @@ def gauss_sum(c: MultiplicativeCharacter) -> GaussSumValue:
     return GaussSumValue(total, p)
 
 
-def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> CyclotomicNumber:
+def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> "CyclotomicNumber":
     """J(c, c') = sum over t of c(t) * c'(1-t), exactly in Z[zeta_n].
 
     n = lcm(order(c), order(c')); every term is a power of zeta_n, so the sum
@@ -175,7 +173,7 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
 
 
 def gauss_jacobi_relation_check(
-    c: MultiplicativeCharacter, c2: MultiplicativeCharacter, j: CyclotomicNumber
+    c: MultiplicativeCharacter, c2: MultiplicativeCharacter, j: "CyclotomicNumber"
 ) -> float:
     """|embed(j) - g(c)*g(c')/g(c*c')| for j = jacobi_sum(c, c'), which the
     caller has already computed; below 1e-8 for p <= 31.

@@ -21,8 +21,6 @@ with 15 significant digits and identical argv always produces byte-identical
 output.
 """
 
-from __future__ import annotations
-
 import argparse
 import importlib
 import io
@@ -38,25 +36,12 @@ from .errors import InvalidInput, PeriodkitError
 # Output envelope and rendering
 
 
-class _Escapes(dict):
-    """The str.translate table of json.dumps with ensure_ascii: the two-character
-    escapes, the printable ASCII as it is, and \\uXXXX for the rest (DEL and
-    the other controls included), a surrogate pair past the BMP."""
-
-    def __missing__(self, o: int) -> str:
-        if o > 0xFFFF:
-            o -= 0x10000
-            return f"\\u{0xD800 | o >> 10:04x}\\u{0xDC00 | o & 0x3FF:04x}"
-        return f"\\u{o:04x}"
-
-
-_ESCAPES = _Escapes({o: o for o in range(0x20, 0x7F)})
-_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
-
-
-def _quote(s: str) -> str:
-    """json.dumps(s) for a str, without loading json."""
-    return '"' + s.translate(_ESCAPES) + '"'
+# _quote(s) is json.dumps(s) for a str: CPython's C encoder, the one json.dumps
+# calls, so a call never loads json; json.encoder's on other interpreters.
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 
 def _seq(v) -> str:

@@ -32,14 +32,12 @@ J and the catalog's integrals run on one grid under one loop, _refine; the
 catalog's rule, tanh-sinh, is that rule in t after x = tanh((pi/2)*sinh(t)).
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import sys
 from array import array
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from ._frozen import Frozen, check_sequence
 from .errors import (
@@ -338,7 +336,7 @@ def legendre_curve(t: Fraction) -> EllipticCurveQ:
     return EllipticCurveQ(-(t * t - t + 1) / 3, -(t + 1) * (t - 2) * (2 * t - 1) / 27)
 
 
-def period_map_legendre(t_values: Iterable[Fraction]) -> list[tuple[Fraction, TauPoint]]:
+def period_map_legendre(t_values: Sequence[Fraction]) -> list[tuple[Fraction, TauPoint]]:
     """Reduced tau(t) for the Legendre family members, sorted by t."""
     check_sequence("t_values", t_values)
     ts = sorted(_check_rational("t", t) for t in t_values)

@@ -5,8 +5,6 @@ Counts are projective (the single point at infinity is always included),
 so N = p + 1 - a_p holds without case analysis.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._frozen import Frozen

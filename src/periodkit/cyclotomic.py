@@ -10,15 +10,13 @@ The fixed complex embedding sends x to e^(2*pi*i/m); it is used only for
 floating-point cross-checks, never for exact arithmetic.
 """
 
-from __future__ import annotations
-
 import cmath
 import functools
 import math
 import operator
 import sys
 from array import array
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._frozen import RingElement, check_sequence
 from .errors import InvalidInput, MismatchedStructure, NotRationalInteger, check_int, shown

@@ -7,8 +7,6 @@ root, and the p = 1 mod 4 case carries the explicit Gaussian-integer
 presentation of F_p as a quotient of Z[i].
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

@@ -8,8 +8,6 @@ carries exactly N-1 digits.  Frobenius on these ground-ring elements is the
 identity, which is what makes (x - x^p)/p a p-derivation here.
 """
 
-from __future__ import annotations
-
 from ._frozen import Frozen, Residue
 from .errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit, check_int, check_record, shown
 from .finite_field import _check_prime

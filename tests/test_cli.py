@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -41,6 +42,37 @@ def test_golden_byte_equality(name, argv):
     assert code == 0, err
     expected = (GOLDEN_DIR / name).read_text()
     assert out == expected, f"output drifted for {argv}"
+
+
+def readme_cli_lines():
+    """The argv of each `periodkit ...` line in the code block under README's `## CLI`."""
+    section = (pathlib.Path(__file__).parent.parent / "README.md").read_text().split("\n## CLI\n")[1]
+    block = section.split("\n## ")[0].split("```sh\n")[1].split("```")[0]
+    return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines() if line.startswith("periodkit ")]
+
+
+def without_default_format(argv):
+    """argv less an explicit --format that names its command's default."""
+    flag = ["--format", periodkit.cli.COMMANDS[argv[0]].default_format]
+    return next((argv[:i] + argv[i + 2 :] for i in range(len(argv)) if argv[i : i + 2] == flag), argv)
+
+
+README_CLI = readme_cli_lines()
+GOLDEN_OF_ARGV = {" ".join(without_default_format(argv)): name for name, argv in CORPUS}
+
+
+def test_readme_cli_block_lists_every_subcommand():
+    assert sorted({argv[0] for argv in README_CLI}) == sorted(periodkit.cli.COMMANDS)
+    assert len([argv for argv in README_CLI if " ".join(without_default_format(argv)) in GOLDEN_OF_ARGV]) == 9
+
+
+@pytest.mark.parametrize("argv", README_CLI, ids=[" ".join(argv) for argv in README_CLI])
+def test_readme_cli_line_runs_and_matches_its_golden(argv):
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    name = GOLDEN_OF_ARGV.get(" ".join(without_default_format(argv)))
+    if name is not None:
+        assert out == (GOLDEN_DIR / name).read_text()
 
 
 @pytest.mark.parametrize("name,argv", CORPUS, ids=[name for name, _ in CORPUS])
@@ -522,13 +554,15 @@ MODULES_OF_COMMAND = {
 }
 
 LOADED_MODULES_CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, sys
+before = set(sys.modules)
 from periodkit.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(json.loads(sys.argv[1]))
+    code = main(sys.argv[1:])
 loaded = [m.removeprefix("periodkit.") for m in sys.modules if m.startswith("periodkit.") or m == "fractions"]
-print(json.dumps({"code": code, "loaded": sorted(loaded)}))
+unused = {"__future__", "typing", "json"} & (set(sys.modules) - before)
+print(repr((code, sorted(loaded), sorted(unused))))
 """
 
 
@@ -556,11 +590,12 @@ def test_cold_gauss_builds_one_subparser_and_loads_no_json_and_no_ring():
 
 @pytest.mark.parametrize("name,argv", CORPUS, ids=[name for name, _ in CORPUS])
 def test_command_loads_only_the_modules_it_runs(name, argv):
-    proc = run_python("-c", LOADED_MODULES_CHILD, json.dumps(argv))
+    # Nor __future__, typing or json: the child imports no json itself and
+    # snapshots sys.modules before the call, so what site loaded does not
+    # count, and -S keeps site out, as some site hooks import typing.
+    proc = run_python("-S", "-c", LOADED_MODULES_CHILD, *argv)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["code"] == 0
-    assert result["loaded"] == sorted(MODULES_OF_COMMAND[argv[0]] | {"cli"})
+    assert ast.literal_eval(proc.stdout) == (0, sorted(MODULES_OF_COMMAND[argv[0]] | {"cli"}), [])
 
 
 def test_package_import_loads_no_library_module():

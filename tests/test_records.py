@@ -637,7 +637,8 @@ def test_record_table_covers_every_record_parameter():
         fn = getattr(periodkit, name)
         if inspect.isfunction(fn):
             for arg, param in inspect.signature(fn).parameters.items():
-                if param.annotation in records:
+                # A class, or the quoted name of the lazily loaded ring type.
+                if getattr(param.annotation, "__name__", param.annotation) in records:
                     sites.add(f"{name}-{arg}")
     assert sites == set(RECORD_ARGUMENTS)
 
@@ -693,6 +694,30 @@ def test_a_record_is_refused_where_a_sequence_is_expected(site, record):
         build(value)
     assert exc.value.arg == site.split("-")[1]
     assert str(exc.value) == f"need a sequence, got the record {value!r}"
+
+
+# Values that are no sequence, each made from a sequence the builder accepts.
+# CyclotomicNumber(4, 5), CyclotomicNumber(4, {1, 2}), correspondence_table(5, 3)
+# and period_map_legendre(3) once raised a bare TypeError; a generator of
+# t_values was read once and accepted.
+NON_SEQUENCES = {
+    "int": len,
+    "set": set,
+    "iterator": iter,
+    "generator": lambda good: (x for x in good),
+    "dict": dict.fromkeys,
+}
+
+
+@pytest.mark.parametrize("site", SEQUENCE_ARGUMENTS)
+@pytest.mark.parametrize("kind", NON_SEQUENCES)
+def test_a_non_sequence_is_refused_naming_the_argument(site, kind):
+    build, good = SEQUENCE_ARGUMENTS[site]
+    value = NON_SEQUENCES[kind](good)
+    with pytest.raises(InvalidInput) as exc:
+        build(value)
+    assert exc.value.arg == site.split("-")[1]
+    assert str(exc.value) == f"need a sequence, got {value!r}"
 
 
 def test_shown_describes_what_repr_cannot_print():

@@ -95,8 +95,10 @@ def test_fields_are_stored_only_through_frozen():
     assert checked >= 9  # the validating types, and CyclotomicNumber's two
 
 
-def test_library_imports_only_the_standard_library():
-    # No runtime dependency; a relative import (level > 0) stays inside periodkit.
+def imported(name_ok):
+    """file:line and top-level name of every import in the library whose name
+    name_ok refuses; a relative import (level > 0) is named periodkit."""
+
     def top_names(node):
         if isinstance(node, ast.Import):
             return [alias.name.split(".")[0] for alias in node.names]
@@ -106,14 +108,25 @@ def test_library_imports_only_the_standard_library():
 
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
-    found = [
+    return [
         f"{path.name}:{node.lineno} {name}"
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         for name in top_names(node)
-        if name not in sys.stdlib_module_names and name != "periodkit"
+        if not name_ok(name)
     ]
-    assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # No runtime dependency; a relative import stays inside periodkit.
+    assert imported(lambda name: name in sys.stdlib_module_names or name == "periodkit") == []
+
+
+def test_library_imports_neither_future_nor_typing():
+    # Annotations evaluate natively (int | None, collections.abc generics), and
+    # the one name a module loads lazily is quoted, so no cold call pays for
+    # importing __future__ or typing.
+    assert imported(lambda name: name not in ("__future__", "typing")) == []
 
 
 def test_plain_records_inherit_the_constructor():
