@@ -14,9 +14,13 @@ class Frozen(tuple):
     that only stores its fields inherits the constructor below, by position or
     keyword; a type that validates, normalises or gives a default stores one
     value per field through `tuple.__new__(cls, (...))` in its own `__new__`.
-    Equality holds only within one class, hash agrees with it, pickling
-    rebuilds through the class's `__new__`, and ordering, `+` and `*` are
-    refused (README has the whole contract).
+    Equality holds only within one class, so a record never equals a plain
+    tuple, hash agrees with it, and pickling rebuilds through the class's
+    `__new__`.  `len`, iteration, unpacking and indexing read the fields;
+    ordering, `+` and `*` raise TypeError, except the ring types' own `+` and
+    `*`, and a plain tuple on the left of `+` with a ring element, which the
+    tuple concatenates.  Built, hashed and pickled in C, a record loads neither
+    `dataclasses` nor `inspect`; hot call sites pass their values by position.
     """
 
     __slots__ = ()
@@ -120,7 +124,8 @@ class RingElement(Frozen):
 class Residue(RingElement):
     """Base of the types whose element is an int `value` modulo `modulus`; a
     subclass checks its structure and an int value in `__new__`, and supplies
-    `modulus`, `_match`, `_with` and `inverse`."""
+    `modulus`, `_match`, `_with` and `inverse`.  A residue never equals an
+    int, so a caller compares `int(a)` or `a.value`."""
 
     __slots__ = ()
 

@@ -53,7 +53,9 @@ def gamma_fn(x: float) -> float:
 
 
 def beta_fn(alpha: float, beta: float) -> float:
-    """B(alpha, beta) = Gamma(alpha)Gamma(beta)/Gamma(alpha+beta)."""
+    """B(alpha, beta) = Gamma(alpha)Gamma(beta)/Gamma(alpha+beta); FloatOverflow
+    once one of the three Gammas or the ratio leaves the normal double range,
+    so some B that are normal doubles, such as B(100, 100), are refused."""
     check_real("alpha", alpha)
     check_real("beta", beta)
     for name, v in (("alpha", alpha), ("beta", beta), ("alpha+beta", alpha + beta)):

@@ -16,8 +16,8 @@ import math
 from array import array
 
 from ._frozen import Frozen
-from .errors import BadCongruence, InvalidInput, TrivialCharacter, check_int, check_record
-from .finite_field import PrimeFieldElem, _check_prime, _check_same_prime, _smallest_primitive_root
+from .errors import InvalidInput, TrivialCharacter, check_int, check_record
+from .finite_field import PrimeFieldElem, _check_one_mod_four, _check_prime, _check_same_prime, _smallest_primitive_root
 
 # Bounds the kernels over F_p: the dlog table, p entries, and the Gauss-sum
 # walk.  At p = 1999993 (cold, 2-core Xeon, CPython 3.11) `jacobi` at order 2
@@ -38,7 +38,8 @@ def _check_table_prime(p: int) -> None:
 @functools.lru_cache(maxsize=1)  # every command and report works over one prime
 def _dlog_table(p: int) -> array:
     """dlog[a] = j with g^j = a, for the canonical primitive root g; dlog[0] unused.
-    Four bytes per entry, as p < 2**31; the cache shares it, so callers only read it."""
+    Four bytes per entry, as p < 2**31, so 8 MB at MAX_TABLE_PRIME; the cache
+    shares it, so callers only read it."""
     _check_table_prime(p)
     g = _smallest_primitive_root(p)
     table = array("i", [0]) * p
@@ -60,7 +61,8 @@ def _ring():
 def _check_ring_budget(p: int, n: int) -> None:
     """The cost budget of exact values in Z[zeta_n], n dividing p - 1: the table
     rule bounds n before Phi_n is built, then one reduction must stay within
-    MAX_REDUCTION_STEPS."""
+    MAX_REDUCTION_STEPS.  The step count reads Phi_n's terms, so a refused
+    order has still built Phi_n."""
     _check_table_prime(p)
     steps = _ring()._reduction_steps(n)
     if steps > MAX_REDUCTION_STEPS:
@@ -102,8 +104,7 @@ def quadratic_character(p: int) -> MultiplicativeCharacter:
 
 def quartic_character(p: int) -> MultiplicativeCharacter:
     _check_prime(p)
-    if (p - 1) % 4 != 0:
-        raise BadCongruence(f"p = {p} is {p % 4} mod 4; F_{p}^x has no element of order 4")
+    _check_one_mod_four(p)
     return MultiplicativeCharacter(p, (p - 1) // 4)
 
 
@@ -133,7 +134,8 @@ class GaussSumValue(Frozen):
 
 def gauss_sum(c: MultiplicativeCharacter) -> GaussSumValue:
     """g(c) = sum over t in F_p^x of c(t) * e^(2*pi*i*t/p), walked as t = g^j:
-    each term is one root of unity of order p(p-1) with an exact exponent."""
+    each term is one root of unity of order p(p-1) with an exact exponent, and
+    no table is built."""
     check_record("c", c, MultiplicativeCharacter)
     p, k, m = c.p, c.k, c.p - 1
     _check_table_prime(p)

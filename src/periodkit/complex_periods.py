@@ -11,7 +11,8 @@ f monic:
 
 The substitutions x = e1 + (e1 - e2)*tan^2(theta) and
 x = e2 + (e1 - e2)*sin^2(theta) remove the endpoint singularities exactly and
-turn both into Gauss's integral
+turn both into Gauss's integral (Cox, "The arithmetic-geometric mean of
+Gauss", 1984)
 
     I(a, b) = Int_0^{pi/2} dtheta / sqrt(a*cos^2(theta) + b*sin^2(theta)),
 
@@ -21,12 +22,15 @@ I(a, b) = J(kappa)/(a*b)^(1/4), J(kappa) = Int_0^{pi/2} dpsi/sqrt(1 + kappa*sin^
 g = sqrt(min(a, b)/max(a, b)), kappa = (1 - g)^2/(4g): an analytic, even,
 pi-periodic integrand, on which the midpoint rule converges geometrically
 (Trefethen and Weideman, "The exponentially convergent trapezoidal rule",
-2014).  The AGM evaluates the same I(a, b) = pi / (2*agm(sqrt(a),
-sqrt(b))).  So both paths read only the three root gaps, and _root_gaps
-computes them in closed form from the exact coefficients, never as
-differences of computed roots: near a double root every gap keeps full
-relative precision.  Only the 3-real-root case is supported; the
-complex-root AGM branch choice is out of scope.
+2014); near a double root its peak is (b/a)^(1/4) wide, not (b/a)^(1/2).
+The AGM evaluates the same I(a, b) = pi / (2*agm(sqrt(a), sqrt(b))), so the
+AGM-vs-quadrature check tests Gauss's identity, not the gaps or the
+substitutions; tests/ checks those against scipy on the raw integrals.  Both
+paths read only the three root gaps, and _root_gaps computes them in closed
+form from the exact coefficients, never as differences of computed roots:
+near a double root every gap keeps full relative precision.  Only the
+3-real-root case is supported; the complex-root AGM branch choice is out of
+scope.
 
 J and the catalog's integrals run on one grid under one loop, _refine; the
 catalog's rule, tanh-sinh, is that rule in t after x = tanh((pi/2)*sinh(t)).
@@ -54,7 +58,7 @@ from .errors import (
     shown,
 )
 
-_LEVELS = 10  # levels of every integral: at most 4*3^9 = 78732 grid nodes in all
+_LEVELS = 10  # levels of every integral: at most 4*3^9 = 78732 grid nodes in all, 630 KB of sin^2 table
 _T_MAX = 3.5  # the catalog's t-interval [0, _T_MAX]: 1 - tanh((pi/2)*sinh(3.5)) is about 5e-23
 _TAU_CAP = 10_000
 _AGM_LO, _AGM_HI = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)  # where agm's steps are exact
@@ -167,7 +171,8 @@ def _refine(level_sum: Callable[[int], float], h: float, edge: float = 0.0) -> t
     edge is the integrand at the end of a truncated grid (0 on a whole
     period), whose tail no level shows: once two levels agree, it too must be
     within 1e-13*|total|.  Raises QuadratureNoConvergence if it is not, or if
-    no two levels agree within _LEVELS levels."""
+    no two levels agree within _LEVELS levels.  Scaling the integrand by a
+    power of two scales every level exactly, so the run stops at the same level."""
     total = h * level_sum(0)
     for level in range(1, _LEVELS):
         h /= 3.0
@@ -191,7 +196,8 @@ def _midpoint_level(level: int) -> array:
 
 def _gauss_integral(a: float, b: float) -> float:
     """I(a, b) for a, b > 0 as J(kappa)/(a*b)^(1/4) (module docstring), J by the
-    midpoint rule on [0, pi/2] under _refine."""
+    midpoint rule on [0, pi/2] under _refine; (a*b)^(1/4) is taken as
+    sqrt(sqrt(a))*sqrt(sqrt(b)), so nothing overflows."""
     sqrt = math.sqrt
     g = sqrt(min(a, b) / max(a, b))
     kappa = (1.0 - g) ** 2 / (4.0 * g)
@@ -212,7 +218,8 @@ def _tanh_sinh_node(t: float) -> tuple[float, float]:
 @functools.lru_cache(maxsize=None)
 def _tanh_sinh_level(level: int) -> tuple[array, array]:
     """The nodes and the weights at the midpoints t a level adds on [0, _T_MAX].
-    Every node is kept."""
+    Every node is kept: two doubles each, 1.26 MB once a refused integral has
+    read all _LEVELS levels."""
     nodes, weights = zip(*map(_tanh_sinh_node, _new_midpoints(level, _T_MAX)))
     return array("d", nodes), array("d", weights)
 
@@ -274,7 +281,9 @@ def agm(a: float, b: float) -> float:
 
 
 def periods_agm(curve: EllipticCurveQ) -> PeriodLattice:
-    """Same generators through the AGM; agrees with quadrature within 1e-9."""
+    """Same generators through the AGM; agrees with quadrature within 1e-9.
+    Every gap lies between float min and 2.7e154, so agm's arguments, their
+    square roots, stay inside the range where its steps are exact."""
     check_record("curve", curve, EllipticCurveQ)
     d12, d13, d23 = _root_gaps(curve)
     s13 = math.sqrt(d13)
@@ -344,7 +353,8 @@ def period_map_legendre(t_values: Sequence[Fraction]) -> list[tuple[Fraction, Ta
 
 
 class CatalogEntry(Frozen):
-    """One elementary numeric period with its defining quadruple spelled out."""
+    """One elementary numeric period with its defining quadruple of variety,
+    divisor, form and domain (Kontsevich and Zagier, "Periods", 2001)."""
 
     __slots__ = ()
     _fields = ("name", "value", "error_estimate", "variety", "divisor", "form", "domain")

@@ -109,6 +109,7 @@ def count_points(curve: WeierstrassCurveFp) -> CountResult:
     The walk stops at one candidate, or at x0 = p - 1, where the tally is the
     full count.  For p > 229, E or its twist has a point whose order has one
     multiple in the interval (Mestre's theorem); in practice a few points do.
+    No table is built, so every prime below 2**31 is taken.
     """
     check_record("curve", curve, WeierstrassCurveFp)
     p, a, b = curve.p, curve.a, curve.b

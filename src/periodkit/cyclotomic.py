@@ -124,7 +124,8 @@ def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
 
 def _finish(m: int, r: list[int]) -> tuple[int, ...]:
     """The canonical coefficients of sum r[i] * x^i, i < h, modulo Phi_m: the
-    division by Phi_m, in place, touching only its nonzero terms."""
+    division by Phi_m, in place, touching only its nonzero terms.  Linear when
+    m has at most one odd prime; else `_reduction_steps(m)` multiply-adds."""
     phi, h, _, tail = _modulus(m)
     for i in range(h - 1, phi - 1, -1):
         lead = r[i]
@@ -218,7 +219,8 @@ class CyclotomicNumber(RingElement):
         exponent folds below m/2 with a sign, as x^(m/2) = -1: a signed placement,
         injective, so the image needs only the finish of a reduction, not its
         fold.  The placement's gather indices are cached per (m, a mod m) in one
-        bounded cache, sized for the reports at p <= 97."""
+        bounded cache, sized for the reports at p <= 97.  The conjugate is
+        galois(-1)."""
         m = self.m
         check_int("a", a)
         if math.gcd(a, m) != 1:

@@ -36,7 +36,7 @@ def is_prime(n: int) -> bool:
         raise InvalidInput("n", f"is_prime is exact only below 2**31, got an n of {n.bit_length()} bits")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7):
+    for small in _MR_WITNESSES:
         if n == small:
             return True
         if n % small == 0:
@@ -73,6 +73,13 @@ def _check_prime(p: int, least: int = 3) -> None:
 def _is_supported_prime(p: int, least: int) -> bool:
     """Memoized: field elements and characters are built per operation."""
     return least <= p < MAX_PRIME and is_prime(p)
+
+
+def _check_one_mod_four(p: int) -> None:
+    """The one congruence rule, for the Gaussian split and the quartic
+    character: p = 1 mod 4, so that F_p^x has an element of order 4."""
+    if p % 4 != 1:
+        raise BadCongruence(f"p = {p} is {p % 4} mod 4; need p = 1 mod 4")
 
 
 def _check_same_prime(a, b) -> None:
@@ -162,7 +169,7 @@ class GaussianSplit(Frozen):
     """Presentation of F_p (p = 1 mod 4) as Z[i] modulo a Gaussian prime a + b*i.
 
     u is the image of i under the quotient map, so u**2 = -1 in F_p, and
-    a**2 + b**2 = p exactly with a >= b >= 1.
+    a**2 + b**2 = p exactly with a > b >= 1.
     """
 
     __slots__ = ()
@@ -176,11 +183,10 @@ def iso_gaussian_residue(p: int) -> GaussianSplit:
     Gaussian factor comes from Cornacchia's Euclidean descent seeded at u.
     """
     _check_prime(p)
-    if p % 4 != 1:
-        raise BadCongruence(f"p = {p} is {p % 4} mod 4; need p = 1 mod 4")
+    _check_one_mod_four(p)
     g = _smallest_primitive_root(p)
     u = pow(g, (p - 1) // 4, p)
-    # Euclidean descent: the first remainder below sqrt(p) is one leg of the split.
+    # Euclidean descent: the first remainder below sqrt(p) is the larger leg a of the split.
     r0, r1 = p, max(u, p - u)
     bound = math.isqrt(p)
     while r1 > bound:
@@ -189,6 +195,4 @@ def iso_gaussian_residue(p: int) -> GaussianSplit:
     b = math.isqrt(p - a * a)
     if a * a + b * b != p:
         raise InvariantFailed(f"two-square split: {a}^2 + {b}^2 != {p}")
-    if a < b:
-        a, b = b, a
     return GaussianSplit(u=PrimeFieldElem(p, u), a=a, b=b)

@@ -203,6 +203,12 @@ def test_veneziano_symmetric_on_a_pole_lattice():
                 assert st.pole_index == ts.pole_index, (s, t)
 
 
+def test_veneziano_of_huge_arguments_overflows():
+    # alpha + beta is infinite, which is no pole, so the Beta ratio runs and Gamma(alpha) overflows.
+    with pytest.raises(FloatOverflow):
+        veneziano(MandelstamInput(1e308, 1e308))
+
+
 def test_veneziano_cancelling_poles_are_finite():
     # alpha = -2, beta = 1: Gamma(alpha + beta) blows up too and the ratio
     # converges to -1/2.

@@ -39,6 +39,12 @@ def test_character_basics():
         quartic_character(4)  # composite: the prime rule comes before the congruence
 
 
+def test_character_product_takes_only_a_character():
+    # The group law lifts no int, so the product returns NotImplemented and Python raises.
+    with pytest.raises(TypeError):
+        MultiplicativeCharacter(7, 1) * 3
+
+
 def test_char_eval_trivial_and_zero():
     c0 = MultiplicativeCharacter(11, 0)
     for a in range(1, 11):

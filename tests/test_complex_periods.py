@@ -1,5 +1,6 @@
 """Period lattices, tau reduction, the family period map, and the catalog."""
 
+import cmath
 import math
 import random
 import sys
@@ -531,6 +532,13 @@ def test_tau_normalize_boundary_ties():
     assert abs(half.tau.real - 0.5) < 1e-12
     circle = tau_normalize(PeriodLattice(1 + 0j, complex(-math.cos(math.pi / 3), math.sin(math.pi / 3)), "agm"))
     assert circle.tau.real >= -1e-12
+
+
+def test_tau_normalize_moves_the_left_unit_circle_to_the_right():
+    # e^(i 100 deg) is reduced but lies left of Re = 0 on the unit circle; S sends it to e^(i 80 deg).
+    point = tau_normalize(PeriodLattice(1 + 0j, cmath.exp(1j * math.radians(100)), "agm"))
+    assert abs(point.tau - cmath.exp(1j * math.radians(80))) < 1e-15
+    assert point.transform == ((0, -1), (1, 0))
 
 
 def test_tau_normalize_conjugates_lower_half_plane():

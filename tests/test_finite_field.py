@@ -2,7 +2,7 @@
 
 import pytest
 
-from periodkit.characters import MultiplicativeCharacter
+from periodkit.characters import MultiplicativeCharacter, quartic_character
 from periodkit.errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedStructure
 from periodkit import finite_field
 from periodkit.finite_field import (
@@ -144,6 +144,26 @@ def test_gaussian_split_properties():
         assert (s.u.value ** 2 + 1) % p == 0
         assert s.a * s.a + s.b * s.b == p
         assert s.a >= s.b >= 1
+
+
+def test_descent_gives_the_larger_leg_first():
+    # The first remainder below sqrt(p) is the larger leg, so no swap follows it.
+    primes = [p for p in range(5, 10**5, 4) if is_prime(p)]
+    assert len(primes) == 4783
+    for p in primes:
+        s = iso_gaussian_residue(p)
+        assert s.a > s.b >= 1 and s.a * s.a + s.b * s.b == p, p
+
+
+@pytest.mark.parametrize("refuse", [iso_gaussian_residue, quartic_character], ids=["split", "quartic"])
+def test_one_mod_four_is_one_rule(refuse):
+    with pytest.raises(BadCongruence, match=r"^p = 7 is 3 mod 4; need p = 1 mod 4$"):
+        refuse(7)
+
+
+def test_residues_read_as_their_int_and_their_truth():
+    assert int(PrimeFieldElem(7, 10)) == 3 and int(PadicInt(3, 4, -1)) == 80
+    assert not PrimeFieldElem(7, 0) and PrimeFieldElem(7, 3)
 
 
 @pytest.mark.parametrize(

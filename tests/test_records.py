@@ -443,6 +443,16 @@ def test_rational_argument_table_accepts_its_fraction_and_an_int(site):
     build(2)
 
 
+@pytest.mark.parametrize("kind", NON_RATIONALS)
+@pytest.mark.parametrize("site", RATIONAL_ARGUMENTS)
+def test_rational_arguments_follow_one_rule(site, kind):
+    build, arg, good = RATIONAL_ARGUMENTS[site]
+    bad = NON_RATIONALS[kind](good)
+    with pytest.raises(InvalidInput) as exc:
+        build(bad)
+    assert (exc.value.arg, str(exc.value)) == (arg, f"need an int or a Fraction, got {bad!r}")
+
+
 @pytest.mark.parametrize(
     "build,arg",
     [

@@ -1,10 +1,16 @@
 """Properties of the library source itself."""
 
 import ast
+import importlib
 import pathlib
+import re
 import sys
 
+import pytest
+
 import periodkit
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 
 def test_no_assert_statements_in_library():
@@ -215,8 +221,6 @@ def test_every_cache_is_bounded():
     # An unbounded cache keyed by a caller's argument keeps one entry per
     # distinct value for the life of the process.  Only the two level tables
     # may be unbounded: their keys are the levels, below _LEVELS.
-    import importlib
-
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
     caches = {}
@@ -230,3 +234,76 @@ def test_every_cache_is_bounded():
     assert "finite_field._smallest_primitive_root" in caches and "cyclotomic._modulus" in caches
     unbounded = sorted(name for name, maxsize in caches.items() if maxsize is None)
     assert unbounded == ["complex_periods._midpoint_level", "complex_periods._tanh_sinh_level"]
+
+
+SITE_MODULES = {"periodkit", *(path.stem for path in (ROOT / "src" / "periodkit").glob("*.py"))}
+TIME = re.compile(r"\u2248|\d\s*(?:ms|\u00b5s|s)\b")  # an approximation sign, or a number of seconds
+
+
+def defined_tests() -> set[str]:
+    """The name of every test function under tests/."""
+    return {
+        node.name
+        for path in (ROOT / "tests").glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+    }
+
+
+def is_site(name: str) -> bool:
+    """Whether name, `module.attr...`, is an object of a periodkit module or of the package."""
+    module, *attrs = name.split(".")
+    if module not in SITE_MODULES or not attrs:
+        return False
+    obj = importlib.import_module(module if module == "periodkit" else f"periodkit.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr, None)
+    return obj is not None
+
+
+def readme_problems(text: str) -> list[str]:
+    """What README may not hold: a contract row without one site and one test,
+    a backticked test, `module.name` or `BENCH_*.json` that does not exist, or
+    a quoted time."""
+    tests, problems = defined_tests(), []
+    contract = text.split("\n## Contract\n")[1].split("\n## ")[0]
+    rows = [line for line in contract.splitlines() if line.startswith("| ")][2:]  # past the header and its rule
+    assert rows, "no contract rows"
+    for row in rows:
+        site, test = (["", ""] + [cell.strip() for cell in re.split(r"(?<!\\)\|", row)[1:-1]])[-2:]
+        if not (re.fullmatch(r"`[\w.]+`", site) and is_site(site[1:-1])):
+            problems.append(f"no site: {row}")
+        if not (re.fullmatch(r"`test_\w+`", test) and test[1:-1] in tests):
+            problems.append(f"no test: {row}")
+    for name in re.findall(r"`([^`\s]+)`", text):
+        if name.startswith("test_") and name not in tests:
+            problems.append(f"no such test: {name}")
+        if re.fullmatch(r"\w+(\.\w+)+", name) and name.split(".")[0] in SITE_MODULES and not is_site(name):
+            problems.append(f"no such site: {name}")
+        if re.fullmatch(r"BENCH_\d+\.json", name) and not (ROOT / name).is_file():
+            problems.append(f"no such record: {name}")
+    return problems + [f"a time: {line}" for line in text.splitlines() if TIME.search(line)]
+
+
+def test_readme_names_a_site_and_a_test_for_every_rule_and_quotes_no_time():
+    # README is the contract: each rule is stated once, beside the code that
+    # enforces it and the test that pins it; times live in BENCH_*.json and CHANGES.md.
+    assert readme_problems((ROOT / "README.md").read_text()) == []
+
+
+BROKEN_READMES = {
+    "missing-test": ("`test_golden_byte_equality`", "`test_golden_bytes_are_equal`"),
+    "missing-site": ("`cli._quote` |", "`cli._escape` |"),
+    "row-without-test": (" | `test_json_envelope_roundtrip` |", " | |"),
+    "row-without-site": ("| `cli.render_json` |", "| |"),
+    "seconds": ("with 15 significant digits.", "with 15 significant digits in 0.08 s."),
+    "milliseconds": ("with 15 significant digits.", "with 15 significant digits in 80ms."),
+    "approximately": ("with 15 significant digits.", "with 15 significant digits in \u22480.1."),
+}
+
+
+@pytest.mark.parametrize("old,new", BROKEN_READMES.values(), ids=BROKEN_READMES)
+def test_readme_guard_refuses_a_broken_contract(old, new):
+    text = (ROOT / "README.md").read_text()
+    assert old in text
+    assert readme_problems(text.replace(old, new, 1))
