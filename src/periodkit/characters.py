@@ -20,12 +20,10 @@ from .errors import InvalidInput, TrivialCharacter, check_int, check_record
 from .finite_field import PrimeFieldElem, _check_one_mod_four, _check_prime, _check_same_prime, _smallest_primitive_root
 
 # Bounds the kernels over F_p: the dlog table, p entries, and the Gauss-sum
-# walk.  At p = 1999993 (cold, 2-core Xeon, CPython 3.11) `jacobi` at order 2
-# takes 1.0-1.15 s and 31 MB peak RSS, `gauss` 0.9-1.0 s and 16 MB.
+# walk.  Their cost is the `finite_enum` workload of perfbench.
 MAX_TABLE_PRIME = 2 * 10**6
 
-# One reduction may take at most this many multiply-adds in its finish
-# (about 1.3 s at the 7-8 million steps per second of CPython 3.11).
+# One reduction may take at most this many multiply-adds in its finish.
 MAX_REDUCTION_STEPS = 10**7
 
 
@@ -38,14 +36,17 @@ def _check_table_prime(p: int) -> None:
 @functools.lru_cache(maxsize=1)  # every command and report works over one prime
 def _dlog_table(p: int) -> array:
     """dlog[a] = j with g^j = a, for the canonical primitive root g; dlog[0] unused.
+    The walk covers j < (p-1)/2 and fills dlog[-a] = j + (p-1)/2 too, as g^((p-1)/2) = -1.
     Four bytes per entry, as p < 2**31, so 8 MB at MAX_TABLE_PRIME; the cache
     shares it, so callers only read it."""
     _check_table_prime(p)
     g = _smallest_primitive_root(p)
     table = array("i", [0]) * p
+    half = (p - 1) // 2
     acc = 1
-    for j in range(p - 1):
+    for j in range(half):
         table[acc] = j
+        table[p - acc] = j + half
         acc = acc * g % p
     return table
 
@@ -133,20 +134,23 @@ class GaussSumValue(Frozen):
 
 
 def gauss_sum(c: MultiplicativeCharacter) -> GaussSumValue:
-    """g(c) = sum over t in F_p^x of c(t) * e^(2*pi*i*t/p), walked as t = g^j:
-    each term is one root of unity of order p(p-1) with an exact exponent, and
-    no table is built."""
+    """g(c) = sum over t in F_p^x of c(t) * e^(2*pi*i*t/p), walked as t = g^j
+    for j < (p-1)/2 only: c(-t) = (-1)^k c(t) and psi(-t) = conj psi(t), so
+    the pair (t, -t) adds c(t) * 2cos(2*pi*t/p) for even k and
+    c(t) * 2i*sin(2*pi*t/p) for odd k.  No table is built."""
     check_record("c", c, MultiplicativeCharacter)
     p, k, m = c.p, c.k, c.p - 1
     _check_table_prime(p)
     g = _smallest_primitive_root(p)
-    scale = 2j * cmath.pi / (p * m)
+    turn, angle = 2 * math.pi / p, 2 * math.pi / m
+    wave = math.sin if k % 2 else math.cos
     total = 0j
-    t = 1
-    for j in range(m):
-        total += cmath.exp(scale * (k * j % m * p + t * m))
+    t, e = 1, 0  # t = g^j and e = k*j mod (p-1)
+    for _ in range(m // 2):
+        total += cmath.rect(wave(turn * t), angle * e)
         t = t * g % p
-    return GaussSumValue(total, p)
+        e = (e + k) % m
+    return GaussSumValue((2j if k % 2 else 2) * total, p)
 
 
 def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> "CyclotomicNumber":
@@ -155,7 +159,8 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> "Cycl
     n = lcm(order(c), order(c')); every term is a power of zeta_n, so the sum
     is gathered as exponent counts and reduced once.  Both orders divide n, so
     k = u*step and k' = u'*step with step = (p-1)/n, and t lands in bucket
-    (u*dlog[t] + u'*dlog[1-t]) mod n.
+    (u*dlog[t] + u'*dlog[1-t]) mod n.  The walk pairs t with 1 - t, which
+    swaps the two logs, and counts the fixed point t = 1/2 once.
     """
     check_record("c", c, MultiplicativeCharacter)
     check_record("c2", c2, MultiplicativeCharacter)
@@ -167,10 +172,12 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> "Cycl
     _check_ring_budget(p, n)
     u, u2 = c.k // step, c2.k // step
     counts = [0] * n
-    # t = 0 and t = 1 drop out (c(0) = 0); as t runs 2 .. p-1, 1-t runs p-1 .. 2.
-    tail = _dlog_table(p)[2:]
-    for a, b in zip(tail, reversed(tail)):
+    # t = 0 and t = 1 drop out (c(0) = 0); as t runs 2 .. (p-1)/2, 1-t runs p-1 .. (p+3)/2.
+    table, mid = _dlog_table(p), (p + 1) // 2
+    for a, b in zip(table[2:mid], reversed(table[mid + 1 :])):
         counts[(u * a + u2 * b) % n] += 1
+        counts[(u * b + u2 * a) % n] += 1
+    counts[(u + u2) * table[mid] % n] += 1
     return _ring().CyclotomicNumber._unchecked(n, counts)
 
 

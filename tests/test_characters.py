@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from periodkit.characters import (
 )
 from periodkit.cyclotomic import CyclotomicNumber, _reduction_steps
 from periodkit.errors import BadCongruence, InvalidInput, MismatchedStructure, TrivialCharacter
-from periodkit.finite_field import PrimeFieldElem, legendre_symbol
+from periodkit.finite_field import PrimeFieldElem, _smallest_primitive_root, legendre_symbol
 
 PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
                 71, 73, 79, 83, 89, 97]
@@ -110,6 +111,92 @@ def test_gauss_sum_walk_matches_ascending_definition():
             assert abs(got - gauss_sum_ascending(p, k)) < 1e-12, (p, k)
 
 
+def gauss_sum_exponent_walk(p, k):
+    # The walk over all of F_p^x, t = g^j for j < p - 1: each term is the root
+    # of unity e^(2*pi*i*(k*j*p + t*(p-1))/(p*(p-1))), from an exact exponent.
+    m = p - 1
+    g = _smallest_primitive_root(p)
+    scale = 2j * cmath.pi / (p * m)
+    total = 0j
+    t = 1
+    for j in range(m):
+        total += cmath.exp(scale * (k * j % m * p + t * m))
+        t = t * g % p
+    return total
+
+
+# Each walk rounds a term's argument, at most 4*pi, to within an ulp of 12.6
+# (1.8e-15); round-off of random sign grows far slower than the p terms, so
+# 1e-15 per term of the full walk bounds the drift with room to spare, while a
+# single wrong term would be off by about 1.
+GAUSS_WALK_TOL_PER_TERM = 1e-15
+
+
+def test_gauss_sum_matches_exponent_walk_oracle():
+    # k of both parities and the orders 2, 3, 4 and p - 1 where they divide
+    # p - 1: 10006 = 2 * 5003, 10008 = 2^3 * 3^2 * 139, 100002 = 2 * 3 * 7 * 2381.
+    for p in (10007, 10009, 100003):
+        m = p - 1
+        ks = {1, 2, 3, m - 1, m - 2} | {m // d for d in (2, 3, 4) if m % d == 0}
+        for k in sorted(ks):
+            got = gauss_sum(MultiplicativeCharacter(p, k)).value
+            assert abs(got - gauss_sum_exponent_walk(p, k)) < GAUSS_WALK_TOL_PER_TERM * p, (p, k)
+
+
+def test_gauss_norm_residual_no_worse_than_the_exponent_walk():
+    # The residual | |g|^2/p - 1 | is a few ulps of round-off, so one character
+    # may read either way; the root mean square over a fixed set of characters
+    # (odd full order, even, quadratic, then seeded k) may not be worse.
+    def rms(values):
+        return math.sqrt(sum(v * v for v in values) / len(values))
+
+    for p, size in ((10007, 100), (1000003, 8), (1999993, 4)):
+        m = p - 1
+        ks = [1, 2, m // 2] + random.Random(p).sample(range(3, m), size - 3)
+        walk = [abs(abs(gauss_sum(MultiplicativeCharacter(p, k)).value) ** 2 / p - 1) for k in ks]
+        oracle = [abs(abs(gauss_sum_exponent_walk(p, k)) ** 2 / p - 1) for k in ks]
+        assert rms(walk) <= rms(oracle), (p, rms(walk), rms(oracle))
+
+
+def test_gauss_walk_visits_one_of_t_and_minus_t(monkeypatch):
+    # One wave value per pair {t, -t}: cos for even k, sin for odd k.
+    calls = []
+    for name in ("cos", "sin"):
+        wave = getattr(math, name)
+        monkeypatch.setattr(math, name, lambda x, wave=wave, name=name: calls.append(name) or wave(x))
+    for p in (3, 5, 101):
+        for k, name in ((2, "cos"), (1, "sin")):
+            calls.clear()
+            gauss_sum(MultiplicativeCharacter(p, k))
+            assert calls == [name] * ((p - 1) // 2), (p, k)
+
+
+def dlog_by_pow(p):
+    # The smallest g with g^((p-1)/q) != 1 for every prime q | p - 1.
+    m = p - 1
+    qs = [q for q in range(2, m + 1) if m % q == 0 and all(q % d for d in range(2, q))]
+    g = next(g for g in range(2, p) if all(pow(g, m // q, p) != 1 for q in qs))
+    table = [0] * p
+    for j in range(m):
+        table[pow(g, j, p)] = j
+    return table
+
+
+def test_dlog_table_matches_pow_for_every_prime_below_2000():
+    for p in range(3, 2000):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            assert list(_dlog_table(p)) == dlog_by_pow(p), p
+
+
+def test_dlog_table_at_the_largest_table_prime_samples():
+    # 1999993 is the largest prime below MAX_TABLE_PRIME; its smallest primitive root is 5.
+    p = 1999993
+    table = _dlog_table(p)
+    assert _smallest_primitive_root(p) == 5
+    for a in random.Random(35).sample(range(1, p), 1000):
+        assert 0 <= table[a] < p - 1 and pow(5, table[a], p) == a, a
+
+
 def test_jacobi_trivial_pair_counts_interior():
     for p in (5, 7, 13):
         j = jacobi_sum(MultiplicativeCharacter(p, 0), MultiplicativeCharacter(p, 0))
@@ -170,7 +257,8 @@ def jacobi_sum_oracle(p, k1, k2):
 
 def test_jacobi_sum_matches_exponent_count_oracle():
     # Every pair, trivial characters and orders n < p - 1 included.
-    for p in (7, 11, 13, 37, 41):
+    # p = 3: the one term is the fixed point t = 2 = 1 - t.
+    for p in (3, 5, 7, 11, 13, 37, 41):
         for k1 in range(p - 1):
             for k2 in range(p - 1):
                 got = jacobi_sum(MultiplicativeCharacter(p, k1), MultiplicativeCharacter(p, k2))
