@@ -6,19 +6,18 @@ build_parser, the `params` echo, the map from a library argument back to its
 flag and the renderers all read the table.  An entry holds its help text; the
 library module it runs, imported only when it runs; its flags (type, default,
 help, and the library argument each feeds, so an InvalidInput names the
-flag); `run(module, args)`, which returns the row objects; and its row fields
-as (key, getter) pairs, a getter being an attribute path of the row object or
-a function of it.  An entry may also name fields that follow when a flag
-leaves its default, its formats, and its own Markdown renderer.  To add a
-subcommand, add one entry.
+flag); `run(module, args)`, which returns the rows as dicts, their keys the
+output columns in order; its default format; and optionally its own Markdown
+renderer, which replaces the flat CSV table.  To add a subcommand, add one
+entry.
 
 The envelope's `params` echo every flag but `--format` as parsed, with
-defaults filled in and unset flags left out.  JSON is written in one pass,
-with one formatter per row shape.  Exit codes: 0 success, 1 domain error
-(singular curve, bad congruence, ...), 2 invalid argument, with the flag
-named; argument rules live in the library.  All numeric output is printed
-with 15 significant digits and identical argv always produces byte-identical
-output.
+defaults filled in and unset flags left out.  JSON is written in one pass;
+CSV and Markdown take their header from the first row.  Exit codes: 0
+success, 1 domain error (singular curve, bad congruence, ...), 2 invalid
+argument, with the flag named; argument rules live in the library.  All
+numeric output is printed with 15 significant digits and identical argv
+always produces byte-identical output.
 """
 
 import argparse
@@ -26,11 +25,10 @@ import importlib
 import io
 import math
 import sys
-from operator import attrgetter
 from types import SimpleNamespace
 
 from . import __version__
-from .errors import InvalidInput, PeriodkitError
+from .errors import InvalidInput, PeriodkitError, TrivialCharacter
 
 # ---------------------------------------------------------------------------
 # Output envelope and rendering
@@ -50,12 +48,7 @@ def _seq(v) -> str:
     return "[" + ", ".join(map(_json, v)) + "]"
 
 
-class _Written(str):
-    """JSON text already written, such as a nested list of rows."""
-
-
 _JSON = {
-    _Written: str,
     type(None): lambda v: "null",
     bool: lambda v: "true" if v else "false",
     int: int.__repr__,
@@ -72,20 +65,6 @@ def _json(v) -> str:
     return _JSON[type(v)](v)
 
 
-def _compile(fields) -> list:
-    """(key, getter) pairs, an attribute path becoming its attrgetter."""
-    return [(key, attrgetter(get) if isinstance(get, str) else get) for key, get in fields]
-
-
-def _rows(fields):
-    """The JSON writer of a list of rows with these fields: each key is quoted
-    once, and each value goes through _json."""
-    spec = [(_quote(key) + ": ", get) for key, get in _compile(fields)]
-    return lambda rows: _Written(
-        "[" + ", ".join(["{" + ", ".join([k + _json(g(r)) for k, g in spec]) + "}" for r in rows]) + "]"
-    )
-
-
 def _cell(v) -> str:
     """One CSV or Markdown cell; None and a non-finite float are empty, as JSON writes them as null."""
     if v is None:
@@ -95,42 +74,35 @@ def _cell(v) -> str:
     return _json(v) if type(v) in (list, tuple, dict) else str(v)
 
 
-def _columns(fields, rows) -> tuple[list, list]:
-    """The header and the value rows of a flat table."""
-    fields = _compile(fields)
-    return [key for key, _ in fields], [[get(row) for _, get in fields] for row in rows]
-
-
 def _md_table(header, rows) -> list:
     rule = "| " + " | ".join("---" for _ in header) + " |"
     return ["| " + " | ".join(header) + " |", rule, *("| " + " | ".join(map(_cell, row)) + " |" for row in rows)]
 
 
-def render_json(command: str, params: dict, rows: list, fields) -> str:
+def render_json(command: str, params: dict, rows: list) -> str:
     return (
-        f'{{"command": {_quote(command)}, "params": {_json(params)}, "rows": {_rows(fields)(rows)}, '
+        f'{{"command": {_quote(command)}, "params": {_json(params)}, "rows": {_json(rows)}, '
         f'"errors": [], "version": {_quote(__version__)}}}\n'
     )
 
 
-def render_csv(command: str, params: dict, rows: list, fields) -> str:
+def render_csv(command: str, params: dict, rows: list) -> str:
     import csv
 
     out = io.StringIO()
     if rows:
-        header, values = _columns(fields, rows)
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(map(_cell, row) for row in values)
+        writer.writerow(rows[0].keys())
+        writer.writerows(map(_cell, row.values()) for row in rows)
     return out.getvalue()
 
 
-def render_markdown(command: str, params: dict, rows: list, fields) -> str:
+def render_markdown(command: str, params: dict, rows: list) -> str:
     lines = [f"# periodkit {command}", ""]
     if params:
         lines += ["params: " + ", ".join(f"{k}={_cell(v)}" for k, v in params.items()), ""]
     if rows:
-        lines += _md_table(*_columns(fields, rows))
+        lines += _md_table(rows[0].keys(), [row.values() for row in rows])
     lines.append("")
     return "\n".join(lines)
 
@@ -138,19 +110,19 @@ def render_markdown(command: str, params: dict, rows: list, fields) -> str:
 RENDERERS = {"json": render_json, "csv": render_csv, "md": render_markdown}
 
 
-def _correspond_markdown(command: str, params: dict, rows: list, fields) -> str:
+def _correspond_markdown(command: str, params: dict, rows: list) -> str:
+    """The report from the one row that JSON writes: the dictionary, the local and the global table."""
     (report,) = rows
-    lines = [f"# periodkit correspond (p = {report.p})", "", "## Dictionary", ""]
-    lines += _md_table(("global object", "local object"), report.dictionary)
+    lines = [f"# periodkit correspond (p = {report['p']})", "", "## Dictionary", ""]
+    lines += _md_table(("global object", "local object"), [d.values() for d in report["dictionary"]])
     lines += ["", "## Local side: Jacobi sums with c, c', cc' nontrivial", ""]
-    if report.a_p is not None:
-        lines += [f"trace defect of y^2 = x^3 - x at p = {report.p}: a_p = {report.a_p}", ""]
+    if report["ap"] is not None:
+        lines += [f"trace defect of y^2 = x^3 - x at p = {report['p']}: a_p = {report['ap']}", ""]
     header = ("k1", "k2", "J coefficients", "norm equals p", "norm computed")
-    lines += _md_table(header, [(r.k1, r.k2, r.coeffs, r.norm_ok, r.norm_checked) for r in report.local_rows])
+    lines += _md_table(header, [(r["k1"], r["k2"], r["J"], r["norm_ok"], r["norm_checked"]) for r in report["local"]])
     lines += ["", "## Global side: amplitude samples", ""]
-    if report.global_rows:
-        samples = [(r.s, r.t, r.value, r.at_pole, r.pole_index) for r in report.global_rows]
-        lines += _md_table(("s", "t", "A", "at_pole", "n"), samples)
+    if samples := report["global"]:
+        lines += _md_table(samples[0].keys(), [r.values() for r in samples])
     else:
         lines.append("(empty grid: dictionary rows only)")
     lines.append("")
@@ -188,6 +160,63 @@ def _q_curve(m, a):
 
 
 # ---------------------------------------------------------------------------
+# Rows: the columns that several commands share, and the commands that branch
+
+
+def _fp_columns(c) -> dict:
+    return {"p": c.p, "a": c.a, "b": c.b}
+
+
+def _omega(L) -> dict:
+    return {"omega1_re": L.omega1.real, "omega1_im": L.omega1.imag, "omega2_re": L.omega2.real,
+            "omega2_im": L.omega2.imag}
+
+
+def _tau(point) -> dict:
+    return {"tau_re": point.tau.real, "tau_im": point.tau.imag, "matrix": point.transform}
+
+
+def _jacobi(m, a) -> list:
+    c1, c2 = m.MultiplicativeCharacter(a.p, a.k1), m.MultiplicativeCharacter(a.p, a.k2)
+    j = m.jacobi_sum(c1, c2)
+    try:
+        residual = m.gauss_jacobi_relation_check(c1, c2, j)
+    except TrivialCharacter:  # c, c' or cc' trivial: the ratio identity does not hold
+        residual = None
+    return [{"p": c1.p, "k1": c1.k, "k2": c2.k, "ring_order": j.m, "coeffs": j.coeffs, "norm": j.norm_to_int(),
+             "residual": residual}]
+
+
+def _count(m, a) -> list:
+    curve = _fp_curve(m, a)
+    count = m.count_points(curve)
+    row = {**_fp_columns(curve), "Np": count.n_points, "ap": count.a_p}
+    if a.n != 1:  # N_{p^2} for --n 2; _count_from_trace refuses any other n
+        row["Np2"] = m._count_from_trace(curve.p, count.a_p, a.n)
+    return [row]
+
+
+def _correspond(m, a) -> list:
+    report = m.correspondence_table(a.p, _parse_numbers("grid", a.grid, float))
+    local = [{"k1": r.k1, "k2": r.k2, "norm_ok": r.norm_ok, "norm_checked": r.norm_checked, "J": r.coeffs}
+             for r in report.local_rows]
+    samples = [{"s": r.s, "t": r.t, "A": r.value, "at_pole": r.at_pole, "n": r.pole_index} for r in report.global_rows]
+    dictionary = [{"global": g, "local": loc} for g, loc in report.dictionary]
+    return [{"p": report.p, "ap": report.a_p, "local": local, "global": samples, "dictionary": dictionary}]
+
+
+def _delta(m, a) -> list:
+    x = m.PadicInt(a.p, a.precision, a.x)
+    row = {"p": a.p, "N": a.precision, "x": x.value, "delta": m.delta_p(x).value}
+    if a.y is not None:
+        y = m.PadicInt(a.p, a.precision, a.y)
+        rules = m.delta_rules_check(x, y)
+        row |= {"y": y.value, "delta_y": rules.delta_y.value, "cocycle": rules.cocycle,
+                "checks": {"sum": rules.sum_rule_ok, "product": rules.product_rule_ok}}
+    return [row]
+
+
+# ---------------------------------------------------------------------------
 # The command table
 
 REQUIRED = object()
@@ -202,126 +231,88 @@ class Flag(SimpleNamespace):
 
 
 class Command(SimpleNamespace):
-    """One subcommand; `extra` is (flag dest, fields that follow when that flag
-    leaves its default), and `markdown` replaces the Markdown renderer."""
+    """One subcommand: `run(module, args)` returns its rows as dicts, and
+    `markdown`, if given, renders --format md in place of the flat table and
+    leaves the command without CSV."""
 
-    def __init__(self, help, module, flags, run, fields, extra=None, formats=("json", "csv", "md"),
-                 default_format="json", markdown=None):
-        super().__init__(help=help, module=module, flags=flags, run=run, fields=fields, extra=extra,
-                         formats=formats, default_format=default_format, markdown=markdown)
+    def __init__(self, help, module, flags, run, default_format="json", markdown=None):
+        super().__init__(help=help, module=module, flags=flags, run=run, default_format=default_format,
+                         markdown=markdown)
 
 
 _P, _K1 = Flag("p"), Flag("k1")
 _RATIONALS = Flag("curve", str, help="a,b as exact rationals")
-_FP_CURVE = (("p", "curve.p"), ("a", "curve.a"), ("b", "curve.b"))
-_AB = (("a", lambda r: str(r.curve.a)), ("b", lambda r: str(r.curve.b)))
-_OMEGA = (("omega1_re", "lattice.omega1.real"), ("omega1_im", "lattice.omega1.imag"),
-          ("omega2_re", "lattice.omega2.real"), ("omega2_im", "lattice.omega2.imag"))
-_TAU = (("tau_re", "point.tau.real"), ("tau_im", "point.tau.imag"), ("matrix", "point.transform"))
-_LOCAL = (("k1", "k1"), ("k2", "k2"), ("norm_ok", "norm_ok"), ("norm_checked", "norm_checked"), ("J", "coeffs"))
-_GLOBAL = (("s", "s"), ("t", "t"), ("A", "value"), ("at_pole", "at_pole"), ("n", "pole_index"))
 
 COMMANDS = {
     "gauss": Command(
         "Gauss sum of a multiplicative character", "characters", (_P, _K1),
-        lambda m, a: [SimpleNamespace(c=(c := m.MultiplicativeCharacter(a.p, a.k1)), g=m.gauss_sum(c))],
-        (("p", "c.p"), ("k1", "c.k"), ("order", "c.order"), ("value_re", "g.value.real"),
-         ("value_im", "g.value.imag"), ("norm", "g.norm_sq")),
+        lambda m, a: [{"p": (c := m.MultiplicativeCharacter(a.p, a.k1)).p, "k1": c.k, "order": c.order,
+                       "value_re": (g := m.gauss_sum(c)).value.real, "value_im": g.value.imag, "norm": g.norm_sq}],
     ),
-    "jacobi": Command(
-        "exact Jacobi sum of two characters", "characters", (_P, _K1, Flag("k2")),
-        lambda m, a: [SimpleNamespace(
-            c1=(c1 := m.MultiplicativeCharacter(a.p, a.k1)), c2=(c2 := m.MultiplicativeCharacter(a.p, a.k2)),
-            j=(j := m.jacobi_sum(c1, c2)),
-            residual=None if c1.is_trivial or c2.is_trivial or (c1 * c2).is_trivial
-            else m.gauss_jacobi_relation_check(c1, c2, j))],
-        (("p", "c1.p"), ("k1", "c1.k"), ("k2", "c2.k"), ("ring_order", "j.m"), ("coeffs", "j.coeffs"),
-         ("norm", lambda r: r.j.norm_to_int()), ("residual", "residual")),
-    ),
+    "jacobi": Command("exact Jacobi sum of two characters", "characters", (_P, _K1, Flag("k2")), _jacobi),
     "count": Command(
         "projective point count of y^2 = x^3 + ax + b over F_p", "curve_counts",
         (_P, Flag("curve", str, help="a,b as integer residues"),
-         Flag("n", default=1, help="extension degree (1 or 2)")),
-        lambda m, a: [SimpleNamespace(curve=(c := _fp_curve(m, a)), count=(r := m.count_points(c)),
-                           ext=m._count_from_trace(c.p, r.a_p, a.n))],
-        (*_FP_CURVE, ("Np", "count.n_points"), ("ap", "count.a_p")),
-        extra=("n", (("Np2", "ext"),)),
+         Flag("n", default=1, help="extension degree (1 or 2)")), _count,
     ),
     "zeta": Command(
         "local zeta numerator roots for a curve over F_p", "curve_counts", (_P, Flag("curve", str)),
-        lambda m, a: [SimpleNamespace(curve=(c := _fp_curve(m, a)), zeta=m.zeta_data(c))],
-        (*_FP_CURVE, ("ap", "zeta.a_p"), ("alpha_re", "zeta.alpha.real"), ("alpha_im", "zeta.alpha.imag"),
-         ("beta_re", "zeta.beta.real"), ("beta_im", "zeta.beta.imag")),
+        lambda m, a: [{**_fp_columns(c := _fp_curve(m, a)), "ap": (z := m.zeta_data(c)).a_p, "alpha_re": z.alpha.real,
+                       "alpha_im": z.alpha.imag, "beta_re": z.beta.real, "beta_im": z.beta.imag}],
     ),
     "apjacobi": Command(
         "trace defect of y^2 = x^3 - x from a Jacobi sum (p = 1 mod 4)", "curve_counts", (_P,),
-        lambda m, a: [SimpleNamespace(a=a, ap=m.a_p_from_jacobi(a.p))],
-        (("p", "a.p"), ("ap", "ap")),
+        lambda m, a: [{"p": a.p, "ap": m.a_p_from_jacobi(a.p)}],
     ),
     "periods": Command(
         "lattice generators by AGM and quadrature", "complex_periods", (_RATIONALS,),
-        lambda m, a: [SimpleNamespace(curve=c, lattice=L)
+        lambda m, a: [{"a": str(c.a), "b": str(c.b), "method": L.method, **_omega(L)}
                       for c in [_q_curve(m, a)] for L in (m.periods_agm(c), m.periods_quadrature(c))],
-        (*_AB, ("method", "lattice.method"), *_OMEGA),
     ),
     "tau": Command(
         "SL2(Z)-reduced tau invariant", "complex_periods", (_RATIONALS,),
-        lambda m, a: [SimpleNamespace(curve=c, lattice=L, raw=L.omega2 / L.omega1, point=m.tau_normalize(L))
+        lambda m, a: [{"a": str(c.a), "b": str(c.b), **_omega(L), "raw_re": (raw := L.omega2 / L.omega1).real,
+                       "raw_im": raw.imag, **_tau(m.tau_normalize(L))}
                       for c in [_q_curve(m, a)] for L in [m.periods_agm(c)]],
-        (*_AB, *_OMEGA, ("raw_re", "raw.real"), ("raw_im", "raw.imag"), *_TAU),
     ),
     "periodmap": Command(
         "tau(t) along the family y^2 = x(x-1)(x-t)", "complex_periods",
         (Flag("grid", str, help="comma-separated rational t values", feeds="t"),),
-        lambda m, a: [SimpleNamespace(t=t, point=point)
+        lambda m, a: [{"t": str(t), **_tau(point)}
                       for t, point in m.period_map_legendre(_parse_numbers("grid", a.grid, _rational))],
-        (("t", lambda r: str(r.t)), *_TAU),
     ),
     "catalog": Command(
         "elementary numeric periods (pi, 2*pi, log n)", "complex_periods",
         (Flag("n", default=2, help="largest logarithm argument, 2..21", feeds="n_max"),),
-        lambda m, a: m.numeric_periods_catalog(a.n),
-        (("name", "name"), ("value", "value"), ("error", "error_estimate"), ("variety", "variety"),
-         ("divisor", "divisor"), ("form", "form"), ("domain", "domain")),
+        lambda m, a: [{"name": r.name, "value": r.value, "error": r.error_estimate, "variety": r.variety,
+                       "divisor": r.divisor, "form": r.form, "domain": r.domain}
+                      for r in m.numeric_periods_catalog(a.n)],
         default_format="md",
     ),
     "veneziano": Command(
         "four-point amplitude at (s, t)", "amplitudes", (Flag("s", float, feeds="s12"), Flag("t", float, feeds="s34")),
-        lambda m, a: [SimpleNamespace(x=(x := m.MandelstamInput(s12=a.s, s34=a.t)), amp=m.veneziano(x))],
-        (("s", "x.s12"), ("t", "x.s34"), ("alpha", "x.alpha"), ("beta", "x.beta"),
-         ("value", "amp.value"), ("at_pole", "amp.at_pole"), ("pole_index", "amp.pole_index")),
+        lambda m, a: [{"s": (x := m.MandelstamInput(s12=a.s, s34=a.t)).s12, "t": x.s34, "alpha": x.alpha,
+                       "beta": x.beta, "value": (amp := m.veneziano(x)).value, "at_pole": amp.at_pole,
+                       "pole_index": amp.pole_index}],
     ),
     "beta": Command(
         "Euler Beta via the Gamma ratio; --s and --t are its two arguments", "amplitudes",
         (Flag("s", float, feeds="alpha"), Flag("t", float, feeds="beta")),
-        lambda m, a: [SimpleNamespace(a=a, value=m.beta_fn(a.s, a.t))],
-        (("alpha", "a.s"), ("beta", "a.t"), ("value", "value")),
+        lambda m, a: [{"alpha": a.s, "beta": a.t, "value": m.beta_fn(a.s, a.t)}],
     ),
     "poles": Command(
         "residues of the amplitude at alpha = 0..-n, in closed form", "amplitudes",
         (Flag("t", float, help="fixed beta (non-integer)", feeds="beta_fixed"), Flag("n", default=5, feeds="n_max")),
-        lambda m, a: [SimpleNamespace(a=a, n=n, residue=res) for n, res in m.pole_scan(a.t, a.n)],
-        (("beta", "a.t"), ("n", "n"), ("residue", "residue")),
+        lambda m, a: [{"beta": a.t, "n": n, "residue": res} for n, res in m.pole_scan(a.t, a.n)],
     ),
     "correspond": Command(
         "two-column local/global report", "amplitudes",
         (_P, Flag("grid", str, "", "comma-separated amplitude grid values", feeds="s_grid")),
-        lambda m, a: [m.correspondence_table(a.p, _parse_numbers("grid", a.grid, float))],
-        (("p", "p"), ("ap", "a_p"), ("local", lambda r: _rows(_LOCAL)(r.local_rows)),
-         ("global", lambda r: _rows(_GLOBAL)(r.global_rows)),
-         ("dictionary", lambda r: _rows((("global", lambda d: d[0]), ("local", lambda d: d[1])))(r.dictionary))),
-        formats=("json", "md"), default_format="md", markdown=_correspond_markdown,
+        _correspond, default_format="md", markdown=_correspond_markdown,
     ),
     "delta": Command(
         "p-derivation of a fixed-precision p-adic integer", "padic",
-        (_P, Flag("precision"), Flag("x"), Flag("y", default=None)),
-        lambda m, a: [SimpleNamespace(
-            a=a, x=(x := m.PadicInt(a.p, a.precision, a.x)), delta=m.delta_p(x),
-            y=(y := None if a.y is None else m.PadicInt(a.p, a.precision, a.y)),
-            rules=None if y is None else m.delta_rules_check(x, y))],
-        (("p", "a.p"), ("N", "a.precision"), ("x", "x.value"), ("delta", "delta.value")),
-        extra=("y", (("y", "y.value"), ("delta_y", "rules.delta_y.value"), ("cocycle", "rules.cocycle"),
-                     ("checks", lambda r: {"sum": r.rules.sum_rule_ok, "product": r.rules.product_rule_ok}))),
+        (_P, Flag("precision"), Flag("x"), Flag("y", default=None)), _delta,
     ),
 }
 
@@ -344,7 +335,8 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, command in commands.items():
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--format", choices=command.formats, default=command.default_format)
+        formats = ("json", "md") if command.markdown else ("json", "csv", "md")
+        p.add_argument("--format", choices=formats, default=command.default_format)
         for f in command.flags:
             p.add_argument(f"--{f.dest}", type=f.type, required=f.default is REQUIRED, default=f.default, help=f.help)
     return parser
@@ -372,15 +364,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     command = COMMANDS[args.command]
     params = {f.dest: v for f in command.flags if (v := getattr(args, f.dest)) is not None}
-    fields = command.fields
-    if command.extra:
-        dest, more = command.extra
-        if getattr(args, dest) != next(f.default for f in command.flags if f.dest == dest):
-            fields += more
     render = (args.format == "md" and command.markdown) or RENDERERS[args.format]
     try:
         rows = command.run(importlib.import_module(f".{command.module}", __package__), args)
-        text = render(args.command, params, rows, fields)
+        text = render(args.command, params, rows)
     except InvalidInput as exc:
         flag = next((f.dest for f in command.flags if f.feeds == exc.arg), exc.arg)
         print(f"error: --{flag}: {exc}", file=sys.stderr)

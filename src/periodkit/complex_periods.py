@@ -264,7 +264,11 @@ def agm(a: float, b: float) -> float:
     except TypeError:  # not a real number: check_real names the argument
         inside = check_real("a", a) or check_real("b", b)
     if not inside:
-        if not (0 < a < math.inf and 0 < b < math.inf):
+        try:
+            positive = 0 < a < math.inf and 0 < b < math.inf
+        except TypeError:  # the range test stopped at a, so b met its first comparison here
+            positive = check_real("a", a) or check_real("b", b)
+        if not positive:
             arg = "b" if 0 < a < math.inf else "a"
             raise InvalidInput(arg, f"agm needs positive finite arguments, got ({shown(a)}, {shown(b)})")
         if a != b:

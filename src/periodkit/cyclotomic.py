@@ -22,6 +22,10 @@ from ._frozen import RingElement, check_sequence
 from .errors import InvalidInput, MismatchedStructure, NotRationalInteger, check_int, shown
 from .finite_field import _prime_factors
 
+# The largest ring order m: every order p - 1 of the kernels over F_p
+# (p <= characters.MAX_TABLE_PRIME), and a Phi_m build of at most m + 1 slots.
+MAX_RING_ORDER = 2 * 10**6
+
 
 def _even_part(m: int) -> tuple[int, int]:
     """The one rule for 2 | m: (h, sign) with x^h = sign in Z[zeta_m], (m/2, -1) or (m, 1)."""
@@ -33,7 +37,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     from `_even_part` and r the odd radical of m, the Moebius product of y^d - sign
     over the divisors d of r at y = x^(h/r), one linear pass each.  For odd m that is
     Phi_r(x^(m/r)); for even m and r > 1, Phi_r(-x^(m/2r)), as Phi_2n(x) = Phi_n(-x)."""
-    check_int("m", m, lo=1)
+    check_int("m", m, lo=1, hi=MAX_RING_ORDER)
     stride, sign = _even_part(m)
     primes = [q for q in _prime_factors(m) if q != 2]
     factors = [(1, (-1) ** len(primes))]  # (d, mu(r/d)) over the divisors d of r
@@ -170,7 +174,7 @@ class CyclotomicNumber(RingElement):
     _fields = ("m", "coeffs")
 
     def __new__(cls, m: int, coeffs: Sequence[int]):
-        check_int("m", m, lo=1)
+        check_int("m", m, lo=1, hi=MAX_RING_ORDER)
         check_sequence("coeffs", coeffs)
         for c in coeffs:
             check_int("coeffs", c)
@@ -189,7 +193,7 @@ class CyclotomicNumber(RingElement):
     @classmethod
     def root_of_unity(cls, m: int, j: int) -> "CyclotomicNumber":
         """zeta_m^j as a canonical element."""
-        check_int("m", m, lo=1)
+        check_int("m", m, lo=1, hi=MAX_RING_ORDER)
         check_int("j", j)
         return cls._unchecked(m, [0] * (j % m) + [1])
 

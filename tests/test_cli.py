@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import periodkit
 import periodkit.cli
 import periodkit.curve_counts
 from periodkit import CountResult, CyclotomicNumber
-from periodkit.cli import _json, _quote, _rows, build_parser, main, render_json
+from periodkit.cli import _json, _quote, build_parser, main, render_json
 from golden_corpus import CORPUS
 from regen_golden import HELP_FILE, help_pages
 from test_padic import cp_cocycle
@@ -180,9 +181,8 @@ VALUES = st.recursive(
     | st.lists(st.fixed_dictionaries({"k": inner, "J": INT_LISTS}), max_size=3),  # one shared key tuple
     max_leaves=10,
 )
-# A column holds one kind of value, as a field of the table does; a "rows"
-# column is a nested list of rows, written by _rows as correspond's are.
-NESTED = (("k", lambda r: r["k"]), ("J", lambda r: r["J"]))
+# A column holds one kind of value, as a column of the table does; a "rows"
+# column is a nested list of dict rows, as correspond's are.
 KINDS = {
     "int": st.integers(),
     "bool": st.booleans(),
@@ -196,21 +196,39 @@ KINDS = {
 def envelopes(draw):
     columns = draw(st.lists(st.tuples(TEXT, st.sampled_from(sorted(KINDS))), max_size=5, unique_by=lambda c: c[0]))
     rows = [{key: draw(KINDS[kind]) for key, kind in columns} for _ in range(draw(st.integers(0, 4)))]
-    fields = [
-        (key, (lambda r, key=key: _rows(NESTED)(r[key])) if kind == "rows" else (lambda r, key=key: r[key]))
-        for key, kind in columns
-    ]
-    return draw(TEXT), draw(st.dictionaries(TEXT, VALUES, max_size=4)), rows, fields
+    return draw(TEXT), draw(st.dictionaries(TEXT, VALUES, max_size=4)), rows
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(envelopes())
 def test_one_pass_json_matches_the_recursive_oracle(envelope):
-    command, params, rows, fields = envelope
+    command, params, rows = envelope
     expected = {"command": command, "params": params, "rows": rows, "errors": [], "version": periodkit.__version__}
-    assert render_json(command, params, rows, fields) == json_emit_oracle(expected) + "\n"
+    assert render_json(command, params, rows) == json_emit_oracle(expected) + "\n"
     for value in (params, rows, *params.values()):
         assert _json(value) == json_emit_oracle(value)
+
+
+def tables(rows):
+    """rows, and every list of dict rows nested in their values."""
+    yield rows
+    for row in rows:
+        for value in row.values():
+            if isinstance(value, list) and value and all(type(v) is dict for v in value):
+                yield from tables(value)
+
+
+@pytest.mark.parametrize("name,argv", CORPUS, ids=[name for name, _ in CORPUS])
+def test_every_table_has_one_key_sequence(name, argv):
+    # CSV and Markdown take their header from the first row, so every row of a
+    # table, a nested one too, carries the same keys in the same order.
+    argv = periodkit.cli._absorb_flag_values(argv)
+    args = build_parser(argv).parse_args(argv)
+    command = periodkit.cli.COMMANDS[args.command]
+    rows = command.run(importlib.import_module(f"periodkit.{command.module}"), args)
+    assert rows, name
+    for table in tables(rows):
+        assert all(list(row) == list(table[0]) for row in table), name
 
 
 def test_help_text_is_pinned():
@@ -228,6 +246,15 @@ def test_count_over_f_p2_counts_once(monkeypatch):
     assert code == 0, err
     assert len(calls) == 1
     assert out == (GOLDEN_DIR / "03_count.json").read_text()
+
+
+@pytest.mark.parametrize("k1,k2", [(1, 3), (0, 3)], ids=["trivial-product", "trivial-character"])
+def test_jacobi_residual_is_null_where_the_ratio_identity_fails(k1, k2):
+    # At p = 5 the characters have order 4: k1 + k2 = 4 makes cc' trivial.
+    code, out, err = run_cli(["jacobi", "--p", "5", "--k1", str(k1), "--k2", str(k2)])
+    assert code == 0, err
+    assert json.loads(out)["rows"][0]["residual"] is None
+    assert '"residual": null' in out
 
 
 def test_jacobi_computes_its_sum_once(monkeypatch):

@@ -461,6 +461,12 @@ def test_agm_refuses_what_its_steps_cannot_hold():
             agm(bad, 1.0)
         with pytest.raises(InvalidInput):
             agm(1.0, bad)
+    # Past the range test of a, the positivity test meets b: a non-number is
+    # named there too, not left to a bare TypeError.
+    for a in (1e308, 1e-320, 1.0):
+        with pytest.raises(InvalidInput) as exc:
+            agm(a, "x")
+        assert exc.value.arg == "b"
 
 
 positive_doubles = st.floats(min_value=1e-150, max_value=1e150)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodkit.cyclotomic import CyclotomicNumber, _kron_mul, cyclotomic_polynomial
-from periodkit.errors import MismatchedStructure, NotRationalInteger
+from periodkit.cyclotomic import MAX_RING_ORDER, CyclotomicNumber, _kron_mul, cyclotomic_polynomial
+from periodkit.errors import InvalidInput, MismatchedStructure, NotRationalInteger
 
 
 # Reference oracles: the schoolbook product and the long division by a dense
@@ -117,6 +117,24 @@ def test_canonical_reduction():
     # zeta_m^m = 1 for every m.
     for m in (1, 2, 3, 4, 6, 8, 12):
         assert CyclotomicNumber.root_of_unity(m, m) == CyclotomicNumber(m, [1])
+
+
+ORDER_TAKERS = {
+    "polynomial": cyclotomic_polynomial,
+    "number": lambda m: CyclotomicNumber(m, [1, 2]),
+    "root": lambda m: CyclotomicNumber.root_of_unity(m, 1),
+}
+
+
+@pytest.mark.parametrize("build", ORDER_TAKERS.values(), ids=ORDER_TAKERS)
+@pytest.mark.parametrize("m", [MAX_RING_ORDER + 1, 10**20, 10**5000], ids=["edge", "1e20", "1e5000"])
+def test_ring_order_is_refused_above_its_bound(build, m):
+    # Refused before the build of Phi_m, whose list of m + 1 slots raises a bare
+    # OverflowError past the index range.  No order near 2^31 is tried here: were
+    # the bound lost, Phi_(2^31 - 1) would ask for 17 GB.
+    with pytest.raises(InvalidInput) as exc:
+        build(m)
+    assert exc.value.arg == "m"
 
 
 def test_roots_multiply_by_exponent_addition():
