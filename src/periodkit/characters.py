@@ -13,6 +13,7 @@ gauss_jacobi_relation_check.
 import cmath
 import functools
 import math
+import sys
 from array import array
 
 from ._frozen import Frozen
@@ -161,6 +162,12 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> "Cycl
     k = u*step and k' = u'*step with step = (p-1)/n, and t lands in bucket
     (u*dlog[t] + u'*dlog[1-t]) mod n.  The walk pairs t with 1 - t, which
     swaps the two logs, and counts the fixed point t = 1/2 once.
+
+    Two routes give the same counts.  For n a power of two up to 128 (the a_p
+    bridge has n = 4), `_byte_counts` tallies the pairs in bytes operations:
+    n must divide 256 for dlog mod 256 to fix the bucket, and 2n <= 256 for
+    the two sides' residues to add within a byte.  Every other n takes the
+    Python loop over the pairs.
     """
     check_record("c", c, MultiplicativeCharacter)
     check_record("c2", c2, MultiplicativeCharacter)
@@ -171,14 +178,37 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> "Cycl
     step = m // n
     _check_ring_budget(p, n)
     u, u2 = c.k // step, c2.k // step
-    counts = [0] * n
     # t = 0 and t = 1 drop out (c(0) = 0); as t runs 2 .. (p-1)/2, 1-t runs p-1 .. (p+3)/2.
     table, mid = _dlog_table(p), (p + 1) // 2
-    for a, b in zip(table[2:mid], reversed(table[mid + 1 :])):
-        counts[(u * a + u2 * b) % n] += 1
-        counts[(u * b + u2 * a) % n] += 1
+    if n <= 128 and 256 % n == 0:
+        counts = _byte_counts(table, mid, n, u, u2)
+    else:
+        counts = [0] * n
+        for a, b in zip(table[2:mid], reversed(table[mid + 1 :])):
+            counts[(u * a + u2 * b) % n] += 1
+            counts[(u * b + u2 * a) % n] += 1
     counts[(u + u2) * table[mid] % n] += 1
     return _ring().CyclotomicNumber._unchecked(n, counts)
+
+
+def _byte_counts(table: array, mid: int, n: int, u: int, u2: int) -> list[int]:
+    """The bucket counts of `jacobi_sum` over the pairs (t, 1 - t), t = 2 .. mid - 1,
+    in C-level bytes operations: dlog mod n is the low byte of each entry mod n, one
+    `translate` per side maps it to u*dlog mod n, one integer sum adds the two sides
+    bytewise, one more `translate` reduces mod n, and `count` tallies each bucket."""
+    low = table.itemsize - 1 if sys.byteorder == "big" else 0
+    logs = memoryview(table).cast("B")[low :: table.itemsize]
+    a, b = logs[2:mid].tobytes(), logs[:mid:-1].tobytes()  # dlog t and dlog (1 - t), paired
+    residues = bytes(range(n)) * (256 // n)  # x -> x mod n; below, x -> u*x mod n, as u + n = u mod n
+    times, times2 = (residues * (u + n))[:: u + n], (residues * (u2 + n))[:: u2 + n]
+    counts = [0] * n
+    for x, y in ((a, b), (b, a)):
+        total = int.from_bytes(x.translate(times), "little") + int.from_bytes(y.translate(times2), "little")
+        buckets = total.to_bytes(len(x), "little").translate(residues)
+        for i in range(n):
+            counts[i] += buckets.count(i)
+        del total, buckets  # so the second order's intermediates never meet the first's
+    return counts
 
 
 def gauss_jacobi_relation_check(

@@ -12,6 +12,7 @@ floating-point cross-checks, never for exact arithmetic.
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -32,6 +33,33 @@ def _even_part(m: int) -> tuple[int, int]:
     return (m // 2, -1) if m % 2 == 0 else (m, 1)
 
 
+def _divide_binomial(poly: list[int], d: int, sign: int) -> list[int]:
+    """The exact quotient q of poly by y^d - sign, sign = +-1, from the lowest term up:
+    q_i = q_(i-d) - poly_i for y^d - 1 and poly_i - q_(i-d) for y^d + 1, one recurrence
+    per residue class mod d, in at most about sqrt(len) C-level calls.  Short classes
+    (d*d > len) take one `map` per block of d, long ones one running sum each; for
+    y^d + 1, (-1)^j * q_j along a class is the running sum of (-1)^j * poly_j, so every
+    other entry is negated before and after."""
+    q = poly[: len(poly) - d]
+    if d * d > len(q):
+        if sign > 0:
+            q[:d] = map(operator.neg, q[:d])
+        for i in range(d, len(q), d):
+            low, high = q[i - d : i], q[i : i + d]
+            q[i : i + d] = map(operator.sub, low, high) if sign > 0 else map(operator.sub, high, low)
+        return q
+    for k in range(d):
+        line = q[k::d]
+        if sign > 0:
+            line = itertools.islice(itertools.accumulate(line, operator.sub, initial=0), 1, None)
+        else:
+            line[1::2] = map(operator.neg, line[1::2])
+            line = list(itertools.accumulate(line))
+            line[1::2] = map(operator.neg, line[1::2])
+        q[k::d] = line
+    return q
+
+
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m: with (h, sign)
     from `_even_part` and r the odd radical of m, the Moebius product of y^d - sign
@@ -50,14 +78,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         if mu > 0:  # times y^d - sign
             poly = [0] * d + poly
             poly[: len(poly) - d] = map(times, poly, poly[d:])
-        elif sign > 0:  # divided by y^d - 1
-            poly = [-c for c in poly[: len(poly) - d]]
-            for i in range(d, len(poly)):
-                poly[i] += poly[i - d]
-        else:  # divided by y^d + 1
-            del poly[len(poly) - d :]
-            for i in range(d, len(poly)):
-                poly[i] -= poly[i - d]
+        else:
+            poly = _divide_binomial(poly, d, sign)
     out = [0] * ((len(poly) - 1) * stride + 1)
     out[::stride] = poly
     return tuple(out)

@@ -1,6 +1,8 @@
 """Characters, Gauss sums, and exact Jacobi sums."""
 
 import cmath
+import collections
+import functools
 import math
 import random
 
@@ -238,20 +240,27 @@ def test_jacobi_symmetry():
                 assert a == b
 
 
+@functools.lru_cache(maxsize=1)  # each oracle test runs one prime at a time
+def _oracle_logs(p):
+    """(dlog t, dlog (1-t)) for t = 2 .. p-1, to the oracle's own primitive root, found by brute force."""
+    m = p - 1
+    g = next(g for g in range(2, p) if len({pow(g, j, p) for j in range(m)}) == m)
+    dlog = {pow(g, j, p): j for j in range(m)}
+    return [(dlog[t], dlog[(1 - t) % p]) for t in range(2, p)]
+
+
 def jacobi_sum_oracle(p, k1, k2):
     # The definition term by term, with its own primitive root and discrete
     # logarithms: c(t) c'(1-t) = zeta_(p-1)^e, e = k1 dlog t + k2 dlog(1-t),
     # tallied by e and moved into Z[zeta_n], n = lcm of the two orders.
     m = p - 1
-    g = next(g for g in range(2, p) if len({pow(g, j, p) for j in range(m)}) == m)
-    dlog = {pow(g, j, p): j for j in range(m)}
     n = math.lcm(m // math.gcd(k1, m), m // math.gcd(k2, m))
     step = m // n
+    tally = collections.Counter((k1 * a + k2 * b) % m for a, b in _oracle_logs(p))
     counts = [0] * n
-    for t in range(2, p):
-        e = (k1 * dlog[t] + k2 * dlog[(1 - t) % p]) % m
-        assert e % step == 0, (p, k1, k2, t)
-        counts[e // step] += 1
+    for e, count in tally.items():
+        assert e % step == 0, (p, k1, k2, e)
+        counts[e // step] += count
     return CyclotomicNumber(n, counts)
 
 
@@ -264,6 +273,31 @@ def test_jacobi_sum_matches_exponent_count_oracle():
                 got = jacobi_sum(MultiplicativeCharacter(p, k1), MultiplicativeCharacter(p, k2))
                 want = jacobi_sum_oracle(p, k1, k2)
                 assert (got.m, got.coeffs) == (want.m, want.coeffs), (p, k1, k2)
+
+
+def test_jacobi_sum_matches_the_oracle_on_both_sides_of_the_byte_switch(monkeypatch):
+    # Ring orders n that are powers of two up to 128 take the byte route, which
+    # reads dlog mod 256; every other n takes the pair loop.  The dlogs at
+    # p = 7681, 12289 and 65537 pass 2^8, and at 65537 2^16, so the low byte
+    # differs from the dlog and the wrap mod 256 is exercised.
+    byte_orders = []
+    route = characters._byte_counts
+    monkeypatch.setattr(characters, "_byte_counts", lambda *a: byte_orders.append(a[2]) or route(*a))
+    byte_side, loop_side = (1, 2, 4, 8, 16, 32, 64, 128), (3, 6, 256)
+    rng = random.Random(37)
+    cases = [(p, n, tries) for p, tries in ((7681, 3), (12289, 3), (65537, 1))
+             for n in byte_side + loop_side if (p - 1) % n == 0]
+    assert {n for _, n, _ in cases} == {*byte_side, *loop_side}
+    for p, n, tries in cases:
+        units = [v for v in range(n) if math.gcd(v, n) == 1]
+        pairs = [(rng.randrange(n), rng.choice(units)), (rng.choice(units), rng.randrange(n)), (0, rng.choice(units))]
+        step = (p - 1) // n
+        for u, u2 in pairs[:tries]:
+            byte_orders.clear()
+            got = jacobi_sum(MultiplicativeCharacter(p, u * step), MultiplicativeCharacter(p, u2 * step))
+            want = jacobi_sum_oracle(p, u * step, u2 * step)
+            assert got.m == n and (got.m, got.coeffs) == (want.m, want.coeffs), (p, n, u, u2)
+            assert byte_orders == ([n] if n in byte_side else []), (p, n)
 
 
 def relation_residual(c, c2):

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodkit.cyclotomic import MAX_RING_ORDER, CyclotomicNumber, _kron_mul, cyclotomic_polynomial
+from periodkit.cyclotomic import (
+    MAX_RING_ORDER,
+    CyclotomicNumber,
+    _divide_binomial,
+    _kron_mul,
+    cyclotomic_polynomial,
+)
 from periodkit.errors import InvalidInput, MismatchedStructure, NotRationalInteger
 
 
@@ -252,6 +258,20 @@ def _cyclotomic_over_full_radical(m):
     out = [0] * ((len(poly) - 1) * stride + 1)
     out[::stride] = poly
     return tuple(out)
+
+
+def test_binomial_division_undoes_the_product_on_both_routes():
+    # d * d <= len(q) takes one running sum per residue class mod d, a larger d
+    # one map per block of d; at len(q) = 400 the switch lies between d = 20 and 21.
+    rng = random.Random(20261019)
+    for length in (0, 1, 2, 9, 10, 50, 400):
+        for d in (1, 2, 3, 7, 19, 20, 21, 64, 400, 401):
+            for sign in (1, -1):
+                q = [rng.randint(-(2**70), 2**70) for _ in range(length)]
+                product = [-sign * c for c in q] + [0] * d  # q * (y^d - sign)
+                for i, c in enumerate(q):
+                    product[i + d] += c
+                assert _divide_binomial(product, d, sign) == q, (length, d, sign)
 
 
 def test_polynomial_over_the_odd_radical_matches_the_full_radical():
