@@ -7,8 +7,7 @@ sides together wherever an identity actually holds.
 Each public name is listed once, under the module that defines it.  The
 module is imported on first access to one of its names (PEP 562), so
 `import periodkit` alone loads no library module.  No module imports
-`__future__` or `typing`: annotations are native, and the one name a module
-loads lazily (`CyclotomicNumber` in characters) is quoted in them.
+`__future__` or `typing`: annotations are native.
 """
 
 __version__ = "0.1.0"

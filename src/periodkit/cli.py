@@ -43,8 +43,6 @@ except ImportError:
 
 
 def _seq(v) -> str:
-    if set(map(type, v)) <= {int}:  # coefficient vectors; a bool is not an int here
-        return repr(list(v))
     return "[" + ", ".join(map(_json, v)) + "]"
 
 
@@ -67,11 +65,9 @@ def _json(v) -> str:
 
 def _cell(v) -> str:
     """One CSV or Markdown cell; None and a non-finite float are empty, as JSON writes them as null."""
-    if v is None:
+    if v is None or type(v) is float and not math.isfinite(v):
         return ""
-    if type(v) is float:
-        return format(v, ".15g") if math.isfinite(v) else ""
-    return _json(v) if type(v) in (list, tuple, dict) else str(v)
+    return _json(v) if type(v) in (float, list, tuple, dict) else str(v)
 
 
 def _md_table(header, rows) -> list:

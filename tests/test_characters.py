@@ -5,6 +5,8 @@ import collections
 import functools
 import math
 import random
+from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -298,6 +300,23 @@ def test_jacobi_sum_matches_the_oracle_on_both_sides_of_the_byte_switch(monkeypa
             want = jacobi_sum_oracle(p, u * step, u2 * step)
             assert got.m == n and (got.m, got.coeffs) == (want.m, want.coeffs), (p, n, u, u2)
             assert byte_orders == ([n] if n in byte_side else []), (p, n)
+
+
+def test_byte_counts_read_the_low_byte_on_a_big_endian_machine(monkeypatch):
+    # A byteswapped copy of the dlog table lays each entry out as a big-endian
+    # machine would, so there the low byte is the last of the four; the dlogs at
+    # these primes pass 2^8, so reading any other byte miscounts.
+    for p in (7681, 12289, 65537):
+        table, mid = _dlog_table(p), (p + 1) // 2
+        swapped = array("i", table)
+        swapped.byteswap()
+        for n in (1, 2, 4, 8, 16, 32, 64, 128):
+            pairs = [(1, 1), (n - 1, 1), (n // 2, n - 1)]
+            native = [characters._byte_counts(table, mid, n, u, u2) for u, u2 in pairs]
+            with monkeypatch.context() as patch:
+                patch.setattr(characters, "sys", SimpleNamespace(byteorder="big"))
+                big = [characters._byte_counts(swapped, mid, n, u, u2) for u, u2 in pairs]
+            assert big == native, (p, n)
 
 
 def relation_residual(c, c2):

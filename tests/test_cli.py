@@ -557,14 +557,13 @@ def test_no_argv_loads_scipy():
 
 # The periodkit modules each command loads besides the package and periodkit.cli;
 # "fractions" stands for the standard library module of that name.
-_CHARACTERS = {"_frozen", "errors", "finite_field", "characters"}  # a Gauss sum is a float; no ring
-_RING = _CHARACTERS | {"cyclotomic"}
+_RING = {"_frozen", "errors", "finite_field", "characters", "cyclotomic"}
 _COUNTS = _RING | {"curve_counts"}
 _POINT_COUNTS = {"_frozen", "errors", "finite_field", "curve_counts"}  # no Jacobi sum, so no ring
 _AMPLITUDES = {"_frozen", "errors", "amplitudes"}
 _ANALYTIC = {"_frozen", "errors", "complex_periods", "fractions"}
 MODULES_OF_COMMAND = {
-    "gauss": _CHARACTERS,
+    "gauss": _RING,
     "jacobi": _RING,
     "count": _POINT_COUNTS,
     "zeta": _POINT_COUNTS,
@@ -606,13 +605,14 @@ print(repr((code, len(parsers), list(command.choices), "json" in sys.modules, "p
 """
 
 
-def test_cold_gauss_builds_one_subparser_and_loads_no_json_and_no_ring():
+def test_cold_gauss_builds_one_subparser_and_loads_no_json():
     # The child imports no json itself, so any json in sys.modules is the CLI's.
     proc = run_python("-c", COLD_GAUSS_CHILD, "gauss", "--p", "7", "--k1", "1", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     out, summary = proc.stdout.rsplit("\n", 2)[:2]
     assert out + "\n" == (GOLDEN_DIR / "01_gauss.json").read_text()
-    assert ast.literal_eval(summary) == (0, 1, ["gauss"], False, False)
+    # characters imports cyclotomic at its top, so the ring loads with the Gauss sum.
+    assert ast.literal_eval(summary) == (0, 1, ["gauss"], False, True)
 
 
 @pytest.mark.parametrize("name,argv", CORPUS, ids=[name for name, _ in CORPUS])

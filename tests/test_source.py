@@ -129,10 +129,30 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_library_imports_neither_future_nor_typing():
-    # Annotations evaluate natively (int | None, collections.abc generics), and
-    # the one name a module loads lazily is quoted, so no cold call pays for
-    # importing __future__ or typing.
+    # Annotations evaluate natively (int | None, collections.abc generics), so
+    # no cold call pays for importing __future__ or typing.
     assert imported(lambda name: name not in ("__future__", "typing")) == []
+
+
+def test_only_two_functions_defer_a_library_import():
+    # A module imports the library modules it uses at its top.  Two functions
+    # defer theirs, each run once per command: a_p_from_jacobi, so that count
+    # and zeta never load characters, and correspondence_table, so that the
+    # Gamma-ratio commands never load the finite side.  Any other import in a
+    # function body, such as a cached loader of a module, is a new edge.
+    def library(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or node.module.split(".")[0] == "periodkit"
+        return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "periodkit" for a in node.names)
+
+    sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
+    assert sources
+    owner = {}  # import node -> its innermost function; ast.walk visits an outer function first
+    for path in sources:
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, f"{path.stem}.{func.name}") for node in ast.walk(func) if library(node))
+    assert set(owner.values()) == {"curve_counts.a_p_from_jacobi", "amplitudes.correspondence_table"}
 
 
 def test_plain_records_inherit_the_constructor():
