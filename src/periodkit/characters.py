@@ -17,16 +17,13 @@ import sys
 from array import array
 
 from ._frozen import Frozen
-from .cyclotomic import CyclotomicNumber, _reduction_steps
+from .cyclotomic import CyclotomicNumber, _check_reduction
 from .errors import InvalidInput, TrivialCharacter, check_int, check_record
 from .finite_field import PrimeFieldElem, _check_one_mod_four, _check_prime, _check_same_prime, _smallest_primitive_root
 
 # Bounds the kernels over F_p: the dlog table, p entries, and the Gauss-sum
 # walk.  Their cost is the `finite_enum` workload of perfbench.
 MAX_TABLE_PRIME = 2 * 10**6
-
-# One reduction may take at most this many multiply-adds in its finish.
-MAX_REDUCTION_STEPS = 10**7
 
 
 def _check_table_prime(p: int) -> None:
@@ -51,19 +48,6 @@ def _dlog_table(p: int) -> array:
         table[p - acc] = j + half
         acc = acc * g % p
     return table
-
-
-def _check_ring_budget(p: int, n: int) -> None:
-    """The cost budget of exact values in Z[zeta_n], n dividing p - 1: the table
-    rule bounds n before Phi_n is built, then one reduction must stay within
-    MAX_REDUCTION_STEPS.  The step count reads Phi_n's terms, so a refused
-    order has still built Phi_n."""
-    _check_table_prime(p)
-    steps = _reduction_steps(n)
-    if steps > MAX_REDUCTION_STEPS:
-        raise InvalidInput(
-            "p", f"a reduction in Z[zeta_{n}] takes {steps} steps, over the budget of {MAX_REDUCTION_STEPS}"
-        )
 
 
 class MultiplicativeCharacter(Frozen):
@@ -109,7 +93,8 @@ def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> CyclotomicNumber
     check_record("a", a, PrimeFieldElem)
     _check_same_prime(c, a)
     m = c.p - 1
-    _check_ring_budget(c.p, m)
+    _check_table_prime(c.p)
+    _check_reduction(m, "p")
     if a.value == 0:
         return CyclotomicNumber(m, [])
     j = _dlog_table(c.p)[a.value]
@@ -172,7 +157,8 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
     m = p - 1
     n = math.lcm(c.order, c2.order)
     step = m // n
-    _check_ring_budget(p, n)
+    _check_table_prime(p)
+    _check_reduction(n, "p")
     u, u2 = c.k // step, c2.k // step
     # t = 0 and t = 1 drop out (c(0) = 0); as t runs 2 .. (p-1)/2, 1-t runs p-1 .. (p+3)/2.
     table, mid = _dlog_table(p), (p + 1) // 2

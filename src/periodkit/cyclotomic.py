@@ -20,12 +20,14 @@ from array import array
 from collections.abc import Sequence
 
 from ._frozen import RingElement, check_sequence
-from .errors import InvalidInput, MismatchedStructure, NotRationalInteger, check_int, shown
+from .errors import FloatOverflow, InvalidInput, MismatchedStructure, NotRationalInteger, check_int, shown
 from .finite_field import _prime_factors
 
 # The largest ring order m: every order p - 1 of the kernels over F_p
 # (p <= characters.MAX_TABLE_PRIME), and a Phi_m build of at most m + 1 slots.
+# The ring's other cost, one reduction's finish, takes at most MAX_REDUCTION_STEPS multiply-adds.
 MAX_RING_ORDER = 2 * 10**6
+MAX_REDUCTION_STEPS = 10**7
 
 
 def _even_part(m: int) -> tuple[int, int]:
@@ -87,18 +89,24 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 # The ring's one cache, bounded: p - 1 has at most 12 divisors for p <= 97, so a report builds each order once.
 @functools.lru_cache(maxsize=12)
-def _modulus(m: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
-    """(phi, h, sign, tail): the degree of Phi_m, the (h, sign) of `_even_part`, so
-    Phi_m divides x^h - sign, and the nonzero terms (k, c) of Phi_m below its lead."""
+def _modulus(m: int) -> tuple[int, int, int, int, tuple[tuple[int, int], ...]]:
+    """(phi, h, sign, steps, tail): the degree of Phi_m; the (h, sign) of `_even_part`, so Phi_m
+    divides x^h - sign; a finish's worst-case multiply-adds, h - phi per term below the lead;
+    and those nonzero terms (k, c), listed only within MAX_REDUCTION_STEPS."""
     poly = cyclotomic_polynomial(m)
-    tail = tuple((k, c) for k, c in enumerate(poly[:-1]) if c)
-    return (len(poly) - 1, *_even_part(m), tail)
+    phi, (h, sign) = len(poly) - 1, _even_part(m)
+    steps = (h - phi) * (phi - poly.count(0))
+    tail = tuple((k, c) for k, c in enumerate(poly[:-1]) if c) if steps <= MAX_REDUCTION_STEPS else ()
+    return phi, h, sign, steps, tail
 
 
-def _reduction_steps(m: int) -> int:
-    """Worst-case multiply-adds of the finish in one reduction to Z[zeta_m]."""
-    phi, h, _, tail = _modulus(m)
-    return (h - phi) * len(tail)
+def _check_reduction(m: int, arg: str) -> None:
+    """The ring's cost budget, a finish within MAX_REDUCTION_STEPS; `arg` names what set m."""
+    steps = _modulus(m)[3]
+    if steps > MAX_REDUCTION_STEPS:
+        raise InvalidInput(
+            arg, f"a reduction in Z[zeta_{m}] takes {steps} steps, over the budget of {MAX_REDUCTION_STEPS}"
+        )
 
 
 # The signed array code of each machine width: 1, 2, 4 and 8 bytes.
@@ -139,7 +147,7 @@ def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     """The canonical coefficients of sum coeffs[j] * x^j modulo Phi_m: the fold
     modulo x^h - sign, a multiple of Phi_m, then `_finish`."""
-    _, h, sign, _ = _modulus(m)
+    _, h, sign, _, _ = _modulus(m)
     r = list(coeffs[:h])
     r += [0] * (h - len(r))
     for start in range(h, len(coeffs), h):
@@ -149,10 +157,12 @@ def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
 
 
 def _finish(m: int, r: list[int]) -> tuple[int, ...]:
-    """The canonical coefficients of sum r[i] * x^i, i < h, modulo Phi_m: the
-    division by Phi_m, in place, touching only its nonzero terms.  Linear when
-    m has at most one odd prime; else `_reduction_steps(m)` multiply-adds."""
-    phi, h, _, tail = _modulus(m)
+    """The canonical coefficients of sum r[i] * x^i, i < h, modulo Phi_m: the division
+    by Phi_m, in place, over its nonzero terms, in `_modulus`'s steps (linear when m has
+    at most one odd prime); past the budget, refused naming m unless r[phi:] is all zero."""
+    phi, h, _, steps, tail = _modulus(m)
+    if steps > MAX_REDUCTION_STEPS and any(r[phi:]):
+        _check_reduction(m, "m")
     for i in range(h - 1, phi - 1, -1):
         lead = r[i]
         if lead:
@@ -170,7 +180,7 @@ def _placement(m: int, a: int) -> operator.itemgetter:
     since two j < phi <= h landing on one slot would need a*(j1 - j2) = 0 mod h.
     One spare zero slot past h, which the finish never reads, keeps the gather
     a tuple at h = 1."""
-    phi, h, _, _ = _modulus(m)
+    phi, h, _, _, _ = _modulus(m)
     idx = [phi] * (h + 1)
     for j in range(phi):
         t = a * j % m
@@ -273,12 +283,15 @@ class CyclotomicNumber(RingElement):
         return self._unchecked(self.m, [0] * (self.m + 1 - len(self.coeffs)) + product).as_int()
 
     def embed(self) -> complex:
-        """Numerical value under the fixed embedding zeta_m -> e^(2*pi*i/m)."""
-        return sum(
-            c * cmath.exp(2j * cmath.pi * j / self.m)
-            for j, c in enumerate(self.coeffs)
-            if c != 0
-        ) + 0j
+        """Numerical value under the fixed embedding zeta_m -> e^(2*pi*i/m);
+        FloatOverflow where a coefficient, a term or the sum leaves the doubles."""
+        try:
+            value = sum(c * cmath.exp(2j * cmath.pi * j / self.m) for j, c in enumerate(self.coeffs) if c) + 0j
+        except OverflowError:  # an int coefficient past the doubles
+            value = complex(math.inf)
+        if not cmath.isfinite(value):
+            raise FloatOverflow(f"the embedding of an element of Z[zeta_{self.m}] leaves the double range")
+        return value
 
     def __repr__(self):
         return f"CyclotomicNumber(m={self.m}, coeffs={list(self.coeffs)})"

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from periodkit import characters
+from periodkit import characters, cyclotomic
 from periodkit.characters import (
     MultiplicativeCharacter,
     _dlog_table,
@@ -21,8 +21,8 @@ from periodkit.characters import (
     quadratic_character,
     quartic_character,
 )
-from periodkit.cyclotomic import CyclotomicNumber, _reduction_steps
-from periodkit.errors import BadCongruence, InvalidInput, MismatchedStructure, TrivialCharacter
+from periodkit.cyclotomic import CyclotomicNumber, _modulus
+from periodkit.errors import BadCongruence, FloatOverflow, InvalidInput, MismatchedStructure, TrivialCharacter
 from periodkit.finite_field import PrimeFieldElem, _smallest_primitive_root, legendre_symbol
 
 PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -343,6 +343,14 @@ def test_relation_check_measures_the_sum_it_is_given():
     assert abs(gauss_jacobi_relation_check(c, c2, wrong) - 1.0) < 1e-9
 
 
+def test_relation_check_names_a_sum_past_the_doubles():
+    # The check embeds the sum it is given; a coefficient past the doubles
+    # cannot be embedded, which is a FloatOverflow, not a bare OverflowError.
+    c = MultiplicativeCharacter(13, 1)
+    with pytest.raises(FloatOverflow):
+        gauss_jacobi_relation_check(c, c, CyclotomicNumber(4, [10**400, 1]))
+
+
 def test_mismatched_moduli():
     with pytest.raises(MismatchedStructure):
         jacobi_sum(MultiplicativeCharacter(5, 1), MultiplicativeCharacter(7, 1))
@@ -382,19 +390,28 @@ def test_table_budget_rejects_before_building():
 
 
 def test_reduction_budget_is_checked_at_its_edge(monkeypatch):
-    # p - 1 = 30 = 2 * 3 * 5: the finish of one reduction takes
+    # m = 30 = 2 * 3 * 5: the finish of one reduction takes
     # (h - phi) * (nonzero terms of Phi_30 below its lead) = 7 * 6 steps, so a
-    # budget one below refuses it.
-    steps = _reduction_steps(30)
+    # budget one below refuses it.  jacobi_sum and char_eval name p, which set
+    # the order; the ring's own entries name m, and only when a finish is due.
+    steps = _modulus(30)[3]
     assert steps == 42
     c = MultiplicativeCharacter(31, 1)
-    monkeypatch.setattr(characters, "MAX_REDUCTION_STEPS", steps)
+    monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", steps)
     assert jacobi_sum(c, c).norm_to_int() == 31
-    monkeypatch.setattr(characters, "MAX_REDUCTION_STEPS", steps - 1)
-    for call in (lambda: jacobi_sum(c, c), lambda: char_eval(c, PrimeFieldElem(31, 3))):
+    assert abs(CyclotomicNumber.root_of_unity(30, 14).embed() - cmath.exp(28j * cmath.pi / 30)) < 1e-12
+    assert CyclotomicNumber(30, [1] * 8).coeffs == (1,) * 8
+    monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", steps - 1)
+    for call, arg in [
+        (lambda: jacobi_sum(c, c), "p"),
+        (lambda: char_eval(c, PrimeFieldElem(31, 3)), "p"),
+        (lambda: CyclotomicNumber.root_of_unity(30, 14), "m"),
+    ]:
         with pytest.raises(InvalidInput) as info:
             call()
-        assert info.value.arg == "p"
+        assert info.value.arg == arg
+    # phi(30) = 8 coefficients need no finish, so they are answered at either budget.
+    assert CyclotomicNumber(30, [1] * 8).coeffs == (1,) * 8
     # An order-2 pair lives in Z[zeta_2], whose reduction costs nothing;
     # J(chi, chi) = -chi(-1) = 1 for the quadratic chi, as 31 = 3 mod 4.
     q = quadratic_character(31)
@@ -412,3 +429,4 @@ def test_reduction_budget_rejects_before_the_table():
                 call()
             assert info.value.arg == "p"
         assert _dlog_table.cache_info().misses == before
+        assert _modulus(p - 1)[4] == ()  # the refused order lists no term of Phi

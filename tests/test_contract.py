@@ -1,0 +1,137 @@
+"""The library's contract over every public name: whatever a caller passes by
+position, a call ends in a value or a PeriodkitError, within a bounded time."""
+
+import contextlib
+import inspect
+import math
+import signal
+import typing
+from collections.abc import Sequence
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import periodkit
+from periodkit import (
+    CountResult,
+    CyclotomicNumber,
+    EllipticCurveQ,
+    MandelstamInput,
+    MultiplicativeCharacter,
+    PadicInt,
+    PeriodLattice,
+    PrimeFieldElem,
+    WeierstrassCurveFp,
+)
+from periodkit._frozen import Frozen
+from periodkit.errors import PeriodkitError
+
+HUGE = 10**400  # an int past the doubles
+SECONDS = 2.0  # per call: every refusal and every answer drawn here takes milliseconds
+EXAMPLES = 100  # per name
+
+# The values drawn for a parameter, by its annotation: the edges of its kind,
+# among them the ring order 30030 = 2 * 3 * 5 * 7 * 11 * 13, whose finish is
+# over the reduction budget, with a list of 15015 ones, its x^(30030/2) fold.
+INTS = [0, 1, -1, 2, 7, 13, 30030, 2**31 - 1, HUGE, True]
+REALS = [0.5, -2.5, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, HUGE, Fraction(1, 3)]
+SEQUENCES = [[0.5, 2], (Fraction(1, 3),), [], [1] * 15015, [math.nan], [HUGE]]
+KINDS = {
+    int: INTS,
+    int | None: [*INTS, None],
+    float: REALS,
+    Fraction: REALS,
+    inspect.Parameter.empty: REALS,  # the rationals of EllipticCurveQ
+    bool: [True, False],
+    str: ["phi1", "phi2", "agm"],
+    Sequence: SEQUENCES,
+    CyclotomicNumber: [CyclotomicNumber(4, [HUGE, 1]), CyclotomicNumber(30030, [1, 2])],
+    EllipticCurveQ: [EllipticCurveQ(-1, 0), EllipticCurveQ(0, 1), EllipticCurveQ(Fraction(-1, 10**9), 0)],
+    MandelstamInput: [MandelstamInput(0.5, 1.5), MandelstamInput(-1.0, 2.0), MandelstamInput(1e300, 1e300)],
+    MultiplicativeCharacter: [MultiplicativeCharacter(13, 1), MultiplicativeCharacter(13, 0), MultiplicativeCharacter(7, 1)],
+    PadicInt: [PadicInt(5, 3, 7), PadicInt(5, 3, 5), PadicInt(2, 1, 1)],
+    PeriodLattice: [PeriodLattice(2 + 0j, 1j, "agm"), PeriodLattice(1 + 0j, 2 + 0j, "agm")],
+    PrimeFieldElem: [PrimeFieldElem(13, 2), PrimeFieldElem(13, 0), PrimeFieldElem(7, 3)],
+    WeierstrassCurveFp: [WeierstrassCurveFp(7, 1, 1), WeierstrassCurveFp(13, 2, 3)],
+}
+# A value of no kind above: each parameter draws these too.
+FOREIGN = [None, CountResult(8, 0)]
+# A record that only stores its fields takes any value, so a few stand for all.
+FIELD_VALUES = [0, 0.5, None, "x", HUGE]
+# A one-argument name can afford every value; a name of several draws each
+# argument from its kind and FOREIGN, so that hypothesis tries every pair of
+# CyclotomicNumber and every triple of gauss_jacobi_relation_check.
+EVERY_VALUE = list({id(v): v for values in KINDS.values() for v in [*values, *FOREIGN]}.values())
+
+NAMES = [name for name in periodkit.__all__ if callable(getattr(periodkit, name))]
+
+
+def parameters(fn) -> tuple[list[list], int]:
+    """The value list of each positional parameter of fn, and how many are required."""
+    if isinstance(fn, type) and issubclass(fn, Frozen) and "__new__" not in vars(fn):
+        return [FIELD_VALUES] * len(fn._fields), len(fn._fields)
+    params = list(inspect.signature(fn).parameters.values())
+    required = sum(p.default is inspect.Parameter.empty for p in params)
+    kinds = [KINDS.get(p.annotation) or KINDS[typing.get_origin(p.annotation)] for p in params]
+    if len(params) == 1:
+        return [EVERY_VALUE], required
+    return [[*values, *FOREIGN] for values in kinds], required
+
+
+class Overran(Exception):
+    """A call ran past its SECONDS."""
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise Overran in this process once seconds of wall time have passed;
+    the previous SIGALRM handler and timer are restored afterwards."""
+
+    def overran(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, overran)
+    timer = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if timer[0]:
+            signal.setitimer(signal.ITIMER_REAL, *timer)
+
+
+def calls(values: list[list], required: int) -> int:
+    """How many distinct calls the value lists of `parameters` allow."""
+    return sum(math.prod(map(len, values[:count])) for count in range(required, len(values) + 1))
+
+
+def test_every_public_callable_is_drawn():
+    # Hypothesis never repeats a call, so a name must allow at least 20, and
+    # the names that hold the ring's known edges must allow no more than it draws.
+    assert len(NAMES) == len(periodkit.__all__) - 1  # all but __version__
+    for name in NAMES:
+        assert calls(*parameters(getattr(periodkit, name))) >= 20, name
+    for name in ("CyclotomicNumber", "gauss_jacobi_relation_check"):
+        assert calls(*parameters(getattr(periodkit, name))) <= EXAMPLES, name
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_every_public_name_answers_or_refuses_in_bounded_time(name, data):
+    # A call by position with a drawn count of arguments meets no keyword rule
+    # and applies no operator to the caller's values, so the TypeErrors that a
+    # record's keyword construction and an operator on a foreign type may raise
+    # cannot arise: only a PeriodkitError may escape.
+    fn = getattr(periodkit, name)
+    values, required = parameters(fn)
+    count = data.draw(st.integers(required, len(values)))
+    args = [data.draw(st.sampled_from(pool)) for pool in values[:count]]
+    try:
+        with deadline(SECONDS):
+            fn(*args)
+    except PeriodkitError:
+        pass

@@ -4,6 +4,7 @@ import cmath
 import functools
 import math
 import random
+import time
 
 import numpy
 import pytest
@@ -11,13 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodkit.cyclotomic import (
+    MAX_REDUCTION_STEPS,
     MAX_RING_ORDER,
     CyclotomicNumber,
     _divide_binomial,
     _kron_mul,
+    _modulus,
     cyclotomic_polynomial,
 )
-from periodkit.errors import InvalidInput, MismatchedStructure, NotRationalInteger
+from periodkit.errors import FloatOverflow, InvalidInput, MismatchedStructure, NotRationalInteger
 
 
 # Reference oracles: the schoolbook product and the long division by a dense
@@ -193,6 +196,40 @@ def test_embed_is_ring_hom_numerically():
         a = CyclotomicNumber(m, [rng.randint(-5, 5) for _ in range(4)])
         b = CyclotomicNumber(m, [rng.randint(-5, 5) for _ in range(4)])
         assert abs((a * b).embed() - a.embed() * b.embed()) < 1e-9
+
+
+def test_embed_past_the_doubles_is_float_overflow():
+    # A coefficient past the doubles, and a sum of two finite terms that
+    # overflows, are both named, not left to a bare OverflowError or an inf.
+    for z in (CyclotomicNumber(4, [10**400, 1]), CyclotomicNumber(8, [15 * 10**307, 15 * 10**307])):
+        with pytest.raises(FloatOverflow):
+            z.embed()
+    assert CyclotomicNumber(4, [10**308, 10**308]).embed() == complex(1e308, 1e308)
+
+
+def test_reduction_budget_refuses_in_z_zeta_30030():
+    # 30030 = 2 * 3 * 5 * 7 * 11 * 13: a finish takes 9255 * 5370 steps, over
+    # MAX_REDUCTION_STEPS, so every entry that needs one refuses naming m, at once.
+    steps = _modulus(30030)[3]
+    assert steps > MAX_REDUCTION_STEPS
+    dense = CyclotomicNumber(30030, [1] * 5760)
+    for call in (
+        lambda: CyclotomicNumber.root_of_unity(30030, 15014),
+        lambda: CyclotomicNumber(30030, [1] * 15015),
+        lambda: dense * dense,
+        lambda: dense.galois(-1),
+        lambda: dense.norm_to_int(),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput) as info:
+            call()
+        assert info.value.arg == "m" and time.perf_counter() - start < 0.1
+        assert str(info.value) == f"a reduction in Z[zeta_30030] takes {steps} steps, over the budget of 10000000"
+    # Elements of at most phi = 5760 coefficients, their sums, and products
+    # that stay below x^phi need no finish.
+    small = CyclotomicNumber(30030, [1, 2])
+    assert (small * small).coeffs[:4] == (1, 4, 4, 0) and not any((small * small).coeffs[3:])
+    assert (dense * 2).coeffs == (2,) * 5760 == (dense + dense).coeffs
 
 
 def test_rational_integer_queries():

@@ -218,13 +218,14 @@ def test_operators_are_defined_once():
     assert [(cls, name) for cls, name in found if cls not in bases] == refused + [("MultiplicativeCharacter", "__mul__")]
 
 
-def test_f_p_budgets_live_in_characters():
-    # The two cost budgets bound the kernels of characters.py alone; a point
-    # count builds no table, so a copy in another module would refuse work
-    # that the budget does not model.
+def test_table_budget_lives_in_characters_and_reduction_budget_in_cyclotomic():
+    # The table budget bounds the kernels of characters.py alone; a point count
+    # builds no table, so a copy in another module would refuse work that the
+    # budget does not model.  The reduction budget is a rule of the ring, which
+    # every reduction passes, so it is stated and compared in cyclotomic.py only.
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
-    assigned, called = [], []
+    assigned, called, compared = [], [], []
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -233,8 +234,12 @@ def test_f_p_budgets_live_in_characters():
                              if ast.unparse(t) in ("MAX_TABLE_PRIME", "MAX_REDUCTION_STEPS")]
             elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_check_table_prime":
                 called.append(path.name)
-    assert sorted(assigned) == ["characters.py MAX_REDUCTION_STEPS", "characters.py MAX_TABLE_PRIME"]
+            elif isinstance(node, ast.Compare) and "MAX_REDUCTION_STEPS" in ast.unparse(node):
+                compared.append(path.name)
+    assert sorted(assigned) == ["characters.py MAX_TABLE_PRIME", "cyclotomic.py MAX_REDUCTION_STEPS"]
     assert called and set(called) == {"characters.py"}, called
+    assert compared and set(compared) == {"cyclotomic.py"}, compared
+    assert "MAX_REDUCTION_STEPS" not in (pathlib.Path(periodkit.__file__).parent / "characters.py").read_text()
 
 
 def test_every_cache_is_bounded():
