@@ -43,9 +43,9 @@ class Frozen(tuple):
             raise TypeError(f"{name}() takes {len(names)} fields but {len(args)} were given")
         for field in kwargs:
             if field in names[: len(args)]:
-                raise TypeError(f"{name}() got multiple values for field {field!r}")
+                raise TypeError(f"{name}() got multiple values for field {shown(field)}")
             if field not in names:
-                raise TypeError(f"{name}() got an unexpected field {field!r}")
+                raise TypeError(f"{name}() got an unexpected field {shown(field)}")
         missing = [field for field in names[len(args) :] if field not in kwargs]
         if missing:
             raise TypeError(f"{name}() missing field(s) {', '.join(map(repr, missing))}")
@@ -73,10 +73,8 @@ class Frozen(tuple):
 def check_sequence(arg: str, value) -> None:
     """A sequence argument must be a Sequence, such as a list or a tuple, and not
     a record, which as a tuple of its fields would pass for a sequence of them."""
-    if isinstance(value, Frozen):
-        raise InvalidInput(arg, f"need a sequence, got the record {shown(value)}")
-    if not isinstance(value, Sequence):
-        raise InvalidInput(arg, f"need a sequence, got {shown(value)}")
+    if isinstance(value, Frozen) or not isinstance(value, Sequence):
+        raise InvalidInput(arg, f"need a sequence that is not a record, got {shown(value)}")
 
 
 def _coerced(primitive):

@@ -16,11 +16,12 @@ defaults filled in and unset flags left out.  JSON is written in one pass;
 CSV and Markdown take their header from the first row.  Exit codes: 0
 success, 1 domain error (singular curve, bad congruence, ...), 2 invalid
 argument, with the flag named; argument rules live in the library.  All
-numeric output is printed with 15 significant digits and identical argv
-always produces byte-identical output.
+numeric output is printed with 15 significant digits, and argv alone decides
+the bytes and the exit code, whatever the terminal or the int-to-str limit.
 """
 
 import argparse
+import functools
 import importlib
 import io
 import math
@@ -28,7 +29,9 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .errors import InvalidInput, PeriodkitError, TrivialCharacter
+from .errors import InvalidInput, PeriodkitError, TrivialCharacter, shown
+
+DIGITS = 4300  # CPython's default int-to-str limit: main runs under it, and a rational flag stays within it
 
 # ---------------------------------------------------------------------------
 # Output envelope and rendering
@@ -130,21 +133,32 @@ def _correspond_markdown(command: str, params: dict, rows: list) -> str:
 
 
 def _parse_numbers(flag: str, text: str, kind, count=None) -> list:
-    """Comma-separated values of one number type (int, float or rational);
-    an empty string is an empty list, and count fixes the length."""
+    """Comma-separated values of one number type (int, float or rational),
+    each refused by `kind` raising or returning None; an empty string is an
+    empty list, and count, if given, fixes the length."""
     parts = text.split(",") if text.strip() else []
-    if count is not None and len(parts) != count:
-        raise InvalidInput(flag, f"expected {count} comma-separated values, got {text!r}")
     try:
-        return [kind(part) for part in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInput(flag, str(exc)) from exc
+        values = [kind(part) for part in parts]
+    except (ValueError, ZeroDivisionError):
+        values = [None]
+    if None in values or count not in (None, len(parts)):
+        raise InvalidInput(flag, f"need {count or 'any number of'} comma-separated {_NOUNS[kind]}, got {shown(text)}")
+    return values
 
 
 def _rational(text: str):
+    """A Fraction of at most DIGITS digits above and below the bar, else None."""
     from fractions import Fraction  # loaded only by the commands that take rationals
 
-    return Fraction(text)
+    # Fraction computes 10**exponent before it can refuse anything, so a long exponent is refused first.
+    if sum(map(str.isdigit, text.lower().partition("e")[2])) > 4:
+        return None
+    value = Fraction(text)
+    return value if max(abs(value.numerator), value.denominator) < 10**DIGITS else None
+
+
+_NOUNS = {int: "ints", float: "real numbers",
+          _rational: f"rationals of at most {DIGITS} digits, with exponents of at most 4 digits"}
 
 
 def _fp_curve(m, a):
@@ -322,15 +336,17 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     every command.  Both print the same usage and errors: the one-command
     parser's metavar lists every command where argparse's would list one, and
     the full parser keeps metavar None, so a missing command is named "command"."""
+    formatter = functools.partial(argparse.HelpFormatter, width=78)  # 80 columns, whatever the terminal
     parser = argparse.ArgumentParser(
         prog="periodkit",
         description="Periods of elliptic curves and their finite-characteristic counterparts",
+        formatter_class=formatter,
     )
     commands = {argv[0]: COMMANDS[argv[0]]} if argv and argv[0] in COMMANDS else COMMANDS
     metavar = None if commands is COMMANDS else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, command in commands.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, formatter_class=formatter)
         formats = ("json", "md") if command.markdown else ("json", "csv", "md")
         p.add_argument("--format", choices=formats, default=command.default_format)
         for f in command.flags:
@@ -353,6 +369,19 @@ def _absorb_flag_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run argv under CPython's default int-to-str digit limit, whatever the
+    caller set, and give the caller's back."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter with no limit
+        return _run(argv)
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGITS)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(caller)
+
+
+def _run(argv) -> int:
     try:
         argv = _absorb_flag_values(sys.argv[1:] if argv is None else list(argv))
         args = build_parser(argv).parse_args(argv)

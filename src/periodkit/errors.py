@@ -8,6 +8,8 @@ subclass is a domain error, where valid arguments meet a mathematical obstructio
 
 import math
 
+SHOWN_CAP = 100  # characters: a quoted value never takes over its message
+
 
 class PeriodkitError(Exception):
     """Base class for all errors raised on purpose by periodkit."""
@@ -22,15 +24,18 @@ class InvalidInput(PeriodkitError, ValueError):
 
 
 def shown(value) -> str:
-    """repr(value) where CPython can print it; past its int-to-str digit limit,
-    a short description such as "an int of 16610 bits"."""
+    """repr(value) when it has at most SHOWN_CAP characters, else a short description
+    such as "an int of 16610 bits"; CPython's int-to-str limit, at least 640 digits,
+    cuts only a repr far past the cap, so the text is the same under any limit."""
     try:
-        return repr(value)
-    except ValueError:
-        if isinstance(value, int):
-            return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
-        name = type(value).__name__
-        return f"{'an' if name[0] in 'AEIOU' else 'a'} {name} too large to print"
+        if len(text := repr(value)) <= SHOWN_CAP:
+            return text
+    except ValueError:  # an int past the digit limit
+        pass
+    if isinstance(value, int):
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    name = type(value).__name__
+    return f"{'an' if name[0] in 'AEIOU' else 'a'} {name} too large to print"
 
 
 def check_int(arg: str, value, lo: int | None = None, hi: int | None = None) -> None:
@@ -55,10 +60,8 @@ def check_real(arg: str, value) -> None:
     not a bool, a str, a complex, NaN, an infinity or an int beyond the doubles."""
     try:
         finite = not isinstance(value, bool) and math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):  # OverflowError: an int or a Fraction past the doubles
         finite = False
-    except OverflowError:  # an int or a Fraction past the doubles, whose repr can be too long to print
-        raise InvalidInput(arg, "need a finite real number, got one beyond the double range") from None
     if not finite:
         raise InvalidInput(arg, f"need a finite real number, got {shown(value)}")
 

@@ -33,7 +33,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 2**31; InvalidInput for n >= 2**31."""
     check_int("n", n)
     if n >= MAX_PRIME:
-        raise InvalidInput("n", f"is_prime is exact only below 2**31, got an n of {n.bit_length()} bits")
+        raise InvalidInput("n", f"is_prime is exact only below 2**31, got {shown(n)}")
     if n < 2:
         return False
     for small in _MR_WITNESSES:

@@ -389,6 +389,13 @@ def test_table_budget_rejects_before_building():
         assert info.value.arg == "p"
 
 
+def test_the_ring_holds_every_full_order_of_the_table():
+    # A full-order Jacobi sum at p <= MAX_TABLE_PRIME lives in Z[zeta_(p-1)].
+    # Were the table bound raised alone, cyclotomic_polynomial's check_int("m",
+    # ...) would refuse that order, and the CLI would name --m, no flag of it.
+    assert characters.MAX_TABLE_PRIME - 1 <= cyclotomic.MAX_RING_ORDER
+
+
 def test_reduction_budget_is_checked_at_its_edge(monkeypatch):
     # m = 30 = 2 * 3 * 5: the finish of one reduction takes
     # (h - phi) * (nonzero terms of Phi_30 below its lead) = 7 * 6 steps, so a

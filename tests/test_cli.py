@@ -12,6 +12,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -234,6 +235,55 @@ def test_every_table_has_one_key_sequence(name, argv):
 def test_help_text_is_pinned():
     # --help of the top level and of every subcommand, byte for byte, at 80 columns.
     assert help_pages() == HELP_FILE.read_text()
+
+
+# The two settings no flag names that once decided the CLI's bytes: the
+# terminal width, read by argparse from COLUMNS, and CPython's int-to-str
+# digit limit (0 lifts it; 640 is the least it takes).
+KNOBS = {"default": {}, "COLUMNS=40": {"columns": "40"}, "COLUMNS=200": {"columns": "200"},
+         "digits=0": {"digits": 0}, "digits=640": {"digits": 640}}
+
+
+@contextlib.contextmanager
+def knob(columns=None, digits=None):
+    """COLUMNS and the int-to-str digit limit set for the block, both restored afterwards."""
+    env, limit = os.environ.get("COLUMNS"), sys.get_int_max_str_digits()
+    try:
+        if columns is not None:
+            os.environ["COLUMNS"] = columns
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+        if env is None:
+            os.environ.pop("COLUMNS", None)
+        else:
+            os.environ["COLUMNS"] = env
+
+
+ARGV_ALONE = [
+    *(argv for _, argv in CORPUS),
+    ["--help"],
+    *([name, "--help"] for name in periodkit.cli.COMMANDS),
+    ["jacobi", "--p", "7", "--k1", "1"],  # a usage error: --k2 is missing
+    ["count", "--p", "7", "--curve", "1," + "9" * 5000],  # past the digit limit
+    ["delta", "--p", "5", "--precision", "6", "--x", "1" + "0" * 4999],
+    ["periods", "--curve", "1/3," + "9" * 3000],  # a curve whose repr is 3000 digits long
+    ["periods", "--curve=-1,1e-5000"],  # a denominator past the digit limit
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_ALONE, ids=[" ".join(argv)[:60] for argv in ARGV_ALONE])
+def test_argv_alone_decides_the_output(argv):
+    # The same stdout, stderr and exit code under every setting of the two
+    # knobs, and the caller's digit limit given back after each call.
+    got, caller = {}, sys.get_int_max_str_digits()
+    for name, settings in KNOBS.items():
+        with knob(**settings):
+            got[name] = run_cli(argv)
+            assert sys.get_int_max_str_digits() == settings.get("digits", caller)
+    assert all(result == got["default"] for result in got.values()), [n for n, r in got.items() if r != got["default"]]
 
 
 def test_count_over_f_p2_counts_once(monkeypatch):
@@ -747,7 +797,28 @@ ARGV_TABLE = [
     (["jacobi", "--p", "94291", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the reduction budget
     (["jacobi", "--p", "1999993", "--k1", "1", "--k2", "1"], 2, "--p"),  # the same, at the table's edge
     (["catalog", "--n", "22"], 2, "--n"),  # more than twenty logarithms
+    (["periods", "--curve=-1,1e-5000"], 2, "--curve"),  # a denominator of 5001 digits
+    (["tau", "--curve=-1,1e-5000"], 2, "--curve"),
+    (["periodmap", "--grid", "1e4300"], 2, "--grid"),  # 4301 digits; 1e4299 is refused later, by FloatOverflow
+    (["periodmap", "--grid", "1e4299"], 1, "FloatOverflow"),
 ]
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["-1,1e-5000", "-1,1e-10000000", "-1,1e+00001", "1," + "1" * 4301, "1,1/" + "7" * 4301],
+    ids=["1e-5000", "1e-10000000", "1e+00001", "4301-digit-numerator", "4301-digit-denominator"],
+)
+def test_rational_flag_values_are_bounded(value):
+    # Fraction computes 10**exponent before it refuses anything: 1e-10000000
+    # once took seconds, so an exponent of 5 or more digits is refused first.
+    # A value of more than 4300 digits above or below the bar is refused after
+    # parsing, which str() could not print under the default digit limit.
+    start = time.perf_counter()
+    code, out, err = run_cli(["periods", f"--curve={value}"])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "") and err.startswith("error: --curve: need 2 comma-separated rationals of at most 4300 digits"), err
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("argv,code,named", ARGV_TABLE, ids=[" ".join(a) for a, _, _ in ARGV_TABLE])
@@ -805,8 +876,9 @@ def test_veneziano_large_pole_index():
 # kernels over F_p also draw primes above MAX_TABLE_PRIME, which they must
 # refuse from the arguments alone: 2000003 and 2^31 - 1 (3 mod 4), and for
 # `apjacobi`, whose quartic character refuses p = 3 mod 4 first, 2000029 and
-# 2^31 - 19 (1 mod 4).
-HOSTILE = ["nan", "inf", "-inf", "1e308", "1e400", "0", "-7", "4", "3215031751", "2147483659", "1/0", "abc"]
+# 2^31 - 19 (1 mod 4).  A token of 4301 digits is past CPython's default
+# int-to-str limit.
+HOSTILE = ["nan", "inf", "-inf", "1e308", "1e400", "0", "-7", "4", "3215031751", "2147483659", "1/0", "abc", "9" * 4301]
 
 
 def values(*plausible, hostile=HOSTILE):
@@ -819,7 +891,8 @@ TABLE_PRIME = values("2", "3", "5", "7", "11", "13", "29", "97", *sorted(OVER_TA
 COUNT_PRIME = values("2", "3", "5", "7", "11", "13", "29", "97", "1000000007", "2147483647")
 INT = values("0", "1", "2", "5", "12")
 FLOAT = values("2.5", "-0.5", "1", "2", "0.5", "3.7", "1e-13", "-200", "-200.5", "171.5")
-MALFORMED = ["1", "1,2,3", ",", "", "1/0,1", "a,b", "1e400,0", "-1e400,0", "-1e-400,0", "nan,0", "2.5,nan", "1e308,2"]
+MALFORMED = ["1", "1,2,3", ",", "", "1/0,1", "a,b", "1e400,0", "-1e400,0", "-1e-400,0", "nan,0", "2.5,nan", "1e308,2",
+             "-1,1e-5000", "-1,1e-10000000"]
 CURVE = values("-1,0", "-4,1", "4,1", "5,3", "0,0", "0,1", "-1/3,2/27", hostile=HOSTILE + MALFORMED)
 GRID = values("", "1/4,1/2", "3/4", "2.0,1.0", "0", "1", "-0.5,3.7", hostile=HOSTILE + MALFORMED)
 

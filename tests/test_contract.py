@@ -1,10 +1,15 @@
-"""The library's contract over every public name: whatever a caller passes by
-position, a call ends in a value or a PeriodkitError, within a bounded time."""
+"""The library's contract over every public name and operator: whatever a
+caller passes by position, a call ends in a value or a PeriodkitError, within
+a bounded time and a bounded address space."""
 
 import contextlib
 import inspect
 import math
+import operator
+import os
+import pathlib
 import signal
+import traceback
 import typing
 from collections.abc import Sequence
 from fractions import Fraction
@@ -26,10 +31,17 @@ from periodkit import (
     WeierstrassCurveFp,
 )
 from periodkit._frozen import Frozen
-from periodkit.errors import PeriodkitError
+from periodkit.errors import PeriodkitError, shown
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 HUGE = 10**400  # an int past the doubles
 SECONDS = 2.0  # per call: every refusal and every answer drawn here takes milliseconds
+HEADROOM = 1 << 30  # bytes of address space a call may add to the process's
+LIMITED = hasattr(resource, "RLIMIT_AS") and pathlib.Path("/proc/self/statm").is_file()
 EXAMPLES = 100  # per name
 
 # The values drawn for a parameter, by its annotation: the edges of its kind,
@@ -103,6 +115,42 @@ def deadline(seconds: float):
             signal.setitimer(signal.ITIMER_REAL, *timer)
 
 
+def address_space() -> int:
+    """This process's address-space size in bytes."""
+    return int(pathlib.Path("/proc/self/statm").read_text().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@contextlib.contextmanager
+def memory_limit():
+    """A soft RLIMIT_AS of the address space now plus HEADROOM on this process,
+    so that an allocation past it raises MemoryError instead of filling the
+    machine; the previous limit is restored afterwards.  Nothing where
+    resource has no RLIMIT_AS or the address space cannot be read."""
+    if not LIMITED:
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = address_space() + HEADROOM
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.skipif(not LIMITED, reason="no RLIMIT_AS or no /proc/self/statm here")
+def test_the_memory_limit_bites_and_is_restored():
+    before, limits = address_space(), resource.getrlimit(resource.RLIMIT_AS)
+    with memory_limit():
+        assert resource.getrlimit(resource.RLIMIT_AS)[0] <= before + HEADROOM
+        with pytest.raises(MemoryError):
+            bytearray(2 << 30)
+        assert address_space() - before < HEADROOM  # the 2 GiB were never mapped
+    assert resource.getrlimit(resource.RLIMIT_AS) == limits
+
+
 def calls(values: list[list], required: int) -> int:
     """How many distinct calls the value lists of `parameters` allow."""
     return sum(math.prod(map(len, values[:count])) for count in range(required, len(values) + 1))
@@ -131,7 +179,33 @@ def test_every_public_name_answers_or_refuses_in_bounded_time(name, data):
     count = data.draw(st.integers(required, len(values)))
     args = [data.draw(st.sampled_from(pool)) for pool in values[:count]]
     try:
-        with deadline(SECONDS):
+        with deadline(SECONDS), memory_limit():
             fn(*args)
     except PeriodkitError:
         pass
+
+
+# Every pair of drawn values with a periodkit value on at least one side.
+OURS = {id(v) for v in EVERY_VALUE if type(v).__module__.startswith("periodkit.")}
+PAIRS = [(a, b) for a in EVERY_VALUE for b in EVERY_VALUE if id(a) in OURS or id(b) in OURS]
+OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv, operator.pow, operator.eq, operator.lt]
+LIBRARY = pathlib.Path(periodkit.__file__).parent
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=[op.__name__ for op in OPERATORS])
+def test_every_operator_on_a_periodkit_value_answers_or_refuses(op):
+    # Besides a PeriodkitError, only a TypeError may escape: CPython's, for an
+    # operator the operands do not define (raised outside periodkit's code, as
+    # by Fraction's own **), or a record's refusal of ordering, + and *.
+    assert len(PAIRS) > 1000
+    for a, b in PAIRS:
+        try:
+            with deadline(SECONDS), memory_limit():
+                op(a, b)
+        except PeriodkitError:
+            pass
+        except TypeError as exc:
+            *_, (frame, _) = traceback.walk_tb(exc.__traceback__)
+            code = frame.f_code
+            assert code is Frozen._refused.__code__ or LIBRARY not in pathlib.Path(code.co_filename).parents, (
+                op.__name__, shown(a), shown(b), exc)

@@ -7,6 +7,7 @@ import inspect
 import math
 import operator
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,7 @@ from periodkit.amplitudes import CorrespondenceReport, GlobalRow, LocalRow
 from periodkit.complex_periods import CatalogEntry
 from periodkit.cyclotomic import MAX_RING_ORDER
 from periodkit.errors import (
+    SHOWN_CAP,
     ComplexRoots,
     DivisionByZero,
     FloatOverflow,
@@ -78,6 +80,7 @@ from periodkit.errors import (
     SingularCurve,
     UnsupportedDegree,
     check_int,
+    check_real,
     shown,
 )
 from periodkit.padic import DeltaRulesVerdict, FrobeniusLiftVerdict, PadicInt
@@ -704,7 +707,7 @@ def test_a_record_is_refused_where_a_sequence_is_expected(site, record):
     with pytest.raises(InvalidInput) as exc:
         build(value)
     assert exc.value.arg == site.split("-")[1]
-    assert str(exc.value) == f"need a sequence, got the record {value!r}"
+    assert str(exc.value) == f"need a sequence that is not a record, got {value!r}"
 
 
 # Values that are no sequence, each made from a sequence the builder accepts.
@@ -728,7 +731,7 @@ def test_a_non_sequence_is_refused_naming_the_argument(site, kind):
     with pytest.raises(InvalidInput) as exc:
         build(value)
     assert exc.value.arg == site.split("-")[1]
-    assert str(exc.value) == f"need a sequence, got {value!r}"
+    assert str(exc.value) == f"need a sequence that is not a record, got {value!r}"
 
 
 def test_shown_describes_what_repr_cannot_print():
@@ -737,6 +740,51 @@ def test_shown_describes_what_repr_cannot_print():
     assert shown(-HUGE) == "a negative int of 16610 bits"
     assert shown(Fraction(HUGE)) == "a Fraction too large to print"
     assert shown(EllipticCurveQ(-1, HUGE)) == "an EllipticCurveQ too large to print"
+
+
+RING_30030 = CyclotomicNumber(30030, [1, 2])  # its repr lists 5760 coefficients, 17 kB
+
+
+def test_shown_is_bounded_and_the_same_under_any_digit_limit():
+    # A repr of at most SHOWN_CAP characters is printed as it is; a longer one,
+    # or one past the digit limit, is described, and never by whether repr
+    # raised, so the text does not depend on the limit.
+    assert shown(10**99) == str(10**99) and shown(10**100) == "an int of 333 bits"
+    assert shown("x" * 98) == repr("x" * 98) and shown("x" * 99) == "a str too large to print"
+    caller = sys.get_int_max_str_digits()
+    for value in (HUGE, -HUGE, Fraction(HUGE), EllipticCurveQ(-1, HUGE), RING_30030):
+        texts = set()
+        for digits in (0, 4300):
+            sys.set_int_max_str_digits(digits)
+            try:
+                texts.add(shown(value))
+            finally:
+                sys.set_int_max_str_digits(caller)
+        assert len(texts) == 1 and len(texts.pop()) <= SHOWN_CAP, texts
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: quadratic_character(RING_30030), "need a prime in [3, 2**31), got a CyclotomicNumber too large to print"),
+        (lambda: gauss_sum(RING_30030),
+         "need a record of type MultiplicativeCharacter, got a CyclotomicNumber too large to print"),
+        (lambda: correspondence_table(5, RING_30030),
+         "need a sequence that is not a record, got a CyclotomicNumber too large to print"),
+        (lambda: PrimeFieldElem(7, 3) ** RING_30030, "need an int, got a CyclotomicNumber too large to print"),
+        (lambda: CyclotomicNumber(4, [RING_30030]), "need an int, got a CyclotomicNumber too large to print"),
+        (lambda: is_prime(HUGE), "is_prime is exact only below 2**31, got an int of 16610 bits"),
+        (lambda: check_real("x", 10**400), "need a finite real number, got an int of 1329 bits"),
+        (lambda: check_real("x", Fraction(-(10**400), 3)), "need a finite real number, got a Fraction too large to print"),
+    ],
+    ids=["quadratic_character", "gauss_sum", "correspondence_table", "pow", "coeffs", "is_prime", "int", "Fraction"],
+)
+def test_a_refusal_quotes_a_large_value_through_shown(call, message):
+    # Each once quoted the value in full (17 kB for the ring element) or worded
+    # its size its own way.
+    with pytest.raises(InvalidInput) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # Each int argument with a range, as (builder, argument, lo, hi).
