@@ -1,27 +1,16 @@
 """Command-line front end: one subcommand per library operation, with a
 versioned output envelope rendered as JSON (default), CSV, or Markdown.
 
-Each subcommand is one entry of COMMANDS, and only that entry names it:
-build_parser, the `params` echo, the map from a library argument back to its
-flag and the renderers all read the table.  An entry holds its help text; the
-library module it runs, imported only when it runs; its flags (type, default,
-help, and the library argument each feeds, so an InvalidInput names the
-flag); `run(module, args)`, which returns the rows as dicts, their keys the
-output columns in order; its default format; and optionally its own Markdown
-renderer, which replaces the flat CSV table.  To add a subcommand, add one
-entry.
-
-The envelope's `params` echo every flag but `--format` as parsed, with
-defaults filled in and unset flags left out.  JSON is written in one pass;
-CSV and Markdown take their header from the first row.  Exit codes: 0
-success, 1 domain error (singular curve, bad congruence, ...), 2 invalid
-argument, with the flag named; argument rules live in the library.  All
-numeric output is printed with 15 significant digits, and argv alone decides
-the bytes and the exit code, whatever the terminal or the int-to-str limit.
+Each subcommand is one Command entry of COMMANDS, and only that entry names it:
+the argv reader, the help pages, the `params` echo, the map from a library
+argument back to its flag and the renderers all read the table.  The envelope's
+`params` echo every flag but `--format` as parsed, with defaults filled in and
+unset flags left out.  Exit codes: 0 success, 1 domain error (singular curve,
+bad congruence, ...), 2 invalid argument, with the flag named.  All numeric
+output is printed with 15 significant digits, and argv alone decides the bytes
+and the exit code, whatever the terminal or the int-to-str limit.
 """
 
-import argparse
-import functools
 import importlib
 import io
 import math
@@ -233,21 +222,23 @@ REQUIRED = object()
 
 
 class Flag(SimpleNamespace):
-    """One --<dest> flag: its type, its default (REQUIRED if it has none), its
-    help, and the library argument it feeds where that is not named dest."""
+    """One --<dest> flag: its type (int, float, str or a tuple of choices), its default
+    (REQUIRED if none), its help, and the library argument it feeds if not dest."""
 
     def __init__(self, dest: str, type=int, default=REQUIRED, help=None, feeds=None):
         super().__init__(dest=dest, type=type, default=default, help=help, feeds=feeds)
 
 
 class Command(SimpleNamespace):
-    """One subcommand: `run(module, args)` returns its rows as dicts, and
-    `markdown`, if given, renders --format md in place of the flat table and
-    leaves the command without CSV."""
+    """One subcommand: its help; its library module, imported only when it runs; its
+    flags, ending with --format, whose default is its default format; `run(module, args)`,
+    which returns the rows as dicts, their keys the output columns in order; and
+    `markdown`, if given, its --format md renderer, replacing the flat table and the CSV."""
 
     def __init__(self, help, module, flags, run, default_format="json", markdown=None):
-        super().__init__(help=help, module=module, flags=flags, run=run, default_format=default_format,
-                         markdown=markdown)
+        formats = ("json", "md") if markdown else ("json", "csv", "md")
+        flags += (Flag("format", formats, default_format, f"one of {', '.join(formats)}; default {default_format}"),)
+        super().__init__(help=help, module=module, flags=flags, run=run, markdown=markdown)
 
 
 _P, _K1 = Flag("p"), Flag("k1")
@@ -328,44 +319,49 @@ COMMANDS = {
 
 
 # ---------------------------------------------------------------------------
-# Parser and dispatch
+# Argv and dispatch
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of argv[0]'s command alone when argv[0] names one, else of
-    every command.  Both print the same usage and errors: the one-command
-    parser's metavar lists every command where argparse's would list one, and
-    the full parser keeps metavar None, so a missing command is named "command"."""
-    formatter = functools.partial(argparse.HelpFormatter, width=78)  # 80 columns, whatever the terminal
-    parser = argparse.ArgumentParser(
-        prog="periodkit",
-        description="Periods of elliptic curves and their finite-characteristic counterparts",
-        formatter_class=formatter,
-    )
-    commands = {argv[0]: COMMANDS[argv[0]]} if argv and argv[0] in COMMANDS else COMMANDS
-    metavar = None if commands is COMMANDS else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, command in commands.items():
-        p = sub.add_parser(name, help=command.help, formatter_class=formatter)
-        formats = ("json", "md") if command.markdown else ("json", "csv", "md")
-        p.add_argument("--format", choices=formats, default=command.default_format)
-        for f in command.flags:
-            p.add_argument(f"--{f.dest}", type=f.type, required=f.default is REQUIRED, default=f.default, help=f.help)
-    return parser
+def _help(name: str) -> str:
+    """`periodkit <name> --help`, or `periodkit --help` if name is no command; a usage error prints line 1."""
+    if name not in COMMANDS:
+        usage = "COMMAND [--FLAG VALUE ...]"
+        about = "Periods of elliptic curves and their finite-characteristic counterparts"
+        rows = [(command_name, command.help) for command_name, command in COMMANDS.items()]
+    else:
+        flags, about = COMMANDS[name].flags, COMMANDS[name].help
+        rows = [(f"--{f.dest} {f.dest.upper()}", f.help or "") for f in flags]
+        usage = " ".join([name, *(s if f.default is REQUIRED else f"[{s}]" for (s, _), f in zip(rows, flags))])
+    width = max(len(left) for left, _ in rows) + 2
+    lines = (f"  {left:{width}}{right}".rstrip() for left, right in rows)
+    return "\n".join([f"usage: periodkit {usage}", "", about, "", *lines, ""])
 
 
-def _absorb_flag_values(argv: list[str]) -> list[str]:
-    # argparse reads "-1,0" or "-1e-5" as an option string; every flag but
-    # --help takes a value, so fold it into --flag=value unless the next token
-    # is itself a flag.
-    out = []
-    for tok in argv:
-        flag = out[-1] if out else ""
-        if flag.startswith("--") and "=" not in flag and flag != "--help" and not tok.startswith("--"):
-            out[-1] = f"{flag}={tok}"
-        else:
-            out.append(tok)
-    return out
+def _read(argv: list):
+    """Command argv[0]'s args from `--flag value` or `--flag=value` (a value may start with "-"), defaults
+    filled in; None for -h or --help.  A refusal's InvalidInput.arg is the flag, the command or periodkit."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        raise InvalidInput("periodkit", f"{shown(argv[0])} is not a command" if argv else "need a command")
+    flags, tokens = {f"--{f.dest}": f for f in COMMANDS[argv[0]].flags}, iter(argv[1:])
+    args = SimpleNamespace(command=argv[0], **{f.dest: f.default for f in flags.values()})
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        flag, equals, text = token.partition("=")
+        if (f := flags.get(flag)) is None:
+            raise InvalidInput(argv[0], f"{shown(token)} is not one of its flags")
+        if not equals and (text := next(tokens, None)) is None:
+            raise InvalidInput(flag, "need a value")
+        try:  # a tuple type is --format's choices, and its index refuses any other text
+            setattr(args, f.dest, f.type[f.type.index(text)] if type(f.type) is tuple else f.type(text))
+        except ValueError:
+            noun = {int: "an int", float: "a real number"}.get(f.type) or "one of " + ", ".join(f.type)
+            raise InvalidInput(flag, f"need {noun}, got {shown(text)}") from None
+    if missing := [flag for flag, f in flags.items() if getattr(args, f.dest) is REQUIRED]:
+        raise InvalidInput(missing[0], "required")
+    return args
 
 
 def main(argv=None) -> int:
@@ -382,13 +378,17 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        argv = _absorb_flag_values(sys.argv[1:] if argv is None else list(argv))
-        args = build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _read(argv)
+    except InvalidInput as exc:  # a usage error: the usage line, then the refusal
+        print(_help(argv[0] if argv else "").partition("\n")[0], f"error: {exc.arg}: {exc}", sep="\n", file=sys.stderr)
+        return 2
+    if args is None:
+        sys.stdout.write(_help(argv[0]))
+        return 0
     command = COMMANDS[args.command]
-    params = {f.dest: v for f in command.flags if (v := getattr(args, f.dest)) is not None}
+    params = {f.dest: v for f in command.flags[:-1] if (v := getattr(args, f.dest)) is not None}  # not --format
     render = (args.format == "md" and command.markdown) or RENDERERS[args.format]
     try:
         rows = command.run(importlib.import_module(f".{command.module}", __package__), args)

@@ -27,13 +27,13 @@ def shown(value) -> str:
     """repr(value) when it has at most SHOWN_CAP characters, else a short description
     such as "an int of 16610 bits"; CPython's int-to-str limit, at least 640 digits,
     cuts only a repr far past the cap, so the text is the same under any limit."""
+    if isinstance(value, int) and not -(10 ** (SHOWN_CAP - 1)) < value < 10**SHOWN_CAP:  # past the cap: no repr
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
     try:
         if len(text := repr(value)) <= SHOWN_CAP:
             return text
-    except ValueError:  # an int past the digit limit
+    except ValueError:  # a value that holds an int past the digit limit
         pass
-    if isinstance(value, int):
-        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
     name = type(value).__name__
     return f"{'an' if name[0] in 'AEIOU' else 'a'} {name} too large to print"
 

@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Regenerate the golden CLI outputs in tests/golden/ and the pinned help text."""
 
-import argparse
 import contextlib
 import io
 import pathlib
@@ -11,7 +10,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 from golden_corpus import CORPUS
 
-from periodkit.cli import build_parser, main
+from periodkit.cli import COMMANDS, main
 
 HELP_FILE = pathlib.Path(__file__).parent / "golden_help.txt"
 
@@ -27,9 +26,8 @@ def run(argv):
 
 def help_pages() -> str:
     """`periodkit --help` and `periodkit <cmd> --help` for every subcommand,
-    each under a `$ ` line; the CLI wraps them at 80 columns whatever the terminal."""
-    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    argvs = [["--help"]] + [[name, "--help"] for name in subparsers.choices]
+    each under a `$ ` line."""
+    argvs = [["--help"]] + [[name, "--help"] for name in COMMANDS]
     return "".join(f"$ periodkit {' '.join(argv)}\n{run(argv)}" for argv in argvs)
 
 

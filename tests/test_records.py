@@ -742,6 +742,29 @@ def test_shown_describes_what_repr_cannot_print():
     assert shown(EllipticCurveQ(-1, HUGE)) == "an EllipticCurveQ too large to print"
 
 
+class Unprintable(int):
+    """An int whose repr must not be taken."""
+
+    def __repr__(self):
+        raise AssertionError("repr called")
+
+
+@pytest.mark.parametrize("value,text", [(Unprintable(HUGE), "an int of 16610 bits"),
+                                        (Unprintable(-HUGE), "a negative int of 16610 bits"),
+                                        (Unprintable(10**SHOWN_CAP), "an int of 333 bits"),
+                                        (Unprintable(-(10 ** (SHOWN_CAP - 1))), "a negative int of 329 bits")],
+                         ids=["huge", "negative", "101-digits", "negative-100-digits"])
+def test_shown_describes_a_long_int_without_converting_it(value, text):
+    # An int whose repr would pass SHOWN_CAP is told by its size alone: under a
+    # lifted digit limit, repr(10**300000) takes seconds.
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert shown(value) == text
+    finally:
+        sys.set_int_max_str_digits(caller)
+
+
 RING_30030 = CyclotomicNumber(30030, [1, 2])  # its repr lists 5760 coefficients, 17 kB
 
 

@@ -134,6 +134,12 @@ def test_library_imports_neither_future_nor_typing():
     assert imported(lambda name: name not in ("__future__", "typing")) == []
 
 
+def test_library_imports_neither_argparse_nor_gettext_nor_locale():
+    # The CLI reads argv from its command table: argparse, and the gettext and
+    # locale its messages load, were the largest stdlib cost of a cold call.
+    assert imported(lambda name: name not in ("argparse", "gettext", "locale")) == []
+
+
 def test_only_two_functions_defer_a_library_import():
     # A module imports the library modules it uses at its top.  Two functions
     # defer theirs, each run once per command: a_p_from_jacobi, so that count
