@@ -12,6 +12,7 @@ is computed per Galois orbit: one Jacobi sum and one norm per orbit of
 sigma_a, each row marked with whether its own norm was computed.
 """
 
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -183,12 +184,15 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     nontrivial, computed per orbit of the units a mod p - 1: sigma_a sends
     J(c^k1, c^k2) to J(c^(a*k1), c^(a*k2)) and fixes its rational norm.  The
     first pair of each orbit in row order has its sum and norm computed
-    (norm_checked); the others are its images and inherit the norm.
+    (norm_checked); the others are its images and inherit the norm.  An orbit
+    keeps its ring order n = lcm(order(c^k1), order(c^k2)), so the orbits run
+    in a stable sort of the rows by n and the ring holds one order at a time;
+    the gathers of sigma_a live as long as the report.
     """
     # The finite side loads here, so the Gamma-ratio commands never import it.
     from .characters import MultiplicativeCharacter, jacobi_sum
     from .curve_counts import _primary_trace
-    from .cyclotomic import _galois
+    from .cyclotomic import _galois, _placement
     from .finite_field import _check_prime
 
     _check_prime(p)
@@ -205,9 +209,11 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     order = p - 1
     pairs = [(k1, k2) for k1 in range(1, order) for k2 in range(1, order) if (k1 + k2) % order]
     units = [a for a in range(2, order) if math.gcd(a, order) == 1]  # a = 1 gives the representative
+    orders = [order // math.gcd(k, order) for k in range(order)]
+    place = functools.cache(_placement)
     rows: dict[tuple[int, int], LocalRow] = {}
 
-    for k1, k2 in pairs:
+    for k1, k2 in sorted(pairs, key=lambda pair: math.lcm(orders[pair[0]], orders[pair[1]])):
         if (k1, k2) in rows:
             continue
         j = jacobi_sum(MultiplicativeCharacter(p, k1), MultiplicativeCharacter(p, k2))
@@ -216,7 +222,7 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
         for a in units:
             image = (a * k1 % order, a * k2 % order)
             if image not in rows:
-                rows[image] = LocalRow(*image, n, _galois(n, j.coeffs, a), norm, norm == p, False)
+                rows[image] = LocalRow(*image, n, _galois(n, j.coeffs, place(n, a % n)), norm, norm == p, False)
     local = [rows[pair] for pair in pairs]
 
     global_rows = []

@@ -256,24 +256,23 @@ def agm(a: float, b: float) -> float:
 
     Past it the 64-step cap would change nothing.  Every iterate lies between
     a and b, so every product a*b is a normal double if and only if both lie in
-    [sqrt(float min), sqrt(float max)].  Outside it agm(a, a) is a and a != b
-    raises FloatOverflow; NaN, infinity, a value <= 0 or a non-number raises InvalidInput.
+    [sqrt(float min), sqrt(float max)].  Outside it agm(a, a) is float(a) and a != b
+    raises FloatOverflow; a value <= 0 or one that breaks the real rule raises InvalidInput.
     """
-    try:
-        inside = _AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI
-    except TypeError:  # not a real number: check_real names the argument
-        inside = check_real("a", a) or check_real("b", b)
-    if not inside:
-        try:
-            positive = 0 < a < math.inf and 0 < b < math.inf
-        except TypeError:  # the range test stopped at a, so b met its first comparison here
-            positive = check_real("a", a) or check_real("b", b)
-        if not positive:
-            arg = "b" if 0 < a < math.inf else "a"
-            raise InvalidInput(arg, f"agm needs positive finite arguments, got ({shown(a)}, {shown(b)})")
+    check_real("a", a)
+    check_real("b", b)
+    if not (a > 0 and b > 0):
+        arg = "b" if a > 0 else "a"
+        raise InvalidInput(arg, f"agm needs positive finite arguments, got ({shown(a)}, {shown(b)})")
+    if not (_AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI):
         if a != b:
             raise FloatOverflow(f"agm({shown(a)}, {shown(b)}) leaves the range where its steps are exact")
-        return a
+        return float(a)
+    return _agm(a, b)
+
+
+def _agm(a: float, b: float) -> float:
+    """`agm` of two reals already in [sqrt(float min), sqrt(float max)], unchecked."""
     for _ in range(64):
         if a == b:
             break
@@ -286,13 +285,13 @@ def agm(a: float, b: float) -> float:
 
 def periods_agm(curve: EllipticCurveQ) -> PeriodLattice:
     """Same generators through the AGM; agrees with quadrature within 1e-9.
-    Every gap lies between float min and 2.7e154, so agm's arguments, their
-    square roots, stay inside the range where its steps are exact."""
+    Every gap lies between float min and 2.7e154, so their square roots lie
+    in the range where agm's steps are exact, and `_agm` takes them unchecked."""
     check_record("curve", curve, EllipticCurveQ)
     d12, d13, d23 = _root_gaps(curve)
     s13 = math.sqrt(d13)
-    omega1 = 2.0 * math.pi / agm(s13, math.sqrt(d12))
-    omega2 = 2.0 * math.pi / agm(s13, math.sqrt(d23))
+    omega1 = 2.0 * math.pi / _agm(s13, math.sqrt(d12))
+    omega2 = 2.0 * math.pi / _agm(s13, math.sqrt(d23))
     return PeriodLattice(complex(omega1, 0.0), complex(0.0, omega2), "agm")
 
 

@@ -87,8 +87,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# The ring's one cache, bounded: p - 1 has at most 12 divisors for p <= 97, so a report builds each order once.
-@functools.lru_cache(maxsize=12)
+# One order, as `characters._dlog_table` keeps one prime: a report runs its orbits by ring order.
+@functools.lru_cache(maxsize=1)
 def _modulus(m: int) -> tuple[int, int, int, int, tuple[tuple[int, int], ...]]:
     """(phi, h, sign, steps, tail): the degree of Phi_m; the (h, sign) of `_even_part`, so Phi_m
     divides x^h - sign; a finish's worst-case multiply-adds, h - phi per term below the lead;
@@ -171,8 +171,6 @@ def _finish(m: int, r: list[int]) -> tuple[int, ...]:
     return tuple(r[:phi])
 
 
-# A report at p <= 97 uses at most sum(phi(n) for n | p - 1) = p - 1 <= 96 placements.
-@functools.lru_cache(maxsize=96)
 def _placement(m: int, a: int) -> operator.itemgetter:
     """The gather of sigma_a on canonical coefficients c, for a unit a reduced
     mod m: slot i of the folded image is (*c, 0, *-c) at index idx[i].  c_j moves
@@ -188,12 +186,12 @@ def _placement(m: int, a: int) -> operator.itemgetter:
     return operator.itemgetter(*idx)
 
 
-def _galois(m: int, coeffs: tuple[int, ...], a: int) -> tuple[int, ...]:
+def _galois(m: int, coeffs: tuple[int, ...], gather: operator.itemgetter) -> tuple[int, ...]:
     """The canonical coefficients of sigma_a(z), zeta_m -> zeta_m^a, for the
-    canonical coefficients of z and a unit a mod m: the cached signed placement,
-    then only the finish."""
+    canonical coefficients of z and the caller's `_placement(m, a)`: the signed
+    placement, then only the finish."""
     ext = (*coeffs, 0, *map(operator.neg, coeffs))
-    return _finish(m, list(_placement(m, a % m)(ext)))
+    return _finish(m, list(gather(ext)))
 
 
 class CyclotomicNumber(RingElement):
@@ -254,14 +252,12 @@ class CyclotomicNumber(RingElement):
         mod m.  Coefficient j moves to exponent a*j mod m, and for even m that
         exponent folds below m/2 with a sign, as x^(m/2) = -1: a signed placement,
         injective, so the image needs only the finish of a reduction, not its
-        fold.  The placement's gather indices are cached per (m, a mod m) in one
-        bounded cache, sized for the reports at p <= 97.  The conjugate is
-        galois(-1)."""
+        fold, with a gather built per call.  The conjugate is galois(-1)."""
         m = self.m
         check_int("a", a)
         if math.gcd(a, m) != 1:
             raise InvalidInput("a", f"sigma_a needs a unit modulo m, got a = {shown(a)}, m = {m}")
-        return self._canonical(m, _galois(m, self.coeffs, a))
+        return self._canonical(m, _galois(m, self.coeffs, _placement(m, a % m)))
 
     def is_rational_integer(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])

@@ -140,7 +140,6 @@ def _prime_factors(n: int) -> list[int]:
     return primes + [n] * (n > 1)
 
 
-@functools.lru_cache  # 128 primes, as _is_supported_prime; every caller has checked p
 def _smallest_primitive_root(p: int) -> int:
     n = p - 1
     factors = _prime_factors(n)

@@ -2,11 +2,12 @@
 
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from scipy import integrate
 
-from periodkit import characters
+from periodkit import characters, cyclotomic
 from periodkit.amplitudes import (
     MandelstamInput,
     beta_fn,
@@ -16,6 +17,7 @@ from periodkit.amplitudes import (
     veneziano,
 )
 from periodkit.characters import MultiplicativeCharacter, jacobi_sum
+from periodkit.complex_periods import agm
 from periodkit.cyclotomic import CyclotomicNumber, _modulus, _placement
 from periodkit.errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger
 
@@ -256,7 +258,7 @@ def test_pole_scan_input_validation():
         pole_scan(2.5, 13)
 
 
-@pytest.mark.parametrize("bad", [10**400, -(10**400), "2", 1 + 2j, True, math.nan, math.inf, None])
+@pytest.mark.parametrize("bad", [10**400, -(10**400), "2", 1 + 2j, True, math.nan, math.inf, None, Decimal("2.5")])
 @pytest.mark.parametrize(
     "call,arg",
     [
@@ -266,12 +268,15 @@ def test_pole_scan_input_validation():
         (lambda v: MandelstamInput(v, 1.0), "s12"),
         (lambda v: MandelstamInput(2.5, v), "s34"),
         (lambda v: pole_scan(v, 3), "beta_fixed"),
+        (lambda v: agm(v, 2.0), "a"),
+        (lambda v: agm(2.0, v), "b"),
     ],
-    ids=["gamma", "beta-alpha", "beta-beta", "mandelstam-s12", "mandelstam-s34", "pole_scan"],
+    ids=["gamma", "beta-alpha", "beta-beta", "mandelstam-s12", "mandelstam-s34", "pole_scan", "agm-a", "agm-b"],
 )
 def test_real_arguments_follow_one_rule(call, arg, bad):
     # An int past the doubles once escaped as OverflowError, a str or complex
-    # as TypeError, and gamma_fn(True) returned 1.0.
+    # as TypeError, and gamma_fn(True) returned 1.0; agm(True, 2.0) returned a
+    # value, and a Decimal passed the rule only to end in a bare TypeError.
     with pytest.raises(InvalidInput) as info:
         call(bad)
     assert info.value.arg == arg
@@ -332,7 +337,7 @@ def test_correspondence_computes_one_sum_and_norm_per_orbit(p, orbits, monkeypat
 
 
 def test_correspondence_builds_each_ring_order_once():
-    # The ring's one cache is bounded, yet holds every order of one report.
+    # The ring keeps one order, and the report runs its orbits grouped by ring order.
     _modulus.cache_clear()
     report = correspondence_table(97, [])
     orders = {row.ring_order for row in report.local_rows}  # a_p is read off the Z[i] row
@@ -342,26 +347,30 @@ def test_correspondence_builds_each_ring_order_once():
 
 def test_correspondence_places_each_image_once_and_builds_no_element(monkeypatch):
     # An orbit of ring order n has phi(n) pairs, one image for each unit a != 1
-    # mod n; every (n, a mod n) misses the bounded placement cache once and stays.
+    # mod n; the report builds the gather of each (n, a mod n) once and keeps
+    # none after it returns, so a second report builds them again.
     canonical = CyclotomicNumber.__dict__["_canonical"].__func__
-    built = []
+    built, placed = [], []
 
     def counted(cls, m, coeffs):
         built.append(m)
         return canonical(cls, m, coeffs)
 
+    def placement(m, a):
+        placed.append((m, a))
+        return _placement(m, a)
+
     monkeypatch.setattr(CyclotomicNumber, "_canonical", classmethod(counted))
-    _placement.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_placement", placement)
     rows = correspondence_table(97, []).local_rows
     orders = {row.ring_order for row in rows}
     placements = sum(sum(math.gcd(a, n) == 1 for a in range(2, n)) for n in orders)
-    info = _placement.cache_info()
-    assert info.misses == info.currsize == placements <= info.maxsize
+    assert len(placed) == len(set(placed)) == placements
     # Each orbit builds its sum and its norm's product; no image builds an element.
     orbits = sum(row.norm_checked for row in rows)
     assert len(built) == 2 * orbits and len(rows) - orbits == 8494
     correspondence_table(97, [])
-    assert _placement.cache_info().misses == placements
+    assert len(placed) == 2 * placements
 
 
 def test_correspondence_ap_matches_enumeration():

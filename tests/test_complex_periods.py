@@ -436,8 +436,8 @@ def agm_64_steps(a, b):
 
 
 def test_agm_fixed_point():
-    for c in (1e200, 1e-200, 5e-324, math.sqrt(2)):
-        assert agm(c, c) == c, c
+    for c in (1e200, 1e-200, 5e-324, math.sqrt(2), 10**200, Fraction(1, 10**200)):
+        assert agm(c, c) == float(c) and type(agm(c, c)) is float, c
     with pytest.raises(ValueError):
         agm(-1.0, 2.0)
     with pytest.raises(ValueError):
@@ -461,8 +461,7 @@ def test_agm_refuses_what_its_steps_cannot_hold():
             agm(bad, 1.0)
         with pytest.raises(InvalidInput):
             agm(1.0, bad)
-    # Past the range test of a, the positivity test meets b: a non-number is
-    # named there too, not left to a bare TypeError.
+    # Whatever a is, a non-number b is named, not left to a bare TypeError.
     for a in (1e308, 1e-320, 1.0):
         with pytest.raises(InvalidInput) as exc:
             agm(a, "x")

@@ -5,6 +5,7 @@ import functools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy
 import pytest
@@ -516,3 +517,37 @@ def test_galois_rejects_non_units():
             if math.gcd(a, m) != 1:
                 with pytest.raises(ValueError):
                     z.galois(a)
+
+
+def held_after(calls) -> int:
+    """The bytes still allocated after calls() returns, against just before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        calls()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_ring_keeps_one_order_and_no_placement_between_calls():
+    # A library caller's history must not grow what the ring holds: a gather of
+    # sigma_a at m = 199998 holds about 2.9 MB, and the modulus of an order
+    # m = 2q near 2*10^5 about 9 MB, its 10^5 terms of Phi_m.
+    z = CyclotomicNumber(199998, [1, 2, 3])
+
+    def images():
+        for a in (5, 7, 11, 13, 17, 19, 23, 25):  # units mod 199998 = 2 * 3^2 * 41 * 271
+            z.galois(a)
+
+    assert held_after(images) < 2**20
+    orders = [2 * q for q in (100003, 100019, 100043, 100049)]
+
+    def reductions(orders):
+        for m in orders:
+            CyclotomicNumber(m, [1, 2, 3])
+
+    _modulus.cache_clear()
+    one = held_after(lambda: reductions(orders[-1:]))
+    _modulus.cache_clear()
+    assert held_after(lambda: reductions(orders)) < 1.25 * one

@@ -248,10 +248,22 @@ def test_table_budget_lives_in_characters_and_reduction_budget_in_cyclotomic():
     assert "MAX_REDUCTION_STEPS" not in (pathlib.Path(periodkit.__file__).parent / "characters.py").read_text()
 
 
+# Every cache of the library with its maxsize: the last 128 primality verdicts,
+# one prime's dlog table, one ring order's modulus, and the two level tables,
+# unbounded as their keys are the levels, below _LEVELS.
+CACHES = {
+    "finite_field._is_supported_prime": 128,
+    "characters._dlog_table": 1,
+    "cyclotomic._modulus": 1,
+    "complex_periods._midpoint_level": None,
+    "complex_periods._tanh_sinh_level": None,
+}
+
+
 def test_every_cache_is_bounded():
     # An unbounded cache keyed by a caller's argument keeps one entry per
-    # distinct value for the life of the process.  Only the two level tables
-    # may be unbounded: their keys are the levels, below _LEVELS.
+    # distinct value for the life of the process, and a cache nobody hits
+    # keeps its entries for nothing; README names the same caches.
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
     caches = {}
@@ -262,9 +274,12 @@ def test_every_cache_is_bounded():
         for value in vars(module).values():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 caches[f"{path.stem}.{value.__name__}"] = value.cache_parameters()["maxsize"]
-    assert "finite_field._smallest_primitive_root" in caches and "cyclotomic._modulus" in caches
-    unbounded = sorted(name for name, maxsize in caches.items() if maxsize is None)
-    assert unbounded == ["complex_periods._midpoint_level", "complex_periods._tanh_sinh_level"]
+    assert caches == CACHES
+    kept = "what the library keeps between calls"
+    rows = [line for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("| ") and kept in line]
+    assert len(rows) == 1, rows
+    rule = re.split(r"(?<!\\)\|", rows[0])[2]
+    assert set(re.findall(r"`(\w+\.\w+)`", rule)) == set(CACHES)
 
 
 SITE_MODULES = {"periodkit", *(path.stem for path in (ROOT / "src" / "periodkit").glob("*.py"))}
