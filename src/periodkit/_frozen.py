@@ -4,7 +4,7 @@ records, and the one operator protocol of its exact value types."""
 from collections.abc import Sequence
 from operator import itemgetter
 
-from .errors import InvalidInput, check_int, shown
+from .errors import InvalidInput, MismatchedStructure, check_int, shown
 
 
 class Frozen(tuple):
@@ -61,6 +61,7 @@ class Frozen(tuple):
         raise TypeError(f"{type(self).__qualname__} is a record: it is not ordered, joined or repeated")
 
     __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _refused
+    __array_ufunc__ = None  # so a numpy operand defers to these operators, not reading the fields as an array
 
     def __getnewargs__(self):
         return tuple(self)
@@ -94,9 +95,9 @@ class RingElement(Frozen):
     """Base of the exact value types, holding the one operator protocol.
 
     A subclass supplies `_match(other)`, which raises MismatchedStructure when
-    another element's structure differs, `_with(n)`, the element of its
+    another element's structure differs, `_lift(n)`, the element of its
     structure given by an int, and the primitives `_add`, `_sub`, `_mul` and
-    `_neg`, each building one element.  An int operand is lifted by `_with`; a
+    `_neg`, each building one element.  An int operand is lifted by `_lift`; a
     float or another ring type makes the operator raise TypeError.
     """
 
@@ -107,7 +108,7 @@ class RingElement(Frozen):
             self._match(other)
             return other
         if isinstance(other, int):
-            return self._with(other)
+            return self._lift(other)
         return NotImplemented
 
     __add__ = __radd__ = _coerced(lambda a, b: a._add(b))
@@ -120,12 +121,26 @@ class RingElement(Frozen):
 
 
 class Residue(RingElement):
-    """Base of the types whose element is an int `value` modulo `modulus`; a
-    subclass checks its structure and an int value in `__new__`, and supplies
-    `modulus`, `_match`, `_with` and `inverse`.  A residue never equals an
-    int, so a caller compares `int(a)` or `a.value`."""
+    """Base of the types whose element is an int `value`, the last field, modulo
+    `modulus`; the other fields, p or (p, precision), are its structure.  A subclass
+    checks it once, in `__new__`, and supplies `modulus` and `inverse`; a result
+    carries its operand's structure, and operands compare it.  A residue never
+    equals an int, so a caller compares `int(a)` or `a.value`; zero is false."""
 
     __slots__ = ()
+
+    def _with(self, value: int):
+        """The residue of value in self's structure, unchecked: value is an int."""
+        return tuple.__new__(self.__class__, (*self[:-1], value % self.modulus))
+
+    def _lift(self, n: int):
+        check_int("value", n)
+        return self._with(n)
+
+    def _match(self, other) -> None:
+        if self[:-1] != other[:-1]:
+            a, b = (", ".join(f"{name}={field}" for name, field in zip(x._fields, x[:-1])) for x in (self, other))
+            raise MismatchedStructure(f"{a} vs {b}")
 
     def _add(self, other):
         return self._with(self.value + other.value)
@@ -147,3 +162,6 @@ class Residue(RingElement):
 
     def __int__(self):
         return self.value
+
+    def __bool__(self):
+        return self.value != 0

@@ -210,13 +210,14 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     pairs = [(k1, k2) for k1 in range(1, order) for k2 in range(1, order) if (k1 + k2) % order]
     units = [a for a in range(2, order) if math.gcd(a, order) == 1]  # a = 1 gives the representative
     orders = [order // math.gcd(k, order) for k in range(order)]
+    chars = [MultiplicativeCharacter(p, k) for k in range(order)]
     place = functools.cache(_placement)
     rows: dict[tuple[int, int], LocalRow] = {}
 
     for k1, k2 in sorted(pairs, key=lambda pair: math.lcm(orders[pair[0]], orders[pair[1]])):
         if (k1, k2) in rows:
             continue
-        j = jacobi_sum(MultiplicativeCharacter(p, k1), MultiplicativeCharacter(p, k2))
+        j = jacobi_sum(chars[k1], chars[k2])
         n, norm = j.m, j.norm_to_int()
         rows[k1, k2] = LocalRow(k1, k2, n, j.coeffs, norm, norm == p, True)
         for a in units:

@@ -231,7 +231,7 @@ class CyclotomicNumber(RingElement):
         if other.m != self.m:
             raise MismatchedStructure(f"root-of-unity orders differ: {self.m} vs {other.m}")
 
-    def _with(self, n: int) -> "CyclotomicNumber":
+    def _lift(self, n: int) -> "CyclotomicNumber":
         return CyclotomicNumber(self.m, [n])
 
     # A sum of canonical vectors is canonical, so it needs no reduction.
@@ -258,6 +258,9 @@ class CyclotomicNumber(RingElement):
         if math.gcd(a, m) != 1:
             raise InvalidInput("a", f"sigma_a needs a unit modulo m, got a = {shown(a)}, m = {m}")
         return self._canonical(m, _galois(m, self.coeffs, _placement(m, a % m)))
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def is_rational_integer(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])

@@ -56,11 +56,13 @@ def check_record(arg: str, value, cls: type) -> None:
 
 
 def check_real(arg: str, value) -> None:
-    """A real argument must be a number whose sum with a float math.isfinite finds finite, as an int, a
-    float or a Fraction: not a bool, a str, a complex, a Decimal, NaN, an infinity or an int beyond the doubles."""
+    """A real argument must be a number whose sum with a float math.isfinite finds finite and that rounds, as an
+    int, a float or a Fraction: not a bool or a numpy bool, a str, a complex, a Decimal, NaN, an infinity or an
+    int beyond the doubles."""
     try:
         finite = not isinstance(value, bool) and math.isfinite(value + 0.0)
-    except (TypeError, OverflowError):  # a Decimal, a str or a complex; an int or a Fraction past the doubles
+        round(value)  # a numpy bool sums with a float but does not round
+    except (TypeError, ValueError, OverflowError):  # a Decimal, a str, a complex; past the doubles; NaN, an infinity
         finite = False
     if not finite:
         raise InvalidInput(arg, f"need a finite real number, got {shown(value)}")

@@ -7,7 +7,6 @@ root, and the p = 1 mod 4 case carries the explicit Gaussian-integer
 presentation of F_p as a quotient of Z[i].
 """
 
-import functools
 import math
 
 from ._frozen import Frozen, Residue, _coerced
@@ -61,18 +60,10 @@ def is_prime(n: int) -> bool:
 
 def _check_prime(p: int, least: int = 3) -> None:
     """The library's one primality rule: p is a prime in [least, MAX_PRIME),
-    a range on which is_prime is exact.
-
-    The type is checked before the memoized verdict, so an unhashable p fails
-    the rule, not the cache."""
-    if not isinstance(p, int) or not _is_supported_prime(p, least):
+    a range on which is_prime is exact.  It runs once per value that enters,
+    as a residue's arithmetic carries its checked p into the result."""
+    if not isinstance(p, int) or not (least <= p < MAX_PRIME and is_prime(p)):
         raise InvalidInput("p", f"need a prime in [{least}, 2**31), got {shown(p)}")
-
-
-@functools.lru_cache
-def _is_supported_prime(p: int, least: int) -> bool:
-    """Memoized: field elements and characters are built per operation."""
-    return least <= p < MAX_PRIME and is_prime(p)
 
 
 def _check_one_mod_four(p: int) -> None:
@@ -83,7 +74,7 @@ def _check_one_mod_four(p: int) -> None:
 
 
 def _check_same_prime(a, b) -> None:
-    """The one same-field rule, for residues and characters: a.p == b.p."""
+    """The one same-field rule of characters, with each other and with residues: a.p == b.p."""
     if a.p != b.p:
         raise MismatchedStructure(f"moduli differ: {a.p} vs {b.p}")
 
@@ -91,9 +82,9 @@ def _check_same_prime(a, b) -> None:
 class PrimeFieldElem(Residue):
     """A residue in F_p, p an odd prime.
 
-    Invariant: 0 <= value < p; the modulus is validated once at construction.
-    Instances are immutable and hashable; arithmetic between elements with
-    different moduli raises MismatchedStructure.
+    Invariant: 0 <= value < p; the modulus is validated once at construction
+    and carried into results.  Instances are immutable and hashable; arithmetic
+    between elements with different moduli raises MismatchedStructure.
     """
 
     __slots__ = ()
@@ -108,21 +99,13 @@ class PrimeFieldElem(Residue):
     def modulus(self) -> int:
         return self.p
 
-    def _with(self, value: int) -> "PrimeFieldElem":
-        return PrimeFieldElem(self.p, value)
-
-    _match = _check_same_prime
-
     def inverse(self) -> "PrimeFieldElem":
         """Multiplicative inverse; raises DivisionByZero on the zero residue."""
         if self.value == 0:
             raise DivisionByZero(f"0 mod {self.p} is not invertible")
-        return PrimeFieldElem(self.p, pow(self.value, self.p - 2, self.p))
+        return self._with(pow(self.value, self.p - 2, self.p))
 
     __truediv__ = _coerced(lambda a, b: a._mul(b.inverse()))
-
-    def __bool__(self):
-        return self.value != 0
 
     def __repr__(self):
         return f"PrimeFieldElem({self.p}, {self.value})"

@@ -9,7 +9,7 @@ identity, which is what makes (x - x^p)/p a p-derivation here.
 """
 
 from ._frozen import Frozen, Residue
-from .errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit, check_int, check_record, shown
+from .errors import InsufficientPrecision, InvalidInput, NonUnit, check_int, check_record, shown
 from .finite_field import _check_prime
 
 MAX_PRECISION = 64
@@ -44,15 +44,6 @@ class PadicInt(Residue):
     @property
     def modulus(self) -> int:
         return self.p**self.precision
-
-    def _with(self, value: int) -> "PadicInt":
-        return PadicInt(self.p, self.precision, value)
-
-    def _match(self, other: "PadicInt") -> None:
-        if (other.p, other.precision) != (self.p, self.precision):
-            raise MismatchedStructure(
-                f"operands live in Z/{self.p}^{self.precision} vs Z/{other.p}^{other.precision}"
-            )
 
     def inverse(self) -> "PadicInt":
         """Inverse of a unit."""

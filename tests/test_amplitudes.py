@@ -3,7 +3,9 @@
 import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 
+import numpy
 import pytest
 from scipy import integrate
 
@@ -258,7 +260,7 @@ def test_pole_scan_input_validation():
         pole_scan(2.5, 13)
 
 
-@pytest.mark.parametrize("bad", [10**400, -(10**400), "2", 1 + 2j, True, math.nan, math.inf, None, Decimal("2.5")])
+@pytest.mark.parametrize("bad", [10**400, -(10**400), "2", 1 + 2j, True, math.nan, math.inf, None, Decimal("2.5"), numpy.True_, numpy.False_])
 @pytest.mark.parametrize(
     "call,arg",
     [
@@ -276,10 +278,18 @@ def test_pole_scan_input_validation():
 def test_real_arguments_follow_one_rule(call, arg, bad):
     # An int past the doubles once escaped as OverflowError, a str or complex
     # as TypeError, and gamma_fn(True) returned 1.0; agm(True, 2.0) returned a
-    # value, and a Decimal passed the rule only to end in a bare TypeError.
+    # value, and a Decimal passed the rule only to end in a bare TypeError; a numpy
+    # bool, which sums with a float, ended in round's TypeError or returned a value.
     with pytest.raises(InvalidInput) as info:
         call(bad)
     assert info.value.arg == arg
+
+
+@pytest.mark.parametrize("good", [numpy.float64(2.5), numpy.int64(3), Fraction(5, 2), 3])
+def test_real_arguments_take_every_finite_number_that_rounds(good):
+    # The rounding that refuses a numpy bool keeps numpy's floats and ints.
+    assert gamma_fn(good) == gamma_fn(float(good))
+    assert beta_fn(good, 1.5) == beta_fn(float(good), 1.5)
 
 
 def test_correspondence_local_norms():

@@ -15,6 +15,7 @@ from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,7 +50,7 @@ EXAMPLES = 100  # per name
 # among them the ring order 30030 = 2 * 3 * 5 * 7 * 11 * 13, whose finish is
 # over the reduction budget, with a list of 15015 ones, its x^(30030/2) fold.
 INTS = [0, 1, -1, 2, 7, 13, 30030, 2**31 - 1, HUGE, True]
-REALS = [0.5, -2.5, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, HUGE, Fraction(1, 3), True, Decimal("2.5"), Decimal("NaN")]
+REALS = [0.5, -2.5, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, HUGE, Fraction(1, 3), True, numpy.True_, Decimal("2.5"), Decimal("NaN")]
 SEQUENCES = [[0.5, 2], (Fraction(1, 3),), [], [1] * 15015, [math.nan], [HUGE]]
 KINDS = {
     int: INTS,

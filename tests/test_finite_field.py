@@ -3,8 +3,9 @@
 import pytest
 
 from periodkit.characters import MultiplicativeCharacter, quartic_character
+from periodkit.cyclotomic import CyclotomicNumber
 from periodkit.errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedStructure
-from periodkit import finite_field
+from periodkit import finite_field, padic
 from periodkit.finite_field import (
     PrimeFieldElem,
     _check_prime,
@@ -164,6 +165,9 @@ def test_one_mod_four_is_one_rule(refuse):
 def test_residues_read_as_their_int_and_their_truth():
     assert int(PrimeFieldElem(7, 10)) == 3 and int(PadicInt(3, 4, -1)) == 80
     assert not PrimeFieldElem(7, 0) and PrimeFieldElem(7, 3)
+    # Zero is false in every ring: a zero p-adic or cyclotomic value once read as true.
+    assert not PadicInt(7, 2, 0) and not PadicInt(7, 2, 49) and PadicInt(7, 2, 7)
+    assert not CyclotomicNumber(4, []) and not CyclotomicNumber(4, [0, 0]) and CyclotomicNumber(4, [0, 1])
 
 
 @pytest.mark.parametrize(
@@ -186,15 +190,37 @@ def test_prime_rule_bounds_every_caller(build):
     assert info.value.arg == "p"
 
 
-def test_prime_rule_is_memoized_without_widening(monkeypatch):
+def test_arithmetic_carries_the_checked_structure(monkeypatch):
+    # A result takes its operand's p and precision, checked when the operand
+    # was built, so the prime rule runs once per value that enters, not once
+    # per operation: it once ran in every result's constructor.
+    checks = []
+    for module in (finite_field, padic):
+        monkeypatch.setattr(module, "_check_prime", lambda p, least=3: checks.append(p))
+    ops = [
+        lambda x: x + x,
+        lambda x: x * x + 3,
+        lambda x: 2 - x * 5,
+        lambda x: x**3 - x,
+        lambda x: (x + 1).inverse() if (x + 1).value % 7 else x,  # a unit of F_p and of Z/7^4
+    ]
+    x, y = PrimeFieldElem(10007, 5), PadicInt(7, 4, 9)
+    assert len(checks) == 2
+    checks.clear()
+    for i in range(50):
+        x, y = ops[i % 5](x), ops[i % 5](y)
+    assert checks == []
+    assert x.p == 10007 and (y.p, y.precision) == (7, 4)
+
+
+def test_prime_rule_runs_once_per_element_without_widening(monkeypatch):
     calls = []
     monkeypatch.setattr(finite_field, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    finite_field._is_supported_prime.cache_clear()
     x = PrimeFieldElem(10007, 5)
     for _ in range(50):
         x = x * x + 1
     assert calls == [10007]
-    # A cached success for 7 accepts neither 7.0 nor True, and a failure raises every time.
+    # A success for 7 accepts neither 7.0 nor True, and a failure raises every time.
     _check_prime(7)
     for bad in (7.0, True):
         with pytest.raises(InvalidInput):

@@ -10,6 +10,7 @@ import pickle
 import sys
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,6 +252,20 @@ def test_a_record_is_no_plain_tuple(cls, fields):
     assert not record == values and not values == record
     assert values not in {record} and record not in {values}
     assert {record: 1}.get(values) is None
+
+
+@pytest.mark.parametrize("cls,fields", EVERY_RECORD, ids=EVERY_ID)
+def test_numpy_reads_no_record_as_an_array(cls, fields):
+    # numpy once read a record as the array of its fields, so that
+    # PrimeFieldElem(7, 3) + numpy.True_ was array([8, 4]); it now defers to
+    # the record's own operators, which refuse a numpy scalar or array.
+    record = cls(**fields)
+    for other in (numpy.True_, numpy.float64(2.5), numpy.int64(3), numpy.array([1, 2])):
+        for op in (operator.add, operator.sub, operator.mul, operator.lt):
+            for a, b in ((record, other), (other, record)):
+                with pytest.raises(TypeError):
+                    op(a, b)
+        assert (record == other) is False and (other == record) is False
 
 
 def test_equality_needs_the_same_class_even_for_equal_fields():

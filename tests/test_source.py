@@ -248,11 +248,10 @@ def test_table_budget_lives_in_characters_and_reduction_budget_in_cyclotomic():
     assert "MAX_REDUCTION_STEPS" not in (pathlib.Path(periodkit.__file__).parent / "characters.py").read_text()
 
 
-# Every cache of the library with its maxsize: the last 128 primality verdicts,
-# one prime's dlog table, one ring order's modulus, and the two level tables,
-# unbounded as their keys are the levels, below _LEVELS.
+# Every cache of the library with its maxsize: one prime's dlog table, one ring
+# order's modulus, and the two level tables, unbounded as their keys are the
+# levels, below _LEVELS.
 CACHES = {
-    "finite_field._is_supported_prime": 128,
     "characters._dlog_table": 1,
     "cyclotomic._modulus": 1,
     "complex_periods._midpoint_level": None,
