@@ -9,11 +9,13 @@ side carries its own verified facts (exact norms locally, pole indices
 globally) and the dictionary rows pair objects, not numbers.  Its local side
 is computed per Galois orbit: one Jacobi sum and one norm per orbit of
 (Z/(p-1))^x acting on the character pairs, the other rows as images under
-sigma_a, each row marked with whether its own norm was computed.
+sigma_a, each row marked with whether its own norm was computed.  The images
+of all orbits of one ring order share one finish per unit, on packed columns.
 """
 
-import functools
+import itertools
 import math
+import operator
 import sys
 from collections.abc import Sequence
 
@@ -186,13 +188,14 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     first pair of each orbit in row order has its sum and norm computed
     (norm_checked); the others are its images and inherit the norm.  An orbit
     keeps its ring order n = lcm(order(c^k1), order(c^k2)), so the orbits run
-    in a stable sort of the rows by n and the ring holds one order at a time;
-    the gathers of sigma_a live as long as the report.
+    in a stable sort of the rows by n and the ring holds one order at a time.
+    The images of one order's orbits are taken together, one finish per unit a
+    mod n (`_galois_columns`), whose gather is built once and kept by no one.
     """
     # The finite side loads here, so the Gamma-ratio commands never import it.
     from .characters import MultiplicativeCharacter, jacobi_sum
     from .curve_counts import _primary_trace
-    from .cyclotomic import _galois, _placement
+    from .cyclotomic import _galois_columns
     from .finite_field import _check_prime
 
     _check_prime(p)
@@ -208,22 +211,24 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
 
     order = p - 1
     pairs = [(k1, k2) for k1 in range(1, order) for k2 in range(1, order) if (k1 + k2) % order]
-    units = [a for a in range(2, order) if math.gcd(a, order) == 1]  # a = 1 gives the representative
-    orders = [order // math.gcd(k, order) for k in range(order)]
     chars = [MultiplicativeCharacter(p, k) for k in range(order)]
-    place = functools.cache(_placement)
-    rows: dict[tuple[int, int], LocalRow] = {}
-
-    for k1, k2 in sorted(pairs, key=lambda pair: math.lcm(orders[pair[0]], orders[pair[1]])):
-        if (k1, k2) in rows:
-            continue
-        j = jacobi_sum(chars[k1], chars[k2])
-        n, norm = j.m, j.norm_to_int()
-        rows[k1, k2] = LocalRow(k1, k2, n, j.coeffs, norm, norm == p, True)
-        for a in units:
-            image = (a * k1 % order, a * k2 % order)
-            if image not in rows:
-                rows[image] = LocalRow(*image, n, _galois(n, j.coeffs, place(n, a % n)), norm, norm == p, False)
+    rows: dict[tuple[int, int], LocalRow | None] = {}
+    # n = lcm(order(c^k1), order(c^k2)); sorted (n, k1, k2) is a stable sort of the rows by n.
+    keyed = sorted((order // math.gcd(k1, k2, order), k1, k2) for k1, k2 in pairs)
+    for n, group in itertools.groupby(keyed, key=operator.itemgetter(0)):
+        units = [a for a in range(2, n) if math.gcd(a, n) == 1]  # a = 1 gives the representative
+        reps = []
+        for _, k1, k2 in group:
+            if (k1, k2) not in rows:
+                j = jacobi_sum(chars[k1], chars[k2])
+                norm = j.norm_to_int()
+                rows[k1, k2] = LocalRow(k1, k2, n, j.coeffs, norm, norm == p, True)
+                reps.append(rows[k1, k2])
+                rows.update(dict.fromkeys([(a * k1 % order, a * k2 % order) for a in units]))  # seen; built below
+        for a, images in zip(units, _galois_columns(n, [rep.coeffs for rep in reps], units)):
+            for rep, coeffs in zip(reps, images):
+                image = (a * rep.k1 % order, a * rep.k2 % order)
+                rows[image] = LocalRow(*image, n, coeffs, rep.norm, rep.norm_ok, False)
     local = [rows[pair] for pair in pairs]
 
     global_rows = []

@@ -113,35 +113,46 @@ def _check_reduction(m: int, arg: str) -> None:
 _ARRAY_CODES = {array(code).itemsize: code for code in "bhilq"}
 
 
+def _width(bound: int) -> int:
+    """The bytes of a signed field for values up to bound in size, below 2^(8w - 1): 1, 2, 4
+    or 8, which `array` converts in C, or wider, converted one int at a time."""
+    need = (bound.bit_length() + 8) // 8
+    return min((w for w in _ARRAY_CODES if w >= need), default=need)
+
+
+def _flips(width: int, n: int) -> int:
+    """The top bit of each of n fields of `width` bytes."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, sys.byteorder) * n, sys.byteorder)
+
+
+def _pack(v: Sequence[int], width: int) -> int:
+    """sum v[i] * 2^(8 * width * i) for |v[i]| < 2^(8 * width - 1), so sums and multiples
+    stay packed field by field while each field stays that small: the two's complement
+    fields, xor their top bits, are the offset form v[i] + 2^(8 * width - 1).  A big-endian
+    machine reads v reversed, and `_unpack` reads it back the same way."""
+    code, order, flips = _ARRAY_CODES.get(width), sys.byteorder, _flips(width, len(v))
+    fields = array(code, v).tobytes() if code else b"".join(c.to_bytes(width, order, signed=True) for c in v)
+    return (int.from_bytes(fields, order) ^ flips) - flips
+
+
+def _unpack(xs: Sequence[int], width: int, n: int) -> list[int]:
+    """The n fields of each packed int in xs, in turn, in one conversion: the offset
+    form x + flips, read back in two's complement after the xor."""
+    code, order, flips = _ARRAY_CODES.get(width), sys.byteorder, _flips(width, n)
+    buf = b"".join([((x + flips) ^ flips).to_bytes(width * n, order) for x in xs])
+    if code:
+        return array(code, buf).tolist()
+    return [int.from_bytes(buf[i : i + width], order, signed=True) for i in range(0, len(buf), width)]
+
+
 def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Unreduced product of two coefficient vectors by Kronecker substitution:
-    each vector is packed into one integer in signed fields of w bytes, with
-    every product coefficient below 2^(8w - 1) in size.  Fields are written
-    and read in two's complement; xor with the top bit of each field turns
-    that into the offset form c + 2^(8w - 1), in which integer sums and
-    products carry exactly.  w is rounded up to 1, 2, 4 or 8 bytes, which
-    `array` converts in C; wider fields are converted one int at a time.  In
-    the machine's byte order, a big-endian machine reads each vector, and so
-    the product, reversed."""
+    """Unreduced product of two coefficient vectors by Kronecker substitution: the
+    product of the packed vectors, in fields as wide as its coefficients need."""
     bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
     if not bound:
         return []
-    need = (bound.bit_length() + 8) // 8
-    width = min((w for w in _ARRAY_CODES if w >= need), default=need)
-    code, order = _ARRAY_CODES.get(width), sys.byteorder
-    top = (1 << (8 * width - 1)).to_bytes(width, order)
-
-    def pack(v):
-        fields = array(code, v).tobytes() if code else b"".join(c.to_bytes(width, order, signed=True) for c in v)
-        flips = int.from_bytes(top * len(v), order)
-        return (int.from_bytes(fields, order) ^ flips) - flips
-
-    n = len(a) + len(b) - 1
-    flips = int.from_bytes(top * n, order)
-    buf = ((pack(a) * pack(b) + flips) ^ flips).to_bytes(width * n, order)
-    if code:
-        return array(code, buf).tolist()
-    return [int.from_bytes(buf[i : i + width], order, signed=True) for i in range(0, width * n, width)]
+    width = _width(bound)
+    return _unpack([_pack(a, width) * _pack(b, width)], width, len(a) + len(b) - 1)
 
 
 def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -187,11 +198,24 @@ def _placement(m: int, a: int) -> operator.itemgetter:
 
 
 def _galois(m: int, coeffs: tuple[int, ...], gather: operator.itemgetter) -> tuple[int, ...]:
-    """The canonical coefficients of sigma_a(z), zeta_m -> zeta_m^a, for the
-    canonical coefficients of z and the caller's `_placement(m, a)`: the signed
-    placement, then only the finish."""
+    """The canonical coefficients of sigma_a(z), zeta_m -> zeta_m^a, for the canonical
+    coefficients of z and the caller's `_placement(m, a)`: the signed placement, then only
+    the finish.  Both are linear, so packed columns pass through as plain ints do."""
     ext = (*coeffs, 0, *map(operator.neg, coeffs))
     return _finish(m, list(gather(ext)))
+
+
+def _galois_columns(m: int, vectors: Sequence[tuple[int, ...]], units: Sequence[int]) -> list[list[tuple[int, ...]]]:
+    """For each unit a, the images sigma_a(z) of the canonical vectors z, in their order, in one
+    `_galois` on columns: coefficient j of every z packed in one int.  A finish step subtracts
+    at most max|c| times one value from another, c over Phi_m's terms, so over h - phi steps
+    every value stays below max|z| * (1 + max|c|)^(h - phi) in size; the fields are that wide."""
+    phi, h, _, _, tail = _modulus(m)
+    top = max((abs(c) for z in vectors for c in z), default=0)
+    width, k = _width(top * (1 + max((abs(c) for _, c in tail), default=0)) ** (h - phi)), len(vectors)
+    columns = tuple(_pack(column, width) for column in zip(*vectors))
+    fields = (_unpack(_galois(m, columns, _placement(m, a % m)), width, k) for a in units)  # k fields a column
+    return [[tuple(f[r::k]) for r in range(k)] for f in fields]
 
 
 class CyclotomicNumber(RingElement):

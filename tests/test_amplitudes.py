@@ -383,6 +383,23 @@ def test_correspondence_places_each_image_once_and_builds_no_element(monkeypatch
     assert len(placed) == 2 * placements
 
 
+def test_correspondence_takes_one_finish_per_ring_order_and_unit(monkeypatch):
+    # Each orbit reduces its sum and its norm's product; the images of all orbits
+    # of one ring order n take one finish per unit a != 1 mod n, packed in columns.
+    finish, finished = cyclotomic._finish, []
+
+    def counted(m, r):
+        finished.append(m)
+        return finish(m, r)
+
+    monkeypatch.setattr(cyclotomic, "_finish", counted)
+    rows = correspondence_table(97, []).local_rows
+    orbits = sum(row.norm_checked for row in rows)
+    images = sum(sum(math.gcd(a, n) == 1 for a in range(2, n)) for n in {row.ring_order for row in rows})
+    assert orbits == 436
+    assert len(finished) == 2 * orbits + images == 956
+
+
 def test_correspondence_ap_matches_enumeration():
     def naive(p):
         n = 1

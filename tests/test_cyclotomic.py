@@ -4,6 +4,7 @@ import cmath
 import functools
 import math
 import random
+import sys
 import time
 import tracemalloc
 
@@ -17,8 +18,13 @@ from periodkit.cyclotomic import (
     MAX_RING_ORDER,
     CyclotomicNumber,
     _divide_binomial,
+    _galois,
+    _galois_columns,
     _kron_mul,
     _modulus,
+    _pack,
+    _placement,
+    _unpack,
     cyclotomic_polynomial,
 )
 from periodkit.errors import FloatOverflow, InvalidInput, MismatchedStructure, NotRationalInteger
@@ -394,6 +400,19 @@ def test_kron_mul_at_each_field_edge():
                 assert _kron_mul(a, b) == _poly_mul(a, b), (width, top, a, b)
 
 
+def test_pack_round_trips_at_each_field_edge():
+    # The widest signed value of each field width, both signs, next to small ones:
+    # 1, 2, 4 and 8 bytes go through array, 9 and 16 one int at a time.
+    for width in (1, 2, 4, 8, 9, 16):
+        edge = 2 ** (8 * width - 1) - 1
+        v = [edge, -edge, 0, -1, 1, edge, -edge, -edge, 0]
+        x = _pack(v, width)
+        assert _unpack([x], width, len(v)) == v, width
+        assert _unpack([x, -x, 0], width, len(v)) == v + [-c for c in v] + [0] * len(v), width
+        fields = v if sys.byteorder == "little" else v[::-1]
+        assert x == sum(c << (8 * width * i) for i, c in enumerate(fields)), width
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(m=st.integers(1, 199), data=st.data())
 def test_canonical_sums_match_the_reduced_sum(m, data):
@@ -480,6 +499,36 @@ def test_galois_matches_oracle_every_order_below_200():
         permuted = numpy.array([_permuted(m, z.coeffs, a) for a in units], dtype=numpy.int64)
         for a, want in zip(units, (permuted @ table).tolist()):
             assert list(z.galois(a).coeffs) == want, (m, a)
+
+
+def test_galois_columns_match_oracle_every_order_below_200():
+    # Several vectors packed in columns, for every unit of every m < 200, and one
+    # vector alone, for a few, against the table of x^k mod Phi_m; no unit, no image.
+    rng = random.Random(201)
+    for m in range(1, 200):
+        table = numpy.array(_power_table(m), dtype=numpy.int64)
+        phi, units = table.shape[1], _units(m)
+        vectors = [tuple(rng.randint(-(2**20), 2**20) for _ in range(phi)) for _ in range(3)]
+        assert _galois_columns(m, vectors, []) == []
+        for some, these in ((vectors, units), (vectors[:1], units[:2] + units[-1:])):
+            images = _galois_columns(m, some, these)
+            assert [len(image) for image in images] == [len(some)] * len(these), m
+            for v, column in zip(some, zip(*images)):
+                permuted = numpy.array([_permuted(m, v, a) for a in these], dtype=numpy.int64)
+                assert [list(image) for image in column] == (permuted @ table).tolist(), (m, len(some))
+
+
+def test_galois_columns_match_each_vector_near_2_to_the_70():
+    # Fields wider than 8 bytes; the numpy oracle is int64, so each vector's own
+    # _galois is the reference.
+    rng = random.Random(270)
+    for m in range(1, 200):
+        phi, units = _modulus(m)[0], _units(m)
+        edge = [2**70 - rng.randint(0, 9) for _ in range(2 * phi)]
+        vectors = [tuple(c * rng.choice((-1, 1)) for c in edge[i : i + phi]) for i in (0, phi)]
+        units = units[:3] + units[-2:]
+        for a, images in zip(units, _galois_columns(m, vectors, units)):
+            assert images == [_galois(m, v, _placement(m, a)) for v in vectors], (m, a)
 
 
 GALOIS_ORDERS = list(range(1, 40)) + [72, 210, 1155]
