@@ -22,23 +22,18 @@ from .errors import InvalidInput, TrivialCharacter, check_int, check_record
 from .finite_field import PrimeFieldElem, _check_one_mod_four, _check_prime, _check_same_prime, _smallest_primitive_root
 
 # Bounds the kernels over F_p: the dlog table, p entries, and the Gauss-sum
-# walk.  Their cost is the `finite_enum` workload of perfbench.
+# walk.  Each takes its p from a character, so MultiplicativeCharacter admits
+# p <= MAX_TABLE_PRIME where it is built.  Their cost is the `finite_enum`
+# workload of perfbench.
 MAX_TABLE_PRIME = 2 * 10**6
-
-
-def _check_table_prime(p: int) -> None:
-    """The cost budget of the kernels over F_p: p <= MAX_TABLE_PRIME."""
-    if p > MAX_TABLE_PRIME:
-        raise InvalidInput("p", f"the kernels over F_p need p <= {MAX_TABLE_PRIME}, got {p}")
 
 
 @functools.lru_cache(maxsize=1)  # every command and report works over one prime
 def _dlog_table(p: int) -> array:
     """dlog[a] = j with g^j = a, for the canonical primitive root g; dlog[0] unused.
     The walk covers j < (p-1)/2 and fills dlog[-a] = j + (p-1)/2 too, as g^((p-1)/2) = -1.
-    Four bytes per entry, as p < 2**31, so 8 MB at MAX_TABLE_PRIME; the cache
-    shares it, so callers only read it."""
-    _check_table_prime(p)
+    Four bytes per entry, as p < 2**31; p is a character's, so at most MAX_TABLE_PRIME,
+    8 MB.  The cache shares it, so callers only read it."""
     g = _smallest_primitive_root(p)
     table = array("i", [0]) * p
     half = (p - 1) // 2
@@ -58,6 +53,8 @@ class MultiplicativeCharacter(Frozen):
 
     def __new__(cls, p: int, k: int):
         _check_prime(p)
+        if p > MAX_TABLE_PRIME:
+            raise InvalidInput("p", f"the kernels over F_p need p <= {MAX_TABLE_PRIME}, got {p}")
         check_int("k", k)
         return tuple.__new__(cls, (p, k % (p - 1)))
 
@@ -93,7 +90,6 @@ def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> CyclotomicNumber
     check_record("a", a, PrimeFieldElem)
     _check_same_prime(c, a)
     m = c.p - 1
-    _check_table_prime(c.p)
     _check_reduction(m, "p")
     if a.value == 0:
         return CyclotomicNumber(m, [])
@@ -122,7 +118,6 @@ def gauss_sum(c: MultiplicativeCharacter) -> GaussSumValue:
     c(t) * 2i*sin(2*pi*t/p) for odd k.  No table is built."""
     check_record("c", c, MultiplicativeCharacter)
     p, k, m = c.p, c.k, c.p - 1
-    _check_table_prime(p)
     g = _smallest_primitive_root(p)
     turn, angle = 2 * math.pi / p, 2 * math.pi / m
     wave = math.sin if k % 2 else math.cos
@@ -157,7 +152,6 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
     m = p - 1
     n = math.lcm(c.order, c2.order)
     step = m // n
-    _check_table_prime(p)
     _check_reduction(n, "p")
     u, u2 = c.k // step, c2.k // step
     # t = 0 and t = 1 drop out (c(0) = 0); as t runs 2 .. (p-1)/2, 1-t runs p-1 .. (p+3)/2.

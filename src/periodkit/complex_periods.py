@@ -52,6 +52,7 @@ from .errors import (
     InvalidInput,
     QuadratureNoConvergence,
     SingularCurve,
+    check_complex,
     check_int,
     check_real,
     check_record,
@@ -300,12 +301,18 @@ def tau_normalize(lattice: PeriodLattice) -> TauPoint:
 
     Ties on the boundary are broken to Re(tau) in [0, 1/2], and to
     Re(tau) >= 0 on the unit circle.  Each move, a left factor T^-n, S or T,
-    acts on the rows of the transform.
+    acts on the rows of the transform.  Each generator must be a complex
+    number within the doubles; a NaN or infinite part makes the lattice degenerate.
     """
     check_record("lattice", lattice, PeriodLattice)
-    if lattice.omega1 == 0:
+    return _tau_normalize(check_complex("lattice", lattice.omega1), check_complex("lattice", lattice.omega2))
+
+
+def _tau_normalize(omega1: complex, omega2: complex) -> TauPoint:
+    """`tau_normalize` of two generators already complex, unchecked."""
+    if omega1 == 0:
         raise DegenerateLattice("omega1 vanishes")
-    tau = lattice.omega2 / lattice.omega1
+    tau = omega2 / omega1
     if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
         raise DegenerateLattice(f"omega2/omega1 = {tau} is not finite")
     if abs(tau.imag) < 1e-13:
@@ -336,7 +343,8 @@ def tau_normalize(lattice: PeriodLattice) -> TauPoint:
 
 
 def curve_tau(curve: EllipticCurveQ) -> TauPoint:
-    return tau_normalize(periods_agm(curve))
+    """`tau_normalize` of the AGM lattice, whose generators are complex already."""
+    return _tau_normalize(*periods_agm(curve)[:2])
 
 
 def legendre_curve(t: Fraction) -> EllipticCurveQ:

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, the one int, record and real rules, and shown.
+"""Exception types shared across the toolkit, the one int, record, real and complex rules, and shown.
 
 Every error the library raises on purpose derives from PeriodkitError.
 InvalidInput (also a ValueError) names an argument that breaks a stated rule;
@@ -66,6 +66,21 @@ def check_real(arg: str, value) -> None:
         finite = False
     if not finite:
         raise InvalidInput(arg, f"need a finite real number, got {shown(value)}")
+
+
+def check_complex(arg: str, value) -> complex:
+    """A complex argument must be a number that converts to a complex of two doubles, as an int, a float, a
+    Fraction, a complex or a numpy number: not a bool or a numpy bool, a str, a Decimal, an array, or an int or
+    a Fraction beyond the doubles.  NaN and the infinities convert, and their meaning is the caller's rule.
+    Returns the converted value."""
+    from numbers import Complex  # fractions loads it for the one caller, complex_periods; no cold call needs it
+
+    try:
+        if isinstance(value, Complex) and not isinstance(value, bool):
+            return complex(value)
+    except OverflowError:  # past the doubles
+        pass
+    raise InvalidInput(arg, f"need a complex number within the doubles, got {shown(value)}")
 
 
 class InvariantFailed(PeriodkitError):

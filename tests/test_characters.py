@@ -381,12 +381,18 @@ def test_jacobi_norm_full_order_large_ring():
 
 
 def test_table_budget_rejects_before_building():
-    # 2000003 is the first prime above MAX_TABLE_PRIME = 2 * 10**6.
-    c = MultiplicativeCharacter(2000003, 1)
-    for build in (lambda: _dlog_table(2000003), lambda: gauss_sum(c), lambda: jacobi_sum(c, c)):
+    # 2000003 is the first prime above MAX_TABLE_PRIME = 2 * 10**6.  Every kernel
+    # over F_p takes its p from a character, so the character refuses it where
+    # it is built; the quartic character refuses p = 3 mod 4 first.
+    assert MultiplicativeCharacter(1999993, 1).p == 1999993  # the largest prime below the budget
+    for build, p in ((lambda p: MultiplicativeCharacter(p, 1), 2000003), (quadratic_character, 2000003),
+                     (quartic_character, 2000029)):
         with pytest.raises(InvalidInput) as info:
-            build()
+            build(p)
         assert info.value.arg == "p"
+        assert str(info.value) == f"the kernels over F_p need p <= 2000000, got {p}"
+    with pytest.raises(BadCongruence):
+        quartic_character(2000003)
 
 
 def test_the_ring_holds_every_full_order_of_the_table():

@@ -851,6 +851,27 @@ def test_invalid_argv_table(argv, code, named):
     assert err.startswith(f"error: {named}: "), err
 
 
+@pytest.mark.parametrize("p", [2000003, 2000029, 2147483629])
+@pytest.mark.parametrize("command", [["gauss", "--k1", "1"], ["jacobi", "--k1", "1", "--k2", "1"], ["apjacobi"]],
+                         ids=["gauss", "jacobi", "apjacobi"])
+def test_a_prime_over_the_table_is_refused_before_any_work(command, p, monkeypatch):
+    # The kernels over F_p take p from a character, which refuses a prime over
+    # MAX_TABLE_PRIME where it is built: no table, no ring modulus and no
+    # primitive root.  The quartic character of apjacobi refuses p = 3 mod 4 first.
+    characters, cyclotomic = (importlib.import_module(f"periodkit.{name}") for name in ("characters", "cyclotomic"))
+    searched = []
+    for module in (characters, periodkit.finite_field):
+        monkeypatch.setattr(module, "_smallest_primitive_root", searched.append)
+    misses = characters._dlog_table.cache_info().misses, cyclotomic._modulus.cache_info().misses
+    got, out, err = run_cli([command[0], "--p", str(p), *command[1:]])
+    if command[0] == "apjacobi" and p % 4 == 3:
+        assert (got, out, err) == (1, "", f"error: BadCongruence: p = {p} is 3 mod 4; need p = 1 mod 4\n")
+    else:
+        assert (got, out, err) == (2, "", f"error: --p: the kernels over F_p need p <= 2000000, got {p}\n")
+    assert (characters._dlog_table.cache_info().misses, cyclotomic._modulus.cache_info().misses) == misses
+    assert searched == []
+
+
 @pytest.mark.parametrize("argv", [["count", "--n", "2"], ["zeta"]], ids=["count", "zeta"])
 def test_count_and_zeta_take_every_prime_below_2_31(argv):
     # A point count builds no table, so the F_p budgets of `characters` do not bound it.

@@ -5,8 +5,10 @@ import math
 import random
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -560,6 +562,34 @@ def test_degenerate_lattice_of_a_ratio_that_is_not_finite():
     for omega1, omega2 in ((1 + 0j, complex(math.nan, 1.0)), (1 + 0j, complex(math.inf, 1.0)), (1e-310 + 0j, 1e10j)):
         with pytest.raises(DegenerateLattice):
             tau_normalize(PeriodLattice(omega1, omega2, "agm"))
+
+
+@pytest.mark.parametrize("bad", [None, "1j", True, numpy.True_, Decimal("2.5"), numpy.array([1j, 2j]), 10**400,
+                                 Fraction(10**400)])
+@pytest.mark.parametrize("place", ["omega1", "omega2"])
+def test_lattice_generators_follow_one_rule(place, bad):
+    # A lattice is a plain record, so tau_normalize checks what it reads: a
+    # None or a str once escaped as TypeError, an array as TypeError or
+    # ValueError, a value past the doubles as OverflowError, and True read as 1.
+    lattice = PeriodLattice(**{"omega1": 1 + 0j, "omega2": 1j, place: bad}, method="agm")
+    with pytest.raises(InvalidInput) as info:
+        tau_normalize(lattice)
+    assert info.value.arg == "lattice"
+
+
+@pytest.mark.parametrize("good", [2, 2.0, Fraction(2), numpy.float64(2), numpy.int64(2), numpy.complex128(2)])
+def test_lattice_generators_take_every_number_within_the_doubles(good):
+    assert tau_normalize(PeriodLattice(good, 1j, "agm")) == tau_normalize(PeriodLattice(2 + 0j, 1j, "agm"))
+    assert tau_normalize(PeriodLattice(1 + 0j, good * 1j, "agm")).tau == 2j
+
+
+def test_lattice_generators_are_read_as_converted(monkeypatch):
+    # Fraction(1, 10**400) is nonzero but converts to 0.0, which is the lattice's degeneracy.
+    with pytest.raises(DegenerateLattice):
+        tau_normalize(PeriodLattice(Fraction(1, 10**400), 1j, "agm"))
+    # curve_tau reads the AGM's own complex generators, past the rule.
+    monkeypatch.setattr(complex_periods, "check_complex", None)
+    assert abs(curve_tau(EllipticCurveQ(-1, 0)).tau - 1j) < 1e-9
 
 
 def test_scaling_covariance():

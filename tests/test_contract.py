@@ -33,7 +33,7 @@ from periodkit import (
     WeierstrassCurveFp,
 )
 from periodkit._frozen import Frozen
-from periodkit.errors import PeriodkitError, shown
+from periodkit.errors import InvalidInput, PeriodkitError, shown
 
 try:
     import resource
@@ -52,6 +52,12 @@ EXAMPLES = 100  # per name
 INTS = [0, 1, -1, 2, 7, 13, 30030, 2**31 - 1, HUGE, True]
 REALS = [0.5, -2.5, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, HUGE, Fraction(1, 3), True, numpy.True_, Decimal("2.5"), Decimal("NaN")]
 SEQUENCES = [[0.5, 2], (Fraction(1, 3),), [], [1] * 15015, [math.nan], [HUGE]]
+# A lattice is a plain record, whose constructor takes any field values; these
+# generators are no complex numbers within the doubles.  The array sits in
+# omega2 behind an omega1 no other lattice has, so == between two drawn
+# lattices never reads it as a truth value.
+MALFORMED_LATTICES = [PeriodLattice(None, "x", "agm"), PeriodLattice(3 + 0j, numpy.array([1j, 2j]), "agm"),
+                      PeriodLattice(Fraction(HUGE), 1j, "agm"), PeriodLattice(True, 1j, "agm")]
 KINDS = {
     int: INTS,
     int | None: [*INTS, None],
@@ -66,7 +72,7 @@ KINDS = {
     MandelstamInput: [MandelstamInput(0.5, 1.5), MandelstamInput(-1.0, 2.0), MandelstamInput(1e300, 1e300)],
     MultiplicativeCharacter: [MultiplicativeCharacter(13, 1), MultiplicativeCharacter(13, 0), MultiplicativeCharacter(7, 1)],
     PadicInt: [PadicInt(5, 3, 7), PadicInt(5, 3, 5), PadicInt(2, 1, 1)],
-    PeriodLattice: [PeriodLattice(2 + 0j, 1j, "agm"), PeriodLattice(1 + 0j, 2 + 0j, "agm")],
+    PeriodLattice: [PeriodLattice(2 + 0j, 1j, "agm"), PeriodLattice(1 + 0j, 2 + 0j, "agm"), *MALFORMED_LATTICES],
     PrimeFieldElem: [PrimeFieldElem(13, 2), PrimeFieldElem(13, 0), PrimeFieldElem(7, 3)],
     WeierstrassCurveFp: [WeierstrassCurveFp(7, 1, 1), WeierstrassCurveFp(13, 2, 3)],
 }
@@ -185,6 +191,13 @@ def test_every_public_name_answers_or_refuses_in_bounded_time(name, data):
             fn(*args)
     except PeriodkitError:
         pass
+
+
+def test_every_malformed_lattice_is_refused_naming_it():
+    for lattice in MALFORMED_LATTICES:
+        with pytest.raises(InvalidInput) as info:
+            periodkit.tau_normalize(lattice)
+        assert info.value.arg == "lattice"
 
 
 # Every pair of drawn values with a periodkit value on at least one side.

@@ -224,26 +224,39 @@ def test_operators_are_defined_once():
     assert [(cls, name) for cls, name in found if cls not in bases] == refused + [("MultiplicativeCharacter", "__mul__")]
 
 
+def scoped_nodes(tree):
+    """Each node of tree with the dotted name of the classes and functions around it."""
+    stack = [(tree, "")]
+    while stack:
+        node, scope = stack.pop()
+        yield node, scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
 def test_table_budget_lives_in_characters_and_reduction_budget_in_cyclotomic():
-    # The table budget bounds the kernels of characters.py alone; a point count
-    # builds no table, so a copy in another module would refuse work that the
-    # budget does not model.  The reduction budget is a rule of the ring, which
-    # every reduction passes, so it is stated and compared in cyclotomic.py only.
+    # The table budget bounds the kernels of characters.py alone, and each of
+    # them takes its p from a character, so the character admits p where it is
+    # built; a point count builds no table, so a copy in another module would
+    # refuse work that the budget does not model.  The reduction budget is a
+    # rule of the ring, which every reduction passes, so it is stated and
+    # compared in cyclotomic.py only.
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
-    assigned, called, compared = [], [], []
+    assigned, table, compared = [], [], []
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node, scope in scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 assigned += [f"{path.name} {ast.unparse(t)}" for t in targets
                              if ast.unparse(t) in ("MAX_TABLE_PRIME", "MAX_REDUCTION_STEPS")]
-            elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_check_table_prime":
-                called.append(path.name)
+            elif isinstance(node, ast.Compare) and "MAX_TABLE_PRIME" in ast.unparse(node):
+                table.append(f"{path.name} {scope}")
             elif isinstance(node, ast.Compare) and "MAX_REDUCTION_STEPS" in ast.unparse(node):
                 compared.append(path.name)
     assert sorted(assigned) == ["characters.py MAX_TABLE_PRIME", "cyclotomic.py MAX_REDUCTION_STEPS"]
-    assert called and set(called) == {"characters.py"}, called
+    assert table == ["characters.py MultiplicativeCharacter.__new__"], table
     assert compared and set(compared) == {"cyclotomic.py"}, compared
     assert "MAX_REDUCTION_STEPS" not in (pathlib.Path(periodkit.__file__).parent / "characters.py").read_text()
 
