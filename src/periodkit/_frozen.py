@@ -124,8 +124,10 @@ class Residue(RingElement):
     """Base of the types whose element is an int `value`, the last field, modulo
     `modulus`; the other fields, p or (p, precision), are its structure.  A subclass
     checks it once, in `__new__`, and supplies `modulus` and `inverse`; a result
-    carries its operand's structure, and operands compare it.  A residue never
-    equals an int, so a caller compares `int(a)` or `a.value`; zero is false."""
+    carries its operand's structure through `_with`, and operands compare it.  A
+    result in another structure, a p-adic one at a new precision, checks only
+    what changed and carries p.  A residue never equals an int, so a caller
+    compares `int(a)` or `a.value`; zero is false."""
 
     __slots__ = ()
 

@@ -211,7 +211,8 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
 
     order = p - 1
     pairs = [(k1, k2) for k1 in range(1, order) for k2 in range(1, order) if (k1 + k2) % order]
-    chars = [MultiplicativeCharacter(p, k) for k in range(order)]
+    trivial = MultiplicativeCharacter(p, 0)
+    chars = [trivial._with(k) for k in range(order)]  # each carries the one checked p
     rows: dict[tuple[int, int], LocalRow | None] = {}
     # n = lcm(order(c^k1), order(c^k2)); sorted (n, k1, k2) is a stable sort of the rows by n.
     keyed = sorted((order // math.gcd(k1, k2, order), k1, k2) for k1, k2 in pairs)
@@ -231,10 +232,8 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
                 rows[image] = LocalRow(*image, n, coeffs, rep.norm, rep.norm_ok, False)
     local = [rows[pair] for pair in pairs]
 
-    global_rows = []
-    for m in cells:
-        amp = veneziano(m)
-        global_rows.append(GlobalRow(m.s12, m.s34, amp.value, amp.at_pole, amp.pole_index))
+    # An amplitude record is (value, at_pole, pole_index), the last three fields of its row.
+    global_rows = tuple(GlobalRow(m.s12, m.s34, *veneziano(m)) for m in cells)
 
     # Row ((p-1)/4, (p-1)/2) holds J(chi_4, chi_2); at p = 3 mod 4 floor division names another row.
     ap = _primary_trace(p, *rows[order // 4, order // 2].coeffs) if p % 4 == 1 else None
@@ -242,6 +241,6 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
         p=p,
         a_p=ap,
         local_rows=tuple(local),
-        global_rows=tuple(global_rows),
+        global_rows=global_rows,
         dictionary=DICTIONARY_ROWS,
     )

@@ -58,6 +58,11 @@ class MultiplicativeCharacter(Frozen):
         check_int("k", k)
         return tuple.__new__(cls, (p, k % (p - 1)))
 
+    def _with(self, k: int) -> "MultiplicativeCharacter":
+        """The character of exponent k over self's checked p, unchecked: k is an int."""
+        cls = self.__class__
+        return tuple.__new__(cls, (self.p, k % (self.p - 1)))
+
     @property
     def order(self) -> int:
         return (self.p - 1) // math.gcd(self.k, self.p - 1)
@@ -70,12 +75,12 @@ class MultiplicativeCharacter(Frozen):
         if not isinstance(other, MultiplicativeCharacter):
             return NotImplemented
         _check_same_prime(self, other)
-        return MultiplicativeCharacter(self.p, self.k + other.k)
+        return self._with(self.k + other.k)
 
 
 def quadratic_character(p: int) -> MultiplicativeCharacter:
-    _check_prime(p)
-    return MultiplicativeCharacter(p, (p - 1) // 2)
+    trivial = MultiplicativeCharacter(p, 0)
+    return trivial._with((trivial.p - 1) // 2)
 
 
 def quartic_character(p: int) -> MultiplicativeCharacter:

@@ -156,15 +156,14 @@ def count_points_ext(curve: WeierstrassCurveFp, n: int) -> int:
     """Projective count over F_{p^n}, n in {1, 2}: _count_from_trace of one
     count over F_p.  No point over F_{p^2} is visited; tests/ checks the
     formula against an enumeration of F_{p^2}."""
-    check_record("curve", curve, WeierstrassCurveFp)
-    return _count_from_trace(curve.p, count_points(curve).a_p, n)
+    a_p = count_points(curve).a_p
+    return _count_from_trace(curve.p, a_p, n)
 
 
 def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:
     """Reciprocal roots alpha, beta with alpha + beta = a_p and alpha*beta = p."""
-    check_record("curve", curve, WeierstrassCurveFp)
-    p = curve.p
     a_p = count_points(curve).a_p
+    p = curve.p
     disc = 4 * p - a_p * a_p
     if disc <= 0:
         raise InvariantFailed(f"Hasse bound: a_p = {a_p} breaks |a_p| < 2 sqrt({p})")
@@ -178,10 +177,12 @@ def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:
 
 def a_p_from_jacobi(p: int) -> int:
     """Trace defect of y^2 = x^3 - x over F_p (p = 1 mod 4), _primary_trace of
-    J(chi_4, chi_2); quartic_character enforces both rules on p: prime, 1 mod 4."""
-    from .characters import jacobi_sum, quadratic_character, quartic_character  # so count and zeta never load it
+    J(chi_4, chi_2); quartic_character enforces both rules on p, prime and then
+    1 mod 4, and chi_2 = chi_4 * chi_4 carries chi_4's checked p."""
+    from .characters import jacobi_sum, quartic_character  # so count and zeta never load it
 
-    return _primary_trace(p, *jacobi_sum(quartic_character(p), quadratic_character(p)).coeffs)
+    chi4 = quartic_character(p)
+    return _primary_trace(p, *jacobi_sum(chi4, chi4 * chi4).coeffs)
 
 
 def _primary_trace(p: int, re: int, im: int) -> int:

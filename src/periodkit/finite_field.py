@@ -61,7 +61,13 @@ def is_prime(n: int) -> bool:
 def _check_prime(p: int, least: int = 3) -> None:
     """The library's one primality rule: p is a prime in [least, MAX_PRIME),
     a range on which is_prime is exact.  It runs once per value that enters,
-    as a residue's arithmetic carries its checked p into the result."""
+    in the constructors that take a bare p (PrimeFieldElem, PadicInt,
+    MultiplicativeCharacter, WeierstrassCurveFp) and in the two entries that
+    refuse p before their character does (quartic_character, whose p = 1 mod 4
+    rule comes first, and correspondence_table, whose desk scale does).  Every
+    result built from a value carries that value's checked p: a residue's
+    arithmetic, a p-adic result at a new precision, a character built from
+    another, and the field's bare-p entries, which build one element first."""
     if not isinstance(p, int) or not (least <= p < MAX_PRIME and is_prime(p)):
         raise InvalidInput("p", f"need a prime in [{least}, 2**31), got {shown(p)}")
 
@@ -134,17 +140,15 @@ def _smallest_primitive_root(p: int) -> int:
 
 def find_primitive_root(p: int) -> PrimeFieldElem:
     """Smallest generator of F_p^x; fixed once so downstream encodings are reproducible."""
-    _check_prime(p)
-    return PrimeFieldElem(p, _smallest_primitive_root(p))
+    one = PrimeFieldElem(p, 1)
+    return one._with(_smallest_primitive_root(one.p))
 
 
 def legendre_symbol(a: PrimeFieldElem) -> int:
     """Quadratic symbol of a residue: 0 for zero, +1 for squares, -1 otherwise."""
     check_record("a", a, PrimeFieldElem)
-    if a.value == 0:
-        return 0
-    s = pow(a.value, (a.p - 1) // 2, a.p)
-    return 1 if s == 1 else -1
+    s = pow(a.value, (a.p - 1) // 2, a.p)  # Euler's criterion: 0, 1 or p - 1
+    return -1 if s == a.p - 1 else s
 
 
 class GaussianSplit(Frozen):
@@ -164,17 +168,15 @@ def iso_gaussian_residue(p: int) -> GaussianSplit:
     u is computed as g**((p-1)/4) for the canonical primitive root g; the
     Gaussian factor comes from Cornacchia's Euclidean descent seeded at u.
     """
-    _check_prime(p)
+    zero = PrimeFieldElem(p, 0)
     _check_one_mod_four(p)
     g = _smallest_primitive_root(p)
     u = pow(g, (p - 1) // 4, p)
     # Euclidean descent: the first remainder below sqrt(p) is the larger leg a of the split.
-    r0, r1 = p, max(u, p - u)
-    bound = math.isqrt(p)
-    while r1 > bound:
-        r0, r1 = r1, r0 % r1
-    a = r1
+    r0, a = p, max(u, p - u)
+    while a * a > p:
+        r0, a = a, r0 % a
     b = math.isqrt(p - a * a)
     if a * a + b * b != p:
         raise InvariantFailed(f"two-square split: {a}^2 + {b}^2 != {p}")
-    return GaussianSplit(u=PrimeFieldElem(p, u), a=a, b=b)
+    return GaussianSplit(u=zero._with(u), a=a, b=b)

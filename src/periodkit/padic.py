@@ -57,13 +57,16 @@ class PadicInt(Residue):
             raise InsufficientPrecision("cannot divide by p at one digit of precision")
         if self.value % self.p != 0:
             raise NonUnit(f"{self.value} is a unit; division by {self.p} is not exact")
-        return PadicInt(self.p, self.precision - 1, self.value // self.p)
+        cls = self.__class__  # value < p^N, so value // p < p^(N-1) is reduced already
+        return tuple.__new__(cls, (self.p, self.precision - 1, self.value // self.p))
 
     def truncate(self, precision: int) -> "PadicInt":
         check_int("precision", precision)
         if precision > self.precision:
             raise InsufficientPrecision(f"cannot extend precision {self.precision} to {shown(precision)}")
-        return PadicInt(self.p, precision, self.value)
+        check_int("precision", precision, lo=1, hi=MAX_PRECISION)
+        cls = self.__class__
+        return tuple.__new__(cls, (self.p, precision, self.value % self.p**precision))
 
 
 def teichmuller(a: PadicInt) -> PadicInt:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import periodkit
 import periodkit.cli
 import periodkit.curve_counts
+import periodkit.finite_field
 from periodkit import CountResult, CyclotomicNumber
 from periodkit.cli import _json, _quote, _read, main, render_json
 from golden_corpus import CORPUS
@@ -314,6 +315,25 @@ def test_jacobi_computes_its_sum_once(monkeypatch):
     code, _, err = run_cli(["jacobi", "--p", "13", "--k1", "1", "--k2", "2"])
     assert code == 0, err
     assert calls == [(1, 2)]
+
+
+# The most runs of the prime rule per corpus command: one per value that enters
+# from argv (a character, a curve, a p-adic x), two where two enter (jacobi's
+# characters, delta's x and y), and one each for the two orderings that check p
+# ahead of the character (quartic_character, then p = 1 mod 4; the report, then
+# its desk scale).  A result carries its operand's checked p, so no other run.
+PRIME_RULE_RUNS = {"gauss": 1, "count": 1, "zeta": 1, "delta": 1, "jacobi": 2, "apjacobi": 2, "correspond": 2}
+
+
+@pytest.mark.parametrize("name,argv", CORPUS, ids=[name for name, _ in CORPUS])
+def test_the_prime_rule_runs_once_per_value_that_enters(monkeypatch, name, argv):
+    calls = []
+    is_prime = periodkit.finite_field.is_prime
+    monkeypatch.setattr(periodkit.finite_field, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    code, _, err = run_cli(argv)
+    assert code == 0, err
+    most = 2 if "--y" in argv else PRIME_RULE_RUNS.get(argv[0], 0)
+    assert len(calls) <= most, calls
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,10 @@
 
 import pytest
 
-from periodkit.characters import MultiplicativeCharacter, quartic_character
+from periodkit.characters import MultiplicativeCharacter, quadratic_character, quartic_character
 from periodkit.cyclotomic import CyclotomicNumber
 from periodkit.errors import BadCongruence, DivisionByZero, InvalidInput, MismatchedStructure
-from periodkit import finite_field, padic
+from periodkit import characters, finite_field, padic
 from periodkit.finite_field import (
     PrimeFieldElem,
     _check_prime,
@@ -193,9 +193,11 @@ def test_prime_rule_bounds_every_caller(build):
 def test_arithmetic_carries_the_checked_structure(monkeypatch):
     # A result takes its operand's p and precision, checked when the operand
     # was built, so the prime rule runs once per value that enters, not once
-    # per operation: it once ran in every result's constructor.
+    # per operation: it once ran in every result's constructor.  So do the
+    # p-adic results at a new precision and a character product; the bare-p
+    # entries check p once, in the one value they build first.
     checks = []
-    for module in (finite_field, padic):
+    for module in (finite_field, padic, characters):
         monkeypatch.setattr(module, "_check_prime", lambda p, least=3: checks.append(p))
     ops = [
         lambda x: x + x,
@@ -211,6 +213,17 @@ def test_arithmetic_carries_the_checked_structure(monkeypatch):
         x, y = ops[i % 5](x), ops[i % 5](y)
     assert checks == []
     assert x.p == 10007 and (y.p, y.precision) == (7, 4)
+    c, c2 = MultiplicativeCharacter(10007, 3), MultiplicativeCharacter(10007, 10004)
+    checks.clear()
+    z = (7 * y).divide_by_p()
+    assert (z.p, z.precision, z.value) == (7, 3, y.value % 343)
+    assert tuple(z.truncate(2)) == (7, 2, y.value % 49)
+    assert tuple(c * c2) == (10007, 1) and tuple(c2 * c2) == (10007, 10002)
+    assert checks == []
+    assert tuple(quadratic_character(10007)) == (10007, 5003)
+    assert checks == [10007]
+    assert tuple(find_primitive_root(10007)) == (10007, 5)
+    assert checks == [10007, 10007]
 
 
 def test_prime_rule_runs_once_per_element_without_widening(monkeypatch):

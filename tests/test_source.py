@@ -261,6 +261,30 @@ def test_table_budget_lives_in_characters_and_reduction_budget_in_cyclotomic():
     assert "MAX_REDUCTION_STEPS" not in (pathlib.Path(periodkit.__file__).parent / "characters.py").read_text()
 
 
+def test_prime_rule_runs_where_a_value_enters():
+    # The prime rule runs in the four constructors that take a bare p, and in
+    # the two entries that must refuse a prime before their character does:
+    # quartic_character (p = 1 mod 4 comes before the table rule) and the
+    # report (its desk scale comes before it).  Every other value over F_p,
+    # Z_p or a character carries a p that its operand checked.
+    sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
+    assert sources
+    sites = sorted(
+        f"{path.name} {scope}"
+        for path in sources
+        for node, scope in scoped_nodes(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_check_prime"
+    )
+    assert sites == [
+        "amplitudes.py correspondence_table",
+        "characters.py MultiplicativeCharacter.__new__",
+        "characters.py quartic_character",
+        "curve_counts.py WeierstrassCurveFp.__new__",
+        "finite_field.py PrimeFieldElem.__new__",
+        "padic.py PadicInt.__new__",
+    ], sites
+
+
 # Every cache of the library with its maxsize: one prime's dlog table, one ring
 # order's modulus, and the two level tables, unbounded as their keys are the
 # levels, below _LEVELS.
