@@ -7,10 +7,11 @@ for real arguments only; poles are returned as tagged values so grids
 render cleanly.  The report at the bottom is deliberately structural: each
 side carries its own verified facts (exact norms locally, pole indices
 globally) and the dictionary rows pair objects, not numbers.  Its local side
-is computed per Galois orbit: one Jacobi sum and one norm per orbit of
-(Z/(p-1))^x acting on the character pairs, the other rows as images under
-sigma_a, each row marked with whether its own norm was computed.  The images
-of all orbits of one ring order share one finish per unit, on packed columns.
+is computed per orbit of (Z/(p-1))^x and the six symmetries of J acting on
+the character pairs: one Jacobi sum and one norm per orbit, the other rows as
+images under sigma_a of that sum or of its negation, each row marked with
+whether its own norm was computed.  The images of all orbits of one ring order
+share one finish per unit, on packed columns.
 """
 
 import itertools
@@ -155,7 +156,8 @@ def pole_scan(beta_fixed: float, n_max: int) -> list[tuple[int, float]]:
 
 class LocalRow(Frozen):
     """One exact Jacobi sum with its norm; norm_checked is False where the norm
-    is inherited from the orbit representative by Galois invariance."""
+    is inherited from the orbit representative, by Galois invariance and the
+    symmetries J(k1, k2) = J(k2, k1) = (-1)^k1 J(k1, -k1 - k2)."""
 
     __slots__ = ()
     _fields = ("k1", "k2", "ring_order", "coeffs", "norm", "norm_ok", "norm_checked")
@@ -183,14 +185,19 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     samples on the grid square.  No cross-side equation is asserted.
 
     The local rows are the pairs (k1, k2) with c^k1, c^k2 and c^(k1+k2)
-    nontrivial, computed per orbit of the units a mod p - 1: sigma_a sends
-    J(c^k1, c^k2) to J(c^(a*k1), c^(a*k2)) and fixes its rational norm.  The
-    first pair of each orbit in row order has its sum and norm computed
-    (norm_checked); the others are its images and inherit the norm.  An orbit
-    keeps its ring order n = lcm(order(c^k1), order(c^k2)), so the orbits run
-    in a stable sort of the rows by n and the ring holds one order at a time.
-    The images of one order's orbits are taken together, one finish per unit a
-    mod n (`_galois_columns`), whose gather is built once and kept by no one.
+    nontrivial.  With k3 = -k1 - k2 mod p - 1, J(c^k1, c^k2) = J(c^k2, c^k1)
+    and J(c^k1, c^k3) = c^k1(-1) J(c^k1, c^k2) = (-1)^k1 J(c^k1, c^k2), so each
+    of the six orderings (x, y) of (k1, k2, k3) has J(c^x, c^y) = s*J, s = +-1.
+    sigma_a sends J(c^x, c^y) to J(c^(a*x), c^(a*y)), is linear and fixes the
+    rational norm, so the rows run per orbit of the units a mod p - 1 and the
+    six orderings: the first pair of each orbit in row order has its sum and
+    norm computed (norm_checked); every other pair (a*x, a*y) is s*sigma_a(J)
+    and inherits the norm.  An orbit keeps its ring order
+    n = lcm(order(c^k1), order(c^k2)) = (p - 1)/gcd(k1, k2, k3, p - 1), so the
+    orbits run in a stable sort of the rows by n and the ring holds one order
+    at a time.  The images of one order's representatives are taken together,
+    one finish per unit a mod n (`_galois_columns`), whose gather is built once
+    and kept by no one.
     """
     # The finite side loads here, so the Gamma-ratio commands never import it.
     from .characters import MultiplicativeCharacter, jacobi_sum
@@ -213,23 +220,29 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     pairs = [(k1, k2) for k1 in range(1, order) for k2 in range(1, order) if (k1 + k2) % order]
     trivial = MultiplicativeCharacter(p, 0)
     chars = [trivial._with(k) for k in range(order)]  # each carries the one checked p
-    rows: dict[tuple[int, int], LocalRow | None] = {}
+    rows: dict[tuple[int, int], LocalRow] = {}
     # n = lcm(order(c^k1), order(c^k2)); sorted (n, k1, k2) is a stable sort of the rows by n.
     keyed = sorted((order // math.gcd(k1, k2, order), k1, k2) for k1, k2 in pairs)
     for n, group in itertools.groupby(keyed, key=operator.itemgetter(0)):
-        units = [a for a in range(2, n) if math.gcd(a, n) == 1]  # a = 1 gives the representative
-        reps = []
+        units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+        reps, orbit = [], {}  # orbit: pair -> (representative, unit, 1 if the image is negated)
         for _, k1, k2 in group:
-            if (k1, k2) not in rows:
+            if (k1, k2) not in orbit:
                 j = jacobi_sum(chars[k1], chars[k2])
                 norm = j.norm_to_int()
-                rows[k1, k2] = LocalRow(k1, k2, n, j.coeffs, norm, norm == p, True)
-                reps.append(rows[k1, k2])
-                rows.update(dict.fromkeys([(a * k1 % order, a * k2 % order) for a in units]))  # seen; built below
-        for a, images in zip(units, _galois_columns(n, [rep.coeffs for rep in reps], units)):
-            for rep, coeffs in zip(reps, images):
-                image = (a * rep.k1 % order, a * rep.k2 % order)
-                rows[image] = LocalRow(*image, n, coeffs, rep.norm, rep.norm_ok, False)
+                # The six orderings of (k1, k2, k3), each with 1 where its sum is -J.
+                k3, odd1, odd2 = -k1 - k2, k1 % 2, k2 % 2
+                six = ((k1, k2, 0), (k2, k1, 0), (k1, k3, odd1), (k3, k1, odd1), (k2, k3, odd2), (k3, k2, odd2))
+                for x, y, odd in six:
+                    for i, a in enumerate(units):
+                        orbit.setdefault((a * x % order, a * y % order), (len(reps), i, odd))
+                reps.append(LocalRow(k1, k2, n, j.coeffs, norm, norm == p, True))
+        images = [[rep.coeffs for rep in reps], *_galois_columns(n, [rep.coeffs for rep in reps], units[1:])]
+        signed = [[(z, tuple(map(operator.neg, z))) for z in image] for image in images]
+        for (k1, k2), (r, i, odd) in orbit.items():
+            rep = reps[r]
+            rows[k1, k2] = LocalRow(k1, k2, n, signed[i][r][odd], rep.norm, rep.norm_ok, False)
+        rows.update(((rep.k1, rep.k2), rep) for rep in reps)
     local = [rows[pair] for pair in pairs]
 
     # An amplitude record is (value, at_pole, pole_index), the last three fields of its row.

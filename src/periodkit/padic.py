@@ -85,7 +85,12 @@ def delta_p(x: PadicInt) -> PadicInt:
     identity Frobenius on the ground ring is what the formula encodes.
     """
     check_record("x", x, PadicInt)
-    return (x - x**x.p).divide_by_p()
+    return _delta(x, x**x.p)
+
+
+def _delta(x: PadicInt, xp: PadicInt) -> PadicInt:
+    """delta_p(x) from a checked x and its p-th power xp, already taken."""
+    return (x - xp).divide_by_p()
 
 
 class FrobeniusLiftVerdict(Frozen):
@@ -128,14 +133,17 @@ class DeltaRulesVerdict(Frozen):
 def delta_rules_check(x: PadicInt, y: PadicInt) -> DeltaRulesVerdict:
     """Check delta(x+y) = delta(x) + delta(y) + C_p(x, y) and
     delta(xy) = x^p delta(y) + y^p delta(x) + p delta(x) delta(y),
-    both exactly at one digit less than the inputs."""
+    both exactly at one digit less than the inputs.  Each of x^p, y^p, (x+y)^p
+    and (xy)^p is taken once.  A one-digit operand is refused, x before y, and
+    before the two structures are compared."""
     check_record("x", x, PadicInt)
     check_record("y", y, PadicInt)
     p, n1 = x.p, x.precision - 1
-    dx = delta_p(x)
-    dy = delta_p(y)
-    xp, yp = x**p, y**p
-    cp = (xp + yp - (x + y) ** p).divide_by_p()
-    sum_ok = delta_p(x + y) == dx + dy + cp
-    product_ok = delta_p(x * y) == xp.truncate(n1) * dy + yp.truncate(n1) * dx + p * dx * dy
+    xp, yp = x**p, y**y.p
+    dx, dy = _delta(x, xp), _delta(y, yp)
+    s, xy = x + y, x * y
+    sp = s**p
+    cp = (xp + yp - sp).divide_by_p()
+    sum_ok = _delta(s, sp) == dx + dy + cp
+    product_ok = _delta(xy, xy**p) == xp.truncate(n1) * dy + yp.truncate(n1) * dx + p * dx * dy
     return DeltaRulesVerdict(sum_ok, product_ok, dx, dy, cp.value)

@@ -1,5 +1,6 @@
 """Gamma/Beta, the four-point amplitude, residues, and the two-column report."""
 
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -300,15 +301,17 @@ def test_correspondence_local_norms():
 
 
 def _orbit_representatives(p):
-    """The first pair in row order of each orbit of the units a mod p - 1 acting
-    by (k1, k2) -> (a*k1, a*k2)."""
+    """The first pair in row order of each orbit of the units a mod p - 1 and the
+    six orderings (x, y) of (k1, k2, k3 = -k1 - k2), acting by (k1, k2) -> (a*x, a*y)."""
     m = p - 1
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     seen, reps = set(), set()
     for k1 in range(1, m):
         for k2 in range(1, m):
             if (k1 + k2) % m and (k1, k2) not in seen:
                 reps.add((k1, k2))
-                seen.update((a * k1 % m, a * k2 % m) for a in range(1, m) if math.gcd(a, m) == 1)
+                for x, y in itertools.permutations((k1, k2, -k1 - k2), 2):
+                    seen.update((a * x % m, a * y % m) for a in units)
     return reps
 
 
@@ -326,7 +329,7 @@ def test_correspondence_local_rows_match_direct_table(p):
         assert row.norm_checked == ((row.k1, row.k2) in reps), (p, row)
 
 
-@pytest.mark.parametrize("p,orbits", [(5, 3), (73, 340), (97, 436)])
+@pytest.mark.parametrize("p,orbits", [(5, 1), (73, 71), (97, 91)])
 def test_correspondence_computes_one_sum_and_norm_per_orbit(p, orbits, monkeypatch):
     calls = {"jacobi_sum": 0, "norm_to_int": 0}
 
@@ -378,14 +381,15 @@ def test_correspondence_places_each_image_once_and_builds_no_element(monkeypatch
     assert len(placed) == len(set(placed)) == placements
     # Each orbit builds its sum and its norm's product; no image builds an element.
     orbits = sum(row.norm_checked for row in rows)
-    assert len(built) == 2 * orbits and len(rows) - orbits == 8494
+    assert len(built) == 2 * orbits and len(rows) - orbits == 8839
     correspondence_table(97, [])
     assert len(placed) == 2 * placements
 
 
 def test_correspondence_takes_one_finish_per_ring_order_and_unit(monkeypatch):
     # Each orbit reduces its sum and its norm's product; the images of all orbits
-    # of one ring order n take one finish per unit a != 1 mod n, packed in columns.
+    # of one ring order n take one finish per unit a != 1 mod n, packed in columns,
+    # and a pair whose sum is the negation of an image takes none.
     finish, finished = cyclotomic._finish, []
 
     def counted(m, r):
@@ -396,8 +400,8 @@ def test_correspondence_takes_one_finish_per_ring_order_and_unit(monkeypatch):
     rows = correspondence_table(97, []).local_rows
     orbits = sum(row.norm_checked for row in rows)
     images = sum(sum(math.gcd(a, n) == 1 for a in range(2, n)) for n in {row.ring_order for row in rows})
-    assert orbits == 436
-    assert len(finished) == 2 * orbits + images == 956
+    assert orbits == 91
+    assert len(finished) == 2 * orbits + images == 266
 
 
 def test_correspondence_ap_matches_enumeration():

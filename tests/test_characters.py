@@ -242,6 +242,20 @@ def test_jacobi_symmetry():
                 assert a == b
 
 
+@pytest.mark.parametrize("p", [5, 7, 13, 29, 31, 43])
+def test_jacobi_sum_has_the_six_symmetries_of_its_triple(p):
+    # With k3 = -k1 - k2: J(k2, k1) = J(k1, k2) and J(k1, k3) = c^k1(-1) J(k1, k2)
+    # = (-1)^k1 J(k1, k2), the symmetries through which the report inherits its
+    # rows.  No J is zero (its norm is p), so a flipped sign fails.
+    m = p - 1
+    chars = [MultiplicativeCharacter(p, k) for k in range(m)]
+    pairs = [(k1, k2) for k1 in range(1, m) for k2 in range(1, m) if (k1 + k2) % m]
+    sums = {(k1, k2): jacobi_sum(chars[k1], chars[k2]) for k1, k2 in pairs}
+    for (k1, k2), j in sums.items():
+        assert sums[k2, k1] == j, (p, k1, k2)
+        assert sums[k1, -(k1 + k2) % m] == (-j if k1 % 2 else j), (p, k1, k2)
+
+
 @functools.lru_cache(maxsize=1)  # each oracle test runs one prime at a time
 def _oracle_logs(p):
     """(dlog t, dlog (1-t)) for t = 2 .. p-1, to the oracle's own primitive root, found by brute force."""

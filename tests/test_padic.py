@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from periodkit._frozen import Residue
 from periodkit.errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit
 from periodkit.padic import (
     PadicInt,
@@ -183,6 +184,35 @@ def test_delta_rules_randomized():
                 verdict = delta_rules_check(x, y)
                 assert verdict.sum_rule_ok and verdict.product_rule_ok, (p, n, x, y)
                 assert verdict.cocycle == cp_cocycle(p, x.value, y.value) % p ** (n - 1)
+
+
+def test_delta_rules_take_each_power_once(monkeypatch):
+    # x^p, y^p, (x+y)^p and (xy)^p once each; the check once took seven powers,
+    # x^p, y^p and (x+y)^p a second time through delta_p.
+    power, taken = Residue.__pow__, []
+
+    def counted(self, exponent):
+        taken.append((self.value, exponent))
+        return power(self, exponent)
+
+    monkeypatch.setattr(Residue, "__pow__", counted)
+    verdict = delta_rules_check(PadicInt(5, 6, 7), PadicInt(5, 6, 3))
+    assert verdict.sum_rule_ok and verdict.product_rule_ok
+    assert sorted(taken) == [(3, 5), (7, 5), (10, 5), (21, 5)]
+
+
+def test_delta_rules_refuse_x_before_y():
+    # A one-digit operand is refused where delta_p would refuse it, x first, and
+    # before the operands' structures are compared.
+    short, other = PadicInt(5, 1, 3), PadicInt(7, 6, 3)
+    for x, y in ((short, PadicInt(5, 6, 7)), (PadicInt(5, 6, 7), short), (short, other), (other, short)):
+        with pytest.raises(InsufficientPrecision):
+            delta_rules_check(x, y)
+    with pytest.raises(MismatchedStructure):
+        delta_rules_check(PadicInt(5, 6, 7), other)
+    with pytest.raises(InvalidInput) as info:
+        delta_rules_check("x", "y")
+    assert info.value.arg == "x"
 
 
 def test_delta_precision_stability():
