@@ -25,7 +25,8 @@ from .finite_field import _prime_factors
 
 # The largest ring order m: every order p - 1 of the kernels over F_p
 # (p <= characters.MAX_TABLE_PRIME), and a Phi_m build of at most m + 1 slots.
-# The ring's other cost, one reduction's finish, takes at most MAX_REDUCTION_STEPS multiply-adds.
+# The ring's other cost, one reduction's finish, is budgeted by the multiply-adds of a division
+# by Phi_m, at most MAX_REDUCTION_STEPS.
 MAX_RING_ORDER = 2 * 10**6
 MAX_REDUCTION_STEPS = 10**7
 
@@ -89,15 +90,31 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 # One order, as `characters._dlog_table` keeps one prime: a report runs its orbits by ring order.
 @functools.lru_cache(maxsize=1)
-def _modulus(m: int) -> tuple[int, int, int, int, tuple[tuple[int, int], ...]]:
-    """(phi, h, sign, steps, tail): the degree of Phi_m; the (h, sign) of `_even_part`, so Phi_m
-    divides x^h - sign; a finish's worst-case multiply-adds, h - phi per term below the lead;
-    and those nonzero terms (k, c), listed only within MAX_REDUCTION_STEPS."""
-    poly = cyclotomic_polynomial(m)
-    phi, (h, sign) = len(poly) - 1, _even_part(m)
-    steps = (h - phi) * (phi - poly.count(0))
-    tail = tuple((k, c) for k, c in enumerate(poly[:-1]) if c) if steps <= MAX_REDUCTION_STEPS else ()
-    return phi, h, sign, steps, tail
+def _modulus(m: int) -> tuple[int, int, int, int, int, tuple[tuple[int, int, tuple | None], ...]]:
+    """(phi, h, sign, steps, grow, links) of Phi_m: its degree; the (h, sign) of `_even_part`, so
+    Phi_m divides x^h - sign; the budget's count, h - phi multiply-adds per term of Phi_m below its
+    lead; and, only within MAX_REDUCTION_STEPS, how far a finish grows a value and the chain it runs.
+    With q_1 < q_2 < ... the odd primes of m and R_k = q_1 * ... * q_k, link k is the modulus
+    Phi_(R_k)(sign * y) at y = x^(h/R_k), which is Phi_(m*R_k/h) in y: each divides the one before,
+    and the last is Phi_m, whose terms count the steps.  A link is (hi, lo, terms): the length it
+    reduces, its degree in x, and its nonzero terms (k, c) below the lead; the first link,
+    Phi_(q_1) of q_1 ones, has terms None.  grow is 2 for the first link times (1 + max|c|) per
+    lead of each later one.  An order with at most one odd prime builds no polynomial and keeps
+    at most one link."""
+    h, sign = _even_part(m)
+    primes = [q for q in _prime_factors(m) if q != 2]
+    strides = [h // radical for radical in itertools.accumulate(primes, operator.mul)]
+    polys = [cyclotomic_polynomial(m // stride) for stride in strides[1:]]
+    phi = h // math.prod(primes) * math.prod(q - 1 for q in primes)
+    steps = (h - phi) * (len(polys[-1]) - 1 - polys[-1].count(0) if polys else math.prod(primes) - 1)
+    if not primes or steps > MAX_REDUCTION_STEPS:
+        return phi, h, sign, steps, 1, ()
+    links, grow = [(h, h - strides[0], None)], 2
+    for stride, poly in zip(strides[1:], polys):
+        hi, lo = links[-1][1], (len(poly) - 1) * stride
+        grow *= (1 + max(map(abs, poly))) ** (hi - lo)
+        links.append((hi, lo, tuple((k * stride, c) for k, c in enumerate(poly[:-1]) if c)))
+    return phi, h, sign, steps, grow, tuple(links)
 
 
 def _check_reduction(m: int, arg: str) -> None:
@@ -158,7 +175,7 @@ def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     """The canonical coefficients of sum coeffs[j] * x^j modulo Phi_m: the fold
     modulo x^h - sign, a multiple of Phi_m, then `_finish`."""
-    _, h, sign, _, _ = _modulus(m)
+    _, h, sign, _, _, _ = _modulus(m)
     r = list(coeffs[:h])
     r += [0] * (h - len(r))
     for start in range(h, len(coeffs), h):
@@ -168,17 +185,24 @@ def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
 
 
 def _finish(m: int, r: list[int]) -> tuple[int, ...]:
-    """The canonical coefficients of sum r[i] * x^i, i < h, modulo Phi_m: the division
-    by Phi_m, in place, over its nonzero terms, in `_modulus`'s steps (linear when m has
-    at most one odd prime); past the budget, refused naming m unless r[phi:] is all zero."""
-    phi, h, _, steps, tail = _modulus(m)
+    """The canonical coefficients of sum r[i] * x^i, i < h, modulo Phi_m, in place, by the
+    links of `_modulus`, each reducing r[:hi] to r[:lo].  The first subtracts its top block
+    from each block below, negated on odd blocks when sign = -1, in one C-level pass; each
+    later one divides lead by lead over its terms.  Past the budget, refused naming m unless
+    r[phi:] is all zero."""
+    phi, _, sign, steps, _, links = _modulus(m)
     if steps > MAX_REDUCTION_STEPS and any(r[phi:]):
         _check_reduction(m, "m")
-    for i in range(h - 1, phi - 1, -1):
-        lead = r[i]
-        if lead:
-            for k, c in tail:
-                r[i - phi + k] -= lead * c
+    for hi, lo, terms in links:
+        if terms is None:
+            top = r[lo:hi]
+            r[:lo] = map(operator.sub, r[:lo], itertools.cycle(top if sign > 0 else top + [-c for c in top]))
+        else:
+            for i in range(hi - 1, lo - 1, -1):
+                lead = r[i]
+                if lead:
+                    for k, c in terms:
+                        r[i - lo + k] -= lead * c
     return tuple(r[:phi])
 
 
@@ -189,7 +213,7 @@ def _placement(m: int, a: int) -> operator.itemgetter:
     since two j < phi <= h landing on one slot would need a*(j1 - j2) = 0 mod h.
     One spare zero slot past h, which the finish never reads, keeps the gather
     a tuple at h = 1."""
-    phi, h, _, _, _ = _modulus(m)
+    phi, h, _, _, _, _ = _modulus(m)
     idx = [phi] * (h + 1)
     for j in range(phi):
         t = a * j % m
@@ -207,12 +231,10 @@ def _galois(m: int, coeffs: tuple[int, ...], gather: operator.itemgetter) -> tup
 
 def _galois_columns(m: int, vectors: Sequence[tuple[int, ...]], units: Sequence[int]) -> list[list[tuple[int, ...]]]:
     """For each unit a, the images sigma_a(z) of the canonical vectors z, in their order, in one
-    `_galois` on columns: coefficient j of every z packed in one int.  A finish step subtracts
-    at most max|c| times one value from another, c over Phi_m's terms, so over h - phi steps
-    every value stays below max|z| * (1 + max|c|)^(h - phi) in size; the fields are that wide."""
-    phi, h, _, _, tail = _modulus(m)
+    `_galois` on columns: coefficient j of every z packed in one int.  A finish scales the
+    largest value by at most `_modulus`'s grow, so the fields hold max|z| * grow."""
     top = max((abs(c) for z in vectors for c in z), default=0)
-    width, k = _width(top * (1 + max((abs(c) for _, c in tail), default=0)) ** (h - phi)), len(vectors)
+    width, k = _width(top * _modulus(m)[4]), len(vectors)
     columns = tuple(_pack(column, width) for column in zip(*vectors))
     fields = (_unpack(_galois(m, columns, _placement(m, a % m)), width, k) for a in units)  # k fields a column
     return [[tuple(f[r::k]) for r in range(k)] for f in fields]

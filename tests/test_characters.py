@@ -456,4 +456,4 @@ def test_reduction_budget_rejects_before_the_table():
                 call()
             assert info.value.arg == "p"
         assert _dlog_table.cache_info().misses == before
-        assert _modulus(p - 1)[4] == ()  # the refused order lists no term of Phi
+        assert _modulus(p - 1)[5] == ()  # the refused order keeps no link of the finish

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from periodkit import cyclotomic
 from periodkit.cyclotomic import (
     MAX_REDUCTION_STEPS,
     MAX_RING_ORDER,
@@ -25,6 +26,7 @@ from periodkit.cyclotomic import (
     _pack,
     _placement,
     _unpack,
+    _width,
     cyclotomic_polynomial,
 )
 from periodkit.errors import FloatOverflow, InvalidInput, MismatchedStructure, NotRationalInteger
@@ -326,9 +328,13 @@ def test_polynomial_over_the_odd_radical_matches_the_full_radical():
         assert cyclotomic_polynomial(m) == _cyclotomic_over_full_radical(m), m
 
 
-# 210 and 1155 have three and four odd primes; 2206 and 10006 are 2q with q
-# prime, the orders of the Jacobi rings Z[zeta_(p-1)] at p = 2207 and 10007.
-LARGE_ORDERS = (210, 1155, 2206, 10006)
+# Every chain of links, at both parities: two odd primes in 1057 = 7 * 151 and
+# 970 = 2 * 5 * 97, three in 615 = 3 * 5 * 41, 210 and 2490 = 2 * 3 * 5 * 83,
+# four in 1155 = 3 * 5 * 7 * 11, 3003 = 3 * 7 * 11 * 13 and 2310.  One odd
+# prime: 1536 = 3 * 2^9, whose one link has 256 classes, and 2206 and 10006,
+# 2q with q prime, the orders of the Jacobi rings Z[zeta_(p-1)] at p = 2207
+# and 10007.
+LARGE_ORDERS = (210, 615, 970, 1057, 1155, 1536, 2206, 2310, 2490, 3003, 10006)
 
 
 def _random_vectors(m, rng, count):
@@ -347,10 +353,10 @@ def test_reduction_matches_long_division():
 def test_reduction_matches_long_division_large_orders():
     rng = random.Random(10006)
     for m in LARGE_ORDERS:
-        phi = len(cyclotomic_polynomial(m)) - 1
-        # The oracle costs (len - phi) * phi steps, so at m = 10006 the lengths
-        # stop a little past phi: the fold by x^(m/2) + 1 still runs.
-        top = 2 * m if m < 10006 else phi + 40
+        phi, h = _modulus(m)[:2]
+        # The oracle costs (len - phi) * phi steps, so at m = 3003 and 10006 the
+        # lengths stop a little past h: the fold by x^h - sign still runs.
+        top = 2 * m if m < 3000 else h + 40
         for n in (0, phi - 1, phi, phi + 1, rng.randint(phi, top), top):
             v = [rng.randint(-(2**70), 2**70) for _ in range(n)]
             assert CyclotomicNumber(m, v).coeffs == _reduced(m, v), (m, n)
@@ -531,6 +537,27 @@ def test_galois_columns_match_each_vector_near_2_to_the_70():
             assert images == [_galois(m, v, _placement(m, a)) for v in vectors], (m, a)
 
 
+def test_galois_columns_match_each_vector_at_each_field_edge():
+    # The largest entries whose bound top * grow fits a 1-, 2-, 4- or 8-byte
+    # field: a grow too small for what a finish does would overflow a field
+    # into its neighbour with no error, so each image is checked against its
+    # vector's own _galois.  Signs that agree and that alternate reach the
+    # first link's doubling.
+    rng = random.Random(8)
+    for m in range(1, 200):
+        phi, grow, units = _modulus(m)[0], _modulus(m)[4], _units(m)
+        units = units[:3] + units[-2:]
+        for width in (1, 2, 4, 8):
+            top = (2 ** (8 * width - 1) - 1) // grow
+            if not top:
+                continue
+            assert _width(top * grow) == width, (m, width)
+            vectors = [(top,) * phi, (-top,) * phi, tuple(top * (-1) ** j for j in range(phi))]
+            vectors.append(tuple(rng.choice((-top, top)) for _ in range(phi)))
+            for a, images in zip(units, _galois_columns(m, vectors, units)):
+                assert images == [_galois(m, v, _placement(m, a)) for v in vectors], (m, width, a)
+
+
 GALOIS_ORDERS = list(range(1, 40)) + [72, 210, 1155]
 
 
@@ -579,10 +606,13 @@ def held_after(calls) -> int:
         tracemalloc.stop()
 
 
-def test_the_ring_keeps_one_order_and_no_placement_between_calls():
+def test_the_ring_keeps_one_order_and_no_placement_between_calls(monkeypatch):
     # A library caller's history must not grow what the ring holds: a gather of
-    # sigma_a at m = 199998 holds about 2.9 MB, and the modulus of an order
-    # m = 2q near 2*10^5 about 9 MB, its 10^5 terms of Phi_m.
+    # sigma_a at m = 199998 holds about 2.9 MB, and none stays.  An order with
+    # at most one odd prime keeps only the sizes of its one link, builds no
+    # Phi_m and lists none of its terms: reductions at m = 1999618 = 2 * 999809,
+    # and at four orders m = 2q near 2*10^5, leave at most 4 KiB held, where a
+    # list of Phi_m's terms held about 100 MB and 9 MB.
     z = CyclotomicNumber(199998, [1, 2, 3])
 
     def images():
@@ -590,13 +620,13 @@ def test_the_ring_keeps_one_order_and_no_placement_between_calls():
             z.galois(a)
 
     assert held_after(images) < 2**20
-    orders = [2 * q for q in (100003, 100019, 100043, 100049)]
 
     def reductions(orders):
         for m in orders:
             CyclotomicNumber(m, [1, 2, 3])
 
-    _modulus.cache_clear()
-    one = held_after(lambda: reductions(orders[-1:]))
-    _modulus.cache_clear()
-    assert held_after(lambda: reductions(orders)) < 1.25 * one
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", None)  # a build would raise TypeError
+    for orders in ([1999618], [2 * q for q in (100003, 100019, 100043, 100049)]):
+        _modulus.cache_clear()
+        assert held_after(lambda: reductions(orders)) < 2**12, orders
+    assert _modulus(1999618)[5] == ((999809, 999808, None),)

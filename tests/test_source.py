@@ -285,6 +285,35 @@ def test_prime_rule_runs_where_a_value_enters():
     ], sites
 
 
+def modulus_fields(parent: ast.AST) -> set[int]:
+    """The fields of a `_modulus` entry that its call's parent node reads: a constant
+    index, the names of a tuple target not spelled `_`, or all six for any other use."""
+    if isinstance(parent, ast.Subscript) and isinstance(parent.slice, ast.Constant):
+        return {parent.slice.value}
+    if isinstance(parent, ast.Assign) and isinstance(parent.targets[0], ast.Tuple):
+        return {i for i, target in enumerate(parent.targets[0].elts) if ast.unparse(target) != "_"}
+    return set(range(6))
+
+
+def test_phi_m_is_built_and_read_in_the_ring_alone():
+    # Phi_m's layout is decided in cyclotomic._modulus: it alone builds a
+    # cyclotomic polynomial, and only the finish and the packed columns read
+    # the entry's fields 4 and 5, the growth bound and the links of the chain.
+    # Every other reader takes the sizes phi, h, sign or the budget's steps.
+    builds, reads = set(), set()
+    for path in sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node, scope in scoped_nodes(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "cyclotomic_polynomial":
+                builds.add(f"{path.name} {scope}")
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_modulus":
+                if modulus_fields(parents[node]) & {4, 5}:
+                    reads.add(f"{path.name} {scope}")
+    assert builds == {"cyclotomic.py _modulus"}, builds
+    assert reads == {"cyclotomic.py _finish", "cyclotomic.py _galois_columns"}, reads
+
+
 # Every cache of the library with its maxsize: one prime's dlog table, one ring
 # order's modulus, and the two level tables, unbounded as their keys are the
 # levels, below _LEVELS.
