@@ -25,8 +25,8 @@ from .finite_field import _prime_factors
 
 # The largest ring order m: every order p - 1 of the kernels over F_p
 # (p <= characters.MAX_TABLE_PRIME), and a Phi_m build of at most m + 1 slots.
-# The ring's other cost, one reduction's finish, is budgeted by the multiply-adds of a division
-# by Phi_m, at most MAX_REDUCTION_STEPS.
+# The ring's other cost, one reduction's finish, is budgeted by the multiply-adds of its chain's
+# term loops, counted from the odd primes of m alone: at most MAX_REDUCTION_STEPS.
 MAX_RING_ORDER = 2 * 10**6
 MAX_REDUCTION_STEPS = 10**7
 
@@ -92,29 +92,31 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=1)
 def _modulus(m: int) -> tuple[int, int, int, int, int, tuple[tuple[int, int, tuple | None], ...]]:
     """(phi, h, sign, steps, grow, links) of Phi_m: its degree; the (h, sign) of `_even_part`, so
-    Phi_m divides x^h - sign; the budget's count, h - phi multiply-adds per term of Phi_m below its
-    lead; and, only within MAX_REDUCTION_STEPS, how far a finish grows a value and the chain it runs.
-    With q_1 < q_2 < ... the odd primes of m and R_k = q_1 * ... * q_k, link k is the modulus
-    Phi_(R_k)(sign * y) at y = x^(h/R_k), which is Phi_(m*R_k/h) in y: each divides the one before,
-    and the last is Phi_m, whose terms count the steps.  A link is (hi, lo, terms): the length it
-    reduces, its degree in x, and its nonzero terms (k, c) below the lead; the first link,
-    Phi_(q_1) of q_1 ones, has terms None.  grow is 2 for the first link times (1 + max|c|) per
-    lead of each later one.  An order with at most one odd prime builds no polynomial and keeps
-    at most one link."""
+    Phi_m divides x^h - sign; the budget's count; and, only within MAX_REDUCTION_STEPS, how far a
+    finish grows a value and the chain it runs.  With q_1 < q_2 < ... the odd primes of m,
+    R_j = q_1 * ... * q_j and lo_j = phi(R_j) * h/R_j, link j is the modulus Phi_(R_j)(sign * y)
+    at y = x^(h/R_j), which is Phi_(m*R_j/h) in y: each divides the one before, and the last is
+    Phi_m.  A link is (hi, lo, terms): the length it reduces, lo_(j-1) (h for the first), its
+    degree in x, lo_j, and its nonzero terms (k, c) below the lead; the first link, Phi_(q_1) of
+    q_1 ones, has terms None.  steps, the sum over later links of (hi - lo) * phi(R_j), bounds the
+    multiply-adds of their term loops from the factorisation alone, so an order over the budget
+    is refused before any polynomial is built.  grow is 2 for the first link times (1 + max|c|)
+    per lead of each later one.  An order with at most one odd prime costs no steps, builds no
+    polynomial and keeps at most one link."""
     h, sign = _even_part(m)
     primes = [q for q in _prime_factors(m) if q != 2]
-    strides = [h // radical for radical in itertools.accumulate(primes, operator.mul)]
-    polys = [cyclotomic_polynomial(m // stride) for stride in strides[1:]]
-    phi = h // math.prod(primes) * math.prod(q - 1 for q in primes)
-    steps = (h - phi) * (len(polys[-1]) - 1 - polys[-1].count(0) if polys else math.prod(primes) - 1)
+    strides = [h // radical for radical in itertools.accumulate(primes, operator.mul, initial=1)]
+    totients = list(itertools.accumulate((q - 1 for q in primes), operator.mul, initial=1))
+    los = list(map(operator.mul, strides, totients))
+    steps = sum((hi - lo) * totient for hi, lo, totient in zip(los[1:], los[2:], totients[2:]))
     if not primes or steps > MAX_REDUCTION_STEPS:
-        return phi, h, sign, steps, 1, ()
-    links, grow = [(h, h - strides[0], None)], 2
-    for stride, poly in zip(strides[1:], polys):
-        hi, lo = links[-1][1], (len(poly) - 1) * stride
+        return los[-1], h, sign, steps, 1, ()
+    links, grow = [(h, los[1], None)], 2
+    for stride, hi, lo in zip(strides[2:], los[1:], los[2:]):
+        poly = cyclotomic_polynomial(m // stride)
         grow *= (1 + max(map(abs, poly))) ** (hi - lo)
         links.append((hi, lo, tuple((k * stride, c) for k, c in enumerate(poly[:-1]) if c)))
-    return phi, h, sign, steps, grow, tuple(links)
+    return los[-1], h, sign, steps, grow, tuple(links)
 
 
 def _check_reduction(m: int, arg: str) -> None:
@@ -188,10 +190,10 @@ def _finish(m: int, r: list[int]) -> tuple[int, ...]:
     """The canonical coefficients of sum r[i] * x^i, i < h, modulo Phi_m, in place, by the
     links of `_modulus`, each reducing r[:hi] to r[:lo].  The first subtracts its top block
     from each block below, negated on odd blocks when sign = -1, in one C-level pass; each
-    later one divides lead by lead over its terms.  Past the budget, refused naming m unless
-    r[phi:] is all zero."""
-    phi, _, sign, steps, _, links = _modulus(m)
-    if steps > MAX_REDUCTION_STEPS and any(r[phi:]):
+    later one divides lead by lead over its terms.  An order past the budget has no links, so
+    it is refused naming m unless r[phi:] is all zero."""
+    phi, _, sign, _, _, links = _modulus(m)
+    if not links and any(r[phi:]):
         _check_reduction(m, "m")
     for hi, lo, terms in links:
         if terms is None:

@@ -417,28 +417,36 @@ def test_the_ring_holds_every_full_order_of_the_table():
 
 
 def test_reduction_budget_is_checked_at_its_edge(monkeypatch):
-    # m = 30 = 2 * 3 * 5: the finish of one reduction takes
-    # (h - phi) * (nonzero terms of Phi_30 below its lead) = 7 * 6 steps, so a
-    # budget one below refuses it.  jacobi_sum and char_eval name p, which set
-    # the order; the ring's own entries name m, and only when a finish is due.
+    # m = 30 = 2 * 3 * 5, h = 15: the first link folds by Phi_3 in one pass,
+    # from 15 coefficients to 10, and the second divides out its 2 leads over
+    # at most phi(15) = 8 terms each, 16 steps, so a budget one below refuses it.
+    # jacobi_sum and char_eval name p, which set the order; the ring's own
+    # entries name m, and only when a finish is due.  The modulus is sized at
+    # the budget of its build, so each budget starts from an empty cache.
     steps = _modulus(30)[3]
-    assert steps == 42
+    assert steps == 16
     c = MultiplicativeCharacter(31, 1)
-    monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", steps)
-    assert jacobi_sum(c, c).norm_to_int() == 31
-    assert abs(CyclotomicNumber.root_of_unity(30, 14).embed() - cmath.exp(28j * cmath.pi / 30)) < 1e-12
-    assert CyclotomicNumber(30, [1] * 8).coeffs == (1,) * 8
-    monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", steps - 1)
-    for call, arg in [
-        (lambda: jacobi_sum(c, c), "p"),
-        (lambda: char_eval(c, PrimeFieldElem(31, 3)), "p"),
-        (lambda: CyclotomicNumber.root_of_unity(30, 14), "m"),
-    ]:
-        with pytest.raises(InvalidInput) as info:
-            call()
-        assert info.value.arg == arg
-    # phi(30) = 8 coefficients need no finish, so they are answered at either budget.
-    assert CyclotomicNumber(30, [1] * 8).coeffs == (1,) * 8
+    try:
+        monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", steps)
+        _modulus.cache_clear()
+        assert jacobi_sum(c, c).norm_to_int() == 31
+        assert abs(CyclotomicNumber.root_of_unity(30, 14).embed() - cmath.exp(28j * cmath.pi / 30)) < 1e-12
+        assert CyclotomicNumber(30, [1] * 8).coeffs == (1,) * 8
+        monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", steps - 1)
+        _modulus.cache_clear()
+        for call, arg in [
+            (lambda: jacobi_sum(c, c), "p"),
+            (lambda: char_eval(c, PrimeFieldElem(31, 3)), "p"),
+            (lambda: CyclotomicNumber.root_of_unity(30, 14), "m"),
+        ]:
+            with pytest.raises(InvalidInput) as info:
+                call()
+            assert info.value.arg == arg
+        # phi(30) = 8 coefficients need no finish, so they are answered at either budget.
+        assert CyclotomicNumber(30, [1] * 8).coeffs == (1,) * 8
+    finally:
+        monkeypatch.undo()
+        _modulus.cache_clear()
     # An order-2 pair lives in Z[zeta_2], whose reduction costs nothing;
     # J(chi, chi) = -chi(-1) = 1 for the quadratic chi, as 31 = 3 mod 4.
     q = quadratic_character(31)
@@ -446,9 +454,9 @@ def test_reduction_budget_is_checked_at_its_edge(monkeypatch):
 
 
 def test_reduction_budget_rejects_before_the_table():
-    # p - 1 = 94290 = 2 * 3 * 5 * 7 * 449 needs 3.6e8 steps per reduction, and
-    # p - 1 = 1999992 = 2^3 * 3 * 167 * 499 needs 2.2e10.
-    for p in (94291, 1999993):
+    # p - 1 = 38038 = 2 * 7 * 11 * 13 * 19 needs 10240920 steps per reduction,
+    # and p - 1 = 1999992 = 2^3 * 3 * 167 * 499 needs 2.2e8.
+    for p in (38039, 1999993):
         c = MultiplicativeCharacter(p, 1)
         before = _dlog_table.cache_info().misses
         for call in (lambda: jacobi_sum(c, c), lambda: char_eval(c, PrimeFieldElem(p, 2))):
@@ -457,3 +465,29 @@ def test_reduction_budget_rejects_before_the_table():
             assert info.value.arg == "p"
         assert _dlog_table.cache_info().misses == before
         assert _modulus(p - 1)[5] == ()  # the refused order keeps no link of the finish
+
+
+def test_a_refusal_of_the_ring_builds_no_polynomial(monkeypatch):
+    # The budget's count comes from the odd primes of m alone, so an order over
+    # it is refused before any link is built: at p - 1 = 1939938 =
+    # 2 * 3 * 7 * 11 * 13 * 17 * 19, whose Phi_m once took seconds to build.
+    def build(m):
+        raise AssertionError(f"Phi_{m} built")
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", build)
+    _modulus.cache_clear()
+    assert _modulus(1939938)[3] > cyclotomic.MAX_REDUCTION_STEPS and _modulus(1939938)[5] == ()
+    c = MultiplicativeCharacter(1939939, 1)
+    before = _dlog_table.cache_info().misses
+    for call in (lambda: jacobi_sum(c, c), lambda: char_eval(c, PrimeFieldElem(1939939, 2))):
+        with pytest.raises(InvalidInput) as info:
+            call()
+        assert info.value.arg == "p" and "Z[zeta_1939938]" in str(info.value)
+    assert _dlog_table.cache_info().misses == before
+
+
+def test_jacobi_sum_at_an_order_the_budget_once_refused():
+    # p - 1 = 94290 = 2 * 3 * 5 * 7 * 449: the division by Phi_m was counted at
+    # 3.6e8 steps, the chain that runs at 1254896, so a full-order sum is answered.
+    c = MultiplicativeCharacter(94291, 1)
+    assert jacobi_sum(c, c).norm_to_int() == 94291

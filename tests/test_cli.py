@@ -837,7 +837,8 @@ ARGV_TABLE = [
     (["periodmap", "--grid", "1e400"], 1, "FloatOverflow"),
     (["count", "--p", "2147483659", "--curve", "1,1", "--n", "2"], 2, "--p"),  # prime above 2**31
     (["jacobi", "--p", "2000003", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the p-entry table budget
-    (["jacobi", "--p", "94291", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the reduction budget
+    (["jacobi", "--p", "38039", "--k1", "1", "--k2", "1"], 2, "--p"),  # over the reduction budget
+    (["jacobi", "--p", "1939939", "--k1", "1", "--k2", "1"], 2, "--p"),  # the same, over six odd primes
     (["jacobi", "--p", "1999993", "--k1", "1", "--k2", "1"], 2, "--p"),  # the same, at the table's edge
     (["catalog", "--n", "22"], 2, "--n"),  # more than twenty logarithms
     (["periods", "--curve=-1,1e-5000"], 2, "--curve"),  # a denominator of 5001 digits

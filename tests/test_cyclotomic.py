@@ -216,15 +216,15 @@ def test_embed_past_the_doubles_is_float_overflow():
     assert CyclotomicNumber(4, [10**308, 10**308]).embed() == complex(1e308, 1e308)
 
 
-def test_reduction_budget_refuses_in_z_zeta_30030():
-    # 30030 = 2 * 3 * 5 * 7 * 11 * 13: a finish takes 9255 * 5370 steps, over
-    # MAX_REDUCTION_STEPS, so every entry that needs one refuses naming m, at once.
-    steps = _modulus(30030)[3]
-    assert steps > MAX_REDUCTION_STEPS
-    dense = CyclotomicNumber(30030, [1] * 5760)
+def test_reduction_budget_refuses_in_z_zeta_38038():
+    # 38038 = 2 * 7 * 11 * 13 * 19: the chain's term loops take 10240920 steps,
+    # over MAX_REDUCTION_STEPS, so every entry that needs a finish refuses naming m, at once.
+    steps = _modulus(38038)[3]
+    assert steps == 10240920 > MAX_REDUCTION_STEPS
+    dense = CyclotomicNumber(38038, [1] * 12960)
     for call in (
-        lambda: CyclotomicNumber.root_of_unity(30030, 15014),
-        lambda: CyclotomicNumber(30030, [1] * 15015),
+        lambda: CyclotomicNumber.root_of_unity(38038, 19018),
+        lambda: CyclotomicNumber(38038, [1] * 19019),
         lambda: dense * dense,
         lambda: dense.galois(-1),
         lambda: dense.norm_to_int(),
@@ -233,12 +233,12 @@ def test_reduction_budget_refuses_in_z_zeta_30030():
         with pytest.raises(InvalidInput) as info:
             call()
         assert info.value.arg == "m" and time.perf_counter() - start < 0.1
-        assert str(info.value) == f"a reduction in Z[zeta_30030] takes {steps} steps, over the budget of 10000000"
-    # Elements of at most phi = 5760 coefficients, their sums, and products
+        assert str(info.value) == f"a reduction in Z[zeta_38038] takes {steps} steps, over the budget of 10000000"
+    # Elements of at most phi = 12960 coefficients, their sums, and products
     # that stay below x^phi need no finish.
-    small = CyclotomicNumber(30030, [1, 2])
+    small = CyclotomicNumber(38038, [1, 2])
     assert (small * small).coeffs[:4] == (1, 4, 4, 0) and not any((small * small).coeffs[3:])
-    assert (dense * 2).coeffs == (2,) * 5760 == (dense + dense).coeffs
+    assert (dense * 2).coeffs == (2,) * 12960 == (dense + dense).coeffs
 
 
 def test_rational_integer_queries():
@@ -360,6 +360,30 @@ def test_reduction_matches_long_division_large_orders():
         for n in (0, phi - 1, phi, phi + 1, rng.randint(phi, top), top):
             v = [rng.randint(-(2**70), 2**70) for _ in range(n)]
             assert CyclotomicNumber(m, v).coeffs == _reduced(m, v), (m, n)
+
+
+def test_reduction_matches_long_division_where_the_budget_once_refused():
+    # The division by Phi_30030 was counted at 9255 * 5370 steps, over the
+    # budget; the chain that runs is counted at 3135248, so a fold of 15015
+    # ones is answered.
+    v = [1] * 15015
+    assert CyclotomicNumber(30030, v).coeffs == _reduced(30030, v)
+
+
+def test_the_budget_bounds_the_chain_that_runs():
+    # steps bounds the multiply-adds of the term loops: each later link divides
+    # out hi - lo leads over its nonzero terms.  The links, one per odd prime,
+    # exist exactly when steps is within the budget, as at every m < 3000 but
+    # not at 38038 and 1939938; an order with at most one odd prime, whose one
+    # link is a single pass, counts none.
+    for m in list(range(1, 3000)) + list(LARGE_ORDERS) + [38038, 1939938]:
+        phi, h, _, steps, _, links = _modulus(m)
+        odd = [q for q in range(3, m + 1, 2) if m % q == 0 and all(q % d for d in range(3, q, 2))]
+        assert sum((hi - lo) * len(terms) for hi, lo, terms in links[1:]) <= steps, m
+        assert bool(links) == (bool(odd) and steps <= MAX_REDUCTION_STEPS), m
+        assert (steps == 0) == (len(odd) <= 1), m
+        if links:
+            assert (len(links), links[0][0], links[-1][1]) == (len(odd), h, phi), m
 
 
 def test_product_matches_schoolbook():
