@@ -11,7 +11,7 @@ is computed per orbit of (Z/(p-1))^x and the six symmetries of J acting on
 the character pairs: one Jacobi sum and one norm per orbit, the other rows as
 images under sigma_a of that sum or of its negation, each row marked with
 whether its own norm was computed.  The images of all orbits of one ring order
-share one finish per unit, on packed columns.
+share one reduction per unit, on packed columns.
 """
 
 import itertools
@@ -196,8 +196,7 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     n = lcm(order(c^k1), order(c^k2)) = (p - 1)/gcd(k1, k2, k3, p - 1), so the
     orbits run in a stable sort of the rows by n and the ring holds one order
     at a time.  The images of one order's representatives are taken together,
-    one finish per unit a mod n (`_galois_columns`), whose gather is built once
-    and kept by no one.
+    one reduction per unit a mod n (`_galois_columns`) on packed columns.
     """
     # The finite side loads here, so the Gamma-ratio commands never import it.
     from .characters import MultiplicativeCharacter, jacobi_sum

@@ -120,9 +120,11 @@ def _modulus(m: int) -> tuple[int, int, int, int, int, tuple[tuple[int, int, tup
 
 
 def _check_reduction(m: int, arg: str) -> None:
-    """The ring's cost budget, a finish within MAX_REDUCTION_STEPS; `arg` names what set m."""
-    steps = _modulus(m)[3]
-    if steps > MAX_REDUCTION_STEPS:
+    """The ring's cost budget, a finish within MAX_REDUCTION_STEPS, on the verdict of m's
+    `_modulus` entry: an order that needs a finish (phi < h) and has no links was refused
+    there.  `arg` names what set m."""
+    phi, h, _, steps, _, links = _modulus(m)
+    if phi < h and not links:
         raise InvalidInput(
             arg, f"a reduction in Z[zeta_{m}] takes {steps} steps, over the budget of {MAX_REDUCTION_STEPS}"
         )
@@ -175,24 +177,19 @@ def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
-    """The canonical coefficients of sum coeffs[j] * x^j modulo Phi_m: the fold
-    modulo x^h - sign, a multiple of Phi_m, then `_finish`."""
-    _, h, sign, _, _, _ = _modulus(m)
+    """The canonical coefficients of sum coeffs[j] * x^j modulo Phi_m, the ring's one
+    reduction.  The fold modulo x^h - sign, a multiple of Phi_m, adds each block of h
+    to the first, subtracted on odd blocks when sign = -1, one C-level `map` each.  Then
+    the links of `_modulus` reduce r[:hi] to r[:lo] in place: the first subtracts its top
+    block from each block below, negated on odd blocks when sign = -1, in one C-level
+    pass; each later one divides lead by lead over its terms.  An order past the budget
+    has no links, so it is refused naming m unless r[phi:] is all zero."""
+    phi, h, sign, _, _, links = _modulus(m)
     r = list(coeffs[:h])
     r += [0] * (h - len(r))
     for start in range(h, len(coeffs), h):
-        chunk, s = coeffs[start : start + h], sign ** (start // h)
-        r[: len(chunk)] = [a + s * c for a, c in zip(r, chunk)]
-    return _finish(m, r)
-
-
-def _finish(m: int, r: list[int]) -> tuple[int, ...]:
-    """The canonical coefficients of sum r[i] * x^i, i < h, modulo Phi_m, in place, by the
-    links of `_modulus`, each reducing r[:hi] to r[:lo].  The first subtracts its top block
-    from each block below, negated on odd blocks when sign = -1, in one C-level pass; each
-    later one divides lead by lead over its terms.  An order past the budget has no links, so
-    it is refused naming m unless r[phi:] is all zero."""
-    phi, _, sign, _, _, links = _modulus(m)
+        chunk, fold = coeffs[start : start + h], operator.sub if sign < 0 and start // h % 2 else operator.add
+        r[: len(chunk)] = map(fold, r, chunk)
     if not links and any(r[phi:]):
         _check_reduction(m, "m")
     for hi, lo, terms in links:
@@ -208,37 +205,25 @@ def _finish(m: int, r: list[int]) -> tuple[int, ...]:
     return tuple(r[:phi])
 
 
-def _placement(m: int, a: int) -> operator.itemgetter:
-    """The gather of sigma_a on canonical coefficients c, for a unit a reduced
-    mod m: slot i of the folded image is (*c, 0, *-c) at index idx[i].  c_j moves
-    to x^(a*j mod m), folded below h with x^h = sign; the placement is injective,
-    since two j < phi <= h landing on one slot would need a*(j1 - j2) = 0 mod h.
-    One spare zero slot past h, which the finish never reads, keeps the gather
-    a tuple at h = 1."""
-    phi, h, _, _, _, _ = _modulus(m)
-    idx = [phi] * (h + 1)
-    for j in range(phi):
-        t = a * j % m
-        idx[t % h] = j if t < h else phi + 1 + j
-    return operator.itemgetter(*idx)
-
-
-def _galois(m: int, coeffs: tuple[int, ...], gather: operator.itemgetter) -> tuple[int, ...]:
+def _galois(m: int, coeffs: Sequence[int], a: int) -> tuple[int, ...]:
     """The canonical coefficients of sigma_a(z), zeta_m -> zeta_m^a, for the canonical
-    coefficients of z and the caller's `_placement(m, a)`: the signed placement, then only
-    the finish.  Both are linear, so packed columns pass through as plain ints do."""
-    ext = (*coeffs, 0, *map(operator.neg, coeffs))
-    return _finish(m, list(gather(ext)))
+    coefficients of z and a unit a: c_j placed at x^(a*j mod m), then `_reduce`.  Both
+    are linear, so packed columns pass through as plain ints do."""
+    placed = [0] * m
+    for j, c in enumerate(coeffs):
+        placed[a * j % m] = c
+    return _reduce(m, placed)
 
 
 def _galois_columns(m: int, vectors: Sequence[tuple[int, ...]], units: Sequence[int]) -> list[list[tuple[int, ...]]]:
     """For each unit a, the images sigma_a(z) of the canonical vectors z, in their order, in one
-    `_galois` on columns: coefficient j of every z packed in one int.  A finish scales the
-    largest value by at most `_modulus`'s grow, so the fields hold max|z| * grow."""
+    `_galois` on columns: coefficient j of every z packed in one int.  The fold meets no two
+    placed coefficients in one slot, as a is a unit mod h, and the links scale the largest
+    value by at most `_modulus`'s grow, so the fields hold max|z| * grow."""
     top = max((abs(c) for z in vectors for c in z), default=0)
     width, k = _width(top * _modulus(m)[4]), len(vectors)
     columns = tuple(_pack(column, width) for column in zip(*vectors))
-    fields = (_unpack(_galois(m, columns, _placement(m, a % m)), width, k) for a in units)  # k fields a column
+    fields = (_unpack(_galois(m, columns, a), width, k) for a in units)  # k fields a column
     return [[tuple(f[r::k]) for r in range(k)] for f in fields]
 
 
@@ -297,15 +282,13 @@ class CyclotomicNumber(RingElement):
 
     def galois(self, a: int) -> "CyclotomicNumber":
         """Image under the automorphism sigma_a: zeta_m -> zeta_m^a, for a unit a
-        mod m.  Coefficient j moves to exponent a*j mod m, and for even m that
-        exponent folds below m/2 with a sign, as x^(m/2) = -1: a signed placement,
-        injective, so the image needs only the finish of a reduction, not its
-        fold, with a gather built per call.  The conjugate is galois(-1)."""
+        mod m.  Coefficient j moves to exponent a*j mod m, and the placed vector
+        is reduced as any other (`_galois`).  The conjugate is galois(-1)."""
         m = self.m
         check_int("a", a)
         if math.gcd(a, m) != 1:
             raise InvalidInput("a", f"sigma_a needs a unit modulo m, got a = {shown(a)}, m = {m}")
-        return self._canonical(m, _galois(m, self.coeffs, _placement(m, a % m)))
+        return self._canonical(m, _galois(m, self.coeffs, a % m))
 
     def __bool__(self):
         return any(self.coeffs)

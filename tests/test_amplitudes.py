@@ -21,7 +21,7 @@ from periodkit.amplitudes import (
 )
 from periodkit.characters import MultiplicativeCharacter, jacobi_sum
 from periodkit.complex_periods import agm
-from periodkit.cyclotomic import CyclotomicNumber, _modulus, _placement
+from periodkit.cyclotomic import CyclotomicNumber, _modulus
 from periodkit.errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger
 
 
@@ -360,21 +360,21 @@ def test_correspondence_builds_each_ring_order_once():
 
 def test_correspondence_places_each_image_once_and_builds_no_element(monkeypatch):
     # An orbit of ring order n has phi(n) pairs, one image for each unit a != 1
-    # mod n; the report builds the gather of each (n, a mod n) once and keeps
-    # none after it returns, so a second report builds them again.
+    # mod n; the report places the packed columns once per (n, a mod n) and
+    # keeps nothing of the placement, so a second report places them again.
     canonical = CyclotomicNumber.__dict__["_canonical"].__func__
-    built, placed = [], []
+    galois, built, placed = cyclotomic._galois, [], []
 
     def counted(cls, m, coeffs):
         built.append(m)
         return canonical(cls, m, coeffs)
 
-    def placement(m, a):
-        placed.append((m, a))
-        return _placement(m, a)
+    def images(m, coeffs, a):
+        placed.append((m, a % m))
+        return galois(m, coeffs, a)
 
     monkeypatch.setattr(CyclotomicNumber, "_canonical", classmethod(counted))
-    monkeypatch.setattr(cyclotomic, "_placement", placement)
+    monkeypatch.setattr(cyclotomic, "_galois", images)
     rows = correspondence_table(97, []).local_rows
     orders = {row.ring_order for row in rows}
     placements = sum(sum(math.gcd(a, n) == 1 for a in range(2, n)) for n in orders)
@@ -388,20 +388,20 @@ def test_correspondence_places_each_image_once_and_builds_no_element(monkeypatch
 
 def test_correspondence_takes_one_finish_per_ring_order_and_unit(monkeypatch):
     # Each orbit reduces its sum and its norm's product; the images of all orbits
-    # of one ring order n take one finish per unit a != 1 mod n, packed in columns,
-    # and a pair whose sum is the negation of an image takes none.
-    finish, finished = cyclotomic._finish, []
+    # of one ring order n take one reduction per unit a != 1 mod n, packed in
+    # columns, and a pair whose sum is the negation of an image takes none.
+    reduce, reduced = cyclotomic._reduce, []
 
-    def counted(m, r):
-        finished.append(m)
-        return finish(m, r)
+    def counted(m, coeffs):
+        reduced.append(m)
+        return reduce(m, coeffs)
 
-    monkeypatch.setattr(cyclotomic, "_finish", counted)
+    monkeypatch.setattr(cyclotomic, "_reduce", counted)
     rows = correspondence_table(97, []).local_rows
     orbits = sum(row.norm_checked for row in rows)
     images = sum(sum(math.gcd(a, n) == 1 for a in range(2, n)) for n in {row.ring_order for row in rows})
     assert orbits == 91
-    assert len(finished) == 2 * orbits + images == 266
+    assert len(reduced) == 2 * orbits + images == 266
 
 
 def test_correspondence_ap_matches_enumeration():

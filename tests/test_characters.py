@@ -453,6 +453,29 @@ def test_reduction_budget_is_checked_at_its_edge(monkeypatch):
     assert jacobi_sum(q, q).as_int() == 1
 
 
+def test_a_stale_refusal_of_the_ring_still_refuses(monkeypatch):
+    # An entry of _modulus carries the verdict of the budget it was built at:
+    # m = 30 refused at a budget of 15 keeps no links, so it keeps refusing
+    # after the budget is raised, until the cache is cleared, rather than hand
+    # back an unreduced vector as if it were canonical.
+    c = MultiplicativeCharacter(31, 1)
+    try:
+        monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", 15)
+        _modulus.cache_clear()
+        assert _modulus(30)[5] == ()
+        monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", 10**7)
+        for call, arg in [(lambda: CyclotomicNumber.root_of_unity(30, 14), "m"), (lambda: jacobi_sum(c, c), "p")]:
+            with pytest.raises(InvalidInput) as info:
+                call()
+            assert info.value.arg == arg
+        _modulus.cache_clear()
+        assert CyclotomicNumber.root_of_unity(30, 14).coeffs == (1, 0, -1, -1, -1, 0, 1, 1)
+        assert jacobi_sum(c, c).coeffs == (2, 4, 1, -2, 2, -2, 0, -1)
+    finally:
+        monkeypatch.undo()
+        _modulus.cache_clear()
+
+
 def test_reduction_budget_rejects_before_the_table():
     # p - 1 = 38038 = 2 * 7 * 11 * 13 * 19 needs 10240920 steps per reduction,
     # and p - 1 = 1999992 = 2^3 * 3 * 167 * 499 needs 2.2e8.

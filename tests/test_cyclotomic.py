@@ -24,7 +24,6 @@ from periodkit.cyclotomic import (
     _kron_mul,
     _modulus,
     _pack,
-    _placement,
     _unpack,
     _width,
     cyclotomic_polynomial,
@@ -558,7 +557,7 @@ def test_galois_columns_match_each_vector_near_2_to_the_70():
         vectors = [tuple(c * rng.choice((-1, 1)) for c in edge[i : i + phi]) for i in (0, phi)]
         units = units[:3] + units[-2:]
         for a, images in zip(units, _galois_columns(m, vectors, units)):
-            assert images == [_galois(m, v, _placement(m, a)) for v in vectors], (m, a)
+            assert images == [_galois(m, v, a) for v in vectors], (m, a)
 
 
 def test_galois_columns_match_each_vector_at_each_field_edge():
@@ -579,7 +578,7 @@ def test_galois_columns_match_each_vector_at_each_field_edge():
             vectors = [(top,) * phi, (-top,) * phi, tuple(top * (-1) ** j for j in range(phi))]
             vectors.append(tuple(rng.choice((-top, top)) for _ in range(phi)))
             for a, images in zip(units, _galois_columns(m, vectors, units)):
-                assert images == [_galois(m, v, _placement(m, a)) for v in vectors], (m, width, a)
+                assert images == [_galois(m, v, a) for v in vectors], (m, width, a)
 
 
 GALOIS_ORDERS = list(range(1, 40)) + [72, 210, 1155]
@@ -631,12 +630,12 @@ def held_after(calls) -> int:
 
 
 def test_the_ring_keeps_one_order_and_no_placement_between_calls(monkeypatch):
-    # A library caller's history must not grow what the ring holds: a gather of
-    # sigma_a at m = 199998 holds about 2.9 MB, and none stays.  An order with
-    # at most one odd prime keeps only the sizes of its one link, builds no
-    # Phi_m and lists none of its terms: reductions at m = 1999618 = 2 * 999809,
-    # and at four orders m = 2q near 2*10^5, leave at most 4 KiB held, where a
-    # list of Phi_m's terms held about 100 MB and 9 MB.
+    # A library caller's history must not grow what the ring holds: an image
+    # under sigma_a at m = 199998 places its vector in m slots, and none
+    # stays.  An order with at most one odd prime keeps only the sizes of its
+    # one link, builds no Phi_m and lists none of its terms: reductions at
+    # m = 1999618 = 2 * 999809, and at four orders m = 2q near 2*10^5, leave at
+    # most 4 KiB held, where a list of Phi_m's terms held about 100 MB and 9 MB.
     z = CyclotomicNumber(199998, [1, 2, 3])
 
     def images():

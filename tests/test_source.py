@@ -241,7 +241,8 @@ def test_table_budget_lives_in_characters_and_reduction_budget_in_cyclotomic():
     # built; a point count builds no table, so a copy in another module would
     # refuse work that the budget does not model.  The reduction budget is a
     # rule of the ring, which every reduction passes, so it is stated and
-    # compared in cyclotomic.py only.
+    # compared once, where cyclotomic._modulus sizes an order's entry: every
+    # later check reads that entry's verdict, so a stale entry cannot disagree.
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
     assigned, table, compared = [], [], []
@@ -254,10 +255,10 @@ def test_table_budget_lives_in_characters_and_reduction_budget_in_cyclotomic():
             elif isinstance(node, ast.Compare) and "MAX_TABLE_PRIME" in ast.unparse(node):
                 table.append(f"{path.name} {scope}")
             elif isinstance(node, ast.Compare) and "MAX_REDUCTION_STEPS" in ast.unparse(node):
-                compared.append(path.name)
+                compared.append(f"{path.name} {scope}")
     assert sorted(assigned) == ["characters.py MAX_TABLE_PRIME", "cyclotomic.py MAX_REDUCTION_STEPS"]
     assert table == ["characters.py MultiplicativeCharacter.__new__"], table
-    assert compared and set(compared) == {"cyclotomic.py"}, compared
+    assert compared == ["cyclotomic.py _modulus"], compared
     assert "MAX_REDUCTION_STEPS" not in (pathlib.Path(periodkit.__file__).parent / "characters.py").read_text()
 
 
@@ -297,8 +298,9 @@ def modulus_fields(parent: ast.AST) -> set[int]:
 
 def test_phi_m_is_built_and_read_in_the_ring_alone():
     # Phi_m's layout is decided in cyclotomic._modulus: it alone builds a
-    # cyclotomic polynomial, and only the finish and the packed columns read
-    # the entry's fields 4 and 5, the growth bound and the links of the chain.
+    # cyclotomic polynomial, and only the one reduction and the packed columns
+    # read the entry's fields 4 and 5, the growth bound and the links of the chain;
+    # the budget's check reads whether there are links, the entry's own verdict.
     # Every other reader takes the sizes phi, h, sign or the budget's steps.
     builds, reads = set(), set()
     for path in sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py")):
@@ -311,7 +313,7 @@ def test_phi_m_is_built_and_read_in_the_ring_alone():
                 if modulus_fields(parents[node]) & {4, 5}:
                     reads.add(f"{path.name} {scope}")
     assert builds == {"cyclotomic.py _modulus"}, builds
-    assert reads == {"cyclotomic.py _finish", "cyclotomic.py _galois_columns"}, reads
+    assert reads == {"cyclotomic.py _reduce", "cyclotomic.py _check_reduction", "cyclotomic.py _galois_columns"}, reads
 
 
 # Every cache of the library with its maxsize: one prime's dlog table, one ring
