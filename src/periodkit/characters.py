@@ -21,27 +21,30 @@ from .cyclotomic import CyclotomicNumber, _check_reduction
 from .errors import InvalidInput, TrivialCharacter, check_int, check_record
 from .finite_field import PrimeFieldElem, _check_one_mod_four, _check_prime, _check_same_prime, _smallest_primitive_root
 
-# Bounds the kernels over F_p: the dlog table, p entries, and the Gauss-sum
-# walk.  Each takes its p from a character, so MultiplicativeCharacter admits
-# p <= MAX_TABLE_PRIME where it is built.  Their cost is the `finite_enum`
-# workload of perfbench.
+# Bounds the kernels over F_p: the dlog table, one entry per pair {t, -t}, and
+# the Gauss-sum walk.  Each takes its p from a character, so
+# MultiplicativeCharacter admits p <= MAX_TABLE_PRIME where it is built.  Their
+# cost is the `finite_enum` workload of perfbench.
 MAX_TABLE_PRIME = 2 * 10**6
 
 
 @functools.lru_cache(maxsize=1)  # every command and report works over one prime
 def _dlog_table(p: int) -> array:
-    """dlog[a] = j with g^j = a, for the canonical primitive root g; dlog[0] unused.
-    The walk covers j < (p-1)/2 and fills dlog[-a] = j + (p-1)/2 too, as g^((p-1)/2) = -1.
-    Four bytes per entry, as p < 2**31; p is a character's, so at most MAX_TABLE_PRIME,
-    8 MB.  The cache shares it, so callers only read it."""
+    """dlog[t] = j with g^j = t for 1 <= t <= h = (p-1)/2 and the canonical primitive
+    root g; dlog[0] unused.  As g^h = -1, dlog(p - t) = dlog[t] + h, so one entry serves
+    the pair {t, -t}: the walk over j < h meets one of each pair and stores it once.
+    h + 1 entries of four bytes, as p < 2**31; p is a character's, so at most
+    MAX_TABLE_PRIME, 4 MB.  The cache shares it, so callers only read it."""
     g = _smallest_primitive_root(p)
-    table = array("i", [0]) * p
-    half = (p - 1) // 2
-    acc = 1
+    half = p // 2
+    table = array("I", [0]) * (half + 1)
+    t = 1
     for j in range(half):
-        table[acc] = j
-        table[p - acc] = j + half
-        acc = acc * g % p
+        if t <= half:
+            table[t] = j
+        else:
+            table[p - t] = j + half
+        t = t * g % p
     return table
 
 
@@ -98,7 +101,8 @@ def char_eval(c: MultiplicativeCharacter, a: PrimeFieldElem) -> CyclotomicNumber
     _check_reduction(m, "p")
     if a.value == 0:
         return CyclotomicNumber(m, [])
-    j = _dlog_table(c.p)[a.value]
+    table, half, t = _dlog_table(c.p), c.p // 2, a.value
+    j = table[t] if t <= half else table[c.p - t] + half
     return CyclotomicNumber.root_of_unity(m, c.k * j % m)
 
 
@@ -159,33 +163,36 @@ def jacobi_sum(c: MultiplicativeCharacter, c2: MultiplicativeCharacter) -> Cyclo
     step = m // n
     _check_reduction(n, "p")
     u, u2 = c.k // step, c2.k // step
-    # t = 0 and t = 1 drop out (c(0) = 0); as t runs 2 .. (p-1)/2, 1-t runs p-1 .. (p+3)/2.
-    table, mid = _dlog_table(p), (p + 1) // 2
+    # t = 0 and t = 1 drop out (c(0) = 0).  For t = 2 .. h, dlog t = table[t] and, as
+    # 1 - t = -(t - 1), dlog (1 - t) = table[t - 1] + h; the fixed point 1/2 = h + 1 has table[h] + h.
+    table, half = _dlog_table(p), p // 2
     if n <= 128 and 256 % n == 0:
-        counts = _byte_counts(table, mid, n, u, u2)
+        counts = _byte_counts(table, half, n, u, u2)
     else:
-        counts = [0] * n
-        for a, b in zip(table[2:mid], reversed(table[mid + 1 :])):
-            counts[(u * a + u2 * b) % n] += 1
-            counts[(u * b + u2 * a) % n] += 1
-    counts[(u + u2) * table[mid] % n] += 1
+        counts, shift, shift2 = [0] * n, u * half % n, u2 * half % n
+        for a, b in zip(table[2:], table[1:-1]):
+            counts[(u * a + u2 * b + shift2) % n] += 1
+            counts[(u * b + u2 * a + shift) % n] += 1
+    counts[(u + u2) * (table[half] + half) % n] += 1
     return CyclotomicNumber._unchecked(n, counts)
 
 
-def _byte_counts(table: array, mid: int, n: int, u: int, u2: int) -> list[int]:
-    """The bucket counts of `jacobi_sum` over the pairs (t, 1 - t), t = 2 .. mid - 1,
-    in C-level bytes operations: dlog mod n is the low byte of each entry mod n, one
-    `translate` per side maps it to u*dlog mod n, one integer sum adds the two sides
-    bytewise, one more `translate` reduces mod n, and `count` tallies each bucket."""
+def _byte_counts(table: array, half: int, n: int, u: int, u2: int) -> list[int]:
+    """The bucket counts of `jacobi_sum` over the pairs (t, 1 - t), t = 2 .. half, in C-level
+    bytes operations.  The two sides read the table one slot apart: dlog t = table[t] and
+    dlog (1 - t) = table[t - 1] + half.  dlog mod n is the low byte of each entry mod n, one
+    `translate` per side maps it to u*dlog mod n, the second side's with u'*half added, one
+    integer sum adds the two sides bytewise, one more `translate` reduces mod n, and `count`
+    tallies each bucket.  The second pass swaps u and u', which counts the pair (1 - t, t)."""
     low = table.itemsize - 1 if sys.byteorder == "big" else 0
     logs = memoryview(table).cast("B")[low :: table.itemsize]
-    a, b = logs[2:mid].tobytes(), logs[:mid:-1].tobytes()  # dlog t and dlog (1 - t), paired
-    residues = bytes(range(n)) * (256 // n)  # x -> x mod n; below, x -> u*x mod n, as u + n = u mod n
-    times, times2 = (residues * (u + n))[:: u + n], (residues * (u2 + n))[:: u2 + n]
+    a, b = logs[2:].tobytes(), logs[1:-1].tobytes()  # dlog t and dlog (1 - t) - half, paired
+    residues = bytes(range(n)) * (256 // n)  # x -> x mod n; below, x -> v*x + s mod n, as v + n = v mod n
     counts = [0] * n
-    for x, y in ((a, b), (b, a)):
-        total = int.from_bytes(x.translate(times), "little") + int.from_bytes(y.translate(times2), "little")
-        buckets = total.to_bytes(len(x), "little").translate(residues)
+    for v, v2 in ((u, u2), (u2, u)):
+        times, times2 = (residues * (v + n))[:: v + n], (residues * (v2 + n))[v2 * half % n :: v2 + n]
+        total = int.from_bytes(a.translate(times), "little") + int.from_bytes(b.translate(times2), "little")
+        buckets = total.to_bytes(len(a), "little").translate(residues)
         for i in range(n):
             counts[i] += buckets.count(i)
         del total, buckets  # so the second order's intermediates never meet the first's

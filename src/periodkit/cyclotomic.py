@@ -90,19 +90,22 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 # One order, as `characters._dlog_table` keeps one prime: a report runs its orbits by ring order.
 @functools.lru_cache(maxsize=1)
-def _modulus(m: int) -> tuple[int, int, int, int, int, tuple[tuple[int, int, tuple | None], ...]]:
-    """(phi, h, sign, steps, grow, links) of Phi_m: its degree; the (h, sign) of `_even_part`, so
-    Phi_m divides x^h - sign; the budget's count; and, only within MAX_REDUCTION_STEPS, how far a
-    finish grows a value and the chain it runs.  With q_1 < q_2 < ... the odd primes of m,
-    R_j = q_1 * ... * q_j and lo_j = phi(R_j) * h/R_j, link j is the modulus Phi_(R_j)(sign * y)
-    at y = x^(h/R_j), which is Phi_(m*R_j/h) in y: each divides the one before, and the last is
-    Phi_m.  A link is (hi, lo, terms): the length it reduces, lo_(j-1) (h for the first), its
-    degree in x, lo_j, and its nonzero terms (k, c) below the lead; the first link, Phi_(q_1) of
-    q_1 ones, has terms None.  steps, the sum over later links of (hi - lo) * phi(R_j), bounds the
-    multiply-adds of their term loops from the factorisation alone, so an order over the budget
-    is refused before any polynomial is built.  grow is 2 for the first link times (1 + max|c|)
-    per lead of each later one.  An order with at most one odd prime costs no steps, builds no
-    polynomial and keeps at most one link."""
+def _modulus(
+    m: int,
+) -> tuple[int, int, int, int, int, tuple[tuple[int, int, tuple | None], ...], int]:
+    """(phi, h, sign, steps, grow, links, budget) of Phi_m: its degree; the (h, sign) of
+    `_even_part`, so Phi_m divides x^h - sign; the budget's count; and, only within
+    MAX_REDUCTION_STEPS, how far a finish grows a value and the chain it runs.  With
+    q_1 < q_2 < ... the odd primes of m, R_j = q_1 * ... * q_j and lo_j = phi(R_j) * h/R_j,
+    link j is the modulus Phi_(R_j)(sign * y) at y = x^(h/R_j), which is Phi_(m*R_j/h) in y:
+    each divides the one before, and the last is Phi_m.  A link is (hi, lo, terms): the length
+    it reduces, lo_(j-1) (h for the first), its degree in x, lo_j, and its nonzero terms (k, c)
+    below the lead; the first link, Phi_(q_1) of q_1 ones, has terms None.  steps, the sum over
+    later links of (hi - lo) * phi(R_j), bounds the multiply-adds of their term loops from the
+    factorisation alone, so an order over the budget is refused before any polynomial is built.
+    grow is 2 for the first link times (1 + max|c|) per lead of each later one.  An order with
+    at most one odd prime costs no steps, builds no polynomial and keeps at most one link.
+    budget is the MAX_REDUCTION_STEPS the entry was judged against, which its refusal quotes."""
     h, sign = _even_part(m)
     primes = [q for q in _prime_factors(m) if q != 2]
     strides = [h // radical for radical in itertools.accumulate(primes, operator.mul, initial=1)]
@@ -110,24 +113,22 @@ def _modulus(m: int) -> tuple[int, int, int, int, int, tuple[tuple[int, int, tup
     los = list(map(operator.mul, strides, totients))
     steps = sum((hi - lo) * totient for hi, lo, totient in zip(los[1:], los[2:], totients[2:]))
     if not primes or steps > MAX_REDUCTION_STEPS:
-        return los[-1], h, sign, steps, 1, ()
+        return los[-1], h, sign, steps, 1, (), MAX_REDUCTION_STEPS
     links, grow = [(h, los[1], None)], 2
     for stride, hi, lo in zip(strides[2:], los[1:], los[2:]):
         poly = cyclotomic_polynomial(m // stride)
         grow *= (1 + max(map(abs, poly))) ** (hi - lo)
         links.append((hi, lo, tuple((k * stride, c) for k, c in enumerate(poly[:-1]) if c)))
-    return los[-1], h, sign, steps, grow, tuple(links)
+    return los[-1], h, sign, steps, grow, tuple(links), MAX_REDUCTION_STEPS
 
 
 def _check_reduction(m: int, arg: str) -> None:
     """The ring's cost budget, a finish within MAX_REDUCTION_STEPS, on the verdict of m's
     `_modulus` entry: an order that needs a finish (phi < h) and has no links was refused
-    there.  `arg` names what set m."""
-    phi, h, _, steps, _, links = _modulus(m)
+    there, and the message quotes the budget it was refused at.  `arg` names what set m."""
+    phi, h, _, steps, _, links, budget = _modulus(m)
     if phi < h and not links:
-        raise InvalidInput(
-            arg, f"a reduction in Z[zeta_{m}] takes {steps} steps, over the budget of {MAX_REDUCTION_STEPS}"
-        )
+        raise InvalidInput(arg, f"a reduction in Z[zeta_{m}] takes {steps} steps, over the budget of {budget}")
 
 
 # The signed array code of each machine width: 1, 2, 4 and 8 bytes.
@@ -184,7 +185,7 @@ def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     block from each block below, negated on odd blocks when sign = -1, in one C-level
     pass; each later one divides lead by lead over its terms.  An order past the budget
     has no links, so it is refused naming m unless r[phi:] is all zero."""
-    phi, h, sign, _, _, links = _modulus(m)
+    phi, h, sign, _, _, links, _ = _modulus(m)
     r = list(coeffs[:h])
     r += [0] * (h - len(r))
     for start in range(h, len(coeffs), h):

@@ -57,6 +57,23 @@ def test_char_eval_trivial_and_zero():
     assert char_eval(MultiplicativeCharacter(11, 3), PrimeFieldElem(11, 0)) == CyclotomicNumber(10, [])
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 1019, 2027, 7681, 65537])
+def test_char_eval_at_the_edges_of_the_half_table(p):
+    # The table keeps dlog t for t <= h = (p-1)/2; char_eval reads t = h + 1 .. p - 1
+    # through dlog[p - t] + h.  Primes = 1 and = 3 mod 4 on both sides of the edge;
+    # k = 1 and k = p - 2 are units, whose values differ for distinct logs, and
+    # k = h is the quadratic character.
+    m, h = p - 1, (p - 1) // 2
+    g = _smallest_primitive_root(p)
+    edges = (1, h, h + 1, p - 1)
+    logs = {pow(g, j, p): j for j in range(m) if pow(g, j, p) in edges}
+    for k in (1, m - 1, h):
+        c = MultiplicativeCharacter(p, k)
+        for t in edges:
+            want = CyclotomicNumber.root_of_unity(m, k * logs[t] % m)
+            assert char_eval(c, PrimeFieldElem(p, t)) == want, (p, k, t)
+
+
 def test_quadratic_character_matches_legendre():
     for p in PRIMES_TO_97:
         chi = quadratic_character(p)
@@ -187,18 +204,24 @@ def dlog_by_pow(p):
 
 
 def test_dlog_table_matches_pow_for_every_prime_below_2000():
+    # The table keeps dlog t for t <= h = (p-1)/2 alone, one entry per pair {t, -t}.
     for p in range(3, 2000):
         if all(p % d for d in range(2, math.isqrt(p) + 1)):
-            assert list(_dlog_table(p)) == dlog_by_pow(p), p
+            table, h = _dlog_table(p), (p - 1) // 2
+            assert len(table) == h + 1 and list(table) == dlog_by_pow(p)[: h + 1], p
 
 
 def test_dlog_table_at_the_largest_table_prime_samples():
     # 1999993 is the largest prime below MAX_TABLE_PRIME; its smallest primitive root is 5.
-    p = 1999993
+    # An entry t <= h = (p-1)/2 is read as stored; above h, dlog t = dlog[p - t] + h, as 5^h = -1.
+    p, h = 1999993, 999996
     table = _dlog_table(p)
-    assert _smallest_primitive_root(p) == 5
-    for a in random.Random(35).sample(range(1, p), 1000):
+    assert _smallest_primitive_root(p) == 5 and len(table) == h + 1
+    rng = random.Random(35)
+    for a in rng.sample(range(1, h + 1), 1000):
         assert 0 <= table[a] < p - 1 and pow(5, table[a], p) == a, a
+    for a in rng.sample(range(h + 1, p), 1000):
+        assert pow(5, table[p - a] + h, p) == a, a
 
 
 def test_jacobi_trivial_pair_counts_interior():
@@ -319,18 +342,26 @@ def test_jacobi_sum_matches_the_oracle_on_both_sides_of_the_byte_switch(monkeypa
 def test_byte_counts_read_the_low_byte_on_a_big_endian_machine(monkeypatch):
     # A byteswapped copy of the dlog table lays each entry out as a big-endian
     # machine would, so there the low byte is the last of the four; the dlogs at
-    # these primes pass 2^8, so reading any other byte miscounts.
-    for p in (7681, 12289, 65537):
-        table, mid = _dlog_table(p), (p + 1) // 2
-        swapped = array("i", table)
+    # these primes pass 2^8, so reading any other byte miscounts.  Both layouts
+    # must give the counts of the pairs (t, 1 - t), t = 2 .. h, from the full logs.
+    # The second side's shift u'*h mod n is not 0 where n does not divide h: at
+    # n = 128 for 9857 = 2^7 * 77 + 1, and at n = 2 for 10007, whose h is odd.
+    for p in (7681, 9857, 10007, 12289, 65537):
+        table, h, full = _dlog_table(p), (p - 1) // 2, dlog_by_pow(p)
+        swapped = array(table.typecode, table)
         swapped.byteswap()
-        for n in (1, 2, 4, 8, 16, 32, 64, 128):
+        for n in (n for n in (1, 2, 4, 8, 16, 32, 64, 128) if (p - 1) % n == 0):
             pairs = [(1, 1), (n - 1, 1), (n // 2, n - 1)]
-            native = [characters._byte_counts(table, mid, n, u, u2) for u, u2 in pairs]
+            want = []
+            for u, u2 in pairs:
+                tally = collections.Counter((u * full[t] + u2 * full[1 - t]) % n for t in range(2, h + 1))
+                tally.update((u * full[1 - t] + u2 * full[t]) % n for t in range(2, h + 1))
+                want.append([tally[i] for i in range(n)])
+            native = [characters._byte_counts(table, h, n, u, u2) for u, u2 in pairs]
             with monkeypatch.context() as patch:
                 patch.setattr(characters, "sys", SimpleNamespace(byteorder="big"))
-                big = [characters._byte_counts(swapped, mid, n, u, u2) for u, u2 in pairs]
-            assert big == native, (p, n)
+                big = [characters._byte_counts(swapped, h, n, u, u2) for u, u2 in pairs]
+            assert big == native == want, (p, n)
 
 
 def relation_residual(c, c2):
@@ -467,7 +498,9 @@ def test_a_stale_refusal_of_the_ring_still_refuses(monkeypatch):
         for call, arg in [(lambda: CyclotomicNumber.root_of_unity(30, 14), "m"), (lambda: jacobi_sum(c, c), "p")]:
             with pytest.raises(InvalidInput) as info:
                 call()
-            assert info.value.arg == arg
+            # The message quotes the budget the entry was refused at, not the live one.
+            assert info.value.arg == arg and str(info.value).endswith("takes 16 steps, over the budget of 15")
+            assert "10000000" not in str(info.value)
         _modulus.cache_clear()
         assert CyclotomicNumber.root_of_unity(30, 14).coeffs == (1, 0, -1, -1, -1, 0, 1, 1)
         assert jacobi_sum(c, c).coeffs == (2, 4, 1, -2, 2, -2, 0, -1)

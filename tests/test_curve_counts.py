@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from array import array
 
 import pytest
 from hypothesis import assume, given
@@ -331,8 +332,12 @@ def test_a_p_from_jacobi_matches_count_at_realistic_sizes():
 
 
 def test_tables_take_at_most_four_bytes_per_entry():
-    p = 10007
-    assert sys.getsizeof(_dlog_table(p)) < 5 * p
+    # One four-byte entry per pair {t, -t}: about 2 bytes per element of F_p,
+    # so 4 MB at MAX_TABLE_PRIME, beyond the array's fixed header.
+    for p in (10007, 1999993):
+        table = _dlog_table(p)
+        assert table.itemsize == 4 and len(table) == (p + 1) // 2, p
+        assert sys.getsizeof(table) - sys.getsizeof(array(table.typecode)) <= 2 * p + 2, p
 
 
 @pytest.mark.parametrize("table", [_dlog_table])

@@ -376,7 +376,7 @@ def test_the_budget_bounds_the_chain_that_runs():
     # not at 38038 and 1939938; an order with at most one odd prime, whose one
     # link is a single pass, counts none.
     for m in list(range(1, 3000)) + list(LARGE_ORDERS) + [38038, 1939938]:
-        phi, h, _, steps, _, links = _modulus(m)
+        phi, h, _, steps, _, links, _ = _modulus(m)
         odd = [q for q in range(3, m + 1, 2) if m % q == 0 and all(q % d for d in range(3, q, 2))]
         assert sum((hi - lo) * len(terms) for hi, lo, terms in links[1:]) <= steps, m
         assert bool(links) == (bool(odd) and steps <= MAX_REDUCTION_STEPS), m

@@ -288,12 +288,12 @@ def test_prime_rule_runs_where_a_value_enters():
 
 def modulus_fields(parent: ast.AST) -> set[int]:
     """The fields of a `_modulus` entry that its call's parent node reads: a constant
-    index, the names of a tuple target not spelled `_`, or all six for any other use."""
+    index, the names of a tuple target not spelled `_`, or all seven for any other use."""
     if isinstance(parent, ast.Subscript) and isinstance(parent.slice, ast.Constant):
         return {parent.slice.value}
     if isinstance(parent, ast.Assign) and isinstance(parent.targets[0], ast.Tuple):
         return {i for i, target in enumerate(parent.targets[0].elts) if ast.unparse(target) != "_"}
-    return set(range(6))
+    return set(range(7))
 
 
 def test_phi_m_is_built_and_read_in_the_ring_alone():
