@@ -14,7 +14,6 @@ whether its own norm was computed.  The images of all orbits of one ring order
 share one reduction per unit, on packed columns.
 """
 
-import itertools
 import math
 import operator
 import sys
@@ -194,9 +193,10 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     norm computed (norm_checked); every other pair (a*x, a*y) is s*sigma_a(J)
     and inherits the norm.  An orbit keeps its ring order
     n = lcm(order(c^k1), order(c^k2)) = (p - 1)/gcd(k1, k2, k3, p - 1), so the
-    orbits run in a stable sort of the rows by n and the ring holds one order
-    at a time.  The images of one order's representatives are taken together,
-    one reduction per unit a mod n (`_galois_columns`) on packed columns.
+    orders n | p - 1 run in ascending order, each order's pairs in row order,
+    and the ring holds one order at a time.  The images of one order's
+    representatives are taken together, one reduction per unit a mod n
+    (`_galois_columns`) on packed columns.
     """
     # The finite side loads here, so the Gamma-ratio commands never import it.
     from .characters import MultiplicativeCharacter, jacobi_sum
@@ -216,43 +216,51 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
         raise InvalidInput("s_grid", str(exc)) from None
 
     order = p - 1
-    pairs = [(k1, k2) for k1 in range(1, order) for k2 in range(1, order) if (k1 + k2) % order]
     trivial = MultiplicativeCharacter(p, 0)
     chars = [trivial._with(k) for k in range(order)]  # each carries the one checked p
-    rows: dict[tuple[int, int], LocalRow] = {}
-    # n = lcm(order(c^k1), order(c^k2)); sorted (n, k1, k2) is a stable sort of the rows by n.
-    keyed = sorted((order // math.gcd(k1, k2, order), k1, k2) for k1, k2 in pairs)
-    for n, group in itertools.groupby(keyed, key=operator.itemgetter(0)):
+    # slot[k1*(p-1) + k2]: None until the orbit of (k1, k2) is met, then (representative, unit
+    # index, 1 if the image is negated) until its ring order's images exist, then its row.
+    slot = [None] * (order * order)
+    for n in (n for n in range(3, order + 1) if order % n == 0):  # orders 1 and 2 hold no pair
+        step = order // n
         units = [a for a in range(1, n) if math.gcd(a, n) == 1]
-        reps, orbit = [], {}  # orbit: pair -> (representative, unit, 1 if the image is negated)
-        for _, k1, k2 in group:
-            if (k1, k2) not in orbit:
-                j = jacobi_sum(chars[k1], chars[k2])
-                norm = j.norm_to_int()
-                # The six orderings of (k1, k2, k3), each with 1 where its sum is -J.
-                k3, odd1, odd2 = -k1 - k2, k1 % 2, k2 % 2
-                six = ((k1, k2, 0), (k2, k1, 0), (k1, k3, odd1), (k3, k1, odd1), (k2, k3, odd2), (k3, k2, odd2))
-                for x, y, odd in six:
-                    for i, a in enumerate(units):
-                        orbit.setdefault((a * x % order, a * y % order), (len(reps), i, odd))
-                reps.append(LocalRow(k1, k2, n, j.coeffs, norm, norm == p, True))
+        reps, members = [], []
+        # The pairs of order n are (x*step, y*step) with gcd(x, y, n) = 1 and x + y != n, in row order.
+        for x in range(1, n):
+            gx = math.gcd(x, n)
+            for y in range(1, n):
+                if slot[k := (x * order + y) * step] is None and x + y != n and math.gcd(gx, y) == 1:
+                    j = jacobi_sum(chars[x * step], chars[y * step])
+                    norm = j.norm_to_int()
+                    r = len(reps)
+                    slot[k] = rep = LocalRow(x * step, y * step, n, j.coeffs, norm, norm == p, True)
+                    reps.append(rep)
+                    # The six orderings of (x, y, z = -x - y), each with 1 where its sum is -J.
+                    z, odd1, odd2 = n - x - y, x * step % 2, y * step % 2
+                    for u, v, odd in ((x, y, 0), (y, x, 0), (x, z, odd1), (z, x, odd1), (y, z, odd2), (z, y, odd2)):
+                        for i, a in enumerate(units):
+                            k = (a * u % n * order + a * v % n) * step
+                            if slot[k] is None:
+                                slot[k] = (r, i, odd)
+                                members.append(k)
         images = [[rep.coeffs for rep in reps], *_galois_columns(n, [rep.coeffs for rep in reps], units[1:])]
-        signed = [[(z, tuple(map(operator.neg, z))) for z in image] for image in images]
-        for (k1, k2), (r, i, odd) in orbit.items():
-            rep = reps[r]
-            rows[k1, k2] = LocalRow(k1, k2, n, signed[i][r][odd], rep.norm, rep.norm_ok, False)
-        rows.update(((rep.k1, rep.k2), rep) for rep in reps)
-    local = [rows[pair] for pair in pairs]
+        negated = [[None] * len(reps) for _ in images]  # no sum is 0, so a filled entry is truthy
+        for k in members:
+            r, i, odd = slot[k]
+            rep, image = reps[r], images[i][r]
+            if odd:
+                image = negated[i][r] = negated[i][r] or tuple(map(operator.neg, image))
+            slot[k] = LocalRow(k // order, k % order, n, image, rep.norm, rep.norm_ok, False)
 
     # An amplitude record is (value, at_pole, pole_index), the last three fields of its row.
     global_rows = tuple(GlobalRow(m.s12, m.s34, *veneziano(m)) for m in cells)
 
     # Row ((p-1)/4, (p-1)/2) holds J(chi_4, chi_2); at p = 3 mod 4 floor division names another row.
-    ap = _primary_trace(p, *rows[order // 4, order // 2].coeffs) if p % 4 == 1 else None
+    ap = _primary_trace(p, *slot[order // 4 * order + order // 2].coeffs) if p % 4 == 1 else None
     return CorrespondenceReport(
         p=p,
         a_p=ap,
-        local_rows=tuple(local),
+        local_rows=tuple(filter(None, slot)),  # the filled slots are the rows, in row order
         global_rows=global_rows,
         dictionary=DICTIONARY_ROWS,
     )

@@ -26,6 +26,8 @@ from .finite_field import PrimeFieldElem, _check_one_mod_four, _check_prime, _ch
 # MultiplicativeCharacter admits p <= MAX_TABLE_PRIME where it is built.  Their
 # cost is the `finite_enum` workload of perfbench.
 MAX_TABLE_PRIME = 2 * 10**6
+# Pairs per chunk of the byte route (`_byte_counts`): its transient bytes are a few chunks.
+BYTE_CHUNK = 1 << 16
 
 
 @functools.lru_cache(maxsize=1)  # every command and report works over one prime
@@ -183,19 +185,23 @@ def _byte_counts(table: array, half: int, n: int, u: int, u2: int) -> list[int]:
     dlog (1 - t) = table[t - 1] + half.  dlog mod n is the low byte of each entry mod n, one
     `translate` per side maps it to u*dlog mod n, the second side's with u'*half added, one
     integer sum adds the two sides bytewise, one more `translate` reduces mod n, and `count`
-    tallies each bucket.  The second pass swaps u and u', which counts the pair (1 - t, t)."""
+    tallies each bucket.  The second pass swaps u and u', which counts the pair (1 - t, t).
+    The pairs go in chunks of BYTE_CHUNK, so the copies, images and sums of one chunk are all
+    the transient bytes, whatever half is."""
     low = table.itemsize - 1 if sys.byteorder == "big" else 0
     logs = memoryview(table).cast("B")[low :: table.itemsize]
-    a, b = logs[2:].tobytes(), logs[1:-1].tobytes()  # dlog t and dlog (1 - t) - half, paired
+    side, side2 = logs[2:], logs[1:-1]  # dlog t and dlog (1 - t) - half, paired; views, no copy
     residues = bytes(range(n)) * (256 // n)  # x -> x mod n; below, x -> v*x + s mod n, as v + n = v mod n
+    maps = [((residues * (v + n))[:: v + n], (residues * (v2 + n))[v2 * half % n :: v2 + n])
+            for v, v2 in ((u, u2), (u2, u))]
     counts = [0] * n
-    for v, v2 in ((u, u2), (u2, u)):
-        times, times2 = (residues * (v + n))[:: v + n], (residues * (v2 + n))[v2 * half % n :: v2 + n]
-        total = int.from_bytes(a.translate(times), "little") + int.from_bytes(b.translate(times2), "little")
-        buckets = total.to_bytes(len(a), "little").translate(residues)
-        for i in range(n):
-            counts[i] += buckets.count(i)
-        del total, buckets  # so the second order's intermediates never meet the first's
+    for start in range(0, half - 1, BYTE_CHUNK):
+        a, b = side[start : start + BYTE_CHUNK].tobytes(), side2[start : start + BYTE_CHUNK].tobytes()
+        for times, times2 in maps:
+            total = int.from_bytes(a.translate(times), "little") + int.from_bytes(b.translate(times2), "little")
+            buckets = total.to_bytes(len(a), "little").translate(residues)
+            for i in range(n):
+                counts[i] += buckets.count(i)
     return counts
 
 

@@ -315,7 +315,7 @@ def _orbit_representatives(p):
     return reps
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 73, 97])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 61, 71, 73, 97])
 def test_correspondence_local_rows_match_direct_table(p):
     # The direct table as an oracle: one Jacobi sum and one norm for every pair.
     rows = correspondence_table(p, []).local_rows

@@ -5,6 +5,7 @@ import collections
 import functools
 import math
 import random
+import tracemalloc
 from array import array
 from types import SimpleNamespace
 
@@ -346,7 +347,9 @@ def test_byte_counts_read_the_low_byte_on_a_big_endian_machine(monkeypatch):
     # must give the counts of the pairs (t, 1 - t), t = 2 .. h, from the full logs.
     # The second side's shift u'*h mod n is not 0 where n does not divide h: at
     # n = 128 for 9857 = 2^7 * 77 + 1, and at n = 2 for 10007, whose h is odd.
-    for p in (7681, 9857, 10007, 12289, 65537):
+    # At 133349 the h - 1 pairs pass BYTE_CHUNK, so they run in two chunks.
+    assert 133349 // 2 - 1 > characters.BYTE_CHUNK
+    for p in (7681, 9857, 10007, 12289, 65537, 133349):
         table, h, full = _dlog_table(p), (p - 1) // 2, dlog_by_pow(p)
         swapped = array(table.typecode, table)
         swapped.byteswap()
@@ -362,6 +365,22 @@ def test_byte_counts_read_the_low_byte_on_a_big_endian_machine(monkeypatch):
                 patch.setattr(characters, "sys", SimpleNamespace(byteorder="big"))
                 big = [characters._byte_counts(swapped, h, n, u, u2) for u, u2 in pairs]
             assert big == native == want, (p, n)
+
+
+def test_byte_counts_hold_a_few_chunks_whatever_the_prime():
+    # The byte route's copies, images and sums are of one chunk at a time: at
+    # p = 1999993, h is about 10^6 and its whole-table intermediates peaked at
+    # 5.2 MB; chunks of BYTE_CHUNK pairs keep them near 0.5 MB.
+    p = 1999993
+    table = _dlog_table(p)
+    for n, u, u2 in ((4, 1, 2), (128, 127, 1)):
+        tracemalloc.start()
+        try:
+            characters._byte_counts(table, p // 2, n, u, u2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (n, peak)
 
 
 def relation_residual(c, c2):
