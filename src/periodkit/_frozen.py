@@ -1,55 +1,41 @@
 """The package's one immutability rule, shared by its value types and result
 records, and the one operator protocol of its exact value types."""
 
+from collections import namedtuple
 from collections.abc import Sequence
-from operator import itemgetter
 
 from .errors import InvalidInput, MismatchedStructure, check_int, shown
 
 
 class Frozen(tuple):
     """Base of the immutable records: a tuple of the field values, named in
-    order by a subclass's `_fields`, each a read-only accessor of its position;
-    a subclass declares `__slots__ = ()`, so it has no instance dict.  A record
-    that only stores its fields inherits the constructor below, by position or
-    keyword; a type that validates, normalises or gives a default stores one
-    value per field through `tuple.__new__(cls, (...))` in its own `__new__`.
-    Equality holds only within one class, so a record never equals a plain
-    tuple, hash agrees with it, and pickling rebuilds through the class's
-    `__new__`.  `len`, iteration, unpacking and indexing read the fields;
-    ordering, `+` and `*` raise TypeError, except the ring types' own `+` and
-    `*`, and a plain tuple on the left of `+` with a ring element, which the
-    tuple concatenates.  Built, hashed and pickled in C, a record loads neither
-    `dataclasses` nor `inspect`; hot call sites pass their values by position.
+    order by a subclass's `_fields`; a subclass declares `__slots__ = ()`, so it
+    has no instance dict.  A class whose body declares `_fields` takes from the
+    `collections.namedtuple` of those fields a getter per field, read in C,
+    and, unless its body defines them, that namedtuple's generated `__new__`
+    (by position or keyword at one cost, with Python's own messages for a
+    wrong field set), repr and pickling arguments, but not `_make` or
+    `_replace`, which would skip a validating `__new__`; a class that declares
+    no `_fields` inherits all of it.  A type that validates, normalises or
+    gives a default stores one value per field through
+    `tuple.__new__(cls, (...))` in its own `__new__`.  Equality holds only
+    within one class, so a record never equals a plain tuple, hash agrees with
+    it, and pickling rebuilds through the class's `__new__`.  `len`,
+    iteration, unpacking and indexing read the fields; ordering, `+` and `*`
+    raise TypeError, except the ring types' own `+` and `*`, and a plain tuple
+    on the left of `+` with a ring element, which the tuple concatenates.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        for i, name in enumerate(cls._fields):
-            setattr(cls, name, property(itemgetter(i)))
-
-    def __new__(cls, *args, **kwargs):
-        if kwargs or len(args) != len(cls._fields):
-            args = cls._bind(args, kwargs)
-        return tuple.__new__(cls, args)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values in field order, from positional then keyword values."""
-        names, name = cls._fields, cls.__qualname__
-        if len(args) > len(names):
-            raise TypeError(f"{name}() takes {len(names)} fields but {len(args)} were given")
-        for field in kwargs:
-            if field in names[: len(args)]:
-                raise TypeError(f"{name}() got multiple values for field {shown(field)}")
-            if field not in names:
-                raise TypeError(f"{name}() got an unexpected field {shown(field)}")
-        missing = [field for field in names[len(args) :] if field not in kwargs]
-        if missing:
-            raise TypeError(f"{name}() missing field(s) {', '.join(map(repr, missing))}")
-        return [*args, *(kwargs[field] for field in names[len(args) :])]
+        if "_fields" in vars(cls):
+            # Hold the class, not only vars() of it: the collector empties the
+            # dict of a class it frees, and a class sits in reference cycles.
+            record = namedtuple(cls.__name__, cls._fields, module=cls.__module__)
+            for name in [*cls._fields, *{"__new__", "__repr__", "__getnewargs__"} - vars(cls).keys()]:
+                setattr(cls, name, vars(record)[name])
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and tuple.__eq__(self, other)
@@ -62,13 +48,6 @@ class Frozen(tuple):
 
     __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _refused
     __array_ufunc__ = None  # so a numpy operand defers to these operators, not reading the fields as an array
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
-        return f"{type(self).__qualname__}({fields})"
 
 
 def check_sequence(arg: str, value) -> None:

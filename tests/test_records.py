@@ -2,7 +2,9 @@
 their fields with equality only within a class, a dataclass-style repr, and
 their own rules."""
 
+import collections
 import copy
+import gc
 import inspect
 import math
 import operator
@@ -156,30 +158,14 @@ def test_positional_and_keyword_construction_agree(cls, fields):
 
 
 def test_inherited_constructor_binds_fields_by_position_and_keyword():
-    # LocalRow has no constructor of its own: Frozen takes the values as its fields.
-    assert "__new__" not in vars(LocalRow) and "__init__" not in vars(LocalRow)
+    # LocalRow's body defines no constructor: the one it takes from the
+    # namedtuple of its fields has one parameter per field, in field order.
+    assert list(inspect.signature(LocalRow).parameters) == list(LocalRow._fields)
+    assert "__init__" not in vars(LocalRow)
     values = list(LOCAL.values())
     whole = LocalRow(*values)
     assert LocalRow(*values[:3], **dict(list(LOCAL.items())[3:])) == whole
     assert LocalRow(*values[:6], norm_checked=True) == whole
-
-
-@pytest.mark.parametrize(
-    "args,kwargs,message",
-    [
-        ((1, 1, 4, (-1, -2), 5, True), {}, "missing field(s) 'norm_checked'"),
-        ((1, 1, 4, (-1, -2), 5, True, True, 0), {}, "takes 7 fields but 8 were given"),
-        ((), {k: v for k, v in LOCAL.items() if k != "norm"}, "missing field(s) 'norm'"),
-        ((), dict(LOCAL, extra=0), "got an unexpected field 'extra'"),
-        ((1,), LOCAL, "got multiple values for field 'k1'"),
-        ((), {}, "missing field(s) 'k1', 'k2', 'ring_order', 'coeffs', 'norm', 'norm_ok', 'norm_checked'"),
-    ],
-    ids=["too-few", "too-many", "missing-keyword", "unknown-keyword", "position-and-keyword", "none"],
-)
-def test_inherited_constructor_rejects_a_wrong_field_set(args, kwargs, message):
-    with pytest.raises(TypeError) as info:
-        LocalRow(*args, **kwargs)
-    assert str(info.value) == f"LocalRow() {message}"
 
 
 @pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
@@ -235,12 +221,58 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
+def _library_records():
+    return {cls for cls in _subclasses(Frozen) if cls.__module__.startswith("periodkit.")}
+
+
 def test_every_record_type_is_in_the_contract_table():
     # RingElement and Residue are bases with no fields of their own.
-    records = {cls for cls in _subclasses(Frozen) if cls.__module__.startswith("periodkit.")}
+    records = _library_records()
     assert records - {cls for cls, _ in EVERY_RECORD} == {periodkit._frozen.RingElement, periodkit._frozen.Residue}
     for cls in records:
         assert cls.__dictoffset__ == 0, cls  # __slots__ = (), so no instance dict
+
+
+def test_no_record_takes_the_other_methods_of_its_namedtuple():
+    # A record takes only its getters, constructor, repr and pickling from the
+    # namedtuple of its fields; as a subclass of it, it would also get _make and
+    # _replace, which build the tuple without running a validating __new__.
+    getter = type(collections.namedtuple("Probe", "x").x)
+    for cls in _library_records():
+        for name in ("_make", "_replace", "_asdict", "_field_defaults"):
+            assert not hasattr(cls, name), (cls, name)
+        if "_fields" in vars(cls):
+            assert all(type(vars(cls)[name]) is getter for name in cls._fields), cls
+
+
+def test_a_subclass_that_declares_no_fields_keeps_what_it_inherits():
+    # Only a class that declares _fields gets a constructor and a repr from its
+    # namedtuple; a subclass with none keeps its parent's validation and repr.
+    class Element(PrimeFieldElem):
+        __slots__ = ()
+
+    class Curve(EllipticCurveQ):
+        __slots__ = ()
+
+    with pytest.raises(InvalidInput) as exc:
+        Element(4, 1)
+    assert exc.value.arg == "p"
+    assert Element(7, 10) == Element(7, 3) and type(Element(7, 3)) is Element
+    assert repr(Curve(-1, 0)) == repr(EllipticCurveQ(-1, 0)) == "EllipticCurveQ(a=-1, b=0)"
+    assert copy.copy(Curve(-1, 0)) == Curve(-1, 0)
+
+
+def test_a_record_class_is_whole_whenever_the_collector_runs(monkeypatch):
+    # The collector empties the dict of a class it frees.  A full collection
+    # before each attribute Frozen sets on a new record must not free the
+    # namedtuple it is still reading.
+    monkeypatch.setattr(periodkit._frozen, "setattr", lambda *args: (gc.collect(), setattr(*args)), raising=False)
+
+    class Pair(Frozen):
+        __slots__ = ()
+        _fields = ("x", "y")
+
+    assert Pair(1, y=2).y == 2 and repr(Pair(1, 2)) == "Pair(x=1, y=2)"
 
 
 @pytest.mark.parametrize("cls,fields", EVERY_RECORD, ids=EVERY_ID)
@@ -325,13 +357,28 @@ def test_validating_types_take_keywords(build, want):
 
 
 def test_validating_types_refuse_a_wrong_field_set():
-    # A validating __new__ is a plain Python signature: Python's own messages.
-    with pytest.raises(TypeError, match="missing 1 required positional argument: 'value'"):
-        PrimeFieldElem(7)
-    with pytest.raises(TypeError, match="unexpected keyword argument 'modulus'"):
-        PrimeFieldElem(7, modulus=3)
-    with pytest.raises(TypeError, match="multiple values for argument 'p'"):
-        PadicInt(5, 2, 1, p=5)
+    # A validating __new__, and the one a plain record takes from its
+    # namedtuple, are plain Python signatures: Python's own messages, which
+    # name the class and each field at fault.
+    values = list(LOCAL.values())
+    without_norm = {name: value for name, value in LOCAL.items() if name != "norm"}
+    cases = [
+        (PrimeFieldElem, (7,), {}, "missing 1 required positional argument", ["value"]),
+        (PrimeFieldElem, (7,), {"modulus": 3}, "unexpected keyword argument", ["modulus"]),
+        (PadicInt, (5, 2, 1), {"p": 5}, "multiple values for argument", ["p"]),
+        (LocalRow, values[:6], {}, "missing 1 required positional argument", ["norm_checked"]),  # too few
+        (LocalRow, (*values, 0), {}, "positional arguments but 9 were given", []),  # too many
+        (LocalRow, (), without_norm, "missing 1 required positional argument", ["norm"]),  # missing keyword
+        (LocalRow, (), dict(LOCAL, extra=0), "unexpected keyword argument", ["extra"]),  # unknown keyword
+        (LocalRow, (1,), LOCAL, "multiple values for argument", ["k1"]),  # position and keyword
+        (LocalRow, (), {}, "missing 7 required positional arguments", list(LOCAL)),  # none
+    ]
+    for cls, args, kwargs, kind, fields in cases:
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        message = str(info.value)
+        assert message.startswith(f"{cls.__name__}.") and kind in message, message
+        assert all(f"'{field}'" in message for field in fields), message
 
 
 @pytest.mark.parametrize("cls,fields", EVERY_RECORD, ids=EVERY_ID)

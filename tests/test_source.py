@@ -64,7 +64,8 @@ def test_quadrature_gives_up_in_one_place():
 def test_fields_are_stored_only_through_frozen():
     # A record is a tuple of its fields.  A validating __new__ stores them with
     # tuple.__new__(cls, (...)), one value per name of its class's _fields, the
-    # one storing path besides Frozen's own constructor; object.__new__ and
+    # one storing path besides the constructor a plain record takes from the
+    # namedtuple of its fields (Frozen.__init_subclass__); object.__new__ and
     # object.__setattr__ appear nowhere.
     def stores(node):
         return isinstance(node, ast.Call) and ast.unparse(node.func) == "tuple.__new__"
@@ -163,8 +164,9 @@ def test_only_two_functions_defer_a_library_import():
 
 def test_plain_records_inherit_the_constructor():
     # A Frozen subclass whose __new__ only stores each parameter, in field
-    # order and with no default, repeats Frozen.__new__: it should declare its
-    # _fields and inherit the constructor instead.
+    # order and with no default, repeats the constructor Frozen.__init_subclass__
+    # gives it from the namedtuple of its _fields: it should declare them and
+    # define no __new__ instead.
     def only_stores(cls, new):
         args = new.args
         if args.defaults or args.vararg or args.kwarg or args.kwonlyargs or args.posonlyargs:

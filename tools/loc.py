@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Print the two line counts of the library source, per module and in total.
+"""Print three line counts of the library source, per module and in total.
 
     python3 tools/loc.py [DIR]
 
-DIR defaults to src/periodkit.  `lines` is what `wc -l` counts.  `code` is
-the lines that are not blank, not comment-only and not part of a docstring:
-the string that opens a module, class or function body, found with `ast`.
+DIR defaults to src/periodkit.  `lines` is what `wc -l` counts.  `doc` is
+the lines of the docstrings: the string that opens a module, class or
+function body, found with `ast`.  `code` is the lines that are not blank, not
+comment-only and not part of a docstring.
 """
 
 import ast
@@ -26,8 +27,8 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def counts(path: Path) -> tuple[int, int]:
-    """(wc -l lines, code lines) of one source file."""
+def counts(path: Path) -> tuple[int, int, int]:
+    """(wc -l lines, code lines, docstring lines) of one source file."""
     text = path.read_text()
     docs = docstring_lines(ast.parse(text, filename=str(path)))
     code = sum(
@@ -35,19 +36,18 @@ def counts(path: Path) -> tuple[int, int]:
         for number, line in enumerate(text.splitlines(), start=1)
         if line.strip() and not line.strip().startswith("#") and number not in docs
     )
-    return text.count("\n"), code
+    return text.count("\n"), code, len(docs)
 
 
 def main(argv: list[str]) -> None:
     directory = Path(argv[0]) if argv else ROOT / "src" / "periodkit"
-    total_lines = total_code = 0
-    print(f"{'module':<24}{'lines':>7}{'code':>7}")
+    total = [0, 0, 0]
+    print(f"{'module':<24}{'lines':>7}{'code':>7}{'doc':>7}")
     for path in sorted(directory.glob("*.py")):
-        lines, code = counts(path)
-        total_lines += lines
-        total_code += code
-        print(f"{path.name:<24}{lines:>7}{code:>7}")
-    print(f"{'total':<24}{total_lines:>7}{total_code:>7}")
+        row = counts(path)
+        total = [a + b for a, b in zip(total, row)]
+        print(f"{path.name:<24}" + "".join(f"{n:>7}" for n in row))
+    print(f"{'total':<24}" + "".join(f"{n:>7}" for n in total))
 
 
 if __name__ == "__main__":
