@@ -168,6 +168,28 @@ def test_inherited_constructor_binds_fields_by_position_and_keyword():
     assert LocalRow(*values[:6], norm_checked=True) == whole
 
 
+@pytest.mark.parametrize(
+    "args,kwargs,kind,fields",
+    [
+        ((1, 1, 4, (-1, -2), 5, True), {}, "missing 1 required positional argument", ["norm_checked"]),
+        ((1, 1, 4, (-1, -2), 5, True, True, 0), {}, "positional arguments but 9 were given", []),
+        ((), {k: v for k, v in LOCAL.items() if k != "norm"}, "missing 1 required positional argument", ["norm"]),
+        ((), dict(LOCAL, extra=0), "unexpected keyword argument", ["extra"]),
+        ((1,), LOCAL, "multiple values for argument", ["k1"]),
+        ((), {}, "missing 7 required positional arguments", list(LOCAL)),
+    ],
+    ids=["too-few", "too-many", "missing-keyword", "unknown-keyword", "position-and-keyword", "none"],
+)
+def test_inherited_constructor_rejects_a_wrong_field_set(args, kwargs, kind, fields):
+    # The constructor LocalRow takes from its namedtuple is a plain Python
+    # signature: Python's own messages, which name the class and each field at fault.
+    with pytest.raises(TypeError) as info:
+        LocalRow(*args, **kwargs)
+    message = str(info.value)
+    assert message.startswith("LocalRow.") and kind in message, message
+    assert all(f"'{field}'" in message for field in fields), message
+
+
 @pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
 def test_records_are_immutable_slots(cls, fields):
     record = cls(**fields)
@@ -357,21 +379,12 @@ def test_validating_types_take_keywords(build, want):
 
 
 def test_validating_types_refuse_a_wrong_field_set():
-    # A validating __new__, and the one a plain record takes from its
-    # namedtuple, are plain Python signatures: Python's own messages, which
-    # name the class and each field at fault.
-    values = list(LOCAL.values())
-    without_norm = {name: value for name, value in LOCAL.items() if name != "norm"}
+    # A validating __new__ is a plain Python signature: Python's own messages,
+    # which name the class and each field at fault.
     cases = [
         (PrimeFieldElem, (7,), {}, "missing 1 required positional argument", ["value"]),
         (PrimeFieldElem, (7,), {"modulus": 3}, "unexpected keyword argument", ["modulus"]),
         (PadicInt, (5, 2, 1), {"p": 5}, "multiple values for argument", ["p"]),
-        (LocalRow, values[:6], {}, "missing 1 required positional argument", ["norm_checked"]),  # too few
-        (LocalRow, (*values, 0), {}, "positional arguments but 9 were given", []),  # too many
-        (LocalRow, (), without_norm, "missing 1 required positional argument", ["norm"]),  # missing keyword
-        (LocalRow, (), dict(LOCAL, extra=0), "unexpected keyword argument", ["extra"]),  # unknown keyword
-        (LocalRow, (1,), LOCAL, "multiple values for argument", ["k1"]),  # position and keyword
-        (LocalRow, (), {}, "missing 7 required positional arguments", list(LOCAL)),  # none
     ]
     for cls, args, kwargs, kind, fields in cases:
         with pytest.raises(TypeError) as info:
