@@ -193,6 +193,24 @@ def test_gauss_walk_visits_one_of_t_and_minus_t(monkeypatch):
             assert calls == [name] * ((p - 1) // 2), (p, k)
 
 
+def test_gauss_walk_makes_one_rect_call_per_block(monkeypatch):
+    # The walk goes in blocks of isqrt(h) + 1 steps: one table of that many roots
+    # and one more root per block, so at most 2 * (isqrt(h) + 1) calls of
+    # cmath.rect.  The last block is full at 13, 421, 10513 and 100801, and holds
+    # one term at 7, 73, 10369 and 102607; the sums must still match the oracle.
+    rect, calls = cmath.rect, []
+    monkeypatch.setattr(cmath, "rect", lambda r, phi: calls.append(phi) or rect(r, phi))
+    for p, last in ((13, 0), (421, 0), (10513, 0), (100801, 0), (7, 1), (73, 1), (10369, 1), (102607, 1)):
+        h = (p - 1) // 2
+        size = math.isqrt(h) + 1
+        assert h % size == last, p
+        for k in (1, 2, h - 1):
+            calls.clear()
+            got = gauss_sum(MultiplicativeCharacter(p, k)).value
+            assert len(calls) <= 2 * size, (p, k, len(calls))
+            assert abs(got - gauss_sum_exponent_walk(p, k)) < GAUSS_WALK_TOL_PER_TERM * p, (p, k)
+
+
 def dlog_by_pow(p):
     # The smallest g with g^((p-1)/q) != 1 for every prime q | p - 1.
     m = p - 1
@@ -340,6 +358,13 @@ def test_jacobi_sum_matches_the_oracle_on_both_sides_of_the_byte_switch(monkeypa
             assert byte_orders == ([n] if n in byte_side else []), (p, n)
 
 
+def pair_tally(full, h, n, u, u2):
+    # The bucket counts of the pairs (t, 1 - t), t = 2 .. h, from the full logs.
+    tally = collections.Counter((u * full[t] + u2 * full[1 - t]) % n for t in range(2, h + 1))
+    tally.update((u * full[1 - t] + u2 * full[t]) % n for t in range(2, h + 1))
+    return [tally[i] for i in range(n)]
+
+
 def test_byte_counts_read_the_low_byte_on_a_big_endian_machine(monkeypatch):
     # A byteswapped copy of the dlog table lays each entry out as a big-endian
     # machine would, so there the low byte is the last of the four; the dlogs at
@@ -347,7 +372,7 @@ def test_byte_counts_read_the_low_byte_on_a_big_endian_machine(monkeypatch):
     # must give the counts of the pairs (t, 1 - t), t = 2 .. h, from the full logs.
     # The second side's shift u'*h mod n is not 0 where n does not divide h: at
     # n = 128 for 9857 = 2^7 * 77 + 1, and at n = 2 for 10007, whose h is odd.
-    # At 133349 the h - 1 pairs pass BYTE_CHUNK, so they run in two chunks.
+    # At 133349 the h - 1 pairs pass BYTE_CHUNK, so they run in more than one chunk.
     assert 133349 // 2 - 1 > characters.BYTE_CHUNK
     for p in (7681, 9857, 10007, 12289, 65537, 133349):
         table, h, full = _dlog_table(p), (p - 1) // 2, dlog_by_pow(p)
@@ -355,16 +380,27 @@ def test_byte_counts_read_the_low_byte_on_a_big_endian_machine(monkeypatch):
         swapped.byteswap()
         for n in (n for n in (1, 2, 4, 8, 16, 32, 64, 128) if (p - 1) % n == 0):
             pairs = [(1, 1), (n - 1, 1), (n // 2, n - 1)]
-            want = []
-            for u, u2 in pairs:
-                tally = collections.Counter((u * full[t] + u2 * full[1 - t]) % n for t in range(2, h + 1))
-                tally.update((u * full[1 - t] + u2 * full[t]) % n for t in range(2, h + 1))
-                want.append([tally[i] for i in range(n)])
+            want = [pair_tally(full, h, n, u, u2) for u, u2 in pairs]
             native = [characters._byte_counts(table, h, n, u, u2) for u, u2 in pairs]
             with monkeypatch.context() as patch:
                 patch.setattr(characters, "sys", SimpleNamespace(byteorder="big"))
                 big = [characters._byte_counts(swapped, h, n, u, u2) for u, u2 in pairs]
             assert big == native == want, (p, n)
+
+
+def test_byte_counts_at_the_chunk_edges(monkeypatch):
+    # 3329 - 1 = 2^8 * 13, so every power-of-two n up to 128 takes the byte route
+    # here.  Chunks of 1 and 2 pairs, of h - 2 (the last chunk holds one pair), of
+    # exactly the h - 1 pairs, and of h, more than there are; u and u' of both parities.
+    p = 3329
+    table, h, full = _dlog_table(p), (p - 1) // 2, dlog_by_pow(p)
+    for n in (1, 2, 4, 8, 16, 32, 64, 128):
+        pairs = {(u % n, u2 % n) for u, u2 in ((1, 3), (n - 1, 2), (2, n - 1), (0, 2))}
+        want = {pair: pair_tally(full, h, n, *pair) for pair in pairs}
+        for chunk in (1, 2, h - 2, h - 1, h):
+            monkeypatch.setattr(characters, "BYTE_CHUNK", chunk)
+            for u, u2 in pairs:
+                assert characters._byte_counts(table, h, n, u, u2) == want[u, u2], (n, chunk, u, u2)
 
 
 def test_byte_counts_hold_a_few_chunks_whatever_the_prime():
