@@ -21,6 +21,7 @@ from . import __version__
 from .errors import InvalidInput, PeriodkitError, TrivialCharacter, shown
 
 DIGITS = 4300  # CPython's default int-to-str limit: main runs under it, and a rational flag stays within it
+_RATIONAL_CAP = 10**DIGITS  # a rational flag's numerator and denominator stay below it
 
 # ---------------------------------------------------------------------------
 # Output envelope and rendering
@@ -143,7 +144,7 @@ def _rational(text: str):
     if sum(map(str.isdigit, text.lower().partition("e")[2])) > 4:
         return None
     value = Fraction(text)
-    return value if max(abs(value.numerator), value.denominator) < 10**DIGITS else None
+    return value if max(abs(value.numerator), value.denominator) < _RATIONAL_CAP else None
 
 
 _NOUNS = {int: "ints", float: "real numbers",
@@ -397,7 +398,7 @@ def _run(argv) -> int:
         flag = next((f.dest for f in command.flags if f.feeds == exc.arg), exc.arg)
         print(f"error: --{flag}: {exc}", file=sys.stderr)
         return 2
-    except PeriodkitError as exc:
+    except (PeriodkitError, MemoryError) as exc:  # a host short of memory is a domain error too: one line, exit 1
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text)

@@ -243,9 +243,10 @@ def _quad(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
 
 
 def periods_quadrature(curve: EllipticCurveQ) -> PeriodLattice:
-    """Lattice generators straight from the defining integrals (the oracle)."""
+    """Lattice generators straight from the defining integrals (the oracle),
+    on the root gaps of the curve's one `_lattice`."""
     check_record("curve", curve, EllipticCurveQ)
-    d12, d13, d23 = _root_gaps(curve)
+    d12, d13, d23 = _lattice(curve)[:3]
     omega1 = 4.0 * _gauss_integral(d13, d12)
     omega2 = 4.0 * _gauss_integral(d13, d23)
     return PeriodLattice(complex(omega1, 0.0), complex(0.0, omega2), "quadrature")
@@ -284,15 +285,35 @@ def _agm(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
+_LAST = (None, None)  # (curve, its _lattice): the last curve read, held so that no other object takes its id
+
+
+def _lattice(curve: EllipticCurveQ) -> tuple[float, float, float, float, float]:
+    """(d12, d13, d23, omega1, omega2): the `_root_gaps` of the curve and its
+    generators through the AGM, I(a, b) = pi/(2*agm(sqrt(a), sqrt(b))).  Every
+    gap lies between float min and 2.7e154, so their square roots lie in the
+    range where agm's steps are exact, and `_agm` takes them unchecked.
+
+    The lattice of the last curve read is kept, keyed by identity: a curve is
+    immutable, so the periods of one curve share one computation, and an equal
+    but distinct curve recomputes the same floats.  Only a lattice computed in
+    full is kept, in one rebinding, so a thread can miss but never read a mixed
+    entry, and a curve that raises leaves the entry as it was."""
+    global _LAST
+    kept, lattice = _LAST
+    if kept is not curve:
+        d12, d13, d23 = _root_gaps(curve)
+        s13 = math.sqrt(d13)
+        lattice = d12, d13, d23, 2.0 * math.pi / _agm(s13, math.sqrt(d12)), 2.0 * math.pi / _agm(s13, math.sqrt(d23))
+        _LAST = curve, lattice
+    return lattice
+
+
 def periods_agm(curve: EllipticCurveQ) -> PeriodLattice:
-    """Same generators through the AGM; agrees with quadrature within 1e-9.
-    Every gap lies between float min and 2.7e154, so their square roots lie
-    in the range where agm's steps are exact, and `_agm` takes them unchecked."""
+    """Same generators through the AGM, read off the curve's one `_lattice`;
+    agrees with quadrature within 1e-9."""
     check_record("curve", curve, EllipticCurveQ)
-    d12, d13, d23 = _root_gaps(curve)
-    s13 = math.sqrt(d13)
-    omega1 = 2.0 * math.pi / _agm(s13, math.sqrt(d12))
-    omega2 = 2.0 * math.pi / _agm(s13, math.sqrt(d23))
+    omega1, omega2 = _lattice(curve)[3:]
     return PeriodLattice(complex(omega1, 0.0), complex(0.0, omega2), "agm")
 
 
@@ -343,8 +364,10 @@ def _tau_normalize(omega1: complex, omega2: complex) -> TauPoint:
 
 
 def curve_tau(curve: EllipticCurveQ) -> TauPoint:
-    """`tau_normalize` of the AGM lattice, whose generators are complex already."""
-    return _tau_normalize(*periods_agm(curve)[:2])
+    """`tau_normalize` of the AGM generators of the curve's one `_lattice`."""
+    check_record("curve", curve, EllipticCurveQ)
+    omega1, omega2 = _lattice(curve)[3:]
+    return _tau_normalize(complex(omega1, 0.0), complex(0.0, omega2))
 
 
 def legendre_curve(t: Fraction) -> EllipticCurveQ:
@@ -353,7 +376,9 @@ def legendre_curve(t: Fraction) -> EllipticCurveQ:
     t = _check_rational("t", t)
     if t == 0 or t == 1:
         raise DegenerateFamilyMember(f"t = {t} is a nodal member of the family")
-    return EllipticCurveQ(-(t * t - t + 1) / 3, -(t + 1) * (t - 2) * (2 * t - 1) / 27)
+    n, d = t.numerator, t.denominator  # a and b over t = n/d's own integers, one normalisation each
+    a = Fraction(-(n * n - n * d + d * d), 3 * d * d)
+    return EllipticCurveQ(a, Fraction(-(n + d) * (n - 2 * d) * (2 * n - d), 27 * d**3))
 
 
 def period_map_legendre(t_values: Sequence[Fraction]) -> list[tuple[Fraction, TauPoint]]:

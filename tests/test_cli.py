@@ -317,6 +317,18 @@ def test_jacobi_computes_its_sum_once(monkeypatch):
     assert calls == [(1, 2)]
 
 
+def test_a_memory_error_ends_in_one_line_and_exit_1(monkeypatch):
+    # A host short of memory can fail an accepted call that no rule on argv
+    # refuses; the call ends as a domain error does, never in a traceback.
+    def exhausted(*args):
+        raise MemoryError("no room for the walk")
+
+    monkeypatch.setattr("periodkit.characters.gauss_sum", exhausted)
+    code, out, err = run_cli(["gauss", "--p", "13", "--k1", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error: MemoryError: no room for the walk\n" and "Traceback" not in err
+
+
 # The most runs of the prime rule per corpus command: one per value that enters
 # from argv (a character, a curve, a p-adic x), two where two enter (jacobi's
 # characters, delta's x and y), and one each for the two orderings that check p
@@ -863,6 +875,20 @@ def test_rational_flag_values_are_bounded(value):
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "") and err.startswith("error: --curve: need 2 comma-separated rationals of at most 4300 digits"), err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "value,code",
+    [("9" * 4300, 1), ("1/" + "7" * 4300, 1), ("-" + "9" * 4300 + "/" + "7" * 4300, 0)],
+    ids=["4300-digit-numerator", "4300-digit-denominator", "4300-digits-both"],
+)
+def test_rational_flag_values_of_4300_digits_pass_the_parse(value, code):
+    # The counterpart of the 4301-digit refusal: 4300 digits above and below
+    # the bar pass the parse.  t near 9e4299 or 1.3e-4300 is then refused by
+    # the library, and t near -1.29 is answered.
+    got, out, err = run_cli(["periodmap", f"--grid={value}"])
+    assert got == code, err
+    assert err.startswith("error: FloatOverflow") if code else json.loads(out)["rows"], err
 
 
 @pytest.mark.parametrize("argv,code,named", ARGV_TABLE, ids=[" ".join(a) for a, _, _ in ARGV_TABLE])

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import sys
+import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -503,6 +504,100 @@ def test_complex_root_curve_rejected():
         periods_quadrature(EllipticCurveQ(1, 1))
 
 
+KEPT_POOL = {
+    "lemniscatic": EllipticCurveQ(-1, 0),
+    "three roots": EllipticCurveQ(-7, 6),
+    "equal copy": EllipticCurveQ(-7, 6),  # equal to the one above, but another object
+    "complex roots": EllipticCurveQ(1, 1),
+    "subnormal a": EllipticCurveQ(Fraction(-1, 10**310), 0),
+}
+KEPT_CALLS = {f.__name__: f for f in (periods_quadrature, periods_agm, curve_tau, _root_gaps)}
+
+
+def outcome(function, curve):
+    """The value of function(curve), or the type of the typed error it raises."""
+    try:
+        return function(curve)
+    except (ComplexRoots, FloatOverflow) as exc:
+        return type(exc)
+
+
+def test_the_period_functions_of_one_curve_share_one_lattice(monkeypatch):
+    # The root gaps once and the AGM pair once per curve, whichever function
+    # reads the curve first; a second curve computes its own.
+    calls = []
+    for name in ("_root_gaps", "_agm"):
+        real = getattr(complex_periods, name)
+        monkeypatch.setattr(complex_periods, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    monkeypatch.setattr(complex_periods, "_LAST", (None, None))
+    for first in (curve_tau, periods_agm, periods_quadrature):
+        curve = EllipticCurveQ(-7, 6)
+        first(curve)
+        periods_quadrature(curve), periods_agm(curve), curve_tau(curve)
+        assert sorted(calls) == ["_agm", "_agm", "_root_gaps"], first
+        calls.clear()
+
+
+def test_a_curve_that_raises_leaves_the_kept_lattice_as_it_was(monkeypatch):
+    monkeypatch.setattr(complex_periods, "_LAST", (None, None))
+    kept = KEPT_POOL["three roots"]
+    periods_agm(kept)
+    entry = complex_periods._LAST
+    assert entry[0] is kept
+    for name in ("complex roots", "subnormal a"):
+        for function in (periods_quadrature, periods_agm, curve_tau):
+            assert outcome(function, KEPT_POOL[name]) in (ComplexRoots, FloatOverflow)
+            assert complex_periods._LAST is entry, (name, function)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(KEPT_CALLS)), st.sampled_from(sorted(KEPT_POOL))), max_size=12))
+def test_kept_lattice_matches_a_fresh_computation(calls):
+    fresh = {}
+    for function in KEPT_CALLS:
+        for name in KEPT_POOL:
+            complex_periods._LAST = (None, None)
+            fresh[function, name] = outcome(KEPT_CALLS[function], KEPT_POOL[name])
+    complex_periods._LAST = (None, None)
+    for function, name in calls:
+        assert outcome(KEPT_CALLS[function], KEPT_POOL[name]) == fresh[function, name], (function, name)
+        kept, lattice = complex_periods._LAST
+        if kept is not None:
+            kept_name = next(pooled_name for pooled_name, pooled in KEPT_POOL.items() if pooled is kept)
+            omega1, omega2, _ = fresh["periods_agm", kept_name]
+            assert lattice == (*fresh["_root_gaps", kept_name], omega1.real, omega2.imag), kept_name
+
+
+def test_kept_lattice_under_two_threads():
+    # Each thread alternates two curves, out of step with the other, so each
+    # keeps replacing the entry that the other is about to read.
+    curves = [KEPT_POOL["lemniscatic"], KEPT_POOL["three roots"]]
+    serial = {}
+    for curve in curves:
+        complex_periods._LAST = (None, None)
+        serial[id(curve)] = (periods_quadrature(curve), periods_agm(curve), curve_tau(curve))
+    wrong = []
+
+    def run(offset):
+        for i in range(400):
+            curve = curves[(i + offset) % 2]
+            got = (periods_quadrature(curve), periods_agm(curve), curve_tau(curve))
+            if got != serial[id(curve)]:
+                wrong.append((offset, i, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(offset,)) for offset in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
 def test_tau_normalize_examples():
     reduced = tau_normalize(PeriodLattice(1 + 0j, 1j, "agm"))
     assert reduced.tau == 1j and reduced.transform == ((1, 0), (0, 1))
@@ -604,6 +699,14 @@ def test_scaling_covariance():
 def test_legendre_curve_shift_is_exact():
     curve = legendre_curve(Fraction(1, 2))
     assert curve.a == Fraction(-1, 4) and curve.b == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions().filter(lambda t: t not in (0, 1)))
+def test_legendre_curve_matches_the_fraction_formula(t):
+    # legendre_curve builds a and b from t's numerator and denominator.
+    curve, oracle = legendre_curve(t), EllipticCurveQ(-(t * t - t + 1) / 3, -(t + 1) * (t - 2) * (2 * t - 1) / 27)
+    assert curve == oracle and repr(curve) == repr(oracle)
 
 
 def test_period_map_examples():

@@ -326,17 +326,35 @@ CACHES = {
     "cyclotomic._modulus": 1,
     "complex_periods._midpoint_level": None,
     "complex_periods._tanh_sinh_level": None,
+    "complex_periods._lattice": "global _LAST",  # the last curve read and its lattice
 }
+
+
+def rebound_globals(function: ast.FunctionDef) -> list[str]:
+    """The module names that function rebinds with `global`, not counting those of the functions it defines."""
+    names, todo = [], list(ast.iter_child_nodes(function))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Global):
+            names += node.names
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)
+    return names
 
 
 def test_every_cache_is_bounded():
     # An unbounded cache keyed by a caller's argument keeps one entry per
     # distinct value for the life of the process, and a cache nobody hits
-    # keeps its entries for nothing; README names the same caches.
+    # keeps its entries for nothing; README names the same caches.  State
+    # kept outside functools is module state that a function rebinds with
+    # `global`, found in the source and keyed by that function.
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
     caches = {}
     for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (names := rebound_globals(node)):
+                caches[f"{path.stem}.{node.name}"] = "global " + ", ".join(names)
         if path.stem in ("__init__", "__main__"):  # the package holds no cache; __main__ runs the CLI
             continue
         module = importlib.import_module(f"periodkit.{path.stem}")

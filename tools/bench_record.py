@@ -12,6 +12,19 @@ holds both sides' median and quartiles over the pairs, and how many pairs
 the change won, lost and tied ("better" in BENCHMARK.json says which
 direction wins).  Quartiles use the inclusive method of
 statistics.quantiles; a workload with fewer than two pairs is left out.
+
+Each metric gets a verdict, the first of these that holds:
+
+- "gain": the change won at least 9 in 10 of the pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+- "regression": the change's median is worse than the parent's by more than
+  the metric's "bound" in BENCHMARK.json times the parent's median;
+- "unresolved": the parent's interquartile range is wider than that bound
+  times its median, and not every change run beats every parent run;
+- "no change".
+
+A workload's verdict is the first of "regression", "unresolved" and "gain"
+that one of its metrics has, else "no change".
 """
 
 from __future__ import annotations
@@ -26,9 +39,10 @@ ROOT = Path(__file__).resolve().parent.parent
 RECORD = re.compile(r"(?P<workload>\w+)-seed(?P<seed>\d+)-trace0\.json")
 
 
-def end_to_end_metrics() -> dict[str, str]:
-    """Metric name -> "lower" or "higher", the direction that counts as better."""
-    return {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+def end_to_end_metrics() -> dict[str, dict]:
+    """Metric name -> its entry in BENCHMARK.json: "better", "lower" or
+    "higher", the direction that counts as better, and "bound"."""
+    return {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def read_runs(out_dir: Path) -> dict[tuple[str, int], dict[str, float]]:
@@ -47,7 +61,24 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(parent: dict, change: dict, better: dict[str, str]) -> dict:
+VERDICTS = ("regression", "unresolved", "gain")  # a workload takes the first that one of its metrics has
+
+
+def verdict(before: list[float], after: list[float], sign: int, bound: float, wins: int) -> str:
+    """The verdict of one metric (module docstring); sign is 1 where lower is better, -1 where higher is."""
+    parent, change = spread(before), spread(after)
+    iqr, scale = parent["q3"] - parent["q1"], bound * abs(parent["median"])
+    gain = sign * (parent["median"] - change["median"])
+    if 10 * wins >= 9 * len(before) and gain > iqr:
+        return "gain"
+    if -gain > scale:
+        return "regression"
+    if iqr > scale and not all(sign * b > sign * a for b in before for a in after):
+        return "unresolved"
+    return "no change"
+
+
+def summarise(parent: dict, change: dict, metrics: dict[str, dict]) -> dict:
     out = {}
     pairs = parent.keys() & change.keys()
     for workload in sorted({w for w, _ in pairs}):
@@ -55,21 +86,24 @@ def summarise(parent: dict, change: dict, better: dict[str, str]) -> dict:
         if len(seeds) < 2:
             continue
         rows = {}
-        for name, direction in better.items():
+        for name, metric in metrics.items():
             before = [parent[workload, s][name] for s in seeds]
             after = [change[workload, s][name] for s in seeds]
-            sign = 1 if direction == "lower" else -1
+            sign = 1 if metric["better"] == "lower" else -1
             wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
             losses = sum(sign * (b - a) < 0 for b, a in zip(before, after))
             rows[name] = {
-                "better": direction,
+                "better": metric["better"],
                 "parent": spread(before),
                 "change": spread(after),
                 "wins": wins,
                 "losses": losses,
                 "ties": len(seeds) - wins - losses,
+                "verdict": verdict(before, after, sign, metric["bound"], wins),
             }
-        out[workload] = {"seeds": seeds, "metrics": rows}
+        found = {row["verdict"] for row in rows.values()}
+        overall = next((v for v in VERDICTS if v in found), "no change")
+        out[workload] = {"seeds": seeds, "verdict": overall, "metrics": rows}
     return out
 
 
