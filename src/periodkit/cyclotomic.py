@@ -24,11 +24,8 @@ from .errors import FloatOverflow, InvalidInput, MismatchedStructure, NotRationa
 from .finite_field import _prime_factors
 
 # The largest ring order m: every order p - 1 of the kernels over F_p
-# (p <= characters.MAX_TABLE_PRIME), and a Phi_m build of at most m + 1 slots.
-# The ring's other cost, one reduction's finish, is budgeted by the multiply-adds of its chain's
-# term loops, counted from the odd primes of m alone: at most MAX_REDUCTION_STEPS.
+# (p <= characters.MAX_TABLE_PRIME), each answered; a Galois image places m slots.
 MAX_RING_ORDER = 2 * 10**6
-MAX_REDUCTION_STEPS = 10**7
 
 
 def _even_part(m: int) -> tuple[int, int]:
@@ -36,99 +33,97 @@ def _even_part(m: int) -> tuple[int, int]:
     return (m // 2, -1) if m % 2 == 0 else (m, 1)
 
 
-def _divide_binomial(poly: list[int], d: int, sign: int) -> list[int]:
-    """The exact quotient q of poly by y^d - sign, sign = +-1, from the lowest term up:
-    q_i = q_(i-d) - poly_i for y^d - 1 and poly_i - q_(i-d) for y^d + 1, one recurrence
-    per residue class mod d, in at most about sqrt(len) C-level calls.  Short classes
-    (d*d > len) take one `map` per block of d, long ones one running sum each; for
-    y^d + 1, (-1)^j * q_j along a class is the running sum of (-1)^j * poly_j, so every
-    other entry is negated before and after."""
-    q = poly[: len(poly) - d]
-    if d * d > len(q):
-        if sign > 0:
-            q[:d] = map(operator.neg, q[:d])
-        for i in range(d, len(q), d):
-            low, high = q[i - d : i], q[i : i + d]
-            q[i : i + d] = map(operator.sub, low, high) if sign > 0 else map(operator.sub, high, low)
-        return q
+def _divide_binomial(series: list[int], d: int, sign: int) -> None:
+    """The power series over 1 - sign * y^d, sign = +-1, in place, from the lowest term up:
+    s_i += sign * s_(i-d), one running sum per residue class mod d, in at most about
+    2 * sqrt(len) C-level calls.  Short classes (4*d*d > len) take one `map` per block of d,
+    long ones one running sum each; for sign = -1, (-1)^j * s_j along a class is the running
+    sum of (-1)^j times the input, so every other entry is negated before and after."""
+    n = len(series)
+    if 4 * d * d > n:
+        step = operator.add if sign > 0 else operator.sub
+        for i in range(d, n, d):
+            series[i : i + d] = map(step, series[i : i + d], series[i - d : i])
+        return
     for k in range(d):
-        line = q[k::d]
-        if sign > 0:
-            line = itertools.islice(itertools.accumulate(line, operator.sub, initial=0), 1, None)
+        line = series[k::d]
+        if sign < 0:
+            line[1::2] = map(operator.neg, line[1::2])
+        line = list(itertools.accumulate(line))
+        if sign < 0:
+            line[1::2] = map(operator.neg, line[1::2])
+        series[k::d] = line
+
+
+def _series(poly: list[int], n: int, binomials: tuple[tuple[int, int], ...], sign: int, inverse: bool = False) -> list[int]:
+    """The first n terms of the power series poly times, or over if inverse is set, the product
+    of (1 - sign * x^d)^mu over the binomials (d, mu) of m's `_modulus`, which is Phi_m for
+    m > 1: each is -sign * (x^d - sign), and the 2^k factors -sign cancel.  poly, at most n
+    terms, is padded and worked in place, one linear pass per binomial below n; the rest act
+    as 1.  Only its first `support` terms can be nonzero: a product by x^d widens them by d,
+    and a division of at most d of them repeats its first d terms, negated every other time
+    when sign = -1; any other division is `_divide_binomial`."""
+    support, times = len(poly), operator.sub if sign > 0 else operator.add
+    poly += [0] * (n - support)
+    for d, mu in binomials:
+        if d >= n:
+            break
+        if (mu > 0) != inverse:  # s_i -= sign * s_(i-d), from the old terms
+            poly[d : support + d] = map(times, poly[d : support + d], poly[:support])
+            support = min(n, support + d)
+            continue
+        if support <= d:
+            period = poly[:d] if sign > 0 else poly[:d] + [-c for c in poly[:d]]
+            poly[:] = (period * (n // len(period) + 1))[:n]
         else:
-            line[1::2] = map(operator.neg, line[1::2])
-            line = list(itertools.accumulate(line))
-            line[1::2] = map(operator.neg, line[1::2])
-        q[k::d] = line
-    return q
+            _divide_binomial(poly, d, sign)
+        support = n
+    return poly
 
 
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m: with (h, sign)
-    from `_even_part` and r the odd radical of m, the Moebius product of y^d - sign
-    over the divisors d of r at y = x^(h/r), one linear pass each.  For odd m that is
-    Phi_r(x^(m/r)); for even m and r > 1, Phi_r(-x^(m/2r)), as Phi_2n(x) = Phi_n(-x)."""
+    """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m: the first phi(m) + 1
+    terms of one `_series` from the constant (-sign)^(2^k), which is 1 but at m = 1, where
+    Phi_1 = x - 1 = -(1 - x)."""
     check_int("m", m, lo=1, hi=MAX_RING_ORDER)
-    stride, sign = _even_part(m)
-    primes = [q for q in _prime_factors(m) if q != 2]
-    factors = [(1, (-1) ** len(primes))]  # (d, mu(r/d)) over the divisors d of r
-    for q in primes:
-        factors += [(d * q, -mu) for d, mu in factors]
-        stride //= q
-    times = operator.sub if sign > 0 else operator.add
-    poly = [1]
-    for d, mu in sorted(factors, key=lambda f: -f[1]):  # multiply first, so every division is exact
-        if mu > 0:  # times y^d - sign
-            poly = [0] * d + poly
-            poly[: len(poly) - d] = map(times, poly, poly[d:])
-        else:
-            poly = _divide_binomial(poly, d, sign)
-    out = [0] * ((len(poly) - 1) * stride + 1)
-    out[::stride] = poly
-    return tuple(out)
+    phi, _, sign, _, _, binomials = _modulus(m)
+    return tuple(_series([(-sign) ** len(binomials)], phi + 1, binomials, sign))
 
 
 # One order, as `characters._dlog_table` keeps one prime: a report runs its orbits by ring order.
 @functools.lru_cache(maxsize=1)
-def _modulus(
-    m: int,
-) -> tuple[int, int, int, int, int, tuple[tuple[int, int, tuple | None], ...], int]:
-    """(phi, h, sign, steps, grow, links, budget) of Phi_m: its degree; the (h, sign) of
-    `_even_part`, so Phi_m divides x^h - sign; the budget's count; and, only within
-    MAX_REDUCTION_STEPS, how far a finish grows a value and the chain it runs.  With
-    q_1 < q_2 < ... the odd primes of m, R_j = q_1 * ... * q_j and lo_j = phi(R_j) * h/R_j,
-    link j is the modulus Phi_(R_j)(sign * y) at y = x^(h/R_j), which is Phi_(m*R_j/h) in y:
-    each divides the one before, and the last is Phi_m.  A link is (hi, lo, terms): the length
-    it reduces, lo_(j-1) (h for the first), its degree in x, lo_j, and its nonzero terms (k, c)
-    below the lead; the first link, Phi_(q_1) of q_1 ones, has terms None.  steps, the sum over
-    later links of (hi - lo) * phi(R_j), bounds the multiply-adds of their term loops from the
-    factorisation alone, so an order over the budget is refused before any polynomial is built.
-    grow is 2 for the first link times (1 + max|c|) per lead of each later one.  An order with
-    at most one odd prime costs no steps, builds no polynomial and keeps at most one link.
-    budget is the MAX_REDUCTION_STEPS the entry was judged against, which its refusal quotes."""
+def _modulus(m: int) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
+    """(phi, h, sign, lo, grow, binomials) of Phi_m, its sizes and no polynomial: its degree;
+    the (h, sign) of `_even_part`, so Phi_m divides x^h - sign; with q the smallest odd prime
+    of m, lo = h - h/q, the length after the first link of `_reduce`, which reduces modulo
+    Phi_q(sign * x^(h/q)), or h if m has no odd prime; and the binomials (d * h/r, mu(r/d))
+    over the divisors d of the odd radical r of m, by ascending degree, whose product of
+    (x^(d*h/r) - sign)^mu(r/d) is Phi_m: Phi_r(y) at y = x^(h/r) for odd m, and for even m
+    Phi_r(-y), which is Phi_(2r)(y).  k odd primes make 2^k binomials, at most 64 below
+    MAX_RING_ORDER.
+
+    grow bounds how far `_reduce` scales the largest entry M of a placed vector, one entry per
+    slot, as `_galois_columns` packs: the fold adds no entry to another, and the first link
+    subtracts one, so r[:lo] stays within 2M; grow is 1 with no odd prime and 2 with one.
+    Past that, each pass of a `_series` on n terms by a binomial 1 - sign * x^d, d < n, scales
+    the largest term by at most 2 for a product and ceil(n/d) for a division, the size of a
+    residue class mod d.  So the quotient stays within 2M * A and the forward series within
+    2M * A * B, A and B the products of those factors over the passes of lo - phi and of
+    phi terms, and the remainder within 2M * (1 + A * B) = M * grow."""
     h, sign = _even_part(m)
     primes = [q for q in _prime_factors(m) if q != 2]
-    strides = [h // radical for radical in itertools.accumulate(primes, operator.mul, initial=1)]
-    totients = list(itertools.accumulate((q - 1 for q in primes), operator.mul, initial=1))
-    los = list(map(operator.mul, strides, totients))
-    steps = sum((hi - lo) * totient for hi, lo, totient in zip(los[1:], los[2:], totients[2:]))
-    if not primes or steps > MAX_REDUCTION_STEPS:
-        return los[-1], h, sign, steps, 1, (), MAX_REDUCTION_STEPS
-    links, grow = [(h, los[1], None)], 2
-    for stride, hi, lo in zip(strides[2:], los[1:], los[2:]):
-        poly = cyclotomic_polynomial(m // stride)
-        grow *= (1 + max(map(abs, poly))) ** (hi - lo)
-        links.append((hi, lo, tuple((k * stride, c) for k, c in enumerate(poly[:-1]) if c)))
-    return los[-1], h, sign, steps, grow, tuple(links), MAX_REDUCTION_STEPS
+    stride = h // math.prod(primes)
+    binomials = [(stride, (-1) ** len(primes))]  # d = 1
+    for q in primes:
+        binomials += [(d * q, -mu) for d, mu in binomials]
+    phi = stride * math.prod(q - 1 for q in primes)
+    lo = h - h // primes[0] if primes else h
 
+    def scale(n: int, inverse: bool) -> int:
+        return math.prod(2 if (mu > 0) != inverse else -(-n // d) for d, mu in binomials if d < n)
 
-def _check_reduction(m: int, arg: str) -> None:
-    """The ring's cost budget, a finish within MAX_REDUCTION_STEPS, on the verdict of m's
-    `_modulus` entry: an order that needs a finish (phi < h) and has no links was refused
-    there, and the message quotes the budget it was refused at.  `arg` names what set m."""
-    phi, h, _, steps, _, links, budget = _modulus(m)
-    if phi < h and not links:
-        raise InvalidInput(arg, f"a reduction in Z[zeta_{m}] takes {steps} steps, over the budget of {budget}")
+    grow = 1 if lo == h else 2 if lo == phi else 2 * (1 + scale(lo - phi, True) * scale(phi, False))
+    return phi, h, sign, lo, grow, tuple(sorted(binomials))
 
 
 # The signed array code of each machine width: 1, 2, 4 and 8 bytes.
@@ -180,29 +175,25 @@ def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     """The canonical coefficients of sum coeffs[j] * x^j modulo Phi_m, the ring's one
     reduction.  The fold modulo x^h - sign, a multiple of Phi_m, adds each block of h
-    to the first, subtracted on odd blocks when sign = -1, one C-level `map` each.  Then
-    the links of `_modulus` reduce r[:hi] to r[:lo] in place: the first subtracts its top
-    block from each block below, negated on odd blocks when sign = -1, in one C-level
-    pass; each later one divides lead by lead over its terms.  An order past the budget
-    has no links, so it is refused naming m unless r[phi:] is all zero."""
-    phi, h, sign, _, _, links, _ = _modulus(m)
+    to the first, subtracted on odd blocks when sign = -1, one C-level `map` each.  The
+    first link reduces r[:h] to r[:lo] modulo Phi_q(sign * x^(h/q)), q the smallest odd
+    prime of m, another multiple: it subtracts the top block from each block below,
+    negated on odd blocks when sign = -1, in one C-level pass.  If r[phi:lo] is not zero,
+    the finish divides by Phi_m, which is palindromic for m > 1: reversed, the quotient Q
+    is the series of the reversed top r[phi:lo] over Phi_m, and r[:phi] loses the first
+    phi terms of Q * Phi_m, each one `_series`."""
+    phi, h, sign, lo, _, binomials = _modulus(m)
     r = list(coeffs[:h])
     r += [0] * (h - len(r))
     for start in range(h, len(coeffs), h):
         chunk, fold = coeffs[start : start + h], operator.sub if sign < 0 and start // h % 2 else operator.add
         r[: len(chunk)] = map(fold, r, chunk)
-    if not links and any(r[phi:]):
-        _check_reduction(m, "m")
-    for hi, lo, terms in links:
-        if terms is None:
-            top = r[lo:hi]
-            r[:lo] = map(operator.sub, r[:lo], itertools.cycle(top if sign > 0 else top + [-c for c in top]))
-        else:
-            for i in range(hi - 1, lo - 1, -1):
-                lead = r[i]
-                if lead:
-                    for k, c in terms:
-                        r[i - lo + k] -= lead * c
+    if lo < h:
+        top = r[lo:]
+        r[:lo] = map(operator.sub, r[:lo], itertools.cycle(top if sign > 0 else top + [-c for c in top]))
+    if any(r[phi:lo]):
+        quotient = _series(r[lo - 1 : phi - 1 : -1], lo - phi, binomials, sign, inverse=True)[::-1]
+        r[:phi] = map(operator.sub, r[:phi], _series(quotient, phi, binomials, sign))
     return tuple(r[:phi])
 
 
@@ -219,8 +210,8 @@ def _galois(m: int, coeffs: Sequence[int], a: int) -> tuple[int, ...]:
 def _galois_columns(m: int, vectors: Sequence[tuple[int, ...]], units: Sequence[int]) -> list[list[tuple[int, ...]]]:
     """For each unit a, the images sigma_a(z) of the canonical vectors z, in their order, in one
     `_galois` on columns: coefficient j of every z packed in one int.  The fold meets no two
-    placed coefficients in one slot, as a is a unit mod h, and the links scale the largest
-    value by at most `_modulus`'s grow, so the fields hold max|z| * grow."""
+    placed coefficients in one slot, as a is a unit mod h, and the rest of `_reduce` scales
+    the largest value by at most `_modulus`'s grow, so the fields hold max|z| * grow."""
     top = max((abs(c) for z in vectors for c in z), default=0)
     width, k = _width(top * _modulus(m)[4]), len(vectors)
     columns = tuple(_pack(column, width) for column in zip(*vectors))

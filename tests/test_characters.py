@@ -25,6 +25,7 @@ from periodkit.characters import (
 from periodkit.cyclotomic import CyclotomicNumber, _modulus
 from periodkit.errors import BadCongruence, FloatOverflow, InvalidInput, MismatchedStructure, TrivialCharacter
 from periodkit.finite_field import PrimeFieldElem, _smallest_primitive_root, legendre_symbol
+from test_cyclotomic import roots_mod_prime, value_mod
 
 PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
                 71, 73, 79, 83, 89, 97]
@@ -497,108 +498,77 @@ def test_table_budget_rejects_before_building():
 
 def test_the_ring_holds_every_full_order_of_the_table():
     # A full-order Jacobi sum at p <= MAX_TABLE_PRIME lives in Z[zeta_(p-1)].
-    # Were the table bound raised alone, cyclotomic_polynomial's check_int("m",
-    # ...) would refuse that order, and the CLI would name --m, no flag of it.
+    # Were the table bound raised alone, the ring's check_int("m", ...) would
+    # refuse that order, and the CLI would name --m, no flag of it.
     assert characters.MAX_TABLE_PRIME - 1 <= cyclotomic.MAX_RING_ORDER
 
 
-def test_reduction_budget_is_checked_at_its_edge(monkeypatch):
+def test_the_ring_answers_at_m_30_whatever_its_cache_holds():
     # m = 30 = 2 * 3 * 5, h = 15: the first link folds by Phi_3 in one pass,
-    # from 15 coefficients to 10, and the second divides out its 2 leads over
-    # at most phi(15) = 8 terms each, 16 steps, so a budget one below refuses it.
-    # jacobi_sum and char_eval name p, which set the order; the ring's own
-    # entries name m, and only when a finish is due.  The modulus is sized at
-    # the budget of its build, so each budget starts from an empty cache.
-    steps = _modulus(30)[3]
-    assert steps == 16
+    # from 15 coefficients to 10, and the finish divides out the last 2 by
+    # Phi_30 over its binomials.  An entry of _modulus is a function of m alone,
+    # so the answers are the same from an empty cache, from the entry of 30 and
+    # after another order took the one slot.  jacobi_sum and char_eval at
+    # p = 31 live in Z[zeta_30]; phi(30) = 8 coefficients need no finish.
     c = MultiplicativeCharacter(31, 1)
-    try:
-        monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", steps)
-        _modulus.cache_clear()
+    for before in (_modulus.cache_clear, lambda: _modulus(30), lambda: _modulus(42)):
+        before()
+        assert jacobi_sum(c, c).coeffs == (2, 4, 1, -2, 2, -2, 0, -1)
         assert jacobi_sum(c, c).norm_to_int() == 31
+        assert CyclotomicNumber.root_of_unity(30, 14).coeffs == (1, 0, -1, -1, -1, 0, 1, 1)
         assert abs(CyclotomicNumber.root_of_unity(30, 14).embed() - cmath.exp(28j * cmath.pi / 30)) < 1e-12
+        assert char_eval(c, PrimeFieldElem(31, 3)) == CyclotomicNumber.root_of_unity(30, 1)  # 3 generates F_31^x
         assert CyclotomicNumber(30, [1] * 8).coeffs == (1,) * 8
-        monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", steps - 1)
-        _modulus.cache_clear()
-        for call, arg in [
-            (lambda: jacobi_sum(c, c), "p"),
-            (lambda: char_eval(c, PrimeFieldElem(31, 3)), "p"),
-            (lambda: CyclotomicNumber.root_of_unity(30, 14), "m"),
-        ]:
-            with pytest.raises(InvalidInput) as info:
-                call()
-            assert info.value.arg == arg
-        # phi(30) = 8 coefficients need no finish, so they are answered at either budget.
-        assert CyclotomicNumber(30, [1] * 8).coeffs == (1,) * 8
-    finally:
-        monkeypatch.undo()
-        _modulus.cache_clear()
     # An order-2 pair lives in Z[zeta_2], whose reduction costs nothing;
     # J(chi, chi) = -chi(-1) = 1 for the quadratic chi, as 31 = 3 mod 4.
     q = quadratic_character(31)
     assert jacobi_sum(q, q).as_int() == 1
 
 
-def test_a_stale_refusal_of_the_ring_still_refuses(monkeypatch):
-    # An entry of _modulus carries the verdict of the budget it was built at:
-    # m = 30 refused at a budget of 15 keeps no links, so it keeps refusing
-    # after the budget is raised, until the cache is cleared, rather than hand
-    # back an unreduced vector as if it were canonical.
-    c = MultiplicativeCharacter(31, 1)
-    try:
-        monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", 15)
-        _modulus.cache_clear()
-        assert _modulus(30)[5] == ()
-        monkeypatch.setattr(cyclotomic, "MAX_REDUCTION_STEPS", 10**7)
-        for call, arg in [(lambda: CyclotomicNumber.root_of_unity(30, 14), "m"), (lambda: jacobi_sum(c, c), "p")]:
-            with pytest.raises(InvalidInput) as info:
-                call()
-            # The message quotes the budget the entry was refused at, not the live one.
-            assert info.value.arg == arg and str(info.value).endswith("takes 16 steps, over the budget of 15")
-            assert "10000000" not in str(info.value)
-        _modulus.cache_clear()
-        assert CyclotomicNumber.root_of_unity(30, 14).coeffs == (1, 0, -1, -1, -1, 0, 1, 1)
-        assert jacobi_sum(c, c).coeffs == (2, 4, 1, -2, 2, -2, 0, -1)
-    finally:
-        monkeypatch.undo()
-        _modulus.cache_clear()
-
-
-def test_reduction_budget_rejects_before_the_table():
-    # p - 1 = 38038 = 2 * 7 * 11 * 13 * 19 needs 10240920 steps per reduction,
-    # and p - 1 = 1999992 = 2^3 * 3 * 167 * 499 needs 2.2e8.
-    for p in (38039, 1999993):
-        c = MultiplicativeCharacter(p, 1)
-        before = _dlog_table.cache_info().misses
-        for call in (lambda: jacobi_sum(c, c), lambda: char_eval(c, PrimeFieldElem(p, 2))):
-            with pytest.raises(InvalidInput) as info:
-                call()
-            assert info.value.arg == "p"
-        assert _dlog_table.cache_info().misses == before
-        assert _modulus(p - 1)[5] == ()  # the refused order keeps no link of the finish
+def test_the_ring_answers_at_38039_and_1999993():
+    # p - 1 = 38038 = 2 * 7 * 11 * 13 * 19 and 1999992 = 2^3 * 3 * 167 * 499,
+    # four and three odd primes.  The full-order Jacobi sum at 38039 is
+    # the exponent-count oracle's, of norm p, and takes the values of its counts
+    # at roots of unity modulo a prime.  char_eval at 1999993 of g^e, with e
+    # between phi = 661344 and the first link's lo = 666664, needs the finish:
+    # its vector of phi coefficients takes the value w^e at those roots.
+    p = 38039
+    c = MultiplicativeCharacter(p, 1)
+    j = jacobi_sum(c, c)
+    assert j == jacobi_sum_oracle(p, 1, 1)
+    assert j.norm_to_int() == p
+    ell, roots = roots_mod_prime(p - 1)
+    counts = collections.Counter((a + b) % (p - 1) for a, b in _oracle_logs(p))
+    for w in roots:
+        assert value_mod(j.coeffs, w, ell) == sum(n * pow(w, e, ell) for e, n in counts.items()) % ell
+    p, e = 1999993, 661351
+    z = char_eval(MultiplicativeCharacter(p, 1), PrimeFieldElem(p, pow(_smallest_primitive_root(p), e, p)))
+    ell, roots = roots_mod_prime(p - 1, 2)
+    assert len(z.coeffs) == 661344
+    assert [value_mod(z.coeffs, w, ell) for w in roots] == [pow(w, e, ell) for w in roots]
 
 
 def test_a_refusal_of_the_ring_builds_no_polynomial(monkeypatch):
-    # The budget's count comes from the odd primes of m alone, so an order over
-    # it is refused before any link is built: at p - 1 = 1939938 =
-    # 2 * 3 * 7 * 11 * 13 * 17 * 19, whose Phi_m once took seconds to build.
+    # The ring refuses only an order outside [1, MAX_RING_ORDER], by the int
+    # rule on m, before it sizes a modulus; inside, it refuses none, and an
+    # entry comes from the factorisation alone, with no polynomial: at
+    # 1939938 = 2 * 3 * 7 * 11 * 13 * 17 * 19, 64 binomials and four sizes.
     def build(m):
         raise AssertionError(f"Phi_{m} built")
 
     monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", build)
     _modulus.cache_clear()
-    assert _modulus(1939938)[3] > cyclotomic.MAX_REDUCTION_STEPS and _modulus(1939938)[5] == ()
-    c = MultiplicativeCharacter(1939939, 1)
-    before = _dlog_table.cache_info().misses
-    for call in (lambda: jacobi_sum(c, c), lambda: char_eval(c, PrimeFieldElem(1939939, 2))):
+    for call in (lambda: CyclotomicNumber(2000001, [1, 2]), lambda: CyclotomicNumber.root_of_unity(2000001, 1)):
         with pytest.raises(InvalidInput) as info:
             call()
-        assert info.value.arg == "p" and "Z[zeta_1939938]" in str(info.value)
-    assert _dlog_table.cache_info().misses == before
+        assert info.value.arg == "m"
+    assert _modulus.cache_info().misses == 0
+    phi, h, sign, lo, _, binomials = _modulus(1939938)
+    assert (phi, h, sign, lo, len(binomials)) == (414720, 969969, -1, 646646, 64)
+    assert all(type(d) is int and mu in (1, -1) for d, mu in binomials)
 
 
 def test_jacobi_sum_at_an_order_the_budget_once_refused():
-    # p - 1 = 94290 = 2 * 3 * 5 * 7 * 449: the division by Phi_m was counted at
-    # 3.6e8 steps, the chain that runs at 1254896, so a full-order sum is answered.
+    # p - 1 = 94290 = 2 * 3 * 5 * 7 * 449: the finish runs 16 binomial passes each way.
     c = MultiplicativeCharacter(94291, 1)
     assert jacobi_sum(c, c).norm_to_int() == 94291

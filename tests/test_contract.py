@@ -47,8 +47,8 @@ LIMITED = hasattr(resource, "RLIMIT_AS") and pathlib.Path("/proc/self/statm").is
 EXAMPLES = 100  # per name
 
 # The values drawn for a parameter, by its annotation: the edges of its kind,
-# among them the ring order 38038 = 2 * 7 * 11 * 13 * 19, whose finish is
-# over the reduction budget, with a list of 19019 ones, its x^(38038/2) fold.
+# among them the ring order 38038 = 2 * 7 * 11 * 13 * 19, whose finish runs
+# over 16 binomials and is answered, with a list of 19019 ones, its x^(38038/2) fold.
 INTS = [0, 1, -1, 2, 7, 13, 38038, 2**31 - 1, HUGE, True]
 REALS = [0.5, -2.5, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, HUGE, Fraction(1, 3), True, numpy.True_, Decimal("2.5"), Decimal("NaN")]
 SEQUENCES = [[0.5, 2], (Fraction(1, 3),), [], [1] * 19019, [math.nan], [HUGE]]

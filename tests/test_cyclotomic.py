@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from periodkit import cyclotomic
 from periodkit.cyclotomic import (
-    MAX_REDUCTION_STEPS,
     MAX_RING_ORDER,
     CyclotomicNumber,
     _divide_binomial,
@@ -24,6 +23,7 @@ from periodkit.cyclotomic import (
     _kron_mul,
     _modulus,
     _pack,
+    _series,
     _unpack,
     _width,
     cyclotomic_polynomial,
@@ -86,6 +86,36 @@ def _reduced(m, coeffs):
     phi_poly = cyclotomic_polynomial(m)
     _, rem = _poly_divmod_monic(coeffs, phi_poly)
     return tuple(rem + [0] * (len(phi_poly) - 1 - len(rem)))
+
+
+def _is_prime(n):
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def roots_mod_prime(m, count=4):
+    """The least prime ell = 1 (mod m) and `count` primitive m-th roots of unity
+    modulo ell, w^j for units j spread over 1..m: by pow alone, with no
+    code of the ring.  Phi_m(w) = 0 (mod ell) at each, so z = v modulo Phi_m
+    gives z(w) = v(w) (mod ell)."""
+    ell = next(ell for ell in range(m + 1, 10**4 * m, m) if _is_prime(ell))
+    primes = _distinct_primes(m)
+    w = next(w for w in (pow(a, (ell - 1) // m, ell) for a in range(2, ell)) if all(pow(w, m // q, ell) != 1 for q in primes))
+    roots = []
+    for i in range(count):
+        j = 1 + i * (m // count)
+        while math.gcd(j, m) != 1:
+            j += 1
+        roots.append(pow(w, j, ell))
+    return ell, tuple(roots)
+
+
+def value_mod(coeffs, w, ell):
+    """sum coeffs[j] * w^j modulo ell, by Horner's rule."""
+    total = 0
+    for c in reversed(coeffs):
+        total = (total * w + c) % ell
+    return total
 
 
 KNOWN = {
@@ -215,29 +245,34 @@ def test_embed_past_the_doubles_is_float_overflow():
     assert CyclotomicNumber(4, [10**308, 10**308]).embed() == complex(1e308, 1e308)
 
 
-def test_reduction_budget_refuses_in_z_zeta_38038():
-    # 38038 = 2 * 7 * 11 * 13 * 19: the chain's term loops take 10240920 steps,
-    # over MAX_REDUCTION_STEPS, so every entry that needs a finish refuses naming m, at once.
-    steps = _modulus(38038)[3]
-    assert steps == 10240920 > MAX_REDUCTION_STEPS
-    dense = CyclotomicNumber(38038, [1] * 12960)
-    for call in (
-        lambda: CyclotomicNumber.root_of_unity(38038, 19018),
-        lambda: CyclotomicNumber(38038, [1] * 19019),
-        lambda: dense * dense,
-        lambda: dense.galois(-1),
-        lambda: dense.norm_to_int(),
+def test_the_ring_answers_in_z_zeta_38038():
+    # 38038 = 2 * 7 * 11 * 13 * 19, the smallest order p - 1 with four odd
+    # primes: every entry that needs a finish answers, in well under a second,
+    # with phi = 12960 coefficients that take the values of its input at
+    # primitive 38038-th roots of unity modulo a prime.
+    m, phi = 38038, 12960
+    ell, roots = roots_mod_prime(m)
+    dense = CyclotomicNumber(m, [1] * phi)
+    for call, want in (
+        (lambda: CyclotomicNumber.root_of_unity(m, 19018), lambda w: pow(w, 19018, ell)),
+        (lambda: CyclotomicNumber(m, [1] * 19019), lambda w: value_mod([1] * 19019, w, ell)),
+        (lambda: dense * dense, lambda w: value_mod(dense.coeffs, w, ell) ** 2),
+        (lambda: dense.galois(-1), lambda w: value_mod(dense.coeffs, pow(w, -1, ell), ell)),
     ):
         start = time.perf_counter()
-        with pytest.raises(InvalidInput) as info:
-            call()
-        assert info.value.arg == "m" and time.perf_counter() - start < 0.1
-        assert str(info.value) == f"a reduction in Z[zeta_38038] takes {steps} steps, over the budget of 10000000"
+        z = call()
+        assert time.perf_counter() - start < 0.5
+        assert len(z.coeffs) == phi
+        assert [value_mod(z.coeffs, w, ell) for w in roots] == [want(w) % ell for w in roots]
+    # z * conj(z) for z = 1 + zeta + ... + zeta^(phi - 1) is not rational: the
+    # norm reduces its product and refuses by its value, not by its order.
+    with pytest.raises(NotRationalInteger):
+        dense.norm_to_int()
     # Elements of at most phi = 12960 coefficients, their sums, and products
     # that stay below x^phi need no finish.
-    small = CyclotomicNumber(38038, [1, 2])
+    small = CyclotomicNumber(m, [1, 2])
     assert (small * small).coeffs[:4] == (1, 4, 4, 0) and not any((small * small).coeffs[3:])
-    assert (dense * 2).coeffs == (2,) * 12960 == (dense + dense).coeffs
+    assert (dense * 2).coeffs == (2,) * phi == (dense + dense).coeffs
 
 
 def test_rational_integer_queries():
@@ -306,17 +341,39 @@ def _cyclotomic_over_full_radical(m):
 
 
 def test_binomial_division_undoes_the_product_on_both_routes():
-    # d * d <= len(q) takes one running sum per residue class mod d, a larger d
-    # one map per block of d; at len(q) = 400 the switch lies between d = 20 and 21.
+    # The series over 1 - sign * y^d, in place: on q * (1 - sign * y^d), whose
+    # d top terms are past the length of q, it gives back q and d zeros.
+    # 4 * d * d <= len takes one running sum per residue class mod d, a larger
+    # d one map per block of d; at len = 400 + d the switch lies between d = 10
+    # and 11.
     rng = random.Random(20261019)
     for length in (0, 1, 2, 9, 10, 50, 400):
-        for d in (1, 2, 3, 7, 19, 20, 21, 64, 400, 401):
+        for d in (1, 2, 3, 7, 10, 11, 19, 20, 21, 64, 400, 401):
             for sign in (1, -1):
                 q = [rng.randint(-(2**70), 2**70) for _ in range(length)]
-                product = [-sign * c for c in q] + [0] * d  # q * (y^d - sign)
+                series = q + [0] * d  # q * (1 - sign * y^d)
                 for i, c in enumerate(q):
-                    product[i + d] += c
-                assert _divide_binomial(product, d, sign) == q, (length, d, sign)
+                    series[i + d] -= sign * c
+                _divide_binomial(series, d, sign)
+                assert series == q + [0] * d, (length, d, sign)
+
+
+def test_series_matches_the_binomials_term_by_term():
+    # _series against one term at a time: times 1 - sign * x^d is
+    # s_i - sign * s_(i-d) from the old terms, over it s_i + sign * s_(i-d)
+    # from the new ones.  Inputs shorter than n, products that widen them
+    # past d, and divisions of a support just below, at and above d.
+    rng = random.Random(20261021)
+    for _ in range(400):
+        n, sign, inverse = rng.randint(1, 40), rng.choice((1, -1)), rng.random() < 0.5
+        poly = [rng.randint(-9, 9) for _ in range(rng.randint(0, n))]
+        binomials = tuple(sorted((rng.randint(1, 45), rng.choice((1, -1))) for _ in range(rng.randint(0, 6))))
+        want = poly + [0] * (n - len(poly))
+        for d, mu in binomials:
+            old = list(want)
+            for i in range(d, n):
+                want[i] += sign * (want[i - d] if (mu > 0) == inverse else -old[i - d])
+        assert _series(list(poly), n, binomials, sign, inverse) == want, (n, poly, binomials, sign, inverse)
 
 
 def test_polynomial_over_the_odd_radical_matches_the_full_radical():
@@ -362,27 +419,64 @@ def test_reduction_matches_long_division_large_orders():
 
 
 def test_reduction_matches_long_division_where_the_budget_once_refused():
-    # The division by Phi_30030 was counted at 9255 * 5370 steps, over the
-    # budget; the chain that runs is counted at 3135248, so a fold of 15015
-    # ones is answered.
+    # A fold of 15015 ones runs the finish over all 32 binomials of the five
+    # odd primes of 30030.
     v = [1] * 15015
     assert CyclotomicNumber(30030, v).coeffs == _reduced(30030, v)
 
 
-def test_the_budget_bounds_the_chain_that_runs():
-    # steps bounds the multiply-adds of the term loops: each later link divides
-    # out hi - lo leads over its nonzero terms.  The links, one per odd prime,
-    # exist exactly when steps is within the budget, as at every m < 3000 but
-    # not at 38038 and 1939938; an order with at most one odd prime, whose one
-    # link is a single pass, counts none.
+def test_the_modulus_lists_the_binomials_of_the_odd_radical():
+    # An entry keeps sizes and binomials, no polynomial: (d * h/r, mu(r/d)) for
+    # each divisor d of the odd radical r, by ascending degree, 2^k of them for
+    # k odd primes.  Their product of (x^d - sign)^mu is Phi_m (checked against
+    # the division cascade above); lo is the length the first link leaves,
+    # h - h/q for the smallest odd prime q, and phi when m has one odd prime.
     for m in list(range(1, 3000)) + list(LARGE_ORDERS) + [38038, 1939938]:
-        phi, h, _, steps, _, links, _ = _modulus(m)
-        odd = [q for q in range(3, m + 1, 2) if m % q == 0 and all(q % d for d in range(3, q, 2))]
-        assert sum((hi - lo) * len(terms) for hi, lo, terms in links[1:]) <= steps, m
-        assert bool(links) == (bool(odd) and steps <= MAX_REDUCTION_STEPS), m
-        assert (steps == 0) == (len(odd) <= 1), m
-        if links:
-            assert (len(links), links[0][0], links[-1][1]) == (len(odd), h, phi), m
+        phi, h, sign, lo, grow, binomials = _modulus(m)
+        odd = [q for q in _distinct_primes(m) if q != 2]
+        r = math.prod(odd)
+        divisors = [d for d in range(1, r + 1) if r % d == 0] if r < 10**4 else None
+        assert (h, sign) == ((m // 2, -1) if m % 2 == 0 else (m, 1)), m
+        assert phi == h // r * math.prod(q - 1 for q in odd), m
+        assert len(binomials) == 2 ** len(odd) and [d for d, _ in binomials] == sorted(d for d, _ in binomials), m
+        if divisors:
+            mobius = {d: (-1) ** len(_distinct_primes(r // d)) for d in divisors}
+            assert binomials == tuple((d * h // r, mobius[d]) for d in divisors), m
+        assert lo == (h - h // odd[0] if odd else h), m
+        assert (lo == phi) == (len(odd) <= 1) and (grow == 1) == (not odd), m
+    # Seven odd primes multiply past the largest order, so no entry holds more than 64 binomials.
+    assert 3 * 5 * 7 * 11 * 13 * 17 * 19 > MAX_RING_ORDER
+    assert len(_modulus(1939938)[5]) == 64
+
+
+# One order for each count of odd primes from 2 to 6, at both parities, where
+# the long division would take 10^8 steps or more: 99937 = 37 * 73,
+# 99910 = 2 * 5 * 97 * 103, 38038 = 2 * 7 * 11 * 13 * 19, 15015 = 3 * 5 * 7 * 11 * 13
+# and 255255 = 3 * 5 * 7 * 11 * 13 * 17.
+EXACT_ORDERS = (99937, 99910, 38038, 15015, 255255)
+
+
+@pytest.mark.parametrize("m", EXACT_ORDERS)
+def test_reduction_matches_values_at_roots_mod_a_prime(m):
+    # The oracle shares no code with the ring: z = v modulo Phi_m, with phi
+    # coefficients, exactly when z(w) = v(w) at every root w of Phi_m, and
+    # several primitive m-th roots modulo a prime ell = 1 (mod m) sample that.
+    # A vector of length 2m with wide entries at random places, the top
+    # slots among them, and a run of ones past h.
+    rng = random.Random(m)
+    phi, h = _modulus(m)[:2]
+    ell, roots = roots_mod_prime(m)
+    sparse = dict.fromkeys(rng.sample(range(2 * m), 40) + [2 * m - 1, h, h - 1, phi], 0)
+    for j in sparse:
+        sparse[j] = rng.randint(-(2**70), 2**70)
+    v = [0] * (2 * m)
+    for j, c in sparse.items():
+        v[j] = c
+    for vector, value in ((v, lambda w: sum(c * pow(w, j, ell) for j, c in sparse.items())),
+                          ([1] * (h + phi), lambda w: value_mod([1] * (h + phi), w, ell))):
+        z = CyclotomicNumber(m, vector)
+        assert len(z.coeffs) == phi, m
+        assert [value_mod(z.coeffs, w, ell) for w in roots] == [value(w) % ell for w in roots], m
 
 
 def test_product_matches_schoolbook():
@@ -632,10 +726,10 @@ def held_after(calls) -> int:
 def test_the_ring_keeps_one_order_and_no_placement_between_calls(monkeypatch):
     # A library caller's history must not grow what the ring holds: an image
     # under sigma_a at m = 199998 places its vector in m slots, and none
-    # stays.  An order with at most one odd prime keeps only the sizes of its
-    # one link, builds no Phi_m and lists none of its terms: reductions at
-    # m = 1999618 = 2 * 999809, and at four orders m = 2q near 2*10^5, leave at
-    # most 4 KiB held, where a list of Phi_m's terms held about 100 MB and 9 MB.
+    # stays.  An entry keeps sizes and its binomials, never Phi_m or a list of
+    # its terms: reductions at m = 1999618 = 2 * 999809, and at four orders
+    # m = 2q near 2*10^5, leave at most 4 KiB held, where a list of Phi_m's
+    # terms held about 100 MB and 9 MB.
     z = CyclotomicNumber(199998, [1, 2, 3])
 
     def images():
@@ -652,4 +746,4 @@ def test_the_ring_keeps_one_order_and_no_placement_between_calls(monkeypatch):
     for orders in ([1999618], [2 * q for q in (100003, 100019, 100043, 100049)]):
         _modulus.cache_clear()
         assert held_after(lambda: reductions(orders)) < 2**12, orders
-    assert _modulus(1999618)[5] == ((999809, 999808, None),)
+    assert _modulus(1999618) == (999808, 999809, -1, 999808, 2, ((1, -1), (999809, 1)))

@@ -237,31 +237,28 @@ def scoped_nodes(tree):
         stack.extend((child, scope) for child in ast.iter_child_nodes(node))
 
 
-def test_table_budget_lives_in_characters_and_reduction_budget_in_cyclotomic():
+def test_max_table_prime_is_the_only_cost_constant():
     # The table budget bounds the kernels of characters.py alone, and each of
     # them takes its p from a character, so the character admits p where it is
     # built; a point count builds no table, so a copy in another module would
-    # refuse work that the budget does not model.  The reduction budget is a
-    # rule of the ring, which every reduction passes, so it is stated and
-    # compared once, where cyclotomic._modulus sizes an order's entry: every
-    # later check reads that entry's verdict, so a stale entry cannot disagree.
+    # refuse work that the budget does not model.  It is the library's one
+    # cost rule: the ring answers every order up to MAX_RING_ORDER, the range
+    # of m, so no module states a step budget or names a check of one.
     sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
     assert sources
-    assigned, table, compared = [], [], []
+    assigned, table = [], []
     for path in sources:
-        for node, scope in scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+        text = path.read_text()
+        assert "MAX_REDUCTION_STEPS" not in text and "_check_reduction" not in text, path.name
+        for node, scope in scoped_nodes(ast.parse(text, filename=str(path))):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 assigned += [f"{path.name} {ast.unparse(t)}" for t in targets
-                             if ast.unparse(t) in ("MAX_TABLE_PRIME", "MAX_REDUCTION_STEPS")]
+                             if ast.unparse(t) == "MAX_TABLE_PRIME" or re.search("STEPS|BUDGET", ast.unparse(t))]
             elif isinstance(node, ast.Compare) and "MAX_TABLE_PRIME" in ast.unparse(node):
                 table.append(f"{path.name} {scope}")
-            elif isinstance(node, ast.Compare) and "MAX_REDUCTION_STEPS" in ast.unparse(node):
-                compared.append(f"{path.name} {scope}")
-    assert sorted(assigned) == ["characters.py MAX_TABLE_PRIME", "cyclotomic.py MAX_REDUCTION_STEPS"]
+    assert assigned == ["characters.py MAX_TABLE_PRIME"], assigned
     assert table == ["characters.py MultiplicativeCharacter.__new__"], table
-    assert compared == ["cyclotomic.py _modulus"], compared
-    assert "MAX_REDUCTION_STEPS" not in (pathlib.Path(periodkit.__file__).parent / "characters.py").read_text()
 
 
 def test_prime_rule_runs_where_a_value_enters():
@@ -290,32 +287,37 @@ def test_prime_rule_runs_where_a_value_enters():
 
 def modulus_fields(parent: ast.AST) -> set[int]:
     """The fields of a `_modulus` entry that its call's parent node reads: a constant
-    index, the names of a tuple target not spelled `_`, or all seven for any other use."""
+    index, the names of a tuple target not spelled `_`, or all six for any other use."""
     if isinstance(parent, ast.Subscript) and isinstance(parent.slice, ast.Constant):
         return {parent.slice.value}
     if isinstance(parent, ast.Assign) and isinstance(parent.targets[0], ast.Tuple):
         return {i for i, target in enumerate(parent.targets[0].elts) if ast.unparse(target) != "_"}
-    return set(range(7))
+    return set(range(6))
 
 
 def test_phi_m_is_built_and_read_in_the_ring_alone():
-    # Phi_m's layout is decided in cyclotomic._modulus: it alone builds a
-    # cyclotomic polynomial, and only the one reduction and the packed columns
-    # read the entry's fields 4 and 5, the growth bound and the links of the chain;
-    # the budget's check reads whether there are links, the entry's own verdict.
-    # Every other reader takes the sizes phi, h, sign or the budget's steps.
-    builds, reads = set(), set()
+    # Phi_m's layout is decided in cyclotomic._modulus: it alone factors m in
+    # the ring and lists the binomials (x^d - sign)^mu whose product is Phi_m,
+    # and no code of the library builds Phi_m on its way (cyclotomic_polynomial
+    # has no caller).  Only the one reduction, the packed columns and
+    # cyclotomic_polynomial read the entry's fields 4 and 5, the growth bound
+    # and the binomials; every other reader takes the sizes phi, h, sign or lo.
+    builds, factors, reads = set(), set(), set()
     for path in sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node, scope in scoped_nodes(tree):
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == "cyclotomic_polynomial":
+            if not isinstance(node, ast.Call):
+                continue
+            if ast.unparse(node.func) == "cyclotomic_polynomial":
                 builds.add(f"{path.name} {scope}")
-            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_modulus":
-                if modulus_fields(parents[node]) & {4, 5}:
-                    reads.add(f"{path.name} {scope}")
-    assert builds == {"cyclotomic.py _modulus"}, builds
-    assert reads == {"cyclotomic.py _reduce", "cyclotomic.py _check_reduction", "cyclotomic.py _galois_columns"}, reads
+            elif ast.unparse(node.func) == "_prime_factors" and path.name == "cyclotomic.py":
+                factors.add(scope)
+            elif ast.unparse(node.func) == "_modulus" and modulus_fields(parents[node]) & {4, 5}:
+                reads.add(f"{path.name} {scope}")
+    assert builds == set(), builds
+    assert factors == {"_modulus"}, factors
+    assert reads == {"cyclotomic.py _reduce", "cyclotomic.py _galois_columns", "cyclotomic.py cyclotomic_polynomial"}, reads
 
 
 # Every cache of the library with its maxsize: one prime's dlog table, one ring
