@@ -503,26 +503,41 @@ def test_the_ring_holds_every_full_order_of_the_table():
     assert characters.MAX_TABLE_PRIME - 1 <= cyclotomic.MAX_RING_ORDER
 
 
-def test_the_ring_answers_at_m_30_whatever_its_cache_holds():
+def _answers_at_m_30():
+    c = MultiplicativeCharacter(31, 1)
+    return (jacobi_sum(c, c).coeffs, CyclotomicNumber.root_of_unity(30, 14).coeffs,
+            char_eval(c, PrimeFieldElem(31, 3)).coeffs, CyclotomicNumber(30, [1] * 8).coeffs)
+
+
+def test_the_ring_answers_at_m_30_from_an_empty_cache():
     # m = 30 = 2 * 3 * 5, h = 15: the first link folds by Phi_3 in one pass,
     # from 15 coefficients to 10, and the finish divides out the last 2 by
-    # Phi_30 over its binomials.  An entry of _modulus is a function of m alone,
-    # so the answers are the same from an empty cache, from the entry of 30 and
-    # after another order took the one slot.  jacobi_sum and char_eval at
-    # p = 31 live in Z[zeta_30]; phi(30) = 8 coefficients need no finish.
+    # Phi_30 over its binomials.  jacobi_sum and char_eval at p = 31 live in
+    # Z[zeta_30]; phi(30) = 8 coefficients need no finish.
+    _modulus.cache_clear()
     c = MultiplicativeCharacter(31, 1)
-    for before in (_modulus.cache_clear, lambda: _modulus(30), lambda: _modulus(42)):
-        before()
-        assert jacobi_sum(c, c).coeffs == (2, 4, 1, -2, 2, -2, 0, -1)
-        assert jacobi_sum(c, c).norm_to_int() == 31
-        assert CyclotomicNumber.root_of_unity(30, 14).coeffs == (1, 0, -1, -1, -1, 0, 1, 1)
-        assert abs(CyclotomicNumber.root_of_unity(30, 14).embed() - cmath.exp(28j * cmath.pi / 30)) < 1e-12
-        assert char_eval(c, PrimeFieldElem(31, 3)) == CyclotomicNumber.root_of_unity(30, 1)  # 3 generates F_31^x
-        assert CyclotomicNumber(30, [1] * 8).coeffs == (1,) * 8
+    assert jacobi_sum(c, c).coeffs == (2, 4, 1, -2, 2, -2, 0, -1)
+    assert jacobi_sum(c, c).norm_to_int() == 31
+    assert CyclotomicNumber.root_of_unity(30, 14).coeffs == (1, 0, -1, -1, -1, 0, 1, 1)
+    assert abs(CyclotomicNumber.root_of_unity(30, 14).embed() - cmath.exp(28j * cmath.pi / 30)) < 1e-12
+    assert char_eval(c, PrimeFieldElem(31, 3)) == CyclotomicNumber.root_of_unity(30, 1)  # 3 generates F_31^x
+    assert CyclotomicNumber(30, [1] * 8).coeffs == (1,) * 8
     # An order-2 pair lives in Z[zeta_2], whose reduction costs nothing;
     # J(chi, chi) = -chi(-1) = 1 for the quadratic chi, as 31 = 3 mod 4.
     q = quadratic_character(31)
     assert jacobi_sum(q, q).as_int() == 1
+
+
+def test_the_ring_answers_at_m_30_whatever_its_cache_holds():
+    # An entry of _modulus is a function of m alone, so a cached entry gives
+    # the answers of a fresh one: after the entry of 30 was built and after
+    # another order took the one slot.
+    _modulus.cache_clear()
+    fresh = _answers_at_m_30()
+    for before in (lambda: _modulus(30), lambda: _modulus(42)):
+        before()
+        assert _answers_at_m_30() == fresh
+    assert _modulus.cache_info().hits > 0
 
 
 def test_the_ring_answers_at_38039_and_1999993():
