@@ -20,7 +20,7 @@ import sys
 from collections.abc import Sequence
 
 from ._frozen import Frozen, check_sequence
-from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger, check_int, check_real, check_record
+from .errors import FloatOverflow, InvalidInput, PoleAtNonpositiveInteger, check_int, check_real, check_record, shown
 
 POLE_SNAP = 1e-12
 
@@ -141,14 +141,18 @@ def pole_scan(beta_fixed: float, n_max: int) -> list[tuple[int, float]]:
     """Residues of A(alpha, beta) at alpha = 0, -1, ..., -n_max in closed form.
 
     Gamma(alpha) has residue (-1)^n/n! at alpha = -n, and there the Beta ratio
-    leaves Gamma(beta)/Gamma(beta - n) = prod_{j=1..n} (beta - j).
+    leaves Gamma(beta)/Gamma(beta - n) = prod_{j=1..n} (beta - j).  beta is
+    refused where Gamma(beta) has a pole, by the one pole rule
+    (`_near_nonpositive_int`).  At a positive integer b the product is
+    (-1)^n C(b - 1, n) exactly, 0 from n = b on, where Gamma(alpha + beta) has a
+    pole too; adding 0.0 turns its -0.0 into 0.0.
     """
     check_int("n_max", n_max, lo=0, hi=12)
     check_real("beta_fixed", beta_fixed)
-    if abs(beta_fixed - round(beta_fixed)) < 1e-9:
-        raise InvalidInput("beta_fixed", f"beta must be off the integers, got {beta_fixed}")
+    if _near_nonpositive_int(beta_fixed) is not None:
+        raise InvalidInput("beta_fixed", f"beta must be off the poles 0, -1, -2, ... of Gamma, got {shown(beta_fixed)}")
     return [
-        (n, (-1) ** n * math.prod(beta_fixed - j for j in range(1, n + 1)) / math.factorial(n))
+        (n, (-1) ** n * math.prod(beta_fixed - j for j in range(1, n + 1)) / math.factorial(n) + 0.0)
         for n in range(n_max + 1)
     ]
 
@@ -196,11 +200,16 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     orders n | p - 1 run in ascending order, each order's pairs in row order,
     and the ring holds one order at a time.  The images of one order's
     representatives are taken together, one reduction per unit a mod n
-    (`_galois_columns`) on packed columns.
+    (`_galois_columns`) on packed columns.  The pairs live in one flat list
+    indexed by k1*(p - 1) + k2, so an orbit is filed without hashing a pair,
+    and a negated image is built once, when a row reads it.  a_p, for
+    p = 1 mod 4, comes from the one a_p route (`curve_counts._jacobi_trace`, as
+    in `a_p_from_jacobi`), run on the report's checked characters while the
+    ring holds order 4.
     """
     # The finite side loads here, so the Gamma-ratio commands never import it.
     from .characters import MultiplicativeCharacter, jacobi_sum
-    from .curve_counts import _primary_trace
+    from .curve_counts import _jacobi_trace
     from .cyclotomic import _galois_columns
     from .finite_field import _check_prime
 
@@ -221,8 +230,11 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     # slot[k1*(p-1) + k2]: None until the orbit of (k1, k2) is met, then (representative, unit
     # index, 1 if the image is negated) until its ring order's images exist, then its row.
     slot = [None] * (order * order)
+    a_p = None
     for n in (n for n in range(3, order + 1) if order % n == 0):  # orders 1 and 2 hold no pair
         step = order // n
+        if n == 4:  # p = 1 mod 4
+            a_p = _jacobi_trace(chars[step], jacobi_sum)
         units = [a for a in range(1, n) if math.gcd(a, n) == 1]
         reps, members = [], []
         # The pairs of order n are (x*step, y*step) with gcd(x, y, n) = 1 and x + y != n, in row order.
@@ -255,12 +267,5 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     # An amplitude record is (value, at_pole, pole_index), the last three fields of its row.
     global_rows = tuple(GlobalRow(m.s12, m.s34, *veneziano(m)) for m in cells)
 
-    # Row ((p-1)/4, (p-1)/2) holds J(chi_4, chi_2); at p = 3 mod 4 floor division names another row.
-    ap = _primary_trace(p, *slot[order // 4 * order + order // 2].coeffs) if p % 4 == 1 else None
-    return CorrespondenceReport(
-        p=p,
-        a_p=ap,
-        local_rows=tuple(filter(None, slot)),  # the filled slots are the rows, in row order
-        global_rows=global_rows,
-        dictionary=DICTIONARY_ROWS,
-    )
+    # The filled slots are the local rows, in row order.
+    return CorrespondenceReport(p, a_p, tuple(filter(None, slot)), global_rows, DICTIONARY_ROWS)

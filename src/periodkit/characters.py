@@ -17,15 +17,16 @@ import sys
 from array import array
 
 from ._frozen import Frozen
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import MAX_RING_ORDER, CyclotomicNumber
 from .errors import InvalidInput, TrivialCharacter, check_int, check_record
 from .finite_field import PrimeFieldElem, _check_one_mod_four, _check_prime, _check_same_prime, _smallest_primitive_root
 
 # Bounds the kernels over F_p: the dlog table, one entry per pair {t, -t}, and
 # the Gauss-sum walk.  Each takes its p from a character, so
-# MultiplicativeCharacter admits p <= MAX_TABLE_PRIME where it is built.  Their
-# cost is the `finite_enum` workload of perfbench.
-MAX_TABLE_PRIME = 2 * 10**6
+# MultiplicativeCharacter admits p <= MAX_TABLE_PRIME where it is built.  It is
+# the ring's range, so every order p - 1 of a character's Jacobi sum is a ring
+# order.  Their cost is the `finite_enum` workload of perfbench.
+MAX_TABLE_PRIME = MAX_RING_ORDER
 # Pairs per chunk of the byte route (`_byte_counts`): its transient bytes are a few chunks.
 BYTE_CHUNK = 1 << 15
 

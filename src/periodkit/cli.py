@@ -189,9 +189,10 @@ def _jacobi(m, a) -> list:
 
 def _count(m, a) -> list:
     curve = _fp_curve(m, a)
+    m._check_degree(a.n)
     count = m.count_points(curve)
     row = {**_fp_columns(curve), "Np": count.n_points, "ap": count.a_p}
-    if a.n != 1:  # N_{p^2} for --n 2; _count_from_trace refuses any other n
+    if a.n == 2:  # N_{p^2}
         row["Np2"] = m._count_from_trace(curve.p, count.a_p, a.n)
     return [row]
 
@@ -304,7 +305,7 @@ COMMANDS = {
     ),
     "poles": Command(
         "residues of the amplitude at alpha = 0..-n, in closed form", "amplitudes",
-        (Flag("t", float, help="fixed beta (non-integer)", feeds="beta_fixed"), Flag("n", default=5, feeds="n_max")),
+        (Flag("t", float, help="fixed beta, not 0, -1, -2, ...", feeds="beta_fixed"), Flag("n", default=5, feeds="n_max")),
         lambda m, a: [{"beta": a.t, "n": n, "residue": res} for n, res in m.pole_scan(a.t, a.n)],
     ),
     "correspond": Command(

@@ -141,23 +141,30 @@ def count_points(curve: WeierstrassCurveFp) -> CountResult:
     return CountResult(n, p + 1 - n)
 
 
-def _count_from_trace(p: int, a_p: int, n: int) -> int:
-    """Projective count over F_{p^n}, n in {1, 2}, from the trace a_p of the
-    count over F_p, read off the local zeta numerator 1 - a_p*T + p*T^2 (Weil):
-    N_{p^n} = p^n + 1 - (alpha^n + beta^n), and alpha + beta = a_p,
-    alpha*beta = p give alpha^2 + beta^2 = a_p^2 - 2p exactly."""
+def _check_degree(n: int) -> None:
+    """The one degree rule of counts over F_{p^n}: n in {1, 2}."""
     check_int("n", n)
     if n not in (1, 2):
         raise UnsupportedDegree("n", f"only degrees 1 and 2 are supported, got {shown(n)}")
+
+
+def _count_from_trace(p: int, a_p: int, n: int) -> int:
+    """Projective count over F_{p^n}, n in {1, 2} (`_check_degree`, run by the
+    caller before it counts), from the trace a_p of the count over F_p, read off
+    the local zeta numerator 1 - a_p*T + p*T^2 (Weil): N_{p^n} = p^n + 1 -
+    (alpha^n + beta^n), and alpha + beta = a_p, alpha*beta = p give
+    alpha^2 + beta^2 = a_p^2 - 2p exactly."""
     return p + 1 - a_p if n == 1 else p * p + 1 - (a_p * a_p - 2 * p)
 
 
 def count_points_ext(curve: WeierstrassCurveFp, n: int) -> int:
     """Projective count over F_{p^n}, n in {1, 2}: _count_from_trace of one
-    count over F_p.  No point over F_{p^2} is visited; tests/ checks the
-    formula against an enumeration of F_{p^2}."""
-    a_p = count_points(curve).a_p
-    return _count_from_trace(curve.p, a_p, n)
+    count over F_p, made only once n passes `_check_degree`.  No point over
+    F_{p^2} is visited; tests/ checks the formula against an enumeration of
+    F_{p^2}."""
+    check_record("curve", curve, WeierstrassCurveFp)
+    _check_degree(n)
+    return _count_from_trace(curve.p, count_points(curve).a_p, n)
 
 
 def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:
@@ -176,22 +183,25 @@ def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:
 
 
 def a_p_from_jacobi(p: int) -> int:
-    """Trace defect of y^2 = x^3 - x over F_p (p = 1 mod 4), _primary_trace of
-    J(chi_4, chi_2); quartic_character enforces both rules on p, prime and then
-    1 mod 4, and chi_2 = chi_4 * chi_4 carries chi_4's checked p."""
+    """Trace defect of y^2 = x^3 - x over F_p (p = 1 mod 4), `_jacobi_trace` of the
+    quartic character; quartic_character enforces both rules on p, prime and then
+    1 mod 4."""
     from .characters import jacobi_sum, quartic_character  # so count and zeta never load it
 
-    chi4 = quartic_character(p)
-    return _primary_trace(p, *jacobi_sum(chi4, chi4 * chi4).coeffs)
+    return _jacobi_trace(quartic_character(p), jacobi_sum)
 
 
-def _primary_trace(p: int, re: int, im: int) -> int:
-    """a_p of y^2 = x^3 - x from J(chi_4, chi_2) = re + im*i in Z[zeta_4] = Z[i], a
-    Gaussian integer of norm p: the trace of its associate that is 1 mod (1+i)^3."""
-    if re * re + im * im != p:
-        raise InvariantFailed(f"Jacobi norm: |J|^2 = {re * re + im * im} != {p}")
-    for a, b in ((re, im), (-im, re), (-re, -im), (im, -re)):  # unit multiples 1, i, -1, -i
-        # a + b*i = 1 mod (1+i)^3 means a odd, b even, a + b = 1 mod 4.
-        if a % 2 == 1 and b % 2 == 0 and (a + b) % 4 == 1:
-            return 2 * a
-    raise InvariantFailed(f"primary associate: none for {re}+{im}i")  # unreachable for norm p
+def _jacobi_trace(chi4, jacobi_sum) -> int:
+    """The one route to a_p of y^2 = x^3 - x: J(chi_4, chi_2) = re + im*i, with
+    chi_2 = chi_4 * chi_4, is a Gaussian integer of norm p in Z[zeta_4] = Z[i],
+    and a_p is the trace of its associate that is 1 mod (1+i)^3: a + b*i with a
+    odd, b even and a + b = 1 mod 4.  As p is odd, exactly one of re, im is odd:
+    if re is, that associate is J or -J, else i*J = -im + re*i or -i*J, the one
+    of the two with a + b = 1 mod 4.  chi_4 carries its checked p, and the
+    caller, which has loaded `characters`, passes its jacobi_sum, so neither
+    the prime rule nor that import runs here."""
+    re, im = jacobi_sum(chi4, chi4 * chi4).coeffs
+    if re * re + im * im != chi4.p:
+        raise InvariantFailed(f"Jacobi norm: |J|^2 = {re * re + im * im} != {chi4.p}")
+    a, b = (re, im) if re % 2 else (-im, re)
+    return 2 * a if (a + b) % 4 == 1 else -2 * a

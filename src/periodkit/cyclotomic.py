@@ -23,8 +23,7 @@ from ._frozen import RingElement, check_sequence
 from .errors import FloatOverflow, InvalidInput, MismatchedStructure, NotRationalInteger, check_int, shown
 from .finite_field import _prime_factors
 
-# The largest ring order m: every order p - 1 of the kernels over F_p
-# (p <= characters.MAX_TABLE_PRIME), each answered; a Galois image places m slots.
+# The largest ring order m, each answered; a Galois image places m slots.
 MAX_RING_ORDER = 2 * 10**6
 
 
@@ -84,7 +83,7 @@ def _series(poly: list[int], n: int, binomials: tuple[tuple[int, int], ...], sig
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m: the first phi(m) + 1
     terms of one `_series` from the constant (-sign)^(2^k), which is 1 but at m = 1, where
-    Phi_1 = x - 1 = -(1 - x)."""
+    Phi_1 = x - 1 = -(1 - x).  The ring never calls it: `_reduce` reads `_modulus` alone."""
     check_int("m", m, lo=1, hi=MAX_RING_ORDER)
     phi, _, sign, _, _, binomials = _modulus(m)
     return tuple(_series([(-sign) ** len(binomials)], phi + 1, binomials, sign))

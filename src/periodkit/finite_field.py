@@ -60,10 +60,10 @@ def is_prime(n: int) -> bool:
 
 def _check_prime(p: int, least: int = 3) -> None:
     """The library's one primality rule: p is a prime in [least, MAX_PRIME),
-    a range on which is_prime is exact.  It runs once per value that enters,
-    in the constructors that take a bare p (PrimeFieldElem, PadicInt,
-    MultiplicativeCharacter, WeierstrassCurveFp) and in the two entries that
-    refuse p before their character does (quartic_character, whose p = 1 mod 4
+    a range on which is_prime is exact.  It keeps no memo, as it runs once per
+    value that enters: in the constructors that take a bare p (PrimeFieldElem,
+    PadicInt, MultiplicativeCharacter, WeierstrassCurveFp) and in the two entries
+    that refuse p before their character does (quartic_character, whose p = 1 mod 4
     rule comes first, and correspondence_table, whose desk scale does).  Every
     result built from a value carries that value's checked p: a residue's
     arithmetic, a p-adic result at a new precision, a character built from

@@ -106,20 +106,12 @@ def frobenius_lift_check(variant: str, x: PadicInt) -> FrobeniusLiftVerdict:
     the value reduces to x^p mod p, and its deviation from x^p over p is the
     advertised derivation component (0 for phi1, x for phi2)."""
     check_record("x", x, PadicInt)
-    xp = x**x.p
-    if variant == "phi1":
-        phi = xp
-    elif variant == "phi2":
-        phi = xp + x.p * x
-    else:
+    if variant not in ("phi1", "phi2"):
         raise InvalidInput("variant", f"must be phi1 or phi2, got {shown(variant)}")
+    xp = x**x.p
+    phi = xp if variant == "phi1" else xp + x.p * x
     reduces = (phi.value - pow(x.value, x.p, x.p)) % x.p == 0
-    return FrobeniusLiftVerdict(
-        variant=variant,
-        phi=phi,
-        reduces_to_frobenius=reduces,
-        delta_component=(phi - xp).divide_by_p(),
-    )
+    return FrobeniusLiftVerdict(variant, phi, reduces, (phi - xp).divide_by_p())
 
 
 class DeltaRulesVerdict(Frozen):

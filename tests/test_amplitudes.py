@@ -10,8 +10,9 @@ import numpy
 import pytest
 from scipy import integrate
 
-from periodkit import characters, cyclotomic
+from periodkit import characters, curve_counts, cyclotomic
 from periodkit.amplitudes import (
+    POLE_SNAP,
     MandelstamInput,
     beta_fn,
     correspondence_table,
@@ -255,10 +256,41 @@ def test_pole_scan_examples():
 
 
 def test_pole_scan_input_validation():
-    with pytest.raises(ValueError):
-        pole_scan(2.0, 3)
+    # A positive integer beta is no pole of Gamma(beta): it answers, with an
+    # unsigned 0 past n = beta - 1, and so does a beta next to it, which the
+    # old test of 1e-9 to the nearest integer refused.  n_max is still capped at 12.
+    assert pole_scan(2.0, 3) == [(0, 1.0), (1, -1.0), (2, 0.0), (3, 0.0)]
+    for beta in (2 + 1e-10, 2 - 1e-10):
+        assert abs(pole_scan(beta, 3)[1][1] + 1) < 1e-9
     with pytest.raises(ValueError):
         pole_scan(2.5, 13)
+
+
+@pytest.mark.parametrize("pole", [0.0, -1.0, -2.0])
+@pytest.mark.parametrize("offset", [0.0, POLE_SNAP / 2, -POLE_SNAP / 2])
+def test_pole_scan_refuses_beta_by_the_gamma_pole_rule(pole, offset):
+    # pole_scan refuses beta through the one rule that gamma_fn, beta_fn and
+    # veneziano use (`_near_nonpositive_int`), within POLE_SNAP of 0, -1, -2, ...
+    with pytest.raises(InvalidInput) as excinfo:
+        pole_scan(pole + offset, 3)
+    assert excinfo.value.arg == "beta_fixed"
+    with pytest.raises(PoleAtNonpositiveInteger):
+        gamma_fn(pole + offset)
+
+
+def test_pole_scan_at_a_positive_integer_is_a_signed_binomial():
+    # At beta = b, prod_{j=1..n} (b - j)/n! = C(b - 1, n) exactly, 0 from n = b on,
+    # where Gamma(alpha + beta) has a pole too; no residue prints as -0.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        eps = mpmath.mpf(10) ** -50
+        for b in range(1, 7):
+            residues = pole_scan(b, 12)
+            assert residues == [(n, float((-1) ** n * math.comb(b - 1, n))) for n in range(13)], b
+            assert all(math.copysign(1.0, r) == 1.0 for _, r in residues if r == 0), b
+            for n, residue in residues:
+                limit = eps * mpmath.gamma(-n + eps) * mpmath.gamma(b) / mpmath.gamma(b - n + eps)
+                assert abs(residue - limit) <= 1e-12 * max(1, abs(residue)), (b, n)
 
 
 @pytest.mark.parametrize("bad", [10**400, -(10**400), "2", 1 + 2j, True, math.nan, math.inf, None, Decimal("2.5"), numpy.True_, numpy.False_])
@@ -329,13 +361,32 @@ def test_correspondence_local_rows_match_direct_table(p):
         assert row.norm_checked == ((row.k1, row.k2) in reps), (p, row)
 
 
+@pytest.fixture
+def in_a_p_route(monkeypatch):
+    """A list that is nonempty while the report's a_p route runs, so that a spy
+    can count the route's work apart from the table's."""
+    trace, inside = curve_counts._jacobi_trace, []
+
+    def route(*args):
+        inside.append(True)
+        try:
+            return trace(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(curve_counts, "_jacobi_trace", route)
+    return inside
+
+
 @pytest.mark.parametrize("p,orbits", [(5, 1), (73, 71), (97, 91)])
-def test_correspondence_computes_one_sum_and_norm_per_orbit(p, orbits, monkeypatch):
+def test_correspondence_computes_one_sum_and_norm_per_orbit(p, orbits, monkeypatch, in_a_p_route):
+    # Each p here is 1 mod 4, so the a_p route adds one sum, and no norm, of its own.
     calls = {"jacobi_sum": 0, "norm_to_int": 0}
+    route = {"jacobi_sum": 0, "norm_to_int": 0}
 
     def counted(name, fn):
         def wrapper(*args):
-            calls[name] += 1
+            (route if in_a_p_route else calls)[name] += 1
             return fn(*args)
 
         return wrapper
@@ -345,6 +396,7 @@ def test_correspondence_computes_one_sum_and_norm_per_orbit(p, orbits, monkeypat
     rows = correspondence_table(p, []).local_rows
     assert len(rows) == (p - 2) * (p - 3)
     assert calls == {"jacobi_sum": orbits, "norm_to_int": orbits}
+    assert route == {"jacobi_sum": 1, "norm_to_int": 0}
     assert sum(row.norm_checked for row in rows) == orbits
     assert all(row.norm_ok for row in rows)
 
@@ -353,20 +405,21 @@ def test_correspondence_builds_each_ring_order_once():
     # The ring keeps one order, and the report runs its orbits grouped by ring order.
     _modulus.cache_clear()
     report = correspondence_table(97, [])
-    orders = {row.ring_order for row in report.local_rows}  # a_p is read off the Z[i] row
+    orders = {row.ring_order for row in report.local_rows}  # a_p's order 4 among them
     assert len(orders) == 10
     assert _modulus.cache_info().misses == len(orders)
 
 
-def test_correspondence_places_each_image_once_and_builds_no_element(monkeypatch):
+def test_correspondence_places_each_image_once_and_builds_no_element(monkeypatch, in_a_p_route):
     # An orbit of ring order n has phi(n) pairs, one image for each unit a != 1
     # mod n; the report places the packed columns once per (n, a mod n) and
     # keeps nothing of the placement, so a second report places them again.
+    # The a_p route builds its one sum apart.
     canonical = CyclotomicNumber.__dict__["_canonical"].__func__
-    galois, built, placed = cyclotomic._galois, [], []
+    galois, built, placed, traced = cyclotomic._galois, [], [], []
 
     def counted(cls, m, coeffs):
-        built.append(m)
+        (traced if in_a_p_route else built).append(m)
         return canonical(cls, m, coeffs)
 
     def images(m, coeffs, a):
@@ -382,18 +435,20 @@ def test_correspondence_places_each_image_once_and_builds_no_element(monkeypatch
     # Each orbit builds its sum and its norm's product; no image builds an element.
     orbits = sum(row.norm_checked for row in rows)
     assert len(built) == 2 * orbits and len(rows) - orbits == 8839
+    assert traced == [4]
     correspondence_table(97, [])
     assert len(placed) == 2 * placements
 
 
-def test_correspondence_takes_one_finish_per_ring_order_and_unit(monkeypatch):
+def test_correspondence_takes_one_finish_per_ring_order_and_unit(monkeypatch, in_a_p_route):
     # Each orbit reduces its sum and its norm's product; the images of all orbits
     # of one ring order n take one reduction per unit a != 1 mod n, packed in
-    # columns, and a pair whose sum is the negation of an image takes none.
-    reduce, reduced = cyclotomic._reduce, []
+    # columns, and a pair whose sum is the negation of an image takes none.  The
+    # a_p route (97 is 1 mod 4) takes one of its own, at order 4, counted apart.
+    reduce, reduced, traced = cyclotomic._reduce, [], []
 
     def counted(m, coeffs):
-        reduced.append(m)
+        (traced if in_a_p_route else reduced).append(m)
         return reduce(m, coeffs)
 
     monkeypatch.setattr(cyclotomic, "_reduce", counted)
@@ -402,6 +457,7 @@ def test_correspondence_takes_one_finish_per_ring_order_and_unit(monkeypatch):
     images = sum(sum(math.gcd(a, n) == 1 for a in range(2, n)) for n in {row.ring_order for row in rows})
     assert orbits == 91
     assert len(reduced) == 2 * orbits + images == 266
+    assert traced == [4]
 
 
 def test_correspondence_ap_matches_enumeration():
@@ -418,6 +474,15 @@ def test_correspondence_ap_matches_enumeration():
     assert report.a_p == naive(13)
     report7 = correspondence_table(7, [])
     assert report7.a_p is None
+
+
+def test_correspondence_ap_takes_the_one_a_p_route():
+    # The report's a_p is a_p_from_jacobi's, which equals the point count's,
+    # at every p = 1 mod 4 it takes; it reads no row of its own table.
+    for p in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97):
+        a_p = correspondence_table(p, []).a_p
+        assert a_p == curve_counts.a_p_from_jacobi(p) == curve_counts.count_points(
+            curve_counts.WeierstrassCurveFp(p, -1, 0)).a_p, p
 
 
 def test_correspondence_global_rows():

@@ -837,7 +837,7 @@ ARGV_TABLE = [
     (["count", "--p", "0", "--curve", "1,1"], 2, "--p"),
     (["count", "--p", "7", "--curve", "1,1", "--n", "3"], 2, "--n"),
     (["catalog", "--n", "1"], 2, "--n"),
-    (["poles", "--t", "2", "--n", "3"], 2, "--t"),
+    (["poles", "--t", "-2", "--n", "3"], 2, "--t"),  # a pole of Gamma(beta); --t 2 answers
     (["poles", "--t", "2.5", "--n", "13"], 2, "--n"),
     (["poles", "--t", "nan"], 2, "--t"),
     (["poles", "--t", "inf"], 2, "--t"),

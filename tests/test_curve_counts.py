@@ -260,6 +260,16 @@ def test_ext_degree_one_degenerates():
         count_points_ext(curve, 3)
 
 
+@pytest.mark.parametrize("n", [0, 3, 10**400])
+def test_ext_degree_is_refused_before_the_count(monkeypatch, n):
+    # The degree rule runs before count_points: a bad n once cost a full count.
+    counted = []
+    monkeypatch.setattr(curve_counts, "count_points", lambda curve: counted.append(curve))
+    with pytest.raises(UnsupportedDegree):
+        count_points_ext(WeierstrassCurveFp(2147483647, 0, 1), n)
+    assert counted == []
+
+
 def test_ext_count_matches_zeta_roots():
     # The Weil bridge, verified: an enumeration of F_{p^2} against the roots.
     for p, a, b in ((5, -1, 0), (7, 2, 1), (11, 1, 3), (13, -1, 0)):

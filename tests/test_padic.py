@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from periodkit import _frozen, padic
 from periodkit._frozen import Residue
 from periodkit.errors import InsufficientPrecision, InvalidInput, MismatchedStructure, NonUnit
 from periodkit.padic import (
@@ -163,6 +164,25 @@ def test_frobenius_lift_checks():
                 verdict = frobenius_lift_check(variant, x)
                 assert verdict.reduces_to_frobenius
                 assert verdict.phi.value % p == pow(x.value, p, p)
+
+
+@pytest.mark.parametrize("variant", ["phi3", "", None, 1])
+def test_frobenius_lift_refuses_its_variant_before_any_power(monkeypatch, variant):
+    # The variant is checked before x^p: a bad one once cost the power first.
+    powers = []
+
+    def spy(*args):
+        powers.append(args)
+        return pow(*args)
+
+    for module in (_frozen, padic):
+        monkeypatch.setattr(module, "pow", spy, raising=False)
+    x = PadicInt(7, 64, 3)
+    with pytest.raises(InvalidInput) as excinfo:
+        frobenius_lift_check(variant, x)
+    assert excinfo.value.arg == "variant" and powers == []
+    frobenius_lift_check("phi2", x)  # the spy sees the powers of a good variant
+    assert powers
 
 
 def test_delta_rules_examples():

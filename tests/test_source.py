@@ -261,6 +261,18 @@ def test_max_table_prime_is_the_only_cost_constant():
     assert table == ["characters.py MultiplicativeCharacter.__new__"], table
 
 
+def test_the_f_p_range_is_the_ring_range():
+    # Every order p - 1 of a character's Jacobi sum is a ring order because
+    # the two ranges are one value, written once under src/.
+    from periodkit import characters, cyclotomic
+
+    assert characters.MAX_TABLE_PRIME is cyclotomic.MAX_RING_ORDER
+    sources = sorted(pathlib.Path(periodkit.__file__).parent.glob("*.py"))
+    assert sources
+    written = [path.name for path in sources for line in path.read_text().splitlines() if "2 * 10**6" in line]
+    assert written == ["cyclotomic.py"], written
+
+
 def test_prime_rule_runs_where_a_value_enters():
     # The prime rule runs in the four constructors that take a bare p, and in
     # the two entries that must refuse a prime before their character does:
