@@ -145,16 +145,24 @@ def pole_scan(beta_fixed: float, n_max: int) -> list[tuple[int, float]]:
     refused where Gamma(beta) has a pole, by the one pole rule
     (`_near_nonpositive_int`).  At a positive integer b the product is
     (-1)^n C(b - 1, n) exactly, 0 from n = b on, where Gamma(alpha + beta) has a
-    pole too; adding 0.0 turns its -0.0 into 0.0.
+    pole too; adding 0.0 turns its -0.0 into 0.0.  Those exact zeros are
+    answers; any other residue that leaves the normal double range (a large
+    beta, or a Fraction beta next to a positive integer) raises FloatOverflow.
     """
     check_int("n_max", n_max, lo=0, hi=12)
     check_real("beta_fixed", beta_fixed)
     if _near_nonpositive_int(beta_fixed) is not None:
         raise InvalidInput("beta_fixed", f"beta must be off the poles 0, -1, -2, ... of Gamma, got {shown(beta_fixed)}")
-    return [
-        (n, (-1) ** n * math.prod(beta_fixed - j for j in range(1, n + 1)) / math.factorial(n) + 0.0)
-        for n in range(n_max + 1)
-    ]
+    residues = []
+    for n in range(n_max + 1):
+        # Exact for an int or a Fraction beta; a float product neither underflows nor is 0 but at beta = j.
+        product = math.prod(beta_fixed - j for j in range(1, n + 1))
+        try:
+            residue = (-1) ** n * product / math.factorial(n) + 0.0
+        except OverflowError:  # an int or a Fraction beta whose product is past the doubles
+            residue = math.inf
+        residues.append((n, _in_double_range(residue, f"residue {n} at beta = {shown(beta_fixed)}") if product else residue))
+    return residues
 
 
 class LocalRow(Frozen):
@@ -203,9 +211,9 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     (`_galois_columns`) on packed columns.  The pairs live in one flat list
     indexed by k1*(p - 1) + k2, so an orbit is filed without hashing a pair,
     and a negated image is built once, when a row reads it.  a_p, for
-    p = 1 mod 4, comes from the one a_p route (`curve_counts._jacobi_trace`, as
-    in `a_p_from_jacobi`), run on the report's checked characters while the
-    ring holds order 4.
+    p = 1 mod 4, comes from the one a_p route, as in `a_p_from_jacobi`:
+    `curve_counts._jacobi_trace` of J(chi_4, chi_2), summed from the report's
+    checked characters while the ring holds order 4.
     """
     # The finite side loads here, so the Gamma-ratio commands never import it.
     from .characters import MultiplicativeCharacter, jacobi_sum
@@ -234,7 +242,7 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     for n in (n for n in range(3, order + 1) if order % n == 0):  # orders 1 and 2 hold no pair
         step = order // n
         if n == 4:  # p = 1 mod 4
-            a_p = _jacobi_trace(chars[step], jacobi_sum)
+            a_p = _jacobi_trace(jacobi_sum(chars[step], chars[2 * step]), p)
         units = [a for a in range(1, n) if math.gcd(a, n) == 1]
         reps, members = [], []
         # The pairs of order n are (x*step, y*step) with gcd(x, y, n) = 1 and x + y != n, in row order.
@@ -267,5 +275,10 @@ def correspondence_table(p: int, s_grid: Sequence[float]) -> CorrespondenceRepor
     # An amplitude record is (value, at_pole, pole_index), the last three fields of its row.
     global_rows = tuple(GlobalRow(m.s12, m.s34, *veneziano(m)) for m in cells)
 
-    # The filled slots are the local rows, in row order.
-    return CorrespondenceReport(p, a_p, tuple(filter(None, slot)), global_rows, DICTIONARY_ROWS)
+    return CorrespondenceReport(
+        p=p,
+        a_p=a_p,
+        local_rows=tuple(filter(None, slot)),  # the filled slots are the rows, in row order
+        global_rows=global_rows,
+        dictionary=DICTIONARY_ROWS,
+    )

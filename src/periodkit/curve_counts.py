@@ -183,25 +183,24 @@ def zeta_data(curve: WeierstrassCurveFp) -> ZetaData:
 
 
 def a_p_from_jacobi(p: int) -> int:
-    """Trace defect of y^2 = x^3 - x over F_p (p = 1 mod 4), `_jacobi_trace` of the
-    quartic character; quartic_character enforces both rules on p, prime and then
-    1 mod 4."""
+    """Trace defect of y^2 = x^3 - x over F_p (p = 1 mod 4), `_jacobi_trace` of
+    J(chi_4, chi_2); quartic_character enforces both rules on p, prime and then
+    1 mod 4, and chi_2 = chi_4 * chi_4 carries chi_4's checked p."""
     from .characters import jacobi_sum, quartic_character  # so count and zeta never load it
 
-    return _jacobi_trace(quartic_character(p), jacobi_sum)
+    chi4 = quartic_character(p)
+    return _jacobi_trace(jacobi_sum(chi4, chi4 * chi4), p)
 
 
-def _jacobi_trace(chi4, jacobi_sum) -> int:
-    """The one route to a_p of y^2 = x^3 - x: J(chi_4, chi_2) = re + im*i, with
-    chi_2 = chi_4 * chi_4, is a Gaussian integer of norm p in Z[zeta_4] = Z[i],
-    and a_p is the trace of its associate that is 1 mod (1+i)^3: a + b*i with a
-    odd, b even and a + b = 1 mod 4.  As p is odd, exactly one of re, im is odd:
-    if re is, that associate is J or -J, else i*J = -im + re*i or -i*J, the one
-    of the two with a + b = 1 mod 4.  chi_4 carries its checked p, and the
-    caller, which has loaded `characters`, passes its jacobi_sum, so neither
-    the prime rule nor that import runs here."""
-    re, im = jacobi_sum(chi4, chi4 * chi4).coeffs
-    if re * re + im * im != chi4.p:
-        raise InvariantFailed(f"Jacobi norm: |J|^2 = {re * re + im * im} != {chi4.p}")
+def _jacobi_trace(j, p: int) -> int:
+    """The one route to a_p of y^2 = x^3 - x from J = J(chi_4, chi_2) = re + im*i,
+    a Gaussian integer of norm p in Z[zeta_4] = Z[i]: a_p is the trace of its
+    associate that is 1 mod (1+i)^3, a + b*i with a odd, b even and
+    a + b = 1 mod 4.  As p is odd, exactly one of re, im is odd: if re is, that
+    associate is J or -J, else i*J = -im + re*i or -i*J, the one of the two with
+    a + b = 1 mod 4.  Run by `a_p_from_jacobi` and by the correspondence report."""
+    re, im = j.coeffs
+    if re * re + im * im != p:
+        raise InvariantFailed(f"Jacobi norm: |J|^2 = {re * re + im * im} != {p}")
     a, b = (re, im) if re % 2 else (-im, re)
     return 2 * a if (a + b) % 4 == 1 else -2 * a

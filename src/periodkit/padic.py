@@ -111,7 +111,12 @@ def frobenius_lift_check(variant: str, x: PadicInt) -> FrobeniusLiftVerdict:
     xp = x**x.p
     phi = xp if variant == "phi1" else xp + x.p * x
     reduces = (phi.value - pow(x.value, x.p, x.p)) % x.p == 0
-    return FrobeniusLiftVerdict(variant, phi, reduces, (phi - xp).divide_by_p())
+    return FrobeniusLiftVerdict(
+        variant=variant,
+        phi=phi,
+        reduces_to_frobenius=reduces,
+        delta_component=(phi - xp).divide_by_p(),
+    )
 
 
 class DeltaRulesVerdict(Frozen):

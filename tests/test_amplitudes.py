@@ -293,6 +293,19 @@ def test_pole_scan_at_a_positive_integer_is_a_signed_binomial():
                 assert abs(residue - limit) <= 1e-12 * max(1, abs(residue)), (b, n)
 
 
+@pytest.mark.parametrize(
+    "beta,n_max",
+    [(1e300, 2), (10**300, 2), (1e30, 12), (10**100 + Fraction(1, 2), 4), (2 + Fraction(1, 10**400), 2)],
+    ids=["float-above", "int-above", "float-at-n11", "fraction-above", "fraction-below"],
+)
+def test_pole_scan_refuses_a_residue_past_the_doubles(beta, n_max):
+    # A residue above the double range, or a nonzero one below the normal
+    # doubles, raises FloatOverflow, as gamma_fn and beta_fn do; the exact zeros
+    # at a positive integer beta are answers (the signed-binomial test).
+    with pytest.raises(FloatOverflow):
+        pole_scan(beta, n_max)
+
+
 @pytest.mark.parametrize("bad", [10**400, -(10**400), "2", 1 + 2j, True, math.nan, math.inf, None, Decimal("2.5"), numpy.True_, numpy.False_])
 @pytest.mark.parametrize(
     "call,arg",
@@ -361,32 +374,41 @@ def test_correspondence_local_rows_match_direct_table(p):
         assert row.norm_checked == ((row.k1, row.k2) in reps), (p, row)
 
 
+def _is_a_p_pair(c, c2):
+    """The pair (chi_4, chi_2) that the report sums for its a_p route.  Its table
+    never sums that pair: it lies in the orbit of (chi_4, chi_4), first in row order."""
+    return (c.order, c2.order) == (4, 2)
+
+
 @pytest.fixture
 def in_a_p_route(monkeypatch):
-    """A list that is nonempty while the report's a_p route runs, so that a spy
-    can count the route's work apart from the table's."""
-    trace, inside = curve_counts._jacobi_trace, []
+    """A list that is nonempty while the report sums J(chi_4, chi_2) for its a_p
+    route, so that a spy inside that sum counts the route's work apart from the
+    table's."""
+    jacobi, inside = characters.jacobi_sum, []
 
-    def route(*args):
+    def route(c, c2):
+        if not _is_a_p_pair(c, c2):
+            return jacobi(c, c2)
         inside.append(True)
         try:
-            return trace(*args)
+            return jacobi(c, c2)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(curve_counts, "_jacobi_trace", route)
+    monkeypatch.setattr(characters, "jacobi_sum", route)
     return inside
 
 
 @pytest.mark.parametrize("p,orbits", [(5, 1), (73, 71), (97, 91)])
-def test_correspondence_computes_one_sum_and_norm_per_orbit(p, orbits, monkeypatch, in_a_p_route):
+def test_correspondence_computes_one_sum_and_norm_per_orbit(p, orbits, monkeypatch):
     # Each p here is 1 mod 4, so the a_p route adds one sum, and no norm, of its own.
     calls = {"jacobi_sum": 0, "norm_to_int": 0}
     route = {"jacobi_sum": 0, "norm_to_int": 0}
 
     def counted(name, fn):
         def wrapper(*args):
-            (route if in_a_p_route else calls)[name] += 1
+            (route if name == "jacobi_sum" and _is_a_p_pair(*args) else calls)[name] += 1
             return fn(*args)
 
         return wrapper
@@ -476,11 +498,16 @@ def test_correspondence_ap_matches_enumeration():
     assert report7.a_p is None
 
 
-def test_correspondence_ap_takes_the_one_a_p_route():
+def test_correspondence_ap_takes_the_one_a_p_route(monkeypatch):
     # The report's a_p is a_p_from_jacobi's, which equals the point count's,
-    # at every p = 1 mod 4 it takes; it reads no row of its own table.
+    # at every p = 1 mod 4 it takes; it reads no row of its own table, and
+    # calls the one route, curve_counts._jacobi_trace, once.
+    trace, traces = curve_counts._jacobi_trace, []
+    monkeypatch.setattr(curve_counts, "_jacobi_trace", lambda *args: traces.append(trace(*args)) or traces[-1])
     for p in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97):
+        traces.clear()
         a_p = correspondence_table(p, []).a_p
+        assert traces == [a_p]
         assert a_p == curve_counts.a_p_from_jacobi(p) == curve_counts.count_points(
             curve_counts.WeierstrassCurveFp(p, -1, 0)).a_p, p
 

@@ -496,6 +496,8 @@ def test_domain_errors_exit_one():
     assert code == 1 and "SingularCurve" in err
     code, _, err = run_cli(["periods", "--curve", "0,1"])
     assert code == 1 and "ComplexRoots" in err
+    code, _, err = run_cli(["poles", "--t", "1e300", "--n", "12"])
+    assert code == 1 and "FloatOverflow" in err
 
 
 @pytest.mark.parametrize(
