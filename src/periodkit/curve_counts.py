@@ -73,29 +73,39 @@ def _mul(k: int, P, A: int, p: int):
 
 
 def _order_multiples(P, lo: int, hi: int, A: int, p: int) -> set[int]:
-    """Every m in [lo, hi] with m*P = O, by baby-step giant-step.
+    """Every m in [lo, hi] with m*P = O, by baby-step giant-step on x alone.
 
-    Baby steps j*P, 0 <= j < s, s = isqrt(hi - lo) + 1; if one of them is O
-    the order of P is the first such j.  Otherwise they are distinct, a window
-    of s consecutive m holds at most one multiple of the order, and the giant
-    steps (lo + i*s)*P find it as the baby step j with (lo + i*s)*P = -j*P.
+    Baby steps j*P, 1 <= j <= s, s = isqrt((hi - lo) // 2) + 1, are filed
+    under their x as (j, y).  The first j whose x repeats that of an i < j
+    (j*P = -i*P) gives the order i + j, and the first with y = 0 gives 2j: so
+    every order up to 2s ends the baby steps, and its multiples are the
+    answer.  Otherwise the order exceeds 2s, the 2s points +-j*P are distinct,
+    and a window [c - s, c + s] holds at most one multiple.  Giant steps of
+    (2s + 1)*P visit the windows' centres c from lo + s on; c*P = O gives c,
+    and c*P = +-j*P gives c - j or c + j, as the stored y says.  That is
+    about sqrt(2 (hi - lo)) additions, where baby steps that took j*P and
+    -j*P apart would need 2 sqrt(hi - lo).
     """
-    s = math.isqrt(hi - lo) + 1
+    s = math.isqrt((hi - lo) // 2) + 1
     baby = {}
-    R = None
-    for j in range(s):
-        if R is None and j:
-            return set(range(-(-lo // j) * j, hi + 1, j))
-        baby[R] = j
-        R = _add(R, P, A, p)
-    giant, R = R, _mul(lo, P, A, p)
+    R = P
+    for j in range(1, s + 1):
+        x, y = R
+        if x in baby or y == 0:
+            order = baby[x][0] + j if x in baby else 2 * j
+            return set(range(-(-lo // order) * order, hi + 1, order))
+        baby[x] = j, y
+        last, R = R, _add(R, P, A, p)
+    giant, R = _add(last, R, A, p), _add(_mul(lo, P, A, p), last, A, p)
     found = set()
-    for base in range(lo, hi + 1, s):
-        j = baby.get(R if R is None else (R[0], -R[1] % p))
-        if j is not None and base + j <= hi:
-            found.add(base + j)
+    for c in range(lo + s, hi + s + 1, 2 * s + 1):
+        if R is None:
+            found.add(c)
+        elif R[0] in baby:
+            j, y = baby[R[0]]
+            found.add(c - j if y == R[1] else c + j)
         R = _add(R, giant, A, p)
-    return found
+    return {m for m in found if m <= hi}
 
 
 def count_points(curve: WeierstrassCurveFp) -> CountResult:
@@ -104,17 +114,23 @@ def count_points(curve: WeierstrassCurveFp) -> CountResult:
 
     The walk visits x0 = 0, 1, 2, ... and tallies 1 + chi_2(v), v = f(x0).  For
     v != 0, (v*x0, v^2) lies on E_v: y^2 = x^3 + a v^2 x + b v^3, which is E
-    when v is a square and its quadratic twist, of order 2p + 2 - N, when not;
-    every m in the interval with m*(v*x0, v^2) = O cuts down the candidates.
-    The walk stops at one candidate, or at x0 = p - 1, where the tally is the
-    full count.  For p > 229, E or its twist has a point whose order has one
-    multiple in the interval (Mestre's theorem); in practice a few points do.
-    No table is built, so every prime below 2**31 is taken.
+    when v is a square and its quadratic twist, of order 2p + 2 - N, when not.
+    `_order_multiples` returns the m in [lo, hi], the span of the candidates
+    (mirrored for the twist), with m*(v*x0, v^2) = O, and the new candidates
+    are those multiples that are still candidates: all of them at the first
+    point, whose span is the whole interval, and their set intersection with
+    the candidates after it.  So a point costs its baby-step giant-step and
+    O(number of multiples), never a scan of the interval.  The walk stops at
+    one candidate, or at x0 = p - 1, where the tally is the full count.  For
+    p > 229, E or its twist has a point whose order has one multiple in the
+    interval (Mestre's theorem); in practice a few points do.  No table is
+    built, so every prime below 2**31 is taken.
     """
     check_record("curve", curve, WeierstrassCurveFp)
     p, a, b = curve.p, curve.a, curve.b
     width = math.isqrt(4 * p)
-    candidates = range(p + 1 - width, p + 2 + width)
+    lo, hi = p + 1 - width, p + 1 + width
+    candidates = None  # all of [lo, hi]
     half, twisted = (p - 1) // 2, 2 * p + 2
     n = 1
     for x0 in range(p):
@@ -125,19 +141,19 @@ def count_points(curve: WeierstrassCurveFp) -> CountResult:
         point, A = (v * x0 % p, v * v % p), a * v * v % p
         if pow(v, half, p) == 1:
             n += 2
-            orders = _order_multiples(point, candidates[0], candidates[-1], A, p)
-            candidates = [N for N in candidates if N in orders]
+            kept = _order_multiples(point, lo, hi, A, p)
         else:
-            orders = _order_multiples(point, twisted - candidates[-1], twisted - candidates[0], A, p)
-            candidates = [N for N in candidates if twisted - N in orders]
+            kept = {twisted - m for m in _order_multiples(point, twisted - hi, twisted - lo, A, p)}
+        candidates = kept if candidates is None else kept & candidates
         if not candidates:
             raise InvariantFailed(f"Hasse interval: no N fits the point orders up to x = {x0} mod {p}")
         if len(candidates) == 1:
-            n = candidates[0]
+            n = candidates.pop()
             break
+        lo, hi = min(candidates), max(candidates)
     else:
         if n not in candidates:
-            raise InvariantFailed(f"Hasse interval: the full count {n} is not among {candidates}")
+            raise InvariantFailed(f"Hasse interval: the full count {n} is not among {sorted(candidates)}")
     return CountResult(n, p + 1 - n)
 
 

@@ -3,10 +3,11 @@
 import math
 import random
 import sys
+import time
 from array import array
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from periodkit import curve_counts
@@ -147,13 +148,97 @@ def test_count_matches_table_enumeration_below_10k(p, a, b):
 
 def test_order_multiples_match_scalar_multiplication():
     # Baby-step giant-step against m*P = O tested for every m of the interval,
-    # on points of small order (the early exit) and of large order alike.
+    # on every point of four curves.  With s = isqrt((hi - lo) // 2) + 1 the
+    # baby steps end at any order up to 2s: an odd one where an x repeats, an
+    # even one where a multiple reaches y = 0.  (1, 40), (50, 2p) and
+    # (200, 400) put orders 7, 8, 14, 15 and 21 in (s, 2s], past the baby
+    # steps' own multiples; larger orders go to the giant steps.
+    exits = set()
     for p, a, b in ((101, 4, 1), (103, 0, 7), (109, 1, 0), (113, 5, 9)):
         points = [(x, y) for x in range(p) for y in range(1, p) if (y * y - x**3 - a * x - b) % p == 0]
-        for P in random.Random(p).sample(points, 12):
-            for lo, hi in ((1, 40), (p + 1 - 20, p + 1 + 20), (7, 7), (50, 2 * p)):
+        for P in points:
+            order, R = 1, P
+            while R is not None:
+                order, R = order + 1, curve_counts._add(R, P, a, p)
+            for lo, hi in ((1, 40), (p + 1 - 20, p + 1 + 20), (7, 7), (50, 2 * p), (200, 400)):
+                s = math.isqrt((hi - lo) // 2) + 1
+                if s < order <= 2 * s:
+                    exits.add("2j" if order % 2 == 0 else "i + j")
                 want = {m for m in range(lo, hi + 1) if curve_counts._mul(m, P, a, p) is None}
                 assert curve_counts._order_multiples(P, lo, hi, a, p) == want, (p, a, b, P, lo, hi)
+    assert exits == {"2j", "i + j"}
+
+
+def points_at(p, a, b, count):
+    # The first `count` points with y != 0 of y^2 = x^3 + a x + b, p = 3 mod 4,
+    # where the square root of a square v is v^((p + 1) / 4).
+    points = []
+    for x in range(p):
+        v = (x**3 + a * x + b) % p
+        if v and pow(v, (p - 1) // 2, p) == 1:
+            points.append((x, pow(v, (p + 1) // 4, p)))
+            if len(points) == count:
+                return points
+
+
+def test_order_multiples_makes_about_sqrt_2w_additions(monkeypatch):
+    # s additions reach 2P to (s + 1)P, one more the giant step (2s + 1)P, at
+    # most 2 lo.bit_length() + 1 the first centre (lo + s)P, and one each
+    # window of 2s + 1: s + windows + 2 lo.bit_length() + 2 in all.
+    added = []
+    add = curve_counts._add
+    monkeypatch.setattr(curve_counts, "_add", lambda *args: added.append(1) or add(*args))
+    p, a, b = 2**31 - 1, 4, 1
+    width = math.isqrt(4 * p)
+    for lo, hi in ((p + 1 - width, p + 1 + width), (p + 1, p + 1 + width), (1, 10**6), (2 * p, 2 * p + 5)):
+        w = hi - lo
+        s = math.isqrt(w // 2) + 1
+        for P in points_at(p, a, b, 4):
+            added.clear()
+            curve_counts._order_multiples(P, lo, hi, a, p)
+            assert len(added) <= s + -(-(w + 1) // (2 * s + 1)) + 2 * lo.bit_length() + 2, (lo, hi, P)
+
+
+def test_count_keeps_multiples_at_no_cost_per_candidate(monkeypatch):
+    # The first two points report every even m of their interval, then every
+    # third m, on top of their true multiples: some 10^5 multiples each.  A
+    # count that keeps the multiples still among the candidates by set
+    # membership answers in milliseconds; one that is O(candidates x
+    # multiples) takes minutes.
+    multiples = curve_counts._order_multiples
+    steps = iter((2, 3))
+
+    def padded(P, lo, hi, A, p):
+        found, step = multiples(P, lo, hi, A, p), next(steps, None)
+        return found if step is None else found | set(range(-(-lo // step) * step, hi + 1, step))
+
+    monkeypatch.setattr(curve_counts, "_order_multiples", padded)
+    start = time.perf_counter()
+    assert count_points(WeierstrassCurveFp(2**31 - 1, -1, 0)).a_p == 0  # p = 3 mod 4
+    assert time.perf_counter() - start < 2
+    assert next(steps, None) is None
+
+
+def prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(5, 2**31 - 1), st.integers(0, 2**31), st.integers(0, 2**31), st.integers(0, 2**31), st.integers(0, 2**31))
+def test_twist_negates_and_isomorphism_keeps_a_p_below_2_31(n, a, b, d, u):
+    # Over F_p, (a d^2, b d^3) with d a nonsquare is the quadratic twist, of
+    # count 2p + 2 - N, and (a u^4, b u^6) with u a unit is isomorphic to
+    # (a, b) by (x, y) -> (u^2 x, u^3 y).
+    p = prime_at_most(n)
+    assume((4 * a**3 + 27 * b**2) % p)
+    while pow(d, (p - 1) // 2, p) != p - 1:
+        d += 1
+    u = u % (p - 1) + 1
+    a_p = count_points(WeierstrassCurveFp(p, a, b)).a_p
+    assert count_points(WeierstrassCurveFp(p, a * d**2, b * d**3)).a_p == -a_p, (p, a, b, d)
+    assert count_points(WeierstrassCurveFp(p, a * u**4, b * u**6)).a_p == a_p, (p, a, b, u)
 
 
 def test_count_reads_a_few_points_at_large_p(monkeypatch):
