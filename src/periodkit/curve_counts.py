@@ -72,15 +72,16 @@ def _mul(k: int, P, A: int, p: int):
     return R
 
 
-def _order_multiples(P, lo: int, hi: int, A: int, p: int) -> set[int]:
-    """Every m in [lo, hi] with m*P = O, by baby-step giant-step on x alone.
+def _order_multiples(P, lo: int, hi: int, A: int, p: int) -> set[int] | None:
+    """Every m in [lo, hi] with m*P = O, by baby-step giant-step on x alone,
+    or None when the order of P is at most 2s.
 
     Baby steps j*P, 1 <= j <= s, s = isqrt((hi - lo) // 2) + 1, are filed
-    under their x as (j, y).  The first j whose x repeats that of an i < j
-    (j*P = -i*P) gives the order i + j, and the first with y = 0 gives 2j: so
-    every order up to 2s ends the baby steps, and its multiples are the
-    answer.  Otherwise the order exceeds 2s, the 2s points +-j*P are distinct,
-    and a window [c - s, c + s] holds at most one multiple.  Giant steps of
+    under their x as (j, y).  They end, and the answer is None, at the first
+    j whose x repeats that of an i < j (j*P = -i*P, order i + j) or whose y
+    is 0 (order 2j): every order up to 2s ends them so, and no other does.
+    Otherwise the order exceeds 2s, the 2s points +-j*P are distinct, and a
+    window [c - s, c + s] holds at most one multiple.  Giant steps of
     (2s + 1)*P visit the windows' centres c from lo + s on; c*P = O gives c,
     and c*P = +-j*P gives c - j or c + j, as the stored y says.  That is
     about sqrt(2 (hi - lo)) additions, where baby steps that took j*P and
@@ -92,8 +93,7 @@ def _order_multiples(P, lo: int, hi: int, A: int, p: int) -> set[int]:
     for j in range(1, s + 1):
         x, y = R
         if x in baby or y == 0:
-            order = baby[x][0] + j if x in baby else 2 * j
-            return set(range(-(-lo // order) * order, hi + 1, order))
+            return None
         baby[x] = j, y
         last, R = R, _add(R, P, A, p)
     giant, R = _add(last, R, A, p), _add(_mul(lo, P, A, p), last, A, p)
@@ -115,22 +115,25 @@ def count_points(curve: WeierstrassCurveFp) -> CountResult:
     The walk visits x0 = 0, 1, 2, ... and tallies 1 + chi_2(v), v = f(x0).  For
     v != 0, (v*x0, v^2) lies on E_v: y^2 = x^3 + a v^2 x + b v^3, which is E
     when v is a square and its quadratic twist, of order 2p + 2 - N, when not.
-    `_order_multiples` returns the m in [lo, hi], the span of the candidates
-    (mirrored for the twist), with m*(v*x0, v^2) = O, and the new candidates
-    are those multiples that are still candidates: all of them at the first
-    point, whose span is the whole interval, and their set intersection with
-    the candidates after it.  So a point costs its baby-step giant-step and
-    O(number of multiples), never a scan of the interval.  The walk stops at
-    one candidate, or at x0 = p - 1, where the tally is the full count.  For
-    p > 229, E or its twist has a point whose order has one multiple in the
-    interval (Mestre's theorem); in practice a few points do.  No table is
+    The candidates start as the whole interval, range(lo, hi + 1), and
+    [lo, hi] is then their span.  `_order_multiples` returns the m in [lo, hi]
+    (mirrored for the twist) with m*(v*x0, v^2) = O, and the new candidates
+    are those that are still candidates, tested by membership: a point costs
+    its baby-step giant-step and O(number of multiples), never a scan of the
+    interval.  A point whose order is at most 2s answers None and is skipped
+    once tallied, so no order is derived and no long list of its multiples
+    is built.  The walk stops at one candidate, or at x0 = p - 1, where the
+    tally is the full count.  For p > 229, E or its twist has a point whose
+    order has one multiple in the interval (Mestre's theorem): that order
+    exceeds half the interval's width, which is at least 2s, so such a point
+    is never skipped; in practice a few points pin N down.  No table is
     built, so every prime below 2**31 is taken.
     """
     check_record("curve", curve, WeierstrassCurveFp)
     p, a, b = curve.p, curve.a, curve.b
     width = math.isqrt(4 * p)
     lo, hi = p + 1 - width, p + 1 + width
-    candidates = None  # all of [lo, hi]
+    candidates = range(lo, hi + 1)
     half, twisted = (p - 1) // 2, 2 * p + 2
     n = 1
     for x0 in range(p):
@@ -141,10 +144,12 @@ def count_points(curve: WeierstrassCurveFp) -> CountResult:
         point, A = (v * x0 % p, v * v % p), a * v * v % p
         if pow(v, half, p) == 1:
             n += 2
-            kept = _order_multiples(point, lo, hi, A, p)
-        else:
-            kept = {twisted - m for m in _order_multiples(point, twisted - hi, twisted - lo, A, p)}
-        candidates = kept if candidates is None else kept & candidates
+            found = _order_multiples(point, lo, hi, A, p)
+        elif found := _order_multiples(point, twisted - hi, twisted - lo, A, p):
+            found = {twisted - m for m in found}
+        if found is None:
+            continue
+        candidates = {m for m in found if m in candidates}
         if not candidates:
             raise InvariantFailed(f"Hasse interval: no N fits the point orders up to x = {x0} mod {p}")
         if len(candidates) == 1:

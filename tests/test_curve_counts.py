@@ -149,24 +149,33 @@ def test_count_matches_table_enumeration_below_10k(p, a, b):
 def test_order_multiples_match_scalar_multiplication():
     # Baby-step giant-step against m*P = O tested for every m of the interval,
     # on every point of four curves.  With s = isqrt((hi - lo) // 2) + 1 the
-    # baby steps end at any order up to 2s: an odd one where an x repeats, an
-    # even one where a multiple reaches y = 0.  (1, 40), (50, 2p) and
-    # (200, 400) put orders 7, 8, 14, 15 and 21 in (s, 2s], past the baby
-    # steps' own multiples; larger orders go to the giant steps.
-    exits = set()
+    # baby steps end, and the answer is None, at any order up to 2s: an odd
+    # one where an x repeats, an even one where a multiple reaches y = 0.
+    # (1, 40), (50, 2p) and (200, 400) put orders 7, 8, 14, 15 and 21 in
+    # (s, 2s], past the baby steps' own multiples; (10, 100) has s = 7 and
+    # points of order 14 = 2s and 15 = 2s + 1.  Larger orders go to the giant
+    # steps, which must find exactly the multiples.
+    exits, edges = set(), set()
     for p, a, b in ((101, 4, 1), (103, 0, 7), (109, 1, 0), (113, 5, 9)):
         points = [(x, y) for x in range(p) for y in range(1, p) if (y * y - x**3 - a * x - b) % p == 0]
         for P in points:
             order, R = 1, P
             while R is not None:
                 order, R = order + 1, curve_counts._add(R, P, a, p)
-            for lo, hi in ((1, 40), (p + 1 - 20, p + 1 + 20), (7, 7), (50, 2 * p), (200, 400)):
+            for lo, hi in ((1, 40), (p + 1 - 20, p + 1 + 20), (7, 7), (50, 2 * p), (200, 400), (10, 100)):
                 s = math.isqrt((hi - lo) // 2) + 1
-                if s < order <= 2 * s:
-                    exits.add("2j" if order % 2 == 0 else "i + j")
-                want = {m for m in range(lo, hi + 1) if curve_counts._mul(m, P, a, p) is None}
-                assert curve_counts._order_multiples(P, lo, hi, a, p) == want, (p, a, b, P, lo, hi)
-    assert exits == {"2j", "i + j"}
+                got = curve_counts._order_multiples(P, lo, hi, a, p)
+                if order <= 2 * s:
+                    assert got is None, (p, a, b, P, lo, hi, order)
+                    if s < order:
+                        exits.add("y = 0" if order % 2 == 0 else "repeated x")
+                else:
+                    want = {m for m in range(lo, hi + 1) if curve_counts._mul(m, P, a, p) is None}
+                    assert got == want, (p, a, b, P, lo, hi)
+                if order - 2 * s in (0, 1):
+                    edges.add(order - 2 * s)
+    assert exits == {"y = 0", "repeated x"}
+    assert edges == {0, 1}
 
 
 def points_at(p, a, b, count):
@@ -226,11 +235,20 @@ def prime_at_most(n):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(5, 2**31 - 1), st.integers(0, 2**31), st.integers(0, 2**31), st.integers(0, 2**31), st.integers(0, 2**31))
-def test_twist_negates_and_isomorphism_keeps_a_p_below_2_31(n, a, b, d, u):
+@given(
+    st.integers(5, 2**31 - 1),
+    st.integers(0, 2**31),
+    st.integers(0, 2**31),
+    st.integers(0, 2**31),
+    st.integers(0, 2**31),
+    st.sampled_from(["any", "a = 0", "b = 0"]),
+)
+def test_twist_negates_and_isomorphism_keeps_a_p_below_2_31(n, a, b, d, u, family):
     # Over F_p, (a d^2, b d^3) with d a nonsquare is the quadratic twist, of
     # count 2p + 2 - N, and (a u^4, b u^6) with u a unit is isomorphic to
-    # (a, b) by (x, y) -> (u^2 x, u^3 y).
+    # (a, b) by (x, y) -> (u^2 x, u^3 y).  The families a = 0 and b = 0 are
+    # drawn too: they hold the points of small order that the count skips.
+    a, b = (0 if family == "a = 0" else a), (0 if family == "b = 0" else b)
     p = prime_at_most(n)
     assume((4 * a**3 + 27 * b**2) % p)
     while pow(d, (p - 1) // 2, p) != p - 1:
@@ -242,15 +260,51 @@ def test_twist_negates_and_isomorphism_keeps_a_p_below_2_31(n, a, b, d, u):
 
 
 def test_count_reads_a_few_points_at_large_p(monkeypatch):
-    # Shanks-Mestre: the orders of a few points pin N down, far from a walk over F_p.
+    # Shanks-Mestre: the orders of a few points pin N down, far from a walk over
+    # F_p, although a point of order at most 2s is skipped.  Every prime in
+    # (229, 3000], where Mestre's theorem promises a point the count never
+    # skips, with the a = 0 and b = 0 families, which hold the small orders,
+    # and six seeded curves; then two large primes.
     calls = []
     multiples = curve_counts._order_multiples
     monkeypatch.setattr(curve_counts, "_order_multiples", lambda *args: calls.append(args) or multiples(*args))
-    for p in (1999993, 2**31 - 1):
-        for a, b in ((4, 1), (0, 1), (1, 0), (-1, 0)):
-            calls.clear()
-            count_points(WeierstrassCurveFp(p, a, b))
-            assert 1 <= len(calls) <= 20, (p, a, b, len(calls))
+    curves = []
+    for p in range(230, 3001):
+        if is_prime(p):
+            rng, pairs = random.Random(p), [(0, k) for k in range(1, 7)] + [(k, 0) for k in range(1, 7)]
+            while len(pairs) < 18:
+                a, b = rng.randrange(p), rng.randrange(p)
+                if (4 * a**3 + 27 * b**2) % p:
+                    pairs.append((a, b))
+            curves += [(p, a, b) for a, b in pairs]
+    curves += [(p, a, b) for p in (1999993, 2**31 - 1) for a, b in ((4, 1), (0, 1), (1, 0), (-1, 0))]
+    for p, a, b in curves:
+        calls.clear()
+        count_points(WeierstrassCurveFp(p, a, b))
+        assert 1 <= len(calls) <= 20, (p, a, b, len(calls))
+
+
+def test_count_lists_no_multiples_of_a_small_order(monkeypatch):
+    # On y^2 = x^3 + b the first point, (0, b^2) on E or its twist, has order 3.
+    # Each answer is None or holds at most one multiple per giant-step window,
+    # ceil((hi - lo + 1) / (2s + 1)): never the some 61 800 multiples of 3
+    # in the Hasse interval near 2^31.
+    multiples = curve_counts._order_multiples
+
+    def bounded(P, lo, hi, A, p):
+        found, s = multiples(P, lo, hi, A, p), math.isqrt((hi - lo) // 2) + 1
+        assert found is None or len(found) <= -(-(hi - lo + 1) // (2 * s + 1)), (P, lo, hi, len(found))
+        return found
+
+    monkeypatch.setattr(curve_counts, "_order_multiples", bounded)
+    assert count_points(WeierstrassCurveFp(2147483647, 0, 7)).a_p == 39115
+    for p, b in ((2147483563, 26), (2147483629, 8)):
+        # p = 1 mod 3 is r^2 + 3s^2, and the six sextic twists of y^2 = x^3 + 1
+        # have the traces of the six associates of r + s sqrt(-3).
+        r = cubic_primary_part(p)
+        s = math.isqrt((p - r * r) // 3)
+        traces = {sign * t for sign in (1, -1) for t in (2 * r, r + 3 * s, r - 3 * s)}
+        assert count_points(WeierstrassCurveFp(p, 0, b)).a_p in traces, (p, b)
 
 
 def largest_primes_below(n, count):
